@@ -3,12 +3,17 @@
 //! Solves `K(ν) u = F` on the interior degrees of freedom with prescribed
 //! Dirichlet values held fixed; this is the reference solver for
 //! network-vs-FEM comparisons (the grids match the network output exactly).
+//! Every entry point is a thin wrapper over `run_cg`, the crate's one CG
+//! loop, which steps a [`PcgWorkspace`] (whose curvature guard also
+//! rejects NaN).
 
 use crate::basis::ElementBasis;
 use crate::bc::Dirichlet;
 use crate::grid::Grid;
 use crate::operator::load_vector;
+use crate::pcg::{JacobiPrecond, LinearOp, PcgStep, PcgWorkspace, Precond};
 use crate::pde::PdeOperator;
+use crate::system::FemSystem;
 
 /// CG solver options.
 #[derive(Clone, Copy, Debug)]
@@ -89,119 +94,44 @@ pub fn solve_cg_op<const D: usize>(
     if let Some(ff) = f {
         load_vector(grid, basis, ff, &mut rhs);
     }
-    solve_cg_rhs_op(grid, basis, op, nu, bc, &rhs, &u, opts)
+    let sys = FemSystem::assemble(*grid, basis.clone(), op, nu.to_vec(), bc.clone());
+    let (pre, mut ws) = (JacobiPrecond::of(&sys), PcgWorkspace::new(nn));
+    let stats = run_cg(&sys, &pre, &mut ws, &mut u, &rhs, opts);
+    (u, stats)
 }
 
-/// CG with an explicit assembled right-hand side and initial iterate
-/// (Dirichlet values must already be present in `u0`; only the mask of `bc`
-/// is used). Exposed for the GMG coarse-level solve, which works on
-/// residual equations rather than physical load vectors.
-pub fn solve_cg_rhs<const D: usize>(
-    grid: &Grid<D>,
-    basis: &ElementBasis<D>,
-    nu: &[f64],
-    bc: &Dirichlet,
+/// The CG loop: restarts `ws` on `op u = rhs` from the current `u`
+/// (Dirichlet values already imposed) and steps until the relative or
+/// absolute tolerance is met, the iteration cap is hit, or the recurrence
+/// breaks down (non-positive or non-finite curvature — a NaN input stops
+/// within one iteration, unconverged).
+pub(crate) fn run_cg(
+    op: &dyn LinearOp,
+    pre: &dyn Precond,
+    ws: &mut PcgWorkspace,
+    u: &mut [f64],
     rhs: &[f64],
-    u0: &[f64],
     opts: CgOptions,
-) -> (Vec<f64>, CgStats) {
-    solve_cg_rhs_op(grid, basis, PdeOperator::Poisson, nu, bc, rhs, u0, opts)
-}
-
-/// [`solve_cg_rhs`] over an arbitrary [`PdeOperator`].
-#[allow(clippy::too_many_arguments)]
-pub fn solve_cg_rhs_op<const D: usize>(
-    grid: &Grid<D>,
-    basis: &ElementBasis<D>,
-    op: PdeOperator,
-    nu: &[f64],
-    bc: &Dirichlet,
-    rhs: &[f64],
-    u0: &[f64],
-    opts: CgOptions,
-) -> (Vec<f64>, CgStats) {
-    let nn = grid.num_nodes();
-    assert_eq!(rhs.len(), nn);
-    assert_eq!(u0.len(), nn);
-    let mut u = u0.to_vec();
-
-    // r = mask(F - K u)
-    let mut r = vec![0.0; nn];
-    op.apply_stiffness(grid, basis, nu, &u, &mut r);
-    for i in 0..nn {
-        r[i] = rhs[i] - r[i];
-    }
-    bc.zero_fixed(&mut r);
-
-    // Jacobi preconditioner from the stiffness diagonal.
-    let mut diag = vec![0.0; nn];
-    op.stiffness_diag(grid, basis, nu, &mut diag);
-    let minv: Vec<f64> = diag
-        .iter()
-        .map(|&d| {
-            if d.abs() > mgd_tensor::F64_DIV_GUARD {
-                1.0 / d
-            } else {
-                0.0
-            }
-        })
-        .collect();
-
-    let norm = |v: &[f64]| v.iter().map(|x| x * x).sum::<f64>().sqrt();
-    let r0 = norm(&r);
+) -> CgStats {
+    ws.restart(op, pre, u, rhs);
+    let r0 = ws.recurrence_residual();
     let mut stats = CgStats {
         iterations: 0,
         residual: r0,
         initial_residual: r0,
         converged: r0 <= opts.abs_tol,
     };
-    if stats.converged {
-        return (u, stats);
+    while !stats.converged && stats.iterations < opts.max_iter {
+        match ws.step(op, pre, u) {
+            PcgStep::Breakdown => break,
+            PcgStep::Advanced(rn) => {
+                stats.iterations += 1;
+                stats.residual = rn;
+                stats.converged = rn <= opts.tol * r0 || rn <= opts.abs_tol;
+            }
+        }
     }
-
-    let mut z: Vec<f64> = r.iter().zip(&minv).map(|(&ri, &mi)| ri * mi).collect();
-    bc.zero_fixed(&mut z);
-    let mut p = z.clone();
-    let mut rz: f64 = r.iter().zip(&z).map(|(a, b)| a * b).sum();
-    let mut ap = vec![0.0; nn];
-
-    for it in 0..opts.max_iter {
-        ap.iter_mut().for_each(|x| *x = 0.0);
-        op.apply_stiffness(grid, basis, nu, &p, &mut ap);
-        bc.zero_fixed(&mut ap);
-        let pap: f64 = p.iter().zip(&ap).map(|(a, b)| a * b).sum();
-        if pap <= 0.0 {
-            // Operator restricted to the interior is SPD; a non-positive
-            // curvature signals breakdown (e.g. all-Neumann singular mode).
-            stats.iterations = it;
-            stats.residual = norm(&r);
-            return (u, stats);
-        }
-        let alpha = rz / pap;
-        for i in 0..nn {
-            u[i] += alpha * p[i];
-            r[i] -= alpha * ap[i];
-        }
-        let rn = norm(&r);
-        stats.iterations = it + 1;
-        stats.residual = rn;
-        if rn <= opts.tol * r0 || rn <= opts.abs_tol {
-            stats.converged = true;
-            break;
-        }
-        for i in 0..nn {
-            z[i] = r[i] * minv[i];
-        }
-        bc.zero_fixed(&mut z);
-        let rz_new: f64 = r.iter().zip(&z).map(|(a, b)| a * b).sum();
-        let beta = rz_new / rz;
-        rz = rz_new;
-        for i in 0..nn {
-            p[i] = z[i] + beta * p[i];
-        }
-        bc.zero_fixed(&mut p);
-    }
-    (u, stats)
+    stats
 }
 
 #[cfg(test)]

@@ -12,10 +12,12 @@
 //! (see [`crate::solver`]).
 
 use crate::bc::Dirichlet;
-use crate::cg::{solve_cg_rhs, CgOptions};
+use crate::cg::{run_cg, CgOptions};
 use crate::error::FemError;
 use crate::grid::Grid;
+use crate::hierarchy::{sample_tables, transfer, AxisTable};
 use crate::operator::load_vector;
+use crate::pcg::{JacobiPrecond, PcgWorkspace};
 use crate::system::PoissonSystem;
 
 /// GMG options.
@@ -72,6 +74,8 @@ pub struct GmgStats {
 #[derive(Debug)]
 pub struct GmgSolver<const D: usize> {
     levels: Vec<PoissonSystem<D>>,
+    /// Prolongation tables from level `l+1` to level `l`.
+    c2f: Vec<Vec<AxisTable>>,
     bc: Dirichlet,
     opts: GmgOptions,
 }
@@ -94,6 +98,7 @@ impl<const D: usize> GmgSolver<D> {
         opts: GmgOptions,
     ) -> Result<Self, FemError> {
         let mut levels: Vec<PoissonSystem<D>> = Vec::new();
+        let mut c2f = Vec::new();
         let mut g = grid;
         let mut nu_l = nu.to_vec();
         let mut bc_l = bc.clone();
@@ -133,6 +138,7 @@ impl<const D: usize> GmgSolver<D> {
                 cnu[ci] = nu_l[fi];
                 cfix[ci] = bc_l.fixed[fi];
             }
+            c2f.push(sample_tables(g.n, cn));
             g = cg;
             nu_l = cnu;
             bc_l = Dirichlet {
@@ -140,7 +146,12 @@ impl<const D: usize> GmgSolver<D> {
                 fixed: cfix,
             };
         }
-        Ok(GmgSolver { levels, bc, opts })
+        Ok(GmgSolver {
+            levels,
+            c2f,
+            bc,
+            opts,
+        })
     }
 
     /// Number of levels in the hierarchy.
@@ -149,104 +160,35 @@ impl<const D: usize> GmgSolver<D> {
     }
 
     fn smooth(&self, l: usize, u: &mut [f64], b: &[f64], sweeps: usize) {
-        self.levels[l].jacobi_smooth(u, b, self.opts.omega, sweeps);
+        let tmp = &mut vec![0.0; u.len()];
+        self.levels[l]
+            .stencil()
+            .smooth(u, b, self.opts.omega, sweeps, tmp);
     }
 
-    /// Residual restriction `r_c = Pᵀ r` — the transpose of multilinear
-    /// prolongation, i.e. the tensor product of the 1D stencil [1/2, 1, 1/2].
+    /// Multilinear prolongation of a coarse correction, or (`restrict`)
+    /// its transpose `r_c = Pᵀ r` — the tensor product of the 1D stencil
+    /// [1/2, 1, 1/2], i.e. the nested case of the hierarchy's separable
+    /// transfers — masked on the output level.
     ///
     /// For multilinear FEM this is the variationally correct restriction
     /// (the Galerkin coarse operator `Pᵀ K P` then matches the rediscretized
     /// coarse stiffness); the finite-difference "full weighting"
     /// [1/4, 1/2, 1/4] under-scales the coarse correction by 2^D and
     /// degrades the V-cycle to smoother-speed convergence.
-    fn restrict(&self, fine_l: usize, r: &[f64]) -> Vec<f64> {
-        let fg = &self.levels[fine_l].grid;
-        let cgl = &self.levels[fine_l + 1];
-        let cg = &cgl.grid;
-        let mut out = vec![0.0; cg.num_nodes()];
-        for ci in 0..cg.num_nodes() {
-            if cgl.bc.fixed[ci] {
-                continue;
-            }
-            let cm = cg.node_multi(ci);
-            let mut acc = 0.0;
-            // Offsets in {-1,0,1}^D around the coincident fine node.
-            let mut off = [-1i64; D];
-            loop {
-                let mut w = 1.0;
-                let mut fm = [0usize; D];
-                let mut inside = true;
-                for d in 0..D {
-                    let fi = cm[d] as i64 * 2 + off[d];
-                    if fi < 0 || fi >= fg.n[d] as i64 {
-                        inside = false;
-                        break;
-                    }
-                    fm[d] = fi as usize;
-                    w *= if off[d] == 0 { 1.0 } else { 0.5 };
-                }
-                if inside {
-                    acc += w * r[fg.node(fm)];
-                }
-                // Advance the offset odometer.
-                let mut d = D;
-                loop {
-                    if d == 0 {
-                        break;
-                    }
-                    d -= 1;
-                    if off[d] < 1 {
-                        off[d] += 1;
-                        break;
-                    }
-                    off[d] = -1;
-                    if d == 0 {
-                        d = usize::MAX;
-                        break;
-                    }
-                }
-                if d == usize::MAX {
-                    break;
-                }
-            }
-            out[ci] = acc;
-        }
-        out
-    }
-
-    /// Multilinear prolongation of a coarse correction to the fine level.
-    fn prolong(&self, fine_l: usize, e: &[f64]) -> Vec<f64> {
-        let fgl = &self.levels[fine_l];
-        let fg = &fgl.grid;
-        let cg = &self.levels[fine_l + 1].grid;
-        let mut out = vec![0.0; fg.num_nodes()];
-        for fi in 0..fg.num_nodes() {
-            if fgl.bc.fixed[fi] {
-                continue;
-            }
-            let fm = fg.node_multi(fi);
-            // Each axis contributes either one coarse plane (even index) or
-            // the average of two (odd index).
-            let mut acc = 0.0;
-            let odd_count = (0..D).filter(|&d| fm[d] % 2 == 1).count();
-            let w = 0.5f64.powi(odd_count as i32);
-            let combos = 1usize << odd_count;
-            for c in 0..combos {
-                let mut cm = [0usize; D];
-                let mut bit = 0;
-                for d in 0..D {
-                    if fm[d].is_multiple_of(2) {
-                        cm[d] = fm[d] / 2;
-                    } else {
-                        cm[d] = fm[d] / 2 + ((c >> bit) & 1);
-                        bit += 1;
-                    }
-                }
-                acc += w * e[cg.node(cm)];
-            }
-            out[fi] = acc;
-        }
+    fn transfer(&self, fine_l: usize, restrict: bool, v: &[f64]) -> Vec<f64> {
+        let (fine, coarse) = (&self.levels[fine_l], &self.levels[fine_l + 1]);
+        let mut out = vec![0.0; if restrict { coarse } else { fine }.num_nodes()];
+        let mut t = [vec![0.0; fine.num_nodes()], vec![0.0; fine.num_nodes()]];
+        transfer(
+            &self.c2f[fine_l],
+            fine,
+            coarse,
+            restrict,
+            v,
+            &mut out,
+            &mut t,
+        );
         out
     }
 
@@ -255,19 +197,12 @@ impl<const D: usize> GmgSolver<D> {
         if l + 1 == self.levels.len() {
             // Coarsest level: tight CG solve. Only the mask of the level's
             // BC is used (coarse levels are homogeneous by construction).
-            let (sol, _) = solve_cg_rhs(
-                &lv.grid,
-                &lv.basis,
-                &lv.nu,
-                &lv.bc,
-                b,
-                u,
-                CgOptions {
-                    tol: 1e-12,
-                    ..Default::default()
-                },
-            );
-            u.copy_from_slice(&sol);
+            let opts = CgOptions {
+                tol: 1e-12,
+                ..Default::default()
+            };
+            let mut ws = PcgWorkspace::new(u.len());
+            run_cg(lv, &JacobiPrecond::of(lv), &mut ws, u, b, opts);
             return;
         }
         self.smooth(l, u, b, self.opts.pre_smooth);
@@ -276,10 +211,10 @@ impl<const D: usize> GmgSolver<D> {
         for _ in 0..self.opts.gamma.max(1) {
             let mut r = vec![0.0; nn];
             lv.residual_into(u, b, &mut r);
-            let rc = self.restrict(l, &r);
+            let rc = self.transfer(l, true, &r);
             let mut ec = vec![0.0; self.levels[l + 1].grid.num_nodes()];
             self.v_cycle(l + 1, &mut ec, &rc);
-            let ef = self.prolong(l, &ec);
+            let ef = self.transfer(l, false, &ec);
             for i in 0..nn {
                 u[i] += ef[i];
             }

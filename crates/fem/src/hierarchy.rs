@@ -9,7 +9,10 @@
 //! the general transfer reduces exactly to the classical
 //! `[1/2, 1, 1/2]` stencil), prolongation interpolates coarse nodal
 //! values at fine node coordinates, and restriction is its exact
-//! transpose. Coarse operators are rediscretized from a sampled ν.
+//! transpose. Both are tensor products of 1D interpolations and are
+//! applied axis by axis. Coarse operators are rediscretized from a
+//! sampled ν; the finest level is the caller's system, shared, not
+//! re-assembled.
 //!
 //! Because restriction is exactly `Pᵀ` and pre/post smoothing use the
 //! same damped-Jacobi sweep counts, one V-cycle is a symmetric positive
@@ -17,14 +20,25 @@
 //! ([`Precond`] impl), which is how the hybrid solver consumes it: the
 //! outer CG tracks the true residual, so certification never depends on
 //! the (non-nested, approximate) coarse corrections being accurate.
+//!
+//! The V-cycle is written once, generic over the element type: smoothing,
+//! residuals and transfers run on the level [`Stencil`]s at `E`, the
+//! coarsest level solves in `f64` CG. [`crate::mixed::MixedHierarchy`] is
+//! the same cycle at `f32`. Its working vectors come from a pool the
+//! hierarchy owns, so a solve allocates only on its first V-cycle
+//! ([`GridHierarchy::scratch_misses`] counts the allocations).
 
 use crate::bc::Dirichlet;
-use crate::cg::{solve_cg_rhs_op, CgOptions};
+use crate::cg::{run_cg, CgOptions};
 use crate::error::FemError;
 use crate::grid::Grid;
-use crate::pcg::Precond;
+use crate::pcg::{JacobiPrecond, PcgWorkspace, Precond};
 use crate::pde::PdeOperator;
-use crate::system::PoissonSystem;
+use crate::stencil::Stencil;
+use crate::system::FemSystem;
+use mgd_tensor::Element;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Hierarchy construction and V-cycle options.
 #[derive(Clone, Copy, Debug)]
@@ -75,17 +89,168 @@ fn sample_axis(n_target: usize, n_source: usize) -> AxisTable {
         .collect()
 }
 
+/// [`sample_axis`] along every axis: interpolates a `source`-shaped grid
+/// at the nodes of a `target`-shaped one.
+pub(crate) fn sample_tables<const D: usize>(
+    target: [usize; D],
+    source: [usize; D],
+) -> Vec<AxisTable> {
+    (0..D).map(|d| sample_axis(target[d], source[d])).collect()
+}
+
+/// One 1D pass of [`separable`] along the middle axis of an
+/// `(outer, ·, inner)` array: gathers `dst[o,i,:] = w0·src[o,j,:] +
+/// w1·src[o,j+1,:]` for `table[i] = (j, w0, w1)`, or scatters the
+/// transpose.
+fn axis_pass<E: Element>(
+    table: &[(usize, f64, f64)],
+    outer: usize,
+    inner: usize,
+    (n_src, n_dst): (usize, usize),
+    transpose: bool,
+    src: &[E],
+    dst: &mut [E],
+) {
+    if transpose {
+        dst[..outer * n_dst * inner].fill(E::ZERO);
+    }
+    for o in 0..outer {
+        for (i, &(j, w0, w1)) in table.iter().enumerate() {
+            let (w0, w1) = (E::from_f64(w0), E::from_f64(w1));
+            if transpose {
+                let s = &src[(o * n_src + i) * inner..][..inner];
+                let (d0, d1) = dst[(o * n_dst + j) * inner..][..2 * inner].split_at_mut(inner);
+                for ((a, b), &v) in d0.iter_mut().zip(d1).zip(s) {
+                    *a += w0 * v;
+                    *b += w1 * v;
+                }
+            } else {
+                let (s0, s1) = src[(o * n_src + j) * inner..][..2 * inner].split_at(inner);
+                let d = &mut dst[(o * n_dst + i) * inner..][..inner];
+                for ((d, &a), &b) in d.iter_mut().zip(s0).zip(s1) {
+                    *d = w0 * a + w1 * b;
+                }
+            }
+        }
+    }
+}
+
+/// Applies the tensor product of the per-axis `tables` (axis 0 first) to
+/// `src` of dims `from`, writing dims `to` into `dst` — or its exact
+/// transpose. `t` holds the intermediates (each ≥ the larger of the two
+/// node counts).
+fn separable<E: Element, const D: usize>(
+    tables: &[AxisTable],
+    (from, to): ([usize; D], [usize; D]),
+    transpose: bool,
+    src: &[E],
+    dst: &mut [E],
+    t: &mut [Vec<E>; 2],
+) {
+    let [t0, t1] = t;
+    let mut cur = from;
+    for d in 0..D {
+        let (outer, inner) = (cur[..d].iter().product(), cur[d + 1..].iter().product());
+        let n = (cur[d], to[d]);
+        cur[d] = to[d];
+        let input: &[E] = if d == 0 { src } else { &t0[..] };
+        let output: &mut [E] = if d + 1 == D { &mut *dst } else { &mut t1[..] };
+        axis_pass(&tables[d], outer, inner, n, transpose, input, output);
+        std::mem::swap(t0, t1);
+    }
+}
+
+/// Prolongs `src` from `coarse` to `fine` by the tensor product of
+/// `tables`, or (`restrict`) scatters it back by the exact transpose, then
+/// zeroes the output level's fixed nodes. `t` holds fine-sized
+/// intermediates.
+pub(crate) fn transfer<E: Element, const D: usize>(
+    tables: &[AxisTable],
+    fine: &FemSystem<D>,
+    coarse: &FemSystem<D>,
+    restrict: bool,
+    src: &[E],
+    dst: &mut [E],
+    t: &mut [Vec<E>; 2],
+) {
+    let (dims, out) = match restrict {
+        true => ((fine.grid.n, coarse.grid.n), coarse),
+        false => ((coarse.grid.n, fine.grid.n), fine),
+    };
+    separable(tables, dims, restrict, src, dst, t);
+    mask(dst, &out.bc.fixed);
+}
+
+/// Zeroes the entries of `v` whose `fixed` flag is set.
+fn mask<E: Element>(v: &mut [E], fixed: &[bool]) {
+    for (x, &fx) in v.iter_mut().zip(fixed) {
+        if fx {
+            *x = E::ZERO;
+        }
+    }
+}
+
+/// A free list of per-call scratch plus the number of calls that found it
+/// empty and had to allocate.
+pub(crate) struct ScratchPool<T> {
+    free: Mutex<Vec<T>>,
+    misses: AtomicUsize,
+}
+
+impl<T> ScratchPool<T> {
+    pub(crate) fn new() -> Self {
+        ScratchPool {
+            free: Mutex::new(Vec::new()),
+            misses: AtomicUsize::new(0),
+        }
+    }
+
+    /// Runs `f` on a pooled scratch value (built by `make` on a miss) and
+    /// returns it to the pool. The free list holds only complete values,
+    /// so a lock poisoned by a panic elsewhere is safe to recover.
+    pub(crate) fn run<R>(&self, make: impl FnOnce() -> T, f: impl FnOnce(&mut T) -> R) -> R {
+        let lock = || self.free.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut s = lock().pop().unwrap_or_else(|| {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            make()
+        });
+        let out = f(&mut s);
+        lock().push(s);
+        out
+    }
+
+    pub(crate) fn misses(&self) -> usize {
+        self.misses.load(Ordering::Relaxed)
+    }
+}
+
+/// Working memory of one V-cycle at precision `E`. Per level `l`: the
+/// unknown `e[l]` and right-hand side `b[l]` (at level 0 the
+/// preconditioner's output and input), the residual, and a smoother buffer
+/// that also takes the prolonged correction. Plus transfer intermediates
+/// and the coarsest level's `f64` CG state.
+pub(crate) struct Scratch<E> {
+    pub(crate) e: Vec<Vec<E>>,
+    pub(crate) b: Vec<Vec<E>>,
+    r: Vec<Vec<E>>,
+    s: Vec<Vec<E>>,
+    t: [Vec<E>; 2],
+    cu: Vec<f64>,
+    cb: Vec<f64>,
+    ws: PcgWorkspace,
+}
+
 /// A multigrid hierarchy over arbitrary (≥ 2 nodes per axis) grids.
 /// Level 0 is the finest.
 pub struct GridHierarchy<const D: usize> {
-    pub(crate) levels: Vec<PoissonSystem<D>>,
+    pub(crate) levels: Vec<Arc<FemSystem<D>>>,
     /// `c2f[l][d]` interpolates level `l+1` (coarse) values at the node
     /// coordinates of level `l` (fine) along axis `d`.
-    pub(crate) c2f: Vec<Vec<AxisTable>>,
-    /// `f2c[l][d]` samples level `l` (fine) values at the node
-    /// coordinates of level `l+1` (coarse) along axis `d`.
-    f2c: Vec<Vec<AxisTable>>,
-    pub(crate) opts: HierarchyOptions,
+    c2f: Vec<Vec<AxisTable>>,
+    opts: HierarchyOptions,
+    /// Jacobi preconditioner of the coarsest level's CG solve.
+    coarse_pre: JacobiPrecond,
+    pool: ScratchPool<Scratch<f64>>,
 }
 
 impl<const D: usize> GridHierarchy<D> {
@@ -121,76 +286,55 @@ impl<const D: usize> GridHierarchy<D> {
                 requirement: "every axis needs at least 2 nodes",
             });
         }
-        let ncomp = op.ncomp(D);
-        let mut levels = Vec::new();
+        let finest = FemSystem::with_operator(grid, op, nu.to_vec(), bc.clone())?;
+        Self::from_finest(Arc::new(finest), opts)
+    }
+
+    /// Builds the coarse levels under an assembled finest system, which
+    /// the hierarchy shares instead of assembling it again.
+    pub fn from_finest(
+        finest: Arc<FemSystem<D>>,
+        opts: HierarchyOptions,
+    ) -> Result<Self, FemError> {
+        let op = finest.op;
+        let mut levels = vec![finest];
         let mut c2f = Vec::new();
-        let mut f2c = Vec::new();
-        let mut g = grid;
-        let mut nu_l = nu.to_vec();
-        let mut bc_l = bc.clone();
         loop {
-            let stop = levels.len() + 1 >= opts.max_levels
-                || g.n.iter().any(|&m| m <= opts.coarse_n.max(2));
-            let sys = PoissonSystem::with_operator(g, op, nu_l.clone(), bc_l.clone())?;
-            levels.push(sys);
-            if stop {
+            let fine = &levels[levels.len() - 1];
+            let fnn = fine.num_nodes();
+            let fg = fine.grid.n;
+            if levels.len() >= opts.max_levels || fg.iter().any(|&m| m <= opts.coarse_n.max(2)) {
                 break;
             }
             // Coarsen n -> (n+1)/2 per axis (n even halves; n odd nests).
-            let mut cn = [0usize; D];
-            for d in 0..D {
-                cn[d] = g.n[d].div_ceil(2).max(2);
-            }
-            let cg: Grid<D> = Grid::new(cn);
-            let down: Vec<AxisTable> = (0..D).map(|d| sample_axis(cn[d], g.n[d])).collect();
-            let up: Vec<AxisTable> = (0..D).map(|d| sample_axis(g.n[d], cn[d])).collect();
-            // Sample each coefficient component and the fixed mask onto the
-            // coarse grid.
-            let fnn = g.num_nodes();
+            let cg: Grid<D> = Grid::new(fg.map(|m| m.div_ceil(2).max(2)));
             let cnn = cg.num_nodes();
-            let mut cnu = vec![0.0; ncomp * cnn];
-            let mut cfix = vec![false; cnn];
-            for ci in 0..cnn {
-                let cm = cg.node_multi(ci);
-                let mut acc = [0.0; crate::pde::MAX_NCOMP];
-                let mut all_fixed = true;
-                for corner in 0..(1usize << D) {
-                    let mut w = 1.0;
-                    let mut fm = [0usize; D];
-                    for d in 0..D {
-                        let (j, w0, w1) = down[d][cm[d]];
-                        let hi = (corner >> d) & 1;
-                        w *= if hi == 1 { w1 } else { w0 };
-                        fm[d] = j + hi;
-                    }
-                    if w <= 1e-12 {
-                        continue;
-                    }
-                    let fi = g.node(fm);
-                    for (c, a) in acc.iter_mut().enumerate().take(ncomp) {
-                        *a += w * nu_l[c * fnn + fi];
-                    }
-                    all_fixed &= bc_l.fixed[fi];
-                }
-                for (c, a) in acc.iter().enumerate().take(ncomp) {
-                    cnu[c * cnn + ci] = *a;
-                }
-                cfix[ci] = all_fixed;
+            // Sample each coefficient component, and the fixed indicator:
+            // a coarse node is fixed iff its support is (up to round-off).
+            let mut cnu = vec![0.0; op.ncomp(D) * cnn];
+            let fx = &fine.bc.fixed;
+            let fixed: Vec<f64> = fx.iter().map(|&f| u8::from(f).into()).collect();
+            let mut cfix = vec![0.0; cnn];
+            let mut t = [vec![0.0; fnn], vec![0.0; fnn]];
+            let dims = (fg, cg.n);
+            let down = sample_tables(cg.n, fg);
+            for (src, dst) in fine.nu.chunks(fnn).zip(cnu.chunks_mut(cnn)) {
+                separable(&down, dims, false, src, dst, &mut t);
             }
-            c2f.push(up);
-            f2c.push(down);
-            g = cg;
-            nu_l = cnu;
-            bc_l = Dirichlet {
-                values: vec![0.0; cfix.len()],
-                fixed: cfix,
+            separable(&down, dims, false, &fixed, &mut cfix, &mut t);
+            let bc = Dirichlet {
+                values: vec![0.0; cnn],
+                fixed: cfix.iter().map(|&s| s >= 1.0 - 1e-9).collect(),
             };
+            c2f.push(sample_tables(fg, cg.n));
+            levels.push(Arc::new(FemSystem::with_operator(cg, op, cnu, bc)?));
         }
         Ok(GridHierarchy {
+            coarse_pre: JacobiPrecond::of(&levels[levels.len() - 1]),
             levels,
             c2f,
-            f2c,
             opts,
+            pool: ScratchPool::new(),
         })
     }
 
@@ -200,12 +344,12 @@ impl<const D: usize> GridHierarchy<D> {
     }
 
     /// The system at level `l`.
-    pub fn level(&self, l: usize) -> &PoissonSystem<D> {
+    pub fn level(&self, l: usize) -> &FemSystem<D> {
         &self.levels[l]
     }
 
     /// The finest-level system.
-    pub fn finest(&self) -> &PoissonSystem<D> {
+    pub fn finest(&self) -> &FemSystem<D> {
         &self.levels[0]
     }
 
@@ -219,48 +363,26 @@ impl<const D: usize> GridHierarchy<D> {
         &self.levels[l].nu
     }
 
+    /// V-cycle applications that had to allocate working memory because
+    /// none was free in the pool — one per concurrent solve, after which
+    /// V-cycles allocate nothing.
+    pub fn scratch_misses(&self) -> usize {
+        self.pool.misses()
+    }
+
     /// Interpolates a level-`l+1` field at level-`l` node coordinates,
     /// zeroing fine fixed nodes (corrections stay interior).
     pub fn prolong(&self, l: usize, coarse: &[f64]) -> Vec<f64> {
-        let out = self.interp(
-            &self.c2f[l],
-            &self.levels[l].grid,
-            &self.levels[l + 1].grid,
-            coarse,
-        );
-        let mut out = out;
-        self.levels[l].mask(&mut out);
+        let mut out = vec![0.0; self.levels[l].num_nodes()];
+        self.transfer_into(l, false, coarse, &mut out, &mut self.temps(l));
         out
     }
 
     /// Exact transpose of [`prolong`](Self::prolong): scatters a level-`l`
     /// residual to level `l+1`, zeroing coarse fixed nodes.
     pub fn restrict(&self, l: usize, fine: &[f64]) -> Vec<f64> {
-        let fg = &self.levels[l].grid;
-        let cg = &self.levels[l + 1].grid;
-        let tables = &self.c2f[l];
-        let mut out = vec![0.0; cg.num_nodes()];
-        for fi in 0..fg.num_nodes() {
-            let v = fine[fi];
-            if v == 0.0 {
-                continue;
-            }
-            let fm = fg.node_multi(fi);
-            for corner in 0..(1usize << D) {
-                let mut w = 1.0;
-                let mut cm = [0usize; D];
-                for d in 0..D {
-                    let (j, w0, w1) = tables[d][fm[d]];
-                    let hi = (corner >> d) & 1;
-                    w *= if hi == 1 { w1 } else { w0 };
-                    cm[d] = j + hi;
-                }
-                if w != 0.0 {
-                    out[cg.node(cm)] += w * v;
-                }
-            }
-        }
-        self.levels[l + 1].mask(&mut out);
+        let mut out = vec![0.0; self.levels[l + 1].num_nodes()];
+        self.transfer_into(l, true, fine, &mut out, &mut self.temps(l));
         out
     }
 
@@ -268,12 +390,11 @@ impl<const D: usize> GridHierarchy<D> {
     /// coordinates — the right transfer for *solution-like* fields
     /// (iterates, ν), as opposed to the residual transpose-scatter.
     pub fn sample_down(&self, l: usize, fine: &[f64]) -> Vec<f64> {
-        self.interp(
-            &self.f2c[l],
-            &self.levels[l + 1].grid,
-            &self.levels[l].grid,
-            fine,
-        )
+        let mut out = vec![0.0; self.levels[l + 1].num_nodes()];
+        let dims = (self.dims_at(l), self.dims_at(l + 1));
+        let tables = sample_tables(dims.1, dims.0);
+        separable(&tables, dims, false, fine, &mut out, &mut self.temps(l));
+        out
     }
 
     /// Chains [`sample_down`](Self::sample_down) from the finest level to
@@ -295,78 +416,101 @@ impl<const D: usize> GridHierarchy<D> {
         v
     }
 
-    fn interp(
-        &self,
-        tables: &[AxisTable],
-        target: &Grid<D>,
-        source: &Grid<D>,
-        src: &[f64],
-    ) -> Vec<f64> {
-        let mut out = vec![0.0; target.num_nodes()];
-        for (ti, o) in out.iter_mut().enumerate() {
-            let tm = target.node_multi(ti);
-            let mut acc = 0.0;
-            for corner in 0..(1usize << D) {
-                let mut w = 1.0;
-                let mut sm = [0usize; D];
-                for d in 0..D {
-                    let (j, w0, w1) = tables[d][tm[d]];
-                    let hi = (corner >> d) & 1;
-                    w *= if hi == 1 { w1 } else { w0 };
-                    sm[d] = j + hi;
-                }
-                if w != 0.0 {
-                    acc += w * src[source.node(sm)];
-                }
-            }
-            *o = acc;
-        }
-        out
+    /// Transfer intermediates large enough for level `l`.
+    fn temps<E: Element>(&self, l: usize) -> [Vec<E>; 2] {
+        let n = self.levels[l].num_nodes();
+        [vec![E::ZERO; n], vec![E::ZERO; n]]
     }
 
-    /// One V-cycle on the level-`l` system `K e = b` (homogeneous
-    /// constraints; `u` is updated in place).
-    pub fn v_cycle(&self, l: usize, u: &mut [f64], b: &[f64]) {
-        let sys = &self.levels[l];
-        if l + 1 == self.levels.len() {
-            // Coarsest: tight CG (only the mask of `bc` is used here, so
-            // the finest level's inhomogeneous values are irrelevant).
-            let (sol, _) = solve_cg_rhs_op(
-                &sys.grid,
-                &sys.basis,
-                sys.op,
-                &sys.nu,
-                &sys.bc,
-                b,
-                u,
-                CgOptions {
-                    tol: self.opts.coarse_tol,
-                    ..Default::default()
-                },
-            );
-            u.copy_from_slice(&sol);
-            sys.mask(u);
-            return;
+    fn transfer_into<E: Element>(
+        &self,
+        l: usize,
+        restrict: bool,
+        src: &[E],
+        dst: &mut [E],
+        t: &mut [Vec<E>; 2],
+    ) {
+        let (fine, coarse) = (&self.levels[l], &self.levels[l + 1]);
+        transfer(&self.c2f[l], fine, coarse, restrict, src, dst, t);
+    }
+
+    /// Fresh working memory for one V-cycle at precision `E`.
+    pub(crate) fn scratch<E: Element>(&self) -> Scratch<E> {
+        let per_level = || {
+            self.levels
+                .iter()
+                .map(|s| vec![E::ZERO; s.num_nodes()])
+                .collect()
+        };
+        let nc = self.levels[self.levels.len() - 1].num_nodes();
+        Scratch {
+            e: per_level(),
+            b: per_level(),
+            r: per_level(),
+            s: per_level(),
+            t: self.temps(0),
+            cu: vec![0.0; nc],
+            cb: vec![0.0; nc],
+            ws: PcgWorkspace::new(nc),
         }
-        sys.jacobi_smooth(u, b, self.opts.omega, self.opts.pre_smooth);
-        let mut r = vec![0.0; sys.num_nodes()];
-        sys.residual_into(u, b, &mut r);
-        let rc = self.restrict(l, &r);
-        let mut ec = vec![0.0; self.levels[l + 1].num_nodes()];
-        self.v_cycle(l + 1, &mut ec, &rc);
-        let ef = self.prolong(l, &ec);
-        for (ui, ei) in u.iter_mut().zip(&ef) {
-            *ui += ei;
+    }
+
+    /// One V-cycle at precision `E` on `K e = b` (homogeneous constraints)
+    /// from `sc.e[0]`, `sc.b[0]`, with level operators `stencil(l)`; the
+    /// result is left in `sc.e[0]`.
+    pub(crate) fn cycle<'s, E: Element>(
+        &self,
+        stencil: &impl Fn(usize) -> &'s Stencil<E, D>,
+        sc: &mut Scratch<E>,
+    ) {
+        let (last, omega) = (self.levels.len() - 1, E::from_f64(self.opts.omega));
+        let (pre, post) = (self.opts.pre_smooth, self.opts.post_smooth);
+        let fixed = |l: usize| &self.levels[l].bc.fixed[..];
+        for l in 0..last {
+            let st = stencil(l);
+            st.smooth(&mut sc.e[l], &sc.b[l], omega, pre, &mut sc.s[l]);
+            st.residual_into(&sc.e[l], &sc.b[l], fixed(l), &mut sc.r[l]);
+            self.transfer_into(l, true, &sc.r[l], &mut sc.b[l + 1], &mut sc.t);
+            sc.e[l + 1].fill(E::ZERO);
         }
-        sys.jacobi_smooth(u, b, self.opts.omega, self.opts.post_smooth);
+        // Coarsest: tight f64 CG on the level's cached Jacobi diagonal (only
+        // the mask of `bc` is used, so the finest level's inhomogeneous
+        // values are irrelevant).
+        let (e, b, ws) = (&mut sc.e[last], &sc.b[last], &mut sc.ws);
+        let coarsest: &FemSystem<D> = &self.levels[last];
+        for ((cu, cb), (&ei, &bi)) in sc.cu.iter_mut().zip(&mut sc.cb).zip(e.iter().zip(b)) {
+            (*cu, *cb) = (ei.to_f64(), bi.to_f64());
+        }
+        let opts = CgOptions {
+            tol: self.opts.coarse_tol,
+            ..Default::default()
+        };
+        run_cg(coarsest, &self.coarse_pre, ws, &mut sc.cu, &sc.cb, opts);
+        for ((ei, &x), &fx) in e.iter_mut().zip(&sc.cu).zip(fixed(last)) {
+            *ei = if fx { E::ZERO } else { E::from_f64(x) };
+        }
+        for l in (0..last).rev() {
+            self.transfer_into(l, false, &sc.e[l + 1], &mut sc.s[l], &mut sc.t);
+            for (ei, &c) in sc.e[l].iter_mut().zip(&sc.s[l]) {
+                *ei += c;
+            }
+            stencil(l).smooth(&mut sc.e[l], &sc.b[l], omega, post, &mut sc.s[l]);
+        }
     }
 }
 
 impl<const D: usize> Precond for GridHierarchy<D> {
     /// `z ≈ K⁻¹ r` via one V-cycle from a zero initial error.
     fn apply(&self, r: &[f64], z: &mut [f64]) {
-        z.iter_mut().for_each(|x| *x = 0.0);
-        self.v_cycle(0, z, r);
+        self.pool.run(
+            || self.scratch(),
+            |sc| {
+                sc.b[0].copy_from_slice(r);
+                sc.e[0].fill(0.0);
+                self.cycle(&|l| self.levels[l].stencil(), sc);
+                z.copy_from_slice(&sc.e[0]);
+            },
+        );
         self.levels[0].mask(z);
     }
 }
@@ -417,27 +561,6 @@ mod tests {
         let cgrid = &h.level(1).grid;
         let mid = cgrid.node([4, 4]);
         assert!((r[mid] - 4.0).abs() < 1e-12, "got {}", r[mid]);
-    }
-
-    #[test]
-    fn restriction_is_prolongation_transpose() {
-        let h = hier2d(12); // non-nested: 12 -> 6 -> 3
-        let nf = h.level(0).num_nodes();
-        let nc = h.level(1).num_nodes();
-        let e: Vec<f64> = (0..nc).map(|i| ((i * 37) % 11) as f64 - 5.0).collect();
-        let r: Vec<f64> = (0..nf).map(|i| ((i * 13) % 7) as f64 - 3.0).collect();
-        let mut rm = r.clone();
-        h.level(0).mask(&mut rm);
-        let mut em = e.clone();
-        h.level(1).mask(&mut em);
-        let pe = h.prolong(0, &em);
-        let rr = h.restrict(0, &rm);
-        let lhs: f64 = pe.iter().zip(&rm).map(|(a, b)| a * b).sum();
-        let rhs: f64 = em.iter().zip(&rr).map(|(a, b)| a * b).sum();
-        assert!(
-            (lhs - rhs).abs() < 1e-10 * (1.0 + lhs.abs()),
-            "{lhs} vs {rhs}"
-        );
     }
 
     #[test]

@@ -22,111 +22,36 @@
 //! certified tolerance) is reached because each refinement step only needs
 //! the *correction* to low relative accuracy.
 //!
-//! [`MixedHierarchy`] demotes each level of a [`GridHierarchy`] once at
-//! construction — stencil inputs (ν, basis tables, inverse diagonals,
-//! transfer weights) are assembled in `f64` and rounded to `f32` a single
-//! time, so per-cycle work touches only `f32` data. Its [`Precond`] impl
-//! scales the incoming residual by its max-norm before demotion (guarding
-//! against underflow once the outer residual drops toward `1e-30`) and
-//! promotes the correction back afterwards.
+//! [`MixedHierarchy`] runs the [`GridHierarchy`]'s own (element-generic)
+//! V-cycle at `f32`, over each level's stencil planes demoted to `f32` once
+//! at construction (56 B per node in 3D). Its [`Precond`] impl scales the
+//! incoming residual by its max-norm before demotion (guarding against
+//! underflow once the outer residual drops toward `1e-30`) and promotes the
+//! correction back afterwards.
 
-use crate::bc::Dirichlet;
-use crate::cg::{solve_cg_rhs_op, CgOptions};
-use crate::error::FemError;
-use crate::grid::Grid;
-use crate::hierarchy::{GridHierarchy, HierarchyOptions};
+use crate::hierarchy::{GridHierarchy, Scratch, ScratchPool};
 use crate::pcg::Precond;
-use crate::pde::{sym_index, PdeOperator, MAX_NCOMP};
+use crate::stencil::Stencil;
 use mgd_tensor::F64_DIV_GUARD;
 
-/// Per-node 1D interpolation weights demoted to `f32`.
-type AxisTable32 = Vec<(usize, f32, f32)>;
-
-/// Maximum local nodes (2^D for D ≤ 3), mirroring `crate::operator`.
-const MAX_NL: usize = 8;
-
-/// One level's `f32` stencil data, demoted once from the `f64` system.
-struct Level32 {
-    /// Nodal coefficient block (component-major; scalar ν for Poisson).
-    nu: Vec<f32>,
-    /// Masked inverse stiffness diagonal (zero at fixed nodes).
-    diag_inv: Vec<f32>,
-    /// Shape values `val[q * nl + l]`.
-    val: Vec<f32>,
-    /// Physical shape gradients `grad[(q * nl + l) * D + c]`.
-    grad: Vec<f32>,
-    /// Quadrature weight × volume scale.
-    w_detj: f32,
-}
-
-/// An `f32` replica of a [`GridHierarchy`]'s smoothing/transfer data,
-/// usable as an `f64` [`Precond`] via one single-precision V-cycle per
-/// application (the coarsest level still solves in `f64`).
+/// A [`GridHierarchy`] whose preconditioner application is one
+/// single-precision V-cycle (the coarsest level still solves in `f64`).
 pub struct MixedHierarchy<const D: usize> {
     hier: GridHierarchy<D>,
-    levels32: Vec<Level32>,
-    /// `c2f32[l][d]`: demoted prolongation weights of level `l+1 → l`.
-    c2f32: Vec<Vec<AxisTable32>>,
+    /// Each level's stencil, demoted to `f32`.
+    levels32: Vec<Stencil<f32, D>>,
+    pool: ScratchPool<Scratch<f32>>,
 }
 
 impl<const D: usize> MixedHierarchy<D> {
     /// Demotes an existing hierarchy's per-level stencils to `f32`.
     pub fn new(hier: GridHierarchy<D>) -> Self {
-        let levels32 = hier
-            .levels
-            .iter()
-            .map(|sys| Level32 {
-                nu: sys.nu.iter().map(|&v| v as f32).collect(),
-                diag_inv: sys.diag_inv().iter().map(|&v| v as f32).collect(),
-                val: sys.basis.val.iter().map(|&v| v as f32).collect(),
-                grad: sys.basis.grad.iter().map(|&v| v as f32).collect(),
-                w_detj: sys.basis.w_detj as f32,
-            })
-            .collect();
-        let c2f32 = hier
-            .c2f
-            .iter()
-            .map(|tables| {
-                tables
-                    .iter()
-                    .map(|t| {
-                        t.iter()
-                            .map(|&(j, w0, w1)| (j, w0 as f32, w1 as f32))
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect();
+        let levels32 = hier.levels.iter().map(|s| s.stencil().demote()).collect();
         MixedHierarchy {
             hier,
             levels32,
-            c2f32,
+            pool: ScratchPool::new(),
         }
-    }
-
-    /// Builds the `f64` hierarchy and demotes it in one step.
-    pub fn build(
-        grid: Grid<D>,
-        nu: &[f64],
-        bc: &Dirichlet,
-        opts: HierarchyOptions,
-    ) -> Result<Self, FemError> {
-        Ok(MixedHierarchy::new(GridHierarchy::build(
-            grid, nu, bc, opts,
-        )?))
-    }
-
-    /// [`build`](Self::build) for an arbitrary [`PdeOperator`].
-    pub fn build_with_operator(
-        grid: Grid<D>,
-        op: PdeOperator,
-        nu: &[f64],
-        bc: &Dirichlet,
-        opts: HierarchyOptions,
-    ) -> Result<Self, FemError> {
-        Ok(MixedHierarchy::new(GridHierarchy::build_with_operator(
-            grid, op, nu, bc, opts,
-        )?))
     }
 
     /// The underlying `f64` hierarchy (levels, transfers, full-precision
@@ -135,254 +60,10 @@ impl<const D: usize> MixedHierarchy<D> {
         &self.hier
     }
 
-    /// Zeroes Dirichlet-fixed entries of a level-`l` `f32` field.
-    fn mask32(&self, l: usize, v: &mut [f32]) {
-        for (vi, &fx) in v.iter_mut().zip(&self.hier.levels[l].bc.fixed) {
-            if fx {
-                *vi = 0.0;
-            }
-        }
-    }
-
-    /// `out = K(ν) u` at level `l`, entirely in `f32` (sequential: the
-    /// mixed path targets per-core throughput; cross-core parallelism
-    /// comes from serving many solves concurrently). Dispatches on the
-    /// level's [`PdeOperator`]; the `Poisson` arm is the historical kernel
-    /// untouched.
-    fn apply32(&self, l: usize, u: &[f32], out: &mut [f32]) {
-        let sys = &self.hier.levels[l];
-        match sys.op {
-            PdeOperator::Poisson => self.apply32_scalar(l, u, out),
-            PdeOperator::AnisoDiffusion => self.apply32_tensor(l, u, out),
-        }
-    }
-
-    fn apply32_scalar(&self, l: usize, u: &[f32], out: &mut [f32]) {
-        let sys = &self.hier.levels[l];
-        let lv = &self.levels32[l];
-        let grid = &sys.grid;
-        let nl = sys.basis.nl;
-        let nq = sys.basis.nq;
-        let strides = grid.strides();
-        out.iter_mut().for_each(|x| *x = 0.0);
-        for e in 0..grid.num_elements() {
-            let el = grid.element_multi(e);
-            let base = grid.element_base(el);
-            let mut nu_l = [0.0f32; MAX_NL];
-            let mut u_l = [0.0f32; MAX_NL];
-            let mut acc = [0.0f32; MAX_NL];
-            for i in 0..nl {
-                let gi = base + grid.local_offset(&strides, i);
-                nu_l[i] = lv.nu[gi];
-                u_l[i] = u[gi];
-            }
-            for q in 0..nq {
-                let vrow = &lv.val[q * nl..(q + 1) * nl];
-                let mut nu_q = 0.0f32;
-                let mut gu = [0.0f32; D];
-                for i in 0..nl {
-                    nu_q += vrow[i] * nu_l[i];
-                    let grow = &lv.grad[(q * nl + i) * D..(q * nl + i + 1) * D];
-                    for c in 0..D {
-                        gu[c] += grow[c] * u_l[i];
-                    }
-                }
-                let s = lv.w_detj * nu_q;
-                for i in 0..nl {
-                    let grow = &lv.grad[(q * nl + i) * D..(q * nl + i + 1) * D];
-                    let mut dot = 0.0f32;
-                    for c in 0..D {
-                        dot += gu[c] * grow[c];
-                    }
-                    acc[i] += s * dot;
-                }
-            }
-            for i in 0..nl {
-                out[base + grid.local_offset(&strides, i)] += acc[i];
-            }
-        }
-    }
-
-    /// Tensor-coefficient variant: `lv.nu` holds `ncomp` component-major
-    /// planes demoted from the rediscretized coarse tensors.
-    fn apply32_tensor(&self, l: usize, u: &[f32], out: &mut [f32]) {
-        let sys = &self.hier.levels[l];
-        let lv = &self.levels32[l];
-        let grid = &sys.grid;
-        let nl = sys.basis.nl;
-        let nq = sys.basis.nq;
-        let nn = grid.num_nodes();
-        let nc = sys.op.ncomp(D);
-        let strides = grid.strides();
-        out.iter_mut().for_each(|x| *x = 0.0);
-        for e in 0..grid.num_elements() {
-            let el = grid.element_multi(e);
-            let base = grid.element_base(el);
-            let mut t_l = [[0.0f32; MAX_NL]; MAX_NCOMP];
-            let mut u_l = [0.0f32; MAX_NL];
-            let mut acc = [0.0f32; MAX_NL];
-            for i in 0..nl {
-                let gi = base + grid.local_offset(&strides, i);
-                for (c, plane) in t_l.iter_mut().enumerate().take(nc) {
-                    plane[i] = lv.nu[c * nn + gi];
-                }
-                u_l[i] = u[gi];
-            }
-            for q in 0..nq {
-                let vrow = &lv.val[q * nl..(q + 1) * nl];
-                let mut t_q = [0.0f32; MAX_NCOMP];
-                let mut gu = [0.0f32; D];
-                for i in 0..nl {
-                    for (c, plane) in t_l.iter().enumerate().take(nc) {
-                        t_q[c] += vrow[i] * plane[i];
-                    }
-                    let grow = &lv.grad[(q * nl + i) * D..(q * nl + i + 1) * D];
-                    for c in 0..D {
-                        gu[c] += grow[c] * u_l[i];
-                    }
-                }
-                let mut flux = [0.0f32; D];
-                for (a, fx) in flux.iter_mut().enumerate() {
-                    for b in 0..D {
-                        *fx += t_q[sym_index(D, a, b)] * gu[b];
-                    }
-                }
-                for i in 0..nl {
-                    let grow = &lv.grad[(q * nl + i) * D..(q * nl + i + 1) * D];
-                    let mut dot = 0.0f32;
-                    for c in 0..D {
-                        dot += flux[c] * grow[c];
-                    }
-                    acc[i] += lv.w_detj * dot;
-                }
-            }
-            for i in 0..nl {
-                out[base + grid.local_offset(&strides, i)] += acc[i];
-            }
-        }
-    }
-
-    /// `sweeps` damped-Jacobi sweeps on `K u = b` at level `l`.
-    fn jacobi_smooth32(&self, l: usize, u: &mut [f32], b: &[f32], sweeps: usize) {
-        let omega = self.hier.opts.omega as f32;
-        let diag_inv = &self.levels32[l].diag_inv;
-        let nn = u.len();
-        let mut r = vec![0.0f32; nn];
-        for _ in 0..sweeps {
-            self.apply32(l, u, &mut r);
-            for i in 0..nn {
-                u[i] += omega * diag_inv[i] * (b[i] - r[i]);
-            }
-        }
-    }
-
-    /// `r = mask(b − K u)` at level `l`.
-    fn residual32(&self, l: usize, u: &[f32], b: &[f32], r: &mut [f32]) {
-        self.apply32(l, u, r);
-        for (ri, &bi) in r.iter_mut().zip(b) {
-            *ri = bi - *ri;
-        }
-        self.mask32(l, r);
-    }
-
-    /// Transpose-scatter of a level-`l` residual to level `l+1` (the exact
-    /// `f32` transpose of [`Self::prolong32`]), masked on the coarse level.
-    fn restrict32(&self, l: usize, fine: &[f32]) -> Vec<f32> {
-        let fg = &self.hier.levels[l].grid;
-        let cg = &self.hier.levels[l + 1].grid;
-        let tables = &self.c2f32[l];
-        let mut out = vec![0.0f32; cg.num_nodes()];
-        for fi in 0..fg.num_nodes() {
-            let v = fine[fi];
-            if v == 0.0 {
-                continue;
-            }
-            let fm = fg.node_multi(fi);
-            for corner in 0..(1usize << D) {
-                let mut w = 1.0f32;
-                let mut cm = [0usize; D];
-                for d in 0..D {
-                    let (j, w0, w1) = tables[d][fm[d]];
-                    let hi = (corner >> d) & 1;
-                    w *= if hi == 1 { w1 } else { w0 };
-                    cm[d] = j + hi;
-                }
-                if w != 0.0 {
-                    out[cg.node(cm)] += w * v;
-                }
-            }
-        }
-        self.mask32(l + 1, &mut out);
-        out
-    }
-
-    /// Interpolates a level-`l+1` correction at level-`l` nodes, masked on
-    /// the fine level.
-    fn prolong32(&self, l: usize, coarse: &[f32]) -> Vec<f32> {
-        let fg = &self.hier.levels[l].grid;
-        let cg = &self.hier.levels[l + 1].grid;
-        let tables = &self.c2f32[l];
-        let mut out = vec![0.0f32; fg.num_nodes()];
-        for (ti, o) in out.iter_mut().enumerate() {
-            let tm = fg.node_multi(ti);
-            let mut acc = 0.0f32;
-            for corner in 0..(1usize << D) {
-                let mut w = 1.0f32;
-                let mut sm = [0usize; D];
-                for d in 0..D {
-                    let (j, w0, w1) = tables[d][tm[d]];
-                    let hi = (corner >> d) & 1;
-                    w *= if hi == 1 { w1 } else { w0 };
-                    sm[d] = j + hi;
-                }
-                if w != 0.0 {
-                    acc += w * coarse[cg.node(sm)];
-                }
-            }
-            *o = acc;
-        }
-        self.mask32(l, &mut out);
-        out
-    }
-
-    /// One single-precision V-cycle on `K e = b` at level `l`; `u` is
-    /// updated in place. The coarsest level promotes to `f64` and runs the
-    /// same tight CG as the full-precision hierarchy.
-    pub fn v_cycle32(&self, l: usize, u: &mut [f32], b: &[f32]) {
-        let sys = &self.hier.levels[l];
-        if l + 1 == self.hier.levels.len() {
-            let b64: Vec<f64> = b.iter().map(|&v| f64::from(v)).collect();
-            let u64: Vec<f64> = u.iter().map(|&v| f64::from(v)).collect();
-            let (sol, _) = solve_cg_rhs_op(
-                &sys.grid,
-                &sys.basis,
-                sys.op,
-                &sys.nu,
-                &sys.bc,
-                &b64,
-                &u64,
-                CgOptions {
-                    tol: self.hier.opts.coarse_tol,
-                    ..Default::default()
-                },
-            );
-            for (ui, &si) in u.iter_mut().zip(&sol) {
-                *ui = si as f32;
-            }
-            self.mask32(l, u);
-            return;
-        }
-        self.jacobi_smooth32(l, u, b, self.hier.opts.pre_smooth);
-        let mut r = vec![0.0f32; sys.num_nodes()];
-        self.residual32(l, u, b, &mut r);
-        let rc = self.restrict32(l, &r);
-        let mut ec = vec![0.0f32; self.hier.levels[l + 1].num_nodes()];
-        self.v_cycle32(l + 1, &mut ec, &rc);
-        let ef = self.prolong32(l, &ec);
-        for (ui, ei) in u.iter_mut().zip(&ef) {
-            *ui += ei;
-        }
-        self.jacobi_smooth32(l, u, b, self.hier.opts.post_smooth);
+    /// Applications that had to allocate working memory (see
+    /// [`GridHierarchy::scratch_misses`]).
+    pub fn scratch_misses(&self) -> usize {
+        self.pool.misses()
     }
 }
 
@@ -403,12 +84,19 @@ impl<const D: usize> Precond for MixedHierarchy<D> {
             return;
         }
         let inv = 1.0 / scale;
-        let r32: Vec<f32> = r.iter().map(|&v| (v * inv) as f32).collect();
-        let mut e32 = vec![0.0f32; r.len()];
-        self.v_cycle32(0, &mut e32, &r32);
-        for (zi, &ei) in z.iter_mut().zip(&e32) {
-            *zi = scale * f64::from(ei);
-        }
+        self.pool.run(
+            || self.hier.scratch(),
+            |sc| {
+                for (d, &v) in sc.b[0].iter_mut().zip(r) {
+                    *d = (v * inv) as f32;
+                }
+                sc.e[0].fill(0.0);
+                self.hier.cycle(&|l| &self.levels32[l], sc);
+                for (zi, &ei) in z.iter_mut().zip(&sc.e[0]) {
+                    *zi = scale * f64::from(ei);
+                }
+            },
+        );
         self.hier.levels[0].mask(z);
     }
 }
@@ -416,7 +104,11 @@ impl<const D: usize> Precond for MixedHierarchy<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bc::Dirichlet;
+    use crate::grid::Grid;
+    use crate::hierarchy::HierarchyOptions;
     use crate::pcg::{PcgStep, PcgWorkspace};
+    use crate::pde::PdeOperator;
     use crate::system::PoissonSystem;
 
     fn nu_var<const D: usize>(g: &Grid<D>) -> Vec<f64> {
@@ -437,7 +129,9 @@ mod tests {
         let nu = nu_var(&g);
         let bc = Dirichlet::x_faces(&g, 1.0, 0.0);
         let h64 = GridHierarchy::build(g, &nu, &bc, HierarchyOptions::default()).unwrap();
-        let h32 = MixedHierarchy::build(g, &nu, &bc, HierarchyOptions::default()).unwrap();
+        let h32 = MixedHierarchy::new(
+            GridHierarchy::build(g, &nu, &bc, HierarchyOptions::default()).unwrap(),
+        );
         (h64, h32)
     }
 
@@ -552,7 +246,9 @@ mod tests {
         let g: Grid<3> = Grid::cube(16);
         let nu = nu_var(&g);
         let bc = Dirichlet::x_faces(&g, 1.0, 0.0);
-        let h32 = MixedHierarchy::build(g, &nu, &bc, HierarchyOptions::default()).unwrap();
+        let h32 = MixedHierarchy::new(
+            GridHierarchy::build(g, &nu, &bc, HierarchyOptions::default()).unwrap(),
+        );
         let sys = h32.inner().finest();
         let nn = sys.num_nodes();
         let rhs = vec![0.0; nn];
@@ -586,14 +282,16 @@ mod tests {
             t[2 * nn + i] = (a - b) * cs * sn;
         }
         let bc = Dirichlet::x_faces(&g, 1.0, 0.0);
-        let h32 = MixedHierarchy::build_with_operator(
-            g,
-            PdeOperator::AnisoDiffusion,
-            &t,
-            &bc,
-            HierarchyOptions::default(),
-        )
-        .unwrap();
+        let h32 = MixedHierarchy::new(
+            GridHierarchy::build_with_operator(
+                g,
+                PdeOperator::AnisoDiffusion,
+                &t,
+                &bc,
+                HierarchyOptions::default(),
+            )
+            .unwrap(),
+        );
         let sys = h32.inner().finest();
         let rhs = vec![0.0; nn];
         let mut u = vec![0.0; nn];

@@ -7,8 +7,8 @@
 //! ```
 //!
 //! with ν and f interpolated multilinearly from nodal samples. Its exact
-//! nodal gradient is `∇J = K(ν) u − F`, which doubles as (a) the backprop
-//! input for the network loss and (b) the residual for the linear solvers.
+//! nodal gradient is `∇J = K(ν) u − F`: the backprop input for the network
+//! loss, and the oracle the solvers' assembled [`crate::stencil`] matches.
 //! All loops are matrix-free and parallelized with the element coloring of
 //! [`crate::color`].
 //!

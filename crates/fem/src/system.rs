@@ -6,15 +6,17 @@
 //! so hybrid solvers can drive the same FEM kernels outside a canned
 //! `solve` loop: compute true residuals after arbitrary (e.g. learned)
 //! updates, run ad-hoc smoothing sweeps, or feed a pluggable-preconditioner
-//! CG ([`crate::pcg`]). The operator is pluggable ([`PdeOperator`]); the
-//! historical name [`PoissonSystem`] survives as an alias for the default
-//! scalar-ν build.
+//! CG ([`crate::pcg`]). The operator is pluggable ([`PdeOperator`]) and is
+//! assembled once into a [`Stencil`] that every apply, residual and smoothing
+//! sweep runs on; the historical name [`PoissonSystem`] survives as an alias
+//! for the default scalar-ν build.
 
 use crate::basis::ElementBasis;
 use crate::bc::Dirichlet;
 use crate::error::FemError;
 use crate::grid::Grid;
 use crate::pde::PdeOperator;
+use crate::stencil::Stencil;
 
 /// The discrete operator `K(ν)` with its Dirichlet mask — the reusable
 /// core of every solver in this crate.
@@ -29,8 +31,8 @@ pub struct FemSystem<const D: usize> {
     pub nu: Vec<f64>,
     /// Dirichlet boundary condition (mask + prescribed values).
     pub bc: Dirichlet,
-    /// Masked inverse stiffness diagonal (zero at fixed nodes).
-    diag_inv: Vec<f64>,
+    /// `K(ν)` assembled from `nu` (with the masked inverse diagonal).
+    stencil: Stencil<f64, D>,
 }
 
 /// Historical name for the scalar-coefficient build of [`FemSystem`].
@@ -69,28 +71,27 @@ impl<const D: usize> FemSystem<D> {
                 got: bc.fixed.len(),
             });
         }
-        let basis = ElementBasis::new(&grid);
-        let mut diag = vec![0.0; nn];
-        op.stiffness_diag(&grid, &basis, &nu, &mut diag);
-        let diag_inv: Vec<f64> = diag
-            .iter()
-            .zip(&bc.fixed)
-            .map(|(&d, &fx)| {
-                if fx || d.abs() < mgd_tensor::F64_DIV_GUARD {
-                    0.0
-                } else {
-                    1.0 / d
-                }
-            })
-            .collect();
-        Ok(FemSystem {
+        Ok(Self::assemble(grid, ElementBasis::new(&grid), op, nu, bc))
+    }
+
+    /// Assembles without validating the coefficients (lengths are still
+    /// asserted) — for callers whose API predates the typed errors.
+    pub(crate) fn assemble(
+        grid: Grid<D>,
+        basis: ElementBasis<D>,
+        op: PdeOperator,
+        nu: Vec<f64>,
+        bc: Dirichlet,
+    ) -> Self {
+        let stencil = Stencil::assemble(&grid, &basis, op, &nu, &bc.fixed);
+        FemSystem {
             grid,
             basis,
             op,
             nu,
             bc,
-            diag_inv,
-        })
+            stencil,
+        }
     }
 
     /// Nodes in the system (vector length).
@@ -101,14 +102,17 @@ impl<const D: usize> FemSystem<D> {
     /// Masked inverse diagonal of `K` (zero at fixed nodes) — the Jacobi
     /// preconditioner / smoother coefficients.
     pub fn diag_inv(&self) -> &[f64] {
-        &self.diag_inv
+        self.stencil.diag_inv()
+    }
+
+    /// The assembled operator.
+    pub fn stencil(&self) -> &Stencil<f64, D> {
+        &self.stencil
     }
 
     /// `out = K u` (overwrites `out`; rows of fixed nodes included).
     pub fn apply(&self, u: &[f64], out: &mut [f64]) {
-        out.iter_mut().for_each(|x| *x = 0.0);
-        self.op
-            .apply_stiffness(&self.grid, &self.basis, &self.nu, u, out);
+        self.stencil.apply(u, out);
     }
 
     /// Zeroes fixed entries of `v`.
@@ -123,30 +127,13 @@ impl<const D: usize> FemSystem<D> {
 
     /// `r = mask(rhs − K u)` — the true interior residual.
     pub fn residual_into(&self, u: &[f64], rhs: &[f64], r: &mut [f64]) {
-        self.apply(u, r);
-        for (ri, &bi) in r.iter_mut().zip(rhs) {
-            *ri = bi - *ri;
-        }
-        self.mask(r);
+        self.stencil.residual_into(u, rhs, &self.bc.fixed, r);
     }
 
-    /// ‖mask(rhs − K u)‖₂, recomputed from scratch (no recurrences).
+    /// ‖mask(rhs − K u)‖₂, recomputed from scratch (no recurrences) in one
+    /// pass that stores nothing.
     pub fn residual_norm(&self, u: &[f64], rhs: &[f64]) -> f64 {
-        let mut r = vec![0.0; self.num_nodes()];
-        self.residual_into(u, rhs, &mut r);
-        r.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// `sweeps` damped-Jacobi sweeps on `K u = b` with relaxation `omega`.
-    pub fn jacobi_smooth(&self, u: &mut [f64], b: &[f64], omega: f64, sweeps: usize) {
-        let nn = self.num_nodes();
-        let mut r = vec![0.0; nn];
-        for _ in 0..sweeps {
-            self.apply(u, &mut r);
-            for i in 0..nn {
-                u[i] += omega * self.diag_inv[i] * (b[i] - r[i]);
-            }
-        }
+        self.stencil.residual_norm(u, rhs, &self.bc.fixed)
     }
 }
 
@@ -213,7 +200,8 @@ mod tests {
         sys.impose_bc(&mut u);
         let rhs = vec![0.0; nn];
         let r0 = sys.residual_norm(&u, &rhs);
-        sys.jacobi_smooth(&mut u, &rhs, 0.7, 10);
+        sys.stencil()
+            .smooth(&mut u, &rhs, 0.7, 10, &mut vec![0.0; nn]);
         assert!(sys.residual_norm(&u, &rhs) < r0);
     }
 }

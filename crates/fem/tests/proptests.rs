@@ -1,6 +1,11 @@
 //! Property-based tests for the FEM operators.
 
-use mgd_fem::{apply_stiffness, apply_stiffness_serial, energy, Dirichlet, ElementBasis, Grid};
+use mgd_fem::hierarchy::{GridHierarchy, HierarchyOptions};
+use mgd_fem::{
+    apply_stiffness, apply_stiffness_serial, energy, Dirichlet, ElementBasis, FemSystem, Grid,
+    PdeOperator,
+};
+use mgd_tensor::par::with_threads;
 use proptest::prelude::*;
 
 fn field(n: usize, seed: u64, lo: f64, hi: f64) -> Vec<f64> {
@@ -12,6 +17,162 @@ fn field(n: usize, seed: u64, lo: f64, hi: f64) -> Vec<f64> {
             lo + (hi - lo) * ((h >> 11) as f64 / (1u64 << 53) as f64)
         })
         .collect()
+}
+
+/// Random SPD coefficient block for `op`: scalar ν, or per node
+/// `T = L Lᵀ + 0.1 I` from a random lower-triangular `L`.
+fn spd_coeff<const D: usize>(op: PdeOperator, nn: usize, seed: u64) -> Vec<f64> {
+    if op == PdeOperator::Poisson {
+        return field(nn, seed, 0.1, 5.0);
+    }
+    let r = |k: u64, lo, hi| field(nn, seed.wrapping_mul(31).wrapping_add(k), lo, hi);
+    let (l00, l11, l22) = (r(1, 0.5, 2.0), r(2, 0.5, 2.0), r(3, 0.5, 2.0));
+    let (l10, l20, l21) = (r(4, -1.0, 1.0), r(5, -1.0, 1.0), r(6, -1.0, 1.0));
+    let mut t = vec![0.0; op.ncomp(D) * nn];
+    for i in 0..nn {
+        let l = [
+            [l00[i], 0.0, 0.0],
+            [l10[i], l11[i], 0.0],
+            [l20[i], l21[i], l22[i]],
+        ];
+        let tt = |a: usize, b: usize| {
+            (0..D).map(|k| l[a][k] * l[b][k]).sum::<f64>() + if a == b { 0.1 } else { 0.0 }
+        };
+        let comps: &[(usize, usize)] = if D == 2 {
+            &[(0, 0), (1, 1), (0, 1)]
+        } else {
+            &[(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
+        };
+        for (c, &(a, b)) in comps.iter().enumerate() {
+            t[c * nn + i] = tt(a, b);
+        }
+    }
+    t
+}
+
+/// A system with random SPD coefficients and a random Dirichlet mask.
+fn random_system<const D: usize>(n: [usize; D], op: PdeOperator, seed: u64) -> FemSystem<D> {
+    let grid = Grid::new(n);
+    let nn = grid.num_nodes();
+    let bc = Dirichlet {
+        fixed: field(nn, seed ^ 0xB0, 0.0, 1.0)
+            .iter()
+            .map(|&p| p < 0.3)
+            .collect(),
+        values: vec![0.0; nn],
+    };
+    FemSystem::with_operator(grid, op, spd_coeff::<D>(op, nn, seed), bc).unwrap()
+}
+
+fn max_abs(v: &[f64]) -> f64 {
+    v.iter().fold(0.0, |m, x| m.max(x.abs()))
+}
+
+/// Compensated `Σ aᵢbᵢ` and `Σ |aᵢbᵢ|`, so the symmetry check measures the
+/// operator rather than the summation.
+fn dot(a: &[f64], b: &[f64]) -> (f64, f64) {
+    let (mut s, mut c, mut abs) = (0.0f64, 0.0f64, 0.0f64);
+    for (x, y) in a.iter().zip(b) {
+        let p = x * y;
+        abs += p.abs();
+        let t = s + p;
+        c += if s.abs() >= p.abs() {
+            (s - t) + p
+        } else {
+            (p - t) + s
+        };
+        s = t;
+    }
+    (s + c, abs)
+}
+
+/// Stencil vs quadrature, symmetry, thread-count determinism and `f32`
+/// demotion for one random system.
+fn check_stencil<const D: usize>(n: [usize; D], op: PdeOperator, seed: u64) {
+    let sys = with_threads(1, || random_system(n, op, seed));
+    let nn = sys.num_nodes();
+    let (u, v) = (
+        field(nn, seed + 1, -1.0, 1.0),
+        field(nn, seed + 2, -1.0, 1.0),
+    );
+    let (mut ku, mut kv, mut quad) = (vec![0.0; nn], vec![0.0; nn], vec![0.0; nn]);
+    sys.apply(&u, &mut ku);
+    sys.apply(&v, &mut kv);
+    op.apply_stiffness(&sys.grid, &sys.basis, &sys.nu, &u, &mut quad);
+    let scale = max_abs(&quad);
+    for (i, (a, b)) in ku.iter().zip(&quad).enumerate() {
+        assert!(
+            (a - b).abs() <= 1e-13 * scale,
+            "{n:?} {op:?} node {i}: {a} vs {b}"
+        );
+    }
+    let mut diag = vec![0.0; nn];
+    op.stiffness_diag(&sys.grid, &sys.basis, &sys.nu, &mut diag);
+    let dscale = max_abs(&diag);
+    for (a, b) in sys.stencil().diag().iter().zip(&diag) {
+        assert!(
+            (a - b).abs() <= 1e-13 * dscale,
+            "{n:?} {op:?} diag {a} vs {b}"
+        );
+    }
+    let ((ukv, s1), (vku, s2)) = (dot(&u, &kv), dot(&v, &ku));
+    assert!(
+        (ukv - vku).abs() <= 1e-14 * s1.max(s2),
+        "uᵀKv {ukv} vs vᵀKu {vku}"
+    );
+    // Bitwise equal at 1 and 2 threads (assembly and apply) and on repeat.
+    let again = with_threads(2, || random_system(n, op, seed));
+    for run in [
+        with_threads(1, || {
+            let mut o = vec![0.0; nn];
+            again.apply(&u, &mut o);
+            o
+        }),
+        with_threads(2, || {
+            let mut o = vec![0.0; nn];
+            sys.apply(&u, &mut o);
+            o
+        }),
+    ] {
+        assert!(run.iter().zip(&ku).all(|(a, b)| a.to_bits() == b.to_bits()));
+    }
+    let s32 = sys.stencil().demote::<f32>();
+    let u32v: Vec<f32> = u.iter().map(|&x| x as f32).collect();
+    let mut k32 = vec![0.0f32; nn];
+    s32.apply(&u32v, &mut k32);
+    let kscale = max_abs(&ku);
+    for (a, &b) in ku.iter().zip(&k32) {
+        assert!(
+            (a - f64::from(b)).abs() <= 1e-5 * kscale,
+            "f32 {b} vs f64 {a}"
+        );
+    }
+}
+
+/// `⟨P e, r⟩ == ⟨e, R r⟩` on masked vectors at every level of a hierarchy.
+fn check_transpose<const D: usize>(n: [usize; D], seed: u64) {
+    let g = Grid::new(n);
+    let nn = g.num_nodes();
+    let bc = Dirichlet::x_faces(&g, 1.0, 0.0);
+    let h = GridHierarchy::build(
+        g,
+        &field(nn, seed, 0.2, 3.0),
+        &bc,
+        HierarchyOptions::default(),
+    )
+    .unwrap();
+    for l in 0..h.num_levels() - 1 {
+        let (nf, nc) = (h.level(l).num_nodes(), h.level(l + 1).num_nodes());
+        let mut e = field(nc, seed + l as u64, -1.0, 1.0);
+        let mut r = field(nf, seed + 7 * l as u64 + 3, -1.0, 1.0);
+        h.level(l + 1).mask(&mut e);
+        h.level(l).mask(&mut r);
+        let ((lhs, s1), (rhs, s2)) = (dot(&h.prolong(l, &e), &r), dot(&e, &h.restrict(l, &r)));
+        assert!(
+            (lhs - rhs).abs() <= 1e-14 * s1.max(s2),
+            "{n:?} l{l}: {lhs} vs {rhs}"
+        );
+    }
 }
 
 proptest! {
@@ -116,4 +277,62 @@ proptest! {
             prop_assert_eq!(g.node(g.node_multi(i)), i);
         }
     }
+
+    /// The assembled stencil reproduces the quadrature operator (apply and
+    /// diagonal, both operators) on non-cube 2D/3D grids with random SPD
+    /// coefficients and Dirichlet masks; it is symmetric, thread-count
+    /// deterministic, and its `f32` demotion stays within 1e-5.
+    #[test]
+    fn stencil_matches_quadrature(
+        n in (2usize..=33, 2usize..=33, 2usize..=33),
+        three_d in 0usize..2,
+        aniso in 0usize..2,
+        seed in 0u64..1000,
+    ) {
+        let op = if aniso == 1 { PdeOperator::AnisoDiffusion } else { PdeOperator::Poisson };
+        if three_d == 1 {
+            check_stencil([n.0, n.1, n.2], op, seed);
+        } else {
+            check_stencil([n.0, n.1], op, seed);
+        }
+    }
+
+    /// Restriction is the exact transpose of prolongation (separable
+    /// transfers, nested and non-nested axes).
+    #[test]
+    fn restrict_is_prolong_transpose(
+        n in (2usize..=33, 2usize..=33, 2usize..=33),
+        three_d in 0usize..2,
+        seed in 0u64..1000,
+    ) {
+        if three_d == 1 {
+            check_transpose([n.0, n.1, n.2], seed);
+        } else {
+            check_transpose([n.0, n.1], seed);
+        }
+    }
+}
+
+/// Grids from 2^16 nodes up sweep in parallel: every sweep must still be
+/// bitwise identical at 1 and 2 threads.
+#[test]
+fn large_grid_sweeps_are_thread_count_independent() {
+    let sys = random_system([48, 40, 36], PdeOperator::Poisson, 5);
+    let nn = sys.num_nodes();
+    let (u, b) = (field(nn, 6, -1.0, 1.0), field(nn, 7, -1.0, 1.0));
+    let run = |threads| {
+        with_threads(threads, || {
+            let (mut ku, mut r, mut s) = (vec![0.0; nn], vec![0.0; nn], u.clone());
+            sys.apply(&u, &mut ku);
+            sys.residual_into(&u, &b, &mut r);
+            sys.stencil().smooth(&mut s, &b, 0.7, 3, &mut vec![0.0; nn]);
+            (ku, r, s, sys.residual_norm(&u, &b))
+        })
+    };
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let (one, two) = (run(1), run(2));
+    assert_eq!(bits(&one.0), bits(&two.0));
+    assert_eq!(bits(&one.1), bits(&two.1));
+    assert_eq!(bits(&one.2), bits(&two.2));
+    assert_eq!(one.3.to_bits(), two.3.to_bits());
 }

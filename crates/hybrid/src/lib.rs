@@ -322,6 +322,15 @@ mod tests {
     }
 
     #[test]
+    fn hierarchy_shares_the_systems_finest_level() {
+        let (sys, hier) = setup(&[16, 16, 16]);
+        let (ErasedSystem::D3(s), ErasedHierarchy::D3(h)) = (&sys, &hier) else {
+            panic!("3D dims build 3D variants");
+        };
+        assert!(std::ptr::eq(&**s, h.finest()));
+    }
+
+    #[test]
     fn three_d_certified_solve() {
         let (sys, hier) = setup(&[16, 16, 16]);
         let opts = CertifyOptions::default();

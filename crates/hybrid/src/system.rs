@@ -16,9 +16,10 @@ use mgd_fem::mixed::MixedHierarchy;
 use mgd_fem::operator::load_vector;
 use mgd_fem::pcg::{JacobiPrecond, LinearOp, Precond};
 use mgd_fem::pde::PdeOperator;
-use mgd_fem::system::PoissonSystem;
+use mgd_fem::system::FemSystem;
 use mgd_tensor::Precision;
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors raised by hybrid solver construction.
 #[derive(Clone, Debug, PartialEq)]
@@ -46,13 +47,14 @@ impl From<FemError> for HybridError {
     }
 }
 
-/// A Poisson system over runtime-shaped (2D or 3D) grids.
+/// A FEM system over runtime-shaped (2D or 3D) grids. Shared (`Arc`) so
+/// that hierarchies built from it reuse its assembled finest level.
 #[derive(Debug)]
 pub enum ErasedSystem {
     /// `dims = [ny, nx]`.
-    D2(PoissonSystem<2>),
+    D2(Arc<FemSystem<2>>),
     /// `dims = [nz, ny, nx]`.
-    D3(PoissonSystem<3>),
+    D3(Arc<FemSystem<3>>),
 }
 
 impl ErasedSystem {
@@ -76,22 +78,22 @@ impl ErasedSystem {
             [ny, nx] => {
                 let grid: Grid<2> = Grid::new([*ny, *nx]);
                 let bc = boundary.build(&grid);
-                Ok(ErasedSystem::D2(PoissonSystem::with_operator(
+                Ok(ErasedSystem::D2(Arc::new(FemSystem::with_operator(
                     grid,
                     op,
                     coeff.to_vec(),
                     bc,
-                )?))
+                )?)))
             }
             [nz, ny, nx] => {
                 let grid: Grid<3> = Grid::new([*nz, *ny, *nx]);
                 let bc = boundary.build(&grid);
-                Ok(ErasedSystem::D3(PoissonSystem::with_operator(
+                Ok(ErasedSystem::D3(Arc::new(FemSystem::with_operator(
                     grid,
                     op,
                     coeff.to_vec(),
                     bc,
-                )?))
+                )?)))
             }
             other => Err(HybridError::InvalidInput(format!(
                 "expected 2 or 3 spatial dims, got {other:?}"
@@ -214,7 +216,8 @@ pub enum ErasedHierarchy {
 }
 
 impl ErasedHierarchy {
-    /// Builds the V-cycle hierarchy matching `sys` (full f64 cycle).
+    /// Builds the V-cycle hierarchy matching `sys` (full f64 cycle). The
+    /// finest level is `sys` itself, shared rather than re-assembled.
     pub fn build(sys: &ErasedSystem, opts: HierarchyOptions) -> Result<Self, HybridError> {
         Self::build_with_precision(sys, opts, Precision::F64)
     }
@@ -231,19 +234,24 @@ impl ErasedHierarchy {
         opts: HierarchyOptions,
         precision: Precision,
     ) -> Result<Self, HybridError> {
-        Ok(match (sys, precision) {
-            (ErasedSystem::D2(s), Precision::Mixed) => ErasedHierarchy::D2Mixed(
-                MixedHierarchy::build_with_operator(s.grid, s.op, &s.nu, &s.bc, opts)?,
-            ),
-            (ErasedSystem::D3(s), Precision::Mixed) => ErasedHierarchy::D3Mixed(
-                MixedHierarchy::build_with_operator(s.grid, s.op, &s.nu, &s.bc, opts)?,
-            ),
-            (ErasedSystem::D2(s), _) => ErasedHierarchy::D2(GridHierarchy::build_with_operator(
-                s.grid, s.op, &s.nu, &s.bc, opts,
-            )?),
-            (ErasedSystem::D3(s), _) => ErasedHierarchy::D3(GridHierarchy::build_with_operator(
-                s.grid, s.op, &s.nu, &s.bc, opts,
-            )?),
+        let mixed = precision == Precision::Mixed;
+        Ok(match sys {
+            ErasedSystem::D2(s) => {
+                let h = GridHierarchy::from_finest(Arc::clone(s), opts)?;
+                if mixed {
+                    ErasedHierarchy::D2Mixed(MixedHierarchy::new(h))
+                } else {
+                    ErasedHierarchy::D2(h)
+                }
+            }
+            ErasedSystem::D3(s) => {
+                let h = GridHierarchy::from_finest(Arc::clone(s), opts)?;
+                if mixed {
+                    ErasedHierarchy::D3Mixed(MixedHierarchy::new(h))
+                } else {
+                    ErasedHierarchy::D3(h)
+                }
+            }
         })
     }
 

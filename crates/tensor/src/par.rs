@@ -12,7 +12,25 @@
 use crate::element::Element;
 use crate::PAR_THRESHOLD;
 use rayon::prelude::*;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+thread_local! {
+    /// Worker count forced by [`with_threads`] on this thread (0: one per
+    /// core).
+    static THREADS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Runs `f` with every [`par_jobs`] / [`par_jobs_with`] call it makes on
+/// the calling thread that passes the size gate using exactly `threads`
+/// workers (0 restores one per core) — lets determinism tests compare
+/// results across thread counts.
+pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    let prev = THREADS.with(|t| t.replace(threads));
+    let out = f();
+    THREADS.with(|t| t.set(prev));
+    out
+}
 
 /// In-place elementwise map, parallel for large slices.
 pub fn maybe_par_map_inplace<T, F>(data: &mut [T], f: &F)
@@ -132,10 +150,17 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) + Sync,
 {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if jobs <= 1 || threads <= 1 || jobs.saturating_mul(work_hint.max(1)) < PAR_THRESHOLD {
+    // Size gate first: `available_parallelism` reads cgroup limits from the
+    // filesystem, which costs more than a small sequential job.
+    let small = jobs <= 1 || jobs.saturating_mul(work_hint.max(1)) < PAR_THRESHOLD;
+    let threads = match THREADS.with(Cell::get) {
+        _ if small => 1,
+        0 => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+        forced => forced,
+    };
+    if threads <= 1 {
         let mut state = init();
         for j in 0..jobs {
             f(&mut state, j);
