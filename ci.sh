@@ -11,6 +11,8 @@ run() { echo "==> $*"; "$@"; }
 
 run cargo fmt --all -- --check
 run cargo clippy --workspace --all-targets -- -D warnings
+# Doc gate: intra-doc links must resolve (a link to a deleted item fails).
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 run cargo build --release --workspace
 run cargo test -q --workspace
 # Distributed smoke: exercise the replicate/shard/all-reduce path end to

@@ -79,7 +79,21 @@ pub fn solve_cg_op<const D: usize>(
     u0: Option<&[f64]>,
     opts: CgOptions,
 ) -> (Vec<f64>, CgStats) {
-    let nn = grid.num_nodes();
+    let sys = FemSystem::assemble(*grid, basis.clone(), op, nu.to_vec(), bc.clone());
+    solve_system(&sys, &JacobiPrecond::of(&sys), f, u0, opts)
+}
+
+/// Solves `sys u = F` (`F` the load vector of optional nodal forcing `f`)
+/// by CG preconditioned with `pre`, from `u0` (or zero) with the system's
+/// Dirichlet values imposed first.
+pub(crate) fn solve_system<const D: usize>(
+    sys: &FemSystem<D>,
+    pre: &dyn Precond,
+    f: Option<&[f64]>,
+    u0: Option<&[f64]>,
+    opts: CgOptions,
+) -> (Vec<f64>, CgStats) {
+    let nn = sys.num_nodes();
     let mut u = match u0 {
         Some(v) => {
             assert_eq!(v.len(), nn);
@@ -87,16 +101,14 @@ pub fn solve_cg_op<const D: usize>(
         }
         None => vec![0.0; nn],
     };
-    bc.apply(&mut u);
+    sys.impose_bc(&mut u);
 
     // Right-hand side F (zero unless forcing given).
     let mut rhs = vec![0.0; nn];
     if let Some(ff) = f {
-        load_vector(grid, basis, ff, &mut rhs);
+        load_vector(&sys.grid, &sys.basis, ff, &mut rhs);
     }
-    let sys = FemSystem::assemble(*grid, basis.clone(), op, nu.to_vec(), bc.clone());
-    let (pre, mut ws) = (JacobiPrecond::of(&sys), PcgWorkspace::new(nn));
-    let stats = run_cg(&sys, &pre, &mut ws, &mut u, &rhs, opts);
+    let stats = run_cg(sys, pre, &mut PcgWorkspace::new(nn), &mut u, &rhs, opts);
     (u, stats)
 }
 

@@ -1,9 +1,10 @@
-//! General multigrid hierarchy with interpolation transfers.
+//! Geometric multigrid (paper §2.3) over arbitrary grids, with
+//! interpolation transfers — the crate's one multigrid.
 //!
-//! [`crate::gmg::GmgSolver`] requires `2^j + 1` nodes per axis so that
-//! coarse vertices coincide with fine vertices. The network-facing grids
-//! of this project have `2^k` nodes per axis — never vertex-nested — so
-//! this module builds a hierarchy with *physical-coordinate* multilinear
+//! Classical vertex-centred coarsening needs `2^j + 1` nodes per axis so
+//! that coarse vertices coincide with fine vertices. The network-facing
+//! grids of this project have `2^k` nodes per axis — never vertex-nested —
+//! so this module builds a hierarchy with *physical-coordinate* multilinear
 //! transfers instead: each level coarsens `n → (n+1)/2` nodes per axis
 //! (`64 → 32 → 16 → 8`, or `33 → 17 → 9 → 5` in the nested case, where
 //! the general transfer reduces exactly to the classical
@@ -20,6 +21,8 @@
 //! ([`Precond`] impl), which is how the hybrid solver consumes it: the
 //! outer CG tracks the true residual, so certification never depends on
 //! the (non-nested, approximate) coarse corrections being accurate.
+//! [`GridHierarchy::solve`] is the standalone MG-PCG solve built the same
+//! way.
 //!
 //! The V-cycle is written once, generic over the element type: smoothing,
 //! residuals and transfers run on the level [`Stencil`]s at `E`, the
@@ -29,7 +32,7 @@
 //! ([`GridHierarchy::scratch_misses`] counts the allocations).
 
 use crate::bc::Dirichlet;
-use crate::cg::{run_cg, CgOptions};
+use crate::cg::{run_cg, solve_system, CgOptions, CgStats};
 use crate::error::FemError;
 use crate::grid::Grid;
 use crate::pcg::{JacobiPrecond, PcgWorkspace, Precond};
@@ -73,7 +76,7 @@ impl Default for HierarchyOptions {
 
 /// Per-node 1D interpolation: `(j, w0, w1)` means the target node takes
 /// `w0 · source[j] + w1 · source[j+1]` along this axis.
-pub(crate) type AxisTable = Vec<(usize, f64, f64)>;
+type AxisTable = Vec<(usize, f64, f64)>;
 
 /// Weights for interpolating an `n_source`-node axis at the node
 /// coordinates of an `n_target`-node axis (both spanning the same span).
@@ -91,10 +94,7 @@ fn sample_axis(n_target: usize, n_source: usize) -> AxisTable {
 
 /// [`sample_axis`] along every axis: interpolates a `source`-shaped grid
 /// at the nodes of a `target`-shaped one.
-pub(crate) fn sample_tables<const D: usize>(
-    target: [usize; D],
-    source: [usize; D],
-) -> Vec<AxisTable> {
+fn sample_tables<const D: usize>(target: [usize; D], source: [usize; D]) -> Vec<AxisTable> {
     (0..D).map(|d| sample_axis(target[d], source[d])).collect()
 }
 
@@ -158,27 +158,6 @@ fn separable<E: Element, const D: usize>(
         axis_pass(&tables[d], outer, inner, n, transpose, input, output);
         std::mem::swap(t0, t1);
     }
-}
-
-/// Prolongs `src` from `coarse` to `fine` by the tensor product of
-/// `tables`, or (`restrict`) scatters it back by the exact transpose, then
-/// zeroes the output level's fixed nodes. `t` holds fine-sized
-/// intermediates.
-pub(crate) fn transfer<E: Element, const D: usize>(
-    tables: &[AxisTable],
-    fine: &FemSystem<D>,
-    coarse: &FemSystem<D>,
-    restrict: bool,
-    src: &[E],
-    dst: &mut [E],
-    t: &mut [Vec<E>; 2],
-) {
-    let (dims, out) = match restrict {
-        true => ((fine.grid.n, coarse.grid.n), coarse),
-        false => ((coarse.grid.n, fine.grid.n), fine),
-    };
-    separable(tables, dims, restrict, src, dst, t);
-    mask(dst, &out.bc.fixed);
 }
 
 /// Zeroes the entries of `v` whose `fixed` flag is set.
@@ -370,6 +349,19 @@ impl<const D: usize> GridHierarchy<D> {
         self.pool.misses()
     }
 
+    /// Solves the finest system `K(ν) u = F` (with `F` the load vector of
+    /// optional nodal forcing `f`) by CG preconditioned with one V-cycle per
+    /// iteration (MG-PCG). `u0` provides an optional warm start; the finest
+    /// level's Dirichlet values are imposed on it first.
+    pub fn solve(
+        &self,
+        f: Option<&[f64]>,
+        u0: Option<&[f64]>,
+        opts: CgOptions,
+    ) -> (Vec<f64>, CgStats) {
+        solve_system(self.finest(), self, f, u0, opts)
+    }
+
     /// Interpolates a level-`l+1` field at level-`l` node coordinates,
     /// zeroing fine fixed nodes (corrections stay interior).
     pub fn prolong(&self, l: usize, coarse: &[f64]) -> Vec<f64> {
@@ -422,6 +414,10 @@ impl<const D: usize> GridHierarchy<D> {
         [vec![E::ZERO; n], vec![E::ZERO; n]]
     }
 
+    /// Prolongs `src` from level `l+1` to level `l` by the tensor product
+    /// of `c2f[l]`, or (`restrict`) scatters it back by the exact transpose,
+    /// then zeroes the output level's fixed nodes. `t` holds fine-sized
+    /// intermediates.
     fn transfer_into<E: Element>(
         &self,
         l: usize,
@@ -431,7 +427,12 @@ impl<const D: usize> GridHierarchy<D> {
         t: &mut [Vec<E>; 2],
     ) {
         let (fine, coarse) = (&self.levels[l], &self.levels[l + 1]);
-        transfer(&self.c2f[l], fine, coarse, restrict, src, dst, t);
+        let (dims, out) = match restrict {
+            true => ((fine.grid.n, coarse.grid.n), coarse),
+            false => ((coarse.grid.n, fine.grid.n), fine),
+        };
+        separable(&self.c2f[l], dims, restrict, src, dst, t);
+        mask(dst, &out.bc.fixed);
     }
 
     /// Fresh working memory for one V-cycle at precision `E`.
@@ -690,33 +691,29 @@ mod tests {
 
     #[test]
     fn solution_matches_classical_gmg_on_nested_grid() {
-        let g: Grid<2> = Grid::cube(33);
-        let nu = nu_var(&g);
-        let bc = Dirichlet::x_faces(&g, 1.0, 0.0);
-        let h = GridHierarchy::build(g, &nu, &bc, HierarchyOptions::default()).unwrap();
+        // Classical GMG — the stationary iteration u ← u + V(r), one V-cycle
+        // per step — and MG-PCG (`solve`) reach the same solution.
+        let h = hier2d(33);
         let sys = h.finest();
         let nn = sys.num_nodes();
-        let rhs = vec![0.0; nn];
-        let mut u = vec![0.0; nn];
-        sys.impose_bc(&mut u);
-        let r0 = sys.residual_norm(&u, &rhs);
-        let mut ws = PcgWorkspace::start(sys, &h, &u, &rhs);
-        for _ in 0..60 {
-            if let PcgStep::Advanced(rn) = ws.step(sys, &h, &mut u) {
-                if rn <= 1e-11 * r0 {
-                    break;
-                }
-            }
+        let (rhs, mut r, mut e) = (vec![0.0; nn], vec![0.0; nn], vec![0.0; nn]);
+        let mut u_ref = vec![0.0; nn];
+        sys.impose_bc(&mut u_ref);
+        let r0 = sys.residual_norm(&u_ref, &rhs);
+        let mut cycles = 0;
+        while sys.residual_norm(&u_ref, &rhs) > 1e-11 * r0 {
+            cycles += 1;
+            assert!(cycles <= 60, "classical GMG stalled");
+            sys.residual_into(&u_ref, &rhs, &mut r);
+            Precond::apply(&h, &r, &mut e);
+            u_ref.iter_mut().zip(&e).for_each(|(u, e)| *u += e);
         }
-        let gmg = crate::gmg::GmgSolver::new(
-            g,
-            &nu,
-            Dirichlet::x_faces(&g, 1.0, 0.0),
-            crate::gmg::GmgOptions::default(),
-        )
-        .unwrap();
-        let (u_ref, st) = gmg.solve(None, None);
-        assert!(st.converged);
+        let opts = CgOptions {
+            tol: 1e-11,
+            ..Default::default()
+        };
+        let (u, st) = h.solve(None, None, opts);
+        assert!(st.converged, "{st:?}");
         let err: f64 = u
             .iter()
             .zip(&u_ref)

@@ -12,7 +12,7 @@
 //! - the **coarsest-level solve** (a tight CG whose tolerance is far below
 //!   `f32` resolution);
 //! - the **outer Krylov iteration** consuming this preconditioner;
-//! - every **residual certificate** (`PoissonSystem::residual_norm` /
+//! - every **residual certificate** (`FemSystem::residual_norm` /
 //!   `mgd_hybrid`'s certify loop).
 //!
 //! This is classical iterative refinement: the low-precision solve
@@ -109,7 +109,7 @@ mod tests {
     use crate::hierarchy::HierarchyOptions;
     use crate::pcg::{PcgStep, PcgWorkspace};
     use crate::pde::PdeOperator;
-    use crate::system::PoissonSystem;
+    use crate::system::FemSystem;
 
     fn nu_var<const D: usize>(g: &Grid<D>) -> Vec<f64> {
         (0..g.num_nodes())
@@ -137,7 +137,7 @@ mod tests {
 
     /// Residual norm after `u += M⁻¹ r` from a zero iterate with imposed
     /// BCs — the one-application contraction of preconditioner `M`.
-    fn one_shot_residual(sys: &PoissonSystem<2>, pre: &dyn Precond) -> (f64, f64) {
+    fn one_shot_residual(sys: &FemSystem<2>, pre: &dyn Precond) -> (f64, f64) {
         let nn = sys.num_nodes();
         let rhs = vec![0.0; nn];
         let mut u = vec![0.0; nn];

@@ -12,10 +12,10 @@
 //! [`step`]: PcgWorkspace::step
 //! [`restart`]: PcgWorkspace::restart
 
-use crate::system::PoissonSystem;
+use crate::system::FemSystem;
 
 /// A masked symmetric positive-definite operator: the minimal surface CG
-/// needs. Implemented by [`PoissonSystem`] and by dimension-erased
+/// needs. Implemented by [`FemSystem`] and by dimension-erased
 /// wrappers in higher crates.
 pub trait LinearOp: Sync {
     /// Vector length.
@@ -30,15 +30,15 @@ pub trait LinearOp: Sync {
     }
 }
 
-impl<const D: usize> LinearOp for PoissonSystem<D> {
+impl<const D: usize> LinearOp for FemSystem<D> {
     fn len(&self) -> usize {
         self.num_nodes()
     }
     fn apply(&self, u: &[f64], out: &mut [f64]) {
-        PoissonSystem::apply(self, u, out);
+        FemSystem::apply(self, u, out);
     }
     fn mask(&self, v: &mut [f64]) {
-        PoissonSystem::mask(self, v);
+        FemSystem::mask(self, v);
     }
 }
 
@@ -58,7 +58,7 @@ pub struct JacobiPrecond {
 
 impl JacobiPrecond {
     /// Takes the masked inverse diagonal of the system.
-    pub fn of<const D: usize>(sys: &PoissonSystem<D>) -> Self {
+    pub fn of<const D: usize>(sys: &FemSystem<D>) -> Self {
         JacobiPrecond {
             minv: sys.diag_inv().to_vec(),
         }
@@ -87,7 +87,7 @@ pub enum PcgStep {
 ///
 /// The recurrence residual it tracks is *not* a certificate — callers that
 /// need a guaranteed bound must recompute `‖rhs − K u‖` from scratch
-/// (see `PoissonSystem::residual_norm`), which is exactly what the
+/// (see `FemSystem::residual_norm`), which is exactly what the
 /// certified driver in `mgd_hybrid` does between blocks of steps.
 pub struct PcgWorkspace {
     r: Vec<f64>,
@@ -180,7 +180,7 @@ mod tests {
     use crate::bc::Dirichlet;
     use crate::grid::Grid;
 
-    fn sys2d(m: usize) -> PoissonSystem<2> {
+    fn sys2d(m: usize) -> FemSystem<2> {
         let g: Grid<2> = Grid::cube(m);
         let nn = g.num_nodes();
         let nu: Vec<f64> = (0..nn)
@@ -190,7 +190,7 @@ mod tests {
             })
             .collect();
         let bc = Dirichlet::x_faces(&g, 1.0, 0.0);
-        PoissonSystem::new(g, nu, bc).unwrap()
+        FemSystem::new(g, nu, bc).unwrap()
     }
 
     #[test]

@@ -2,14 +2,13 @@
 //! tuple.
 //!
 //! [`FemSystem`] packages the residual / operator-application / smoothing
-//! entry points that were previously private to [`crate::gmg::GmgSolver`],
-//! so hybrid solvers can drive the same FEM kernels outside a canned
-//! `solve` loop: compute true residuals after arbitrary (e.g. learned)
-//! updates, run ad-hoc smoothing sweeps, or feed a pluggable-preconditioner
-//! CG ([`crate::pcg`]). The operator is pluggable ([`PdeOperator`]) and is
-//! assembled once into a [`Stencil`] that every apply, residual and smoothing
-//! sweep runs on; the historical name [`PoissonSystem`] survives as an alias
-//! for the default scalar-ν build.
+//! entry points of one discretization, so solvers — the multigrid levels of
+//! [`crate::hierarchy`], the Jacobi-CG reference, and hybrid solvers outside
+//! this crate — run the same FEM kernels: compute true residuals after
+//! arbitrary (e.g. learned) updates, run ad-hoc smoothing sweeps, or feed a
+//! pluggable-preconditioner CG ([`crate::pcg`]). The operator is pluggable
+//! ([`PdeOperator`]) and is assembled once into a [`Stencil`] that every
+//! apply, residual and smoothing sweep runs on.
 
 use crate::basis::ElementBasis;
 use crate::bc::Dirichlet;
@@ -34,9 +33,6 @@ pub struct FemSystem<const D: usize> {
     /// `K(ν)` assembled from `nu` (with the masked inverse diagonal).
     stencil: Stencil<f64, D>,
 }
-
-/// Historical name for the scalar-coefficient build of [`FemSystem`].
-pub type PoissonSystem<const D: usize> = FemSystem<D>;
 
 impl<const D: usize> std::fmt::Debug for FemSystem<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -145,7 +141,7 @@ mod tests {
     fn rejects_mis_sized_inputs() {
         let g: Grid<2> = Grid::cube(9);
         let bc = Dirichlet::x_faces(&g, 1.0, 0.0);
-        let err = PoissonSystem::new(g, vec![1.0; 3], bc).unwrap_err();
+        let err = FemSystem::new(g, vec![1.0; 3], bc).unwrap_err();
         assert!(matches!(err, FemError::SizeMismatch { what: "nu", .. }));
     }
 
@@ -166,7 +162,7 @@ mod tests {
         let g: Grid<2> = Grid::cube(9);
         let nn = g.num_nodes();
         let bc = Dirichlet::x_faces(&g, 1.0, 0.0);
-        let sys = PoissonSystem::new(g, vec![1.0; nn], bc).unwrap();
+        let sys = FemSystem::new(g, vec![1.0; nn], bc).unwrap();
         let u: Vec<f64> = (0..nn).map(|i| 1.0 - g.node_coords(i)[0]).collect();
         let rhs = vec![0.0; nn];
         assert!(sys.residual_norm(&u, &rhs) < 1e-12);
@@ -195,7 +191,7 @@ mod tests {
         let g: Grid<2> = Grid::cube(9);
         let nn = g.num_nodes();
         let bc = Dirichlet::x_faces(&g, 1.0, 0.0);
-        let sys = PoissonSystem::new(g, vec![1.0; nn], bc).unwrap();
+        let sys = FemSystem::new(g, vec![1.0; nn], bc).unwrap();
         let mut u = vec![0.0; nn];
         sys.impose_bc(&mut u);
         let rhs = vec![0.0; nn];

@@ -23,9 +23,9 @@
 //! non-finite values. Every [`CertifiedSolution`] carries a residual norm
 //! recomputed from scratch on the returned iterate.
 //!
-//! The multigrid machinery comes from `mgd_fem::hierarchy`, which — unlike
-//! the classical `GmgSolver` — also coarsens the `2^k`-node grids the
-//! network is trained on (non-nested interpolation transfers).
+//! The multigrid machinery comes from `mgd_fem::hierarchy`, whose
+//! non-nested interpolation transfers coarsen the `2^k`-node grids the
+//! network is trained on as well as classical `2^j + 1` grids.
 
 pub mod certify;
 pub mod strategy;

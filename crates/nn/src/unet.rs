@@ -396,7 +396,7 @@ impl<E: GemmElement> UNet<E> {
     /// bitwise-identical results to the exclusive path (at the default
     /// `f64`).
     ///
-    /// Batches above [`BATCH_CHUNK_VOL`] voxels per sample run
+    /// Batches above `BATCH_CHUNK_VOL` voxels per sample run
     /// sample-by-sample so intermediate activations stay cache-resident;
     /// per-sample outputs are bitwise identical to the all-at-once pass.
     pub fn infer(&self, x: &Tensor<E>, ws: &mut Workspace<E>) -> Tensor<E> {

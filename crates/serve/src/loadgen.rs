@@ -1,4 +1,4 @@
-//! Open-loop Poisson load harness for [`ServeQueue`](crate::ServeQueue).
+//! Open-loop Poisson load harness for [`ServeQueue`].
 //!
 //! The harness is *open-loop*: request arrival times are drawn from a
 //! Poisson process up front and the submitter sticks to that schedule no

@@ -9,7 +9,7 @@
 //!
 //! `cargo run --release -p mgd-examples --bin gigavoxel_slabs`
 
-use mgd_fem::{solve_poisson, Dirichlet, Grid, Method};
+use mgd_fem::{solve_cg, CgOptions, Dirichlet, ElementBasis, Grid};
 use mgdiffnet::prelude::*;
 use mgdiffnet::{DistPoisson, SlabPartition};
 
@@ -25,13 +25,20 @@ fn main() {
         grid.num_nodes()
     );
 
-    // Serial reference.
-    let serial = solve_poisson(&grid, nu.as_slice(), &bc, None, Method::Cg, 1e-10);
-    assert!(serial.converged);
+    // Serial reference: Jacobi-CG, the same iteration the ranks run.
+    let start = std::time::Instant::now();
+    let opts = CgOptions {
+        tol: 1e-10,
+        max_iter: 50_000,
+        ..Default::default()
+    };
+    let basis = ElementBasis::new(&grid);
+    let (serial, stats) = solve_cg(&grid, &basis, nu.as_slice(), &bc, None, None, opts);
+    assert!(stats.converged);
     println!(
         "serial CG: {} iterations, {:.2}s, full-field storage {:.1} MB",
-        serial.iterations,
-        serial.seconds,
+        stats.iterations,
+        start.elapsed().as_secs_f64(),
         (grid.num_nodes() * 8) as f64 / 1e6
     );
 
@@ -66,11 +73,11 @@ fn main() {
     }
     let err: f64 = stitched
         .iter()
-        .zip(&serial.u)
+        .zip(&serial)
         .map(|(a, b)| (a - b) * (a - b))
         .sum::<f64>()
         .sqrt();
-    let norm: f64 = serial.u.iter().map(|x| x * x).sum::<f64>().sqrt();
+    let norm: f64 = serial.iter().map(|x| x * x).sum::<f64>().sqrt();
     println!(
         "\ndistributed CG across {p} ranks: {} iterations, {:.2}s",
         slabs[0].1, max_t

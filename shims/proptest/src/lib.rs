@@ -162,7 +162,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use rand::Rng;
 
-    /// Element count for [`vec`]: a fixed size or a range of sizes.
+    /// Element count for [`vec()`]: a fixed size or a range of sizes.
     #[derive(Clone, Debug)]
     pub struct SizeRange {
         lo: usize,
@@ -204,7 +204,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

@@ -109,26 +109,41 @@ fn resolution_agnostic_inference_across_multigrid_levels() {
 
 #[test]
 fn gmg_and_cg_agree_on_paper_diffusivity() {
-    // The classical solver stack agrees with itself on a paper-family ν.
-    use mgd_fem::{solve_poisson, Dirichlet, Grid, Method};
+    // The classical solver stack agrees with itself on a paper-family ν:
+    // geometric-multigrid-preconditioned CG vs the Jacobi-CG reference, on
+    // a nested and a network-shaped (never nested) grid.
+    use mgd_fem::{
+        solve_cg, CgOptions, Dirichlet, ElementBasis, Grid, GridHierarchy, HierarchyOptions,
+    };
     let model = DiffusivityModel::paper();
     let omega = [0.3105, 1.5386, 0.0932, -1.2442];
-    let dims = [33usize, 33];
-    let nu = model.rasterize(&omega, &dims);
-    let grid: Grid<2> = Grid::new(dims);
-    let bc = Dirichlet::x_faces(&grid, 1.0, 0.0);
-    let gmg = solve_poisson(&grid, nu.as_slice(), &bc, None, Method::Gmg, 1e-10);
-    let cg = solve_poisson(&grid, nu.as_slice(), &bc, None, Method::Cg, 1e-10);
-    assert!(gmg.converged && cg.converged);
-    let err: f64 = gmg
-        .u
-        .iter()
-        .zip(&cg.u)
-        .map(|(a, b)| (a - b) * (a - b))
-        .sum::<f64>()
-        .sqrt();
-    let norm: f64 = cg.u.iter().map(|x| x * x).sum::<f64>().sqrt();
-    assert!(err / norm < 1e-6, "solvers disagree: {}", err / norm);
+    let opts = CgOptions {
+        tol: 1e-11,
+        ..Default::default()
+    };
+    for dims in [[33usize, 33], [32, 32]] {
+        let nu = model.rasterize(&omega, &dims);
+        let grid: Grid<2> = Grid::new(dims);
+        let bc = Dirichlet::x_faces(&grid, 1.0, 0.0);
+        let hier =
+            GridHierarchy::build(grid, nu.as_slice(), &bc, HierarchyOptions::default()).unwrap();
+        let (gmg, gmg_stats) = hier.solve(None, None, opts);
+        let basis = ElementBasis::new(&grid);
+        let (cg, cg_stats) = solve_cg(&grid, &basis, nu.as_slice(), &bc, None, None, opts);
+        assert!(gmg_stats.converged && cg_stats.converged);
+        let err: f64 = gmg
+            .iter()
+            .zip(&cg)
+            .map(|(a, b)| (a - b) * (a - b))
+            .sum::<f64>()
+            .sqrt();
+        let norm: f64 = cg.iter().map(|x| x * x).sum::<f64>().sqrt();
+        assert!(
+            err / norm < 1e-7,
+            "solvers disagree at {dims:?}: {}",
+            err / norm
+        );
+    }
 }
 
 #[test]

@@ -6,6 +6,12 @@
 
 use mgdiffnet::prelude::*;
 use mgdiffnet::Precision;
+use std::sync::{PoisonError, RwLock};
+
+/// Rank spawns and weight prepacks are counted process-wide, and tests run
+/// on parallel threads: every test holds this shared, and the one that
+/// asserts those counters do not move holds it exclusively.
+static RANK_SPAWNS: RwLock<()> = RwLock::new(());
 
 fn assert_bitwise(a: &Tensor, b: &Tensor, what: &str) {
     assert_eq!(a.dims(), b.dims(), "{what}: shape");
@@ -20,6 +26,7 @@ fn assert_bitwise(a: &Tensor, b: &Tensor, what: &str) {
 
 #[test]
 fn spatial_threads_bitwise_on_2d_128() {
+    let _spawns = RANK_SPAWNS.read().unwrap_or_else(PoisonError::into_inner);
     // 128² 2D problem, depth-3 U-Net (slab alignment 8 along y).
     let build = |par: Parallelism| {
         SolverEngine::builder()
@@ -52,6 +59,7 @@ fn spatial_threads_bitwise_on_2d_128() {
 
 #[test]
 fn spatial_threads_bitwise_on_3d_64() {
+    let _spawns = RANK_SPAWNS.read().unwrap_or_else(PoisonError::into_inner);
     // 64³ 3D problem (262k voxels), depth-2 U-Net (slab alignment 4
     // along z) — the acceptance configuration of the spatial tentpole.
     let build = |par: Parallelism| {
@@ -85,6 +93,7 @@ fn spatial_threads_bitwise_on_3d_64() {
 
 #[test]
 fn spatial_threads_bitwise_on_anisotropic_2d() {
+    let _spawns = RANK_SPAWNS.read().unwrap_or_else(PoisonError::into_inner);
     // The operator-zoo acceptance: slab-decomposed serving of the
     // anisotropic tensor-coefficient problem (3-channel input) must stay
     // bitwise identical to Serial — halo exchange and panel packing are
@@ -122,6 +131,7 @@ fn spatial_threads_bitwise_on_anisotropic_2d() {
 
 #[test]
 fn spatial_threads_respects_dirichlet_faces() {
+    let _spawns = RANK_SPAWNS.read().unwrap_or_else(PoisonError::into_inner);
     let engine = SolverEngine::builder()
         .resolution([32, 32, 32])
         .problem(Problem::poisson_3d(DiffusivityModel::paper()))
@@ -145,6 +155,7 @@ fn spatial_threads_respects_dirichlet_faces() {
 
 #[test]
 fn spatial_over_decomposition_is_a_typed_build_error() {
+    let _spawns = RANK_SPAWNS.read().unwrap_or_else(PoisonError::into_inner);
     // 32 z-planes / alignment 2^3 = 4 slabs at most; 5 ranks must fail at
     // build() with InvalidConfig, never a rank panic at predict time.
     let e = SolverEngine::builder()
@@ -179,6 +190,7 @@ fn spatial_over_decomposition_is_a_typed_build_error() {
 
 #[test]
 fn repeated_spatial_predicts_reuse_pool_and_prepacked_panels() {
+    let _spawns = RANK_SPAWNS.write().unwrap_or_else(PoisonError::into_inner);
     // The persistent slab pool must be spawned once (at snapshot publish)
     // and reused across predicts — zero new rank threads, zero weight-panel
     // repacks after the snapshot's one-time prepack.
@@ -224,6 +236,7 @@ fn repeated_spatial_predicts_reuse_pool_and_prepacked_panels() {
 
 #[test]
 fn out_of_core_streaming_is_bitwise_serial() {
+    let _spawns = RANK_SPAWNS.read().unwrap_or_else(PoisonError::into_inner);
     // Spill-to-scratch slab serving (the gigavoxel streaming mode) must
     // return bit-identical fields: spill files round-trip exactly.
     let dir = std::env::temp_dir().join("mgd_spatial_stream_test");
@@ -268,6 +281,7 @@ fn out_of_core_streaming_is_bitwise_serial() {
 
 #[test]
 fn grid_parallelism_trains_and_serves_bitwise() {
+    let _spawns = RANK_SPAWNS.read().unwrap_or_else(PoisonError::into_inner);
     // Grid(d, p): data-parallel training over d workers composed with
     // p-rank slab serving; batched predictions split across d lanes.
     let build = |par: Parallelism| {
@@ -318,6 +332,7 @@ fn grid_parallelism_trains_and_serves_bitwise() {
 
 #[test]
 fn f32_spatial_serving_matches_serial_f32_to_tolerance() {
+    let _spawns = RANK_SPAWNS.read().unwrap_or_else(PoisonError::into_inner);
     // The F32 × SpatialThreads combination (formerly rejected at build)
     // now serves through f32 slab replicas; outputs must agree with the
     // serial f32 path to rounding tolerance.
@@ -359,6 +374,7 @@ fn f32_spatial_serving_matches_serial_f32_to_tolerance() {
 
 #[test]
 fn spatial_threads_after_training_still_matches_serial() {
+    let _spawns = RANK_SPAWNS.read().unwrap_or_else(PoisonError::into_inner);
     // Train serially, checkpoint, serve spatially from the restored
     // weights: the resolution-agnostic network makes the trained weights
     // valid at any (aligned) serving resolution and rank count.
