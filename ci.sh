@@ -15,6 +15,14 @@ run cargo clippy --workspace --all-targets -- -D warnings
 run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 run cargo build --release --workspace
 run cargo test -q --workspace
+# Fallback GEMM tiles: the default build targets this host's CPU, so only
+# one micro-kernel variant is dispatched to. Pinning the target CPU to AVX2
+# and to baseline x86-64 compiles and tests the other two; separate target
+# directories keep these builds from invalidating the main one.
+for cpu in x86-64-v3 x86-64; do
+    run env RUSTFLAGS="-C target-cpu=$cpu" CARGO_TARGET_DIR="target/cpu-$cpu" \
+        cargo test -q -p mgd-tensor -p mgd-nn
+done
 # Distributed smoke: exercise the replicate/shard/all-reduce path end to
 # end with 2 and 4 in-process ranks on every push.
 run cargo run --release -p mgd-examples --bin distributed_training -- --threads 2

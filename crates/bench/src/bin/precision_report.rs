@@ -3,8 +3,8 @@
 //! Measures the three layers of the generic-element refactor against their
 //! f64 baselines and writes one JSON report:
 //!
-//! - **GEMM ceiling** — square matmuls through the f64 (6×16) and f32
-//!   (6×32) microkernels; the f32/f64 speedup bounds what any higher layer
+//! - **GEMM ceiling** — square matmuls through the f64 (8×16) and f32
+//!   (8×32) microkernels; the f32/f64 speedup bounds what any higher layer
 //!   can hope for.
 //! - **U-Net forward** — `Model::share` vs `Model::share_f32` serving
 //!   views on 2D and 3D inputs, plus the max elementwise deviation of the

@@ -4,13 +4,12 @@
 
 use crate::layer::{Dims5, Layer, Triple};
 use crate::lowering::{
-    anchor_chunks, anchor_chunks_range, bias_grad, col2im_accumulate, col2im_range_accumulate,
-    im2col, im2col_range, ConvBackend, ConvGeom, Scratch, PATCH_CACHE_MAX,
+    anchor_chunks, bias_grad, col2im_accumulate, col2im_range_accumulate, conv_forward, im2col,
+    im2col_range, ConvBackend, ConvGeom, Scratch, PATCH_CACHE_MAX,
 };
 use crate::param::Param;
 use crate::spatial::SplitAxis;
 use crate::util::{tap_range, SendPtr};
-use crate::workspace::Workspace;
 use mgd_tensor::matmul::{gemm, gemm_prepacked, pack_a, PackedA};
 use mgd_tensor::par::maybe_par_for;
 use mgd_tensor::{Element, GemmElement, Tensor};
@@ -174,15 +173,13 @@ impl Conv3d {
     /// GEMM forward: per sample, `Y_n = W · im2col(X_n)` (+ bias), sharing
     /// the packed weight panels across the batch.
     ///
-    /// Small problems gather the whole patch matrix at once (and keep it
-    /// for the weight-gradient GEMM when training within
-    /// [`PATCH_CACHE_MAX`]); megavoxel problems stream cache-resident
-    /// column chunks through gather → GEMM so the patch matrix never
-    /// round-trips DRAM.
+    /// A training forward within [`PATCH_CACHE_MAX`] gathers the whole
+    /// patch matrix and keeps it for the weight-gradient GEMM; every other
+    /// forward runs [`conv_forward`] — the inference lowering, which never
+    /// forms the patch matrix.
     fn forward_gemm(&mut self, x: &Tensor, din: &Dims5, dout: &Dims5, train: bool) -> Tensor {
         let geom = self.geom(din, dout);
         let (kdim, p) = (geom.rows(), geom.cols());
-        let ow = dout.w;
         let mut y = Tensor::zeros([dout.n, dout.c, dout.d, dout.h, dout.w]);
         // The [out_c, in_c, kd, kh, kw] weight is already the out_c × kdim
         // matrix row-major — pack it once for the whole batch.
@@ -192,8 +189,6 @@ impl Conv3d {
         let ys = y.as_mut_slice();
         let cache_patches = train && din.n * kdim * p <= PATCH_CACHE_MAX;
         let Scratch {
-            col,
-            ctmp,
             cached,
             cached_valid,
             ..
@@ -215,20 +210,7 @@ impl Conv3d {
                 }
                 gemm_prepacked(&pa, colslab, false, yslab, p, true);
             } else {
-                for (ar0, ar1) in anchor_chunks(&geom) {
-                    let cc = (ar1 - ar0) * ow;
-                    col.resize(kdim * cc, 0.0);
-                    im2col_range(&geom, xslab, col, ar0, ar1);
-                    ctmp.resize(self.out_c * cc, 0.0);
-                    gemm_prepacked(&pa, col, false, ctmp, cc, false);
-                    for oc in 0..self.out_c {
-                        let b = bs[oc];
-                        let dst = &mut yslab[oc * p + ar0 * ow..oc * p + ar1 * ow];
-                        for (d, s) in dst.iter_mut().zip(&ctmp[oc * cc..(oc + 1) * cc]) {
-                            *d = b + s;
-                        }
-                    }
-                }
+                conv_forward(&pa, &geom, xslab, bs, 0, dout.d * dout.h, yslab, p);
             }
         }
         y
@@ -321,8 +303,7 @@ impl Conv3d {
     ) -> Tensor {
         // A range forward never caches patches; invalidate like forward().
         self.scratch.cached_valid = false;
-        let mut ws = Workspace::new();
-        self.infer_planes(x, keep, axis, &mut ws)
+        self.infer_planes(x, keep, axis)
     }
 
     /// Accumulates the per-channel bias gradient (shared lowering helper).
@@ -537,14 +518,11 @@ impl<E: GemmElement> Conv3d<E> {
     }
 
     /// Shared-state inference forward: bitwise identical to
-    /// `forward(x, false)` at the default `f64` element, but `&self` — all
-    /// transient buffers live in the caller's [`Workspace`], so one set of
-    /// weights behind an `Arc` can serve any number of concurrent callers.
-    ///
-    /// The Gemm path runs the same streamed gather → GEMM chunk loop as the
-    /// inference branch of [`Layer::forward`] (inference never caches
-    /// patches), so values match that path bit for bit.
-    pub fn infer(&self, x: &Tensor<E>, ws: &mut Workspace<E>) -> Tensor<E> {
+    /// `forward(x, false)` at the default `f64` element, but `&self` — so
+    /// one set of weights behind an `Arc` can serve any number of
+    /// concurrent callers. It needs no scratch: the lowering gathers
+    /// patches straight into the GEMM's panels.
+    pub fn infer(&self, x: &Tensor<E>) -> Tensor<E> {
         let din = Dims5::of(x);
         assert_eq!(din.c, self.in_c, "channel mismatch");
         let dout = self.out_dims(&din);
@@ -553,31 +531,16 @@ impl<E: GemmElement> Conv3d<E> {
         }
         let geom = self.geom(&din, &dout);
         let (kdim, p) = (geom.rows(), geom.cols());
-        let ow = dout.w;
         let mut y = Tensor::zeros([dout.n, dout.c, dout.d, dout.h, dout.w]);
         let mut local = None;
         let pa = self.packed(kdim, &mut local);
         let xs = x.as_slice();
         let bs = self.bias.data.as_slice();
         let ys = y.as_mut_slice();
-        let Workspace { col, ctmp, .. } = ws;
         for ni in 0..din.n {
             let xslab = &xs[ni * self.in_c * geom.vol()..][..self.in_c * geom.vol()];
             let yslab = &mut ys[ni * self.out_c * p..][..self.out_c * p];
-            for (ar0, ar1) in anchor_chunks(&geom) {
-                let cc = (ar1 - ar0) * ow;
-                col.resize(kdim * cc, E::ZERO);
-                im2col_range(&geom, xslab, col, ar0, ar1);
-                ctmp.resize(self.out_c * cc, E::ZERO);
-                gemm_prepacked(pa, col, false, ctmp, cc, false);
-                for oc in 0..self.out_c {
-                    let b = bs[oc];
-                    let dst = &mut yslab[oc * p + ar0 * ow..oc * p + ar1 * ow];
-                    for (d, s) in dst.iter_mut().zip(&ctmp[oc * cc..(oc + 1) * cc]) {
-                        *d = b + *s;
-                    }
-                }
-            }
+            conv_forward(pa, &geom, xslab, bs, 0, dout.d * dout.h, yslab, p);
         }
         y
     }
@@ -589,7 +552,6 @@ impl<E: GemmElement> Conv3d<E> {
         x: &Tensor<E>,
         keep: std::ops::Range<usize>,
         axis: SplitAxis,
-        ws: &mut Workspace<E>,
     ) -> Tensor<E> {
         assert!(keep.start < keep.end, "empty output plane range");
         let din = Dims5::of(x);
@@ -599,7 +561,7 @@ impl<E: GemmElement> Conv3d<E> {
             SplitAxis::Height => [din.n, self.out_c, 1, keep.len(), dout.w],
         };
         let mut y = Tensor::zeros(odims);
-        self.infer_planes_into(x, keep, axis, &mut y, 0, ws);
+        self.infer_planes_into(x, keep, axis, &mut y, 0);
         y
     }
 
@@ -625,7 +587,6 @@ impl<E: GemmElement> Conv3d<E> {
         axis: SplitAxis,
         dst: &mut Tensor<E>,
         dst_plane0: usize,
-        ws: &mut Workspace<E>,
     ) {
         let din = Dims5::of(x);
         assert_eq!(din.c, self.in_c, "channel mismatch");
@@ -677,26 +638,13 @@ impl<E: GemmElement> Conv3d<E> {
         let pa = self.packed(kdim, &mut local);
         let xs = x.as_slice();
         let bs = self.bias.data.as_slice();
-        let Workspace { col, ctmp, .. } = ws;
         for ni in 0..din.n {
             let xslab = &xs[ni * self.in_c * geom.vol()..][..self.in_c * geom.vol()];
-            let yslab = &mut ys[ni * self.out_c * pvol..][..self.out_c * pvol];
-            for (c0, c1) in anchor_chunks_range(&geom, ar0, ar1) {
-                let cc = (c1 - c0) * ow;
-                col.resize(kdim * cc, E::ZERO);
-                im2col_range(&geom, xslab, col, c0, c1);
-                ctmp.resize(self.out_c * cc, E::ZERO);
-                gemm_prepacked(pa, col, false, ctmp, cc, false);
-                for oc in 0..self.out_c {
-                    let b = bs[oc];
-                    let row0 = dst_row0 + (c0 - ar0);
-                    let row1 = dst_row0 + (c1 - ar0);
-                    let dstband = &mut yslab[oc * pvol + row0 * ow..oc * pvol + row1 * ow];
-                    for (d, s) in dstband.iter_mut().zip(&ctmp[oc * cc..(oc + 1) * cc]) {
-                        *d = b + *s;
-                    }
-                }
-            }
+            // The kept rows land at `dst_row0` of each `pvol`-strided
+            // output-channel plane block of `dst`.
+            let yband = &mut ys[ni * self.out_c * pvol + dst_row0 * ow..]
+                [..self.out_c * pvol - dst_row0 * ow];
+            conv_forward(pa, &geom, xslab, bs, ar0, ar1, yband, pvol);
         }
     }
 }
@@ -942,13 +890,87 @@ mod tests {
             let mut c = Conv3d::same(2, 3, (3, 3, 3), &mut r).with_backend(backend);
             let x = Tensor::rand_uniform([2, 2, 20, 20, 20], -1.0, 1.0, &mut r);
             let y = c.forward(&x, false);
-            let mut ws = crate::workspace::Workspace::new();
-            let yi = c.infer(&x, &mut ws);
+            let yi = c.infer(&x);
             assert!(y
                 .as_slice()
                 .iter()
                 .zip(yi.as_slice())
                 .all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
+    }
+
+    /// The inference loop before implicit im2col, kept as the oracle:
+    /// materialize the patch matrix, GEMM it into scratch, then `b + s`.
+    fn infer_im2col_reference<E: GemmElement>(c: &Conv3d<E>, x: &Tensor<E>) -> Tensor<E> {
+        let din = Dims5::of(x);
+        let dout = c.out_dims(&din);
+        let geom = c.geom(&din, &dout);
+        let (kdim, p) = (geom.rows(), geom.cols());
+        let pa = pack_a(c.weight.data.as_slice(), c.out_c, kdim, false);
+        let mut y = Tensor::zeros([dout.n, dout.c, dout.d, dout.h, dout.w]);
+        let (mut col, mut ctmp) = (vec![E::ZERO; kdim * p], vec![E::ZERO; c.out_c * p]);
+        for ni in 0..din.n {
+            let xslab = &x.as_slice()[ni * c.in_c * geom.vol()..][..c.in_c * geom.vol()];
+            im2col(&geom, xslab, &mut col);
+            gemm_prepacked(&pa, &col, false, &mut ctmp, p, false);
+            let yslab = &mut y.as_mut_slice()[ni * c.out_c * p..][..c.out_c * p];
+            for (oc, (dst, src)) in yslab
+                .chunks_exact_mut(p)
+                .zip(ctmp.chunks_exact(p))
+                .enumerate()
+            {
+                let b = c.bias.data.as_slice()[oc];
+                for (d, s) in dst.iter_mut().zip(src) {
+                    *d = b + *s;
+                }
+            }
+        }
+        y
+    }
+
+    fn bits_eq<E: Element>(a: &[E], b: &[E]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.bits() == y.bits())
+    }
+
+    /// `infer` and every band of `infer_planes_into` reproduce the
+    /// im2col → GEMM → `b + s` loop bit for bit.
+    fn check_against_im2col_reference<E: GemmElement>(c: &Conv3d<E>, x: &Tensor<E>) {
+        let want = infer_im2col_reference(c, x);
+        let case = (c.in_c, c.out_c, c.kernel, c.stride, E::NAME);
+        assert!(bits_eq(c.infer(x).as_slice(), want.as_slice()), "{case:?}");
+        let w = Dims5::of(&want);
+        let (axis, planes) = if w.d > 1 {
+            (SplitAxis::Depth, w.d)
+        } else {
+            (SplitAxis::Height, w.h)
+        };
+        // Bands written out of order into one output, with odd boundaries.
+        let mut y = Tensor::zeros(want.dims().to_vec());
+        let cut = (planes / 3).max(1);
+        for band in [cut..planes, 0..cut] {
+            c.infer_planes_into(x, band.clone(), axis, &mut y, band.start);
+        }
+        assert!(bits_eq(y.as_slice(), want.as_slice()), "{case:?} bands");
+    }
+
+    #[test]
+    fn infer_matches_im2col_reference_bitwise() {
+        let mut r = rng();
+        // (in_c, out_c, kernel, stride, padding, input dims): head-like
+        // m = 1 and m = 3, a strided conv, and m = 8 over 432 patch rows
+        // (two KC blocks, so the bias must follow the last block).
+        let cases = [
+            (8, 1, (1, 1, 1), (1, 1, 1), (0, 0, 0), [2, 8, 3, 5, 7]),
+            (4, 3, (3, 3, 3), (1, 1, 1), (1, 1, 1), [1, 4, 4, 6, 19]),
+            (3, 5, (1, 3, 3), (1, 2, 2), (0, 1, 1), [2, 3, 1, 9, 37]),
+            (16, 8, (3, 3, 3), (1, 1, 1), (1, 1, 1), [1, 16, 5, 6, 20]),
+        ];
+        for (in_c, out_c, k, s, p, dims) in cases {
+            let mut c = Conv3d::new(in_c, out_c, k, s, p, &mut r);
+            c.bias.data = Tensor::rand_uniform([out_c], -1.0, 1.0, &mut r);
+            let x = Tensor::rand_uniform(dims.to_vec(), -1.0, 1.0, &mut r);
+            check_against_im2col_reference(&c, &x);
+            check_against_im2col_reference(&c.cast_as::<f32>(), &x.cast::<f32>());
         }
     }
 

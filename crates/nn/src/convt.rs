@@ -7,7 +7,7 @@ use crate::lowering::{
 use crate::param::Param;
 use crate::util::SendPtr;
 use crate::workspace::Workspace;
-use mgd_tensor::matmul::{gemm, gemm_prepacked, pack_a};
+use mgd_tensor::matmul::{gemm, gemm_prepacked, gemm_prepacked_with, pack_a, pack_b_slab};
 use mgd_tensor::par::maybe_par_for;
 use mgd_tensor::{Element, GemmElement, Tensor};
 use rand::Rng;
@@ -324,7 +324,7 @@ impl ConvTranspose3d {
         let gw = self.weight.grad.as_mut_slice();
         let mut gx = Tensor::zeros([din.n, din.c, din.d, din.h, din.w]);
         let gxs = gx.as_mut_slice();
-        let Scratch { col, tmp, ctmp, .. } = &mut self.scratch;
+        let Scratch { col, tmp, .. } = &mut self.scratch;
         for ni in 0..din.n {
             let gslab = &g[ni * self.out_c * outvol..][..self.out_c * outvol];
             let xslab = &xs[ni * self.in_c * p..][..self.in_c * p];
@@ -333,14 +333,18 @@ impl ConvTranspose3d {
                 let cc = (ar1 - ar0) * ow;
                 col.resize(kdim * cc, 0.0);
                 im2col_range(&geom, gslab, col, ar0, ar1);
-                // Data gradient chunk, scattered back into the strided rows
-                // of dX_n.
-                ctmp.resize(self.in_c * cc, 0.0);
-                gemm_prepacked(&pa, col, false, ctmp, cc, false);
-                for ic in 0..self.in_c {
-                    gxslab[ic * p + ar0 * ow..ic * p + ar1 * ow]
-                        .copy_from_slice(&ctmp[ic * cc..(ic + 1) * cc]);
-                }
+                // Data gradient chunk, written straight into the strided
+                // rows of dX_n.
+                let col = &col[..];
+                gemm_prepacked_with(
+                    &pa,
+                    cc,
+                    |k0, kc_len, j0, jn, bp| pack_b_slab(col, cc, 1, k0, kc_len, j0, jn, bp),
+                    &mut gxslab[ar0 * ow..],
+                    p,
+                    None,
+                    false,
+                );
                 // Weight gradient over this chunk's input columns.
                 tmp.resize(self.in_c * cc, 0.0);
                 for ic in 0..self.in_c {

@@ -19,14 +19,22 @@
 //! both layers — `Conv3d` lowers over its input grid, `ConvTranspose3d`
 //! over its output grid.
 //!
-//! Both routines parallelize over patch rows (gather) or channels
-//! (scatter); every task writes a disjoint slice in a fixed order, so
-//! results are bitwise deterministic for any thread count.
+//! The `Conv3d` forward — every inference pass and the training forward
+//! that does not keep its patches — never forms `im2col(X)`: `conv_forward`
+//! gathers patch values from `X` straight into the GEMM's packed B panels
+//! (`PatchPanels`) and adds the bias in the GEMM write-back, over the
+//! whole sample at once. The remaining passes materialize patch columns
+//! in `CHUNK_ELEMS`-bounded (8 MiB) chunks.
+//!
+//! The gather/scatter routines parallelize over patch rows (gather) or
+//! channels (scatter); every task writes a disjoint slice in a fixed
+//! order, so results are bitwise deterministic for any thread count.
 
 use crate::layer::Triple;
 use crate::util::SendPtr;
+use mgd_tensor::matmul::{gemm_prepacked_with, PackedA};
 use mgd_tensor::par::par_jobs;
-use mgd_tensor::Element;
+use mgd_tensor::{Element, GemmElement};
 use serde::{Deserialize, Serialize};
 
 /// Which kernel implementation a convolution layer runs.
@@ -117,9 +125,8 @@ pub(crate) fn im2col<E: Element>(g: &ConvGeom, src: &[E], col: &mut [E]) {
 
 /// [`im2col`] restricted to anchor rows `[ar0, ar1)` of the flattened
 /// `(o_d, o_h)` space — the column blocks `[ar0*ow, ar1*ow)` of the full
-/// patch matrix. Chunking along this axis keeps the patch matrix
-/// cache-resident at megavoxel grids, where materializing all of it would
-/// turn the GEMM lowering memory-bound.
+/// patch matrix. Chunking along this axis bounds the patch scratch of the
+/// backward passes at megavoxel grids (see [`CHUNK_ELEMS`]).
 pub(crate) fn im2col_range<E: Element>(
     g: &ConvGeom,
     src: &[E],
@@ -249,6 +256,192 @@ pub(crate) fn col2im_range_accumulate<E: Element>(
     });
 }
 
+/// One patch-matrix row — a `(channel, kernel tap)` pair — resolved once
+/// per lowering so the panel gather does no index division per row.
+#[derive(Clone, Copy, Debug)]
+struct Tap {
+    /// Offset of the tap's channel in the source sample.
+    chan: usize,
+    /// Kernel offsets along (d, h, w).
+    kd: usize,
+    kh: usize,
+    kw: usize,
+    /// Valid anchor range `[wlo, whi)` along w (see [`anchor_range`]).
+    wlo: usize,
+    whi: usize,
+}
+
+/// Implicit im2col: the patch matrix of one sample, restricted to the
+/// anchor columns from `q0` on, gathered straight from the input tensor
+/// into GEMM B panels — the gather is the pack, so the patch matrix is
+/// never materialized. [`PatchPanels::fill`] is the B-panel fill of
+/// [`gemm_prepacked_with`] and writes exactly the panels that
+/// [`im2col_range`] followed by [`pack_b_slab`] would.
+///
+/// [`pack_b_slab`]: mgd_tensor::matmul::pack_b_slab
+pub(crate) struct PatchPanels<'a, E> {
+    g: &'a ConvGeom,
+    src: &'a [E],
+    taps: Vec<Tap>,
+    q0: usize,
+}
+
+impl<'a, E: GemmElement> PatchPanels<'a, E> {
+    /// Panels of sample `src` (`c × dims` row-major) over the patch columns
+    /// `q0..` (a column is a flattened `(o_d, o_h, o_w)` anchor).
+    pub(crate) fn new(g: &'a ConvGeom, src: &'a [E], q0: usize) -> Self {
+        assert_eq!(src.len(), g.c * g.vol());
+        let (_, kh, kw) = g.kernel;
+        let taps = (0..g.rows())
+            .map(|r| {
+                let (ci, tap) = (r / g.kvol(), r % g.kvol());
+                let (kdi, rem) = (tap / (kh * kw), tap % (kh * kw));
+                let kwi = rem % kw;
+                let (wlo, whi) = anchor_range(kwi, g.stride.2, g.padding.2, g.dims.2, g.out.2);
+                Tap {
+                    chan: ci * g.vol(),
+                    kd: kdi,
+                    kh: rem / kw,
+                    kw: kwi,
+                    wlo,
+                    whi,
+                }
+            })
+            .collect();
+        PatchPanels { g, src, taps, q0 }
+    }
+
+    /// Writes patch rows `[k0, k0+kc_len)` × columns `[q0+j0, q0+j0+jn)`
+    /// into `NR`-wide panels (`bpack[np][kk*NR + nr]`), zero-padding the
+    /// ragged last panel.
+    ///
+    /// The columns are walked as anchor-row runs (one row of window
+    /// positions: contiguous in the input along w). Per run and tap the
+    /// in-grid range is copied and the padding zero-filled as whole
+    /// ranges, cut only at panel boundaries.
+    pub(crate) fn fill(&self, k0: usize, kc_len: usize, j0: usize, jn: usize, bpack: &mut [E]) {
+        let nr = E::NR;
+        let g = self.g;
+        let (_, oh, ow) = g.out;
+        let (sd, sh, sw) = g.stride;
+        let (pd, ph, pw) = g.padding;
+        let (dd, dh, dw) = g.dims;
+        let taps = &self.taps[k0..k0 + kc_len];
+        let mut out = Rows {
+            bpack: &mut bpack[..jn.div_ceil(nr) * kc_len * nr],
+            pstride: kc_len * nr,
+        };
+        let mut c = 0;
+        while c < jn {
+            let (a, w0) = ((self.q0 + j0 + c) / ow, (self.q0 + j0 + c) % ow);
+            let len = (ow - w0).min(jn - c);
+            // Padded input coordinates of this anchor row's tap-0 window.
+            let (zd, zh) = ((a / oh) * sd, (a % oh) * sh);
+            for (kk, t) in taps.iter().enumerate() {
+                let (id, ih) = ((zd + t.kd).wrapping_sub(pd), (zh + t.kh).wrapping_sub(ph));
+                let lo = t.wlo.clamp(w0, w0 + len);
+                let hi = t.whi.clamp(lo, w0 + len);
+                if id >= dd || ih >= dh || hi == lo {
+                    out.zero(kk, c, len);
+                    continue;
+                }
+                // `lo >= wlo`, so the first window column is in-grid.
+                let iw0 = lo * sw + t.kw - pw;
+                let row = &self.src[t.chan + (id * dh + ih) * dw..][..dw];
+                out.zero(kk, c, lo - w0);
+                out.copy(kk, c + lo - w0, hi - lo, &row[iw0..], sw);
+                out.zero(kk, c + hi - w0, w0 + len - hi);
+            }
+            c += len;
+        }
+        let nvalid = jn - (jn - 1) / nr * nr;
+        for kk in 0..kc_len {
+            out.zero(kk, jn, nr - nvalid);
+        }
+    }
+}
+
+/// Row `kk` of a packed B slab seen as one logical row of columns, split
+/// across `NR`-wide panels `pstride` elements apart.
+struct Rows<'a, E> {
+    bpack: &'a mut [E],
+    pstride: usize,
+}
+
+impl<E: GemmElement> Rows<'_, E> {
+    /// Copies the `n` values `src[0], src[sw], src[2·sw], …` into columns
+    /// `[c, c + n)` of row `kk`.
+    #[inline(always)]
+    fn copy(&mut self, kk: usize, c: usize, n: usize, src: &[E], sw: usize) {
+        self.put(kk, c, n, |dst, s| {
+            if sw == 1 {
+                dst.copy_from_slice(&src[s..s + dst.len()]);
+            } else {
+                for (d, &x) in dst.iter_mut().zip(src[s * sw..].iter().step_by(sw)) {
+                    *d = x;
+                }
+            }
+        });
+    }
+
+    /// Zero-fills columns `[c, c + len)` of row `kk`.
+    #[inline(always)]
+    fn zero(&mut self, kk: usize, c: usize, len: usize) {
+        self.put(kk, c, len, |dst, _| dst.fill(E::ZERO));
+    }
+
+    /// Hands `f` each panel-bounded piece of columns `[c, c + len)` of row
+    /// `kk` with its offset into the range; whole-panel pieces have the
+    /// constant width `NR`, so their copies compile to a few vector moves.
+    #[inline(always)]
+    fn put(&mut self, kk: usize, c: usize, len: usize, mut f: impl FnMut(&mut [E], usize)) {
+        let nr = E::NR;
+        let (mut j, end) = (c, c + len);
+        while j < end {
+            let (np, lane) = (j / nr, j % nr);
+            let start = np * self.pstride + kk * nr;
+            if lane == 0 && end - j >= nr {
+                f(&mut self.bpack[start..start + nr], j - c);
+                j += nr;
+            } else {
+                let l = (nr - lane).min(end - j);
+                f(&mut self.bpack[start + lane..start + lane + l], j - c);
+                j += l;
+            }
+        }
+    }
+}
+
+/// The `Conv3d` forward over anchor rows `[ar0, ar1)` of one sample:
+/// `y[oc, j] = bias[oc] + (W · patches(src))[oc, ar0·ow + j]`, with the
+/// rows of `y` at stride `ldy`. One GEMM over the whole range — no
+/// chunking, no patch matrix, no separate bias pass — whose every output
+/// element is one fixed-order reduction over the full shared dimension,
+/// so any split of the anchor rows yields the same bits.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn conv_forward<E: GemmElement>(
+    pa: &PackedA<E>,
+    g: &ConvGeom,
+    src: &[E],
+    bias: &[E],
+    ar0: usize,
+    ar1: usize,
+    y: &mut [E],
+    ldy: usize,
+) {
+    let ow = g.out.2;
+    let panels = PatchPanels::new(g, src, ar0 * ow);
+    gemm_prepacked_with(
+        pa,
+        (ar1 - ar0) * ow,
+        |k0, kc_len, j0, jn, bpack| panels.fill(k0, kc_len, j0, jn, bpack),
+        y,
+        ldy,
+        Some(bias),
+        false,
+    );
+}
+
 /// Reusable per-layer lowering scratch: the patch-matrix buffers of the
 /// GEMM backend, grown on demand and kept across calls so steady-state
 /// training does no per-call allocation.
@@ -265,8 +458,6 @@ pub(crate) struct Scratch<E: Element = f64> {
     /// Contiguous copy of a strided row-chunk operand (gradient or input
     /// columns of one chunk).
     pub tmp: Vec<E>,
-    /// GEMM output chunk before being scattered into the strided result.
-    pub ctmp: Vec<E>,
     /// Patch matrices of the whole last forward batch, cached for the
     /// weight-gradient GEMM when within [`PATCH_CACHE_MAX`].
     pub cached: Vec<E>,
@@ -286,34 +477,22 @@ impl<E: Element> Clone for Scratch<E> {
 /// input instead.
 pub(crate) const PATCH_CACHE_MAX: usize = 1 << 23;
 
-/// Target element count of one patch-matrix chunk (2^20 ≈ 8 MiB of f64):
-/// large enough to amortize GEMM packing, small enough to stay
-/// cache-resident so the lowering never round-trips a megavoxel patch
-/// matrix through DRAM.
+/// Target element count of one patch-matrix chunk (2^20 ≈ 8 MiB of f64)
+/// for the passes that still materialize patch columns — the backward
+/// passes and the `ConvTranspose3d` forward. It bounds their transient
+/// scratch at megavoxel grids; at 8 MiB a chunk lives in L3, not in the
+/// 2 MiB per-core L2. The `Conv3d` forward does not chunk: it gathers
+/// straight into GEMM panels ([`conv_forward`]).
 pub(crate) const CHUNK_ELEMS: usize = 1 << 20;
 
 /// Splits a sample's anchor rows (flattened `(o_d, o_h)` space) into
 /// chunks of roughly [`CHUNK_ELEMS`] patch elements each, returned as an
 /// iterator of `(ar0, ar1)` ranges.
 pub(crate) fn anchor_chunks(g: &ConvGeom) -> impl Iterator<Item = (usize, usize)> {
-    anchor_chunks_range(g, 0, g.out.0 * g.out.1)
-}
-
-/// [`anchor_chunks`] restricted to anchor rows `[ar0, ar1)` — the chunking
-/// used by the slab-decomposed spatial forward, where each rank only
-/// computes its owned output rows. Chunk boundaries never change computed
-/// values (each output element is produced by one GEMM over the full
-/// shared dimension), so restricting the range preserves bitwise equality
-/// with the full-grid pass.
-pub(crate) fn anchor_chunks_range(
-    g: &ConvGeom,
-    ar0: usize,
-    ar1: usize,
-) -> impl Iterator<Item = (usize, usize)> {
-    let rows = ar1 - ar0;
+    let rows = g.out.0 * g.out.1;
     let per_row = g.rows() * g.out.2;
     let step = (CHUNK_ELEMS / per_row.max(1)).clamp(1, rows.max(1));
-    (0..rows.div_ceil(step)).map(move |i| (ar0 + i * step, (ar0 + (i + 1) * step).min(ar1)))
+    (0..rows.div_ceil(step)).map(move |i| (i * step, ((i + 1) * step).min(rows)))
 }
 
 /// Bias gradient `gb[oc] += Σ_{n,voxel} grad[n, oc, voxel]` shared by
@@ -339,6 +518,8 @@ pub(crate) fn bias_grad(grad: &[f64], n: usize, c: usize, vol: usize, gb: &mut [
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mgd_tensor::matmul::pack_b_slab;
+    use proptest::prelude::*;
 
     fn geom() -> ConvGeom {
         ConvGeom {
@@ -529,12 +710,103 @@ mod tests {
             col: vec![1.0; 8],
             col2: vec![2.0; 8],
             tmp: vec![4.0; 8],
-            ctmp: vec![5.0; 8],
             cached: vec![3.0; 8],
             cached_valid: true,
         };
         let c = s.clone();
         assert!(c.col.is_empty() && c.col2.is_empty() && c.cached.is_empty());
         assert!(!c.cached_valid);
+    }
+
+    /// The panel gather against the pipeline it replaces: `im2col_range`
+    /// over the same anchor rows, then `pack_b_slab` — bit for bit, for
+    /// every `KC` block and for a whole-range and an unaligned column slab.
+    fn gather_matches_im2col_then_pack<E: GemmElement>(g: &ConvGeom, ar0: usize, ar1: usize) {
+        let src: Vec<E> = (0..g.c * g.vol())
+            .map(|i| E::from_f64(((i * 37 + 11) % 101) as f64 / 7.0 - 6.0))
+            .collect();
+        let cols = (ar1 - ar0) * g.out.2;
+        let mut col = vec![E::ZERO; g.rows() * cols];
+        im2col_range(g, &src, &mut col, ar0, ar1);
+        let panels = PatchPanels::new(g, &src, ar0 * g.out.2);
+        let slabs = [(0, cols), (3.min(cols - 1), cols - 3.min(cols - 1))];
+        for k0 in (0..g.rows()).step_by(E::KC) {
+            let kc_len = E::KC.min(g.rows() - k0);
+            for (j0, jn) in slabs {
+                // Sentinel-filled and one panel longer than needed: both
+                // sides must write the same region and leave the rest.
+                let len = (jn.div_ceil(E::NR) + 1) * kc_len * E::NR;
+                let mut want = vec![E::from_f64(-7.25); len];
+                let mut got = want.clone();
+                pack_b_slab(&col, cols, 1, k0, kc_len, j0, jn, &mut want);
+                panels.fill(k0, kc_len, j0, jn, &mut got);
+                assert!(
+                    want.iter().zip(&got).all(|(a, b)| a.bits() == b.bits()),
+                    "{} {g:?} anchors {ar0}..{ar1} k0 {k0} cols {j0}+{jn}",
+                    E::NAME
+                );
+            }
+        }
+    }
+
+    proptest! {
+        /// Random geometries: 2D (unit depth) and 3D, kernels 1–3, strides
+        /// 1–2, padding 0–1, widths below, at and off multiples of both
+        /// tiles' `NR` (ragged last panels), anchor ranges starting
+        /// mid-plane.
+        #[test]
+        fn panel_gather_is_im2col_then_pack(
+            two_d_bit in 0usize..=1,
+            c in 1usize..=3,
+            k in (1usize..=3, 1usize..=3, 1usize..=3),
+            s in (1usize..=2, 1usize..=2, 1usize..=2),
+            p in (0usize..=1, 0usize..=1, 0usize..=1),
+            dims in (1usize..=4, 1usize..=6, 1usize..=40),
+            range in (0usize..1000, 0usize..1000),
+        ) {
+            let two_d = two_d_bit == 1;
+            let dims = (if two_d { 1 } else { dims.0 }, dims.1, dims.2);
+            let pad = (if two_d { 0 } else { p.0 }, p.1, p.2);
+            // Kernels never exceed the padded extent.
+            let kern = (
+                if two_d { 1 } else { k.0.min(dims.0 + 2 * pad.0) },
+                k.1.min(dims.1 + 2 * pad.1),
+                k.2.min(dims.2 + 2 * pad.2),
+            );
+            let out = |i: usize, k: usize, s: usize, p: usize| (i + 2 * p - k) / s + 1;
+            let g = ConvGeom {
+                c,
+                dims,
+                kernel: kern,
+                stride: s,
+                padding: pad,
+                out: (
+                    out(dims.0, kern.0, s.0, pad.0),
+                    out(dims.1, kern.1, s.1, pad.1),
+                    out(dims.2, kern.2, s.2, pad.2),
+                ),
+            };
+            let rows = g.out.0 * g.out.1;
+            let ar0 = range.0 % rows;
+            let ar1 = ar0 + 1 + range.1 % (rows - ar0);
+            gather_matches_im2col_then_pack::<f64>(&g, ar0, ar1);
+            gather_matches_im2col_then_pack::<f32>(&g, ar0, ar1);
+        }
+    }
+
+    #[test]
+    fn panel_gather_covers_multiple_k_blocks() {
+        // 16 channels × 3³ taps = 432 patch rows: two KC blocks, the second
+        // ragged, over a mid-plane anchor range of a 3D grid.
+        let g = ConvGeom {
+            c: 16,
+            dims: (3, 5, 21),
+            kernel: (3, 3, 3),
+            stride: (1, 1, 1),
+            padding: (1, 1, 1),
+            out: (3, 5, 21),
+        };
+        gather_matches_im2col_then_pack::<f64>(&g, 2, 13);
+        gather_matches_im2col_then_pack::<f32>(&g, 2, 13);
     }
 }

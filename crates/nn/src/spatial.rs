@@ -274,14 +274,12 @@ fn band_tensor<E: GemmElement>(
 /// Exchanges the conv's halo planes with ring neighbours and computes the
 /// owned output planes of a `same` stencil convolution — overlapping the
 /// interior compute with the in-flight planes when enabled.
-#[allow(clippy::too_many_arguments)]
 fn halo_conv_infer<E: GemmElement + HaloElement>(
     conv: &Conv3d<E>,
     x: &Tensor<E>,
     comm: &dyn Comm,
     axis: SplitAxis,
     tag: &mut u64,
-    ws: &mut Workspace<E>,
     opts: &SlabOpts,
     meter: &mut PeakMeter,
 ) -> Tensor<E> {
@@ -289,7 +287,7 @@ fn halo_conv_infer<E: GemmElement + HaloElement>(
     let (halo, own) = conv_halo(conv, &d, axis);
     if comm.size() == 1 || halo == 0 {
         // No neighbours (or no reach): the slab is self-contained.
-        let y = conv.infer(x, ws);
+        let y = conv.infer(x);
         meter.alloc(y.len());
         return y;
     }
@@ -309,7 +307,7 @@ fn halo_conv_infer<E: GemmElement + HaloElement>(
         };
         let mut y: Tensor<E> = Tensor::zeros(odims);
         meter.alloc(y.len());
-        conv.infer_planes_into(x, lo..own - hi, axis, &mut y, lo, ws);
+        conv.infer_planes_into(x, lo..own - hi, axis, &mut y, lo);
         // Boundary bands on arrival: each band input is the received halo
         // plus the 2·halo nearest owned planes, and its `halo..2·halo`
         // output planes never read the band's artificial zero padding —
@@ -318,13 +316,13 @@ fn halo_conv_infer<E: GemmElement + HaloElement>(
         if let Some(below) = below {
             let band = band_tensor(x, &layout, axis, &d, halo, &below, true);
             meter.alloc(band.len());
-            conv.infer_planes_into(&band, halo..2 * halo, axis, &mut y, 0, ws);
+            conv.infer_planes_into(&band, halo..2 * halo, axis, &mut y, 0);
             meter.free(band.len());
         }
         if let Some(above) = above {
             let band = band_tensor(x, &layout, axis, &d, halo, &above, false);
             meter.alloc(band.len());
-            conv.infer_planes_into(&band, halo..2 * halo, axis, &mut y, own - halo, ws);
+            conv.infer_planes_into(&band, halo..2 * halo, axis, &mut y, own - halo);
             meter.free(band.len());
         }
         return y;
@@ -339,7 +337,7 @@ fn halo_conv_infer<E: GemmElement + HaloElement>(
     };
     let x_ext = Tensor::from_vec(ext_dims, ext.data);
     meter.alloc(x_ext.len());
-    let y = conv.infer_planes(&x_ext, lo..lo + own, axis, ws);
+    let y = conv.infer_planes(&x_ext, lo..lo + own, axis);
     meter.alloc(y.len());
     meter.free(x_ext.len());
     y
@@ -349,18 +347,16 @@ fn halo_conv_infer<E: GemmElement + HaloElement>(
 /// stencil. Batch norm runs in inference mode (running statistics — a
 /// rank-local per-channel affine map), so no cross-rank statistics are
 /// needed.
-#[allow(clippy::too_many_arguments)]
 fn halo_block_infer<E: GemmElement + HaloElement>(
     block: &ConvBlock<E>,
     x: Tensor<E>,
     comm: &dyn Comm,
     axis: SplitAxis,
     tag: &mut u64,
-    ws: &mut Workspace<E>,
     opts: &SlabOpts,
     meter: &mut PeakMeter,
 ) -> Tensor<E> {
-    let mut h = halo_conv_infer(&block.conv, &x, comm, axis, tag, ws, opts, meter);
+    let mut h = halo_conv_infer(&block.conv, &x, comm, axis, tag, opts, meter);
     // The input is dead once the stencil has consumed it; dropping it here
     // (instead of after the block returns) keeps the fused bn/act pass
     // from holding input + conv output resident at once.
@@ -551,7 +547,7 @@ pub fn infer_slab<E: GemmElement + HaloElement>(
     meter.alloc(h.len());
     let mut skips: Vec<Skip<E>> = Vec::with_capacity(depth);
     for i in 0..depth {
-        h = halo_block_infer(&net.enc[i], h, comm, axis, &mut tag, ws, opts, &mut meter);
+        h = halo_block_infer(&net.enc[i], h, comm, axis, &mut tag, opts, &mut meter);
         match &opts.spill_dir {
             // Streaming mode: the skip goes to scratch now and comes back
             // right before its decoder level — no resident copy retained.
@@ -566,16 +562,7 @@ pub fn infer_slab<E: GemmElement + HaloElement>(
         meter.free(h.len());
         h = pooled;
     }
-    h = halo_block_infer(
-        &net.bottleneck,
-        h,
-        comm,
-        axis,
-        &mut tag,
-        ws,
-        opts,
-        &mut meter,
-    );
+    h = halo_block_infer(&net.bottleneck, h, comm, axis, &mut tag, opts, &mut meter);
     for i in (0..depth).rev() {
         let up = net.ups[i].infer(&h, ws);
         meter.alloc(up.len());
@@ -585,18 +572,9 @@ pub fn infer_slab<E: GemmElement + HaloElement>(
         // the decoder's contribution to the per-rank memory bound.
         let skip = skips.pop().expect("one skip per level");
         h = concat_skip(h, skip, &mut meter);
-        h = halo_block_infer(
-            &net.merges[i],
-            h,
-            comm,
-            axis,
-            &mut tag,
-            ws,
-            opts,
-            &mut meter,
-        );
+        h = halo_block_infer(&net.merges[i], h, comm, axis, &mut tag, opts, &mut meter);
     }
-    let head = net.head.infer(&h, ws);
+    let head = net.head.infer(&h);
     meter.alloc(head.len());
     meter.free(h.len());
     h = head;

@@ -129,8 +129,8 @@ impl<E: Element> ConvBlock<E> {
 impl<E: GemmElement> ConvBlock<E> {
     /// Shared-state inference forward through conv → (bn) → act, bitwise
     /// identical to `forward(x, false)` at the default `f64`.
-    pub fn infer(&self, x: &Tensor<E>, ws: &mut Workspace<E>) -> Tensor<E> {
-        let mut h = self.conv.infer(x, ws);
+    pub fn infer(&self, x: &Tensor<E>) -> Tensor<E> {
+        let mut h = self.conv.infer(x);
         if let Some(bn) = &self.bn {
             h = bn.infer(&h);
         }
@@ -427,17 +427,17 @@ impl<E: GemmElement> UNet<E> {
         let mut skips: Vec<Tensor<E>> = Vec::with_capacity(depth);
         let mut h = x.clone();
         for i in 0..depth {
-            h = self.enc[i].infer(&h, ws);
+            h = self.enc[i].infer(&h);
             skips.push(h.clone());
             h = self.pools[i].infer(&h);
         }
-        h = self.bottleneck.infer(&h, ws);
+        h = self.bottleneck.infer(&h);
         for i in (0..depth).rev() {
             h = self.ups[i].infer(&h, ws);
             h = concat_channels(&h, &skips[i]);
-            h = self.merges[i].infer(&h, ws);
+            h = self.merges[i].infer(&h);
         }
-        h = self.head.infer(&h, ws);
+        h = self.head.infer(&h);
         if let Some(s) = &self.sigmoid {
             h = s.infer(&h);
         }

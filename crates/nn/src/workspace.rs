@@ -9,8 +9,9 @@
 //! not with the shared weights. `Workspace` is that per-call home — every
 //! concurrent reader owns one (cheaply default-constructed, grown on
 //! demand, reusable across requests on the same thread) and threads it
-//! through [`crate::Conv3d::infer`] / [`crate::ConvTranspose3d::infer`] /
-//! [`crate::UNet::infer`].
+//! through [`crate::ConvTranspose3d::infer`] / [`crate::UNet::infer`].
+//! ([`crate::Conv3d::infer`] needs none: it gathers patches straight into
+//! its GEMM's panels.)
 //!
 //! Buffers are shared across *layers* within a call: each layer resizes
 //! them to its chunk geometry before use, so a whole U-Net forward touches
@@ -45,10 +46,8 @@ use mgd_tensor::Element;
 /// serving fast path (half the scratch bytes per chunk).
 #[derive(Debug, Default)]
 pub struct Workspace<E: Element = f64> {
-    /// Patch-matrix chunk (im2col gather target / col2im source).
+    /// Patch-matrix chunk (col2im source).
     pub(crate) col: Vec<E>,
-    /// GEMM output chunk before it is scattered into the strided result.
-    pub(crate) ctmp: Vec<E>,
     /// Contiguous copy of a strided row-chunk operand.
     pub(crate) tmp: Vec<E>,
 }
@@ -61,7 +60,7 @@ impl<E: Element> Workspace<E> {
 
     /// Total scratch elements currently held (capacity diagnostics).
     pub fn len(&self) -> usize {
-        self.col.len() + self.ctmp.len() + self.tmp.len()
+        self.col.len() + self.tmp.len()
     }
 
     /// Whether no scratch has been allocated yet.
@@ -73,7 +72,6 @@ impl<E: Element> Workspace<E> {
     /// request, to return the memory).
     pub fn reset(&mut self) {
         self.col = Vec::new();
-        self.ctmp = Vec::new();
         self.tmp = Vec::new();
     }
 }

@@ -291,14 +291,13 @@ proptest! {
         cin in 1usize..4, cout in 1usize..4,
         h in 4usize..12, w in 4usize..12, seed in 0u64..200,
     ) {
-        use mgd_nn::Workspace;
         use mgd_tensor::Element;
         let mut rng = StdRng::seed_from_u64(seed);
         let conv = Conv3d::same(cin, cout, (1, 3, 3), &mut rng);
         let conv32 = conv.cast_as::<f32>();
         let x = Tensor::rand_uniform([2, cin, 1, h, w], -1.0, 1.0, &mut rng);
-        let y64 = conv.infer(&x, &mut Workspace::new());
-        let y32 = conv32.infer(&x.cast::<f32>(), &mut Workspace::<f32>::new());
+        let y64 = conv.infer(&x);
+        let y32 = conv32.infer(&x.cast::<f32>());
         let err = y64.rel_l2_error(&y32.cast::<f64>());
         prop_assert!(err < <f32 as Element>::EQUIV_TOL, "conv f32 drift {err}");
     }

@@ -21,8 +21,9 @@
 //! [`GemmElement`] layers the blocked-GEMM tuning knobs (`MR×NR` register
 //! tile, `KC`/`NC` cache blocks) and the register-tiled micro-kernel on
 //! top, because the optimal tile is precision-dependent: `f32` doubles the
-//! lanes per vector register, so its tile is twice as wide.
+//! lanes per vector register, so its 8-row tile is twice as wide.
 
+use crate::microkernel;
 use serde::{Deserialize, Serialize};
 use std::fmt::{Debug, Display};
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -249,12 +250,14 @@ impl Element for f32 {
 /// An [`Element`] with blocked-GEMM tuning parameters and a register-tiled
 /// micro-kernel.
 ///
-/// The tile geometry is chosen per precision for the same register budget:
-/// with 32 SIMD registers of width `W` lanes, an `MR × NR` tile needs
-/// `MR · NR / W` accumulator registers plus a broadcast and `NR / W` loads.
-/// `f64` uses `6 × 16` (12 accumulators at 8 lanes); `f32` doubles the tile
-/// width to `6 × 32` (still 12 accumulators at 16 lanes), doubling the
-/// FLOPs per loaded byte along with the lane count.
+/// Both precisions use `MR = 8` rows, so the U-Net's out_c ∈ {8, 16, 32,
+/// 64} fill whole tiles. With 32 SIMD registers of `W` lanes an `MR × NR`
+/// tile needs `MR · NR / W` accumulators plus a broadcast and `NR / W`
+/// loads: `f64` runs `8 × 16` (16 accumulators at 8 lanes), `f32` doubles
+/// the width to `8 × 32` (still 16 accumulators at 16 lanes), doubling the
+/// FLOPs per loaded byte along with the lane count. The kernels themselves
+/// (AVX-512, AVX2, portable — one chosen per build) live in
+/// `microkernel.rs`.
 pub trait GemmElement: Element {
     /// Micro-kernel tile rows (rows of `op(A)` per register tile).
     const MR: usize;
@@ -269,106 +272,45 @@ pub trait GemmElement: Element {
     /// Computes a full `MR × NR` register tile over `kc_len` packed steps:
     /// `acc[mr * NR + nr] = Σ_k apanel[k*MR + mr] * bpanel[k*NR + nr]`.
     ///
-    /// `acc` (length `MR * NR`, row-major) is fully overwritten. Each
-    /// implementation accumulates in a fixed-size local array with a fixed
-    /// loop order, so results are bitwise deterministic.
+    /// `acc` (length `MR * NR`, row-major) is fully overwritten. Every
+    /// element starts from zero and accumulates over `k` in order (`f64`
+    /// multiplies then adds; `f32` fuses where the target has FMA), so
+    /// results are bitwise deterministic.
     fn microkernel(kc_len: usize, apanel: &[Self], bpanel: &[Self], acc: &mut [Self]);
 }
 
-/// Expands to a monomorphic micro-kernel body; keeping the accumulator as a
-/// `[[E; NR]; MR]` local (not a slice) is what lets the auto-vectorizer map
-/// the tile onto SIMD registers.
-macro_rules! microkernel_body {
-    ($e:ty, $mr:expr, $nr:expr, $kc_len:ident, $apanel:ident, $bpanel:ident, $acc:ident) => {{
-        const MR: usize = $mr;
-        const NR: usize = $nr;
-        let mut tile = [[<$e as Element>::ZERO; NR]; MR];
-        // `chunks_exact` hoists all bounds checks out of the hot loop,
-        // leaving a branch-free body of MR broadcasts × NR-wide
-        // multiply-adds.
-        let a_steps = $apanel[..$kc_len * MR].chunks_exact(MR);
-        let b_steps = $bpanel[..$kc_len * NR].chunks_exact(NR);
-        for (avals, bvals) in a_steps.zip(b_steps) {
-            for mr in 0..MR {
-                let a = avals[mr];
-                let row = &mut tile[mr];
-                for nr in 0..NR {
-                    row[nr] += a * bvals[nr];
-                }
-            }
-        }
-        for mr in 0..MR {
-            $acc[mr * NR..mr * NR + NR].copy_from_slice(&tile[mr]);
-        }
-    }};
-}
-
 impl GemmElement for f64 {
-    const MR: usize = 6;
-    const NR: usize = 16;
+    const MR: usize = microkernel::MR;
+    const NR: usize = microkernel::NR_F64;
     const KC: usize = 256;
     const NC: usize = 256;
 
     #[inline(always)]
     fn microkernel(kc_len: usize, apanel: &[Self], bpanel: &[Self], acc: &mut [Self]) {
-        microkernel_body!(f64, 6, 16, kc_len, apanel, bpanel, acc);
+        microkernel::TILE_F64(kc_len, apanel, bpanel, acc);
     }
 }
 
 impl GemmElement for f32 {
-    // Twice the tile width of f64: same 12 accumulator registers on an
-    // AVX-512 machine (6 rows × 32 cols / 16 lanes), but a KC×NR B panel
-    // is still 32 KiB — L1-resident. NC doubles so a packed B slab stays
-    // the same 512 KiB in bytes.
-    const MR: usize = 6;
-    const NR: usize = 32;
+    // Twice the tile width of f64 at the same KC, so a KC×NR B panel is
+    // still 32 KiB — L1-resident. NC doubles so a packed B slab stays the
+    // same 512 KiB in bytes.
+    const MR: usize = microkernel::MR;
+    const NR: usize = microkernel::NR_F32;
     const KC: usize = 256;
     const NC: usize = 512;
 
-    // `inline(never)`, unlike the f64 kernel: whether LLVM vectorizes the
-    // `mul_add` loop turns out to depend on the surrounding inlining
-    // context — fused into `compute_cols` inside an rlib it has been seen
-    // to lower to *scalar* FMA (~3× slower end to end through a
-    // `share_f32()` vtable) while the same source vectorized fine when
-    // monomorphized in a leaf crate. Compiling the kernel as a standalone
-    // function makes its codegen context-independent; the call costs ~100k
-    // flops of work, so the overhead is noise.
-    #[inline(never)]
+    #[inline(always)]
     fn microkernel(kc_len: usize, apanel: &[Self], bpanel: &[Self], acc: &mut [Self]) {
-        // LLVM refuses to contract `acc += a * b` into FMA for f32 (and the
-        // separate mul/add form also vectorizes poorly here — measured ~4
-        // GFLOP/s vs ~94 with explicit FMA on an AVX-512 host). Spell the
-        // fused form out when the target has hardware FMA; without it,
-        // `f32::mul_add` would lower to a libm call per lane, so fall back
-        // to the contractible form instead. Either branch is chosen at
-        // compile time, so results stay bitwise deterministic per build.
-        if cfg!(target_feature = "fma") {
-            const MR: usize = 6;
-            const NR: usize = 32;
-            let mut tile = [[0.0f32; NR]; MR];
-            let a_steps = apanel[..kc_len * MR].chunks_exact(MR);
-            let b_steps = bpanel[..kc_len * NR].chunks_exact(NR);
-            for (avals, bvals) in a_steps.zip(b_steps) {
-                for mr in 0..MR {
-                    let a = avals[mr];
-                    let row = &mut tile[mr];
-                    for nr in 0..NR {
-                        row[nr] = a.mul_add(bvals[nr], row[nr]);
-                    }
-                }
-            }
-            for mr in 0..MR {
-                acc[mr * NR..mr * NR + NR].copy_from_slice(&tile[mr]);
-            }
-        } else {
-            microkernel_body!(f32, 6, 32, kc_len, apanel, bpanel, acc);
-        }
+        microkernel::TILE_F32(kc_len, apanel, bpanel, acc);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn conversions_roundtrip() {
@@ -388,27 +330,46 @@ mod tests {
 
     #[test]
     fn microkernel_matches_naive_dot() {
-        fn check<E: GemmElement>() {
-            let kc = 7;
-            let apanel: Vec<E> = (0..kc * E::MR)
-                .map(|i| E::from_f64((i % 5) as f64 - 2.0))
-                .collect();
-            let bpanel: Vec<E> = (0..kc * E::NR)
-                .map(|i| E::from_f64((i % 3) as f64 * 0.5))
-                .collect();
-            let mut acc = vec![E::from_f64(99.0); E::MR * E::NR];
-            E::microkernel(kc, &apanel, &bpanel, &mut acc);
-            for mr in 0..E::MR {
-                for nr in 0..E::NR {
-                    let mut want = E::ZERO;
-                    for k in 0..kc {
-                        want += apanel[k * E::MR + mr] * bpanel[k * E::NR + nr];
+        // Random non-integer operands: an FMA in the f64 tile, or any
+        // reordering of k, changes the rounding and fails the bitwise check.
+        // Every variant compiled for this host is checked, not only the one
+        // the build dispatches to.
+        fn check<E: GemmElement>(variants: Vec<(&str, microkernel::Tile<E>)>, fused: bool) {
+            let mut rng = StdRng::seed_from_u64(17);
+            for kc in [1, 7, 256] {
+                let apanel: Vec<E> = (0..kc * E::MR)
+                    .map(|_| E::from_f64(rng.gen_range(-1.0..1.0)))
+                    .collect();
+                let bpanel: Vec<E> = (0..kc * E::NR)
+                    .map(|_| E::from_f64(rng.gen_range(-1.0..1.0)))
+                    .collect();
+                for (name, tile) in &variants {
+                    let mut acc = vec![E::from_f64(99.0); E::MR * E::NR];
+                    tile(kc, &apanel, &bpanel, &mut acc);
+                    for mr in 0..E::MR {
+                        for nr in 0..E::NR {
+                            let mut want = E::ZERO;
+                            for k in 0..kc {
+                                let (a, b) = (apanel[k * E::MR + mr], bpanel[k * E::NR + nr]);
+                                want = if fused {
+                                    a.mul_add(b, want)
+                                } else {
+                                    want + a * b
+                                };
+                            }
+                            let got = acc[mr * E::NR + nr];
+                            assert_eq!(
+                                got.bits(),
+                                want.bits(),
+                                "{} {name} kc={kc} ({mr},{nr}): {got} vs {want}",
+                                E::NAME
+                            );
+                        }
                     }
-                    assert_eq!(acc[mr * E::NR + nr], want, "{} ({mr},{nr})", E::NAME);
                 }
             }
         }
-        check::<f64>();
-        check::<f32>();
+        check::<f64>(microkernel::compiled_f64(), false);
+        check::<f32>(microkernel::compiled_f32(), cfg!(target_feature = "fma"));
     }
 }

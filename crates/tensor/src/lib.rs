@@ -20,6 +20,7 @@
 
 pub mod element;
 pub mod matmul;
+mod microkernel;
 mod ops;
 pub mod par;
 mod shape;

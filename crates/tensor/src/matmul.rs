@@ -12,7 +12,10 @@
 //!   [`gemm_prepacked`]); `op(B)` is packed per `(k-block, column-slab)`
 //!   into row-major micro-panels of `E::NR` columns. Packing makes every
 //!   micro-kernel read sequential regardless of the logical layout, and
-//!   absorbs both transposes and edge-tile zero padding.
+//!   absorbs both transposes and edge-tile zero padding. The B panels can
+//!   also come from a caller-supplied fill ([`gemm_prepacked_with`]) —
+//!   the conv forward gathers its patch panels straight from the input
+//!   tensor — with an optional per-row bias added in the write-back.
 //! - **Register tiling**: the micro-kernel accumulates an `MR × NR` tile in
 //!   local accumulators over an `E::KC`-long stretch of the shared
 //!   dimension, so each loaded element is reused `MR` (or `NR`) times. The
@@ -153,10 +156,14 @@ pub fn pack_a<E: GemmElement>(a: &[E], m: usize, k: usize, trans_a: bool) -> Pac
 
 /// Packs columns `[j0, j0+jn)` of rows `[k0, k0+kc_len)` of `op(B)` into
 /// `NR`-column micro-panels (`bpack[np][kk*NR + nr]`), zero-padding the
-/// ragged last panel.
+/// ragged last panel. `(brs, bcs)` are `op(B)`'s element strides.
+///
+/// This is the B-panel fill [`gemm_prepacked`] hands to
+/// [`gemm_prepacked_with`]; callers that gather `op(B)` on the fly (the
+/// conv forward's implicit im2col) must produce exactly this layout.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-fn pack_b_slab<E: GemmElement>(
+pub fn pack_b_slab<E: GemmElement>(
     b: &[E],
     brs: usize,
     bcs: usize,
@@ -193,51 +200,72 @@ fn pack_b_slab<E: GemmElement>(
     }
 }
 
-/// Computes columns `[j0, j1)` of `C (m × n) {=, +=} op(A) · op(B)`
-/// sequentially, with `op(B)` rows offset by `koff` (split-k support).
+/// Computes columns `[j0, j1)` of `C (m × n, row stride ldc) {=, +=}
+/// op(A) · B (+ bias)` sequentially, packing `B` through `fill_b`.
+///
+/// Each `KC` block's partial tile is stored (first block, not
+/// accumulating) or added into `C`; after the last block the row bias is
+/// added in front, so every element is `bias + (acc₀ + acc₁ + …)`.
 ///
 /// # Safety
-/// `c` must be valid for `m * n` elements and no other thread may touch
-/// columns `[j0, j1)` concurrently.
+/// `c` must be valid for `(m - 1) * ldc + j1` elements and no other thread
+/// may touch columns `[j0, j1)` of any row concurrently.
 #[allow(clippy::too_many_arguments)]
-unsafe fn compute_cols<E: GemmElement>(
+unsafe fn compute_cols<E: GemmElement, F: Fn(usize, usize, usize, usize, &mut [E])>(
     pa: &PackedA<E>,
-    b: &[E],
-    brs: usize,
-    bcs: usize,
-    koff: usize,
+    fill_b: &F,
     c: *mut E,
-    n: usize,
+    ldc: usize,
     j0: usize,
     j1: usize,
+    bias: Option<&[E]>,
     accumulate: bool,
     bpack: &mut Vec<E>,
 ) {
     let (mr_t, nr_t, kc_t) = (E::MR, E::NR, E::KC);
     let jn = j1 - j0;
+    let npanels = jn.div_ceil(nr_t);
     let kblocks = pa.k.div_ceil(kc_t);
-    bpack.resize(kc_t * jn.div_ceil(nr_t) * nr_t, E::ZERO);
+    bpack.resize(kc_t * npanels * nr_t, E::ZERO);
     let mut acc = vec![E::ZERO; mr_t * nr_t];
     for kb in 0..kblocks {
         let k0 = kb * kc_t;
         let kc_len = kc_t.min(pa.k - k0);
-        pack_b_slab(b, brs, bcs, koff + k0, kc_len, j0, jn, bpack);
+        let bslab = &mut bpack[..kc_len * npanels * nr_t];
+        fill_b(k0, kc_len, j0, jn, bslab);
         let first = kb == 0 && !accumulate;
+        let last_bias = if kb + 1 == kblocks { bias } else { None };
         for mp in 0..pa.mpanels {
             let i0 = mp * mr_t;
             let mvalid = mr_t.min(pa.m - i0);
             let apanel = pa.panel(kb, mp, kc_len);
-            for np in 0..jn.div_ceil(nr_t) {
+            for np in 0..npanels {
                 let jbase = j0 + np * nr_t;
                 let nvalid = nr_t.min(j1 - jbase);
-                E::microkernel(kc_len, apanel, &bpack[np * kc_len * nr_t..], &mut acc);
+                E::microkernel(kc_len, apanel, &bslab[np * kc_len * nr_t..], &mut acc);
                 for mr in 0..mvalid {
-                    let row = c.add((i0 + mr) * n + jbase);
-                    for (col, &v) in acc[mr * nr_t..mr * nr_t + nvalid].iter().enumerate() {
-                        if first {
-                            *row.add(col) = v;
-                        } else {
-                            *row.add(col) += v;
+                    let i = i0 + mr;
+                    // SAFETY: row `i < m` at columns [jbase, jbase+nvalid)
+                    // ⊆ [j0, j1) lies inside `c` and belongs to this job
+                    // (caller contract).
+                    let row = std::slice::from_raw_parts_mut(c.add(i * ldc + jbase), nvalid);
+                    let tile = &acc[mr * nr_t..mr * nr_t + nvalid];
+                    match (first, last_bias.map(|b| b[i])) {
+                        (true, None) => row.copy_from_slice(tile),
+                        (true, Some(b)) => {
+                            for (d, &v) in row.iter_mut().zip(tile) {
+                                *d = b + v;
+                            }
+                        }
+                        (false, None) => {
+                            for (d, &v) in row.iter_mut().zip(tile) {
+                                *d += v;
+                            }
+                        }
+                        (false, Some(b)) => {
+                            for (d, &v) in row.iter_mut().zip(tile) {
+                                *d = b + (*d + v);
+                            }
                         }
                     }
                 }
@@ -249,9 +277,9 @@ unsafe fn compute_cols<E: GemmElement>(
 /// `C (m × n) {=, +=} op(A) · op(B)` with `op(A)` already packed.
 ///
 /// This is the batch-loop entry point: pack the (shared) weight matrix once
-/// with [`pack_a`], then call this per sample. Column slabs of `E::NC`
-/// columns run as parallel jobs; output is bitwise deterministic for any
-/// thread count.
+/// with [`pack_a`], then call this per sample. A thin wrapper over
+/// [`gemm_prepacked_with`] with [`pack_b_slab`] as the panel fill; output
+/// is bitwise deterministic for any thread count.
 pub fn gemm_prepacked<E: GemmElement>(
     pa: &PackedA<E>,
     b: &[E],
@@ -260,27 +288,89 @@ pub fn gemm_prepacked<E: GemmElement>(
     n: usize,
     accumulate: bool,
 ) {
+    assert_eq!(b.len(), pa.k * n, "B storage must hold k*n elements");
+    assert_eq!(c.len(), pa.m * n, "C storage must hold m*n elements");
+    let (brs, bcs) = op_strides(pa.k, n, trans_b);
+    gemm_prepacked_with(
+        pa,
+        n,
+        |k0, kc_len, j0, jn, bpack| pack_b_slab(b, brs, bcs, k0, kc_len, j0, jn, bpack),
+        c,
+        n,
+        None,
+        accumulate,
+    );
+}
+
+/// `C {=, +=} op(A) · B`, then `C[i, ·] = bias[i] + C[i, ·]` when a bias is
+/// given — the one compute loop behind every prepacked product.
+///
+/// - `fill_b(k0, kc_len, j0, jn, bpack)` must write rows `[k0, k0+kc_len)`
+///   × columns `[j0, j0+jn)` of the `k × n` operand `B` into
+///   `bpack[..jn.div_ceil(NR) * kc_len * NR]` in [`pack_b_slab`]'s layout
+///   (zero-padding the ragged last panel). Supplying the fill lets a
+///   caller gather `B` straight from another layout — the conv forward
+///   gathers patches from its input tensor — so `B` never exists whole.
+/// - `C` holds `m` rows of `n` columns at row stride `ldc ≥ n` (so it can
+///   be a band of a larger tensor); only those columns are written.
+/// - The bias is added after the last `KC` block, so each element is
+///   `bias[i] + (acc₀ + acc₁ + …)` — the order of a separate GEMM followed
+///   by `b + c`, bit for bit.
+///
+/// Column slabs of `E::NC` columns run as parallel jobs; output is bitwise
+/// deterministic for any thread count.
+pub fn gemm_prepacked_with<E, F>(
+    pa: &PackedA<E>,
+    n: usize,
+    fill_b: F,
+    c: &mut [E],
+    ldc: usize,
+    bias: Option<&[E]>,
+    accumulate: bool,
+) where
+    E: GemmElement,
+    F: Fn(usize, usize, usize, usize, &mut [E]) + Sync,
+{
     let (m, k) = (pa.m, pa.k);
-    assert_eq!(b.len(), k * n, "B storage must hold k*n elements");
-    assert_eq!(c.len(), m * n, "C storage must hold m*n elements");
     if m == 0 || n == 0 {
         return;
     }
+    assert!(ldc >= n, "C row stride must cover n columns");
+    assert!(
+        c.len() >= (m - 1) * ldc + n,
+        "C storage must hold m rows at stride ldc"
+    );
+    if let Some(b) = bias {
+        assert_eq!(b.len(), m, "bias must hold one entry per row");
+    }
     if k == 0 {
-        if !accumulate {
-            c.fill(E::ZERO);
+        for i in 0..m {
+            for d in &mut c[i * ldc..i * ldc + n] {
+                let v = if accumulate { *d } else { E::ZERO };
+                *d = bias.map_or(v, |b| b[i] + v);
+            }
         }
         return;
     }
-    let (brs, bcs) = op_strides(k, n, trans_b);
     let jobs = n.div_ceil(E::NC);
     let cptr = SendPtr(c.as_mut_ptr());
     par_jobs_with(jobs, m * k, Vec::<E>::new, |bpack, job| {
         let j0 = job * E::NC;
         let j1 = (j0 + E::NC).min(n);
-        // SAFETY: job `job` exclusively owns columns [j0, j1) of C.
+        // SAFETY: `c` holds (m-1)*ldc + n elements (asserted above) and job
+        // `job` exclusively owns columns [j0, j1) of every row.
         unsafe {
-            compute_cols(pa, b, brs, bcs, 0, cptr.get(), n, j0, j1, accumulate, bpack);
+            compute_cols(
+                pa,
+                &fill_b,
+                cptr.get(),
+                ldc,
+                j0,
+                j1,
+                bias,
+                accumulate,
+                bpack,
+            );
         }
     });
 }
@@ -399,18 +489,19 @@ fn gemm_split_k<E: GemmElement>(
         let k0 = s * chunk_len;
         let k1 = (k0 + chunk_len).min(k);
         let pa = pack_a_range(a, m, ars, acs, k0, k1);
+        let fill = |kk0, kc_len, j0, jn, bp: &mut [E]| {
+            pack_b_slab(b, brs, bcs, k0 + kk0, kc_len, j0, jn, bp)
+        };
         // SAFETY: chunk `s` exclusively owns partials[s*mn .. (s+1)*mn].
         unsafe {
             compute_cols(
                 &pa,
-                b,
-                brs,
-                bcs,
-                k0,
+                &fill,
                 pptr.get().add(s * mn),
                 n,
                 0,
                 n,
+                None,
                 false,
                 bpack,
             );
@@ -554,7 +645,7 @@ mod tests {
             (1, 1, 1),
             (MR, NR, KC),
             (MR + 1, NR + 3, KC + 5),
-            (6, 32 + 5, KC + 5), // ragged edge of the f32 tile
+            (8, 32 + 5, KC + 5), // ragged edge of the f32 tile
             (3, 7, 2),
             (8, 600, 40),  // crosses an NC slab boundary for both tiles
             (17, 23, 300), // crosses a KC block boundary
@@ -701,26 +792,40 @@ mod tests {
 #[cfg(test)]
 mod perf_probe {
     use super::*;
+    use crate::par::with_threads;
 
-    fn probe<E: GemmElement>(m: usize, n: usize, k: usize) {
+    /// Single-thread GFLOP/s of one prepacked product, best of three.
+    fn probe<E: GemmElement>(m: usize, n: usize, k: usize) -> f64 {
         let a = vec![E::ONE; m * k];
         let b = vec![E::ONE; k * n];
         let mut c = vec![E::ZERO; m * n];
-        let t = std::time::Instant::now();
-        gemm(m, n, k, &a, false, &b, false, &mut c, false);
-        let dt = t.elapsed().as_secs_f64();
-        let gflops = 2.0 * (m * n * k) as f64 / dt / 1e9;
-        eprintln!(
-            "gemm[{}] {m}x{n}x{k}: {dt:.3}s  {gflops:.2} GFLOP/s",
-            E::NAME
-        );
+        let pa = pack_a(&a, m, k, false);
+        let best = (0..3)
+            .map(|_| {
+                let t = std::time::Instant::now();
+                with_threads(1, || gemm_prepacked(&pa, &b, false, &mut c, n, false));
+                t.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min);
+        std::hint::black_box(&c);
+        2.0 * (m * n * k) as f64 / best / 1e9
     }
 
+    /// The U-Net's conv GEMM shapes on one thread: m = out_c, k = in_c ·
+    /// kernel volume (27 = 1·3³ … 1728 = 64·3³), n = one 128² plane of
+    /// window positions.
     #[test]
     #[ignore]
     fn throughput_probe() {
-        let (m, n, k) = (16, 262144, 432);
-        probe::<f64>(m, n, k);
-        probe::<f32>(m, n, k);
+        let n = 128 * 128;
+        for m in [8, 16, 32, 64] {
+            for k in [27, 216, 432, 864, 1728] {
+                eprintln!(
+                    "gemm m={m:>2} k={k:>4} n={n}: f64 {:6.2}  f32 {:6.2} GFLOP/s",
+                    probe::<f64>(m, n, k),
+                    probe::<f32>(m, n, k)
+                );
+            }
+        }
     }
 }
