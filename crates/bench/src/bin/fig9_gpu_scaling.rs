@@ -3,7 +3,7 @@
 //! Paper: 1024 samples of 256³, local batch 2, scaling from 1 to 512 V100s;
 //! epoch time falls from 48 min to ~6 s (speedup ≈ 480x, near-linear).
 //!
-//! Two parts (DESIGN.md §3 substitution):
+//! Two parts (the cluster is substituted by in-process ranks plus a model):
 //! 1. *Measured*: real data-parallel training with in-process ranks over the
 //!    ring all-reduce at a reduced resolution — validates the sharding,
 //!    collective and trainer code end to end and reports real speedups for

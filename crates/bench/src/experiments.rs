@@ -2,7 +2,7 @@
 
 use mgd_field::{Dataset, DiffusivityModel, InputEncoding};
 use mgd_nn::{Adam, UNet, UNetConfig};
-use mgdiffnet::{Parallelism, Problem, SolverEngine, TrainConfig};
+use mgdiffnet::TrainConfig;
 
 /// Scaled-down vs paper-scale parameter sets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,49 +89,6 @@ pub fn setup_3d(
     let opt = Adam::new(3e-3);
     let data = Dataset::sobol(samples, DiffusivityModel::paper(), InputEncoding::LogNu);
     (net, opt, data)
-}
-
-/// Standard 2D `SolverEngine` for the scaling harnesses.
-///
-/// Stat-free network (`batch_norm(false)`) so `Threads(p)` runs are
-/// trajectory-comparable with `Serial`, and `patience == max_epochs` so
-/// early stopping never fires and every run does exactly the same number
-/// of epochs — a fixed unit of work for timing comparisons.
-pub fn engine_2d(
-    resolution: usize,
-    samples: usize,
-    batch: usize,
-    max_epochs: usize,
-    seed: u64,
-    parallelism: Parallelism,
-) -> SolverEngine {
-    let data = Dataset::sobol(samples, DiffusivityModel::paper(), InputEncoding::LogNu);
-    engine_2d_with(data, resolution, batch, max_epochs, seed, parallelism)
-}
-
-/// [`engine_2d`] over a pre-built dataset — lets timing loops hoist the
-/// Sobol generation out of the measured region.
-pub fn engine_2d_with(
-    data: Dataset,
-    resolution: usize,
-    batch: usize,
-    max_epochs: usize,
-    seed: u64,
-    parallelism: Parallelism,
-) -> SolverEngine {
-    SolverEngine::builder()
-        .resolution([resolution, resolution])
-        .problem(Problem::poisson_2d(DiffusivityModel::paper()))
-        .levels(1)
-        .dataset(data)
-        .batch_size(batch)
-        .max_epochs(max_epochs)
-        .patience(max_epochs)
-        .batch_norm(false)
-        .seed(seed)
-        .parallelism(parallelism)
-        .build()
-        .expect("harness engine configuration is valid")
 }
 
 /// Harness-default trainer configuration.

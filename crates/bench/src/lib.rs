@@ -1,10 +1,15 @@
 //! Shared utilities for the experiment harnesses.
 //!
-//! Every table and figure of the paper has a binary in `src/bin/` (see
-//! DESIGN.md §4 for the experiment index). Binaries print paper-style rows
-//! to stdout and write CSV/JSON under `results/`. The default configuration
-//! is scaled down to finish in minutes on a laptop; pass `--full` for
-//! paper-scale parameters (hours to days — documented per binary).
+//! Every table and figure of the paper has a binary in `src/bin/` named
+//! after it (`fig*`, `table*`, and `fem_vs_inference` for §4.3). Binaries
+//! print paper-style rows to stdout and write CSV/JSON under `results/`.
+//! The default configuration is scaled down to finish in minutes on a
+//! laptop; pass `--full` for paper-scale parameters (hours to days —
+//! documented per binary).
+//!
+//! These harnesses reproduce the paper's experiments; they are not the
+//! repository's performance record. Speed and regression claims are made
+//! with the four-workload benchmark in `benchmark/` (see its README).
 
 pub mod experiments;
 pub mod report;

@@ -2,7 +2,7 @@
 //!
 //! The paper's strong-scaling studies (Figures 9 and 10) ran on 512 V100
 //! GPUs (Azure NDv2) and 128 AMD EPYC-7742 nodes (PSC Bridges2) — hardware
-//! this reproduction cannot access. Per DESIGN.md §3, this crate models the
+//! this reproduction cannot access. In their place, this crate models the
 //! two quantities that govern those curves:
 //!
 //! 1. **compute per sample** — U-Net forward+backward FLOPs divided by an

@@ -60,7 +60,7 @@ use mgd_dist::{launch_with, LocalComm, SlabPartition};
 use mgd_fem::{BoundarySpec, PdeOperator};
 use mgd_field::{Anisotropy, Dataset, DiffusivityModel, InputEncoding};
 use mgd_hybrid::{CertifiedSolution, StallPolicy, StrategyKind};
-use mgd_nn::{Adam, ConvBackend, Model, Optimizer, SlabOpts, UNet, UNetConfig, WeightSnapshot};
+use mgd_nn::{Adam, Model, Optimizer, SlabOpts, UNet, UNetConfig, WeightSnapshot};
 use mgd_tensor::{Precision, Tensor};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -247,7 +247,6 @@ pub struct SolverEngineBuilder {
     net_depth: usize,
     base_filters: usize,
     batch_norm: bool,
-    conv_backend: ConvBackend,
     seed: u64,
     serve: ServeOptions,
     parallelism: Parallelism,
@@ -281,7 +280,6 @@ impl Default for SolverEngineBuilder {
             net_depth: 2,
             base_filters: 8,
             batch_norm: true,
-            conv_backend: ConvBackend::default(),
             seed: 0,
             serve: ServeOptions::default(),
             parallelism: Parallelism::Serial,
@@ -424,19 +422,6 @@ impl SolverEngineBuilder {
         self
     }
 
-    /// Convolution kernel implementation of the default U-Net (default
-    /// [`ConvBackend::Gemm`], the blocked-matmul lowering).
-    ///
-    /// [`ConvBackend::Direct`] selects the reference sliding-window
-    /// kernels — numerically equivalent to f64 round-off, several times
-    /// slower on fine grids; useful for A/B validation and for bisecting
-    /// kernel regressions. Ignored when a custom
-    /// [`model`](Self::model) is injected.
-    pub fn conv_backend(mut self, backend: ConvBackend) -> Self {
-        self.conv_backend = backend;
-        self
-    }
-
     /// Seed for weight init and epoch shuffles (default 0).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -528,10 +513,11 @@ impl SolverEngineBuilder {
     ///   tolerances (down to ~1e-10 relative) are still met — iterative
     ///   refinement, not wholesale demotion.
     ///
-    /// `F32`/`Mixed` require a model with an f32 inference view (the
-    /// built-in U-Net has one) and are rejected when combined with
-    /// [`Parallelism::SpatialThreads`], whose slab-decomposed forward is
-    /// f64-only.
+    /// `F32`/`Mixed` require a model with an f32 inference view
+    /// ([`mgd_nn::Model::share_f32`]; the built-in U-Net has one). Combined
+    /// with [`Parallelism::SpatialThreads`], the slab-decomposed forward
+    /// also runs at f32, which additionally requires an f32 slab view
+    /// ([`mgd_nn::Model::share_slab_f32`], which the U-Net also has).
     pub fn precision(mut self, precision: Precision) -> Self {
         self.precision = precision;
         self
@@ -762,7 +748,6 @@ impl SolverEngineBuilder {
                 depth: self.net_depth,
                 base_filters: self.base_filters,
                 batch_norm: self.batch_norm,
-                conv_backend: self.conv_backend,
                 seed: self.seed,
                 ..Default::default()
             })) as Box<dyn Model>,
@@ -1407,27 +1392,6 @@ mod tests {
     }
 
     #[test]
-    fn conv_backend_knob_is_equivalent_and_serves() {
-        // Same seed, different kernels: predictions must agree to f64
-        // round-off, and the Direct engine must train/serve end to end.
-        let gemm_engine = small_builder().build().unwrap();
-        let mut direct_engine = small_builder()
-            .conv_backend(ConvBackend::Direct)
-            .build()
-            .unwrap();
-        let nu = gemm_engine.dataset().nu_field(1, &[16, 16]);
-        let ug = gemm_engine.predict(&nu).unwrap();
-        let ud = direct_engine.predict(&nu).unwrap();
-        assert!(
-            ug.rel_l2_error(&ud) < 1e-12,
-            "backends diverge: {}",
-            ug.rel_l2_error(&ud)
-        );
-        let log = direct_engine.train().unwrap();
-        assert!(log.final_loss.is_finite());
-    }
-
-    #[test]
     fn threads_training_runs_and_keeps_rank0_model() {
         let mut engine = small_builder()
             .parallelism(Parallelism::Threads(2))
@@ -1928,11 +1892,28 @@ mod tests {
         // certificate is a machine-checked residual bound on K(T)u = F.
         let tol = 1e-8;
         let sol = engine
-            .solve_certified(&InferenceRequest::coeff(nu), tol)
+            .solve_certified(&InferenceRequest::coeff(nu.clone()), tol)
             .unwrap();
         assert!(sol.converged, "{:?}", sol.residual_history);
         assert!(sol.rel_residual <= tol);
         assert!(sol.u.iter().all(|x| x.is_finite()));
+        // The certificate is backed by the operator itself, not by the
+        // solver's bookkeeping: ‖b − K(T)u‖ recomputed on a freshly
+        // assembled system must reproduce it.
+        let sys = mgd_hybrid::ErasedSystem::with_operator(
+            &[16, 16],
+            PdeOperator::AnisoDiffusion,
+            nu.as_slice(),
+            &BoundarySpec::default(),
+        )
+        .unwrap();
+        let zeros = vec![0.0; sys.num_nodes()];
+        let check = sys.residual_norm(&sol.u, &zeros);
+        assert!(
+            (check - sol.residual_norm).abs() <= 1e-12 * (1.0 + check),
+            "certificate {} drifted from recomputed residual {check}",
+            sol.residual_norm
+        );
         // And the §4.3 comparison runs against the anisotropic FEM truth.
         let c = engine.compare_sample(1).unwrap();
         assert!(c.rel_l2.is_finite());

@@ -26,8 +26,9 @@ pub trait Comm {
     /// Element-wise maximum of `buf` across all ranks, in place.
     fn allreduce_max(&self, buf: &mut [f64]);
 
-    /// Gather-to-root baseline for the ring all-reduce (kept for the
-    /// `mgd-bench` collective ablation; same result, worse scaling).
+    /// Gather-to-root reference for the ring all-reduce: same result, worse
+    /// scaling. `naive_allreduce_matches_ring_bitwise` checks the ring
+    /// against it.
     fn allreduce_sum_naive(&self, buf: &mut [f64]) {
         self.allreduce_sum(buf);
     }

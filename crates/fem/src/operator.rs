@@ -186,8 +186,9 @@ pub fn apply_stiffness<const D: usize>(
     });
 }
 
-/// Strictly sequential variant of [`apply_stiffness`] — the baseline for
-/// the element-coloring ablation bench (`mgd-bench`, `ablation_coloring`).
+/// Strictly sequential variant of [`apply_stiffness`]: one element sweep in
+/// natural order, no coloring; the reference the colored parallel sweep is
+/// tested against.
 pub fn apply_stiffness_serial<const D: usize>(
     grid: &Grid<D>,
     basis: &ElementBasis<D>,

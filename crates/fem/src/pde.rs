@@ -228,7 +228,8 @@ impl PdeOperator {
         }
     }
 
-    /// Strictly sequential stiffness application (ablation baseline).
+    /// Strictly sequential stiffness application (the reference for the
+    /// colored parallel sweep).
     pub fn apply_stiffness_serial<const D: usize>(
         &self,
         grid: &Grid<D>,

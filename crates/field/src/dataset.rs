@@ -131,7 +131,7 @@ pub fn stack_fields_with(fields: &[Tensor], spatial_rank: usize) -> Result<Tenso
 /// What the network sees as its input channel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum InputEncoding {
-    /// `log ν` — the bounded KL-expansion field (default; see DESIGN.md §7).
+    /// `log ν` — the bounded KL-expansion field (default).
     LogNu,
     /// Raw ν = exp(log ν); spans orders of magnitude.
     RawNu,

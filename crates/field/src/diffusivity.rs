@@ -8,7 +8,7 @@
 //!
 //! The paper trains on 256³/512³ maps "as described by Equation 10" without
 //! spelling out the z-dependence; we provide both natural readings (see
-//! [`ThreeDMode`]) and document the choice in DESIGN.md §3.
+//! [`ThreeDMode`], which documents the choice).
 
 use mgd_tensor::par::maybe_par_for;
 use mgd_tensor::Tensor;

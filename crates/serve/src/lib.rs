@@ -4,13 +4,11 @@
 //! through a [`SnapshotCell`]; this crate adds the machinery that turns
 //! that snapshot into a service:
 //!
-//! - [`queue::ServeQueue`] — an admission-controlled request queue whose
-//!   worker threads coalesce concurrent requests into dynamic micro-batches
-//!   (size/deadline policy) and answer each one through a [`Ticket`];
-//! - [`loadgen`] — an open-loop Poisson load harness (and the
-//!   `serving_loadgen` binary built from it) that measures p50/p95/p99
-//!   latency and throughput of micro-batched vs request-at-a-time serving
-//!   at equal core counts.
+//! [`queue::ServeQueue`], an admission-controlled request queue whose
+//! worker threads coalesce concurrent requests into dynamic micro-batches
+//! (size/deadline policy) and answer each one through a [`Ticket`]. Its
+//! latency and goodput under open-loop load are measured by the
+//! `serve_queue_2d` workload of `benchmark/`.
 //!
 //! # Snapshot lifecycle and hot swap
 //!
@@ -53,7 +51,6 @@
 //! [`MgdError::QueueFull`]: mgdiffnet::MgdError::QueueFull
 //! [`MgdError::ServeShutdown`]: mgdiffnet::MgdError::ServeShutdown
 
-pub mod loadgen;
 pub mod queue;
 
 pub use queue::{CertifiedTicket, ServeQueue, ServeQueueStats, Ticket};

@@ -6,10 +6,11 @@
 //! feed each batch to the snapshot's one-forward-pass
 //! [`predict_requests`](mgdiffnet::EngineSnapshot::predict_requests). Under
 //! load this amortizes the per-forward fixed costs (GEMM weight packing,
-//! buffer setup) across requests — the load harness
-//! (`serving_loadgen`) shows the win over request-at-a-time dispatch at
-//! equal cores. Under light load the deadline half of the policy bounds
-//! the latency a lone request pays for batching to `batch_window`.
+//! buffer setup) across requests; the `serve_queue_2d` workload of
+//! `benchmark/` measures it (`serve.mean_batch`,
+//! `serve.dispatch_overhead_us`). Under light load the deadline half of
+//! the policy bounds the latency a lone request pays for batching to
+//! `batch_window`.
 //!
 //! Admission control is strict: at most `queue_depth` requests wait at any
 //! time, and the `queue_depth + 1`-th submitter gets a typed

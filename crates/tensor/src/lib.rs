@@ -33,6 +33,5 @@ pub use tensor::Tensor;
 /// Number of elements above which elementwise kernels use rayon.
 ///
 /// Chosen so a 16x16 2D feature map stays sequential while any realistic
-/// 3D activation goes parallel; the trade-off is benchmarked in `mgd-bench`
-/// (ablation `par_threshold`).
+/// 3D activation goes parallel.
 pub const PAR_THRESHOLD: usize = 16 * 1024;

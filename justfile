@@ -26,52 +26,12 @@ test:
 train-dist:
     cargo run --release -p mgd-examples --bin distributed_training
 
-# Thread-count scaling harness through the engine API.
-bench-threads:
-    cargo run --release -p mgd-bench --bin threads_scaling
-
-# Serving throughput: batched predict_batch vs looped predict.
-bench-serving:
-    cargo bench -p mgd-bench --bench serving
-
-# Serving load test: open-loop Poisson arrivals against the mgd_serve
-# micro-batching queue, micro-batched vs request-at-a-time at equal
-# worker counts; writes results/BENCH_serving.json.
-serve-bench:
-    cargo run --release -p mgd-serve --bin serving_loadgen
-
-# Direct-vs-GEMM convolution kernel comparison; writes
-# results/BENCH_kernels.json (machine-readable perf trajectory).
-bench-kernels:
-    cargo run --release -p mgd-bench --bin kernel_report
-
 # Megavoxel serving demo: train coarse, serve 128^3 across slab ranks
 # with halo exchange (Parallelism::SpatialThreads).
 serve-megavoxel:
     cargo run --release -p mgd-examples --bin megavoxel_serving
 
-# Spatial-serving report (bitwise equality gate + 192^3 megavoxel
-# acceptance run); writes results/BENCH_spatial.json.
-bench-spatial:
-    cargo run --release -p mgd-bench --bin spatial_report
-
-# Certified-solving report: wall-clock-to-tolerance for pure multigrid vs
-# each hybrid strategy vs raw inference (trains the 64^2 surrogate first);
-# writes results/BENCH_certified.json.
-bench-certified:
-    cargo run --release -p mgd-bench --bin certified_report
-
-# Precision report: f32 vs f64 GEMM/U-Net-forward/certified-solve, the
-# f32 fast path end to end; writes results/BENCH_precision.json.
-bench-precision:
-    cargo run --release -p mgd-bench --bin precision_report
-
-# Operator-zoo report: equivalence/SPD gates, then per-operator fields vs
-# FEM and certified solves with recomputed residual certificates; writes
-# results/BENCH_operators.json.
-bench-operators:
-    cargo run --release -p mgd-bench --bin operator_report
-
-# All benchmarks.
-bench:
-    cargo bench --workspace
+# The four-workload benchmark, end to end: exits non-zero when any
+# correctness gate breaks (see benchmark/README.md).
+benchmark:
+    bash benchmark/run.sh run --seed 1
