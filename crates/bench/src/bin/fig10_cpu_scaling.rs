@@ -21,8 +21,8 @@ fn main() {
     let args = HarnessArgs::parse();
     println!("== Figure 10: strong scaling, 3D DiffNet at 512^3 on EPYC-7742 cluster ==\n");
 
-    // Measured: hybrid paradigm — each rank is one "process", rayon threads
-    // inside it are the OpenMP analogue.
+    // Measured: hybrid paradigm — each rank is one "process", the
+    // `mgd_tensor::par` worker threads inside it are the OpenMP analogue.
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);

@@ -29,7 +29,7 @@ fn main() {
         let comm = LocalComm::new();
         let cfg = train_cfg(batch, 4, args.seed);
         let mut tr = Trainer::new(&mut net, &mut opt, &data, &comm, vec![r, r], cfg).unwrap();
-        // Warm once (allocator, rayon pool), then time the best of two.
+        // Warm once (allocator, caches), then time the best of two.
         let _ = tr.train_epoch().unwrap();
         let t1 = tr.train_epoch().unwrap().seconds;
         let t2 = tr.train_epoch().unwrap().seconds;

@@ -466,12 +466,6 @@ impl SolverEngineBuilder {
         self
     }
 
-    /// [`Self::batch_window`] in microseconds, for callers without a
-    /// `Duration` at hand.
-    pub fn batch_window_micros(self, micros: u64) -> Self {
-        self.batch_window(Duration::from_micros(micros))
-    }
-
     /// Learned strategy [`SolverEngine::solve_certified`] starts from
     /// (default [`StrategyKind::InitialGuess`]). The certified driver may
     /// still demote to pure multigrid at runtime; this knob only picks the
@@ -1605,7 +1599,7 @@ mod tests {
         let engine = small_builder()
             .queue_depth(7)
             .max_batch(3)
-            .batch_window_micros(500)
+            .batch_window(Duration::from_micros(500))
             .cache_shards(2)
             .build()
             .unwrap();

@@ -1256,6 +1256,7 @@ impl EngineSnapshot {
             ));
             start += n;
         }
+        #[allow(clippy::disallowed_methods)] // grid serving: one lane per batch chunk
         let outs: Vec<MgdResult<Tensor>> = std::thread::scope(|s| {
             let handles: Vec<_> = chunks
                 .iter()
@@ -1646,6 +1647,7 @@ mod tests {
         assert!(cache.shard_stats().iter().all(|s| s.capacity == 1));
     }
 
+    #[allow(clippy::disallowed_methods)] // test: concurrent cache readers
     #[test]
     fn concurrent_cache_access_is_safe() {
         let stats = Arc::new(SharedServeStats::default());

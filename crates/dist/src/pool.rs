@@ -69,6 +69,7 @@ impl<S: Send + 'static> SlabPool<S> {
             let (job_tx, job_rx) = channel::<Job<S>>();
             let result_tx = result_tx.clone();
             note_rank_spawn();
+            #[allow(clippy::disallowed_methods)] // SlabPool: one long-lived thread per rank
             handles.push(std::thread::spawn(move || {
                 worker(comm, state, job_rx, result_tx);
             }));

@@ -321,6 +321,7 @@ where
 /// value — a plain [`launch`] closure is `Fn` and can only borrow. Panic
 /// semantics match [`launch`]: any rank panicking poisons the communicator
 /// and surfaces as a `rank panicked` panic in the caller.
+#[allow(clippy::disallowed_methods)] // rank launch: one thread per rank
 pub fn launch_with<T, R, F>(payloads: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,

@@ -11,56 +11,6 @@
 use crate::grid::Grid;
 use mgd_tensor::par::maybe_par_for;
 
-/// Shared mutable slice for provably disjoint writes (see module docs).
-pub struct SyncSlice<'a, T = f64> {
-    ptr: *mut T,
-    len: usize,
-    _marker: std::marker::PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: the only field is a pointer into a `&'a mut [T]` borrow; callers
-// only write through disjoint index sets (the coloring argument above, or
-// disjoint row blocks in `crate::stencil`), so sharing it across threads
-// moves `T` values between threads — hence `T: Send`.
-unsafe impl<T: Send> Send for SyncSlice<'_, T> {}
-unsafe impl<T: Send> Sync for SyncSlice<'_, T> {}
-
-impl<'a, T> SyncSlice<'a, T> {
-    /// Wraps a mutable slice.
-    pub fn new(data: &'a mut [T]) -> Self {
-        SyncSlice {
-            ptr: data.as_mut_ptr(),
-            len: data.len(),
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Adds `v` at index `i`.
-    ///
-    /// # Safety
-    /// Concurrent callers must target disjoint index sets (e.g. by writing
-    /// only within one color class of the element coloring).
-    #[inline]
-    pub unsafe fn add(&self, i: usize, v: T)
-    where
-        T: std::ops::AddAssign,
-    {
-        debug_assert!(i < self.len);
-        *self.ptr.add(i) += v;
-    }
-
-    /// The sub-slice `[start, start + len)` (bounds are checked).
-    ///
-    /// # Safety
-    /// No other live reference — from this call or any other — may overlap
-    /// the returned range while it is alive.
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn slice_mut(&self, start: usize, len: usize) -> &'a mut [T] {
-        assert!(start <= self.len && len <= self.len - start);
-        std::slice::from_raw_parts_mut(self.ptr.add(start), len)
-    }
-}
-
 /// Iterates all elements color-by-color, calling `f(element_linear_index)`
 /// in parallel within each color.
 ///
@@ -105,6 +55,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mgd_tensor::par::SyncSlice;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]

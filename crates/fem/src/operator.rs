@@ -21,9 +21,9 @@
 //! check is load-bearing for memory safety, not a validation convenience.
 
 use crate::basis::ElementBasis;
-use crate::color::{for_each_element_colored, SyncSlice};
+use crate::color::for_each_element_colored;
 use crate::grid::Grid;
-use rayon::prelude::*;
+use mgd_tensor::par::{maybe_par_sum_map, SyncSlice};
 
 /// Maximum local nodes (2^D for D ≤ 3).
 pub(crate) const MAX_NL: usize = 8;
@@ -100,11 +100,7 @@ pub fn energy<const D: usize>(
         }
         j
     };
-    if ne * (nl * basis.nq) >= mgd_tensor::PAR_THRESHOLD {
-        (0..ne).into_par_iter().map(kernel).sum()
-    } else {
-        (0..ne).map(kernel).sum()
-    }
+    maybe_par_sum_map(ne, nl * basis.nq, kernel)
 }
 
 /// Computes `J(u)` and accumulates its nodal gradient `K(ν)u − F` into

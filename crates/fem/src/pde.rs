@@ -30,11 +30,11 @@
 //! V-cycle, loss, serving — picks it up through dispatch.
 
 use crate::basis::ElementBasis;
-use crate::color::{for_each_element_colored, SyncSlice};
+use crate::color::for_each_element_colored;
 use crate::error::FemError;
 use crate::grid::Grid;
 use crate::operator::{self, gather, MAX_NL};
-use rayon::prelude::*;
+use mgd_tensor::par::{maybe_par_sum_map, SyncSlice};
 
 /// Maximum symmetric-tensor components (6 for D = 3).
 pub const MAX_NCOMP: usize = 6;
@@ -353,11 +353,7 @@ fn energy_aniso<const D: usize>(
         }
         j
     };
-    if ne * (nl * basis.nq) >= mgd_tensor::PAR_THRESHOLD {
-        (0..ne).into_par_iter().map(kernel).sum()
-    } else {
-        (0..ne).map(kernel).sum()
-    }
+    maybe_par_sum_map(ne, nl * basis.nq, kernel)
 }
 
 /// `out += K(T) u` with element coloring (see

@@ -20,14 +20,13 @@
 //!
 //! Sweeps (`apply`, residuals, the fused damped-Jacobi step, the residual
 //! norm) split the rows into at most 64 fixed blocks run with
-//! [`par_jobs`]; each output value is produced by one job in a fixed order,
+//! [`par_chunks`]; each output value is produced by one job in a fixed order,
 //! so results are bitwise independent of the thread count.
 
 use crate::basis::ElementBasis;
-use crate::color::SyncSlice;
 use crate::grid::Grid;
 use crate::pde::PdeOperator;
-use mgd_tensor::par::par_jobs;
+use mgd_tensor::par::par_chunks;
 use mgd_tensor::{Element, F64_DIV_GUARD, PAR_THRESHOLD};
 
 /// Upper bound on row blocks per sweep (the residual norm keeps one
@@ -256,7 +255,7 @@ impl<E: Element, const D: usize> Stencil<E, D> {
         (self.dims[0] * self.dims[1]).div_ceil(self.block_rows())
     }
 
-    /// Work hint for [`par_jobs`]: parallel from [`PAR_MIN_NODES`] up.
+    /// Work hint for [`par_chunks`]: parallel from [`PAR_MIN_NODES`] up.
     fn sweep_work(&self) -> usize {
         if self.num_nodes() >= PAR_MIN_NODES {
             PAR_THRESHOLD
@@ -316,24 +315,4 @@ impl<E: Element, const D: usize> Stencil<E, D> {
             g(i0, acc);
         }
     }
-}
-
-/// Cuts `out` into `chunk`-long blocks and runs `f(b, block b)` for each,
-/// in parallel when `work` per block is large. Every element belongs to
-/// exactly one job.
-fn par_chunks<T: Send>(
-    out: &mut [T],
-    chunk: usize,
-    work: usize,
-    f: impl Fn(usize, &mut [T]) + Sync,
-) {
-    let len = out.len();
-    let sync = SyncSlice::new(out);
-    par_jobs(len.div_ceil(chunk), work, |b| {
-        // SAFETY: job `b` is the only one touching [b·chunk, (b+1)·chunk)
-        // (clipped to `len`), and runs once.
-        f(b, unsafe {
-            sync.slice_mut(b * chunk, chunk.min(len - b * chunk))
-        });
-    });
 }

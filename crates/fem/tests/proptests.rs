@@ -336,3 +336,35 @@ fn large_grid_sweeps_are_thread_count_independent() {
     assert_eq!(bits(&one.2), bits(&two.2));
     assert_eq!(one.3.to_bits(), two.3.to_bits());
 }
+
+/// Element-energy sums above the parallel gate add fixed block partials in
+/// block order: the same bits at 1, 2 and 4 workers, for both operators.
+#[test]
+fn energy_is_thread_count_independent() {
+    fn check<const D: usize>(n: [usize; D]) {
+        let grid = Grid::new(n);
+        let basis = ElementBasis::<D>::new(&grid);
+        let nn = grid.num_nodes();
+        let (u, f) = (field(nn, 11, -1.0, 1.0), field(nn, 12, -1.0, 1.0));
+        for op in [PdeOperator::Poisson, PdeOperator::AnisoDiffusion] {
+            let coeff = spd_coeff::<D>(op, nn, 13);
+            let run = |threads| {
+                with_threads(threads, || {
+                    let e = op.energy(&grid, &basis, &coeff, &u, Some(&f));
+                    if op == PdeOperator::Poisson {
+                        assert_eq!(
+                            e.to_bits(),
+                            energy(&grid, &basis, &coeff, &u, Some(&f)).to_bits()
+                        );
+                    }
+                    e.to_bits()
+                })
+            };
+            let one = run(1);
+            assert_eq!(run(2), one, "{n:?} {op:?} at 2 workers");
+            assert_eq!(run(4), one, "{n:?} {op:?} at 4 workers");
+        }
+    }
+    check([40, 40]);
+    check([12, 12, 12]);
+}

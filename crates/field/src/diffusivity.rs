@@ -10,7 +10,7 @@
 //! spelling out the z-dependence; we provide both natural readings (see
 //! [`ThreeDMode`], which documents the choice).
 
-use mgd_tensor::par::maybe_par_for;
+use mgd_tensor::par::maybe_par_rows;
 use mgd_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -130,23 +130,14 @@ impl DiffusivityModel {
             [ny, nx] => {
                 let (ny, nx) = (*ny, *nx);
                 let mut out = Tensor::zeros([ny, nx]);
-                let data = out.as_mut_slice();
                 let hx = 1.0 / (nx - 1) as f64;
                 let hy = 1.0 / (ny - 1) as f64;
-                // SAFETY-free parallel split: rows are disjoint slices.
-                let rows: Vec<(usize, &mut [f64])> = data.chunks_mut(nx).enumerate().collect();
-                let eval = |j: usize, row: &mut [f64]| {
+                maybe_par_rows(out.as_mut_slice(), nx, |j, row| {
                     let y = j as f64 * hy;
                     for (i, v) in row.iter_mut().enumerate() {
                         *v = self.log_nu_2d(omega, i as f64 * hx, y);
                     }
-                };
-                if ny * nx >= mgd_tensor::PAR_THRESHOLD {
-                    use rayon::prelude::*;
-                    rows.into_par_iter().for_each(|(j, row)| eval(j, row));
-                } else {
-                    rows.into_iter().for_each(|(j, row)| eval(j, row));
-                }
+                });
                 out
             }
             [nz, ny, nx] => {
@@ -155,15 +146,11 @@ impl DiffusivityModel {
                 let hx = 1.0 / (nx - 1) as f64;
                 let hy = 1.0 / (ny - 1) as f64;
                 let hz = 1.0 / (nz - 1) as f64;
-                let ptr = SendPtr(out.as_mut_slice().as_mut_ptr());
-                maybe_par_for(nz * ny, nx, |jk| {
+                maybe_par_rows(out.as_mut_slice(), nx, |jk, row| {
                     let k = jk / ny;
                     let j = jk % ny;
                     let z = k as f64 * hz;
                     let y = j as f64 * hy;
-                    // SAFETY: each (k, j) pair owns the disjoint row
-                    // [jk*nx, (jk+1)*nx) of the output buffer.
-                    let row = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(jk * nx), nx) };
                     for (i, v) in row.iter_mut().enumerate() {
                         *v = self.log_nu_3d(omega, i as f64 * hx, y, z);
                     }
@@ -181,20 +168,6 @@ impl DiffusivityModel {
         t
     }
 }
-
-/// Raw-pointer wrapper so disjoint row writes can cross the rayon boundary.
-struct SendPtr(*mut f64);
-
-impl SendPtr {
-    /// Returns the pointer; a method (not field access) so edition-2021
-    /// closures capture the Sync wrapper rather than the raw pointer.
-    fn get(&self) -> *mut f64 {
-        self.0
-    }
-}
-// SAFETY: only used to derive per-row disjoint slices inside maybe_par_for.
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
 
 #[cfg(test)]
 mod tests {

@@ -6,7 +6,7 @@
 //! multilinear functions, so prolongation of a coarse field and restriction
 //! of a fine field are consistent with the FEM basis used by the loss.
 
-use mgd_tensor::par::maybe_par_for;
+use mgd_tensor::par::maybe_par_rows;
 use mgd_tensor::Tensor;
 
 /// Multilinear resampling of a nodal field to a new resolution.
@@ -20,11 +20,8 @@ pub fn resample(field: &Tensor, to_dims: &[usize]) -> Tensor {
         (&[sy, sx], &[ty, tx]) => {
             let mut out = Tensor::zeros([ty, tx]);
             let src = field.as_slice();
-            let ptr = SendPtr(out.as_mut_slice().as_mut_ptr());
-            maybe_par_for(ty, tx, |j| {
+            maybe_par_rows(out.as_mut_slice(), tx, |j, row| {
                 let y = axis_pos(j, ty, sy);
-                // SAFETY: row j of the output is a disjoint slice.
-                let row = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(j * tx), tx) };
                 for (i, v) in row.iter_mut().enumerate() {
                     let x = axis_pos(i, tx, sx);
                     *v = bilinear(src, sy, sx, y, x);
@@ -35,14 +32,11 @@ pub fn resample(field: &Tensor, to_dims: &[usize]) -> Tensor {
         (&[sz, sy, sx], &[tz, ty, tx]) => {
             let mut out = Tensor::zeros([tz, ty, tx]);
             let src = field.as_slice();
-            let ptr = SendPtr(out.as_mut_slice().as_mut_ptr());
-            maybe_par_for(tz * ty, tx, |kj| {
+            maybe_par_rows(out.as_mut_slice(), tx, |kj, row| {
                 let k = kj / ty;
                 let j = kj % ty;
                 let z = axis_pos(k, tz, sz);
                 let y = axis_pos(j, ty, sy);
-                // SAFETY: row (k, j) of the output is a disjoint slice.
-                let row = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(kj * tx), tx) };
                 for (i, v) in row.iter_mut().enumerate() {
                     let x = axis_pos(i, tx, sx);
                     *v = trilinear(src, sz, sy, sx, z, y, x);
@@ -139,20 +133,6 @@ fn trilinear(src: &[f64], nz: usize, ny: usize, nx: usize, z: f64, y: f64, x: f6
     let plane = |k: usize| bilinear(&src[k * ny * nx..(k + 1) * ny * nx], ny, nx, y, x);
     plane(k0) * (1.0 - fz) + plane(k1) * fz
 }
-
-/// Raw-pointer wrapper for disjoint row writes across the rayon boundary.
-struct SendPtr(*mut f64);
-
-impl SendPtr {
-    /// Returns the pointer; a method (not field access) so edition-2021
-    /// closures capture the Sync wrapper rather than the raw pointer.
-    fn get(&self) -> *mut f64 {
-        self.0
-    }
-}
-// SAFETY: only used to derive per-row disjoint slices in this module.
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
 
 #[cfg(test)]
 mod tests {

@@ -9,9 +9,9 @@ use crate::lowering::{
 };
 use crate::param::Param;
 use crate::spatial::SplitAxis;
-use crate::util::{tap_range, SendPtr};
+use crate::util::tap_range;
 use mgd_tensor::matmul::{gemm, gemm_prepacked, pack_a, PackedA};
-use mgd_tensor::par::maybe_par_for;
+use mgd_tensor::par::{maybe_par_for, SyncSlice};
 use mgd_tensor::{Element, GemmElement, Tensor};
 use rand::Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -281,31 +281,6 @@ impl Conv3d {
         gx
     }
 
-    /// Inference forward restricted to output planes `keep` along `axis`
-    /// — the kernel of the slab-decomposed spatial forward
-    /// ([`crate::spatial`]): the input is a rank's halo-extended slab and
-    /// `keep` selects the owned output planes, so each rank gathers/
-    /// multiplies only the patch columns it owns.
-    ///
-    /// Returns `[n, out_c, keep.len(), oh, ow]` for [`SplitAxis::Depth`]
-    /// and `[n, out_c, 1, keep.len(), ow]` for [`SplitAxis::Height`]
-    /// (which requires a unit output depth axis). Values are bitwise
-    /// identical to the corresponding planes of [`Layer::forward`] on the
-    /// same input: restricting the anchor-row range only drops patch
-    /// columns, and every output element is still produced by one GEMM
-    /// over the full shared dimension in a fixed order. No activation is
-    /// cached (this is a serving-only path).
-    pub fn forward_planes(
-        &mut self,
-        x: &Tensor,
-        keep: std::ops::Range<usize>,
-        axis: SplitAxis,
-    ) -> Tensor {
-        // A range forward never caches patches; invalidate like forward().
-        self.scratch.cached_valid = false;
-        self.infer_planes(x, keep, axis)
-    }
-
     /// Accumulates the per-channel bias gradient (shared lowering helper).
     fn bias_grad(&mut self, grad_out: &Tensor, dout: &Dims5) {
         bias_grad(
@@ -335,10 +310,10 @@ impl Conv3d {
         // Weight gradient: each oc owns its grad_w slice (parallel over oc).
         {
             let kvol = self.in_c * kd * kh * kw;
-            let ptr = SendPtr(self.weight.grad.as_mut_slice().as_mut_ptr());
+            let ptr = SyncSlice::new(self.weight.grad.as_mut_slice());
             maybe_par_for(dout.c, dout.n * dout.vol() * kvol, |oc| {
                 // SAFETY: each oc task owns a disjoint weight-grad block.
-                let gw = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(oc * kvol), kvol) };
+                let gw = unsafe { ptr.slice_mut(oc * kvol, kvol) };
                 for n in 0..dout.n {
                     let gbase = (n * dout.c + oc) * dout.vol();
                     let mut oi = 0usize;
@@ -384,12 +359,10 @@ impl Conv3d {
         {
             let ws = self.weight.data.as_slice();
             let sample_block = din.c * din.vol();
-            let ptr = SendPtr(gx.as_mut_slice().as_mut_ptr());
+            let ptr = SyncSlice::new(gx.as_mut_slice());
             maybe_par_for(din.n, dout.c * dout.vol() * self.in_c * kd * kh * kw, |n| {
                 // SAFETY: each n task owns a disjoint input-grad block.
-                let gxb = unsafe {
-                    std::slice::from_raw_parts_mut(ptr.get().add(n * sample_block), sample_block)
-                };
+                let gxb = unsafe { ptr.slice_mut(n * sample_block, sample_block) };
                 for oc in 0..dout.c {
                     let gbase = (n * dout.c + oc) * dout.vol();
                     let mut oi = 0usize;
@@ -442,7 +415,7 @@ impl<E: Element> Conv3d<E> {
         let xs = x.as_slice();
         let ws = self.weight.data.as_slice();
         let bs = self.bias.data.as_slice();
-        let ptr = SendPtr(y.as_mut_slice().as_mut_ptr());
+        let ptr = SyncSlice::new(y.as_mut_slice());
         let out_block = dout.vol();
         maybe_par_for(
             dout.n * dout.c,
@@ -451,9 +424,7 @@ impl<E: Element> Conv3d<E> {
                 let n = nc / dout.c;
                 let oc = nc % dout.c;
                 // SAFETY: each (n, oc) task owns a disjoint output block.
-                let yblock = unsafe {
-                    std::slice::from_raw_parts_mut(ptr.get().add(nc * out_block), out_block)
-                };
+                let yblock = unsafe { ptr.slice_mut(nc * out_block, out_block) };
                 let b = bs[oc];
                 let mut oi = 0usize;
                 for od in 0..dout.d {

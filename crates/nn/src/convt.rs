@@ -5,10 +5,9 @@ use crate::lowering::{
     anchor_chunks, bias_grad, col2im_range_accumulate, im2col_range, ConvBackend, ConvGeom, Scratch,
 };
 use crate::param::Param;
-use crate::util::SendPtr;
 use crate::workspace::Workspace;
 use mgd_tensor::matmul::{gemm, gemm_prepacked, gemm_prepacked_with, pack_a, pack_b_slab};
-use mgd_tensor::par::maybe_par_for;
+use mgd_tensor::par::{maybe_par_for, SyncSlice};
 use mgd_tensor::{Element, GemmElement, Tensor};
 use rand::Rng;
 
@@ -151,7 +150,7 @@ impl<E: Element> ConvTranspose3d<E> {
         let ws = self.weight.data.as_slice();
         let bs = self.bias.data.as_slice();
         let out_block = dout.vol();
-        let ptr = SendPtr(y.as_mut_slice().as_mut_ptr());
+        let ptr = SyncSlice::new(y.as_mut_slice());
         maybe_par_for(
             dout.n * dout.c,
             out_block * self.in_c * kd * kh * kw,
@@ -159,9 +158,7 @@ impl<E: Element> ConvTranspose3d<E> {
                 let n = nc / dout.c;
                 let oc = nc % dout.c;
                 // SAFETY: each (n, oc) task owns a disjoint output block.
-                let yblock = unsafe {
-                    std::slice::from_raw_parts_mut(ptr.get().add(nc * out_block), out_block)
-                };
+                let yblock = unsafe { ptr.slice_mut(nc * out_block, out_block) };
                 let b = bs[oc];
                 let mut oi = 0usize;
                 for od in 0..dout.d {
@@ -389,14 +386,12 @@ impl ConvTranspose3d {
         {
             let ws = self.weight.data.as_slice();
             let in_block = din.vol();
-            let ptr = SendPtr(gx.as_mut_slice().as_mut_ptr());
+            let ptr = SyncSlice::new(gx.as_mut_slice());
             maybe_par_for(din.n * din.c, in_block * self.out_c * kd * kh * kw, |nc| {
                 let n = nc / din.c;
                 let ic = nc % din.c;
                 // SAFETY: each (n, ic) task owns a disjoint block.
-                let gxb = unsafe {
-                    std::slice::from_raw_parts_mut(ptr.get().add(nc * in_block), in_block)
-                };
+                let gxb = unsafe { ptr.slice_mut(nc * in_block, in_block) };
                 let mut ii = 0usize;
                 for id in 0..din.d {
                     for ih in 0..din.h {
@@ -442,10 +437,10 @@ impl ConvTranspose3d {
         // parallel over ic (each owns a disjoint gw block).
         {
             let kvol = self.out_c * kd * kh * kw;
-            let ptr = SendPtr(self.weight.grad.as_mut_slice().as_mut_ptr());
+            let ptr = SyncSlice::new(self.weight.grad.as_mut_slice());
             maybe_par_for(self.in_c, din.n * din.vol() * kvol, |ic| {
                 // SAFETY: each ic task owns a disjoint weight-grad block.
-                let gw = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(ic * kvol), kvol) };
+                let gw = unsafe { ptr.slice_mut(ic * kvol, kvol) };
                 for n in 0..din.n {
                     let xbase = (n * self.in_c + ic) * din.vol();
                     let mut ii = 0usize;

@@ -31,9 +31,8 @@
 //! order, so results are bitwise deterministic for any thread count.
 
 use crate::layer::Triple;
-use crate::util::SendPtr;
 use mgd_tensor::matmul::{gemm_prepacked_with, PackedA};
-use mgd_tensor::par::par_jobs;
+use mgd_tensor::par::{par_jobs, SyncSlice};
 use mgd_tensor::{Element, GemmElement};
 use serde::{Deserialize, Serialize};
 
@@ -144,10 +143,10 @@ pub(crate) fn im2col_range<E: Element>(
     let (dd, dh, dw) = g.dims;
     let (od, oh, ow) = g.out;
     let _ = od;
-    let colptr = SendPtr(col.as_mut_ptr());
+    let colptr = SyncSlice::new(col);
     par_jobs(rows, cols, |r| {
         // SAFETY: row task `r` exclusively owns col[r*cols .. (r+1)*cols].
-        let dst = unsafe { std::slice::from_raw_parts_mut(colptr.get().add(r * cols), cols) };
+        let dst = unsafe { colptr.slice_mut(r * cols, cols) };
         let (ci, tap) = (r / g.kvol(), r % g.kvol());
         let (kdi, rem) = (tap / (kh * kw), tap % (kh * kw));
         let (khi, kwi) = (rem / kw, rem % kw);
@@ -215,12 +214,10 @@ pub(crate) fn col2im_range_accumulate<E: Element>(
     let (dd, dh, dw) = g.dims;
     let (_, oh, ow) = g.out;
     let kvol = g.kvol();
-    let dstptr = SendPtr(dst.as_mut_ptr());
+    let dstptr = SyncSlice::new(dst);
     par_jobs(g.c, kvol * cols, |ci| {
         // SAFETY: channel task `ci` exclusively owns its dst slab.
-        let chan = unsafe {
-            std::slice::from_raw_parts_mut(dstptr.get().add(ci * dd * dh * dw), dd * dh * dw)
-        };
+        let chan = unsafe { dstptr.slice_mut(ci * dd * dh * dw, dd * dh * dw) };
         for tap in 0..kvol {
             let r = ci * kvol + tap;
             let src = &col[r * cols..(r + 1) * cols];
@@ -501,7 +498,7 @@ pub(crate) fn anchor_chunks(g: &ConvGeom) -> impl Iterator<Item = (usize, usize)
 pub(crate) fn bias_grad(grad: &[f64], n: usize, c: usize, vol: usize, gb: &mut [f64]) {
     assert_eq!(grad.len(), n * c * vol);
     assert_eq!(gb.len(), c);
-    let gbptr = SendPtr(gb.as_mut_ptr());
+    let gbptr = SyncSlice::new(gb);
     par_jobs(c, n * vol, |oc| {
         let mut s = 0.0;
         for ni in 0..n {
@@ -511,7 +508,7 @@ pub(crate) fn bias_grad(grad: &[f64], n: usize, c: usize, vol: usize, gb: &mut [
             }
         }
         // SAFETY: each oc task owns exactly gb[oc].
-        unsafe { *gbptr.get().add(oc) += s };
+        unsafe { gbptr.add(oc, s) };
     });
 }
 

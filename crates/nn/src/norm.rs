@@ -8,8 +8,7 @@
 
 use crate::layer::{Dims5, Layer};
 use crate::param::Param;
-use crate::util::SendPtr;
-use mgd_tensor::par::par_jobs;
+use mgd_tensor::par::{par_jobs, SyncSlice};
 use mgd_tensor::{Element, Tensor};
 
 /// Per-channel batch normalization (statistics over batch × spatial dims),
@@ -84,7 +83,7 @@ impl<E: Element> BatchNorm<E> {
         // statistics; x̂ is never materialized.
         let rm = &self.running_mean;
         let rv = &self.running_var;
-        let yp = SendPtr(y.as_mut_slice().as_mut_ptr());
+        let yp = SyncSlice::new(y.as_mut_slice());
         par_jobs(c, 2 * n * vol, |ci| {
             let mean = E::from_f64(rm[ci]);
             let is = E::from_f64(1.0 / (rv[ci] + eps).sqrt());
@@ -92,7 +91,7 @@ impl<E: Element> BatchNorm<E> {
             for ni in 0..n {
                 let base = (ni * c + ci) * vol;
                 // SAFETY: the (·, ci) slabs are disjoint per task.
-                let yy = unsafe { std::slice::from_raw_parts_mut(yp.get().add(base), vol) };
+                let yy = unsafe { yp.slice_mut(base, vol) };
                 for i in 0..vol {
                     yy[i] = ga * ((xs[base + i] - mean) * is) + be;
                 }
@@ -119,7 +118,7 @@ impl<E: Element> BatchNorm<E> {
         let rm = &self.running_mean;
         let rv = &self.running_var;
         let a = E::from_f64(alpha);
-        let xp = SendPtr(x.as_mut_slice().as_mut_ptr());
+        let xp = SyncSlice::new(x.as_mut_slice());
         par_jobs(c, 2 * n * vol, |ci| {
             let mean = E::from_f64(rm[ci]);
             let is = E::from_f64(1.0 / (rv[ci] + eps).sqrt());
@@ -127,7 +126,7 @@ impl<E: Element> BatchNorm<E> {
             for ni in 0..n {
                 let base = (ni * c + ci) * vol;
                 // SAFETY: the (·, ci) slabs are disjoint per task.
-                let xx = unsafe { std::slice::from_raw_parts_mut(xp.get().add(base), vol) };
+                let xx = unsafe { xp.slice_mut(base, vol) };
                 for v in xx.iter_mut() {
                     let y = ga * ((*v - mean) * is) + be;
                     *v = if y > E::ZERO { y } else { a * y };
@@ -170,11 +169,11 @@ impl Layer for BatchNorm {
             let mut inv_std = vec![0.0; c];
             let mut xhat: Tensor = Tensor::zeros(x.shape().clone());
             {
-                let yp = SendPtr(y.as_mut_slice().as_mut_ptr());
-                let xhp = SendPtr(xhat.as_mut_slice().as_mut_ptr());
-                let isp = SendPtr(inv_std.as_mut_ptr());
-                let rmp = SendPtr(self.running_mean.as_mut_ptr());
-                let rvp = SendPtr(self.running_var.as_mut_ptr());
+                let yp = SyncSlice::new(y.as_mut_slice());
+                let xhp = SyncSlice::new(xhat.as_mut_slice());
+                let isp = SyncSlice::new(&mut inv_std);
+                let rmp = SyncSlice::new(&mut self.running_mean);
+                let rvp = SyncSlice::new(&mut self.running_var);
                 par_jobs(c, 4 * n * vol, |ci| {
                     // Statistics accumulate in the same (n-major) order as
                     // the serial sweep, so values are unchanged.
@@ -199,22 +198,18 @@ impl Layer for BatchNorm {
                     // SAFETY: channel task `ci` exclusively owns slot ci of
                     // every per-channel statistic vector.
                     unsafe {
-                        *isp.get().add(ci) = is;
-                        let rm = rmp.get().add(ci);
+                        isp.slice_mut(ci, 1)[0] = is;
+                        let rm = &mut rmp.slice_mut(ci, 1)[0];
                         *rm = (1.0 - momentum) * *rm + momentum * mean;
-                        let rv = rvp.get().add(ci);
+                        let rv = &mut rvp.slice_mut(ci, 1)[0];
                         *rv = (1.0 - momentum) * *rv + momentum * var;
                     }
                     let (ga, be) = (gamma[ci], beta[ci]);
                     for ni in 0..n {
                         let base = (ni * c + ci) * vol;
                         // SAFETY: the (·, ci) slabs are disjoint per task.
-                        let (xh, yy) = unsafe {
-                            (
-                                std::slice::from_raw_parts_mut(xhp.get().add(base), vol),
-                                std::slice::from_raw_parts_mut(yp.get().add(base), vol),
-                            )
-                        };
+                        let (xh, yy) =
+                            unsafe { (xhp.slice_mut(base, vol), yp.slice_mut(base, vol)) };
                         for i in 0..vol {
                             let h = (xs[base + i] - mean) * is;
                             xh[i] = h;
@@ -250,9 +245,9 @@ impl Layer for BatchNorm {
         // Standard batch-norm backward, one task per channel:
         // dβ_c = Σ g, dγ_c = Σ g·x̂,
         // dx = γ·inv_std/m · (m·g − Σg − x̂·Σ(g·x̂))
-        let gxp = SendPtr(gx.as_mut_slice().as_mut_ptr());
-        let gbp = SendPtr(self.beta.grad.as_mut_slice().as_mut_ptr());
-        let ggp = SendPtr(self.gamma.grad.as_mut_slice().as_mut_ptr());
+        let gxp = SyncSlice::new(gx.as_mut_slice());
+        let gbp = SyncSlice::new(self.beta.grad.as_mut_slice());
+        let ggp = SyncSlice::new(self.gamma.grad.as_mut_slice());
         par_jobs(c, 3 * n * vol, |ci| {
             let mut sum_g = 0.0;
             let mut sum_gx = 0.0;
@@ -270,14 +265,14 @@ impl Layer for BatchNorm {
             // SAFETY: each channel task owns exactly slot ci of both
             // parameter gradients.
             unsafe {
-                *gbp.get().add(ci) += sum_g;
-                *ggp.get().add(ci) += sum_gx;
+                gbp.add(ci, sum_g);
+                ggp.add(ci, sum_gx);
             }
             let k = gamma[ci] * inv_std[ci] / m;
             for ni in 0..n {
                 let base = (ni * c + ci) * vol;
                 // SAFETY: the (·, ci) slabs are disjoint per task.
-                let gxs = unsafe { std::slice::from_raw_parts_mut(gxp.get().add(base), vol) };
+                let gxs = unsafe { gxp.slice_mut(base, vol) };
                 for i in 0..vol {
                     gxs[i] = k * (m * g[base + i] - sum_g - xh[base + i] * sum_gx);
                 }

@@ -793,6 +793,7 @@ mod tests {
         );
     }
 
+    #[allow(clippy::disallowed_methods)] // test: concurrent f32 readers
     #[test]
     fn f32_infer_is_bitwise_deterministic() {
         // Repeat runs — fresh workspace, reused workspace, and concurrent
@@ -857,6 +858,7 @@ mod tests {
             .all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 
+    #[allow(clippy::disallowed_methods)] // test: concurrent shared-view readers
     #[test]
     fn shared_model_serves_concurrent_threads() {
         use crate::model::Model;

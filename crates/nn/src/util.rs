@@ -1,26 +1,5 @@
 //! Internal helpers shared by the conv kernels.
 
-/// Raw-pointer wrapper allowing provably disjoint writes from rayon tasks.
-///
-/// Used by conv/conv-transpose kernels where each `(batch, channel)` pair
-/// owns a disjoint contiguous block of the output tensor. Generic over the
-/// element type so the same kernels serve `f64` training and `f32` serving.
-pub(crate) struct SendPtr<T = f64>(pub *mut T);
-
-impl<T> SendPtr<T> {
-    /// Returns the pointer; a method (not field access) so edition-2021
-    /// closures capture the Sync wrapper rather than the raw pointer.
-    #[inline]
-    pub(crate) fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
-// SAFETY: users only write through disjoint index ranges (one NC-block per
-// task), which the calling kernels guarantee by construction.
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-
 /// Valid kernel-tap range `[lo, hi)` for output position `o`: taps `k` with
 /// `0 <= o*stride + k - pad < extent`.
 #[inline]

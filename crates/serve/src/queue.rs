@@ -201,6 +201,7 @@ impl ServeQueue {
     pub fn spawn_workers(&mut self, n: usize) {
         for i in 0..n {
             let shared = Arc::clone(&self.shared);
+            #[allow(clippy::disallowed_methods)] // ServeQueue: long-lived worker threads
             let handle = std::thread::Builder::new()
                 .name(format!("mgd-serve-{}", self.workers.len() + i))
                 .spawn(move || worker_loop(&shared))

@@ -39,7 +39,7 @@
 //! as the pre-generic kernel.
 
 use crate::element::GemmElement;
-use crate::par::par_jobs_with;
+use crate::par::{par_jobs_with, SyncSlice};
 
 /// Micro-kernel tile rows of the `f64` instantiation.
 pub const MR: usize = <f64 as GemmElement>::MR;
@@ -69,20 +69,6 @@ pub enum SplitKAcc {
     /// once at the end. Only changes results for `f32`.
     Wide,
 }
-
-/// Raw-pointer wrapper so parallel jobs can write provably disjoint regions
-/// of `C` (each job owns a distinct column range or scratch slab).
-struct SendPtr<E>(*mut E);
-impl<E> SendPtr<E> {
-    #[inline]
-    fn get(&self) -> *mut E {
-        self.0
-    }
-}
-// SAFETY: jobs only write through disjoint index ranges, guaranteed by the
-// dispatchers below.
-unsafe impl<E> Send for SendPtr<E> {}
-unsafe impl<E> Sync for SendPtr<E> {}
 
 /// `op(A)` packed into `E::MR`-row micro-panels, grouped by `E::KC` block.
 ///
@@ -353,7 +339,7 @@ pub fn gemm_prepacked_with<E, F>(
         return;
     }
     let jobs = n.div_ceil(E::NC);
-    let cptr = SendPtr(c.as_mut_ptr());
+    let cptr = SyncSlice::new(c);
     par_jobs_with(jobs, m * k, Vec::<E>::new, |bpack, job| {
         let j0 = job * E::NC;
         let j1 = (j0 + E::NC).min(n);
@@ -363,7 +349,7 @@ pub fn gemm_prepacked_with<E, F>(
             compute_cols(
                 pa,
                 &fill_b,
-                cptr.get(),
+                cptr.as_mut_ptr(),
                 ldc,
                 j0,
                 j1,
@@ -484,7 +470,7 @@ fn gemm_split_k<E: GemmElement>(
     let chunk_len = k.div_ceil(chunks);
     let mn = m * n;
     let mut partials = vec![E::ZERO; chunks * mn];
-    let pptr = SendPtr(partials.as_mut_ptr());
+    let pptr = SyncSlice::new(&mut partials);
     par_jobs_with(chunks, mn * chunk_len, Vec::<E>::new, |bpack, s| {
         let k0 = s * chunk_len;
         let k1 = (k0 + chunk_len).min(k);
@@ -497,7 +483,7 @@ fn gemm_split_k<E: GemmElement>(
             compute_cols(
                 &pa,
                 &fill,
-                pptr.get().add(s * mn),
+                pptr.as_mut_ptr().add(s * mn),
                 n,
                 0,
                 n,

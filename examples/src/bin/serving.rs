@@ -68,6 +68,7 @@ fn main() -> Result<(), MgdError> {
     // Concurrent serving: predictions are `&self` on an immutable
     // snapshot, so one Arc serves any number of threads with no lock.
     let snap = engine.snapshot();
+    #[allow(clippy::disallowed_methods)] // demo: concurrent snapshot readers
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)
             .map(|t| {

@@ -37,6 +37,7 @@ fn engine(cache: usize) -> SolverEngine {
         .unwrap()
 }
 
+#[allow(clippy::disallowed_methods)] // test: concurrent snapshot readers
 #[test]
 fn four_threads_one_snapshot_bitwise_equals_serial() {
     let engine = engine(0);
@@ -71,6 +72,7 @@ fn four_threads_one_snapshot_bitwise_equals_serial() {
     });
 }
 
+#[allow(clippy::disallowed_methods)] // test: concurrent snapshot readers
 #[test]
 fn hot_swap_under_concurrent_readers_never_tears() {
     let dir = std::env::temp_dir().join("mgd_serving_hot_swap");
@@ -148,6 +150,7 @@ fn hot_swap_under_concurrent_readers_never_tears() {
     assert!(engine.snapshot().version() >= 10, "each swap bumps version");
 }
 
+#[allow(clippy::disallowed_methods)] // test: concurrent snapshot readers
 #[test]
 fn micro_batched_queue_is_bitwise_identical_to_per_request() {
     let engine = engine(0);
