@@ -13,7 +13,7 @@ run cargo clippy --workspace --all-targets -- -D warnings
 # Doc gate: intra-doc links must resolve (a link to a deleted item fails).
 run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 run cargo build --release --workspace
-run cargo test -q --workspace
+run cargo test -q --workspace --no-fail-fast
 # Fallback GEMM tiles: the default build targets this host's CPU, so only
 # one micro-kernel variant is dispatched to. Pinning the target CPU to AVX2
 # and to baseline x86-64 compiles and tests the other two; separate target

@@ -176,8 +176,6 @@ pub mod prelude {
     pub use mgd_field::{
         stack_fields, Dataset, DiffusivityModel, FieldError, InputEncoding, Sobol,
     };
-    pub use mgd_nn::{
-        Adam, ConvBackend, Layer, Model, Optimizer, Sgd, UNet, UNetConfig, WeightSnapshot,
-    };
+    pub use mgd_nn::{Adam, Layer, Model, Optimizer, Sgd, UNet, UNetConfig, WeightSnapshot};
     pub use mgd_tensor::Tensor;
 }

@@ -1,17 +1,11 @@
-//! 3D convolution with hand-written backprop: a blocked-GEMM lowering
-//! (default) plus the original direct sliding-window kernels, selected by
-//! [`ConvBackend`].
+//! 3D convolution with hand-written backprop: the forward and both
+//! gradients are gathered GEMMs on the one lowering of [`crate::lowering`].
 
 use crate::layer::{Dims5, Layer, Triple};
-use crate::lowering::{
-    anchor_chunks, bias_grad, col2im_accumulate, col2im_range_accumulate, conv_forward, im2col,
-    im2col_range, ConvBackend, ConvGeom, Scratch, PATCH_CACHE_MAX,
-};
+use crate::lowering::{bias_grad, conv_batch, conv_forward, pack_flipped, weight_grad, ConvGeom};
 use crate::param::Param;
 use crate::spatial::SplitAxis;
-use crate::util::tap_range;
-use mgd_tensor::matmul::{gemm, gemm_prepacked, pack_a, PackedA};
-use mgd_tensor::par::{maybe_par_for, SyncSlice};
+use mgd_tensor::matmul::{pack_a, PackedA};
 use mgd_tensor::{Element, GemmElement, Tensor};
 use rand::Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,11 +32,9 @@ pub fn prepack_stats() -> (u64, u64) {
 /// unit depth (`(1, k, k)`), so a single implementation serves both the 2D
 /// and 3D experiments of the paper.
 ///
-/// The forward/backward kernels run on the [`ConvBackend`] selected at
-/// construction (default [`ConvBackend::Gemm`]): each pass lowers onto one
-/// blocked matrix product per sample — `Y = W·im2col(X)`,
-/// `dX = col2im(Wᵀ·dY)`, `dW += dY·im2col(X)ᵀ` — sharing the packed weight
-/// panels across the batch.
+/// Every pass is one blocked matrix product per sample whose patch operand
+/// is gathered straight into the GEMM's panels (see [`crate::lowering`]):
+/// `Y = W·P(X) + b`, `dX = flip(W)·P̃(dY)` and `dW += dY·P(X)ᵀ`.
 #[derive(Clone, Debug)]
 pub struct Conv3d<E: Element = f64> {
     /// Input channels.
@@ -59,12 +51,9 @@ pub struct Conv3d<E: Element = f64> {
     pub weight: Param<E>,
     /// Per-output-channel bias.
     pub bias: Param<E>,
-    /// Kernel implementation to run.
-    pub backend: ConvBackend,
     /// Cached training activation — training is `f64`-only, so this stays
     /// concrete (always empty in non-`f64` instantiations).
     cache_x: Option<Tensor>,
-    scratch: Scratch<E>,
     /// Weight panels packed once by [`Conv3d::prepack`] and reused by every
     /// inference call until the weights can change again (any training
     /// forward or `params()` borrow invalidates them).
@@ -91,9 +80,7 @@ impl Conv3d {
             padding,
             weight: Param::kaiming([out_c, in_c, kd, kh, kw], fan_in, rng),
             bias: Param::zeros([out_c]),
-            backend: ConvBackend::default(),
             cache_x: None,
-            scratch: Scratch::default(),
             prepacked: None,
         }
     }
@@ -117,12 +104,6 @@ impl Conv3d {
 }
 
 impl<E: Element> Conv3d<E> {
-    /// Selects the kernel implementation (builder-style).
-    pub fn with_backend(mut self, backend: ConvBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Output spatial dims for the given input dims.
     pub fn out_dims(&self, din: &Dims5) -> Dims5 {
         let o = |i: usize, k: usize, s: usize, p: usize| {
@@ -140,18 +121,18 @@ impl<E: Element> Conv3d<E> {
 
     /// Lowering geometry over the *input* grid of one sample.
     fn geom(&self, din: &Dims5, dout: &Dims5) -> ConvGeom {
-        ConvGeom {
-            c: self.in_c,
-            dims: (din.d, din.h, din.w),
-            kernel: self.kernel,
-            stride: self.stride,
-            padding: self.padding,
-            out: (dout.d, dout.h, dout.w),
-        }
+        ConvGeom::new(
+            self.in_c,
+            (din.d, din.h, din.w),
+            self.kernel,
+            self.stride,
+            self.padding,
+            (dout.d, dout.h, dout.w),
+        )
     }
 
     /// Converts the layer weights to another element type (through `f64`);
-    /// the copy starts with empty scratch and no cached activation.
+    /// the copy starts with no cached activation.
     pub fn cast_as<T: Element>(&self) -> Conv3d<T> {
         Conv3d {
             in_c: self.in_c,
@@ -161,304 +142,9 @@ impl<E: Element> Conv3d<E> {
             padding: self.padding,
             weight: self.weight.cast_as(),
             bias: self.bias.cast_as(),
-            backend: self.backend,
             cache_x: None,
-            scratch: Scratch::default(),
             prepacked: None,
         }
-    }
-}
-
-impl Conv3d {
-    /// GEMM forward: per sample, `Y_n = W · im2col(X_n)` (+ bias), sharing
-    /// the packed weight panels across the batch.
-    ///
-    /// A training forward within [`PATCH_CACHE_MAX`] gathers the whole
-    /// patch matrix and keeps it for the weight-gradient GEMM; every other
-    /// forward runs [`conv_forward`] — the inference lowering, which never
-    /// forms the patch matrix.
-    fn forward_gemm(&mut self, x: &Tensor, din: &Dims5, dout: &Dims5, train: bool) -> Tensor {
-        let geom = self.geom(din, dout);
-        let (kdim, p) = (geom.rows(), geom.cols());
-        let mut y = Tensor::zeros([dout.n, dout.c, dout.d, dout.h, dout.w]);
-        // The [out_c, in_c, kd, kh, kw] weight is already the out_c × kdim
-        // matrix row-major — pack it once for the whole batch.
-        let pa = pack_a(self.weight.data.as_slice(), self.out_c, kdim, false);
-        let xs = x.as_slice();
-        let bs = self.bias.data.as_slice();
-        let ys = y.as_mut_slice();
-        let cache_patches = train && din.n * kdim * p <= PATCH_CACHE_MAX;
-        let Scratch {
-            cached,
-            cached_valid,
-            ..
-        } = &mut self.scratch;
-        *cached_valid = cache_patches;
-        if cache_patches {
-            cached.resize(din.n * kdim * p, 0.0);
-        }
-        for ni in 0..din.n {
-            let xslab = &xs[ni * self.in_c * geom.vol()..][..self.in_c * geom.vol()];
-            let yslab = &mut ys[ni * self.out_c * p..][..self.out_c * p];
-            if cache_patches {
-                let colslab = &mut cached[ni * kdim * p..(ni + 1) * kdim * p];
-                im2col(&geom, xslab, colslab);
-                // Seed each output row with its bias; the GEMM accumulates
-                // the patch products on top.
-                for (oc, row) in yslab.chunks_exact_mut(p).enumerate() {
-                    row.fill(bs[oc]);
-                }
-                gemm_prepacked(&pa, colslab, false, yslab, p, true);
-            } else {
-                conv_forward(&pa, &geom, xslab, bs, 0, dout.d * dout.h, yslab, p);
-            }
-        }
-        y
-    }
-
-    /// GEMM backward: `dW += dY_n · im2col(X_n)ᵀ` over cached (or
-    /// re-gathered) patch matrices, and `dX_n = col2im(Wᵀ · dY_n)` —
-    /// chunked like the forward pass when the patch matrix is not cached.
-    fn backward_gemm(
-        &mut self,
-        x: &Tensor,
-        grad_out: &Tensor,
-        din: &Dims5,
-        dout: &Dims5,
-    ) -> Tensor {
-        let geom = self.geom(din, dout);
-        let (kdim, p) = (geom.rows(), geom.cols());
-        let ow = dout.w;
-        let g = grad_out.as_slice();
-        let xs = x.as_slice();
-        // Packed Wᵀ (kdim × out_c) shared across the batch.
-        let pat = pack_a(self.weight.data.as_slice(), kdim, self.out_c, true);
-        let gw = self.weight.grad.as_mut_slice();
-        let mut gx = Tensor::zeros([din.n, din.c, din.d, din.h, din.w]);
-        let gxs = gx.as_mut_slice();
-        let Scratch {
-            col,
-            col2,
-            tmp,
-            cached,
-            cached_valid,
-            ..
-        } = &mut self.scratch;
-        let use_cache = *cached_valid;
-        for ni in 0..din.n {
-            let gslab = &g[ni * self.out_c * p..][..self.out_c * p];
-            let xslab = &xs[ni * self.in_c * geom.vol()..][..self.in_c * geom.vol()];
-            let gxslab = &mut gxs[ni * self.in_c * geom.vol()..][..self.in_c * geom.vol()];
-            if use_cache {
-                let colslab = &cached[ni * kdim * p..(ni + 1) * kdim * p];
-                // Weight gradient (k-dimension = window positions — the
-                // split-k GEMM shape at fine grids).
-                gemm(self.out_c, kdim, p, gslab, false, colslab, true, gw, true);
-                // Data gradient.
-                col2.resize(kdim * p, 0.0);
-                gemm_prepacked(&pat, gslab, false, col2, p, false);
-                col2im_accumulate(&geom, col2, gxslab);
-            } else {
-                for (ar0, ar1) in anchor_chunks(&geom) {
-                    let cc = (ar1 - ar0) * ow;
-                    // Contiguous copy of this chunk's gradient columns
-                    // (rows of dY_n are strided by the full position count).
-                    tmp.resize(self.out_c * cc, 0.0);
-                    for oc in 0..self.out_c {
-                        tmp[oc * cc..(oc + 1) * cc]
-                            .copy_from_slice(&gslab[oc * p + ar0 * ow..oc * p + ar1 * ow]);
-                    }
-                    col.resize(kdim * cc, 0.0);
-                    im2col_range(&geom, xslab, col, ar0, ar1);
-                    gemm(self.out_c, kdim, cc, tmp, false, col, true, gw, true);
-                    col2.resize(kdim * cc, 0.0);
-                    gemm_prepacked(&pat, tmp, false, col2, cc, false);
-                    col2im_range_accumulate(&geom, col2, gxslab, ar0, ar1);
-                }
-            }
-        }
-        *cached_valid = false;
-        gx
-    }
-
-    /// Accumulates the per-channel bias gradient (shared lowering helper).
-    fn bias_grad(&mut self, grad_out: &Tensor, dout: &Dims5) {
-        bias_grad(
-            grad_out.as_slice(),
-            dout.n,
-            dout.c,
-            dout.vol(),
-            self.bias.grad.as_mut_slice(),
-        );
-    }
-
-    /// Direct (sliding-window) backward — the reference kernels for the
-    /// weight and input gradients.
-    fn backward_direct(
-        &mut self,
-        x: &Tensor,
-        grad_out: &Tensor,
-        din: &Dims5,
-        dout: &Dims5,
-    ) -> Tensor {
-        let (kd, kh, kw) = self.kernel;
-        let (sd, sh, sw) = self.stride;
-        let (pd, ph, pw) = self.padding;
-        let g = grad_out.as_slice();
-        let xs = x.as_slice();
-
-        // Weight gradient: each oc owns its grad_w slice (parallel over oc).
-        {
-            let kvol = self.in_c * kd * kh * kw;
-            let ptr = SyncSlice::new(self.weight.grad.as_mut_slice());
-            maybe_par_for(dout.c, dout.n * dout.vol() * kvol, |oc| {
-                // SAFETY: each oc task owns a disjoint weight-grad block.
-                let gw = unsafe { ptr.slice_mut(oc * kvol, kvol) };
-                for n in 0..dout.n {
-                    let gbase = (n * dout.c + oc) * dout.vol();
-                    let mut oi = 0usize;
-                    for od in 0..dout.d {
-                        let (kd_lo, kd_hi) = tap_range(od, sd, pd, kd, din.d);
-                        for oh in 0..dout.h {
-                            let (kh_lo, kh_hi) = tap_range(oh, sh, ph, kh, din.h);
-                            for ow in 0..dout.w {
-                                let (kw_lo, kw_hi) = tap_range(ow, sw, pw, kw, din.w);
-                                let gv = g[gbase + oi];
-                                oi += 1;
-                                if gv == 0.0 {
-                                    continue;
-                                }
-                                for ic in 0..self.in_c {
-                                    let xbase = (n * self.in_c + ic) * din.vol();
-                                    let wbase = ic * kd * kh * kw;
-                                    for kdi in kd_lo..kd_hi {
-                                        let id = od * sd + kdi - pd;
-                                        for khi in kh_lo..kh_hi {
-                                            let ih = oh * sh + khi - ph;
-                                            let xrow = xbase
-                                                + (id * din.h + ih) * din.w
-                                                + (ow * sw + kw_lo - pw);
-                                            let wrow = wbase + (kdi * kh + khi) * kw + kw_lo;
-                                            for t in 0..(kw_hi - kw_lo) {
-                                                gw[wrow + t] += gv * xs[xrow + t];
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            });
-        }
-
-        // Input gradient: scatter form, parallel over (n, ic)… but each
-        // (n, ·) task needs all oc; parallelize over n and write the full
-        // per-sample block.
-        let mut gx: Tensor = Tensor::zeros([din.n, din.c, din.d, din.h, din.w]);
-        {
-            let ws = self.weight.data.as_slice();
-            let sample_block = din.c * din.vol();
-            let ptr = SyncSlice::new(gx.as_mut_slice());
-            maybe_par_for(din.n, dout.c * dout.vol() * self.in_c * kd * kh * kw, |n| {
-                // SAFETY: each n task owns a disjoint input-grad block.
-                let gxb = unsafe { ptr.slice_mut(n * sample_block, sample_block) };
-                for oc in 0..dout.c {
-                    let gbase = (n * dout.c + oc) * dout.vol();
-                    let mut oi = 0usize;
-                    for od in 0..dout.d {
-                        let (kd_lo, kd_hi) = tap_range(od, sd, pd, kd, din.d);
-                        for oh in 0..dout.h {
-                            let (kh_lo, kh_hi) = tap_range(oh, sh, ph, kh, din.h);
-                            for ow in 0..dout.w {
-                                let (kw_lo, kw_hi) = tap_range(ow, sw, pw, kw, din.w);
-                                let gv = g[gbase + oi];
-                                oi += 1;
-                                if gv == 0.0 {
-                                    continue;
-                                }
-                                for ic in 0..self.in_c {
-                                    let xbase = ic * din.vol();
-                                    let wbase = (oc * self.in_c + ic) * kd * kh * kw;
-                                    for kdi in kd_lo..kd_hi {
-                                        let id = od * sd + kdi - pd;
-                                        for khi in kh_lo..kh_hi {
-                                            let ih = oh * sh + khi - ph;
-                                            let xrow = xbase
-                                                + (id * din.h + ih) * din.w
-                                                + (ow * sw + kw_lo - pw);
-                                            let wrow = wbase + (kdi * kh + khi) * kw + kw_lo;
-                                            for t in 0..(kw_hi - kw_lo) {
-                                                gxb[xrow + t] += gv * ws[wrow + t];
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            });
-        }
-        gx
-    }
-}
-
-impl<E: Element> Conv3d<E> {
-    /// Direct (sliding-window) forward — the reference kernel, generic over
-    /// the element type (identical operation order for every `E`).
-    fn forward_direct(&self, x: &Tensor<E>, din: &Dims5, dout: &Dims5) -> Tensor<E> {
-        let mut y: Tensor<E> = Tensor::zeros([dout.n, dout.c, dout.d, dout.h, dout.w]);
-        let (kd, kh, kw) = self.kernel;
-        let (sd, sh, sw) = self.stride;
-        let (pd, ph, pw) = self.padding;
-        let xs = x.as_slice();
-        let ws = self.weight.data.as_slice();
-        let bs = self.bias.data.as_slice();
-        let ptr = SyncSlice::new(y.as_mut_slice());
-        let out_block = dout.vol();
-        maybe_par_for(
-            dout.n * dout.c,
-            out_block * self.in_c * kd * kh * kw,
-            |nc| {
-                let n = nc / dout.c;
-                let oc = nc % dout.c;
-                // SAFETY: each (n, oc) task owns a disjoint output block.
-                let yblock = unsafe { ptr.slice_mut(nc * out_block, out_block) };
-                let b = bs[oc];
-                let mut oi = 0usize;
-                for od in 0..dout.d {
-                    let (kd_lo, kd_hi) = tap_range(od, sd, pd, kd, din.d);
-                    for oh in 0..dout.h {
-                        let (kh_lo, kh_hi) = tap_range(oh, sh, ph, kh, din.h);
-                        for ow in 0..dout.w {
-                            let (kw_lo, kw_hi) = tap_range(ow, sw, pw, kw, din.w);
-                            let mut acc = b;
-                            for ic in 0..self.in_c {
-                                let xbase = (n * self.in_c + ic) * din.vol();
-                                let wbase = (oc * self.in_c + ic) * kd * kh * kw;
-                                for kdi in kd_lo..kd_hi {
-                                    let id = od * sd + kdi - pd;
-                                    for khi in kh_lo..kh_hi {
-                                        let ih = oh * sh + khi - ph;
-                                        let xrow = xbase
-                                            + (id * din.h + ih) * din.w
-                                            + (ow * sw + kw_lo - pw);
-                                        let wrow = wbase + (kdi * kh + khi) * kw + kw_lo;
-                                        for t in 0..(kw_hi - kw_lo) {
-                                            acc += xs[xrow + t] * ws[wrow + t];
-                                        }
-                                    }
-                                }
-                            }
-                            yblock[oi] = acc;
-                            oi += 1;
-                        }
-                    }
-                }
-            },
-        );
-        y
     }
 }
 
@@ -494,25 +180,26 @@ impl<E: GemmElement> Conv3d<E> {
     /// concurrent callers. It needs no scratch: the lowering gathers
     /// patches straight into the GEMM's panels.
     pub fn infer(&self, x: &Tensor<E>) -> Tensor<E> {
+        let mut local = None;
+        let kdim = self.in_c * self.kernel.0 * self.kernel.1 * self.kernel.2;
+        self.forward_packed(self.packed(kdim, &mut local), x)
+    }
+
+    /// The forward with packed weight panels `pa`: one [`conv_forward`]
+    /// per sample, the bias added in the GEMM write-back.
+    fn forward_packed(&self, pa: &PackedA<E>, x: &Tensor<E>) -> Tensor<E> {
         let din = Dims5::of(x);
         assert_eq!(din.c, self.in_c, "channel mismatch");
         let dout = self.out_dims(&din);
-        if self.backend == ConvBackend::Direct {
-            return self.forward_direct(x, &din, &dout);
-        }
-        let geom = self.geom(&din, &dout);
-        let (kdim, p) = (geom.rows(), geom.cols());
         let mut y = Tensor::zeros([dout.n, dout.c, dout.d, dout.h, dout.w]);
-        let mut local = None;
-        let pa = self.packed(kdim, &mut local);
-        let xs = x.as_slice();
-        let bs = self.bias.data.as_slice();
-        let ys = y.as_mut_slice();
-        for ni in 0..din.n {
-            let xslab = &xs[ni * self.in_c * geom.vol()..][..self.in_c * geom.vol()];
-            let yslab = &mut ys[ni * self.out_c * p..][..self.out_c * p];
-            conv_forward(pa, &geom, xslab, bs, 0, dout.d * dout.h, yslab, p);
-        }
+        let bias = Some(self.bias.data.as_slice());
+        conv_batch(
+            pa,
+            &self.geom(&din, &dout),
+            x.as_slice(),
+            bias,
+            y.as_mut_slice(),
+        );
         y
     }
 
@@ -591,18 +278,6 @@ impl<E: GemmElement> Conv3d<E> {
         );
         let pvol = ddst.vol();
         let ys = dst.as_mut_slice();
-        if self.backend == ConvBackend::Direct {
-            // Reference path: full sliding-window pass, then carve the kept
-            // anchor rows (bitwise identical to computing them in place).
-            let full = self.forward_direct(x, &din, &dout);
-            let p_full = dout.vol();
-            let fs = full.as_slice();
-            for nc in 0..din.n * self.out_c {
-                let src = &fs[nc * p_full + ar0 * ow..nc * p_full + ar1 * ow];
-                ys[nc * pvol + dst_row0 * ow..][..src.len()].copy_from_slice(src);
-            }
-            return;
-        }
         let geom = self.geom(&din, &dout);
         let kdim = geom.rows();
         let mut local = None;
@@ -615,36 +290,31 @@ impl<E: GemmElement> Conv3d<E> {
             // output-channel plane block of `dst`.
             let yband = &mut ys[ni * self.out_c * pvol + dst_row0 * ow..]
                 [..self.out_c * pvol - dst_row0 * ow];
-            conv_forward(pa, &geom, xslab, bs, ar0, ar1, yband, pvol);
+            conv_forward(pa, &geom, xslab, Some(bs), ar0, ar1, yband, pvol);
         }
     }
 }
 
 impl Layer for Conv3d {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let din = Dims5::of(x);
-        assert_eq!(din.c, self.in_c, "channel mismatch");
-        let dout = self.out_dims(&din);
-        // Every forward invalidates the patch cache up front — only a Gemm
-        // training forward re-validates it (inside forward_gemm). Otherwise
-        // a backend switch between forwards could leave a stale cache that
-        // a later Gemm backward would consume.
-        self.scratch.cached_valid = false;
         if train {
             // Training implies an upcoming weight update; stale panels
             // would silently serve old weights.
             self.prepacked = None;
         }
-        let y = match self.backend {
-            ConvBackend::Direct => self.forward_direct(x, &din, &dout),
-            ConvBackend::Gemm => self.forward_gemm(x, &din, &dout, train),
-        };
+        let kdim = self.in_c * self.kernel.0 * self.kernel.1 * self.kernel.2;
+        let pa = pack_a(self.weight.data.as_slice(), self.out_c, kdim, false);
+        let y = self.forward_packed(&pa, x);
         if train {
             self.cache_x = Some(x.clone());
         }
         y
     }
 
+    /// `dW += dY·P(X)ᵀ` through `lowering::weight_grad`, then `dX` as the
+    /// convolution of `dY` with the flipped, channel-transposed kernel —
+    /// one `lowering::conv_forward` per sample over the adjoint gather,
+    /// written straight into `dX`.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         // `take` instead of clone: backward consumes the cached activation,
         // so the hot path never copies a full input tensor.
@@ -652,11 +322,17 @@ impl Layer for Conv3d {
         let din = Dims5::of(&x);
         let dout = self.out_dims(&din);
         assert_eq!(grad_out.dims(), &[dout.n, dout.c, dout.d, dout.h, dout.w]);
-        self.bias_grad(grad_out, &dout);
-        match self.backend {
-            ConvBackend::Direct => self.backward_direct(&x, grad_out, &din, &dout),
-            ConvBackend::Gemm => self.backward_gemm(&x, grad_out, &din, &dout),
-        }
+        let g = grad_out.as_slice();
+        bias_grad(g, dout.n, dout.c, dout.vol(), self.bias.grad.as_mut_slice());
+        let geom = self.geom(&din, &dout);
+        let adj = geom.transposed(self.out_c);
+        let gw = self.weight.grad.as_mut_slice();
+        weight_grad(&geom, x.as_slice(), g, din.n, gw);
+        let w = self.weight.data.as_slice();
+        let pa = pack_flipped(w, self.out_c, self.in_c, geom.kvol());
+        let mut gx = Tensor::zeros([din.n, din.c, din.d, din.h, din.w]);
+        conv_batch(&pa, &adj, g, None, gx.as_mut_slice());
+        gx
     }
 
     fn params(&mut self) -> Vec<&mut Param> {
@@ -673,10 +349,191 @@ impl Layer for Conv3d {
     }
 }
 
+/// The direct sliding-window kernels: the test oracle every lowering is
+/// checked against.
+#[cfg(test)]
+mod direct {
+    use super::*;
+    use crate::lowering::reference::DirectKernels;
+    use crate::util::tap_range;
+    use mgd_tensor::par::{maybe_par_for, SyncSlice};
+
+    impl DirectKernels for Conv3d {
+        /// Direct (sliding-window) backward — the reference kernels for the
+        /// weight and input gradients (the bias gradient is left to the caller).
+        fn backward_direct(&mut self, x: &Tensor, grad_out: &Tensor) -> Tensor {
+            let din = Dims5::of(x);
+            let dout = self.out_dims(&din);
+            let (kd, kh, kw) = self.kernel;
+            let (sd, sh, sw) = self.stride;
+            let (pd, ph, pw) = self.padding;
+            let g = grad_out.as_slice();
+            let xs = x.as_slice();
+
+            // Weight gradient: each oc owns its grad_w slice (parallel over oc).
+            {
+                let kvol = self.in_c * kd * kh * kw;
+                let ptr = SyncSlice::new(self.weight.grad.as_mut_slice());
+                maybe_par_for(dout.c, dout.n * dout.vol() * kvol, |oc| {
+                    // SAFETY: each oc task owns a disjoint weight-grad block.
+                    let gw = unsafe { ptr.slice_mut(oc * kvol, kvol) };
+                    for n in 0..dout.n {
+                        let gbase = (n * dout.c + oc) * dout.vol();
+                        let mut oi = 0usize;
+                        for od in 0..dout.d {
+                            let (kd_lo, kd_hi) = tap_range(od, sd, pd, kd, din.d);
+                            for oh in 0..dout.h {
+                                let (kh_lo, kh_hi) = tap_range(oh, sh, ph, kh, din.h);
+                                for ow in 0..dout.w {
+                                    let (kw_lo, kw_hi) = tap_range(ow, sw, pw, kw, din.w);
+                                    let gv = g[gbase + oi];
+                                    oi += 1;
+                                    if gv == 0.0 {
+                                        continue;
+                                    }
+                                    for ic in 0..self.in_c {
+                                        let xbase = (n * self.in_c + ic) * din.vol();
+                                        let wbase = ic * kd * kh * kw;
+                                        for kdi in kd_lo..kd_hi {
+                                            let id = od * sd + kdi - pd;
+                                            for khi in kh_lo..kh_hi {
+                                                let ih = oh * sh + khi - ph;
+                                                let xrow = xbase
+                                                    + (id * din.h + ih) * din.w
+                                                    + (ow * sw + kw_lo - pw);
+                                                let wrow = wbase + (kdi * kh + khi) * kw + kw_lo;
+                                                for t in 0..(kw_hi - kw_lo) {
+                                                    gw[wrow + t] += gv * xs[xrow + t];
+                                                }
+                                            }
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                    }
+                });
+            }
+
+            // Input gradient: scatter form, parallel over (n, ic)… but each
+            // (n, ·) task needs all oc; parallelize over n and write the full
+            // per-sample block.
+            let mut gx: Tensor = Tensor::zeros([din.n, din.c, din.d, din.h, din.w]);
+            {
+                let ws = self.weight.data.as_slice();
+                let sample_block = din.c * din.vol();
+                let ptr = SyncSlice::new(gx.as_mut_slice());
+                maybe_par_for(din.n, dout.c * dout.vol() * self.in_c * kd * kh * kw, |n| {
+                    // SAFETY: each n task owns a disjoint input-grad block.
+                    let gxb = unsafe { ptr.slice_mut(n * sample_block, sample_block) };
+                    for oc in 0..dout.c {
+                        let gbase = (n * dout.c + oc) * dout.vol();
+                        let mut oi = 0usize;
+                        for od in 0..dout.d {
+                            let (kd_lo, kd_hi) = tap_range(od, sd, pd, kd, din.d);
+                            for oh in 0..dout.h {
+                                let (kh_lo, kh_hi) = tap_range(oh, sh, ph, kh, din.h);
+                                for ow in 0..dout.w {
+                                    let (kw_lo, kw_hi) = tap_range(ow, sw, pw, kw, din.w);
+                                    let gv = g[gbase + oi];
+                                    oi += 1;
+                                    if gv == 0.0 {
+                                        continue;
+                                    }
+                                    for ic in 0..self.in_c {
+                                        let xbase = ic * din.vol();
+                                        let wbase = (oc * self.in_c + ic) * kd * kh * kw;
+                                        for kdi in kd_lo..kd_hi {
+                                            let id = od * sd + kdi - pd;
+                                            for khi in kh_lo..kh_hi {
+                                                let ih = oh * sh + khi - ph;
+                                                let xrow = xbase
+                                                    + (id * din.h + ih) * din.w
+                                                    + (ow * sw + kw_lo - pw);
+                                                let wrow = wbase + (kdi * kh + khi) * kw + kw_lo;
+                                                for t in 0..(kw_hi - kw_lo) {
+                                                    gxb[xrow + t] += gv * ws[wrow + t];
+                                                }
+                                            }
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                    }
+                });
+            }
+            gx
+        }
+
+        /// Direct (sliding-window) forward — the reference kernel, generic over
+        /// the element type (identical operation order for every `E`).
+        fn forward_direct(&self, x: &Tensor) -> Tensor {
+            let din = Dims5::of(x);
+            let dout = self.out_dims(&din);
+            let mut y: Tensor = Tensor::zeros([dout.n, dout.c, dout.d, dout.h, dout.w]);
+            let (kd, kh, kw) = self.kernel;
+            let (sd, sh, sw) = self.stride;
+            let (pd, ph, pw) = self.padding;
+            let xs = x.as_slice();
+            let ws = self.weight.data.as_slice();
+            let bs = self.bias.data.as_slice();
+            let ptr = SyncSlice::new(y.as_mut_slice());
+            let out_block = dout.vol();
+            maybe_par_for(
+                dout.n * dout.c,
+                out_block * self.in_c * kd * kh * kw,
+                |nc| {
+                    let n = nc / dout.c;
+                    let oc = nc % dout.c;
+                    // SAFETY: each (n, oc) task owns a disjoint output block.
+                    let yblock = unsafe { ptr.slice_mut(nc * out_block, out_block) };
+                    let b = bs[oc];
+                    let mut oi = 0usize;
+                    for od in 0..dout.d {
+                        let (kd_lo, kd_hi) = tap_range(od, sd, pd, kd, din.d);
+                        for oh in 0..dout.h {
+                            let (kh_lo, kh_hi) = tap_range(oh, sh, ph, kh, din.h);
+                            for ow in 0..dout.w {
+                                let (kw_lo, kw_hi) = tap_range(ow, sw, pw, kw, din.w);
+                                let mut acc = b;
+                                for ic in 0..self.in_c {
+                                    let xbase = (n * self.in_c + ic) * din.vol();
+                                    let wbase = (oc * self.in_c + ic) * kd * kh * kw;
+                                    for kdi in kd_lo..kd_hi {
+                                        let id = od * sd + kdi - pd;
+                                        for khi in kh_lo..kh_hi {
+                                            let ih = oh * sh + khi - ph;
+                                            let xrow = xbase
+                                                + (id * din.h + ih) * din.w
+                                                + (ow * sw + kw_lo - pw);
+                                            let wrow = wbase + (kdi * kh + khi) * kw + kw_lo;
+                                            for t in 0..(kw_hi - kw_lo) {
+                                                acc += xs[xrow + t] * ws[wrow + t];
+                                            }
+                                        }
+                                    }
+                                }
+                                yblock[oi] = acc;
+                                oi += 1;
+                            }
+                        }
+                    }
+                },
+            );
+            y
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gradcheck::{check_layer_gradient, FD_EPS, FD_TOL};
+    use crate::lowering::reference::{assert_layers_agree, bits_eq, im2col, Direct, DirectKernels};
+    use mgd_tensor::matmul::gemm_prepacked;
+    use mgd_tensor::par::with_threads;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -793,81 +650,39 @@ mod tests {
 
     #[test]
     fn gradcheck_gemm_backend_explicit() {
-        // The default backend is Gemm, but pin it explicitly so this keeps
-        // covering the lowering even if the default ever changes.
-        let c = Conv3d::same(2, 3, (3, 3, 3), &mut rng()).with_backend(ConvBackend::Gemm);
+        // The lowered layer itself at a 3D multi-channel shape (the oracle
+        // is checked separately below).
+        let c = Conv3d::same(2, 3, (3, 3, 3), &mut rng());
         check_layer_gradient(Box::new(c), &[1, 2, 4, 4, 4], 0.0, FD_EPS, FD_TOL);
     }
 
     #[test]
     fn gradcheck_direct_backend_explicit() {
-        let c = Conv3d::same(2, 3, (3, 3, 3), &mut rng()).with_backend(ConvBackend::Direct);
+        let c = Direct::new(Conv3d::same(2, 3, (3, 3, 3), &mut rng()));
         check_layer_gradient(Box::new(c), &[1, 2, 4, 4, 4], 0.0, FD_EPS, FD_TOL);
     }
 
     #[test]
     fn gemm_chunked_path_matches_direct_at_64cubed() {
-        // 1×2ch×64³ exceeds both the patch cache and the chunk budget, so
-        // this exercises the streamed (chunked) forward AND backward GEMM
-        // paths against the direct reference.
+        // A megavoxel-scale layer: the forward and every gradient against
+        // the direct oracle.
         let mut r = rng();
-        let mut direct = Conv3d::same(2, 2, (3, 3, 3), &mut r).with_backend(ConvBackend::Direct);
-        let mut gemm = direct.clone().with_backend(ConvBackend::Gemm);
+        let mut conv = Conv3d::same(2, 2, (3, 3, 3), &mut r);
         let x = Tensor::rand_uniform([1, 2, 64, 64, 64], -1.0, 1.0, &mut r);
-        let yd = direct.forward(&x, true);
-        let yg = gemm.forward(&x, true);
-        assert!(yd.rel_l2_error(&yg) < 1e-12, "{}", yd.rel_l2_error(&yg));
-        let g = Tensor::rand_uniform(yd.dims().to_vec(), -1.0, 1.0, &mut r);
-        let gxd = direct.backward(&g);
-        let gxg = gemm.backward(&g);
-        assert!(gxd.rel_l2_error(&gxg) < 1e-12, "{}", gxd.rel_l2_error(&gxg));
-        assert!(direct.weight.grad.rel_l2_error(&gemm.weight.grad) < 1e-12);
-        assert!(direct.bias.grad.rel_l2_error(&gemm.bias.grad) < 1e-12);
-    }
-
-    #[test]
-    fn backend_switch_invalidates_patch_cache() {
-        // Regression: a Gemm training forward caches its patch matrix; a
-        // Direct training forward on a *different* input used to leave that
-        // cache marked valid, so a subsequent Gemm backward consumed stale
-        // (wrong-sized) patches. Every forward must invalidate it.
-        let mut r = rng();
-        let mut conv = Conv3d::same(1, 2, (1, 3, 3), &mut r).with_backend(ConvBackend::Gemm);
-        let x1 = Tensor::rand_uniform([1, 1, 1, 4, 4], -1.0, 1.0, &mut r);
-        let _ = conv.forward(&x1, true); // fills + validates the patch cache
-        conv.backend = ConvBackend::Direct;
-        let x2 = Tensor::rand_uniform([1, 1, 1, 6, 6], -1.0, 1.0, &mut r);
-        let _ = conv.forward(&x2, true); // must invalidate the x1 cache
-        conv.backend = ConvBackend::Gemm;
-        let g = Tensor::rand_uniform([1, 2, 1, 6, 6], -1.0, 1.0, &mut r);
-        let gx = conv.backward(&g); // panicked (stale 4×4 cache) before the fix
-                                    // And the gradients must match a clean single-backend run on x2.
-        let mut reference = Conv3d::same(1, 2, (1, 3, 3), &mut rng());
-        reference.weight.data = conv.weight.data.clone();
-        reference.bias.data = conv.bias.data.clone();
-        let _ = reference.forward(&x2, true);
-        let gx_ref = reference.backward(&g);
-        assert!(gx.rel_l2_error(&gx_ref) < 1e-12);
-        assert!(conv.weight.grad.rel_l2_error(&reference.weight.grad) < 1e-12);
+        assert_layers_agree(&mut Direct::new(conv.clone()), &mut conv, &x, 1e-12);
     }
 
     #[test]
     fn infer_matches_forward_bitwise_both_backends() {
-        // 20³ per channel stays under the chunk budget while 64³ (covered by
-        // the chunked-path test above) exceeds it; both route through the
-        // same streamed loop the infer path replicates.
+        // infer, the inference forward and the training forward are one
+        // lowering, bit for bit; the direct oracle agrees to round-off.
         let mut r = rng();
-        for backend in [ConvBackend::Gemm, ConvBackend::Direct] {
-            let mut c = Conv3d::same(2, 3, (3, 3, 3), &mut r).with_backend(backend);
-            let x = Tensor::rand_uniform([2, 2, 20, 20, 20], -1.0, 1.0, &mut r);
-            let y = c.forward(&x, false);
-            let yi = c.infer(&x);
-            assert!(y
-                .as_slice()
-                .iter()
-                .zip(yi.as_slice())
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
-        }
+        let mut c = Conv3d::same(2, 3, (3, 3, 3), &mut r);
+        let x = Tensor::rand_uniform([2, 2, 20, 20, 20], -1.0, 1.0, &mut r);
+        let y = c.forward(&x, false);
+        assert!(bits_eq(c.infer(&x).as_slice(), y.as_slice()));
+        assert!(bits_eq(c.forward(&x, true).as_slice(), y.as_slice()));
+        assert!(c.forward_direct(&x).rel_l2_error(&y) < 1e-12);
     }
 
     /// The inference loop before implicit im2col, kept as the oracle:
@@ -897,10 +712,6 @@ mod tests {
             }
         }
         y
-    }
-
-    fn bits_eq<E: Element>(a: &[E], b: &[E]) -> bool {
-        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.bits() == y.bits())
     }
 
     /// `infer` and every band of `infer_planes_into` reproduce the
@@ -957,5 +768,67 @@ mod tests {
             .iter()
             .zip(y2.as_slice())
             .all(|(a, b)| a.to_bits() == b.to_bits()));
+    }
+
+    /// Forward + backward of `layer` under `threads` workers: the output,
+    /// the input gradient and both parameter gradients.
+    fn train_step(mut layer: impl Layer, x: &Tensor, g: &Tensor, threads: usize) -> Vec<Tensor> {
+        with_threads(threads, || {
+            let y = layer.forward(x, true);
+            let gx = layer.backward(g);
+            let mut out = vec![y, gx];
+            out.extend(layer.params().into_iter().map(|p| p.grad.clone()));
+            out
+        })
+    }
+
+    #[test]
+    fn backward_is_bitwise_thread_count_independent() {
+        // Several weight-gradient blocks and GEMM column slabs per sample,
+        // for a stride-1 and a strided layer.
+        let mut r = rng();
+        for (k, s, p) in [
+            ((3, 3, 3), (1, 1, 1), (1, 1, 1)),
+            ((1, 3, 3), (1, 2, 2), (0, 1, 1)),
+        ] {
+            let conv = Conv3d::new(4, 3, k, s, p, &mut r);
+            let x = Tensor::rand_uniform([2, 4, 6, 24, 40], -1.0, 1.0, &mut r);
+            let dout = conv.out_dims(&Dims5::of(&x));
+            let g = Tensor::rand_uniform([2, 3, dout.d, dout.h, dout.w], -1.0, 1.0, &mut r);
+            let one = train_step(conv.clone(), &x, &g, 1);
+            for threads in [2, 4] {
+                let many = train_step(conv.clone(), &x, &g, threads);
+                for (a, b) in one.iter().zip(&many) {
+                    assert!(
+                        bits_eq(a.as_slice(), b.as_slice()),
+                        "{k:?} s{s:?} at {threads}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// The lowering computes the same convolution as the direct
+        /// sliding-window kernels — forward and all three gradients — to
+        /// 1e-12 across random channels, kernels (incl. 2D `(1,k,k)`),
+        /// strides and paddings.
+        #[test]
+        fn conv_gemm_matches_direct(
+            n in 1usize..3, cin in 1usize..4, cout in 1usize..4,
+            kd in 1usize..4, khw in 1usize..4,
+            sd in 1usize..3, shw in 1usize..3,
+            pd in 0usize..2, phw in 0usize..2,
+            extra in 0usize..4, seed in 0u64..1000,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Spatial extents large enough for the kernel at this padding.
+            let d = (kd.saturating_sub(2 * pd)).max(1) + extra;
+            let hw = (khw.saturating_sub(2 * phw)).max(1) + extra + 1;
+            let mut conv =
+                Conv3d::new(cin, cout, (kd, khw, khw), (sd, shw, shw), (pd, phw, phw), &mut rng);
+            let x = Tensor::rand_uniform([n, cin, d, hw, hw], -1.0, 1.0, &mut rng);
+            assert_layers_agree(&mut Direct::new(conv.clone()), &mut conv, &x, 1e-12);
+        }
     }
 }

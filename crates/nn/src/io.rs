@@ -293,4 +293,32 @@ mod tests {
         let y = restored.predict(&Tensor::zeros([1, 1, 1, 8, 8]));
         assert_eq!(y.dims(), &[1, 1, 1, 8, 8]);
     }
+
+    #[test]
+    fn checkpoint_naming_the_retired_conv_backend_loads() {
+        // Checkpoints written while `UNetConfig` still selected a conv
+        // kernel carry a `conv_backend` field; it is ignored, and the file
+        // rebuilds the same net.
+        let cfg = UNetConfig {
+            depth: 1,
+            base_filters: 2,
+            two_d: true,
+            seed: 8,
+            ..Default::default()
+        };
+        let mut net = UNet::new(cfg);
+        let x = Tensor::rand_uniform([1, 1, 1, 8, 8], -1.0, 1.0, &mut StdRng::seed_from_u64(4));
+        let y0 = net.predict(&x);
+        let json = serde_json::to_string(&Checkpoint::from_net(&mut net)).unwrap();
+        let old = json.replacen("\"seed\":8", "\"seed\":8,\"conv_backend\":\"Direct\"", 1);
+        assert_ne!(old, json, "the config must serialize its seed");
+        let ckpt: Checkpoint = serde_json::from_str(&old).unwrap();
+        assert_eq!(ckpt.config, cfg);
+        let y1 = ckpt.into_net().predict(&x);
+        assert!(y0
+            .as_slice()
+            .iter()
+            .zip(y1.as_slice())
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
+    }
 }

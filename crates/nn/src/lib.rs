@@ -10,13 +10,10 @@
 //! - [`conv::Conv3d`] / [`convt::ConvTranspose3d`] — convolutions with
 //!   arbitrary per-axis kernel/stride/padding; 2D problems use a unit depth
 //!   axis and `(1, k, k)` kernels so both dimensionalities share one code
-//!   path. Each layer runs on a selectable [`lowering::ConvBackend`]: the
-//!   default `Gemm` backend lowers **all four passes** (conv and
-//!   transpose-conv, forward and backward) onto the single blocked matmul
-//!   kernel of [`mgd_tensor::matmul`] via the shared im2col/col2im pair in
-//!   [`lowering`] — 4–14× faster than the scalar loops on paper-scale
-//!   grids — while `Direct` keeps the original sliding-window kernels as a
-//!   property-tested, bisectable reference;
+//!   path. Every pass of both layers — forward, data gradient, weight
+//!   gradient — is one blocked matmul of [`mgd_tensor::matmul`] whose
+//!   patch operand is gathered from the activation straight into the
+//!   GEMM's packed panels ([`lowering`]); no patch matrix is ever formed;
 //! - [`norm::BatchNorm`], [`pool::MaxPool3d`], [`act::LeakyReLU`],
 //!   [`act::Sigmoid`];
 //! - [`unet::UNet`] — the MGDiffNet architecture, including
@@ -58,6 +55,7 @@ pub mod param;
 pub mod pool;
 pub mod spatial;
 pub mod unet;
+#[cfg(test)]
 mod util;
 pub mod workspace;
 
@@ -66,7 +64,6 @@ pub use conv::{prepack_stats, Conv3d};
 pub use convt::ConvTranspose3d;
 pub use io::{Checkpoint, WeightSnapshot};
 pub use layer::Layer;
-pub use lowering::ConvBackend;
 pub use model::{InferModel, Model, SlabModel};
 pub use norm::BatchNorm;
 pub use optim::{Adam, Optimizer, Sgd};

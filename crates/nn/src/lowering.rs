@@ -1,77 +1,112 @@
-//! Shared im2col / col2im lowering for the GEMM convolution backend.
+//! The one convolution lowering: every convolution product in this crate
+//! is a GEMM whose patch operand is gathered from an activation tensor
+//! straight into the GEMM's packed panels. No patch matrix is ever formed.
 //!
-//! All four convolution passes in this crate reduce to one matrix product
-//! per sample (computed by [`mgd_tensor::matmul`]):
+//! `P(X)` is the patch matrix of a sample: one row per `(channel, kernel
+//! tap)`, one column per window position. A transpose convolution is the
+//! adjoint of a convolution with the same kernel/stride/padding, and the
+//! data gradient of a convolution is a convolution of the output gradient
+//! with the flipped, channel-transposed kernel (`flip(W)`), read over that
+//! gradient dilated by the stride with padding `k − 1 − p`
+//! (`ConvGeom::transposed`, written `P̃`). That gives seven products:
 //!
-//! | pass                        | product                                     |
-//! |-----------------------------|---------------------------------------------|
-//! | `Conv3d` forward            | `Y = W · im2col(X)`                          |
-//! | `Conv3d` ∂input             | `dX = col2im(Wᵀ · dY)`                       |
-//! | `Conv3d` ∂weight            | `dW += dY · im2col(X)ᵀ`                      |
-//! | `ConvTranspose3d` forward   | `Y = col2im(Vᵀ · X) + b`                     |
-//! | `ConvTranspose3d` ∂input    | `dX = V · im2col(dY)`                        |
-//! | `ConvTranspose3d` ∂weight   | `dV += X · im2col(dY)ᵀ`                      |
+//! | pass                                      | product                   | routine                   |
+//! |-------------------------------------------|---------------------------|---------------------------|
+//! | `Conv3d` forward                          | `Y = W · P(X) + b`        | `conv_forward`            |
+//! | `Conv3d` ∂input                           | `dX = flip(W) · P̃(dY)`    | `conv_forward`            |
+//! | `Conv3d` ∂weight                          | `dW += dY · P(X)ᵀ`        | `weight_grad`             |
+//! | `ConvTranspose3d` forward, `k = s, p = 0` | `Y = place(Vᵀ · X) + b`   | `tiled_transpose_forward` |
+//! | `ConvTranspose3d` forward, otherwise      | `Y = flip(V) · P̃(X) + b`  | `conv_forward`            |
+//! | `ConvTranspose3d` ∂input                  | `dX = V · P(dY)`          | `conv_forward`            |
+//! | `ConvTranspose3d` ∂weight                 | `dV += X · P(dY)ᵀ`        | `weight_grad`             |
 //!
-//! where the patch matrix of a sample gathers one `(channel, kernel-tap)`
-//! row per matrix row and one sliding-window position per column. A
-//! transpose convolution is the adjoint of a convolution with the same
-//! kernel/stride/padding, so the *same two* gather/scatter routines serve
-//! both layers — `Conv3d` lowers over its input grid, `ConvTranspose3d`
-//! over its output grid.
+//! `conv_forward` gathers `P` into the `B` panels of
+//! [`gemm_prepacked_with`] (`PatchPanels::fill`) and `weight_grad`
+//! gathers `Pᵀ` (`PatchPanels::fill_t`). When the windows of a transpose
+//! convolution tile its output (the U-Net's `up2`), no window position
+//! sees more than one tap, so `place` writes each `(channel, tap)` row of
+//! the product to its stride-`s` output positions without touching a zero
+//! tap.
 //!
-//! The `Conv3d` forward — every inference pass and the training forward
-//! that does not keep its patches — never forms `im2col(X)`: `conv_forward`
-//! gathers patch values from `X` straight into the GEMM's packed B panels
-//! (`PatchPanels`) and adds the bias in the GEMM write-back, over the
-//! whole sample at once. The remaining passes materialize patch columns
-//! in `CHUNK_ELEMS`-bounded (8 MiB) chunks.
-//!
-//! The gather/scatter routines parallelize over patch rows (gather) or
-//! channels (scatter); every task writes a disjoint slice in a fixed
-//! order, so results are bitwise deterministic for any thread count.
+//! Every output element is one fixed-order reduction: GEMM column slabs
+//! write disjoint elements, and `weight_grad` cuts positions into blocks
+//! whose bounds depend only on their count and adds the block partials in
+//! block order. Results are bitwise identical at any thread count.
 
 use crate::layer::Triple;
-use mgd_tensor::matmul::{gemm_prepacked_with, PackedA};
-use mgd_tensor::par::{par_jobs, SyncSlice};
-use mgd_tensor::{Element, GemmElement};
-use serde::{Deserialize, Serialize};
+use mgd_tensor::matmul::{
+    gemm_prepacked_serial, gemm_prepacked_with, pack_a, pack_a_cols, pack_b_slab, PackedA,
+};
+use mgd_tensor::par::{par_jobs, par_jobs_with, SyncSlice};
+use mgd_tensor::GemmElement;
 
-/// Which kernel implementation a convolution layer runs.
-///
-/// `Gemm` (the default) lowers onto the blocked matmul of
-/// [`mgd_tensor::matmul`]; `Direct` keeps the original scalar triple-loop
-/// kernels. The two are numerically equivalent to f64 round-off (enforced
-/// by property tests), so `Direct` serves as a bisectable reference and a
-/// fallback for debugging.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ConvBackend {
-    /// Scalar sliding-window loops (reference implementation).
-    Direct,
-    /// im2col / col2im lowering onto the blocked, register-tiled GEMM.
-    #[default]
-    Gemm,
-}
-
-/// Sliding-window geometry of one lowering: `c` channels of a
-/// `dims`-shaped grid gathered through `kernel`/`stride`/`padding` windows
-/// anchored at `out` positions.
+/// Sliding-window geometry of one gather: `c` channels of a `dims`-shaped
+/// grid read through `kernel`/`stride`/`padding` windows anchored at `out`
+/// positions, the grid optionally dilated.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ConvGeom {
-    /// Channels of the gathered/scattered grid.
+    /// Channels of the gathered grid.
     pub c: usize,
-    /// Spatial extents (d, h, w) of the gathered/scattered grid.
+    /// Spatial extents (d, h, w) of the gathered grid.
     pub dims: Triple,
     /// Kernel extents.
     pub kernel: Triple,
     /// Strides.
     pub stride: Triple,
-    /// Zero padding.
-    pub padding: Triple,
+    /// Input dilation: the grid is read as if `dilation − 1` zeros sat
+    /// between neighbouring samples along each axis. Only the adjoint
+    /// gathers of [`ConvGeom::transposed`] dilate, always at unit stride.
+    pub dilation: Triple,
+    /// Zero padding of the (dilated) grid; a negative value crops it.
+    pub padding: [isize; 3],
     /// Window-anchor counts (the patch-matrix column space).
     pub out: Triple,
 }
 
 impl ConvGeom {
+    /// The gather of a strided, zero-padded convolution (no dilation).
+    pub fn new(
+        c: usize,
+        dims: Triple,
+        kernel: Triple,
+        stride: Triple,
+        padding: Triple,
+        out: Triple,
+    ) -> Self {
+        ConvGeom {
+            c,
+            dims,
+            kernel,
+            stride,
+            dilation: (1, 1, 1),
+            padding: [padding.0 as isize, padding.1 as isize, padding.2 as isize],
+            out,
+        }
+    }
+
+    /// The gather of this convolution's adjoint: `c` channels of the `out`
+    /// grid, dilated by the stride and padded by `k − 1 − p`, read through
+    /// the flipped kernel at every position of the `dims` grid. Packed with
+    /// [`pack_flipped`] weights, [`conv_forward`] over it computes the
+    /// `Conv3d` data gradient and the general `ConvTranspose3d` forward.
+    pub fn transposed(&self, c: usize) -> Self {
+        assert_eq!(self.dilation, (1, 1, 1), "the adjoint gather is undilated");
+        let (k, p) = (self.kernel, self.padding);
+        ConvGeom {
+            c,
+            dims: self.out,
+            kernel: k,
+            stride: (1, 1, 1),
+            dilation: self.stride,
+            padding: [
+                k.0 as isize - 1 - p[0],
+                k.1 as isize - 1 - p[1],
+                k.2 as isize - 1 - p[2],
+            ],
+            out: self.dims,
+        }
+    }
+
     /// Kernel volume.
     pub fn kvol(&self) -> usize {
         self.kernel.0 * self.kernel.1 * self.kernel.2
@@ -93,189 +128,63 @@ impl ConvGeom {
     }
 }
 
-/// The valid anchor range `[lo, hi)` along one axis for kernel tap `k`:
-/// anchors `o` with `0 <= o*stride + k - pad < extent`.
+/// The anchors `[lo, hi)` along one axis whose window sample at offset
+/// `off` (kernel tap minus padding) lies inside the grid:
+/// `0 ≤ o·stride + off < extent`.
 #[inline]
-fn anchor_range(
-    k: usize,
+pub(crate) fn anchor_range(
+    off: isize,
     stride: usize,
-    pad: usize,
     extent: usize,
     anchors: usize,
 ) -> (usize, usize) {
-    let lo = if k >= pad {
+    let lo = if off >= 0 {
         0
     } else {
-        (pad - k).div_ceil(stride)
+        off.unsigned_abs().div_ceil(stride)
     };
-    let hi = if extent + pad > k {
-        ((extent + pad - k - 1) / stride + 1).min(anchors)
+    let top = extent as isize - 1 - off;
+    let hi = if top >= 0 {
+        (top as usize / stride + 1).min(anchors)
     } else {
         0
     };
     (lo.min(hi), hi)
 }
 
-/// Gathers `src` (one sample, `c × dims` row-major) into the patch matrix
-/// `col` (`rows() × cols()` row-major). Out-of-grid taps become zeros.
-pub(crate) fn im2col<E: Element>(g: &ConvGeom, src: &[E], col: &mut [E]) {
-    im2col_range(g, src, col, 0, g.out.0 * g.out.1);
-}
-
-/// [`im2col`] restricted to anchor rows `[ar0, ar1)` of the flattened
-/// `(o_d, o_h)` space — the column blocks `[ar0*ow, ar1*ow)` of the full
-/// patch matrix. Chunking along this axis bounds the patch scratch of the
-/// backward passes at megavoxel grids (see [`CHUNK_ELEMS`]).
-pub(crate) fn im2col_range<E: Element>(
-    g: &ConvGeom,
-    src: &[E],
-    col: &mut [E],
-    ar0: usize,
-    ar1: usize,
-) {
-    let rows = g.rows();
-    let cols = (ar1 - ar0) * g.out.2;
-    assert_eq!(src.len(), g.c * g.vol());
-    assert_eq!(col.len(), rows * cols);
-    let (_, kh, kw) = g.kernel;
-    let (sd, sh, sw) = g.stride;
-    let (pd, ph, pw) = g.padding;
-    let (dd, dh, dw) = g.dims;
-    let (od, oh, ow) = g.out;
-    let _ = od;
-    let colptr = SyncSlice::new(col);
-    par_jobs(rows, cols, |r| {
-        // SAFETY: row task `r` exclusively owns col[r*cols .. (r+1)*cols].
-        let dst = unsafe { colptr.slice_mut(r * cols, cols) };
-        let (ci, tap) = (r / g.kvol(), r % g.kvol());
-        let (kdi, rem) = (tap / (kh * kw), tap % (kh * kw));
-        let (khi, kwi) = (rem / kw, rem % kw);
-        let (dlo, dhi) = anchor_range(kdi, sd, pd, dd, g.out.0);
-        let (hlo, hhi) = anchor_range(khi, sh, ph, dh, oh);
-        let (wlo, whi) = anchor_range(kwi, sw, pw, dw, ow);
-        let chan = &src[ci * dd * dh * dw..(ci + 1) * dd * dh * dw];
-        let mut idx = 0usize;
-        for a in ar0..ar1 {
-            let (o_d, o_h) = (a / oh, a % oh);
-            if o_d < dlo || o_d >= dhi || o_h < hlo || o_h >= hhi {
-                dst[idx..idx + ow].fill(E::ZERO);
-                idx += ow;
-                continue;
-            }
-            let id = o_d * sd + kdi - pd;
-            let ih = o_h * sh + khi - ph;
-            let srow = (id * dh + ih) * dw;
-            dst[idx..idx + wlo].fill(E::ZERO);
-            if whi > wlo {
-                let iw0 = wlo * sw + kwi - pw;
-                if sw == 1 {
-                    dst[idx + wlo..idx + whi]
-                        .copy_from_slice(&chan[srow + iw0..srow + iw0 + (whi - wlo)]);
-                } else {
-                    for t in 0..whi - wlo {
-                        dst[idx + wlo + t] = chan[srow + iw0 + t * sw];
-                    }
-                }
-            }
-            dst[idx + whi..idx + ow].fill(E::ZERO);
-            idx += ow;
-        }
-    });
-}
-
-/// Scatters the patch matrix `col` back onto `dst` (one sample,
-/// `c × dims` row-major), **accumulating** overlapping windows.
-///
-/// This is the exact adjoint of [`im2col`]; rows map to the same
-/// `(channel, tap)` pairs, so tasks parallelize over channels (each channel
-/// owns a disjoint `dst` slab).
-pub(crate) fn col2im_accumulate<E: Element>(g: &ConvGeom, col: &[E], dst: &mut [E]) {
-    col2im_range_accumulate(g, col, dst, 0, g.out.0 * g.out.1);
-}
-
-/// [`col2im_accumulate`] restricted to anchor rows `[ar0, ar1)` of the
-/// flattened `(o_d, o_h)` space. Successive chunks scatter onto overlapping
-/// window footprints, so chunks must be processed sequentially (tasks
-/// inside one chunk still parallelize over channels).
-pub(crate) fn col2im_range_accumulate<E: Element>(
-    g: &ConvGeom,
-    col: &[E],
-    dst: &mut [E],
-    ar0: usize,
-    ar1: usize,
-) {
-    let rows = g.rows();
-    let cols = (ar1 - ar0) * g.out.2;
-    assert_eq!(dst.len(), g.c * g.vol());
-    assert_eq!(col.len(), rows * cols);
-    let (_, kh, kw) = g.kernel;
-    let (sd, sh, sw) = g.stride;
-    let (pd, ph, pw) = g.padding;
-    let (dd, dh, dw) = g.dims;
-    let (_, oh, ow) = g.out;
-    let kvol = g.kvol();
-    let dstptr = SyncSlice::new(dst);
-    par_jobs(g.c, kvol * cols, |ci| {
-        // SAFETY: channel task `ci` exclusively owns its dst slab.
-        let chan = unsafe { dstptr.slice_mut(ci * dd * dh * dw, dd * dh * dw) };
-        for tap in 0..kvol {
-            let r = ci * kvol + tap;
-            let src = &col[r * cols..(r + 1) * cols];
-            let (kdi, rem) = (tap / (kh * kw), tap % (kh * kw));
-            let (khi, kwi) = (rem / kw, rem % kw);
-            let (dlo, dhi) = anchor_range(kdi, sd, pd, dd, g.out.0);
-            let (hlo, hhi) = anchor_range(khi, sh, ph, dh, oh);
-            let (wlo, whi) = anchor_range(kwi, sw, pw, dw, ow);
-            if whi <= wlo {
-                continue;
-            }
-            let iw0 = wlo * sw + kwi - pw;
-            for a in ar0..ar1 {
-                let (o_d, o_h) = (a / oh, a % oh);
-                if o_d < dlo || o_d >= dhi || o_h < hlo || o_h >= hhi {
-                    continue;
-                }
-                let id = o_d * sd + kdi - pd;
-                let ih = o_h * sh + khi - ph;
-                let drow = (id * dh + ih) * dw;
-                let srow = (a - ar0) * ow;
-                if sw == 1 {
-                    for t in 0..whi - wlo {
-                        chan[drow + iw0 + t] += src[srow + wlo + t];
-                    }
-                } else {
-                    for t in 0..whi - wlo {
-                        chan[drow + iw0 + t * sw] += src[srow + wlo + t];
-                    }
-                }
-            }
-        }
-    });
+/// The sample index at dilated coordinate `u` of an axis holding `extent`
+/// samples `dil` apart, if one sits there.
+#[inline(always)]
+fn undilate(u: isize, dil: usize, extent: usize) -> Option<usize> {
+    let u = usize::try_from(u).ok()?;
+    if dil == 1 {
+        (u < extent).then_some(u)
+    } else {
+        (u % dil == 0 && u / dil < extent).then_some(u / dil)
+    }
 }
 
 /// One patch-matrix row — a `(channel, kernel tap)` pair — resolved once
-/// per lowering so the panel gather does no index division per row.
+/// per gather so the panel fills do no index division per row.
 #[derive(Clone, Copy, Debug)]
 struct Tap {
     /// Offset of the tap's channel in the source sample.
     chan: usize,
-    /// Kernel offsets along (d, h, w).
-    kd: usize,
-    kh: usize,
-    kw: usize,
-    /// Valid anchor range `[wlo, whi)` along w (see [`anchor_range`]).
+    /// Kernel offset minus padding along (d, h, w): the window sample of
+    /// anchor `o` sits at dilated coordinate `o·stride + off`.
+    off: [isize; 3],
+    /// Anchors `[wlo, whi)` along w whose sample is inside an undilated
+    /// grid (see [`anchor_range`]).
     wlo: usize,
     whi: usize,
 }
 
-/// Implicit im2col: the patch matrix of one sample, restricted to the
-/// anchor columns from `q0` on, gathered straight from the input tensor
-/// into GEMM B panels — the gather is the pack, so the patch matrix is
-/// never materialized. [`PatchPanels::fill`] is the B-panel fill of
-/// [`gemm_prepacked_with`] and writes exactly the panels that
-/// [`im2col_range`] followed by [`pack_b_slab`] would.
-///
-/// [`pack_b_slab`]: mgd_tensor::matmul::pack_b_slab
+/// The patch matrix of one sample, from the anchor column `q0` on,
+/// gathered straight from the source tensor into GEMM `B` panels: the
+/// gather is the pack. [`PatchPanels::fill`] writes `P` (the convolution
+/// products) and [`PatchPanels::fill_t`] writes `Pᵀ` (the weight
+/// gradients), each exactly as [`pack_b_slab`] would from the materialized
+/// matrix.
 pub(crate) struct PatchPanels<'a, E> {
     g: &'a ConvGeom,
     src: &'a [E],
@@ -289,17 +198,20 @@ impl<'a, E: GemmElement> PatchPanels<'a, E> {
     pub(crate) fn new(g: &'a ConvGeom, src: &'a [E], q0: usize) -> Self {
         assert_eq!(src.len(), g.c * g.vol());
         let (_, kh, kw) = g.kernel;
+        let p = g.padding;
         let taps = (0..g.rows())
             .map(|r| {
                 let (ci, tap) = (r / g.kvol(), r % g.kvol());
                 let (kdi, rem) = (tap / (kh * kw), tap % (kh * kw));
-                let kwi = rem % kw;
-                let (wlo, whi) = anchor_range(kwi, g.stride.2, g.padding.2, g.dims.2, g.out.2);
+                let off = [
+                    kdi as isize - p[0],
+                    (rem / kw) as isize - p[1],
+                    (rem % kw) as isize - p[2],
+                ];
+                let (wlo, whi) = anchor_range(off[2], g.stride.2, g.dims.2, g.out.2);
                 Tap {
                     chan: ci * g.vol(),
-                    kd: kdi,
-                    kh: rem / kw,
-                    kw: kwi,
+                    off,
                     wlo,
                     whi,
                 }
@@ -308,52 +220,207 @@ impl<'a, E: GemmElement> PatchPanels<'a, E> {
         PatchPanels { g, src, taps, q0 }
     }
 
+    /// The dilated (d, h) coordinates of tap 0's window in anchor row `a`
+    /// (a flattened `(o_d, o_h)`).
+    #[inline(always)]
+    fn row_origin(&self, a: usize) -> (isize, isize) {
+        let g = self.g;
+        let (o_d, o_h) = (a / g.out.1, a % g.out.1);
+        ((o_d * g.stride.0) as isize, (o_h * g.stride.1) as isize)
+    }
+
+    /// Where tap `t` of an undilated gather reads over anchor columns
+    /// `[w0, w1)` of the anchor row at [`Self::row_origin`] `z`: `None`
+    /// when every column is padding, else `(lo, hi, row)` — columns
+    /// `[lo, hi)` take `row[0], row[stride], …`, the others are padding.
+    #[inline(always)]
+    fn segment(
+        &self,
+        t: &Tap,
+        z: (isize, isize),
+        w0: usize,
+        w1: usize,
+    ) -> Option<(usize, usize, &'a [E])> {
+        let (dd, dh, dw) = self.g.dims;
+        // A negative coordinate wraps past every extent.
+        let (id, ih) = ((z.0 + t.off[0]) as usize, (z.1 + t.off[1]) as usize);
+        let lo = t.wlo.clamp(w0, w1);
+        let hi = t.whi.clamp(lo, w1);
+        if id >= dd || ih >= dh || lo == hi {
+            return None;
+        }
+        // `lo >= wlo`, so the first window sample is in the grid.
+        let iw = ((lo * self.g.stride.2) as isize + t.off[2]) as usize;
+        let row = &self.src[t.chan + (id * dh + ih) * dw..][..dw];
+        Some((lo, hi, &row[iw..]))
+    }
+
     /// Writes patch rows `[k0, k0+kc_len)` × columns `[q0+j0, q0+j0+jn)`
     /// into `NR`-wide panels (`bpack[np][kk*NR + nr]`), zero-padding the
     /// ragged last panel.
     ///
     /// The columns are walked as anchor-row runs (one row of window
-    /// positions: contiguous in the input along w). Per run and tap the
+    /// positions: contiguous in the source along w). Per run and tap the
     /// in-grid range is copied and the padding zero-filled as whole
-    /// ranges, cut only at panel boundaries.
+    /// ranges, cut only at panel boundaries. A dilated gather goes through
+    /// [`Self::gather_run`] instead, keeping this loop free of dilation
+    /// branches.
     pub(crate) fn fill(&self, k0: usize, kc_len: usize, j0: usize, jn: usize, bpack: &mut [E]) {
+        if self.g.dilation == (1, 1, 1) {
+            self.fill_runs::<false>(k0, kc_len, j0, jn, bpack);
+        } else {
+            self.fill_runs::<true>(k0, kc_len, j0, jn, bpack);
+        }
+    }
+
+    /// [`Self::fill`], compiled once per kind of gather so the undilated
+    /// loop carries no dilation branch.
+    #[inline(always)]
+    fn fill_runs<const DILATED: bool>(
+        &self,
+        k0: usize,
+        kc_len: usize,
+        j0: usize,
+        jn: usize,
+        bpack: &mut [E],
+    ) {
         let nr = E::NR;
-        let g = self.g;
-        let (_, oh, ow) = g.out;
-        let (sd, sh, sw) = g.stride;
-        let (pd, ph, pw) = g.padding;
-        let (dd, dh, dw) = g.dims;
+        let (ow, sw) = (self.g.out.2, self.g.stride.2);
         let taps = &self.taps[k0..k0 + kc_len];
         let mut out = Rows {
             bpack: &mut bpack[..jn.div_ceil(nr) * kc_len * nr],
             pstride: kc_len * nr,
         };
+        let mut run = Vec::new();
         let mut c = 0;
         while c < jn {
             let (a, w0) = ((self.q0 + j0 + c) / ow, (self.q0 + j0 + c) % ow);
             let len = (ow - w0).min(jn - c);
-            // Padded input coordinates of this anchor row's tap-0 window.
-            let (zd, zh) = ((a / oh) * sd, (a % oh) * sh);
+            let z = self.row_origin(a);
             for (kk, t) in taps.iter().enumerate() {
-                let (id, ih) = ((zd + t.kd).wrapping_sub(pd), (zh + t.kh).wrapping_sub(ph));
-                let lo = t.wlo.clamp(w0, w0 + len);
-                let hi = t.whi.clamp(lo, w0 + len);
-                if id >= dd || ih >= dh || hi == lo {
-                    out.zero(kk, c, len);
+                if DILATED {
+                    run.resize(len, E::ZERO);
+                    self.gather_run(t, z, w0, &mut run);
+                    out.copy(kk, c, len, &run, 1);
                     continue;
                 }
-                // `lo >= wlo`, so the first window column is in-grid.
-                let iw0 = lo * sw + t.kw - pw;
-                let row = &self.src[t.chan + (id * dh + ih) * dw..][..dw];
-                out.zero(kk, c, lo - w0);
-                out.copy(kk, c + lo - w0, hi - lo, &row[iw0..], sw);
-                out.zero(kk, c + hi - w0, w0 + len - hi);
+                match self.segment(t, z, w0, w0 + len) {
+                    None => out.zero(kk, c, len),
+                    Some((lo, hi, row)) => {
+                        out.zero(kk, c, lo - w0);
+                        out.copy(kk, c + lo - w0, hi - lo, row, sw);
+                        out.zero(kk, c + hi - w0, w0 + len - hi);
+                    }
+                }
             }
             c += len;
         }
         let nvalid = jn - (jn - 1) / nr * nr;
         for kk in 0..kc_len {
             out.zero(kk, jn, nr - nvalid);
+        }
+    }
+
+    /// Writes the transposed patch matrix `Pᵀ` — rows `[k0, k0+kc_len)` are
+    /// patch columns from `q0`, columns `[j0, j0+jn)` are patch rows — into
+    /// `NR`-wide panels, zero-padding the ragged last panel: the `B` operand
+    /// of [`weight_grad`].
+    ///
+    /// Per anchor-row run and panel, each tap's window row is gathered into
+    /// `tmp` as a contiguous copy ([`Self::gather_run`]), then the `NR`
+    /// rows are transposed into the panel in 4×4 blocks.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn fill_t(
+        &self,
+        k0: usize,
+        kc_len: usize,
+        j0: usize,
+        jn: usize,
+        bpack: &mut [E],
+        tmp: &mut Vec<E>,
+    ) {
+        let nr = E::NR;
+        let ow = self.g.out.2;
+        let mut kk = 0;
+        while kk < kc_len {
+            let (a, w0) = ((self.q0 + k0 + kk) / ow, (self.q0 + k0 + kk) % ow);
+            let len = (ow - w0).min(kc_len - kk);
+            let z = self.row_origin(a);
+            tmp.resize(nr * len, E::ZERO);
+            for (np, taps) in self.taps[j0..j0 + jn].chunks(nr).enumerate() {
+                let mut rows = tmp.chunks_exact_mut(len);
+                for (t, row) in taps.iter().zip(rows.by_ref()) {
+                    self.gather_run(t, z, w0, row);
+                }
+                rows.for_each(|row| row.fill(E::ZERO));
+                let panel = &mut bpack[(np * kc_len + kk) * nr..][..len * nr];
+                transpose_lanes(&tmp[..nr * len], len, panel);
+            }
+            kk += len;
+        }
+    }
+
+    /// Writes tap `t`'s samples over anchor columns `[w0, w0 + row.len())`
+    /// of the anchor row at `z` into `row`, padding with zeros.
+    #[inline(always)]
+    fn gather_run(&self, t: &Tap, z: (isize, isize), w0: usize, row: &mut [E]) {
+        if self.g.dilation != (1, 1, 1) {
+            return self.gather_dilated(t, z, w0, row);
+        }
+        let sw = self.g.stride.2;
+        let Some((lo, hi, src)) = self.segment(t, z, w0, w0 + row.len()) else {
+            row.fill(E::ZERO);
+            return;
+        };
+        let (lo, hi) = (lo - w0, hi - w0);
+        row[..lo].fill(E::ZERO);
+        row[hi..].fill(E::ZERO);
+        if sw == 1 {
+            row[lo..hi].copy_from_slice(&src[..hi - lo]);
+        } else {
+            for (d, &v) in row[lo..hi].iter_mut().zip(src.iter().step_by(sw)) {
+                *d = v;
+            }
+        }
+    }
+
+    /// [`Self::gather_run`] of a dilated gather (the adjoint gathers of
+    /// strided convolutions, which the U-Net does not train): column by
+    /// column, each reading a sample only where one sits.
+    #[cold]
+    fn gather_dilated(&self, t: &Tap, z: (isize, isize), w0: usize, row: &mut [E]) {
+        let g = self.g;
+        let ((dd, dh, dw), (ld, lh, lw)) = (g.dims, g.dilation);
+        let at = undilate(z.0 + t.off[0], ld, dd).zip(undilate(z.1 + t.off[1], lh, dh));
+        for (o, d) in (w0..).zip(row.iter_mut()) {
+            let iw = undilate((o * g.stride.2) as isize + t.off[2], lw, dw);
+            *d = match (at, iw) {
+                (Some((id, ih)), Some(iw)) => self.src[t.chan + (id * dh + ih) * dw + iw],
+                _ => E::ZERO,
+            };
+        }
+    }
+}
+
+/// `panel[r·NR + l] = rows[l·len + r]`: `NR` rows of `len` values turned
+/// into `len` panel rows of `NR` lanes, in 4×4 blocks the compiler lowers
+/// to vector shuffles.
+#[inline(always)]
+fn transpose_lanes<E: GemmElement>(rows: &[E], len: usize, panel: &mut [E]) {
+    let nr = E::NR;
+    debug_assert!(nr % 4 == 0 && rows.len() == nr * len && panel.len() == nr * len);
+    let full = len / 4 * 4;
+    for r in (0..full).step_by(4) {
+        for l in (0..nr).step_by(4) {
+            let a: [&[E]; 4] = std::array::from_fn(|i| &rows[(l + i) * len + r..][..4]);
+            for (j, out) in panel[r * nr + l..].chunks_mut(nr).take(4).enumerate() {
+                out[..4].copy_from_slice(&[a[0][j], a[1][j], a[2][j], a[3][j]]);
+            }
+        }
+    }
+    for r in full..len {
+        for (l, d) in panel[r * nr..(r + 1) * nr].iter_mut().enumerate() {
+            *d = rows[l * len + r];
         }
     }
 }
@@ -409,18 +476,18 @@ impl<E: GemmElement> Rows<'_, E> {
     }
 }
 
-/// The `Conv3d` forward over anchor rows `[ar0, ar1)` of one sample:
-/// `y[oc, j] = bias[oc] + (W · patches(src))[oc, ar0·ow + j]`, with the
-/// rows of `y` at stride `ldy`. One GEMM over the whole range — no
-/// chunking, no patch matrix, no separate bias pass — whose every output
-/// element is one fixed-order reduction over the full shared dimension,
-/// so any split of the anchor rows yields the same bits.
+/// A convolution over anchor rows `[ar0, ar1)` of one sample:
+/// `y[r, j] = bias[r] + (A · P(src))[r, ar0·ow + j]` (no bias term when
+/// `bias` is `None`), with the rows of `y` at stride `ldy`. One GEMM over
+/// the whole range — no chunking, no patch matrix, no separate bias pass —
+/// whose every output element is one fixed-order reduction over the full
+/// shared dimension, so any split of the anchor rows yields the same bits.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn conv_forward<E: GemmElement>(
     pa: &PackedA<E>,
     g: &ConvGeom,
     src: &[E],
-    bias: &[E],
+    bias: Option<&[E]>,
     ar0: usize,
     ar1: usize,
     y: &mut [E],
@@ -434,62 +501,166 @@ pub(crate) fn conv_forward<E: GemmElement>(
         |k0, kc_len, j0, jn, bpack| panels.fill(k0, kc_len, j0, jn, bpack),
         y,
         ldy,
-        Some(bias),
+        bias,
         false,
     );
 }
 
-/// Reusable per-layer lowering scratch: the patch-matrix buffers of the
-/// GEMM backend, grown on demand and kept across calls so steady-state
-/// training does no per-call allocation.
-///
-/// `Clone` intentionally produces an *empty* scratch: replicated models
-/// (data-parallel workers, [`crate::unet::UNet::deepened`]) must not drag
-/// megabytes of transient buffers through the copy.
-#[derive(Debug, Default)]
-pub(crate) struct Scratch<E: Element = f64> {
-    /// Patch matrix of the chunk currently being processed.
-    pub col: Vec<E>,
-    /// Second patch buffer (data-gradient product target in backward).
-    pub col2: Vec<E>,
-    /// Contiguous copy of a strided row-chunk operand (gradient or input
-    /// columns of one chunk).
-    pub tmp: Vec<E>,
-    /// Patch matrices of the whole last forward batch, cached for the
-    /// weight-gradient GEMM when within [`PATCH_CACHE_MAX`].
-    pub cached: Vec<E>,
-    /// Whether `cached` holds the last training forward's patch matrices.
-    pub cached_valid: bool,
-}
-
-impl<E: Element> Clone for Scratch<E> {
-    fn clone(&self) -> Self {
-        Scratch::default()
+/// [`conv_forward`] over every sample of a batch: `src` holds `c × vol()`
+/// values per sample, `dst` receives `m × cols()` per sample.
+pub(crate) fn conv_batch<E: GemmElement>(
+    pa: &PackedA<E>,
+    g: &ConvGeom,
+    src: &[E],
+    bias: Option<&[E]>,
+    dst: &mut [E],
+) {
+    let (svol, p) = (g.c * g.vol(), g.cols());
+    assert_eq!(src.len() / svol.max(1), dst.len() / (pa.m() * p).max(1));
+    for (s, d) in src.chunks_exact(svol).zip(dst.chunks_exact_mut(pa.m() * p)) {
+        conv_forward(pa, g, s, bias, 0, g.out.0 * g.out.1, d, p);
     }
 }
 
-/// Largest total patch-matrix element count (per layer, whole batch) kept
-/// alive between forward and backward: 2^23 elements = 64 MiB of f64.
-/// Above this, backward re-gathers patches per sample from the cached
-/// input instead.
-pub(crate) const PATCH_CACHE_MAX: usize = 1 << 23;
+/// Packs the adjoint kernel for [`ConvGeom::transposed`] gathers: `w`
+/// holds an `[a, b, kvol]` kernel and the packed `b × (a·kvol)` matrix is
+/// `A[j, i·kvol + t] = w[i, j, kvol − 1 − t]` — channels transposed, and
+/// the flat tap index reversed, which flips all three kernel axes.
+pub(crate) fn pack_flipped<E: GemmElement>(w: &[E], a: usize, b: usize, kvol: usize) -> PackedA<E> {
+    assert_eq!(w.len(), a * b * kvol);
+    let mut f = Vec::with_capacity(w.len());
+    for j in 0..b {
+        for i in 0..a {
+            f.extend(w[(i * b + j) * kvol..][..kvol].iter().rev());
+        }
+    }
+    pack_a(&f, b, a * kvol, false)
+}
 
-/// Target element count of one patch-matrix chunk (2^20 ≈ 8 MiB of f64)
-/// for the passes that still materialize patch columns — the backward
-/// passes and the `ConvTranspose3d` forward. It bounds their transient
-/// scratch at megavoxel grids; at 8 MiB a chunk lives in L3, not in the
-/// 2 MiB per-core L2. The `Conv3d` forward does not chunk: it gathers
-/// straight into GEMM panels ([`conv_forward`]).
-pub(crate) const CHUNK_ELEMS: usize = 1 << 20;
+/// Positions per [`weight_grad`] block: the unit of parallel work.
+const WGRAD_BLOCK: usize = 2048;
+/// Most blocks one sample's positions are cut into.
+const WGRAD_MAX_BLOCKS: usize = 64;
 
-/// Splits a sample's anchor rows (flattened `(o_d, o_h)` space) into
-/// chunks of roughly [`CHUNK_ELEMS`] patch elements each, returned as an
-/// iterator of `(ar0, ar1)` ranges.
-pub(crate) fn anchor_chunks(g: &ConvGeom) -> impl Iterator<Item = (usize, usize)> {
-    let rows = g.out.0 * g.out.1;
-    let per_row = g.rows() * g.out.2;
-    let step = (CHUNK_ELEMS / per_row.max(1)).clamp(1, rows.max(1));
-    (0..rows.div_ceil(step)).map(move |i| (i * step, ((i + 1) * step).min(rows)))
+/// Weight gradient `gw += Σₙ lhsₙ · P(srcₙ)ᵀ` over a batch of `n` samples:
+/// `lhs` holds an `m × cols()` matrix per sample, `src` the gathered grid
+/// per sample, and `gw` the `m × rows()` product.
+///
+/// Each sample's positions are cut into blocks whose bounds depend only on
+/// their count. Every block is one sequential GEMM whose `B` panels are
+/// gathered from `src` ([`PatchPanels::fill_t`]), one `NR`-wide tap panel
+/// at a time so each panel is consumed while it is in L1; the blocks run in
+/// parallel and their partial products are added into `gw` in (sample,
+/// block) order, so the result is bitwise identical at any thread count.
+pub(crate) fn weight_grad<E: GemmElement>(
+    g: &ConvGeom,
+    src: &[E],
+    lhs: &[E],
+    n: usize,
+    gw: &mut [E],
+) {
+    let (p, kdim, svol) = (g.cols(), g.rows(), g.c * g.vol());
+    let m = gw.len() / kdim.max(1);
+    assert_eq!(gw.len(), m * kdim);
+    assert_eq!(src.len(), n * svol);
+    assert_eq!(lhs.len(), n * m * p);
+    if n * m * p * kdim == 0 {
+        return;
+    }
+    let blen = p.div_ceil(p.div_ceil(WGRAD_BLOCK).min(WGRAD_MAX_BLOCKS));
+    let per = p.div_ceil(blen);
+    let mk = m * kdim;
+    let mut partials = vec![E::ZERO; n * per * mk];
+    let pptr = SyncSlice::new(&mut partials);
+    par_jobs_with(n * per, mk * blen, Default::default, |(bpack, rows), b| {
+        let (ni, q0) = (b / per, b % per * blen);
+        let pa = pack_a_cols(&lhs[ni * m * p..][..m * p], m, p, q0..(q0 + blen).min(p));
+        let panels = PatchPanels::new(g, &src[ni * svol..][..svol], q0);
+        // SAFETY: block `b` exclusively owns partials[b*mk .. (b+1)*mk].
+        let part = unsafe { pptr.slice_mut(b * mk, mk) };
+        // The fill borrows its transpose scratch through the `Fn` closure.
+        let tmp = std::cell::RefCell::new(std::mem::take(rows));
+        let fill = |k0, kc_len, j0, jn, bp: &mut [E]| {
+            panels.fill_t(k0, kc_len, j0, jn, bp, &mut tmp.borrow_mut())
+        };
+        for j0 in (0..kdim).step_by(E::NR) {
+            let j1 = (j0 + E::NR).min(kdim);
+            gemm_prepacked_serial(&pa, j0..j1, &fill, &mut part[j0..], kdim, None, bpack);
+        }
+        *rows = tmp.into_inner();
+    });
+    for part in partials.chunks_exact(mk) {
+        for (w, &s) in gw.iter_mut().zip(part) {
+            *w += s;
+        }
+    }
+}
+
+/// The `ConvTranspose3d` forward when its windows tile the output
+/// (`kernel == stride`, no padding): per sample one GEMM `Vᵀ · Xₙ` (rows
+/// `(oc, tap)`, columns input positions) whose column slabs are written to
+/// their stride-`s` output positions as `bias + acc`. Every output element
+/// receives exactly one product row, so nothing accumulates and no zero tap
+/// is multiplied.
+///
+/// `pa` is `Vᵀ` (`out_c·kvol × in_c`), `g` the gather of the layer's data
+/// gradient (`c = out_c` over the output grid, anchored at input
+/// positions), `x` and `y` the whole batch.
+pub(crate) fn tiled_transpose_forward<E: GemmElement>(
+    pa: &PackedA<E>,
+    g: &ConvGeom,
+    x: &[E],
+    bias: &[E],
+    y: &mut [E],
+) {
+    assert_eq!(g.kernel, g.stride, "windows must tile the output");
+    assert_eq!(g.padding, [0, 0, 0], "windows must tile the output");
+    let (kvol, p, ovol) = (g.kvol(), g.cols(), g.vol());
+    let (m, in_c) = (pa.m(), pa.k());
+    assert_eq!(m, g.rows());
+    let n = y.len() / (g.c * ovol);
+    assert_eq!(y.len(), n * g.c * ovol);
+    assert_eq!(x.len(), n * in_c * p);
+    let rbias: Vec<E> = (0..m).map(|r| bias[r / kvol]).collect();
+    let ((_, kh, kw), (sd, sh, sw)) = (g.kernel, g.stride);
+    let ((_, oh, ow), (_, in_h, in_w)) = (g.dims, g.out);
+    let slabs = p.div_ceil(E::NC);
+    let yptr = SyncSlice::new(y);
+    par_jobs_with(
+        n * slabs,
+        m * in_c,
+        || (Vec::new(), Vec::new()),
+        |(bpack, acc), job| {
+            let (ni, j0) = (job / slabs, job % slabs * E::NC);
+            let j1 = (j0 + E::NC).min(p);
+            let xs = &x[ni * in_c * p..][..in_c * p];
+            let fill =
+                |k0, kc_len, j0, jn, bp: &mut [E]| pack_b_slab(xs, p, 1, k0, kc_len, j0, jn, bp);
+            acc.resize(m * (j1 - j0), E::ZERO);
+            gemm_prepacked_serial(pa, j0..j1, &fill, acc, j1 - j0, Some(&rbias), bpack);
+            for (r, row) in acc.chunks_exact(j1 - j0).enumerate() {
+                let (oc, t) = (r / kvol, r % kvol);
+                let (td, th, tw) = (t / (kh * kw), t / kw % kh, t % kw);
+                let base = (ni * g.c + oc) * ovol;
+                // Walk the slab as runs along one input row.
+                let mut j = j0;
+                while j < j1 {
+                    let (a, w0) = (j / in_w, j % in_w);
+                    let len = (in_w - w0).min(j1 - j);
+                    let (i_d, i_h) = (a / in_h, a % in_h);
+                    let o = base + ((i_d * sd + td) * oh + i_h * sh + th) * ow + w0 * sw + tw;
+                    for (i, &v) in row[j - j0..j - j0 + len].iter().enumerate() {
+                        // SAFETY: with kernel == stride, (sample, channel,
+                        // tap, input position) ↦ output element is
+                        // injective and in bounds, so jobs write disjoint
+                        // elements of `y`.
+                        unsafe { yptr.set(o + i * sw, v) };
+                    }
+                    j += len;
+                }
+            }
+        },
+    );
 }
 
 /// Bias gradient `gb[oc] += Σ_{n,voxel} grad[n, oc, voxel]` shared by
@@ -512,27 +683,241 @@ pub(crate) fn bias_grad(grad: &[f64], n: usize, c: usize, vol: usize, gb: &mut [
     });
 }
 
+/// Test oracles: the explicit patch-matrix gather and scatter (im2col /
+/// col2im) that the implicit gathers replaced — the reference they and
+/// the tiled transpose forward are checked against bit for bit — and the
+/// direct sliding-window kernels wrapped as a [`Layer`].
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use mgd_tensor::matmul::pack_b_slab;
-    use proptest::prelude::*;
+pub(crate) mod reference {
+    use super::{anchor_range, bias_grad, ConvGeom};
+    use crate::layer::{Dims5, Layer};
+    use crate::param::Param;
+    use mgd_tensor::{Element, Tensor};
 
-    fn geom() -> ConvGeom {
-        ConvGeom {
-            c: 2,
-            dims: (1, 4, 5),
-            kernel: (1, 3, 3),
-            stride: (1, 1, 1),
-            padding: (0, 1, 1),
-            out: (1, 4, 5),
+    /// Target element count of one patch-matrix chunk (2^20 ≈ 8 MiB of
+    /// f64) in [`anchor_chunks`].
+    pub(crate) const CHUNK_ELEMS: usize = 1 << 20;
+
+    /// Anchor range of an undilated, non-negatively padded axis.
+    fn range(k: usize, stride: usize, pad: isize, extent: usize, anchors: usize) -> (usize, usize) {
+        anchor_range(k as isize - pad, stride, extent, anchors)
+    }
+
+    /// Gathers `src` (one sample, `c × dims` row-major) into the patch
+    /// matrix `col` (`rows() × cols()` row-major).
+    pub(crate) fn im2col<E: Element>(g: &ConvGeom, src: &[E], col: &mut [E]) {
+        im2col_range(g, src, col, 0, g.out.0 * g.out.1);
+    }
+
+    /// [`im2col`] restricted to anchor rows `[ar0, ar1)` of the flattened
+    /// `(o_d, o_h)` space — the column blocks `[ar0*ow, ar1*ow)`.
+    pub(crate) fn im2col_range<E: Element>(
+        g: &ConvGeom,
+        src: &[E],
+        col: &mut [E],
+        ar0: usize,
+        ar1: usize,
+    ) {
+        assert_eq!(g.dilation, (1, 1, 1));
+        let cols = (ar1 - ar0) * g.out.2;
+        assert_eq!(src.len(), g.c * g.vol());
+        assert_eq!(col.len(), g.rows() * cols);
+        let (_, kh, kw) = g.kernel;
+        let (sd, sh, sw) = g.stride;
+        let [pd, ph, pw] = g.padding;
+        let (dd, dh, dw) = g.dims;
+        let (_, oh, ow) = g.out;
+        for (r, dst) in col.chunks_exact_mut(cols).enumerate() {
+            let (ci, tap) = (r / g.kvol(), r % g.kvol());
+            let (kdi, rem) = (tap / (kh * kw), tap % (kh * kw));
+            let (khi, kwi) = (rem / kw, rem % kw);
+            let (dlo, dhi) = range(kdi, sd, pd, dd, g.out.0);
+            let (hlo, hhi) = range(khi, sh, ph, dh, oh);
+            let (wlo, whi) = range(kwi, sw, pw, dw, ow);
+            let chan = &src[ci * dd * dh * dw..(ci + 1) * dd * dh * dw];
+            dst.fill(E::ZERO);
+            for (a, run) in (ar0..ar1).zip(dst.chunks_exact_mut(ow)) {
+                let (o_d, o_h) = (a / oh, a % oh);
+                if o_d < dlo || o_d >= dhi || o_h < hlo || o_h >= hhi {
+                    continue;
+                }
+                let id = (o_d * sd + kdi) as isize - pd;
+                let ih = (o_h * sh + khi) as isize - ph;
+                let srow = (id as usize * dh + ih as usize) * dw;
+                for o_w in wlo..whi {
+                    run[o_w] = chan[srow + ((o_w * sw + kwi) as isize - pw) as usize];
+                }
+            }
         }
     }
 
-    /// Brute-force reference gather.
-    fn im2col_naive(g: &ConvGeom, src: &[f64]) -> Vec<f64> {
-        let mut col = vec![0.0; g.rows() * g.cols()];
+    /// Scatters the patch matrix `col` back onto `dst`, **accumulating**
+    /// overlapping windows: the adjoint of [`im2col`].
+    pub(crate) fn col2im_accumulate<E: Element>(g: &ConvGeom, col: &[E], dst: &mut [E]) {
+        col2im_range_accumulate(g, col, dst, 0, g.out.0 * g.out.1);
+    }
+
+    /// [`col2im_accumulate`] restricted to anchor rows `[ar0, ar1)`.
+    pub(crate) fn col2im_range_accumulate<E: Element>(
+        g: &ConvGeom,
+        col: &[E],
+        dst: &mut [E],
+        ar0: usize,
+        ar1: usize,
+    ) {
+        assert_eq!(g.dilation, (1, 1, 1));
+        let cols = (ar1 - ar0) * g.out.2;
+        assert_eq!(dst.len(), g.c * g.vol());
+        assert_eq!(col.len(), g.rows() * cols);
         let (_, kh, kw) = g.kernel;
+        let (sd, sh, sw) = g.stride;
+        let [pd, ph, pw] = g.padding;
+        let (dd, dh, dw) = g.dims;
+        let (_, oh, ow) = g.out;
+        for (r, src) in col.chunks_exact(cols).enumerate() {
+            let (ci, tap) = (r / g.kvol(), r % g.kvol());
+            let chan = &mut dst[ci * dd * dh * dw..(ci + 1) * dd * dh * dw];
+            let (kdi, rem) = (tap / (kh * kw), tap % (kh * kw));
+            let (khi, kwi) = (rem / kw, rem % kw);
+            let (dlo, dhi) = range(kdi, sd, pd, dd, g.out.0);
+            let (hlo, hhi) = range(khi, sh, ph, dh, oh);
+            let (wlo, whi) = range(kwi, sw, pw, dw, ow);
+            for (a, run) in (ar0..ar1).zip(src.chunks_exact(ow)) {
+                let (o_d, o_h) = (a / oh, a % oh);
+                if o_d < dlo || o_d >= dhi || o_h < hlo || o_h >= hhi {
+                    continue;
+                }
+                let id = (o_d * sd + kdi) as isize - pd;
+                let ih = (o_h * sh + khi) as isize - ph;
+                let drow = (id as usize * dh + ih as usize) * dw;
+                for o_w in wlo..whi {
+                    chan[drow + ((o_w * sw + kwi) as isize - pw) as usize] += run[o_w];
+                }
+            }
+        }
+    }
+
+    /// Splits a sample's anchor rows into chunks of roughly
+    /// [`CHUNK_ELEMS`] patch elements each.
+    pub(crate) fn anchor_chunks(g: &ConvGeom) -> impl Iterator<Item = (usize, usize)> {
+        let rows = g.out.0 * g.out.1;
+        let per_row = g.rows() * g.out.2;
+        let step = (CHUNK_ELEMS / per_row.max(1)).clamp(1, rows.max(1));
+        (0..rows.div_ceil(step)).map(move |i| (i * step, ((i + 1) * step).min(rows)))
+    }
+
+    /// Whether two slices hold the same bits.
+    pub(crate) fn bits_eq<E: Element>(a: &[E], b: &[E]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.bits() == y.bits())
+    }
+
+    /// The direct sliding-window kernels of a convolution layer.
+    pub(crate) trait DirectKernels {
+        /// The forward, bias included.
+        fn forward_direct(&self, x: &Tensor) -> Tensor;
+        /// The input gradient; accumulates the weight (not the bias)
+        /// gradient.
+        fn backward_direct(&mut self, x: &Tensor, grad_out: &Tensor) -> Tensor;
+    }
+
+    /// A convolution layer running its direct kernels: the oracle as a
+    /// [`Layer`], so that it can be gradchecked and compared pass by pass.
+    #[derive(Clone, Debug)]
+    pub(crate) struct Direct<L>(pub L, Option<Tensor>);
+
+    impl<L> Direct<L> {
+        pub(crate) fn new(layer: L) -> Self {
+            Direct(layer, None)
+        }
+    }
+
+    impl<L: Layer + DirectKernels> Layer for Direct<L> {
+        fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+            if train {
+                self.1 = Some(x.clone());
+            }
+            self.0.forward_direct(x)
+        }
+
+        fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+            let x = self.1.take().expect("backward before forward");
+            let d = Dims5::of(grad_out);
+            let bias = self.0.params().pop().expect("conv layers end with a bias");
+            bias_grad(
+                grad_out.as_slice(),
+                d.n,
+                d.c,
+                d.vol(),
+                bias.grad.as_mut_slice(),
+            );
+            self.0.backward_direct(&x, grad_out)
+        }
+
+        fn params(&mut self) -> Vec<&mut Param> {
+            self.0.params()
+        }
+
+        fn name(&self) -> String {
+            format!("Direct({})", self.0.name())
+        }
+    }
+
+    /// Forward + backward `oracle` and `layer` (identical weights) on `x`
+    /// and one random cotangent: the output, the input gradient and every
+    /// parameter gradient must agree to `tol` relative L2 error.
+    pub(crate) fn assert_layers_agree(
+        oracle: &mut dyn Layer,
+        layer: &mut dyn Layer,
+        x: &Tensor,
+        tol: f64,
+    ) {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xE0);
+        let (yo, yl) = (oracle.forward(x, true), layer.forward(x, true));
+        assert_eq!(yo.dims(), yl.dims());
+        let err = yo.rel_l2_error(&yl);
+        assert!(err < tol, "{}: forward diverges by {err}", layer.name());
+        let g = Tensor::rand_uniform(yo.dims().to_vec(), -1.0, 1.0, &mut rng);
+        let (go, gl) = (oracle.backward(&g), layer.backward(&g));
+        let err = go.rel_l2_error(&gl);
+        assert!(
+            err < tol,
+            "{}: input gradient diverges by {err}",
+            layer.name()
+        );
+        for (po, pl) in oracle.params().into_iter().zip(layer.params()) {
+            let err = po.grad.rel_l2_error(&pl.grad);
+            assert!(
+                err < tol,
+                "{}: parameter gradient diverges by {err}",
+                layer.name()
+            );
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::reference::*;
+    use super::*;
+    use mgd_tensor::par::with_threads;
+    use mgd_tensor::Element;
+    use proptest::prelude::*;
+
+    fn geom() -> ConvGeom {
+        ConvGeom::new(2, (1, 4, 5), (1, 3, 3), (1, 1, 1), (0, 1, 1), (1, 4, 5))
+    }
+
+    /// Brute-force gather of the (possibly dilated, cropped) patch matrix.
+    fn im2col_naive<E: Element>(g: &ConvGeom, src: &[E]) -> Vec<E> {
+        let mut col = vec![E::ZERO; g.rows() * g.cols()];
+        let (_, kh, kw) = g.kernel;
+        let dil = [g.dilation.0, g.dilation.1, g.dilation.2];
+        let dims = [g.dims.0, g.dims.1, g.dims.2];
+        let sample = |axis: usize, o: usize, s: usize, k: usize| {
+            let u = usize::try_from((o * s + k) as isize - g.padding[axis]).ok()?;
+            (u % dil[axis] == 0 && u / dil[axis] < dims[axis]).then_some(u / dil[axis])
+        };
         for r in 0..g.rows() {
             let (ci, tap) = (r / g.kvol(), r % g.kvol());
             let (kdi, rem) = (tap / (kh * kw), tap % (kh * kw));
@@ -541,20 +926,14 @@ mod tests {
             for o_d in 0..g.out.0 {
                 for o_h in 0..g.out.1 {
                     for o_w in 0..g.out.2 {
-                        let id = (o_d * g.stride.0 + kdi) as isize - g.padding.0 as isize;
-                        let ih = (o_h * g.stride.1 + khi) as isize - g.padding.1 as isize;
-                        let iw = (o_w * g.stride.2 + kwi) as isize - g.padding.2 as isize;
-                        let inside = id >= 0
-                            && (id as usize) < g.dims.0
-                            && ih >= 0
-                            && (ih as usize) < g.dims.1
-                            && iw >= 0
-                            && (iw as usize) < g.dims.2;
-                        if inside {
-                            let off = ((ci * g.dims.0 + id as usize) * g.dims.1 + ih as usize)
-                                * g.dims.2
-                                + iw as usize;
-                            col[r * g.cols() + p] = src[off];
+                        let at = (
+                            sample(0, o_d, g.stride.0, kdi),
+                            sample(1, o_h, g.stride.1, khi),
+                            sample(2, o_w, g.stride.2, kwi),
+                        );
+                        if let (Some(id), Some(ih), Some(iw)) = at {
+                            col[r * g.cols() + p] =
+                                src[((ci * dims[0] + id) * dims[1] + ih) * dims[2] + iw];
                         }
                         p += 1;
                     }
@@ -564,34 +943,19 @@ mod tests {
         col
     }
 
+    fn ramp<E: Element>(len: usize) -> Vec<E> {
+        (0..len)
+            .map(|i| E::from_f64(((i * 37 + 11) % 101) as f64 / 7.0 - 6.0))
+            .collect()
+    }
+
     #[test]
     fn im2col_matches_naive_gather() {
         for g in [
             geom(),
-            ConvGeom {
-                c: 3,
-                dims: (4, 4, 4),
-                kernel: (3, 3, 3),
-                stride: (1, 1, 1),
-                padding: (1, 1, 1),
-                out: (4, 4, 4),
-            },
-            ConvGeom {
-                c: 1,
-                dims: (1, 6, 6),
-                kernel: (1, 3, 3),
-                stride: (1, 2, 2),
-                padding: (0, 1, 1),
-                out: (1, 3, 3),
-            },
-            ConvGeom {
-                c: 2,
-                dims: (3, 6, 10),
-                kernel: (2, 2, 2),
-                stride: (2, 2, 2),
-                padding: (0, 0, 0),
-                out: (1, 3, 5),
-            },
+            ConvGeom::new(3, (4, 4, 4), (3, 3, 3), (1, 1, 1), (1, 1, 1), (4, 4, 4)),
+            ConvGeom::new(1, (1, 6, 6), (1, 3, 3), (1, 2, 2), (0, 1, 1), (1, 3, 3)),
+            ConvGeom::new(2, (3, 6, 10), (2, 2, 2), (2, 2, 2), (0, 0, 0), (1, 3, 5)),
         ] {
             let src: Vec<f64> = (0..g.c * g.vol()).map(|i| i as f64 + 0.5).collect();
             let mut col = vec![f64::NAN; g.rows() * g.cols()];
@@ -603,15 +967,8 @@ mod tests {
     #[test]
     fn col2im_is_adjoint_of_im2col() {
         // <im2col(x), c> == <x, col2im(c)> for random-ish x, c — the
-        // defining property that makes the backward lowerings correct.
-        let g = ConvGeom {
-            c: 2,
-            dims: (2, 5, 4),
-            kernel: (2, 3, 2),
-            stride: (1, 2, 1),
-            padding: (1, 1, 1),
-            out: (3, 3, 5),
-        };
+        // defining property of the reference scatter.
+        let g = ConvGeom::new(2, (2, 5, 4), (2, 3, 2), (1, 2, 1), (1, 1, 1), (3, 3, 5));
         let x: Vec<f64> = (0..g.c * g.vol())
             .map(|i| ((i * 7 + 3) % 11) as f64 - 5.0)
             .collect();
@@ -629,14 +986,7 @@ mod tests {
 
     #[test]
     fn chunked_gather_scatter_matches_whole() {
-        let g = ConvGeom {
-            c: 2,
-            dims: (3, 5, 4),
-            kernel: (2, 3, 2),
-            stride: (1, 1, 2),
-            padding: (1, 1, 0),
-            out: (4, 5, 2),
-        };
+        let g = ConvGeom::new(2, (3, 5, 4), (2, 3, 2), (1, 1, 2), (1, 1, 0), (4, 5, 2));
         let src: Vec<f64> = (0..g.c * g.vol()).map(|i| (i as f64).sin()).collect();
         let mut whole = vec![0.0; g.rows() * g.cols()];
         im2col(&g, &src, &mut whole);
@@ -681,14 +1031,14 @@ mod tests {
 
     #[test]
     fn anchor_chunks_cover_all_rows() {
-        let g = ConvGeom {
-            c: 16,
-            dims: (64, 64, 64),
-            kernel: (3, 3, 3),
-            stride: (1, 1, 1),
-            padding: (1, 1, 1),
-            out: (64, 64, 64),
-        };
+        let g = ConvGeom::new(
+            16,
+            (64, 64, 64),
+            (3, 3, 3),
+            (1, 1, 1),
+            (1, 1, 1),
+            (64, 64, 64),
+        );
         let chunks: Vec<_> = anchor_chunks(&g).collect();
         assert!(chunks.len() > 1, "64³ must chunk");
         assert_eq!(chunks.first().unwrap().0, 0);
@@ -701,59 +1051,55 @@ mod tests {
         }
     }
 
-    #[test]
-    fn scratch_clone_is_empty() {
-        let s = Scratch {
-            col: vec![1.0; 8],
-            col2: vec![2.0; 8],
-            tmp: vec![4.0; 8],
-            cached: vec![3.0; 8],
-            cached_valid: true,
-        };
-        let c = s.clone();
-        assert!(c.col.is_empty() && c.col2.is_empty() && c.cached.is_empty());
-        assert!(!c.cached_valid);
-    }
-
-    /// The panel gather against the pipeline it replaces: `im2col_range`
-    /// over the same anchor rows, then `pack_b_slab` — bit for bit, for
-    /// every `KC` block and for a whole-range and an unaligned column slab.
-    fn gather_matches_im2col_then_pack<E: GemmElement>(g: &ConvGeom, ar0: usize, ar1: usize) {
-        let src: Vec<E> = (0..g.c * g.vol())
-            .map(|i| E::from_f64(((i * 37 + 11) % 101) as f64 / 7.0 - 6.0))
-            .collect();
-        let cols = (ar1 - ar0) * g.out.2;
-        let mut col = vec![E::ZERO; g.rows() * cols];
-        im2col_range(g, &src, &mut col, ar0, ar1);
-        let panels = PatchPanels::new(g, &src, ar0 * g.out.2);
-        let slabs = [(0, cols), (3.min(cols - 1), cols - 3.min(cols - 1))];
-        for k0 in (0..g.rows()).step_by(E::KC) {
-            let kc_len = E::KC.min(g.rows() - k0);
-            for (j0, jn) in slabs {
-                // Sentinel-filled and one panel longer than needed: both
-                // sides must write the same region and leave the rest.
-                let len = (jn.div_ceil(E::NR) + 1) * kc_len * E::NR;
-                let mut want = vec![E::from_f64(-7.25); len];
-                let mut got = want.clone();
-                pack_b_slab(&col, cols, 1, k0, kc_len, j0, jn, &mut want);
-                panels.fill(k0, kc_len, j0, jn, &mut got);
-                assert!(
-                    want.iter().zip(&got).all(|(a, b)| a.bits() == b.bits()),
-                    "{} {g:?} anchors {ar0}..{ar1} k0 {k0} cols {j0}+{jn}",
-                    E::NAME
-                );
+    /// Both panel gathers against the materialized patch matrix packed by
+    /// `pack_b_slab` — bit for bit, for every `KC` block and for a whole
+    /// and an unaligned slab: `fill` over anchor rows `[ar0, ar1)`, and
+    /// `fill_t` (the transpose) over the positions of the same rows.
+    fn gathers_match_pack<E: GemmElement>(g: &ConvGeom, ar0: usize, ar1: usize) {
+        let src: Vec<E> = ramp(g.c * g.vol());
+        let full = im2col_naive(g, &src);
+        let (rows, all) = (g.rows(), g.cols());
+        let (q0, cols) = (ar0 * g.out.2, (ar1 - ar0) * g.out.2);
+        let panels = PatchPanels::new(g, &src, q0);
+        let check = |k: usize, n: usize, transposed: bool| {
+            let slabs = [(0, n), (3.min(n - 1), n - 3.min(n - 1))];
+            for k0 in (0..k).step_by(E::KC) {
+                let kc_len = E::KC.min(k - k0);
+                for (j0, jn) in slabs {
+                    // Sentinel-filled and one panel longer than needed: both
+                    // sides must write the same region and leave the rest.
+                    let len = (jn.div_ceil(E::NR) + 1) * kc_len * E::NR;
+                    let mut want = vec![E::from_f64(-7.25); len];
+                    let mut got = want.clone();
+                    if transposed {
+                        pack_b_slab(&full, 1, all, q0 + k0, kc_len, j0, jn, &mut want);
+                        panels.fill_t(k0, kc_len, j0, jn, &mut got, &mut Vec::new());
+                    } else {
+                        pack_b_slab(&full, all, 1, k0, kc_len, q0 + j0, jn, &mut want);
+                        panels.fill(k0, kc_len, j0, jn, &mut got);
+                    }
+                    assert!(
+                        bits_eq(&want, &got),
+                        "{} {g:?} anchors {ar0}..{ar1} k0 {k0} cols {j0}+{jn} transposed {transposed}",
+                        E::NAME
+                    );
+                }
             }
-        }
+        };
+        check(rows, cols, false);
+        check(cols, rows, true);
     }
 
     proptest! {
         /// Random geometries: 2D (unit depth) and 3D, kernels 1–3, strides
         /// 1–2, padding 0–1, widths below, at and off multiples of both
         /// tiles' `NR` (ragged last panels), anchor ranges starting
-        /// mid-plane.
+        /// mid-plane — each also as its adjoint gather (dilated by the
+        /// stride, padding `k − 1 − p`, which crops when `p ≥ k`).
         #[test]
         fn panel_gather_is_im2col_then_pack(
             two_d_bit in 0usize..=1,
+            adjoint_bit in 0usize..=1,
             c in 1usize..=3,
             k in (1usize..=3, 1usize..=3, 1usize..=3),
             s in (1usize..=2, 1usize..=2, 1usize..=2),
@@ -771,23 +1117,20 @@ mod tests {
                 k.2.min(dims.2 + 2 * pad.2),
             );
             let out = |i: usize, k: usize, s: usize, p: usize| (i + 2 * p - k) / s + 1;
-            let g = ConvGeom {
-                c,
-                dims,
-                kernel: kern,
-                stride: s,
-                padding: pad,
-                out: (
-                    out(dims.0, kern.0, s.0, pad.0),
-                    out(dims.1, kern.1, s.1, pad.1),
-                    out(dims.2, kern.2, s.2, pad.2),
-                ),
-            };
+            let out = (
+                out(dims.0, kern.0, s.0, pad.0),
+                out(dims.1, kern.1, s.1, pad.1),
+                out(dims.2, kern.2, s.2, pad.2),
+            );
+            let mut g = ConvGeom::new(c, dims, kern, s, pad, out);
+            if adjoint_bit == 1 {
+                g = g.transposed(c + 1);
+            }
             let rows = g.out.0 * g.out.1;
             let ar0 = range.0 % rows;
             let ar1 = ar0 + 1 + range.1 % (rows - ar0);
-            gather_matches_im2col_then_pack::<f64>(&g, ar0, ar1);
-            gather_matches_im2col_then_pack::<f32>(&g, ar0, ar1);
+            gathers_match_pack::<f64>(&g, ar0, ar1);
+            gathers_match_pack::<f32>(&g, ar0, ar1);
         }
     }
 
@@ -795,15 +1138,44 @@ mod tests {
     fn panel_gather_covers_multiple_k_blocks() {
         // 16 channels × 3³ taps = 432 patch rows: two KC blocks, the second
         // ragged, over a mid-plane anchor range of a 3D grid.
-        let g = ConvGeom {
-            c: 16,
-            dims: (3, 5, 21),
-            kernel: (3, 3, 3),
-            stride: (1, 1, 1),
-            padding: (1, 1, 1),
-            out: (3, 5, 21),
-        };
-        gather_matches_im2col_then_pack::<f64>(&g, 2, 13);
-        gather_matches_im2col_then_pack::<f32>(&g, 2, 13);
+        let g = ConvGeom::new(16, (3, 5, 21), (3, 3, 3), (1, 1, 1), (1, 1, 1), (3, 5, 21));
+        gathers_match_pack::<f64>(&g, 2, 13);
+        gathers_match_pack::<f32>(&g, 2, 13);
+    }
+
+    /// `weight_grad` against the materialized product `Σₙ lhsₙ · P(srcₙ)ᵀ`
+    /// (to round-off), and bitwise equal to itself at 1, 2 and 4 workers,
+    /// over a batch whose positions span several blocks.
+    #[test]
+    fn weight_grad_matches_patch_product_at_any_thread_count() {
+        let g = ConvGeom::new(3, (5, 9, 60), (3, 3, 3), (1, 1, 1), (1, 1, 1), (5, 9, 60));
+        let (n, m, p, kdim) = (2, 5, g.cols(), g.rows());
+        assert!(p > WGRAD_BLOCK, "the batch must span several blocks");
+        let src: Vec<f64> = ramp(n * g.c * g.vol());
+        let lhs: Vec<f64> = (0..n * m * p).map(|i| (i as f64 * 0.37).sin()).collect();
+        let mut want = vec![0.5; m * kdim];
+        for ni in 0..n {
+            let col = im2col_naive(&g, &src[ni * g.c * g.vol()..][..g.c * g.vol()]);
+            for (i, w) in want.iter_mut().enumerate() {
+                let (row, r) = (&lhs[(ni * m + i / kdim) * p..][..p], i % kdim);
+                *w += row
+                    .iter()
+                    .zip(&col[r * p..][..p])
+                    .map(|(a, b)| a * b)
+                    .sum::<f64>();
+            }
+        }
+        let runs: Vec<Vec<f64>> = [1, 2, 4]
+            .iter()
+            .map(|&t| {
+                let mut gw = vec![0.5; m * kdim];
+                with_threads(t, || weight_grad(&g, &src, &lhs, n, &mut gw));
+                gw
+            })
+            .collect();
+        for (w, got) in want.iter().zip(&runs[0]) {
+            assert!((w - got).abs() < 1e-10 * w.abs().max(1.0), "{w} vs {got}");
+        }
+        assert!(runs.windows(2).all(|r| bits_eq(&r[0], &r[1])));
     }
 }

@@ -20,7 +20,7 @@ use std::sync::Arc;
 /// inference element type (default `f64`).
 ///
 /// This is the serving-side counterpart of [`Model`]: `infer` takes `&self`
-/// and keeps every transient buffer in the caller's [`Workspace`], so one
+/// and keeps any per-call state in the caller's [`Workspace`], so one
 /// `Arc<dyn InferModel>` can answer predictions from any number of threads
 /// simultaneously — the contract the `EngineSnapshot` hot-swap publishing
 /// in `mgdiffnet` is built on. `f64` implementations must be bitwise

@@ -16,7 +16,7 @@
 //! — one plane for the U-Net's 3×3×3 blocks. [`infer_slab`] therefore
 //! exchanges one halo plane per side before each `Conv3d` (encoder,
 //! bottleneck and merge blocks) and computes **only the owned output
-//! planes** through the restricted im2col/GEMM lowering
+//! planes** through the restricted gathered-GEMM lowering
 //! ([`Conv3d::infer_planes_into`]). Every owned output element then sees
 //! exactly the operand values the serial pass sees, in the same
 //! accumulation order, so the assembled result is **bitwise identical** to
@@ -532,7 +532,7 @@ pub fn infer_slab<E: GemmElement + HaloElement>(
     net: &UNet<E>,
     slab: &Tensor<E>,
     comm: &dyn Comm,
-    ws: &mut Workspace<E>,
+    _ws: &mut Workspace<E>,
     opts: &SlabOpts,
 ) -> Tensor<E> {
     let axis = net.split_axis_of();
@@ -564,7 +564,7 @@ pub fn infer_slab<E: GemmElement + HaloElement>(
     }
     h = halo_block_infer(&net.bottleneck, h, comm, axis, &mut tag, opts, &mut meter);
     for i in (0..depth).rev() {
-        let up = net.ups[i].infer(&h, ws);
+        let up = net.ups[i].infer(&h);
         meter.alloc(up.len());
         meter.free(h.len());
         h = up;
@@ -729,6 +729,14 @@ mod tests {
         })
     }
 
+    /// Serializes the tests that run slab forwards: the activation meter
+    /// they feed is process-wide, so a concurrent slab forward would leak
+    /// into `measured_peak_stays_within_model`'s reading.
+    fn slab_lock() -> std::sync::MutexGuard<'static, ()> {
+        static SLAB_FORWARDS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        SLAB_FORWARDS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn spill_dir() -> PathBuf {
         let dir = std::env::temp_dir().join("mgd-spatial-tests");
         std::fs::create_dir_all(&dir).unwrap();
@@ -785,6 +793,7 @@ mod tests {
 
     #[test]
     fn spatial_forward_is_bitwise_serial_2d() {
+        let _slabs = slab_lock();
         for p in [2usize, 3, 4] {
             spatial_matches_serial(true, 2, [1, 16, 12], p, &SlabOpts::default());
         }
@@ -792,6 +801,7 @@ mod tests {
 
     #[test]
     fn spatial_forward_is_bitwise_serial_3d() {
+        let _slabs = slab_lock();
         for p in [2usize, 3] {
             spatial_matches_serial(false, 1, [8, 8, 4], p, &SlabOpts::default());
             spatial_matches_serial(false, 2, [16, 8, 4], p, &SlabOpts::default());
@@ -800,6 +810,7 @@ mod tests {
 
     #[test]
     fn overlap_off_is_bitwise_serial_too() {
+        let _slabs = slab_lock();
         let opts = SlabOpts {
             overlap: false,
             ..Default::default()
@@ -810,6 +821,7 @@ mod tests {
 
     #[test]
     fn skip_spill_is_bitwise_serial() {
+        let _slabs = slab_lock();
         let opts = SlabOpts {
             spill_dir: Some(spill_dir()),
             ..Default::default()
@@ -823,6 +835,7 @@ mod tests {
     /// half-empty wire word — using only bounded buffers.
     #[test]
     fn spill_stream_roundtrips_across_chunk_boundaries() {
+        let _slabs = slab_lock();
         fn roundtrip<E: HaloElement + PartialEq + std::fmt::Debug>(vals: &[E]) {
             let path = Path::new("spill-stream-roundtrip");
             let mut file = Vec::new();
@@ -881,6 +894,7 @@ mod tests {
             let split = p * mult * (1 << depth);
             let other = cross * (1 << depth);
             let dims = if two_d { [1, split, other] } else { [split, other, 4] };
+            let _slabs = slab_lock();
             spatial_matches_serial(
                 two_d,
                 depth,
@@ -893,6 +907,7 @@ mod tests {
 
     #[test]
     fn single_rank_slab_matches_predict() {
+        let _slabs = slab_lock();
         let mut a = net(false, 2, 5);
         let b = net(false, 2, 5);
         let mut rng = StdRng::seed_from_u64(1);
@@ -906,6 +921,7 @@ mod tests {
 
     #[test]
     fn model_trait_exposes_spatial_hooks() {
+        let _slabs = slab_lock();
         let m: Box<dyn Model> = Box::new(net(true, 2, 3));
         assert_eq!(m.spatial_align(), 4);
         let x = Tensor::zeros([1, 1, 1, 8, 8]);
@@ -970,6 +986,7 @@ mod tests {
 
     #[test]
     fn measured_peak_stays_within_model() {
+        let _slabs = slab_lock();
         for (opts, label) in [
             (SlabOpts::default(), "overlap"),
             (

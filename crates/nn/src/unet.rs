@@ -12,7 +12,6 @@ use crate::act::{LeakyReLU, Sigmoid};
 use crate::conv::Conv3d;
 use crate::convt::ConvTranspose3d;
 use crate::layer::{Dims5, Layer};
-use crate::lowering::ConvBackend;
 use crate::norm::BatchNorm;
 use crate::param::Param;
 use crate::pool::MaxPool3d;
@@ -44,11 +43,6 @@ pub struct UNetConfig {
     /// Weight-init RNG seed (replicated across data-parallel workers so all
     /// replicas start identical).
     pub seed: u64,
-    /// Convolution kernel implementation for every conv/transpose-conv
-    /// layer (default [`ConvBackend::Gemm`]; `Direct` keeps the reference
-    /// sliding-window loops for equivalence testing and bisection).
-    #[serde(default)]
-    pub conv_backend: ConvBackend,
 }
 
 impl Default for UNetConfig {
@@ -63,7 +57,6 @@ impl Default for UNetConfig {
             batch_norm: true,
             final_sigmoid: true,
             seed: 0,
-            conv_backend: ConvBackend::default(),
         }
     }
 }
@@ -103,7 +96,7 @@ impl ConvBlock {
     fn new(in_c: usize, out_c: usize, cfg: &UNetConfig, rng: &mut StdRng) -> Self {
         let k = if cfg.two_d { (1, 3, 3) } else { (3, 3, 3) };
         ConvBlock {
-            conv: Conv3d::same(in_c, out_c, k, rng).with_backend(cfg.conv_backend),
+            conv: Conv3d::same(in_c, out_c, k, rng),
             bn: if cfg.batch_norm {
                 Some(BatchNorm::new(out_c))
             } else {
@@ -284,10 +277,12 @@ impl UNet {
         let mut ups = Vec::new();
         let mut merges = Vec::new();
         for i in 0..cfg.depth {
-            ups.push(
-                ConvTranspose3d::up2(cfg.channels(i + 1), cfg.channels(i), cfg.two_d, &mut rng)
-                    .with_backend(cfg.conv_backend),
-            );
+            ups.push(ConvTranspose3d::up2(
+                cfg.channels(i + 1),
+                cfg.channels(i),
+                cfg.two_d,
+                &mut rng,
+            ));
             merges.push(ConvBlock::new(
                 2 * cfg.channels(i),
                 cfg.channels(i),
@@ -302,8 +297,7 @@ impl UNet {
             (1, 1, 1),
             (0, 0, 0),
             &mut rng,
-        )
-        .with_backend(cfg.conv_backend);
+        );
         let sigmoid = if cfg.final_sigmoid {
             Some(Sigmoid::new())
         } else {
@@ -390,16 +384,16 @@ impl<E: GemmElement> UNet<E> {
     }
 
     /// Shared-state inference forward: the full U-Net traversal of
-    /// [`Layer::forward`] with `train = false`, but `&self` — every layer's
-    /// transient buffers live in the caller's [`Workspace`], so one network
-    /// behind an `Arc` serves any number of concurrent callers with
-    /// bitwise-identical results to the exclusive path (at the default
-    /// `f64`).
+    /// [`Layer::forward`] with `train = false`, but `&self` — no layer
+    /// keeps per-call state (the [`Workspace`] is the serving API's
+    /// per-call handle), so one network behind an `Arc` serves any number
+    /// of concurrent callers with bitwise-identical results to the
+    /// exclusive path (at the default `f64`).
     ///
     /// Batches above `BATCH_CHUNK_VOL` voxels per sample run
     /// sample-by-sample so intermediate activations stay cache-resident;
     /// per-sample outputs are bitwise identical to the all-at-once pass.
-    pub fn infer(&self, x: &Tensor<E>, ws: &mut Workspace<E>) -> Tensor<E> {
+    pub fn infer(&self, x: &Tensor<E>, _ws: &mut Workspace<E>) -> Tensor<E> {
         let din = Dims5::of(x);
         self.check_input_dims(&din);
         if din.n > 1 && din.vol() > BATCH_CHUNK_VOL {
@@ -413,16 +407,16 @@ impl<E: GemmElement> UNet<E> {
                     vec![1, din.c, din.d, din.h, din.w],
                     xs[ni * in_vol..(ni + 1) * in_vol].to_vec(),
                 );
-                let out = self.infer_one(&sample, ws);
+                let out = self.infer_one(&sample);
                 y.as_mut_slice()[ni * out_vol..(ni + 1) * out_vol].copy_from_slice(out.as_slice());
             }
             return y;
         }
-        self.infer_one(x, ws)
+        self.infer_one(x)
     }
 
     /// One unchunked traversal (any batch size).
-    fn infer_one(&self, x: &Tensor<E>, ws: &mut Workspace<E>) -> Tensor<E> {
+    fn infer_one(&self, x: &Tensor<E>) -> Tensor<E> {
         let depth = self.cfg.depth;
         let mut skips: Vec<Tensor<E>> = Vec::with_capacity(depth);
         let mut h = x.clone();
@@ -433,7 +427,7 @@ impl<E: GemmElement> UNet<E> {
         }
         h = self.bottleneck.infer(&h);
         for i in (0..depth).rev() {
-            h = self.ups[i].infer(&h, ws);
+            h = self.ups[i].infer(&h);
             h = concat_channels(&h, &skips[i]);
             h = self.merges[i].infer(&h);
         }
@@ -570,6 +564,8 @@ impl Layer for UNet {
 mod tests {
     use super::*;
     use crate::gradcheck::{check_layer_gradient, FD_EPS_COARSE, FD_TOL_COARSE};
+    use crate::lowering::reference::DirectKernels;
+    use proptest::prelude::*;
 
     fn small_cfg() -> UNetConfig {
         UNetConfig {
@@ -836,14 +832,44 @@ mod tests {
         }
     }
 
+    /// The U-Net inference walk with every convolution on the direct
+    /// kernels: the oracle for the lowered network.
+    fn infer_direct(net: &UNet, x: &Tensor) -> Tensor {
+        let block = |b: &ConvBlock, h: &Tensor| {
+            let mut h = b.conv.forward_direct(h);
+            if let Some(bn) = &b.bn {
+                h = bn.infer(&h);
+            }
+            b.act.infer(&h)
+        };
+        let mut skips = Vec::new();
+        let mut h = x.clone();
+        for i in 0..net.cfg.depth {
+            h = block(&net.enc[i], &h);
+            skips.push(h.clone());
+            h = net.pools[i].infer(&h);
+        }
+        h = block(&net.bottleneck, &h);
+        for i in (0..net.cfg.depth).rev() {
+            h = concat_channels(&net.ups[i].forward_direct(&h), &skips[i]);
+            h = block(&net.merges[i], &h);
+        }
+        h = net.head.forward_direct(&h);
+        match &net.sigmoid {
+            Some(s) => s.infer(&h),
+            None => h,
+        }
+    }
+
     #[test]
     fn infer_matches_forward_bitwise_3d_direct() {
+        // 3D: infer == forward bit for bit, and the direct-kernel walk
+        // agrees to round-off.
         let cfg = UNetConfig {
             depth: 2,
             base_filters: 2,
             two_d: false,
             seed: 13,
-            conv_backend: ConvBackend::Direct,
             ..Default::default()
         };
         let mut net = UNet::new(cfg);
@@ -856,6 +882,21 @@ mod tests {
             .iter()
             .zip(yi.as_slice())
             .all(|(a, b)| a.to_bits() == b.to_bits()));
+        assert!(infer_direct(&net, &x).rel_l2_error(&y) < 1e-12);
+    }
+
+    proptest! {
+        /// A whole U-Net on the lowering matches the direct-kernel walk
+        /// weight for weight on forward prediction.
+        #[test]
+        fn unet_backends_agree(seed in 0u64..20) {
+            let cfg = UNetConfig { two_d: true, depth: 2, base_filters: 2, seed, ..Default::default() };
+            let mut net = UNet::new(cfg);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let x = Tensor::rand_uniform([1, 1, 1, 8, 8], -1.0, 1.0, &mut rng);
+            let y = net.forward(&x, false);
+            prop_assert!(infer_direct(&net, &x).rel_l2_error(&y) < 1e-12);
+        }
     }
 
     #[allow(clippy::disallowed_methods)] // test: concurrent shared-view readers

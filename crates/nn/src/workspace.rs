@@ -1,21 +1,14 @@
-//! Per-call inference scratch: the [`Workspace`] behind the `&self`
+//! Per-call inference scratch: the [`Workspace`] handle of the `&self`
 //! serving path.
 //!
-//! The training-side [`crate::layer::Layer::forward`] owns its scratch
-//! buffers (patch matrices, GEMM chunk outputs) inside each layer, which is
-//! why it takes `&mut self`. That is the wrong shape for serving: a model
-//! published behind an `Arc` must answer `predict` from any number of
-//! threads at once, so the transient buffers have to live with the *call*,
-//! not with the shared weights. `Workspace` is that per-call home — every
-//! concurrent reader owns one (cheaply default-constructed, grown on
-//! demand, reusable across requests on the same thread) and threads it
-//! through [`crate::ConvTranspose3d::infer`] / [`crate::UNet::infer`].
-//! ([`crate::Conv3d::infer`] needs none: it gathers patches straight into
-//! its GEMM's panels.)
-//!
-//! Buffers are shared across *layers* within a call: each layer resizes
-//! them to its chunk geometry before use, so a whole U-Net forward touches
-//! one pair of allocations in steady state.
+//! The serving entry points ([`crate::UNet::infer`],
+//! [`crate::model::InferModel::infer`], [`crate::spatial::infer_slab`])
+//! take a caller-owned `Workspace` so that transient buffers live with the
+//! *call*, not with weights shared behind an `Arc`. No layer uses its
+//! buffers: every convolution gathers its patches straight into its GEMM's
+//! panels, so they stay empty. The type is the per-call handle those
+//! signatures (and the workspace pools of the serving engine) are written
+//! against.
 //!
 //! ```
 //! use mgd_nn::{UNet, UNetConfig, Workspace};
@@ -35,20 +28,19 @@
 
 use mgd_tensor::Element;
 
-/// Reusable scratch buffers for the lock-free `&self` inference path.
+/// Per-call scratch handle for the lock-free `&self` inference path.
 ///
 /// One `Workspace` belongs to one call chain at a time (it is `&mut`
 /// through the whole forward); creating one is free — buffers start empty
-/// and grow to the largest chunk the network needs, then stay warm for the
-/// next request served by the same thread. The element type matches the
+/// and, since no layer uses them, stay empty. The element type matches the
 /// model it serves: `Workspace` (= `Workspace<f64>`) for the default
 /// double-precision path, `Workspace<f32>` for the single-precision
-/// serving fast path (half the scratch bytes per chunk).
+/// serving path.
 #[derive(Debug, Default)]
 pub struct Workspace<E: Element = f64> {
-    /// Patch-matrix chunk (col2im source).
+    /// Scratch buffer (unused by every layer).
     pub(crate) col: Vec<E>,
-    /// Contiguous copy of a strided row-chunk operand.
+    /// Scratch buffer (unused by every layer).
     pub(crate) tmp: Vec<E>,
 }
 

@@ -4,45 +4,13 @@ use mgd_dist::{carve_planes, launch_with, SlabPartition};
 use mgd_nn::layer::Dims5;
 use mgd_nn::unet::{concat_channels, split_channels};
 use mgd_nn::{
-    predict_slab, Adam, Conv3d, ConvBackend, ConvTranspose3d, Layer, MaxPool3d, Optimizer, Param,
-    Sigmoid, SplitAxis, UNet, UNetConfig,
+    predict_slab, Adam, Conv3d, ConvTranspose3d, Layer, MaxPool3d, Optimizer, Param, Sigmoid,
+    SplitAxis, UNet, UNetConfig,
 };
 use mgd_tensor::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Forward + backward a layer pair (identical weights, different backends)
-/// on the same input/cotangent and assert every output and accumulated
-/// gradient agrees to ≤ `tol` relative L2 error.
-fn assert_backends_equivalent<L: Layer + Clone>(mut direct: L, mut gemm: L, x: &Tensor, tol: f64) {
-    let mut rng = StdRng::seed_from_u64(0xE0);
-    let yd = direct.forward(x, true);
-    let yg = gemm.forward(x, true);
-    prop_assert_eq!(yd.dims(), yg.dims());
-    prop_assert!(
-        yd.rel_l2_error(&yg) < tol,
-        "forward diverges: {}",
-        yd.rel_l2_error(&yg)
-    );
-    let g = Tensor::rand_uniform(yd.dims().to_vec(), -1.0, 1.0, &mut rng);
-    let gxd = direct.backward(&g);
-    let gxg = gemm.backward(&g);
-    prop_assert!(
-        gxd.rel_l2_error(&gxg) < tol,
-        "input grad diverges: {}",
-        gxd.rel_l2_error(&gxg)
-    );
-    let pd: Vec<Tensor> = direct.params().iter().map(|p| p.grad.clone()).collect();
-    let pg: Vec<Tensor> = gemm.params().iter().map(|p| p.grad.clone()).collect();
-    for (i, (a, b)) in pd.iter().zip(&pg).enumerate() {
-        prop_assert!(
-            a.rel_l2_error(b) < tol,
-            "param {i} grad diverges: {}",
-            a.rel_l2_error(b)
-        );
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
@@ -126,68 +94,6 @@ proptest! {
         let y = net.forward(&x, false);
         prop_assert_eq!(y.dims(), &[1, 1, 1, m, m]);
         prop_assert!(y.as_slice().iter().all(|&v| v > 0.0 && v < 1.0));
-    }
-
-    /// The GEMM lowering computes the same convolution as the direct
-    /// sliding-window kernels — forward and all three gradients — across
-    /// random channels, kernels (incl. 2D `(1,k,k)`), strides and paddings.
-    #[test]
-    fn conv_gemm_matches_direct(
-        n in 1usize..3, cin in 1usize..4, cout in 1usize..4,
-        kd in 1usize..4, khw in 1usize..4,
-        sd in 1usize..3, shw in 1usize..3,
-        pd in 0usize..2, phw in 0usize..2,
-        extra in 0usize..4, seed in 0u64..1000,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        // Spatial extents large enough for the kernel at this padding.
-        let d = (kd.saturating_sub(2 * pd)).max(1) + extra;
-        let hw = (khw.saturating_sub(2 * phw)).max(1) + extra + 1;
-        let direct = Conv3d::new(cin, cout, (kd, khw, khw), (sd, shw, shw), (pd, phw, phw), &mut rng)
-            .with_backend(ConvBackend::Direct);
-        let gemm = direct.clone().with_backend(ConvBackend::Gemm);
-        let x = Tensor::rand_uniform([n, cin, d, hw, hw], -1.0, 1.0, &mut rng);
-        assert_backends_equivalent(direct, gemm, &x, 1e-10);
-    }
-
-    /// Same equivalence for the transpose convolution (the decoder path),
-    /// including strided upsampling and output padding.
-    #[test]
-    fn convt_gemm_matches_direct(
-        n in 1usize..3, cin in 1usize..4, cout in 1usize..4,
-        kd in 1usize..4, khw in 1usize..4,
-        sd in 1usize..3, shw in 1usize..3,
-        p in 0usize..2,
-        extra in 0usize..4, seed in 0u64..1000,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        // i >= 3 keeps (i-1)s + k - 2p >= 1 for every drawn combination.
-        let d = 3 + extra;
-        let hw = 3 + extra;
-        let direct =
-            ConvTranspose3d::new(cin, cout, (kd, khw, khw), (sd, shw, shw), (p, p, p), &mut rng)
-                .with_backend(ConvBackend::Direct);
-        let gemm = direct.clone().with_backend(ConvBackend::Gemm);
-        let x = Tensor::rand_uniform([n, cin, d, hw, hw], -1.0, 1.0, &mut rng);
-        assert_backends_equivalent(direct, gemm, &x, 1e-10);
-    }
-
-    /// A whole U-Net built on the Gemm backend matches the Direct build
-    /// weight-for-weight on forward prediction.
-    #[test]
-    fn unet_backends_agree(seed in 0u64..20) {
-        let base = UNetConfig {
-            two_d: true, depth: 2, base_filters: 2, seed,
-            conv_backend: ConvBackend::Direct,
-            ..Default::default()
-        };
-        let mut direct = UNet::new(base);
-        let mut gemm = UNet::new(UNetConfig { conv_backend: ConvBackend::Gemm, ..base });
-        let mut rng = StdRng::seed_from_u64(seed);
-        let x = Tensor::rand_uniform([1, 1, 1, 8, 8], -1.0, 1.0, &mut rng);
-        let yd = direct.forward(&x, false);
-        let yg = gemm.forward(&x, false);
-        prop_assert!(yd.rel_l2_error(&yg) < 1e-12);
     }
 
     /// FEM-convention slab partitions disjointly cover every node plane
@@ -309,28 +215,26 @@ proptest! {
         cin in 1usize..4, cout in 1usize..4,
         h in 3usize..8, w in 3usize..8, seed in 0u64..200,
     ) {
-        use mgd_nn::Workspace;
         use mgd_tensor::Element;
         let mut rng = StdRng::seed_from_u64(seed);
         let t = ConvTranspose3d::up2(cin, cout, true, &mut rng);
         let t32 = t.cast_as::<f32>();
         let x = Tensor::rand_uniform([1, cin, 1, h, w], -1.0, 1.0, &mut rng);
-        let y64 = t.infer(&x, &mut Workspace::new());
-        let y32 = t32.infer(&x.cast::<f32>(), &mut Workspace::<f32>::new());
+        let y64 = t.infer(&x);
+        let y32 = t32.infer(&x.cast::<f32>());
         let err = y64.rel_l2_error(&y32.cast::<f64>());
         prop_assert!(err < <f32 as Element>::EQUIV_TOL, "convt f32 drift {err}");
     }
 
-    /// A whole f32 U-Net replica (random seeds, both conv backends) tracks
-    /// the f64 master network within the f32 equivalence tolerance, and
-    /// repeat runs are bitwise deterministic.
+    /// A whole f32 U-Net replica (random seeds) tracks the f64 master
+    /// network within the f32 equivalence tolerance, and repeat runs are
+    /// bitwise deterministic.
     #[test]
-    fn unet_f32_matches_f64(seed in 0u64..30, gemm_bit in 0usize..2) {
+    fn unet_f32_matches_f64(seed in 0u64..30) {
         use mgd_nn::Workspace;
         use mgd_tensor::Element;
         let cfg = UNetConfig {
             two_d: true, depth: 2, base_filters: 2, seed,
-            conv_backend: if gemm_bit == 1 { ConvBackend::Gemm } else { ConvBackend::Direct },
             ..Default::default()
         };
         let mut net = UNet::new(cfg);

@@ -2,10 +2,11 @@
 //! element type.
 //!
 //! This is the single compute kernel the convolution layers of `mgd-nn`
-//! lower onto (im2col / col2im): `C = op(A) · op(B)` with optional
-//! accumulation into `C`. The design follows the classic GotoBLAS/BLIS
-//! decomposition, scaled to this workspace's shapes (a small-ish left
-//! operand — a weight matrix — times a wide patch matrix):
+//! lower onto, gathering their patch operand straight into the packed
+//! panels: `C = op(A) · op(B)` with optional accumulation into `C`. The
+//! design follows the classic GotoBLAS/BLIS decomposition, scaled to this
+//! workspace's shapes (a small-ish left operand — a weight matrix — times
+//! a wide patch matrix):
 //!
 //! - **Packing**: `op(A)` is packed once into column-major micro-panels of
 //!   `E::MR` rows ([`PackedA`], reusable across a whole mini-batch via
@@ -14,8 +15,10 @@
 //!   micro-kernel read sequential regardless of the logical layout, and
 //!   absorbs both transposes and edge-tile zero padding. The B panels can
 //!   also come from a caller-supplied fill ([`gemm_prepacked_with`]) —
-//!   the conv forward gathers its patch panels straight from the input
-//!   tensor — with an optional per-row bias added in the write-back.
+//!   the conv lowering gathers its patch panels straight from an
+//!   activation tensor — with an optional per-row bias added in the
+//!   write-back. [`gemm_prepacked_serial`] runs one column range of such a
+//!   product on the calling thread, for callers that split it themselves.
 //! - **Register tiling**: the micro-kernel accumulates an `MR × NR` tile in
 //!   local accumulators over an `E::KC`-long stretch of the shared
 //!   dimension, so each loaded element is reused `MR` (or `NR`) times. The
@@ -24,9 +27,9 @@
 //!   its ~2× GEMM ceiling comes from.
 //! - **Parallelism**: column slabs of `E::NC` columns are independent jobs
 //!   dispatched through [`crate::par::par_jobs_with`]; when the shared
-//!   dimension dominates (`k` huge, `m·n` tiny — the conv weight-gradient
-//!   shape), the kernel instead splits `k` into chunks reduced **in chunk
-//!   order**, so results are bitwise deterministic for any thread count.
+//!   dimension dominates (`k` huge, `m·n` tiny), [`gemm`] instead splits
+//!   `k` into chunks reduced **in chunk order**, so results are bitwise
+//!   deterministic for any thread count.
 //!   The split-k reduction normally accumulates in `E`; [`gemm_opts`] with
 //!   [`SplitKAcc::Wide`] reduces the `f32` partial products in `f64`
 //!   instead (a no-op for `f64`), trading one widening pass for immunity to
@@ -146,7 +149,7 @@ pub fn pack_a<E: GemmElement>(a: &[E], m: usize, k: usize, trans_a: bool) -> Pac
 ///
 /// This is the B-panel fill [`gemm_prepacked`] hands to
 /// [`gemm_prepacked_with`]; callers that gather `op(B)` on the fly (the
-/// conv forward's implicit im2col) must produce exactly this layout.
+/// conv lowering's patch panels) must produce exactly this layout.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn pack_b_slab<E: GemmElement>(
@@ -186,16 +189,17 @@ pub fn pack_b_slab<E: GemmElement>(
     }
 }
 
-/// Computes columns `[j0, j1)` of `C (m × n, row stride ldc) {=, +=}
-/// op(A) · B (+ bias)` sequentially, packing `B` through `fill_b`.
+/// Computes columns `[j0, j1)` of `op(A) · B (+ bias)` sequentially into
+/// `c`, whose element `i * ldc + (j - j0)` holds product column `j` of row
+/// `i`, packing `B` through `fill_b`.
 ///
 /// Each `KC` block's partial tile is stored (first block, not
 /// accumulating) or added into `C`; after the last block the row bias is
 /// added in front, so every element is `bias + (acc₀ + acc₁ + …)`.
 ///
 /// # Safety
-/// `c` must be valid for `(m - 1) * ldc + j1` elements and no other thread
-/// may touch columns `[j0, j1)` of any row concurrently.
+/// `c` must be valid for `(m - 1) * ldc + (j1 - j0)` elements and no other
+/// thread may touch those columns of any row concurrently.
 #[allow(clippy::too_many_arguments)]
 unsafe fn compute_cols<E: GemmElement, F: Fn(usize, usize, usize, usize, &mut [E])>(
     pa: &PackedA<E>,
@@ -212,7 +216,7 @@ unsafe fn compute_cols<E: GemmElement, F: Fn(usize, usize, usize, usize, &mut [E
     let jn = j1 - j0;
     let npanels = jn.div_ceil(nr_t);
     let kblocks = pa.k.div_ceil(kc_t);
-    bpack.resize(kc_t * npanels * nr_t, E::ZERO);
+    bpack.resize(kc_t.min(pa.k) * npanels * nr_t, E::ZERO);
     let mut acc = vec![E::ZERO; mr_t * nr_t];
     for kb in 0..kblocks {
         let k0 = kb * kc_t;
@@ -231,10 +235,10 @@ unsafe fn compute_cols<E: GemmElement, F: Fn(usize, usize, usize, usize, &mut [E
                 E::microkernel(kc_len, apanel, &bslab[np * kc_len * nr_t..], &mut acc);
                 for mr in 0..mvalid {
                     let i = i0 + mr;
-                    // SAFETY: row `i < m` at columns [jbase, jbase+nvalid)
-                    // ⊆ [j0, j1) lies inside `c` and belongs to this job
-                    // (caller contract).
-                    let row = std::slice::from_raw_parts_mut(c.add(i * ldc + jbase), nvalid);
+                    // SAFETY: row `i < m` at product columns [jbase,
+                    // jbase+nvalid) ⊆ [j0, j1) lies inside `c` and belongs
+                    // to this job (caller contract).
+                    let row = std::slice::from_raw_parts_mut(c.add(i * ldc + jbase - j0), nvalid);
                     let tile = &acc[mr * nr_t..mr * nr_t + nvalid];
                     match (first, last_bias.map(|b| b[i])) {
                         (true, None) => row.copy_from_slice(tile),
@@ -349,7 +353,7 @@ pub fn gemm_prepacked_with<E, F>(
             compute_cols(
                 pa,
                 &fill_b,
-                cptr.as_mut_ptr(),
+                cptr.as_mut_ptr().add(j0),
                 ldc,
                 j0,
                 j1,
@@ -361,6 +365,78 @@ pub fn gemm_prepacked_with<E, F>(
     });
 }
 
+/// Columns `cols` of `C = op(A) · B (+ bias)` on the calling thread, with
+/// [`gemm_prepacked_with`]'s fill and bias semantics: `c` holds `m` rows of
+/// `cols.len()` columns at row stride `ldc`, its column 0 being product
+/// column `cols.start`. `bpack` is the caller's panel scratch.
+///
+/// The building block for callers that split a product themselves — over
+/// `k` blocks reduced in a fixed order, or over column slabs whose results
+/// are scattered — so every element is the same fixed-order reduction
+/// [`gemm_prepacked_with`] would compute.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_prepacked_serial<E, F>(
+    pa: &PackedA<E>,
+    cols: std::ops::Range<usize>,
+    fill_b: &F,
+    c: &mut [E],
+    ldc: usize,
+    bias: Option<&[E]>,
+    bpack: &mut Vec<E>,
+) where
+    E: GemmElement,
+    F: Fn(usize, usize, usize, usize, &mut [E]),
+{
+    let jn = cols.len();
+    if pa.m == 0 || jn == 0 {
+        return;
+    }
+    assert!(
+        pa.k > 0,
+        "serial product needs a non-empty shared dimension"
+    );
+    assert!(ldc >= jn, "C row stride must cover the columns");
+    assert!(
+        c.len() >= (pa.m - 1) * ldc + jn,
+        "C storage must hold m rows at stride ldc"
+    );
+    if let Some(b) = bias {
+        assert_eq!(b.len(), pa.m, "bias must hold one entry per row");
+    }
+    // SAFETY: `c` is exclusively borrowed and holds every written element
+    // (asserted above).
+    unsafe {
+        compute_cols(
+            pa,
+            fill_b,
+            c.as_mut_ptr(),
+            ldc,
+            cols.start,
+            cols.end,
+            bias,
+            false,
+            bpack,
+        );
+    }
+}
+
+/// Packs columns `cols` of the `m`-row matrix stored row-major at row
+/// stride `lda` in `a` — a column block of a wider operand, packed without
+/// copying it out first.
+pub fn pack_a_cols<E: GemmElement>(
+    a: &[E],
+    m: usize,
+    lda: usize,
+    cols: std::ops::Range<usize>,
+) -> PackedA<E> {
+    assert!(cols.end <= lda, "column block exceeds the row stride");
+    assert!(
+        m == 0 || a.len() >= (m - 1) * lda + cols.end,
+        "A storage must hold m rows at stride lda"
+    );
+    pack_a_range(a, m, lda, 1, cols.start, cols.end)
+}
+
 /// `C (m × n) {=, +=} op(A) · op(B)`, all operands row-major slices of one
 /// element type.
 ///
@@ -368,9 +444,8 @@ pub fn gemm_prepacked_with<E, F>(
 /// (so `a` is `k × m`, resp. `b` is `n × k`); the transposition is absorbed
 /// while packing. `accumulate = false` overwrites `C`, `true` adds into it.
 ///
-/// Shape-adaptive dispatch: the wide/batched shapes of conv forward and
-/// data-gradient passes run the packed column-slab path; the conv
-/// weight-gradient shape (`k` huge, `m·n` small) runs a split-k path whose
+/// Shape-adaptive dispatch: wide shapes run the packed column-slab path;
+/// a huge shared dimension with a small `m·n` runs a split-k path whose
 /// partial products are reduced in chunk order — both bitwise deterministic
 /// across runs and thread counts.
 #[allow(clippy::too_many_arguments)]

@@ -181,6 +181,17 @@ impl<'a, T> SyncSlice<'a, T> {
         *self.ptr.add(i) += v;
     }
 
+    /// Stores `v` at index `i`.
+    ///
+    /// # Safety
+    /// Concurrent callers must target disjoint index sets, and `i` must be
+    /// in bounds (checked only in debug builds).
+    #[inline]
+    pub unsafe fn set(&self, i: usize, v: T) {
+        debug_assert!(i < self.len);
+        *self.ptr.add(i) = v;
+    }
+
     /// The sub-slice `[start, start + len)` (bounds are checked).
     ///
     /// # Safety
