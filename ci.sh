@@ -14,6 +14,9 @@ run cargo clippy --workspace --all-targets -- -D warnings
 run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 run cargo build --release --workspace
 run cargo test -q --workspace --no-fail-fast
+# Many test threads at once share the one process-wide worker pool, which
+# the default run on a 2-core machine never does.
+run cargo test -q -p mgd-tensor -p mgd-fem -- --test-threads=16
 # Fallback GEMM tiles: the default build targets this host's CPU, so only
 # one micro-kernel variant is dispatched to. Pinning the target CPU to AVX2
 # and to baseline x86-64 compiles and tests the other two; separate target

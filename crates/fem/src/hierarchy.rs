@@ -37,9 +37,10 @@ use crate::error::FemError;
 use crate::grid::Grid;
 use crate::pcg::{JacobiPrecond, PcgWorkspace, Precond};
 use crate::pde::PdeOperator;
-use crate::stencil::Stencil;
+use crate::stencil::{par_row_blocks, Stencil};
 use crate::system::FemSystem;
 use mgd_tensor::Element;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -100,8 +101,12 @@ fn sample_tables<const D: usize>(target: [usize; D], source: [usize; D]) -> Vec<
 
 /// One 1D pass of [`separable`] along the middle axis of an
 /// `(outer, ·, inner)` array: gathers `dst[o,i,:] = w0·src[o,j,:] +
-/// w1·src[o,j+1,:]` for `table[i] = (j, w0, w1)`, or scatters the
-/// transpose.
+/// w1·src[o,j+1,:]` for `table[i] = (j, w0, w1)`, or the transpose. The
+/// transpose is gathered too: `table[i].0` never decreases, so the source
+/// rows feeding output row `r` are one run, and adding them from zero in
+/// ascending `i` gives the bits of the scatter `dst[o,j,:] += w0·src[o,i,:]`,
+/// `dst[o,j+1,:] += w1·src[o,i,:]`. Each output row is written by one job,
+/// so the pass runs on fixed row blocks of the worker pool.
 fn axis_pass<E: Element>(
     table: &[(usize, f64, f64)],
     outer: usize,
@@ -111,28 +116,63 @@ fn axis_pass<E: Element>(
     src: &[E],
     dst: &mut [E],
 ) {
-    if transpose {
-        dst[..outer * n_dst * inner].fill(E::ZERO);
+    let dst = &mut dst[..outer * n_dst * inner];
+    // Transpose: output row `r` gathers source rows `runs[r]`, source row
+    // `i` with weight `weight(i, r)`.
+    let runs: Vec<Range<usize>> = match transpose {
+        true => (0..n_dst)
+            .map(|r| table.partition_point(|t| t.0 + 1 < r)..table.partition_point(|t| t.0 <= r))
+            .collect(),
+        false => Vec::new(),
+    };
+    let weight = |i: usize, r: usize| {
+        let (j, w0, w1) = table[i];
+        E::from_f64(if j == r { w0 } else { w1 })
+    };
+    if inner == 1 {
+        // The last axis, whose rows are single entries: gather whole lines.
+        par_row_blocks(dst, n_dst, |o0, lines| {
+            for (o, line) in (o0..).zip(lines.chunks_mut(n_dst)) {
+                let s = &src[o * n_src..][..n_src];
+                for (r, d) in line.iter_mut().enumerate() {
+                    *d = if transpose {
+                        runs[r]
+                            .clone()
+                            .fold(E::ZERO, |acc, i| acc + weight(i, r) * s[i])
+                    } else {
+                        let (j, w0, w1) = table[r];
+                        E::from_f64(w0) * s[j] + E::from_f64(w1) * s[j + 1]
+                    };
+                }
+            }
+        });
+        return;
     }
-    for o in 0..outer {
-        for (i, &(j, w0, w1)) in table.iter().enumerate() {
-            let (w0, w1) = (E::from_f64(w0), E::from_f64(w1));
+    par_row_blocks(dst, inner, |r0, rows| {
+        let (mut o, mut r) = (r0 / n_dst, r0 % n_dst);
+        for d in rows.chunks_mut(inner) {
+            let row = |i: usize| &src[(o * n_src + i) * inner..][..inner];
             if transpose {
-                let s = &src[(o * n_src + i) * inner..][..inner];
-                let (d0, d1) = dst[(o * n_dst + j) * inner..][..2 * inner].split_at_mut(inner);
-                for ((a, b), &v) in d0.iter_mut().zip(d1).zip(s) {
-                    *a += w0 * v;
-                    *b += w1 * v;
+                d.fill(E::ZERO);
+                for i in runs[r].clone() {
+                    let w = weight(i, r);
+                    for (d, &v) in d.iter_mut().zip(row(i)) {
+                        *d += w * v;
+                    }
                 }
             } else {
-                let (s0, s1) = src[(o * n_src + j) * inner..][..2 * inner].split_at(inner);
-                let d = &mut dst[(o * n_dst + i) * inner..][..inner];
-                for ((d, &a), &b) in d.iter_mut().zip(s0).zip(s1) {
+                let (j, w0, w1) = table[r];
+                let (w0, w1) = (E::from_f64(w0), E::from_f64(w1));
+                for ((d, &a), &b) in d.iter_mut().zip(row(j)).zip(row(j + 1)) {
                     *d = w0 * a + w1 * b;
                 }
             }
+            r += 1;
+            if r == n_dst {
+                (o, r) = (o + 1, 0);
+            }
         }
-    }
+    });
 }
 
 /// Applies the tensor product of the per-axis `tables` (axis 0 first) to
@@ -162,11 +202,13 @@ fn separable<E: Element, const D: usize>(
 
 /// Zeroes the entries of `v` whose `fixed` flag is set.
 fn mask<E: Element>(v: &mut [E], fixed: &[bool]) {
-    for (x, &fx) in v.iter_mut().zip(fixed) {
-        if fx {
-            *x = E::ZERO;
+    par_row_blocks(v, 1, |i0, v| {
+        for (x, &fx) in v.iter_mut().zip(&fixed[i0..]) {
+            if fx {
+                *x = E::ZERO;
+            }
         }
-    }
+    });
 }
 
 /// A free list of per-call scratch plus the number of calls that found it
@@ -492,9 +534,12 @@ impl<const D: usize> GridHierarchy<D> {
         }
         for l in (0..last).rev() {
             self.transfer_into(l, false, &sc.e[l + 1], &mut sc.s[l], &mut sc.t);
-            for (ei, &c) in sc.e[l].iter_mut().zip(&sc.s[l]) {
-                *ei += c;
-            }
+            let s = &sc.s[l];
+            par_row_blocks(&mut sc.e[l], 1, |i0, e| {
+                for (ei, &c) in e.iter_mut().zip(&s[i0..]) {
+                    *ei += c;
+                }
+            });
             stencil(l).smooth(&mut sc.e[l], &sc.b[l], omega, post, &mut sc.s[l]);
         }
     }

@@ -19,9 +19,10 @@
 //! vectorizable multiply-add at offset `dz·ny·nx + dy·nx + dx`.
 //!
 //! Sweeps (`apply`, residuals, the fused damped-Jacobi step, the residual
-//! norm) split the rows into at most 64 fixed blocks run with
-//! [`par_chunks`]; each output value is produced by one job in a fixed order,
-//! so results are bitwise independent of the thread count.
+//! norm) split the rows into at most 64 fixed blocks of at least one
+//! segment each, run with [`par_chunks`] on the worker pool from 16³ nodes
+//! up; each output value is produced by one job in a fixed order, so
+//! results are bitwise independent of the thread count.
 
 use crate::basis::ElementBasis;
 use crate::grid::Grid;
@@ -34,10 +35,46 @@ use mgd_tensor::{Element, F64_DIV_GUARD, PAR_THRESHOLD};
 const MAX_BLOCKS: usize = 64;
 /// Length of the stack accumulator a block is swept in.
 const SEG: usize = 256;
-/// Sweeps over fewer nodes stay on the calling thread: measured on a
-/// 2-core x86-64 VM, spawning workers cost as much as they saved at 32³
-/// and paid from 48³ up.
-const PAR_MIN_NODES: usize = 1 << 16;
+/// Sweeps over fewer nodes stay on the calling thread. Measured on a
+/// 2-core x86-64 VM against the persistent worker pool, with every size
+/// forked: an apply runs in 0.52–0.57× its one-core time at 16³ and 32³,
+/// 0.73–0.84× at 12³ and 0.89–0.96× at 8³. Those are back-to-back calls
+/// that find the helper awake; a sweep after serial coarse-level work may
+/// find it parked, so the gate sits where forking clearly pays.
+const PAR_MIN_NODES: usize = 1 << 12;
+
+/// Work hint for [`par_chunks`] over a pass touching `nodes` nodes:
+/// parallel from [`PAR_MIN_NODES`] up.
+fn node_work(nodes: usize) -> usize {
+    if nodes >= PAR_MIN_NODES {
+        PAR_THRESHOLD
+    } else {
+        0
+    }
+}
+
+/// Rows per block when `rows` rows of `row_len` entries are cut into at
+/// most [`MAX_BLOCKS`] blocks of at least one [`SEG`] of entries each (so
+/// a coarse grid's sweep is not dominated by per-block set-up).
+fn block_rows(rows: usize, row_len: usize) -> usize {
+    rows.div_ceil(MAX_BLOCKS).max(SEG.div_ceil(row_len))
+}
+
+/// Runs `f(r0, rows)` over `out` read as `row_len`-long rows, cut into
+/// fixed blocks of whole rows ([`block_rows`]; `r0` is a block's first
+/// row); one job per block, in parallel from [`PAR_MIN_NODES`] entries up.
+/// Block bounds depend only on the shape, so each entry is written by the
+/// same code in the same order at any worker count.
+pub(crate) fn par_row_blocks<T: Send>(
+    out: &mut [T],
+    row_len: usize,
+    f: impl Fn(usize, &mut [T]) + Sync,
+) {
+    let bl = block_rows(out.len() / row_len, row_len);
+    par_chunks(out, bl * row_len, node_work(out.len()), |b, rows| {
+        f(b * bl, rows)
+    });
+}
 
 /// `(dz, dy, dx)` of stencil plane `k` (`dz = 0` in 2D).
 #[inline]
@@ -204,7 +241,7 @@ impl<E: Element, const D: usize> Stencil<E, D> {
         assert_eq!(u.len(), self.num_nodes());
         let mut part = [0.0f64; MAX_BLOCKS];
         let nb = self.num_blocks();
-        par_chunks(&mut part[..nb], 1, self.sweep_work(), |blk, p| {
+        par_chunks(&mut part[..nb], 1, node_work(self.num_nodes()), |blk, p| {
             let mut s = 0.0;
             self.block_product(u, blk, |i, acc| {
                 let (b, fixed) = (&b[i..][..acc.len()], &fixed[i..][..acc.len()]);
@@ -248,20 +285,11 @@ impl<E: Element, const D: usize> Stencil<E, D> {
     }
 
     fn block_rows(&self) -> usize {
-        (self.dims[0] * self.dims[1]).div_ceil(MAX_BLOCKS)
+        block_rows(self.dims[0] * self.dims[1], self.dims[2])
     }
 
     fn num_blocks(&self) -> usize {
         (self.dims[0] * self.dims[1]).div_ceil(self.block_rows())
-    }
-
-    /// Work hint for [`par_chunks`]: parallel from [`PAR_MIN_NODES`] up.
-    fn sweep_work(&self) -> usize {
-        if self.num_nodes() >= PAR_MIN_NODES {
-            PAR_THRESHOLD
-        } else {
-            0
-        }
     }
 
     /// Runs `f(i, acc, out[i..i + acc.len()])` over every segment, where
@@ -269,10 +297,10 @@ impl<E: Element, const D: usize> Stencil<E, D> {
     fn sweep(&self, u: &[E], out: &mut [E], f: impl Fn(usize, &[E], &mut [E]) + Sync) {
         assert_eq!(u.len(), self.num_nodes());
         assert_eq!(out.len(), self.num_nodes());
-        let bn = self.block_rows() * self.dims[2];
-        par_chunks(out, bn, self.sweep_work(), |blk, o| {
-            self.block_product(u, blk, |i, acc| {
-                f(i, acc, &mut o[i - blk * bn..][..acc.len()]);
+        let (bl, nx) = (self.block_rows(), self.dims[2]);
+        par_row_blocks(out, nx, |r0, o| {
+            self.block_product(u, r0 / bl, |i, acc| {
+                f(i, acc, &mut o[i - r0 * nx..][..acc.len()]);
             });
         });
     }

@@ -3,10 +3,11 @@
 use mgd_fem::hierarchy::{GridHierarchy, HierarchyOptions};
 use mgd_fem::{
     apply_stiffness, apply_stiffness_serial, energy, Dirichlet, ElementBasis, FemSystem, Grid,
-    PdeOperator,
+    MixedHierarchy, PdeOperator, Precond,
 };
 use mgd_tensor::par::with_threads;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn field(n: usize, seed: u64, lo: f64, hi: f64) -> Vec<f64> {
     (0..n)
@@ -313,28 +314,53 @@ proptest! {
     }
 }
 
-/// Grids from 2^16 nodes up sweep in parallel: every sweep must still be
-/// bitwise identical at 1 and 2 threads.
+/// Grids from 2^12 nodes up sweep, transfer and V-cycle on the worker
+/// pool: every sweep and V-cycle must still be bitwise identical at 1, 2
+/// and 4 workers, at 32³ (the certified solver's grid) and at an uneven
+/// 48×40×36.
 #[test]
 fn large_grid_sweeps_are_thread_count_independent() {
-    let sys = random_system([48, 40, 36], PdeOperator::Poisson, 5);
-    let nn = sys.num_nodes();
-    let (u, b) = (field(nn, 6, -1.0, 1.0), field(nn, 7, -1.0, 1.0));
-    let run = |threads| {
-        with_threads(threads, || {
-            let (mut ku, mut r, mut s) = (vec![0.0; nn], vec![0.0; nn], u.clone());
-            sys.apply(&u, &mut ku);
-            sys.residual_into(&u, &b, &mut r);
-            sys.stencil().smooth(&mut s, &b, 0.7, 3, &mut vec![0.0; nn]);
-            (ku, r, s, sys.residual_norm(&u, &b))
-        })
-    };
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    let (one, two) = (run(1), run(2));
-    assert_eq!(bits(&one.0), bits(&two.0));
-    assert_eq!(bits(&one.1), bits(&two.1));
-    assert_eq!(bits(&one.2), bits(&two.2));
-    assert_eq!(one.3.to_bits(), two.3.to_bits());
+    for (n, seed) in [([32, 32, 32], 3), ([48, 40, 36], 5)] {
+        let sys = Arc::new(random_system(n, PdeOperator::Poisson, seed));
+        let nn = sys.num_nodes();
+        let (u, b) = (field(nn, 6, -1.0, 1.0), field(nn, 7, -1.0, 1.0));
+        let hier = GridHierarchy::from_finest(Arc::clone(&sys), HierarchyOptions::default());
+        let hier = hier.unwrap();
+        let mixed = MixedHierarchy::new(
+            GridHierarchy::from_finest(Arc::clone(&sys), HierarchyOptions::default()).unwrap(),
+        );
+        let run = |threads| {
+            with_threads(threads, || {
+                let (mut ku, mut r, mut s) = (vec![0.0; nn], vec![0.0; nn], u.clone());
+                sys.apply(&u, &mut ku);
+                sys.residual_into(&u, &b, &mut r);
+                sys.stencil().smooth(&mut s, &b, 0.7, 3, &mut vec![0.0; nn]);
+                let (mut v, mut vm) = (vec![0.0; nn], vec![0.0; nn]);
+                hier.apply(&b, &mut v);
+                mixed.apply(&b, &mut vm);
+                let norm = vec![sys.residual_norm(&u, &b)];
+                [ku, r, s, v, vm, norm].map(|x| bits(&x))
+            })
+        };
+        let one = run(1);
+        for threads in [2, 4] {
+            let got = run(threads);
+            for (what, (a, b)) in [
+                "apply",
+                "residual",
+                "smooth",
+                "V-cycle",
+                "f32 V-cycle",
+                "norm",
+            ]
+            .iter()
+            .zip(one.iter().zip(&got))
+            {
+                assert!(a == b, "{n:?}: {what} differs at {threads} workers");
+            }
+        }
+    }
 }
 
 /// Element-energy sums above the parallel gate add fixed block partials in

@@ -14,10 +14,10 @@
 //!   set). The `f64` instantiation is bit-for-bit the pre-generic code.
 //! - **NCDHW layout convention** for network activations: `(batch, channel,
 //!   depth, height, width)`. 2D problems use `depth == 1`.
-//! - **Parallelism with a sequential fallback**: every kernel forks through
-//!   [`par`] only above [`PAR_THRESHOLD`] touched elements, so tiny tensors
-//!   (unit tests, coarse multigrid levels) do not pay per-call thread
-//!   spawns.
+//! - **Parallelism with a sequential fallback**: every kernel forks onto
+//!   [`par`]'s process-wide worker pool only above [`PAR_THRESHOLD`]
+//!   touched elements, so tiny tensors (unit tests, coarse multigrid
+//!   levels) do not pay a helper wake-up.
 
 pub mod element;
 pub mod matmul;
@@ -31,8 +31,8 @@ pub use element::{Element, GemmElement, Precision, F64_DIV_GUARD};
 pub use shape::Shape;
 pub use tensor::Tensor;
 
-/// Number of touched elements from which the [`par`] helpers fork worker
-/// threads.
+/// Number of touched elements from which the [`par`] helpers fork onto the
+/// worker pool.
 ///
 /// Chosen so a 16x16 2D feature map stays sequential while any realistic
 /// 3D activation goes parallel.

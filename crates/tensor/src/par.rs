@@ -1,10 +1,18 @@
 //! The one place compute threads fork.
 //!
-//! [`par_jobs`] / [`par_jobs_with`] run a number of jobs on scoped worker
-//! threads that pull job indices from a shared cursor. Every other helper
-//! here is built on them: [`par_chunks`] hands each job a disjoint piece of
-//! an output slice, and [`SyncSlice`] is the raw-pointer wrapper for the
-//! disjoint writes that are not one contiguous piece per job.
+//! [`par_jobs`] / [`par_jobs_with`] run a number of jobs on one
+//! process-wide pool: the calling thread and up to one parked helper per
+//! further core pull job indices from a shared cursor. The helpers are
+//! started once, on the first fork, and then woken per call, so a fork
+//! costs a wake-up rather than a thread spawn. Every concurrent caller
+//! (training ranks, slab ranks, serve workers) shares the same helpers; a
+//! helper that finishes one caller's jobs joins the next caller's fork. A
+//! `par_jobs` call made inside a job runs inline on that job's thread.
+//!
+//! Every other function here is built on them: [`par_chunks`] hands each job
+//! a disjoint piece of an output slice, and [`SyncSlice`] is the
+//! raw-pointer wrapper for the disjoint writes that are not one contiguous
+//! piece per job.
 //!
 //! The `maybe_par_*` helpers are size-gated item loops. Below
 //! [`crate::PAR_THRESHOLD`] touched elements, or below a floor of 512
@@ -18,16 +26,25 @@
 
 use crate::element::Element;
 use crate::PAR_THRESHOLD;
+use std::any::Any;
 use std::cell::Cell;
 use std::marker::PhantomData;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::LocalKey;
+use std::time::{Duration, Instant};
 
 /// Item loops shorter than this stay on the calling thread, whatever their
-/// work hint: a per-call thread spawn costs more than a few hundred items
-/// save. This keeps `maybe_par_for` over a batch's samples, the per-sample
-/// loss map and the colour sweeps of coarse grids sequential.
+/// work hint. It keeps `maybe_par_for` over a batch's samples, the
+/// per-sample loss map and the colour sweeps of coarse grids sequential.
+/// Re-measured against the pool on a 2-core x86-64 VM, the floor no longer
+/// pays for itself in isolation: a 64–511-item loop at the
+/// [`PAR_THRESHOLD`] work product runs forked in about 0.6× its one-core
+/// time. It stays because some of those loops fork again inside each item
+/// (the per-sample loss map's energy sums), and an inner fork runs inline
+/// once the outer loop forks; no workload has measured that trade.
 const MIN_PAR_LEN: usize = 512;
 
 /// Most blocks a size-gated item loop is cut into (and the length of the
@@ -38,17 +55,40 @@ thread_local! {
     /// Worker count forced by [`with_threads`] on this thread (0: one per
     /// core).
     static THREADS: Cell<usize> = const { Cell::new(0) };
+    /// Set while this thread runs jobs of a fork (always, on a pool
+    /// helper): a fork made inside a job runs inline.
+    static IN_JOB: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Sets a thread-local cell until dropped, then restores its old value —
+/// also when the scope unwinds.
+struct Scoped<T: Copy + 'static> {
+    key: &'static LocalKey<Cell<T>>,
+    prev: T,
+}
+
+impl<T: Copy + 'static> Scoped<T> {
+    fn set(key: &'static LocalKey<Cell<T>>, value: T) -> Self {
+        let prev = key.with(|c| c.replace(value));
+        Scoped { key, prev }
+    }
+}
+
+impl<T: Copy + 'static> Drop for Scoped<T> {
+    fn drop(&mut self) {
+        self.key.with(|c| c.set(self.prev));
+    }
 }
 
 /// Runs `f` with every [`par_jobs`] / [`par_jobs_with`] call it makes on
-/// the calling thread that passes the size gate using exactly `threads`
-/// workers (0 restores one per core) — lets determinism tests compare
-/// results across thread counts.
+/// the calling thread that passes the size gate using at most `threads`
+/// workers: the caller plus up to `threads − 1` pool helpers (0 restores
+/// one per core). A test hook: it lets determinism tests compare results
+/// across worker counts. The previous count is restored when `f` returns
+/// or unwinds.
 pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-    let prev = THREADS.with(|t| t.replace(threads));
-    let out = f();
-    THREADS.with(|t| t.set(prev));
-    out
+    let _restore = Scoped::set(&THREADS, threads);
+    f()
 }
 
 /// One worker per core, read once per process: `available_parallelism`
@@ -58,13 +98,179 @@ fn cores() -> usize {
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Runs `jobs` coarse-grained tasks on a dynamically scheduled worker pool.
+/// Workers a fork of `jobs` jobs of `work_hint` touched elements each runs
+/// on, the caller included (1: it runs inline).
+fn workers(jobs: usize, work_hint: usize) -> usize {
+    let small = jobs <= 1 || jobs.saturating_mul(work_hint.max(1)) < PAR_THRESHOLD;
+    match THREADS.with(Cell::get) {
+        _ if small || IN_JOB.with(Cell::get) => 1,
+        0 => cores(),
+        forced => forced,
+    }
+}
+
+/// One fork in progress, on its caller's stack: the worker loop every
+/// participant runs, the helpers inside it, and the first panic a helper
+/// caught.
+struct Fork<'a> {
+    work: &'a (dyn Fn(bool) + Sync),
+    /// Helpers running `work` (raised under the pool lock).
+    inside: AtomicUsize,
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+/// A fork that still takes helpers (at least one).
+struct Open {
+    fork: *const Fork<'static>,
+    /// Helpers it still takes.
+    want: usize,
+}
+
+// SAFETY: the pointer is only dereferenced by helpers that joined the fork
+// under the pool lock, and its caller does not return before every one of
+// them has left (`Fork::inside` back to 0).
+unsafe impl Send for Open {}
+
+/// What the pool lock guards: the forks open to helpers, oldest first,
+/// and how many helpers are parked on [`Pool::wake`].
+struct State {
+    open: Vec<Open>,
+    parked: usize,
+}
+
+/// The process-wide pool.
+struct Pool {
+    state: Mutex<State>,
+    /// Parked helpers wait here for a fork.
+    wake: Condvar,
+    /// Callers wait here for their fork's helpers to leave.
+    left: Condvar,
+    /// Forks opened so far, which an idle helper watches while it spins.
+    opened: AtomicUsize,
+    /// Callers asleep on [`Pool::left`].
+    sleepers: AtomicUsize,
+}
+
+static POOL: Pool = Pool {
+    state: Mutex::new(State {
+        open: Vec::new(),
+        parked: 0,
+    }),
+    wake: Condvar::new(),
+    left: Condvar::new(),
+    opened: AtomicUsize::new(0),
+    sleepers: AtomicUsize::new(0),
+};
+
+/// How long an idle helper, or a caller whose helpers are still inside its
+/// fork, spins before it sleeps on a condvar. Solver sweeps fork back to
+/// back, microseconds apart, and waking a parked thread takes longer than
+/// that.
+const SPIN: Duration = Duration::from_micros(50);
+
+/// Spins until `done()` holds or [`SPIN`] has passed; returns `done()`.
+fn spin_until(done: impl Fn() -> bool) -> bool {
+    let start = Instant::now();
+    loop {
+        for _ in 0..64 {
+            if done() {
+                return true;
+            }
+            std::hint::spin_loop();
+        }
+        if start.elapsed() >= SPIN {
+            return done();
+        }
+    }
+}
+
+/// The pool lock. Nothing panics while it is held, so a poisoned lock
+/// still guards a consistent state.
+fn lock() -> MutexGuard<'static, State> {
+    POOL.state.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Waits on `cv`, recovering a poisoned lock as [`lock`] does.
+fn wait<'a>(cv: &Condvar, st: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+    cv.wait(st).unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Helpers in the pool, started on first use: one per core beyond the
+/// first, and at least one so that a forced worker count forks on a
+/// single core too.
+fn helpers() -> usize {
+    static HELPERS: OnceLock<usize> = OnceLock::new();
+    *HELPERS.get_or_init(|| {
+        (0..cores().max(2) - 1)
+            .take_while(|i| {
+                #[allow(clippy::disallowed_methods)] // the pool's one lazy start
+                let spawned = std::thread::Builder::new()
+                    .name(format!("mgd-par-{i}"))
+                    .spawn(helper);
+                spawned.is_ok()
+            })
+            .count()
+    })
+}
+
+/// A pool helper's life: join the oldest open fork, run its worker loop
+/// until its cursor is exhausted, leave, repeat; when none is open, spin
+/// briefly for the next one, then park.
+fn helper() {
+    IN_JOB.with(|c| c.set(true));
+    loop {
+        let seen = POOL.opened.load(Ordering::Acquire);
+        let mut st = lock();
+        let Some(open) = st.open.first_mut() else {
+            drop(st);
+            if spin_until(|| POOL.opened.load(Ordering::Acquire) != seen) {
+                continue;
+            }
+            let mut st = lock();
+            if st.open.is_empty() {
+                st.parked += 1;
+                st = wait(&POOL.wake, st);
+                st.parked -= 1;
+            }
+            continue;
+        };
+        // SAFETY: see `Open`; this helper is counted inside before the
+        // lock is released.
+        let fork = unsafe { &*open.fork };
+        open.want -= 1;
+        if open.want == 0 {
+            st.open.remove(0);
+        }
+        fork.inside.fetch_add(1, Ordering::Relaxed);
+        drop(st);
+        if let Err(p) = catch_unwind(AssertUnwindSafe(|| (fork.work)(true))) {
+            let mut first = fork.panic.lock().unwrap_or_else(PoisonError::into_inner);
+            first.get_or_insert(p);
+        }
+        // The caller may free `fork` as soon as this count reaches 0. A
+        // caller counts itself a sleeper before its last look at the
+        // count, so one of the two sees the other; taking the lock waits
+        // until a sleeping caller is inside `wait`.
+        if fork.inside.fetch_sub(1, Ordering::SeqCst) == 1
+            && POOL.sleepers.load(Ordering::SeqCst) > 0
+        {
+            let _st = lock();
+            POOL.left.notify_all();
+        }
+    }
+}
+
+/// Runs `jobs` coarse-grained tasks on the process-wide worker pool.
 ///
-/// Spawns up to `min(jobs, cores)` workers that pull job indices from a
-/// shared atomic cursor — the right shape for a handful of heavy, possibly
-/// imbalanced tasks such as GEMM column panels. Falls back to a sequential
-/// loop when `jobs <= 1`, the machine has one core, or `jobs * work_hint`
-/// (an estimate of total element touches) is below [`PAR_THRESHOLD`].
+/// The calling thread and up to `min(jobs, cores) − 1` pool helpers pull
+/// job indices from a shared atomic cursor, the caller from its front and
+/// the helpers from its back — the right shape for a handful of heavy,
+/// possibly imbalanced tasks such as GEMM column panels. Runs as
+/// a sequential loop on the caller when `jobs <= 1`, when `jobs *
+/// work_hint` (an estimate of total element touches) is below
+/// [`PAR_THRESHOLD`], or when called from inside another fork's job. A
+/// panicking job is re-raised on the caller once every helper has left
+/// the fork.
 ///
 /// Which worker runs which job is nondeterministic; callers must make jobs
 /// write disjoint outputs (each with a fixed internal order) so results stay
@@ -75,44 +281,78 @@ pub fn par_jobs<F: Fn(usize) + Sync>(jobs: usize, work_hint: usize, f: F) {
 
 /// [`par_jobs`] with per-worker scratch state.
 ///
-/// `init` runs once per worker (and once for the sequential fallback); the
-/// resulting state is threaded through every job that worker executes, so
-/// expensive scratch buffers are allocated `O(cores)` times instead of
-/// `O(jobs)` times.
+/// `init` runs at most once per participating worker, before its first
+/// job (and once for the sequential fallback); the resulting state is
+/// threaded through every job that worker executes, so expensive scratch
+/// buffers are allocated `O(cores)` times instead of `O(jobs)` times.
 pub fn par_jobs_with<S, I, F>(jobs: usize, work_hint: usize, init: I, f: F)
 where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) + Sync,
 {
-    let small = jobs <= 1 || jobs.saturating_mul(work_hint.max(1)) < PAR_THRESHOLD;
-    let threads = match THREADS.with(Cell::get) {
-        _ if small => 1,
-        0 => cores(),
-        forced => forced,
-    };
-    if threads <= 1 {
+    let threads = workers(jobs, work_hint);
+    let want = threads.min(jobs).saturating_sub(1);
+    if want == 0 || helpers() == 0 {
         let mut state = init();
         for j in 0..jobs {
             f(&mut state, j);
         }
         return;
     }
-    let cursor = AtomicUsize::new(0);
-    #[allow(clippy::disallowed_methods)] // the sanctioned compute fork
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(jobs) {
-            scope.spawn(|| {
-                let mut state = init();
-                loop {
-                    let j = cursor.fetch_add(1, Ordering::Relaxed);
-                    if j >= jobs {
-                        break;
-                    }
-                    f(&mut state, j);
-                }
-            });
+    // Jobs taken from the front (low half) and from the back (high half).
+    // The caller takes from the front and helpers from the back, so the
+    // caller keeps the leading jobs from call to call and their data stays
+    // in its core's cache across the sweeps of a solve.
+    assert!(jobs < 1 << 31, "{jobs} jobs");
+    let cursor = AtomicU64::new(0);
+    let work = |back: bool| {
+        let mut state = None;
+        loop {
+            let taken = cursor.fetch_add(if back { 1 << 32 } else { 1 }, Ordering::Relaxed);
+            let (front, behind) = ((taken & 0xffff_ffff) as usize, (taken >> 32) as usize);
+            if front + behind >= jobs {
+                break;
+            }
+            let j = if back { jobs - 1 - behind } else { front };
+            f(state.get_or_insert_with(&init), j);
         }
-    });
+    };
+    let fork = Fork {
+        work: &work,
+        inside: AtomicUsize::new(0),
+        panic: Mutex::new(None),
+    };
+    let ptr = std::ptr::from_ref(&fork).cast::<Fork<'static>>();
+    let parked = {
+        let mut st = lock();
+        st.open.push(Open { fork: ptr, want });
+        st.parked
+    };
+    POOL.opened.fetch_add(1, Ordering::Release);
+    for _ in 0..want.min(parked) {
+        POOL.wake.notify_one();
+    }
+    let mine = {
+        let _in_job = Scoped::set(&IN_JOB, true);
+        catch_unwind(AssertUnwindSafe(|| work(false)))
+    };
+    lock().open.retain(|o| !std::ptr::eq(o.fork, ptr));
+    let gone = || fork.inside.load(Ordering::SeqCst) == 0;
+    if !spin_until(gone) {
+        let mut st = lock();
+        POOL.sleepers.fetch_add(1, Ordering::SeqCst);
+        while !gone() {
+            st = wait(&POOL.left, st);
+        }
+        POOL.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+    let theirs = fork
+        .panic
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
+    if let Some(p) = mine.err().or(theirs) {
+        resume_unwind(p);
+    }
 }
 
 /// Cuts `out` into `chunk`-long pieces (the last may be shorter) and runs
@@ -354,6 +594,7 @@ pub fn maybe_par_map_collect<T: Send, F: Fn(usize) -> T + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     /// `f()` under 1, 2 and 4 workers, asserting all three agree.
     fn same_at_any_worker_count<R: PartialEq + std::fmt::Debug>(f: impl Fn() -> R) -> R {
@@ -468,25 +709,106 @@ mod tests {
         assert_eq!(lens, want);
     }
 
+    /// Spins until `flag` is set; fails instead of hanging when it never is.
+    fn wait_for(flag: &AtomicBool) {
+        let start = Instant::now();
+        while !flag.load(Ordering::Acquire) {
+            assert!(start.elapsed().as_secs() < 60, "no pool helper joined");
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn short_item_loops_stay_on_the_calling_thread() {
-        use std::sync::Mutex;
         let me = std::thread::current().id();
-        let threads_of = |n: usize| {
-            let seen = Mutex::new(Vec::new());
-            with_threads(4, || {
-                maybe_par_for(n, PAR_THRESHOLD, |_| {
-                    seen.lock().unwrap().push(std::thread::current().id())
-                })
-            });
-            let seen = seen.into_inner().unwrap();
-            assert_eq!(seen.len(), n);
-            seen
-        };
         // A heavy hint does not fork a loop below the 512-item floor...
-        assert!(threads_of(511).iter().all(|&t| t == me));
-        // ...while one at the floor does.
-        assert!(threads_of(512).iter().all(|&t| t != me));
+        let seen = Mutex::new(Vec::new());
+        with_threads(4, || {
+            maybe_par_for(511, PAR_THRESHOLD, |_| {
+                seen.lock().unwrap().push(std::thread::current().id())
+            })
+        });
+        let seen = seen.into_inner().unwrap();
+        assert_eq!(seen.len(), 511);
+        assert!(seen.iter().all(|&t| t == me));
+        // ...while one at the floor reaches a pool helper: the caller's
+        // items wait until a helper has run one, so this cannot pass by luck
+        // or hang on a loop that stayed serial.
+        let helped = AtomicBool::new(false);
+        with_threads(2, || {
+            maybe_par_for(512, PAR_THRESHOLD, |_| {
+                if std::thread::current().id() == me {
+                    wait_for(&helped);
+                } else {
+                    helped.store(true, Ordering::Release);
+                }
+            })
+        });
+    }
+
+    #[test]
+    fn a_job_panic_on_a_helper_is_raised_on_the_caller() {
+        let me = std::thread::current().id();
+        let helper_ran = AtomicBool::new(false);
+        let caught = catch_unwind(|| {
+            with_threads(2, || {
+                par_jobs(2, PAR_THRESHOLD, |_| {
+                    if std::thread::current().id() == me {
+                        wait_for(&helper_ran);
+                    } else {
+                        helper_ran.store(true, Ordering::Release);
+                        panic!("job panic on a helper");
+                    }
+                })
+            })
+        });
+        let payload = caught.expect_err("the helper's panic reaches the caller");
+        assert_eq!(payload.downcast_ref(), Some(&"job panic on a helper"));
+        // The pool survives: the next fork returns the serial bits.
+        let a = ragged(PAR_THRESHOLD * 3 + 17);
+        same_at_any_worker_count(|| maybe_par_sum(&a).to_bits());
+    }
+
+    #[test]
+    fn a_caught_panic_restores_the_worker_count() {
+        let default = workers(64, PAR_THRESHOLD);
+        assert_eq!(default, cores());
+        let caught = catch_unwind(|| with_threads(4, || panic!("inside with_threads")));
+        assert!(caught.is_err());
+        assert_eq!(workers(64, PAR_THRESHOLD), default, "count left forced");
+        // A job that panics on the caller leaves the caller outside any job.
+        let caught = catch_unwind(|| {
+            with_threads(2, || par_jobs(2, PAR_THRESHOLD, |_| panic!("every job")))
+        });
+        assert!(caught.is_err());
+        assert_eq!(workers(64, PAR_THRESHOLD), default, "caller left in a job");
+    }
+
+    #[test]
+    fn nested_and_concurrent_forks_give_the_serial_bits() {
+        let a = ragged(PAR_THRESHOLD * 2 + 5);
+        // Eight forked jobs, each making a forked reduction of its own,
+        // which runs inline.
+        let nested = || {
+            let mut out = vec![0u64; 8];
+            par_chunks(&mut out, 1, PAR_THRESHOLD, |j, o| {
+                assert_eq!(workers(64, PAR_THRESHOLD), 1, "a job's fork runs inline");
+                o[0] = maybe_par_sum_map(a.len(), 1, |i| a[i] * (j + 1) as f64).to_bits();
+            });
+            out
+        };
+        let want = same_at_any_worker_count(nested);
+        // Two callers forking at once share the pool's helpers.
+        #[allow(clippy::disallowed_methods)] // the test's two concurrent callers
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..50 {
+                        assert_eq!(with_threads(2, nested), want);
+                    }
+                });
+            }
+        });
     }
 
     #[test]
