@@ -30,9 +30,11 @@ done
 run cargo run --release -p mgd-examples --bin distributed_training -- --threads 2
 run cargo run --release -p mgd-examples --bin distributed_training -- --threads 4
 # Spatial smoke: slab-decomposed serving must stay bitwise identical to
-# the serial forward at 2 and 4 ranks — with halo/compute overlap on and
-# off, through the out-of-core streaming (skip-spill) mode, and at f32 to
-# tolerance (tests + example).
+# the serial forward at 2 and 4 ranks — on the overlapped halo path, on
+# minimal slabs whose bottleneck takes the extend-then-restrict fallback,
+# through the out-of-core streaming (skip-spill) mode, and at f32 to
+# tolerance (tests + example). The streaming smoke also fails if a spill
+# file outlives its predict.
 run cargo test -q -p mgd-integration --test spatial
 run cargo run --release -p mgd-examples --bin megavoxel_serving -- --quick --ranks 2
 run cargo run --release -p mgd-examples --bin megavoxel_serving -- --quick --ranks 4

@@ -9,7 +9,7 @@
 
 use mgd_bench::experiments::{setup_2d, train_cfg, ExperimentScale, HarnessArgs};
 use mgd_bench::{results_dir, Table};
-use mgd_dist::LocalComm;
+use mgd_dist::ThreadComm;
 use mgdiffnet::Trainer;
 
 fn main() {
@@ -26,7 +26,7 @@ fn main() {
     let mut prev: Option<f64> = None;
     for &r in &resolutions {
         let (mut net, mut opt, data) = setup_2d(samples, 8, 2, args.seed);
-        let comm = LocalComm::new();
+        let comm = ThreadComm::solo();
         let cfg = train_cfg(batch, 4, args.seed);
         let mut tr = Trainer::new(&mut net, &mut opt, &data, &comm, vec![r, r], cfg).unwrap();
         // Warm once (allocator, caches), then time the best of two.

@@ -10,7 +10,7 @@
 
 use mgd_bench::experiments::{setup_2d, train_cfg, HarnessArgs};
 use mgd_bench::{results_dir, Table};
-use mgd_dist::LocalComm;
+use mgd_dist::ThreadComm;
 use mgdiffnet::{CycleKind, MgConfig, MultigridTrainer};
 
 fn main() {
@@ -40,7 +40,7 @@ fn main() {
         }
     } else {
         println!("no table1 logs found; running a quick 2D sweep\n");
-        let comm = LocalComm::new();
+        let comm = ThreadComm::solo();
         let levels = 3usize;
         for kind in CycleKind::ALL {
             let (mut net, mut opt, data) = setup_2d(8, 8, 2, args.seed);

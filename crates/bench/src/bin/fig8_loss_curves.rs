@@ -9,7 +9,7 @@
 
 use mgd_bench::experiments::{setup_3d, train_cfg, ExperimentScale, HarnessArgs};
 use mgd_bench::results_dir;
-use mgd_dist::LocalComm;
+use mgd_dist::ThreadComm;
 use mgdiffnet::{CycleKind, MgConfig, MgRunLog, MultigridTrainer};
 
 /// Flattens a run into cumulative (seconds, loss, level) points.
@@ -42,7 +42,7 @@ fn main() {
         ExperimentScale::Full => (128, 3, 128, 2, 200),
     };
     let dims = vec![res, res, res];
-    let comm = LocalComm::new();
+    let comm = ThreadComm::solo();
     let cfg = train_cfg(batch, max_epochs, args.seed);
 
     let (mut net_b, mut opt_b, data) = setup_3d(samples, 4, 2, args.seed);

@@ -20,7 +20,7 @@
 
 use mgd_bench::experiments::{setup_2d, setup_3d, train_cfg, ExperimentScale, HarnessArgs};
 use mgd_bench::{results_dir, Table};
-use mgd_dist::LocalComm;
+use mgd_dist::ThreadComm;
 use mgdiffnet::{CycleKind, MgConfig, MgRunLog, MultigridTrainer};
 
 struct Case {
@@ -46,7 +46,7 @@ fn run_case(case: &Case, seed: u64) -> (Table, Vec<(String, usize, MgRunLog)>) {
         .collect::<Vec<_>>()
         .join("x");
     println!("\n-- {dim_label} {res_label} --");
-    let comm = LocalComm::new();
+    let comm = ThreadComm::solo();
     let cfg = train_cfg(case.batch, case.max_epochs, seed);
 
     // Base: direct training at the finest resolution.

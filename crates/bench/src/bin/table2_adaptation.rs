@@ -12,7 +12,7 @@
 
 use mgd_bench::experiments::{train_cfg, ExperimentScale, HarnessArgs};
 use mgd_bench::{results_dir, Table};
-use mgd_dist::LocalComm;
+use mgd_dist::ThreadComm;
 use mgd_field::{Dataset, DiffusivityModel, InputEncoding};
 use mgd_nn::{Adam, UNet, UNetConfig};
 use mgdiffnet::{CycleKind, MgConfig, MultigridTrainer};
@@ -27,7 +27,7 @@ fn main() {
         ExperimentScale::Full => (512, 4, 1024, 8, 400, 16, 3),
     };
     let dims = vec![res, res];
-    let comm = LocalComm::new();
+    let comm = ThreadComm::solo();
     let cfg = train_cfg(batch, max_epochs, args.seed);
     let data = Dataset::sobol(samples, DiffusivityModel::paper(), InputEncoding::LogNu);
 

@@ -11,7 +11,7 @@
 
 use mgd_bench::experiments::{setup_2d, train_cfg, ExperimentScale, HarnessArgs};
 use mgd_bench::{results_dir, Table};
-use mgd_dist::LocalComm;
+use mgd_dist::ThreadComm;
 use mgd_field::{Dataset, DiffusivityModel, InputEncoding};
 use mgdiffnet::compare::dump_field_csv;
 use mgdiffnet::{compare_with_fem, predict_field, CycleKind, MgConfig, MultigridTrainer};
@@ -35,7 +35,7 @@ fn main() {
         ExperimentScale::Full => (512, 1024, 16, 400, 4),
     };
     let dims = vec![res, res];
-    let comm = LocalComm::new();
+    let comm = ThreadComm::solo();
     let cfg = train_cfg(batch, max_epochs, args.seed);
 
     // Evaluation dataset: the paper's anecdotal ω values.

@@ -56,7 +56,7 @@ use crate::serve::{
     EngineSnapshot, InferenceRequest, ServeOptions, SharedServeStats, SnapshotCell, SnapshotConfig,
 };
 use crate::trainer::TrainConfig;
-use mgd_dist::{launch_with, LocalComm, SlabPartition};
+use mgd_dist::{launch_with, SlabPartition, ThreadComm};
 use mgd_fem::{BoundarySpec, PdeOperator};
 use mgd_field::{Anisotropy, Dataset, DiffusivityModel, InputEncoding};
 use mgd_hybrid::{CertifiedSolution, StallPolicy, StrategyKind};
@@ -98,7 +98,9 @@ pub use crate::serve::{CacheShardStats, ServeStats};
 /// if both are needed).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Parallelism {
-    /// Single-rank training and serving through [`LocalComm`] (default).
+    /// Single-rank training and serving (default); training runs on the
+    /// one rank of [`ThreadComm::solo`], the `p = 1` case of the
+    /// distributed code path.
     #[default]
     Serial,
     /// Data-parallel training over `p` in-process worker threads.
@@ -239,18 +241,15 @@ pub struct SolverEngineBuilder {
     levels: usize,
     fixed_epochs: usize,
     adapt: bool,
-    cycles: usize,
     train: TrainConfig,
     learning_rate: f64,
     samples: usize,
-    encoding: InputEncoding,
     net_depth: usize,
     base_filters: usize,
     batch_norm: bool,
     seed: u64,
     serve: ServeOptions,
     parallelism: Parallelism,
-    spatial_overlap: bool,
     spatial_spill_dir: Option<PathBuf>,
     hybrid_strategy: StrategyKind,
     certify_tol: f64,
@@ -272,18 +271,15 @@ impl Default for SolverEngineBuilder {
             levels: 2,
             fixed_epochs: 3,
             adapt: false,
-            cycles: 1,
             train: TrainConfig::default(),
             learning_rate: 3e-3,
             samples: 16,
-            encoding: InputEncoding::LogNu,
             net_depth: 2,
             base_filters: 8,
             batch_norm: true,
             seed: 0,
             serve: ServeOptions::default(),
             parallelism: Parallelism::Serial,
-            spatial_overlap: true,
             spatial_spill_dir: None,
             hybrid_strategy: StrategyKind::InitialGuess,
             certify_tol: 1e-8,
@@ -349,12 +345,6 @@ impl SolverEngineBuilder {
         self
     }
 
-    /// Consecutive cycle repetitions (default 1).
-    pub fn cycles(mut self, cycles: usize) -> Self {
-        self.cycles = cycles;
-        self
-    }
-
     /// Global mini-batch size (default 8).
     pub fn batch_size(mut self, batch: usize) -> Self {
         self.train.batch_size = batch;
@@ -388,12 +378,6 @@ impl SolverEngineBuilder {
     /// Sobol sample count for the default dataset (default 16).
     pub fn samples(mut self, samples: usize) -> Self {
         self.samples = samples;
-        self
-    }
-
-    /// Network input encoding (default `LogNu`).
-    pub fn encoding(mut self, encoding: InputEncoding) -> Self {
-        self.encoding = encoding;
         self
     }
 
@@ -532,14 +516,6 @@ impl SolverEngineBuilder {
         self
     }
 
-    /// Whether the slab-decomposed forward overlaps halo exchange with
-    /// interior compute (default `true`; `false` restores the classic
-    /// extend-then-restrict exchange). Results are identical either way.
-    pub fn spatial_overlap(mut self, overlap: bool) -> Self {
-        self.spatial_overlap = overlap;
-        self
-    }
-
     /// Enables out-of-core slab streaming: encoder skip activations spill
     /// to scratch files in `dir` and stream back at the decoder, capping
     /// per-rank resident memory near the largest single-level working set
@@ -564,7 +540,9 @@ impl SolverEngineBuilder {
     }
 
     /// Injects an explicit dataset instead of Sobol-sampling one (its
-    /// diffusivity model must match the problem's).
+    /// diffusivity model must match the problem's). The engine trains and
+    /// serves with the dataset's input encoding; the Sobol default encodes
+    /// `LogNu`.
     pub fn dataset(mut self, dataset: Dataset) -> Self {
         self.dataset = Some(dataset);
         self
@@ -588,11 +566,6 @@ impl SolverEngineBuilder {
         if self.levels == 0 {
             return Err(MgdError::InvalidConfig(
                 "levels must be >= 1 (got 0)".into(),
-            ));
-        }
-        if self.cycles == 0 {
-            return Err(MgdError::InvalidConfig(
-                "cycles must be >= 1 (got 0)".into(),
             ));
         }
         let depth = if self.model.is_some() {
@@ -657,7 +630,11 @@ impl SolverEngineBuilder {
                         "samples must be >= 1 (got 0)".into(),
                     ));
                 }
-                let d = Dataset::sobol(self.samples, problem.diffusivity().clone(), self.encoding);
+                let d = Dataset::sobol(
+                    self.samples,
+                    problem.diffusivity().clone(),
+                    InputEncoding::LogNu,
+                );
                 match problem.anisotropy() {
                     None => d,
                     Some(a) => d.with_anisotropy(a).map_err(MgdError::Field)?,
@@ -719,7 +696,7 @@ impl SolverEngineBuilder {
             levels: self.levels,
             fixed_epochs: self.fixed_epochs,
             adapt: self.adapt,
-            cycles: self.cycles,
+            cycles: 1,
         };
         // The physics spec every layer shares: the trainer's loss at each
         // hierarchy level, the engine's serving loss, and (via its
@@ -801,7 +778,6 @@ impl SolverEngineBuilder {
         let loss = Arc::new(FemLoss::with_spec(&resolution, &spec)?);
         let stats = Arc::new(SharedServeStats::default());
         let spatial_opts = SlabOpts {
-            overlap: self.spatial_overlap,
             spill_dir: self.spatial_spill_dir.clone(),
         };
         let snapshot = EngineSnapshot::build(SnapshotConfig {
@@ -812,7 +788,7 @@ impl SolverEngineBuilder {
             spatial_opts: spatial_opts.clone(),
             resolution: resolution.clone(),
             three_d: problem.rank() == 3,
-            encoding: self.encoding,
+            encoding: data.encoding,
             diffusivity: problem.diffusivity().clone(),
             aniso: problem.anisotropy(),
             loss: Arc::clone(&loss),
@@ -830,7 +806,6 @@ impl SolverEngineBuilder {
             data,
             resolution,
             problem,
-            encoding: self.encoding,
             schedule,
             loss,
             parallelism: self.parallelism,
@@ -863,7 +838,6 @@ pub struct SolverEngine {
     data: Dataset,
     resolution: Vec<usize>,
     problem: Problem,
-    encoding: InputEncoding,
     schedule: MultigridTrainer,
     loss: Arc<FemLoss>,
     parallelism: Parallelism,
@@ -892,7 +866,7 @@ impl std::fmt::Debug for SolverEngine {
             .field("problem", &self.problem)
             .field("resolution", &self.resolution)
             .field("parallelism", &self.parallelism)
-            .field("encoding", &self.encoding)
+            .field("encoding", &self.data.encoding)
             .field("samples", &self.data.len())
             .field("cache_len", &self.cell.load().cache_len())
             .field("stats", &self.stats.snapshot())
@@ -939,7 +913,7 @@ impl SolverEngine {
             // Spatial decomposition parallelizes serving; training under it
             // runs the serial schedule (see the `Parallelism` docs).
             Parallelism::Serial | Parallelism::SpatialThreads(_) | Parallelism::Grid(1, _) => {
-                let comm = LocalComm::new();
+                let comm = ThreadComm::solo();
                 self.schedule
                     .run(&mut self.model, &mut self.optimizer, &self.data, &comm)?
             }
@@ -986,7 +960,7 @@ impl SolverEngine {
             spatial_opts: self.spatial_opts.clone(),
             resolution: self.resolution.clone(),
             three_d: self.problem.rank() == 3,
-            encoding: self.encoding,
+            encoding: self.data.encoding,
             diffusivity: self.problem.diffusivity().clone(),
             aniso: self.problem.anisotropy(),
             loss: Arc::clone(&self.loss),
@@ -1200,6 +1174,23 @@ mod tests {
         assert!(matches!(e, Err(MgdError::InvalidConfig(m)) if m.contains("resolution")));
         let e = SolverEngine::builder().resolution([16, 16]).build();
         assert!(matches!(e, Err(MgdError::InvalidConfig(m)) if m.contains("problem")));
+    }
+
+    #[test]
+    fn serving_uses_the_dataset_encoding() {
+        // An engine built on a raw-ν dataset must serve raw ν to the
+        // network it trains, not the Sobol default's ln ν.
+        let data = Dataset::sobol(8, DiffusivityModel::paper(), InputEncoding::RawNu);
+        let mut engine = small_builder().dataset(data).build().unwrap();
+        let nu = engine.dataset().nu_field(0, &[16, 16]);
+        let served = engine.predict(&nu).unwrap();
+        let x = mgd_field::stack_fields_with(std::slice::from_ref(&nu), 2).unwrap();
+        let mut direct = engine.model_mut().predict(&x);
+        engine.loss.apply_bc_batch(&mut direct);
+        assert_eq!(served.len(), direct.len());
+        for (i, (a, b)) in served.as_slice().iter().zip(direct.as_slice()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "element {i}: {a} vs {b}");
+        }
     }
 
     #[test]

@@ -107,7 +107,8 @@
 //! The concrete-type entry points of the seed release map onto the engine
 //! as follows (the old types remain available for research code that needs
 //! distributed communicators or custom loops, but are now generic over
-//! `Model`/`Optimizer` and return `Result`):
+//! `Model`/`Optimizer`/`Comm` and return `Result`; a serial run passes the
+//! size-1 communicator `ThreadComm::solo()`):
 //!
 //! | old (seed) | new |
 //! |---|---|
@@ -123,7 +124,6 @@
 
 pub mod compare;
 pub mod cycle;
-pub mod dist_fem;
 pub mod engine;
 pub mod error;
 pub mod loss;
@@ -137,11 +137,11 @@ pub use compare::{
     FieldComparison,
 };
 pub use cycle::{level_sequence, schedule, Budget, CycleKind, Phase};
-pub use dist_fem::{DistPoisson, SlabPartition};
 pub use engine::{Parallelism, Problem, ServeStats, SolverEngine, SolverEngineBuilder};
 pub use error::{MgdError, MgdResult};
 pub use loss::{FemLoss, LossSpec};
 pub use mg_trainer::{MgConfig, MgRunLog, MultigridTrainer, PhaseLog};
+pub use mgd_dist::SlabPartition;
 pub use mgd_fem::{BoundarySpec, PdeOperator};
 pub use mgd_field::Anisotropy;
 pub use mgd_tensor::Precision;
@@ -172,7 +172,7 @@ pub mod prelude {
         ServeStats, SnapshotCell, SolverEngine, SolverEngineBuilder, StallPolicy, StrategyKind,
         TrainConfig, TrainLog, Trainer,
     };
-    pub use mgd_dist::{launch, Comm, LocalComm, ThreadComm};
+    pub use mgd_dist::{launch, Comm, ThreadComm};
     pub use mgd_field::{
         stack_fields, Dataset, DiffusivityModel, FieldError, InputEncoding, Sobol,
     };

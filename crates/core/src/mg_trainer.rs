@@ -253,7 +253,7 @@ impl MultigridTrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgd_dist::LocalComm;
+    use mgd_dist::ThreadComm;
     use mgd_field::{DiffusivityModel, InputEncoding};
     use mgd_nn::{Adam, UNet, UNetConfig};
 
@@ -293,7 +293,7 @@ mod tests {
     #[test]
     fn half_v_runs_coarse_to_fine() {
         let (mut net, mut opt, data) = setup();
-        let comm = LocalComm::new();
+        let comm = ThreadComm::solo();
         let mg = MgConfig {
             cycle: CycleKind::HalfV,
             levels: 2,
@@ -313,7 +313,7 @@ mod tests {
     #[test]
     fn v_cycle_budgets_respected() {
         let (mut net, mut opt, data) = setup();
-        let comm = LocalComm::new();
+        let comm = ThreadComm::solo();
         let mg = MgConfig {
             cycle: CycleKind::V,
             levels: 2,
@@ -333,7 +333,7 @@ mod tests {
     fn adaptation_deepens_network_once_per_refinement() {
         let (mut net, mut opt, data) = setup();
         assert_eq!(net.cfg.depth, 2);
-        let comm = LocalComm::new();
+        let comm = ThreadComm::solo();
         let mg = MgConfig {
             cycle: CycleKind::HalfV,
             levels: 2,
@@ -363,7 +363,7 @@ mod tests {
         assert_eq!(phases[0].level, phases[3].level);
         // And it actually trains through all of them.
         let (mut net, mut opt, data) = setup();
-        let comm = LocalComm::new();
+        let comm = ThreadComm::solo();
         let log = t.run(&mut net, &mut opt, &data, &comm).unwrap();
         assert_eq!(log.phases.len(), 9);
     }
@@ -371,7 +371,7 @@ mod tests {
     #[test]
     fn seconds_per_level_partitions_total() {
         let (mut net, mut opt, data) = setup();
-        let comm = LocalComm::new();
+        let comm = ThreadComm::solo();
         let mg = MgConfig {
             cycle: CycleKind::V,
             levels: 2,

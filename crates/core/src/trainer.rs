@@ -3,8 +3,8 @@
 //! Per mini-batch: rasterize the coefficient fields, forward the network,
 //! impose the boundary values exactly, evaluate the FEM energy loss,
 //! backpropagate its gradient, all-reduce-average gradients across workers,
-//! and step the optimizer. Serial training is the `p = 1` special case via
-//! [`mgd_dist::LocalComm`].
+//! and step the optimizer. Serial training is the `p = 1` special case,
+//! run on the one rank of [`mgd_dist::ThreadComm::solo`].
 //!
 //! The trainer is generic over [`Model`] and [`Optimizer`] (any
 //! architecture/update rule the `mgd_nn` traits admit) and returns typed
@@ -102,7 +102,7 @@ pub struct Trainer<'a, M: Model, O: Optimizer, C: Comm> {
     pub opt: &'a mut O,
     /// Training data (ω samples; fields rasterized on demand).
     pub data: &'a Dataset,
-    /// Communicator (LocalComm for serial runs).
+    /// Communicator (`ThreadComm::solo()` for serial runs).
     pub comm: &'a C,
     /// Spatial dims trained at (`[ny, nx]` or `[nz, ny, nx]`).
     pub dims: Vec<usize>,
@@ -294,7 +294,7 @@ impl<'a, M: Model, O: Optimizer, C: Comm> Trainer<'a, M, O, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgd_dist::LocalComm;
+    use mgd_dist::ThreadComm;
     use mgd_field::{DiffusivityModel, InputEncoding};
     use mgd_nn::{Adam, Layer, UNet, UNetConfig};
 
@@ -314,7 +314,7 @@ mod tests {
     #[test]
     fn loss_decreases_over_training() {
         let (mut net, mut opt, data) = tiny_setup();
-        let comm = LocalComm::new();
+        let comm = ThreadComm::solo();
         let cfg = TrainConfig {
             batch_size: 4,
             max_epochs: 30,
@@ -336,7 +336,7 @@ mod tests {
         // converged network's energy must close most of the gap from the
         // initial prediction.
         let (mut net, mut opt, data) = tiny_setup();
-        let comm = LocalComm::new();
+        let comm = ThreadComm::solo();
         let cfg = TrainConfig {
             batch_size: 4,
             max_epochs: 120,
@@ -384,7 +384,7 @@ mod tests {
         let data = Dataset::sobol(8, DiffusivityModel::paper(), InputEncoding::LogNu)
             .with_anisotropy(Anisotropy::new(4.0, 0.5).unwrap())
             .unwrap();
-        let comm = LocalComm::new();
+        let comm = ThreadComm::solo();
         let cfg = TrainConfig {
             batch_size: 4,
             max_epochs: 20,
@@ -409,7 +409,7 @@ mod tests {
     #[test]
     fn eval_does_not_change_params() {
         let (mut net, mut opt, data) = tiny_setup();
-        let comm = LocalComm::new();
+        let comm = ThreadComm::solo();
         let cfg = TrainConfig {
             batch_size: 4,
             ..Default::default()
@@ -451,7 +451,7 @@ mod tests {
     fn empty_dataset_is_a_typed_error() {
         let (mut net, mut opt, _) = tiny_setup();
         let data = Dataset::from_omegas(vec![], DiffusivityModel::paper(), InputEncoding::LogNu);
-        let comm = LocalComm::new();
+        let comm = ThreadComm::solo();
         let cfg = TrainConfig::default();
         assert!(matches!(
             Trainer::new(&mut net, &mut opt, &data, &comm, vec![16, 16], cfg),

@@ -1,9 +1,9 @@
-//! The communicator trait and the serial (size-1) implementation.
+//! The communicator trait.
 
 /// Collective and point-to-point communication between `p` ranks.
 ///
 /// The interface mirrors the slice of MPI the paper's training loop and
-/// slab-decomposed FEM solver need. Collectives must be called by every
+/// the slab-decomposed forward need. Collectives must be called by every
 /// rank in the same program order (MPI semantics); point-to-point messages
 /// between a `(from, to, tag)` triple are delivered in FIFO order.
 ///
@@ -46,56 +46,17 @@ pub trait Comm {
     fn recv(&self, from: usize, tag: u64) -> Vec<f64>;
 }
 
-/// The serial communicator: one rank, every collective a no-op.
-///
-/// Serial training and solving are the `p = 1` special case of the
-/// distributed code path, so they use this type rather than a separate
-/// implementation.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LocalComm;
-
-impl LocalComm {
-    /// Creates the size-1 communicator.
-    pub fn new() -> Self {
-        LocalComm
-    }
-}
-
-impl Comm for LocalComm {
-    fn rank(&self) -> usize {
-        0
-    }
-
-    fn size(&self) -> usize {
-        1
-    }
-
-    fn allreduce_sum(&self, _buf: &mut [f64]) {}
-
-    fn allreduce_max(&self, _buf: &mut [f64]) {}
-
-    fn broadcast(&self, root: usize, _buf: &mut [f64]) {
-        assert_eq!(root, 0, "LocalComm has a single rank");
-    }
-
-    fn barrier(&self) {}
-
-    fn send(&self, to: usize, _tag: u64, _data: Vec<f64>) {
-        panic!("LocalComm cannot send (to rank {to}): there are no peers");
-    }
-
-    fn recv(&self, from: usize, _tag: u64) -> Vec<f64> {
-        panic!("LocalComm cannot recv (from rank {from}): there are no peers");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ThreadComm;
 
+    /// Serial runs are the `p = 1` case of the distributed code path: the
+    /// one rank of [`ThreadComm::solo`] leaves every collective's buffer
+    /// untouched.
     #[test]
     fn local_comm_is_serial_identity() {
-        let c = LocalComm::new();
+        let c = ThreadComm::solo();
         assert_eq!(c.rank(), 0);
         assert_eq!(c.size(), 1);
         let mut buf = vec![1.0, -2.0, 3.5];
@@ -112,8 +73,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no peers")]
+    #[should_panic(expected = "out of range")]
     fn local_comm_send_panics() {
-        LocalComm::new().send(1, 0, vec![1.0]);
+        ThreadComm::solo().send(1, 0, vec![1.0]);
     }
 }

@@ -1,18 +1,16 @@
 //! Z-slab partitioning and tagged halo-plane exchange over a [`Comm`].
 //!
-//! This is the shared spatial-decomposition substrate of the workspace:
-//! the distributed FEM solver (`mgdiffnet::dist_fem`) and the slab-
-//! decomposed U-Net forward (`mgd_nn::spatial`) both partition the slowest
-//! varying spatial axis into `p` contiguous slabs and refresh thin halo
-//! regions at the cuts before every stencil application.
+//! This is the spatial-decomposition substrate of the workspace: the
+//! slab-decomposed U-Net forward (`mgd_nn::spatial`) partitions the
+//! slowest varying spatial axis into `p` contiguous slabs and refreshes
+//! thin halo regions at the cuts before every stencil application.
 //!
 //! Fields are viewed through a [`SlabLayout`] as a row-major
 //! `[pre, split, post]` array, where `split` is the partitioned axis:
 //!
 //! - an NCDHW tensor split along depth is `[n·c, d, h·w]`;
 //! - an NCDHW tensor with a unit depth axis (2D problems) split along
-//!   height is `[n·c, h, w]`;
-//! - a nodal FEM field split along z is `[1, nz, ny·nx]`.
+//!   height is `[n·c, h, w]`.
 //!
 //! One "plane" is therefore `pre · post` scalars gathered from `pre`
 //! strided chunks of `post` contiguous values. [`carve_planes`] /
@@ -95,8 +93,8 @@ impl HaloElement for f32 {
 /// Why a [`SlabPartition`] could not be built.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PartitionError {
-    /// Fewer indivisible split units (element layers, or aligned plane
-    /// blocks) than ranks: at least one rank would own nothing.
+    /// Fewer indivisible split units (aligned plane blocks) than ranks:
+    /// at least one rank would own nothing.
     OverDecomposed {
         /// Number of indivisible units along the split axis.
         units: usize,
@@ -110,7 +108,7 @@ pub enum PartitionError {
         /// Required slab-size multiple.
         align: usize,
     },
-    /// A degenerate request (zero ranks, or too few planes to split).
+    /// A degenerate request (zero ranks, planes or alignment).
     Degenerate {
         /// Total planes along the split axis.
         extent: usize,
@@ -144,46 +142,15 @@ impl std::error::Error for PartitionError {}
 
 /// A partition of one spatial axis into `p` contiguous slabs.
 ///
-/// `starts` has length `p + 1`; rank `r` owns planes
-/// `starts[r]..starts[r+1]`, and the last rank additionally owns the
-/// closing plane when `starts[p] < n_split` (the FEM node-plane
-/// convention, where `starts` counts *element layers*). Partitions built
-/// with [`SlabPartition::aligned`] satisfy `starts[p] == n_split`, so
-/// [`SlabPartition::owned_planes`] tiles the axis exactly in both cases.
+/// Rank `r` owns planes `starts[r]..starts[r+1]`, so the slabs tile the
+/// axis exactly.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SlabPartition {
-    /// Total planes along the split (slowest) axis.
-    pub n_split: usize,
-    /// First owned plane per rank (len p+1).
+    /// First owned plane per rank (len p+1); `starts[p]` is the extent.
     pub starts: Vec<usize>,
 }
 
 impl SlabPartition {
-    /// Splits `n_split` node planes (with `n_split - 1` element layers)
-    /// across `p` ranks as evenly as possible, by element layers — the
-    /// distributed-FEM convention where the closing node plane belongs to
-    /// the last rank.
-    pub fn new(n_split: usize, p: usize) -> Result<Self, PartitionError> {
-        if p == 0 || n_split < 2 {
-            return Err(PartitionError::Degenerate {
-                extent: n_split,
-                ranks: p,
-            });
-        }
-        let layers = n_split - 1;
-        if p > layers {
-            return Err(PartitionError::OverDecomposed {
-                units: layers,
-                ranks: p,
-            });
-        }
-        let mut starts = Vec::with_capacity(p + 1);
-        for r in 0..=p {
-            starts.push(r * layers / p);
-        }
-        Ok(SlabPartition { n_split, starts })
-    }
-
     /// Splits `extent` planes across `p` ranks so every slab size is a
     /// positive multiple of `align` — the convention of the slab-
     /// decomposed U-Net forward, where `align = 2^depth` keeps every
@@ -207,10 +174,7 @@ impl SlabPartition {
             starts.push((r * blocks / p) * align);
         }
         debug_assert_eq!(starts[p], extent);
-        Ok(SlabPartition {
-            n_split: extent,
-            starts,
-        })
+        Ok(SlabPartition { starts })
     }
 
     /// Number of ranks.
@@ -218,25 +182,9 @@ impl SlabPartition {
         self.starts.len() - 1
     }
 
-    /// Owned plane range of `rank` (the last rank also owns the final
-    /// plane when `starts` counts element layers).
+    /// Owned plane range of `rank`.
     pub fn owned_planes(&self, rank: usize) -> std::ops::Range<usize> {
-        let lo = self.starts[rank];
-        let hi = if rank + 1 == self.num_ranks() {
-            self.n_split
-        } else {
-            self.starts[rank + 1]
-        };
-        lo..hi
-    }
-
-    /// Element layers assigned to `rank` (FEM convention: one fewer layer
-    /// than planes along the axis).
-    pub fn owned_layers(&self, rank: usize) -> std::ops::Range<usize> {
-        self.starts[rank]
-            ..self.starts[rank + 1]
-                .min(self.n_split - 1)
-                .max(self.starts[rank])
+        self.starts[rank]..self.starts[rank + 1]
     }
 }
 
@@ -474,10 +422,10 @@ mod tests {
     use crate::thread_comm::launch;
 
     #[test]
-    fn fem_partition_covers_all_planes() {
+    fn unit_partition_covers_all_planes_evenly() {
         for n in [5usize, 9, 16] {
-            for p in 1..=4.min(n - 1) {
-                let part = SlabPartition::new(n, p).unwrap();
+            for p in 1..=4 {
+                let part = SlabPartition::aligned(n, p, 1).unwrap();
                 let mut covered = vec![0usize; n];
                 for r in 0..p {
                     for pl in part.owned_planes(r) {
@@ -485,6 +433,9 @@ mod tests {
                     }
                 }
                 assert!(covered.iter().all(|&c| c == 1), "n={n} p={p}: {covered:?}");
+                let sizes: Vec<usize> = (0..p).map(|r| part.owned_planes(r).len()).collect();
+                let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+                assert!(hi - lo <= 1, "n={n} p={p}: {sizes:?}");
             }
         }
     }
@@ -509,11 +460,11 @@ mod tests {
     #[test]
     fn constructors_reject_bad_configs() {
         assert!(matches!(
-            SlabPartition::new(9, 0),
+            SlabPartition::aligned(9, 0, 1),
             Err(PartitionError::Degenerate { .. })
         ));
         assert!(matches!(
-            SlabPartition::new(5, 5),
+            SlabPartition::aligned(4, 5, 1),
             Err(PartitionError::OverDecomposed { units: 4, ranks: 5 })
         ));
         assert!(matches!(

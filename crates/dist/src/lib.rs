@@ -11,14 +11,12 @@
 //!
 //! - [`Comm`] — the communicator interface: rank/size, all-reduce
 //!   (sum/max), broadcast, barrier, and point-to-point send/recv (used by
-//!   the slab-decomposed FEM solver's halo exchange);
-//! - [`LocalComm`] — the size-1 serial communicator: every collective is a
-//!   no-op, making serial training the `p = 1` special case of one code
-//!   path;
+//!   the halo exchange);
 //! - [`ThreadComm`] — `p` in-process ranks over threads and mailboxes with
 //!   a pipelined ring all-reduce whose reduction order is *rank-order
 //!   deterministic*: results are bitwise identical on every rank and equal
-//!   to the left-fold serial sum;
+//!   to the left-fold serial sum. [`ThreadComm::solo`] is its one-rank
+//!   case, through which serial training runs as `p = 1` of one code path;
 //! - [`launch`] — runs one closure per rank and collects rank-ordered
 //!   results (panics on any rank surface as `rank panicked` in the caller);
 //!   [`launch_with`] additionally moves an owned payload into each rank
@@ -30,10 +28,11 @@
 //!   give every rank an equal contiguous shard of each global mini-batch;
 //! - [`halo`] — the shared spatial-decomposition substrate: fallible
 //!   [`SlabPartition`]s of one spatial axis, `[pre, split, post]` slab
-//!   carving/assembly, and the tagged halo-plane [`exchange_extend`] used
-//!   by both the distributed FEM solver and the slab-decomposed U-Net
-//!   forward (with a posted/finished split — [`exchange_post`] /
-//!   [`PendingHalo`] — so local compute can overlap in-flight planes);
+//!   carving/assembly, and the tagged halo-plane exchange of the
+//!   slab-decomposed U-Net forward: a posted/finished split —
+//!   [`exchange_post`] / [`PendingHalo`] — so local compute can overlap
+//!   in-flight planes, and [`exchange_extend`] for slabs too shallow to
+//!   split;
 //! - [`SlabPool`] — a persistent rank pool (long-lived worker threads,
 //!   each owning one rank plus per-rank state) that dispatches one
 //!   closure per rank per request, amortizing thread spawns across the
@@ -45,7 +44,7 @@ mod pool;
 mod shard;
 mod thread_comm;
 
-pub use comm::{Comm, LocalComm};
+pub use comm::Comm;
 pub use halo::{
     assemble_planes, carve_planes, exchange_extend, exchange_post, place_planes, ExtendedSlab,
     HaloElement, PartitionError, PendingHalo, SlabLayout, SlabPartition,
@@ -103,7 +102,7 @@ mod tests {
 
     #[test]
     fn average_gradients_serial_is_identity() {
-        let comm = LocalComm::new();
+        let comm = ThreadComm::solo();
         let mut g = vec![0.25, -1.5, 3.0];
         let orig = g.clone();
         average_gradients(&comm, &mut g);

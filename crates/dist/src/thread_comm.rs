@@ -11,7 +11,7 @@ use std::sync::{Arc, Condvar, Mutex};
 const CHUNK_ELEMS: usize = 8192;
 
 /// Tag bit reserved for internal collective traffic, keeping user
-/// point-to-point tags (e.g. the FEM halo exchange) in a disjoint space.
+/// point-to-point tags (e.g. the slab halo exchange) in a disjoint space.
 const INTERNAL: u64 = 1 << 63;
 const TAG_REDUCE: u64 = INTERNAL;
 const TAG_BCAST: u64 = INTERNAL | 1;
@@ -96,6 +96,13 @@ impl ThreadComm {
                 shared: Arc::clone(&shared),
             })
             .collect()
+    }
+
+    /// The one rank of a size-1 communicator: how serial training and
+    /// solving run the distributed code path with `p = 1`, where every
+    /// collective leaves its buffer untouched.
+    pub fn solo() -> ThreadComm {
+        ThreadComm::ranks(1).pop().expect("one rank")
     }
 
     /// Flags the communicator as poisoned so peer ranks blocked in

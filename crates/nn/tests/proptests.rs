@@ -96,24 +96,22 @@ proptest! {
         prop_assert!(y.as_slice().iter().all(|&v| v > 0.0 && v < 1.0));
     }
 
-    /// FEM-convention slab partitions disjointly cover every node plane
-    /// and every element layer for any valid `(n_split, p)`.
+    /// Unit-aligned slab partitions disjointly cover every plane for any
+    /// valid `(n_split, p)`, with slab sizes differing by at most one.
     #[test]
-    fn fem_partition_invariants(p in 1usize..8, extra in 1usize..33) {
-        let n_split = p + extra; // always >= p + 1 layers
-        let part = SlabPartition::new(n_split, p).unwrap();
+    fn unit_partition_invariants(p in 1usize..8, extra in 0usize..33) {
+        let n_split = p + extra; // always >= p planes
+        let part = SlabPartition::aligned(n_split, p, 1).unwrap();
         let mut planes = vec![0usize; n_split];
-        let mut layers = vec![0usize; n_split - 1];
         for r in 0..p {
             for pl in part.owned_planes(r) {
                 planes[pl] += 1;
             }
-            for l in part.owned_layers(r) {
-                layers[l] += 1;
-            }
         }
         prop_assert!(planes.iter().all(|&c| c == 1), "planes {planes:?}");
-        prop_assert!(layers.iter().all(|&c| c == 1), "layers {layers:?}");
+        let sizes: Vec<usize> = (0..p).map(|r| part.owned_planes(r).len()).collect();
+        let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+        prop_assert!(hi - lo <= 1, "sizes {sizes:?}");
     }
 
     /// Aligned slab partitions tile the axis with contiguous, non-empty

@@ -93,6 +93,12 @@ fn assert_streamed_equal(res: &[usize], depth: usize, ranks: usize) {
         .build()
         .expect("streamed engine");
     let got = streamed.predict(&nu).expect("streamed predict");
+    let leaked: Vec<_> = std::fs::read_dir(&dir)
+        .expect("scratch dir")
+        .filter_map(|e| e.ok().map(|e| e.file_name()))
+        .filter(|n| n.to_string_lossy().starts_with("mgd-skip-"))
+        .collect();
+    assert!(leaked.is_empty(), "spill files left in scratch: {leaked:?}");
     assert!(
         expect
             .as_slice()
@@ -101,7 +107,10 @@ fn assert_streamed_equal(res: &[usize], depth: usize, ranks: usize) {
             .all(|(a, b)| a.to_bits() == b.to_bits()),
         "streamed SpatialThreads({ranks}) diverged from Serial at {res:?}"
     );
-    println!("  {res:?} x{ranks} ranks (skip spill to scratch): bitwise identical to serial");
+    println!(
+        "  {res:?} x{ranks} ranks (skip spill to scratch): bitwise identical to serial, \
+         scratch left empty"
+    );
 }
 
 fn quick(ranks: usize, stream: bool) {

@@ -24,7 +24,7 @@ fn main() {
         ..Default::default()
     });
     let mut opt = Adam::new(3e-3);
-    let comm = LocalComm::new();
+    let comm = ThreadComm::solo();
     let train = TrainConfig {
         batch_size: 4,
         max_epochs: 25,

@@ -1,7 +1,7 @@
 //! Cross-crate consistency checks.
 
 use mgd_cluster::{unet_params, ArchModel};
-use mgd_dist::LocalComm;
+use mgd_dist::ThreadComm;
 use mgd_integration_tests::tiny_2d_setup;
 use mgd_nn::{UNet, UNetConfig};
 use mgdiffnet::prelude::*;
@@ -43,7 +43,7 @@ fn trained_prediction_warm_starts_fem() {
     // After training, CG warm-started from the prediction must need fewer
     // iterations than the cold solve.
     let (mut net, mut opt, data) = tiny_2d_setup(8, 21);
-    let comm = LocalComm::new();
+    let comm = ThreadComm::solo();
     let cfg = TrainConfig {
         batch_size: 4,
         max_epochs: 80,
@@ -76,7 +76,7 @@ fn resolution_agnostic_inference_across_multigrid_levels() {
     // The same trained weights produce fields at every hierarchy level —
     // the property that makes multigrid training possible at all.
     let (mut net, mut opt, data) = tiny_2d_setup(4, 31);
-    let comm = LocalComm::new();
+    let comm = ThreadComm::solo();
     let cfg = TrainConfig {
         batch_size: 4,
         max_epochs: 20,

@@ -1,14 +1,14 @@
 //! End-to-end pipelines: data generation → multigrid training → FEM
 //! comparison, in 2D and 3D.
 
-use mgd_dist::LocalComm;
+use mgd_dist::ThreadComm;
 use mgd_integration_tests::tiny_2d_setup;
 use mgdiffnet::prelude::*;
 
 #[test]
 fn half_v_training_approaches_fem_solution_2d() {
     let (mut net, mut opt, data) = tiny_2d_setup(8, 1);
-    let comm = LocalComm::new();
+    let comm = ThreadComm::solo();
     let cfg = TrainConfig {
         batch_size: 4,
         max_epochs: 200,
@@ -48,7 +48,7 @@ fn half_v_training_approaches_fem_solution_2d() {
 #[test]
 fn all_cycles_run_and_converge_to_similar_losses_2d() {
     // Table 1's qualitative claim: every strategy lands near the same loss.
-    let comm = LocalComm::new();
+    let comm = ThreadComm::solo();
     let dims = vec![16usize, 16];
     let mut finals = Vec::new();
     for kind in CycleKind::ALL {
@@ -84,7 +84,7 @@ fn all_cycles_run_and_converge_to_similar_losses_2d() {
 
 #[test]
 fn three_d_pipeline_runs() {
-    let comm = LocalComm::new();
+    let comm = ThreadComm::solo();
     let data = mgd_field::Dataset::sobol(
         4,
         mgd_field::DiffusivityModel::paper(),
@@ -128,7 +128,7 @@ fn architectural_adaptation_pipeline() {
     // training loss keeps improving across the refinement.
     let (mut net, mut opt, data) = tiny_2d_setup(4, 6);
     let depth0 = net.cfg.depth;
-    let comm = LocalComm::new();
+    let comm = ThreadComm::solo();
     let cfg = TrainConfig {
         batch_size: 4,
         max_epochs: 20,
@@ -158,7 +158,7 @@ fn architectural_adaptation_pipeline() {
 #[test]
 fn checkpoint_roundtrip_through_training() {
     let (mut net, mut opt, data) = tiny_2d_setup(4, 8);
-    let comm = LocalComm::new();
+    let comm = ThreadComm::solo();
     let cfg = TrainConfig {
         batch_size: 4,
         max_epochs: 5,
