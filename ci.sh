@@ -45,8 +45,11 @@ run cargo test -q -p mgd-integration --test serving
 # Hybrid smoke: certified solving — every strategy must reach tolerance
 # under the certified driver, including the NaN-sabotage fallback tests.
 run cargo test -q -p mgd-hybrid
-# Benchmark: its own unit tests, then all four workloads end to end. `run`
-# exits non-zero when any correctness gate breaks (frozen loss trajectory,
+# Benchmark: its own unit tests, then all four workloads end to end. The
+# unit-test step is also the public-API gate: the benchmark compiles
+# against `Model`, `InferModel`, `Workspace`, the `ServeStats` counters and
+# `is_lock_free`, so it fails if any of them changes shape. `run` exits
+# non-zero when any correctness gate breaks (frozen loss trajectory,
 # queue == direct predict, slab == serial, every certificate re-verified on
 # a freshly assembled system); its timings are informational here.
 run cargo test --release --offline --manifest-path benchmark/Cargo.toml

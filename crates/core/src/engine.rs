@@ -53,13 +53,14 @@ use crate::error::{MgdError, MgdResult};
 use crate::loss::{FemLoss, LossSpec};
 use crate::mg_trainer::{MgConfig, MgRunLog, MultigridTrainer};
 use crate::serve::{
-    EngineSnapshot, InferenceRequest, ServeOptions, SharedServeStats, SnapshotCell, SnapshotConfig,
+    EngineSnapshot, InferenceRequest, ServeOptions, SharedServeStats, SnapshotCell,
+    SnapshotTemplate,
 };
 use crate::trainer::TrainConfig;
 use mgd_dist::{launch_with, SlabPartition, ThreadComm};
 use mgd_fem::{BoundarySpec, PdeOperator};
 use mgd_field::{Anisotropy, Dataset, DiffusivityModel, InputEncoding};
-use mgd_hybrid::{CertifiedSolution, StallPolicy, StrategyKind};
+use mgd_hybrid::{CertifiedSolution, StrategyKind};
 use mgd_nn::{Adam, Model, Optimizer, SlabOpts, UNet, UNetConfig, WeightSnapshot};
 use mgd_tensor::{Precision, Tensor};
 use std::path::PathBuf;
@@ -90,7 +91,9 @@ pub use crate::serve::{CacheShardStats, ServeStats};
 /// on `p` ranks with one halo plane exchanged before every stencil
 /// convolution ([`mgd_nn::spatial`]). Per-rank activation memory is
 /// ≈ `1/p` of the serial forward's (plus halos), and the assembled output
-/// is **bitwise identical** to `Serial` at any `p`. Slab sizes must be
+/// is **bitwise identical** to `Serial` at any `p`. The ranks live in a
+/// persistent pool spawned when a snapshot is published; concurrent
+/// predictions on one snapshot each take their own pool. Slab sizes must be
 /// positive multiples of `2^net_depth` along the split axis — validated
 /// as a typed error at [`SolverEngineBuilder::build`]. Training under
 /// `SpatialThreads` runs serially (spatial decomposition is an inference
@@ -108,37 +111,21 @@ pub enum Parallelism {
     /// Slab-decomposed (spatial model-parallel) serving over `p`
     /// in-process ranks with halo exchange; training stays serial.
     SpatialThreads(usize),
-    /// The 2D process grid `Grid(d, p)`: data-parallel training over `d`
-    /// workers (exactly [`Parallelism::Threads(d)`](Parallelism::Threads))
-    /// composed with slab-decomposed serving over `p` ranks per lane —
-    /// batched predictions split across `d` concurrent slab forwards, each
-    /// carving its chunk into `p` slabs.
-    Grid(usize, usize),
 }
 
 impl Parallelism {
     /// Number of data-parallel workers this mode trains with.
     pub fn workers(&self) -> usize {
         match *self {
-            Parallelism::Serial | Parallelism::SpatialThreads(_) => 1,
             Parallelism::Threads(p) => p,
-            Parallelism::Grid(d, _) => d,
+            _ => 1,
         }
     }
 
     /// Number of spatial (slab) ranks this mode serves with.
     pub fn spatial_ranks(&self) -> usize {
         match *self {
-            Parallelism::SpatialThreads(p) | Parallelism::Grid(_, p) => p,
-            _ => 1,
-        }
-    }
-
-    /// Number of concurrent slab-serving lanes (batch splits) this mode
-    /// serves with — the data axis of [`Parallelism::Grid`].
-    pub fn serve_lanes(&self) -> usize {
-        match *self {
-            Parallelism::Grid(d, _) => d,
+            Parallelism::SpatialThreads(p) => p,
             _ => 1,
         }
     }
@@ -240,7 +227,6 @@ pub struct SolverEngineBuilder {
     cycle: CycleKind,
     levels: usize,
     fixed_epochs: usize,
-    adapt: bool,
     train: TrainConfig,
     learning_rate: f64,
     samples: usize,
@@ -253,7 +239,6 @@ pub struct SolverEngineBuilder {
     spatial_spill_dir: Option<PathBuf>,
     hybrid_strategy: StrategyKind,
     certify_tol: f64,
-    stall: StallPolicy,
     precision: Precision,
     model: Option<Box<dyn Model>>,
     optimizer: Option<Box<dyn Optimizer>>,
@@ -270,7 +255,6 @@ impl Default for SolverEngineBuilder {
             cycle: CycleKind::HalfV,
             levels: 2,
             fixed_epochs: 3,
-            adapt: false,
             train: TrainConfig::default(),
             learning_rate: 3e-3,
             samples: 16,
@@ -283,7 +267,6 @@ impl Default for SolverEngineBuilder {
             spatial_spill_dir: None,
             hybrid_strategy: StrategyKind::InitialGuess,
             certify_tol: 1e-8,
-            stall: StallPolicy::default(),
             precision: Precision::F64,
             model: None,
             optimizer: None,
@@ -336,12 +319,6 @@ impl SolverEngineBuilder {
     /// Epochs per restriction visit (default 3).
     pub fn fixed_epochs(mut self, epochs: usize) -> Self {
         self.fixed_epochs = epochs;
-        self
-    }
-
-    /// Enables §4.1.2 architectural adaptation.
-    pub fn adapt(mut self, adapt: bool) -> Self {
-        self.adapt = adapt;
         self
     }
 
@@ -413,18 +390,10 @@ impl SolverEngineBuilder {
     }
 
     /// Capacity of the serving-side prediction cache; 0 disables caching
-    /// (default 64 entries).
+    /// (default 64 entries). The cache is split over
+    /// [`crate::serve::PredictionCache::auto_shards`] shards.
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.serve.cache_capacity = capacity;
-        self
-    }
-
-    /// Shard count of the serving-side prediction cache; 0 (the default)
-    /// picks [`crate::serve::PredictionCache::auto_shards`] from the
-    /// capacity. More shards reduce lock contention between concurrent
-    /// predictions at the cost of per-shard (rather than global) LRU order.
-    pub fn cache_shards(mut self, shards: usize) -> Self {
-        self.serve.cache_shards = shards;
         self
     }
 
@@ -467,14 +436,6 @@ impl SolverEngineBuilder {
         self
     }
 
-    /// Stall detector of the certified driver: demote the active strategy
-    /// when the best residual fails to shrink by a factor `rho` over
-    /// `window` outer steps (default `rho = 0.9`, `window = 4`).
-    pub fn stall_policy(mut self, stall: StallPolicy) -> Self {
-        self.stall = stall;
-        self
-    }
-
     /// Numeric policy of the serving surface (default [`Precision::F64`]).
     ///
     /// - [`Precision::F64`]: everything runs in f64 — bitwise identical to
@@ -494,8 +455,9 @@ impl SolverEngineBuilder {
     /// `F32`/`Mixed` require a model with an f32 inference view
     /// ([`mgd_nn::Model::share_f32`]; the built-in U-Net has one). Combined
     /// with [`Parallelism::SpatialThreads`], the slab-decomposed forward
-    /// also runs at f32, which additionally requires an f32 slab view
-    /// ([`mgd_nn::Model::share_slab_f32`], which the U-Net also has).
+    /// runs at f32 and needs the f32 slab view
+    /// ([`mgd_nn::Model::share_slab_f32`], which the U-Net also has)
+    /// instead. A missing view is a typed error at [`Self::build`].
     pub fn precision(mut self, precision: Precision) -> Self {
         self.precision = precision;
         self
@@ -527,7 +489,10 @@ impl SolverEngineBuilder {
     }
 
     /// Injects a custom model instead of the default U-Net. The model must
-    /// accept NCDHW inputs at every hierarchy resolution.
+    /// accept NCDHW inputs at every hierarchy resolution, and provide the
+    /// serving view the engine's precision and parallelism need
+    /// ([`Model::share`], [`Model::share_f32`], [`Model::share_slab`] or
+    /// [`Model::share_slab_f32`]); [`Self::build`] rejects it otherwise.
     pub fn model(mut self, model: Box<dyn Model>) -> Self {
         self.model = Some(model);
         self
@@ -653,14 +618,6 @@ impl SolverEngineBuilder {
                 "Parallelism::Threads needs >= 1 worker (got 0)".into(),
             ));
         }
-        if let Parallelism::Grid(d, p) = self.parallelism {
-            if d == 0 || p == 0 {
-                return Err(MgdError::InvalidConfig(format!(
-                    "Parallelism::Grid needs >= 1 worker on each axis \
-                     (got {d} x {p})"
-                )));
-            }
-        }
         if self.serve.queue_depth == 0 {
             return Err(MgdError::InvalidConfig(
                 "queue_depth must be >= 1 (got 0)".into(),
@@ -677,17 +634,6 @@ impl SolverEngineBuilder {
                 self.certify_tol
             )));
         }
-        if !(self.stall.rho > 0.0 && self.stall.rho < 1.0) {
-            return Err(MgdError::InvalidConfig(format!(
-                "stall_policy.rho must lie in (0, 1) (got {})",
-                self.stall.rho
-            )));
-        }
-        if self.stall.window == 0 {
-            return Err(MgdError::InvalidConfig(
-                "stall_policy.window must be >= 1 (got 0)".into(),
-            ));
-        }
         let mut train = self.train;
         train.seed = self.seed;
         train.validate(self.parallelism.workers())?;
@@ -695,7 +641,7 @@ impl SolverEngineBuilder {
             cycle: self.cycle,
             levels: self.levels,
             fixed_epochs: self.fixed_epochs,
-            adapt: self.adapt,
+            adapt: false,
             cycles: 1,
         };
         // The physics spec every layer shares: the trainer's loss at each
@@ -727,29 +673,7 @@ impl SolverEngineBuilder {
             Some(o) => o,
             None => Box::new(Adam::new(self.learning_rate)) as Box<dyn Optimizer>,
         };
-        if self.precision != Precision::F64 {
-            if model.share_f32().is_none() {
-                return Err(MgdError::InvalidConfig(format!(
-                    "precision {} requires a model with an f32 inference view \
-                     (Model::share_f32); the configured model reports none",
-                    self.precision
-                )));
-            }
-            if self.parallelism.spatial_ranks() > 1 && model.share_slab_f32().is_none() {
-                return Err(MgdError::InvalidConfig(format!(
-                    "precision {} with spatial parallelism requires a model \
-                     with an f32 slab-inference view (Model::share_slab_f32); \
-                     the configured model reports none",
-                    self.precision
-                )));
-            }
-        }
-        let spatial_p = match self.parallelism {
-            Parallelism::SpatialThreads(p) => Some(p),
-            Parallelism::Grid(_, p) => Some(p),
-            _ => None,
-        };
-        if let Some(p) = spatial_p {
+        if let Parallelism::SpatialThreads(p) = self.parallelism {
             if p == 0 {
                 return Err(MgdError::InvalidConfig(
                     "Parallelism::SpatialThreads needs >= 1 rank (got 0)".into(),
@@ -775,47 +699,41 @@ impl SolverEngineBuilder {
                 ))
             })?;
         }
-        let loss = Arc::new(FemLoss::with_spec(&resolution, &spec)?);
-        let stats = Arc::new(SharedServeStats::default());
-        let spatial_opts = SlabOpts {
-            spill_dir: self.spatial_spill_dir.clone(),
+        let ncomp = problem.ncomp();
+        let coeff_dims = if ncomp == 1 {
+            resolution.clone()
+        } else {
+            std::iter::once(ncomp)
+                .chain(resolution.iter().copied())
+                .collect()
         };
-        let snapshot = EngineSnapshot::build(SnapshotConfig {
-            version: 0,
-            model: &*model,
-            spatial_ranks: self.parallelism.spatial_ranks(),
-            spatial_lanes: self.parallelism.serve_lanes(),
-            spatial_opts: spatial_opts.clone(),
-            resolution: resolution.clone(),
+        let template = Arc::new(SnapshotTemplate {
+            loss: Arc::new(FemLoss::with_spec(&resolution, &spec)?),
+            resolution,
+            coeff_dims,
             three_d: problem.rank() == 3,
             encoding: data.encoding,
             diffusivity: problem.diffusivity().clone(),
             aniso: problem.anisotropy(),
-            loss: Arc::clone(&loss),
-            cache_capacity: self.serve.cache_capacity,
-            cache_shards: self.serve.cache_shards,
-            stats: Arc::clone(&stats),
+            serve: self.serve,
+            stats: Arc::new(SharedServeStats::default()),
             hybrid_strategy: self.hybrid_strategy,
             certify_tol: self.certify_tol,
-            stall: self.stall,
             precision: self.precision,
+            spatial_ranks: self.parallelism.spatial_ranks(),
+            spatial_opts: SlabOpts {
+                spill_dir: self.spatial_spill_dir,
+            },
         });
+        let snapshot = EngineSnapshot::build(Arc::clone(&template), 0, &*model)?;
         Ok(SolverEngine {
             model,
             optimizer,
             data,
-            resolution,
             problem,
             schedule,
-            loss,
             parallelism: self.parallelism,
-            spatial_opts,
-            serve: self.serve,
-            hybrid_strategy: self.hybrid_strategy,
-            certify_tol: self.certify_tol,
-            stall: self.stall,
-            precision: self.precision,
-            stats,
+            template,
             cell: Arc::new(SnapshotCell::new(Arc::new(snapshot))),
             version: AtomicU64::new(0),
             dirty: AtomicBool::new(false),
@@ -836,20 +754,14 @@ pub struct SolverEngine {
     model: Box<dyn Model>,
     optimizer: Box<dyn Optimizer>,
     data: Dataset,
-    resolution: Vec<usize>,
     problem: Problem,
     schedule: MultigridTrainer,
-    loss: Arc<FemLoss>,
     parallelism: Parallelism,
-    spatial_opts: SlabOpts,
-    serve: ServeOptions,
-    hybrid_strategy: StrategyKind,
-    certify_tol: f64,
-    stall: StallPolicy,
-    precision: Precision,
-    /// Engine-lifetime serving counters, shared with every snapshot
-    /// generation (a republish never loses counts).
-    stats: Arc<SharedServeStats>,
+    /// The serving configuration every published snapshot shares: the
+    /// physics, the cache and queue shape, the precision, the slab ranks,
+    /// and the engine-lifetime serving counters (a republish never loses
+    /// counts).
+    template: Arc<SnapshotTemplate>,
     /// The publication point serving threads load snapshots from.
     cell: Arc<SnapshotCell>,
     /// Version of the most recently published snapshot.
@@ -864,12 +776,12 @@ impl std::fmt::Debug for SolverEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SolverEngine")
             .field("problem", &self.problem)
-            .field("resolution", &self.resolution)
+            .field("resolution", &self.template.resolution)
             .field("parallelism", &self.parallelism)
             .field("encoding", &self.data.encoding)
             .field("samples", &self.data.len())
             .field("cache_len", &self.cell.load().cache_len())
-            .field("stats", &self.stats.snapshot())
+            .field("stats", &self.template.stats.snapshot())
             .finish_non_exhaustive()
     }
 }
@@ -912,12 +824,12 @@ impl SolverEngine {
         let log = match self.parallelism {
             // Spatial decomposition parallelizes serving; training under it
             // runs the serial schedule (see the `Parallelism` docs).
-            Parallelism::Serial | Parallelism::SpatialThreads(_) | Parallelism::Grid(1, _) => {
+            Parallelism::Serial | Parallelism::SpatialThreads(_) => {
                 let comm = ThreadComm::solo();
                 self.schedule
                     .run(&mut self.model, &mut self.optimizer, &self.data, &comm)?
             }
-            Parallelism::Threads(p) | Parallelism::Grid(p, _) => {
+            Parallelism::Threads(p) => {
                 let replicas: Vec<(Box<dyn Model>, Box<dyn Optimizer>)> = (0..p)
                     .map(|_| (self.model.clone_model(), self.optimizer.clone_optimizer()))
                     .collect();
@@ -948,30 +860,17 @@ impl SolverEngine {
         Ok(log)
     }
 
-    /// Builds a snapshot of the current weights/config and publishes it,
-    /// bumping the version.
+    /// Builds a snapshot of the current weights from the engine's template
+    /// and publishes it, bumping the version.
+    ///
+    /// # Panics
+    ///
+    /// If the model stopped providing the serving view it provided at
+    /// build time (a breach of the [`Model::share`] contract).
     fn republish(&self) {
         let version = self.version.fetch_add(1, Ordering::Relaxed) + 1;
-        let snapshot = EngineSnapshot::build(SnapshotConfig {
-            version,
-            model: &*self.model,
-            spatial_ranks: self.parallelism.spatial_ranks(),
-            spatial_lanes: self.parallelism.serve_lanes(),
-            spatial_opts: self.spatial_opts.clone(),
-            resolution: self.resolution.clone(),
-            three_d: self.problem.rank() == 3,
-            encoding: self.data.encoding,
-            diffusivity: self.problem.diffusivity().clone(),
-            aniso: self.problem.anisotropy(),
-            loss: Arc::clone(&self.loss),
-            cache_capacity: self.serve.cache_capacity,
-            cache_shards: self.serve.cache_shards,
-            stats: Arc::clone(&self.stats),
-            hybrid_strategy: self.hybrid_strategy,
-            certify_tol: self.certify_tol,
-            stall: self.stall,
-            precision: self.precision,
-        });
+        let snapshot = EngineSnapshot::build(Arc::clone(&self.template), version, &*self.model)
+            .unwrap_or_else(|e| panic!("{e}"));
         self.cell.store(Arc::new(snapshot));
     }
 
@@ -1001,7 +900,7 @@ impl SolverEngine {
     /// The serving configuration (queue depth, batch window, cache shape)
     /// this engine was built with.
     pub fn serve_options(&self) -> ServeOptions {
-        self.serve
+        self.template.serve
     }
 
     /// Predicts the solution field for one raw coefficient field ν shaped
@@ -1049,8 +948,7 @@ impl SolverEngine {
     /// is measured by the true FEM residual, with automatic demotion to
     /// pure multigrid whenever the learned component stalls or emits
     /// non-finite values (see [`mgd_hybrid`] and the engine's
-    /// [`SolverEngineBuilder::hybrid_strategy`] /
-    /// [`SolverEngineBuilder::stall_policy`] knobs).
+    /// [`SolverEngineBuilder::hybrid_strategy`] knob).
     ///
     /// Always terminates; the returned [`CertifiedSolution`] carries the
     /// residual norm recomputed from scratch on the returned field. Takes
@@ -1067,13 +965,12 @@ impl SolverEngine {
     /// solve for dataset sample `sample` — ground truth, energies, and the
     /// warm-start study all use the engine's operator/boundary/forcing.
     pub fn compare_sample(&mut self, sample: usize) -> MgdResult<FieldComparison> {
-        let loss = Arc::clone(&self.loss);
         compare_with_fem_loss(
             &mut self.model,
             &self.data,
             sample,
-            &self.resolution.clone(),
-            &loss,
+            &self.template.resolution,
+            &self.template.loss,
         )
     }
 
@@ -1097,7 +994,7 @@ impl SolverEngine {
 
     /// The engine's finest spatial resolution.
     pub fn resolution(&self) -> &[usize] {
-        &self.resolution
+        &self.template.resolution
     }
 
     /// The problem this engine was built for.
@@ -1118,12 +1015,12 @@ impl SolverEngine {
     /// Serving statistics so far (engine-lifetime: they accumulate across
     /// snapshot republishes).
     pub fn stats(&self) -> ServeStats {
-        self.stats.snapshot()
+        self.template.stats.snapshot()
     }
 
     /// The numeric policy the engine serves at.
     pub fn precision(&self) -> Precision {
-        self.precision
+        self.template.precision
     }
 
     /// Entries currently held by the current snapshot's prediction cache.
@@ -1186,7 +1083,7 @@ mod tests {
         let served = engine.predict(&nu).unwrap();
         let x = mgd_field::stack_fields_with(std::slice::from_ref(&nu), 2).unwrap();
         let mut direct = engine.model_mut().predict(&x);
-        engine.loss.apply_bc_batch(&mut direct);
+        engine.template.loss.apply_bc_batch(&mut direct);
         assert_eq!(served.len(), direct.len());
         for (i, (a, b)) in served.as_slice().iter().zip(direct.as_slice()).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "element {i}: {a} vs {b}");
@@ -1433,7 +1330,7 @@ mod tests {
             let passes = spatial.stats().forward_passes;
             let _ = spatial.predict(&fields[0]).unwrap();
             assert_eq!(spatial.stats().forward_passes, passes);
-            // A second forward through the *reused* replicas (fresh field,
+            // A second forward through the *reused* rank pool (fresh field,
             // cache miss) must stay bitwise identical to serial too.
             let fresh = spatial.dataset().nu_field(5, &[16, 16]);
             let e = serial.predict(&fresh).unwrap();
@@ -1443,7 +1340,7 @@ mod tests {
                     .iter()
                     .zip(g.as_slice())
                     .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "replica reuse broke bitwise equality at p={p}"
+                "pool reuse broke bitwise equality at p={p}"
             );
         }
     }
@@ -1591,14 +1488,12 @@ mod tests {
             .queue_depth(7)
             .max_batch(3)
             .batch_window(Duration::from_micros(500))
-            .cache_shards(2)
             .build()
             .unwrap();
         let opts = engine.serve_options();
         assert_eq!(opts.queue_depth, 7);
         assert_eq!(opts.max_batch, 3);
         assert_eq!(opts.batch_window, Duration::from_micros(500));
-        assert_eq!(opts.cache_shards, 2);
     }
 
     #[test]
@@ -1629,20 +1524,6 @@ mod tests {
         assert!(matches!(e, Err(MgdError::InvalidConfig(ref m)) if m.contains("certify_tol")));
         let e = small_builder().certify_tol(f64::NAN).build();
         assert!(matches!(e, Err(MgdError::InvalidConfig(ref m)) if m.contains("certify_tol")));
-        let e = small_builder()
-            .stall_policy(StallPolicy {
-                rho: 1.5,
-                window: 4,
-            })
-            .build();
-        assert!(matches!(e, Err(MgdError::InvalidConfig(ref m)) if m.contains("rho")));
-        let e = small_builder()
-            .stall_policy(StallPolicy {
-                rho: 0.9,
-                window: 0,
-            })
-            .build();
-        assert!(matches!(e, Err(MgdError::InvalidConfig(ref m)) if m.contains("window")));
     }
 
     #[test]

@@ -115,7 +115,7 @@
 //! | `Dataset::sobol(n, model, enc)` + hand-wiring | `SolverEngine::builder().samples(n).problem(...)` |
 //! | `UNet::new(UNetConfig { .. })` | `.net_depth(d).base_filters(f)` (or `.model(Box::new(custom))`) |
 //! | `Adam::new(lr)` | `.learning_rate(lr)` (or `.optimizer(Box::new(custom))`) |
-//! | `MgConfig { cycle, levels, .. }` | `.cycle(..).levels(..).fixed_epochs(..).adapt(..)` |
+//! | `MgConfig { cycle, levels, .. }` | `.cycle(..).levels(..).fixed_epochs(..)` (architectural adaptation stays on `MgConfig::adapt`) |
 //! | `TrainConfig { batch_size, .. }` | `.batch_size(..).max_epochs(..).patience(..)` |
 //! | `MultigridTrainer::new(mg, cfg, dims).run(&mut net, &mut opt, &data, &comm)` | `engine.train()?` |
 //! | `predict_field(&mut net, &data, s, &dims)` | `engine.predict(&nu)?` / `engine.predict_omega(&omega)?` |

@@ -34,15 +34,14 @@
 use crate::error::{MgdError, MgdResult};
 use crate::loss::FemLoss;
 use mgd_dist::{
-    assemble_planes, carve_planes, launch_with, Comm, SlabLayout, SlabPartition, SlabPool,
-    ThreadComm,
+    assemble_planes, carve_planes, Comm, SlabLayout, SlabPartition, SlabPool, ThreadComm,
 };
 use mgd_fem::hierarchy::HierarchyOptions;
 use mgd_field::{
     stack_fields_with, tensorize, Anisotropy, DiffusivityModel, FieldError, InputEncoding,
 };
 use mgd_hybrid::{
-    solve_certified, CertifiedSolution, CertifyOptions, ErasedHierarchy, ErasedSystem, StallPolicy,
+    solve_certified, CertifiedSolution, CertifyOptions, ErasedHierarchy, ErasedSystem,
     StrategyKind, Surrogate,
 };
 use mgd_nn::{InferModel, Model, SlabModel, SlabOpts, Workspace};
@@ -550,10 +549,9 @@ pub struct ServeOptions {
     /// How long the queue waits for more requests to coalesce after the
     /// first arrival (the deadline half of the size/deadline policy).
     pub batch_window: Duration,
-    /// Total prediction-cache capacity in entries (0 disables caching).
+    /// Total prediction-cache capacity in entries (0 disables caching),
+    /// split over [`PredictionCache::auto_shards`] shards.
     pub cache_capacity: usize,
-    /// Cache shard count; 0 selects [`PredictionCache::auto_shards`].
-    pub cache_shards: usize,
 }
 
 impl Default for ServeOptions {
@@ -563,25 +561,8 @@ impl Default for ServeOptions {
             max_batch: 8,
             batch_window: Duration::from_millis(2),
             cache_capacity: 64,
-            cache_shards: 0,
         }
     }
-}
-
-/// The model inside a snapshot.
-enum SnapshotModel {
-    /// A `Sync` read-only view ([`Model::share`]) — predictions run truly
-    /// lock-free and concurrently.
-    Shared(Arc<dyn InferModel>),
-    /// A `Sync` f32 view ([`Model::share_f32`]) — the `Precision::F32` /
-    /// `Precision::Mixed` serving path: inputs are demoted once at the
-    /// batch boundary, the whole forward runs through the f32 SIMD
-    /// kernels, and the output is promoted back to f64 (exactly).
-    SharedF32(Arc<dyn InferModel<f32>>),
-    /// Fallback for injected architectures without a `&self` inference
-    /// path: an exclusive replica; concurrent predictions serialize on its
-    /// mutex but still need no `&mut` engine.
-    Exclusive(Mutex<Box<dyn Model>>),
 }
 
 /// Per-rank persistent state inside a slab pool: warm inference
@@ -611,29 +592,16 @@ impl SlabWeights {
 
 /// Slab-decomposed serving state of a snapshot (spatial parallelism).
 ///
-/// The fast path shares one prepacked [`SlabModel`] across all ranks of a
-/// persistent [`SlabPool`] — no per-request thread spawns, no per-rank
-/// model replicas, no request-wide mutex (concurrent spatial predictions
-/// each acquire their own pool, `WorkspacePool`-style). Architectures
-/// without a `&self` slab path fall back to mutex-guarded exclusive
-/// replicas driven through `launch_with`.
+/// One prepacked [`SlabModel`] is shared by every rank of a persistent
+/// [`SlabPool`]: no per-request thread spawns, no per-rank model replicas,
+/// no request-wide mutex. Concurrent spatial predictions each acquire
+/// their own pool, `WorkspacePool`-style.
 struct SpatialServe {
     ranks: usize,
-    /// Data-parallel serving lanes (`Parallelism::Grid(d, p)` composes
-    /// `d` lanes × `p` slab ranks): batches split across this many
-    /// concurrent slab forwards.
-    lanes: usize,
-    opts: SlabOpts,
-    /// Shared prepacked weights; `None` for injected architectures
-    /// without [`Model::share_slab`].
-    weights: Option<SlabWeights>,
+    weights: SlabWeights,
     /// Persistent rank pools, one per concurrent spatial forward
-    /// (acquire/release like the workspace pool). Empty on the fallback
-    /// path.
+    /// (acquire/release like the workspace pool).
     pools: Mutex<Vec<SlabPool<RankState>>>,
-    /// Fallback replicas (exclusive `predict_slab`); empty on the fast
-    /// path.
-    replicas: Mutex<Vec<Box<dyn Model>>>,
 }
 
 impl SpatialServe {
@@ -707,6 +675,27 @@ impl<E: Element> WorkspacePool<E> {
     }
 }
 
+/// The one forward a snapshot serves with, chosen once at publish time from
+/// the engine's precision and spatial rank count.
+enum Forward {
+    /// The shared f64 view ([`Model::share`]): `Precision::F64` on one rank.
+    F64 {
+        model: Arc<dyn InferModel>,
+        pool: WorkspacePool,
+    },
+    /// The shared f32 view ([`Model::share_f32`]): `Precision::F32` /
+    /// `Precision::Mixed` on one rank. Inputs are demoted once at the batch
+    /// boundary, the whole forward runs through the f32 SIMD kernels, and
+    /// the output is promoted back to f64 (exactly).
+    F32 {
+        model: Arc<dyn InferModel<f32>>,
+        pool: WorkspacePool<f32>,
+    },
+    /// The slab-decomposed forward over more than one rank, at either
+    /// precision ([`Model::share_slab`] / [`Model::share_slab_f32`]).
+    Slab(SpatialServe),
+}
+
 /// An immutable, Arc-published view of a trained engine: everything a
 /// prediction needs, readable from any number of threads at once.
 ///
@@ -717,44 +706,20 @@ impl<E: Element> WorkspacePool<E> {
 /// lifecycle.
 pub struct EngineSnapshot {
     version: u64,
-    resolution: Vec<usize>,
-    /// Expected dims of a `Coeff` request: `resolution` for scalar
-    /// operators, `[ncomp, resolution...]` (component-major tensor planes)
-    /// for tensor operators.
-    coeff_dims: Vec<usize>,
-    three_d: bool,
-    encoding: InputEncoding,
-    diffusivity: DiffusivityModel,
-    /// Scalar→tensor expansion ω requests rasterize through when the
-    /// physics is anisotropic.
-    aniso: Option<Anisotropy>,
-    loss: Arc<FemLoss>,
-    model: SnapshotModel,
-    spatial: Option<SpatialServe>,
+    /// The serving configuration, shared by every snapshot the engine
+    /// publishes.
+    cfg: Arc<SnapshotTemplate>,
+    forward: Forward,
     cache: PredictionCache,
-    stats: Arc<SharedServeStats>,
-    hybrid_strategy: StrategyKind,
-    certify_tol: f64,
-    stall: StallPolicy,
-    precision: Precision,
-    ws_pool: WorkspacePool,
-    ws_pool32: WorkspacePool<f32>,
 }
 
 impl std::fmt::Debug for EngineSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineSnapshot")
             .field("version", &self.version)
-            .field("resolution", &self.resolution)
-            .field(
-                "shared_model",
-                &matches!(
-                    self.model,
-                    SnapshotModel::Shared(_) | SnapshotModel::SharedF32(_)
-                ),
-            )
-            .field("precision", &self.precision)
-            .field("spatial_ranks", &self.spatial.as_ref().map(|s| s.ranks))
+            .field("resolution", &self.cfg.resolution)
+            .field("precision", &self.cfg.precision)
+            .field("spatial_ranks", &self.cfg.spatial_ranks)
             .field("cache_len", &self.cache.len())
             .finish_non_exhaustive()
     }
@@ -773,124 +738,110 @@ struct SnapshotSurrogate<'a> {
 
 impl Surrogate for SnapshotSurrogate<'_> {
     fn guess(&self, dims: &[usize], nu: &[f64]) -> Option<Vec<f64>> {
-        if dims != &self.snap.resolution[..] {
+        let cfg = &self.snap.cfg;
+        if dims != &cfg.resolution[..] {
             return None;
         }
         // The hybrid system hands over the operator's full coefficient
         // block (`ncomp · vol` values, component-major) — exactly the
         // `coeff_dims` shape the predict surface validates against.
         let vol: usize = dims.iter().product();
-        if nu.len() != self.snap.loss.ncomp() * vol {
+        if nu.len() != cfg.loss.ncomp() * vol {
             return None;
         }
-        let coeff = Tensor::from_vec(self.snap.coeff_dims.clone(), nu.to_vec());
+        let coeff = Tensor::from_vec(cfg.coeff_dims.clone(), nu.to_vec());
         let u = self.snap.predict(&coeff).ok()?;
         Some(u.as_slice().to_vec())
     }
 }
 
-/// Everything the engine hands over when it publishes a snapshot.
-pub(crate) struct SnapshotConfig<'a> {
-    pub version: u64,
-    pub model: &'a dyn Model,
-    pub spatial_ranks: usize,
-    pub spatial_lanes: usize,
-    pub spatial_opts: SlabOpts,
+/// Everything a snapshot serves with except its weights. The engine builds
+/// one when it is built and stamps every snapshot it publishes from it,
+/// adding a version and the current model.
+pub(crate) struct SnapshotTemplate {
     pub resolution: Vec<usize>,
+    /// Expected dims of a `Coeff` request: `resolution` for scalar
+    /// operators, `[ncomp, resolution...]` (component-major tensor planes)
+    /// for tensor operators.
+    pub coeff_dims: Vec<usize>,
     pub three_d: bool,
     pub encoding: InputEncoding,
     pub diffusivity: DiffusivityModel,
+    /// Scalar→tensor expansion ω requests rasterize through when the
+    /// physics is anisotropic.
     pub aniso: Option<Anisotropy>,
     pub loss: Arc<FemLoss>,
-    pub cache_capacity: usize,
-    pub cache_shards: usize,
+    pub serve: ServeOptions,
     pub stats: Arc<SharedServeStats>,
     pub hybrid_strategy: StrategyKind,
     pub certify_tol: f64,
-    pub stall: StallPolicy,
     pub precision: Precision,
+    /// Slab ranks of the forward; 1 serves the whole field on one rank.
+    pub spatial_ranks: usize,
+    pub spatial_opts: SlabOpts,
 }
 
 impl EngineSnapshot {
-    pub(crate) fn build(cfg: SnapshotConfig<'_>) -> EngineSnapshot {
-        // F32/Mixed serving wants the f32 weight view; builder validation
-        // guarantees it exists, but a missing view degrades to the f64
-        // paths rather than panicking (republish after a weight swap).
-        let model = match cfg.precision {
-            Precision::F32 | Precision::Mixed => {
-                cfg.model.share_f32().map(SnapshotModel::SharedF32)
-            }
-            Precision::F64 => None,
-        }
-        .or_else(|| cfg.model.share().map(SnapshotModel::Shared))
-        .unwrap_or_else(|| SnapshotModel::Exclusive(Mutex::new(cfg.model.clone_model())));
-        let spatial = (cfg.spatial_ranks > 1).then(|| {
-            // F32/Mixed serving prefers the f32 slab view (satisfying the
-            // precision policy end to end); a model exposing neither slab
-            // view degrades to exclusive replicas.
-            let weights = match cfg.precision {
-                Precision::F32 | Precision::Mixed => {
-                    cfg.model.share_slab_f32().map(SlabWeights::F32)
-                }
-                Precision::F64 => None,
-            }
-            .or_else(|| cfg.model.share_slab().map(SlabWeights::F64));
-            let replicas = if weights.is_none() {
-                (0..cfg.spatial_ranks)
-                    .map(|_| cfg.model.clone_model())
-                    .collect()
+    /// Publishes `model`'s current weights under `cfg` as snapshot
+    /// `version`. Fails with [`MgdError::InvalidConfig`], naming the
+    /// [`Model`] method, when the model lacks the serving view `cfg`'s
+    /// precision and rank count need.
+    pub(crate) fn build(
+        cfg: Arc<SnapshotTemplate>,
+        version: u64,
+        model: &dyn Model,
+    ) -> MgdResult<EngineSnapshot> {
+        let reduced = cfg.precision != Precision::F64;
+        let missing = |method: &str| {
+            MgdError::InvalidConfig(format!(
+                "serving at precision {} on {} rank(s) needs Model::{method}, \
+                 which the configured model does not provide",
+                cfg.precision, cfg.spatial_ranks
+            ))
+        };
+        let forward = if cfg.spatial_ranks > 1 {
+            let weights = if reduced {
+                SlabWeights::F32(
+                    model
+                        .share_slab_f32()
+                        .ok_or_else(|| missing("share_slab_f32"))?,
+                )
             } else {
-                Vec::new()
+                SlabWeights::F64(model.share_slab().ok_or_else(|| missing("share_slab"))?)
             };
             let sp = SpatialServe {
                 ranks: cfg.spatial_ranks,
-                lanes: cfg.spatial_lanes.max(1),
-                opts: cfg.spatial_opts.clone(),
                 weights,
                 pools: Mutex::new(Vec::new()),
-                replicas: Mutex::new(replicas),
             };
-            if sp.weights.is_some() {
-                // Spawn the persistent rank fleet once at publish time so
-                // the first predict is already a pool hit.
-                let pool = sp.new_pool();
-                sp.pools.lock().expect("slab pools poisoned").push(pool);
+            // Spawn the persistent rank fleet once at publish time so the
+            // first predict is already a pool hit.
+            let pool = sp.new_pool();
+            sp.pools.lock().expect("slab pools poisoned").push(pool);
+            Forward::Slab(sp)
+        } else if reduced {
+            Forward::F32 {
+                model: model.share_f32().ok_or_else(|| missing("share_f32"))?,
+                pool: WorkspacePool::new(),
             }
-            sp
-        });
-        let ncomp = cfg.loss.ncomp();
-        let coeff_dims = if ncomp == 1 {
-            cfg.resolution.clone()
         } else {
-            let mut d = Vec::with_capacity(cfg.resolution.len() + 1);
-            d.push(ncomp);
-            d.extend_from_slice(&cfg.resolution);
-            d
+            Forward::F64 {
+                model: model.share().ok_or_else(|| missing("share"))?,
+                pool: WorkspacePool::new(),
+            }
         };
-        EngineSnapshot {
-            version: cfg.version,
-            resolution: cfg.resolution,
-            coeff_dims,
-            three_d: cfg.three_d,
-            encoding: cfg.encoding,
-            diffusivity: cfg.diffusivity,
-            aniso: cfg.aniso,
-            loss: cfg.loss,
-            model,
-            spatial,
-            cache: PredictionCache::new(
-                cfg.cache_capacity,
-                cfg.cache_shards,
-                Arc::clone(&cfg.stats),
-            ),
-            stats: cfg.stats,
-            hybrid_strategy: cfg.hybrid_strategy,
-            certify_tol: cfg.certify_tol,
-            stall: cfg.stall,
-            precision: cfg.precision,
-            ws_pool: WorkspacePool::new(),
-            ws_pool32: WorkspacePool::new(),
-        }
+        let cap = cfg.serve.cache_capacity;
+        let cache = PredictionCache::new(
+            cap,
+            PredictionCache::auto_shards(cap),
+            Arc::clone(&cfg.stats),
+        );
+        Ok(EngineSnapshot {
+            version,
+            cfg,
+            forward,
+            cache,
+        })
     }
 
     /// Monotonic publish version (0 = the initial snapshot); each weight
@@ -901,46 +852,43 @@ impl EngineSnapshot {
 
     /// The spatial resolution predictions are shaped as.
     pub fn resolution(&self) -> &[usize] {
-        &self.resolution
+        &self.cfg.resolution
     }
 
     /// Expected dims of a coefficient-field request: the spatial
     /// resolution for scalar operators, `[ncomp, spatial...]`
     /// (component-major symmetric tensor planes) for tensor operators.
     pub fn coeff_dims(&self) -> &[usize] {
-        &self.coeff_dims
+        &self.cfg.coeff_dims
     }
 
     /// Fingerprint of the physics (operator ⊕ boundary ⊕ forcing) this
     /// snapshot serves — folded into every prediction-cache key.
     pub fn loss_fingerprint(&self) -> u64 {
-        self.loss.fingerprint()
+        self.cfg.loss.fingerprint()
     }
 
     /// Rasterizes one ω vector at the serving resolution, expanding
     /// scalars to component-major tensor planes when the snapshot's
     /// physics is anisotropic.
     fn rasterize(&self, omega: &[f64]) -> Tensor {
-        let scalar = self.diffusivity.rasterize(omega, &self.resolution);
-        match self.aniso {
+        let scalar = self.cfg.diffusivity.rasterize(omega, &self.cfg.resolution);
+        match self.cfg.aniso {
             None => scalar,
-            Some(a) => tensorize(&scalar, a, &self.resolution),
+            Some(a) => tensorize(&scalar, a, &self.cfg.resolution),
         }
     }
 
-    /// Whether predictions on this snapshot run lock-free (a shared
-    /// [`InferModel`] view) or serialize on an exclusive replica.
+    /// Whether this snapshot serves without a slab forward: every predict
+    /// runs the shared [`InferModel`] view on the calling thread, taking no
+    /// lock beyond the workspace pool's pop and push.
     pub fn is_lock_free(&self) -> bool {
-        self.spatial.is_none()
-            && matches!(
-                self.model,
-                SnapshotModel::Shared(_) | SnapshotModel::SharedF32(_)
-            )
+        !matches!(self.forward, Forward::Slab(_))
     }
 
     /// The numeric policy this snapshot serves at.
     pub fn precision(&self) -> Precision {
-        self.precision
+        self.cfg.precision
     }
 
     /// Entries currently held by this snapshot's cache.
@@ -956,7 +904,7 @@ impl EngineSnapshot {
     /// Engine-lifetime serving counters (shared across snapshot
     /// generations).
     pub fn stats(&self) -> ServeStats {
-        self.stats.snapshot()
+        self.cfg.stats.snapshot()
     }
 
     /// Predicts the solution field for one raw coefficient field ν shaped
@@ -993,13 +941,13 @@ impl EngineSnapshot {
 
     /// The learned strategy certified solves on this snapshot start from.
     pub fn hybrid_strategy(&self) -> StrategyKind {
-        self.hybrid_strategy
+        self.cfg.hybrid_strategy
     }
 
     /// The default certified-solve tolerance this snapshot was built with
     /// (used by serving paths that carry no explicit tolerance).
     pub fn certify_tol(&self) -> f64 {
-        self.certify_tol
+        self.cfg.certify_tol
     }
 
     /// Solves one request to a **certified** relative residual tolerance.
@@ -1036,31 +984,30 @@ impl EngineSnapshot {
         // residuals are measured against the *same* physics (operator,
         // boundary data, forcing) the loss discretizes.
         let sys = ErasedSystem::with_operator(
-            &self.resolution,
-            self.loss.op(),
+            &self.cfg.resolution,
+            self.cfg.loss.op(),
             &nu,
-            &self.loss.boundary_spec(),
+            &self.cfg.loss.boundary_spec(),
         )?;
-        let rhs = match self.loss.forcing() {
+        let rhs = match self.cfg.loss.forcing() {
             None => None,
             Some(f) => Some(sys.load_vector(f)?),
         };
         let hier = ErasedHierarchy::build_with_precision(
             &sys,
             HierarchyOptions::default(),
-            self.precision,
+            self.cfg.precision,
         )?;
         let surrogate = SnapshotSurrogate { snap: self };
         let opts = CertifyOptions {
             tol,
-            stall: self.stall,
             ..Default::default()
         };
         Ok(solve_certified(
             &sys,
             &hier,
             &surrogate,
-            self.hybrid_strategy,
+            self.cfg.hybrid_strategy,
             rhs.as_deref(),
             &opts,
         ))
@@ -1071,9 +1018,9 @@ impl EngineSnapshot {
     fn validate(&self, i: usize, req: &ReqView<'_>) -> MgdResult<()> {
         match req {
             ReqView::Coeff(c) => {
-                if c.dims() != &self.coeff_dims[..] {
+                if c.dims() != &self.cfg.coeff_dims[..] {
                     return Err(MgdError::ShapeMismatch {
-                        expected: self.coeff_dims.clone(),
+                        expected: self.cfg.coeff_dims.clone(),
                         got: c.dims().to_vec(),
                     });
                 }
@@ -1095,10 +1042,10 @@ impl EngineSnapshot {
                 }
             }
             ReqView::Omega(o) => {
-                if o.len() != self.diffusivity.num_modes() {
+                if o.len() != self.cfg.diffusivity.num_modes() {
                     return Err(MgdError::Field(FieldError::OmegaDimMismatch {
                         got: o.len(),
-                        expected: self.diffusivity.num_modes(),
+                        expected: self.cfg.diffusivity.num_modes(),
                     }));
                 }
                 if let Some(&bad) = o.iter().find(|v| !v.is_finite()) {
@@ -1121,7 +1068,7 @@ impl EngineSnapshot {
         for (i, req) in reqs.iter().enumerate() {
             self.validate(i, req)?;
         }
-        let physics = self.loss.fingerprint();
+        let physics = self.cfg.loss.fingerprint();
         let keys: Vec<CacheKey> = reqs.iter().map(|r| CacheKey::of(r, physics)).collect();
         let mut outputs: Vec<Option<Arc<Tensor>>> = Vec::with_capacity(reqs.len());
         let mut miss_idx: Vec<usize> = Vec::new();
@@ -1143,34 +1090,39 @@ impl EngineSnapshot {
                     unique.push(i);
                 }
             }
-            let ncomp = self.loss.ncomp();
+            let ncomp = self.cfg.loss.ncomp();
             let encoded: Vec<Tensor> = unique
                 .iter()
                 .map(|&i| match &reqs[i] {
-                    ReqView::Coeff(c) => self.encoding.encode_coeff(c, ncomp),
-                    ReqView::Omega(o) => self.encoding.encode_coeff(&self.rasterize(o), ncomp),
+                    ReqView::Coeff(c) => self.cfg.encoding.encode_coeff(c, ncomp),
+                    ReqView::Omega(o) => self.cfg.encoding.encode_coeff(&self.rasterize(o), ncomp),
                 })
                 .collect();
-            let x = stack_fields_with(&encoded, self.resolution.len()).map_err(MgdError::Field)?;
+            let x =
+                stack_fields_with(&encoded, self.cfg.resolution.len()).map_err(MgdError::Field)?;
             let mut u = self.forward(&x)?;
-            self.loss.apply_bc_batch(&mut u);
-            self.stats.forward_passes.fetch_add(1, Ordering::Relaxed);
-            self.stats
+            self.cfg.loss.apply_bc_batch(&mut u);
+            self.cfg
+                .stats
+                .forward_passes
+                .fetch_add(1, Ordering::Relaxed);
+            self.cfg
+                .stats
                 .predicted_fields
                 .fetch_add(unique.len() as u64, Ordering::Relaxed);
-            let vol: usize = self.resolution.iter().product();
+            let vol: usize = self.cfg.resolution.iter().product();
             let solved: Vec<Arc<Tensor>> = unique
                 .iter()
                 .enumerate()
                 .map(|(slot, _)| {
                     Arc::new(Tensor::from_vec(
-                        self.resolution.clone(),
+                        self.cfg.resolution.clone(),
                         u.as_slice()[slot * vol..(slot + 1) * vol].to_vec(),
                     ))
                 })
                 .collect();
             for (field, &i) in solved.iter().zip(&unique) {
-                let value = match self.precision {
+                let value = match self.cfg.precision {
                     Precision::F64 => CachedField::F64(Arc::clone(field)),
                     // The output came through an f32 forward, so the f32
                     // image is lossless and halves the entry's residency.
@@ -1196,101 +1148,44 @@ impl EngineSnapshot {
             .collect())
     }
 
-    /// One batched network forward: lock-free through the shared
-    /// [`InferModel`] view, through the exclusive replica otherwise, or —
-    /// under spatial parallelism — slab-decomposed with halo exchange.
+    /// One batched network forward through the snapshot's one
+    /// [`Forward`]: the shared f64 or f32 view on the calling thread, or
+    /// slab-decomposed with halo exchange under spatial parallelism.
     fn forward(&self, x: &Tensor) -> MgdResult<Tensor> {
-        if let Some(sp) = &self.spatial {
-            return self.forward_spatial(x, sp);
-        }
-        match &self.model {
-            SnapshotModel::Shared(m) => {
-                let mut ws = self.ws_pool.acquire(&self.stats);
-                let out = m.infer(x, &mut ws);
-                self.ws_pool.release(ws);
+        let stats = &self.cfg.stats;
+        match &self.forward {
+            Forward::F64 { model, pool } => {
+                let mut ws = pool.acquire(stats);
+                let out = model.infer(x, &mut ws);
+                pool.release(ws);
                 Ok(out)
             }
-            SnapshotModel::SharedF32(m) => {
-                // One demotion at the batch boundary, one (exact) promotion
-                // on the way out — everything in between runs the f32 SIMD
-                // microkernels.
+            Forward::F32 { model, pool } => {
                 let x32 = x.cast::<f32>();
-                let mut ws = self.ws_pool32.acquire(&self.stats);
-                let out = m.infer(&x32, &mut ws);
-                self.ws_pool32.release(ws);
+                let mut ws = pool.acquire(stats);
+                let out = model.infer(&x32, &mut ws);
+                pool.release(ws);
                 Ok(out.cast::<f64>())
             }
-            SnapshotModel::Exclusive(m) => Ok(m.lock().expect("model replica poisoned").predict(x)),
+            Forward::Slab(sp) => self.forward_spatial(x, sp),
         }
     }
 
     /// Slab-decomposed forward over `sp.ranks` in-process ranks with halo
-    /// exchange; bitwise identical (f64) / rounding-equivalent (f32) to
-    /// the serial forward at the same precision. Batches larger than one
-    /// split across `sp.lanes` concurrent slab forwards
-    /// (`Parallelism::Grid`), each lane acquiring its own persistent rank
-    /// pool.
+    /// exchange, through a persistent rank pool and the shared prepacked
+    /// weights; bitwise identical (f64) / rounding-equivalent (f32) to the
+    /// serial forward at the same precision.
     fn forward_spatial(&self, x: &Tensor, sp: &SpatialServe) -> MgdResult<Tensor> {
-        if sp.weights.is_none() {
-            return self.forward_spatial_replicas(x, sp);
-        }
-        let dims = x.dims();
-        let batch = dims[0];
-        let lanes = sp.lanes.min(batch).max(1);
-        if lanes <= 1 {
-            return self.forward_spatial_lane(x, sp);
-        }
-        // Grid mode: contiguous batch chunks, one concurrent lane each.
-        let sample_vol: usize = dims[1..].iter().product();
-        let xs = x.as_slice();
-        let (base, rem) = (batch / lanes, batch % lanes);
-        let mut chunks: Vec<Tensor> = Vec::with_capacity(lanes);
-        let mut start = 0usize;
-        for lane in 0..lanes {
-            let n = base + usize::from(lane < rem);
-            let mut cdims = dims.to_vec();
-            cdims[0] = n;
-            chunks.push(Tensor::from_vec(
-                cdims,
-                xs[start * sample_vol..(start + n) * sample_vol].to_vec(),
-            ));
-            start += n;
-        }
-        #[allow(clippy::disallowed_methods)] // grid serving: one lane per batch chunk
-        let outs: Vec<MgdResult<Tensor>> = std::thread::scope(|s| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|chunk| s.spawn(move || self.forward_spatial_lane(chunk, sp)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("spatial lane panicked"))
-                .collect()
-        });
-        let mut out_dims = dims.to_vec();
-        out_dims[1] = 1; // single-channel network output
-        let mut data: Vec<f64> =
-            Vec::with_capacity(batch * out_dims[2..].iter().product::<usize>());
-        for out in outs {
-            data.extend_from_slice(out?.as_slice());
-        }
-        Ok(Tensor::from_vec(out_dims, data))
-    }
-
-    /// One slab forward through a persistent rank pool and the shared
-    /// prepacked weights.
-    fn forward_spatial_lane(&self, x: &Tensor, sp: &SpatialServe) -> MgdResult<Tensor> {
-        let weights = sp.weights.as_ref().expect("fast path needs shared weights");
         let p = sp.ranks;
-        let align = weights.spatial_align().max(1);
-        let part = SlabPartition::aligned(self.resolution[0], p, align)
+        let align = sp.weights.spatial_align().max(1);
+        let part = SlabPartition::aligned(self.cfg.resolution[0], p, align)
             .map_err(|e| MgdError::InvalidConfig(format!("spatial predict: {e}")))?;
         let dims = x.dims().to_vec();
         let batch = dims[0];
         // [B, C, D, H, W] viewed as [pre, split, post] along z (3D) /
         // y (2D); the coefficient channels (C > 1 for tensor operators)
         // sit slower than the split axis, so they fold into `pre`.
-        let layout = if self.three_d {
+        let layout = if self.cfg.three_d {
             SlabLayout {
                 pre: batch * dims[1],
                 split: dims[2],
@@ -1307,10 +1202,10 @@ impl EngineSnapshot {
         // coefficient components went in.
         let mut out_dims = dims.clone();
         out_dims[1] = 1;
-        let three_d = self.three_d;
-        let opts = sp.opts.clone();
-        let mut pool = sp.acquire_pool(&self.stats);
-        let out = match weights {
+        let three_d = self.cfg.three_d;
+        let opts = self.cfg.spatial_opts.clone();
+        let mut pool = sp.acquire_pool(&self.cfg.stats);
+        let out = match &sp.weights {
             SlabWeights::F64(m) => {
                 let m = Arc::clone(m);
                 let x = Arc::new(x.clone());
@@ -1337,68 +1232,6 @@ impl EngineSnapshot {
         };
         sp.release_pool(pool);
         Ok(out)
-    }
-
-    /// Fallback spatial forward for injected architectures without a
-    /// `&self` slab path: mutex-guarded exclusive replicas, fresh ranks
-    /// per request.
-    fn forward_spatial_replicas(&self, x: &Tensor, sp: &SpatialServe) -> MgdResult<Tensor> {
-        let mut replicas = sp.replicas.lock().expect("spatial replicas poisoned");
-        let p = sp.ranks;
-        let align = replicas[0].spatial_align();
-        let part = SlabPartition::aligned(self.resolution[0], p, align.max(1))
-            .map_err(|e| MgdError::InvalidConfig(format!("spatial predict: {e}")))?;
-        let dims = x.dims();
-        let batch = dims[0];
-        let layout = if self.three_d {
-            SlabLayout {
-                pre: batch * dims[1],
-                split: dims[2],
-                post: dims[3] * dims[4],
-            }
-        } else {
-            SlabLayout {
-                pre: batch * dims[1],
-                split: dims[3],
-                post: dims[4],
-            }
-        };
-        let jobs: Vec<(Box<dyn Model>, Tensor)> = std::mem::take(&mut *replicas)
-            .into_iter()
-            .enumerate()
-            .map(|(r, replica)| {
-                let owned = part.owned_planes(r);
-                let data = carve_planes(x.as_slice(), &layout, owned.start, owned.end);
-                let sdims = if self.three_d {
-                    vec![batch, dims[1], owned.len(), dims[3], dims[4]]
-                } else {
-                    vec![batch, dims[1], 1, owned.len(), dims[4]]
-                };
-                (replica, Tensor::from_vec(sdims, data))
-            })
-            .collect();
-        let results = launch_with(jobs, |comm, (mut replica, slab)| {
-            let out = replica.predict_slab(&slab, &comm);
-            (replica, out)
-        });
-        let mut slabs = Vec::with_capacity(p);
-        for (replica, out) in results {
-            replicas.push(replica);
-            slabs.push(
-                out.ok_or_else(|| {
-                    MgdError::InvalidConfig(
-                        "model stopped supporting slab-decomposed inference".into(),
-                    )
-                })?
-                .into_vec(),
-            );
-        }
-        let mut out_dims = dims.to_vec();
-        out_dims[1] = 1; // single-channel network output
-        Ok(Tensor::from_vec(
-            out_dims,
-            assemble_planes(&slabs, batch, layout.post),
-        ))
     }
 }
 

@@ -150,9 +150,15 @@ pub trait Model: Layer {
 
     /// Exports a read-only, thread-shareable copy of this model's current
     /// weights for concurrent serving, or `None` when the architecture has
-    /// no `&self` inference path (such models are still servable, but each
-    /// call serializes on an exclusive replica). The copy is a deep
-    /// snapshot: later training steps on `self` do not affect it.
+    /// no `&self` inference path. The copy is a deep snapshot: later
+    /// training steps on `self` do not affect it.
+    ///
+    /// Serving runs only on these views: the `SolverEngine` in `mgdiffnet`
+    /// rejects, at build time, a model that lacks the view its precision
+    /// and parallelism need (this one for f64 on one rank). Whether a
+    /// `share*` method returns a view must not change with the weights: the
+    /// engine re-exports the view after every weight change and panics if
+    /// a view it built with has gone.
     fn share(&self) -> Option<Arc<dyn InferModel>> {
         None
     }
@@ -162,20 +168,24 @@ pub trait Model: Layer {
     /// architecture has no `f32` inference path. Serving through this view
     /// halves weight/activation memory traffic; outputs differ from the
     /// `f64` path by accumulated rounding only (see the `Element`
-    /// equivalence tolerances).
+    /// equivalence tolerances). Needed for f32 and mixed-precision serving
+    /// on one rank; the contract of [`Self::share`] applies.
     fn share_f32(&self) -> Option<Arc<dyn InferModel<f32>>> {
         None
     }
 
     /// Exports a read-only, thread-shareable **slab-inference** snapshot
     /// (deep copy with GEMM weight panels prepacked), or `None` when the
-    /// architecture does not support spatial decomposition.
+    /// architecture does not support spatial decomposition. Needed for f64
+    /// serving on more than one slab rank; the contract of [`Self::share`]
+    /// applies.
     fn share_slab(&self) -> Option<Arc<dyn SlabModel>> {
         None
     }
 
     /// Single-precision counterpart of [`Self::share_slab`]: the `f64`
-    /// masters converted once to `f32` and prepacked.
+    /// masters converted once to `f32` and prepacked. Needed for f32 and
+    /// mixed-precision serving on more than one slab rank.
     fn share_slab_f32(&self) -> Option<Arc<dyn SlabModel<f32>>> {
         None
     }

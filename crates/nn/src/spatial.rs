@@ -357,8 +357,9 @@ fn halo_block_infer<E: GemmElement + HaloElement>(
     h
 }
 
-/// Monotone spill-file nonce, so concurrent walks sharing one scratch dir
-/// never collide.
+/// Spill-file sequence number. Names also carry the process id, and a
+/// name that already exists is skipped, so walks in this process or in
+/// another one sharing the scratch dir never open each other's files.
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// An encoder skip tensor awaiting its decoder level: resident in memory,
@@ -425,11 +426,22 @@ impl<E: GemmElement + HaloElement> Skip<E> {
     /// Streams `h` to a scratch file via the bit-exact wire packing,
     /// holding only one bounded chunk buffer beyond the tensor itself.
     fn spill(h: &Tensor<E>, dir: &Path, rank: usize) -> Self {
-        let seq = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
-        let path = dir.join(format!("mgd-skip-r{rank}-{seq}.bin"));
-        let file = std::fs::File::create(&path)
-            .unwrap_or_else(|e| panic!("skip spill to {} failed: {e}", path.display()));
-        let guard = SpillFile(path);
+        let pid = std::process::id();
+        // The guard is made only once `create_new` succeeded: it must never
+        // remove a file this walk does not own.
+        let (file, guard) = loop {
+            let seq = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
+            let path = dir.join(format!("mgd-skip-p{pid}-r{rank}-{seq}.bin"));
+            match std::fs::OpenOptions::new()
+                .write(true)
+                .create_new(true)
+                .open(&path)
+            {
+                Ok(file) => break (file, SpillFile(path)),
+                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+                Err(e) => panic!("skip spill to {} failed: {e}", path.display()),
+            }
+        };
         let path = &guard.0;
         let mut w = std::io::BufWriter::new(file);
         write_spill_stream(&mut w, h.as_slice(), path);
@@ -983,6 +995,52 @@ mod tests {
             .collect();
         std::fs::remove_dir_all(&dir).unwrap();
         assert!(left.is_empty(), "spill files leaked: {left:?}");
+    }
+
+    /// A spill never opens a file that already exists. Decoys sit under
+    /// the next 64 names this process could pick (another process sharing
+    /// the scratch dir, or a stale run, holds them): each keeps its bytes,
+    /// and the skip still round-trips bitwise.
+    #[test]
+    fn spill_skips_names_that_already_exist() {
+        let _slabs = slab_lock();
+        let pid = std::process::id();
+        let dir = std::env::temp_dir().join(format!("mgd-spill-decoys-{pid}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (rank, next) = (1, SPILL_SEQ.load(Ordering::Relaxed));
+        let decoys: Vec<(PathBuf, Vec<u8>)> = (next..next + 64)
+            .map(|seq| {
+                let path = dir.join(format!("mgd-skip-p{pid}-r{rank}-{seq}.bin"));
+                let bytes = format!("decoy {seq}").into_bytes();
+                std::fs::write(&path, &bytes).unwrap();
+                (path, bytes)
+            })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(9);
+        let h = Tensor::rand_uniform(vec![2, 1, 3, 4, 5], -1.0, 1.0, &mut rng);
+        let s = Tensor::rand_uniform(vec![2, 2, 3, 4, 5], -1.0, 1.0, &mut rng);
+        let skip = Skip::spill(&s, &dir, rank);
+        let cat = concat_skip(h.clone(), skip, &mut PeakMeter::default());
+        let expect = concat_channels(&h, &s);
+        let same = cat
+            .as_slice()
+            .iter()
+            .zip(expect.as_slice())
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        for (path, bytes) in &decoys {
+            let got = std::fs::read(path);
+            assert_eq!(
+                got.as_ref().ok(),
+                Some(bytes),
+                "decoy {} was touched",
+                path.display()
+            );
+        }
+        let left = std::fs::read_dir(&dir).unwrap().count();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(same, "the spilled skip must round-trip bitwise");
+        assert_eq!(left, decoys.len(), "the spill file outlived its skip");
     }
 
     #[test]

@@ -177,3 +177,67 @@ fn custom_optimizer_plugs_into_the_engine() {
     let log = engine.train().unwrap();
     assert!(log.final_loss.is_finite());
 }
+
+/// A U-Net that keeps its exclusive paths (training, `predict`,
+/// `predict_slab`) but exports none of the `&self` views serving runs on.
+struct ViewlessNet(UNet);
+
+impl Layer for ViewlessNet {
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+        self.0.forward(x, train)
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.0.backward(grad_out)
+    }
+
+    fn params(&mut self) -> Vec<&mut mgd_nn::Param> {
+        self.0.params()
+    }
+
+    fn buffers(&mut self) -> Vec<&mut Vec<f64>> {
+        self.0.buffers()
+    }
+
+    fn name(&self) -> String {
+        format!("Viewless{}", self.0.name())
+    }
+}
+
+impl Model for ViewlessNet {
+    fn clone_model(&self) -> Box<dyn Model> {
+        Box::new(ViewlessNet(self.0.clone()))
+    }
+
+    fn spatial_align(&self) -> usize {
+        Model::spatial_align(&self.0)
+    }
+
+    fn predict_slab(&mut self, slab: &Tensor, comm: &dyn Comm) -> Option<Tensor> {
+        self.0.predict_slab(slab, comm)
+    }
+}
+
+#[test]
+fn model_without_a_serving_view_is_rejected_at_build() {
+    for (parallelism, method) in [
+        (Parallelism::Serial, "Model::share"),
+        (Parallelism::SpatialThreads(2), "Model::share_slab"),
+    ] {
+        let net = UNet::new(UNetConfig {
+            two_d: true,
+            depth: 2,
+            base_filters: 2,
+            seed: 5,
+            ..Default::default()
+        });
+        let e = builder_16()
+            .model(Box::new(ViewlessNet(net)))
+            .parallelism(parallelism)
+            .build();
+        assert!(
+            matches!(e, Err(MgdError::InvalidConfig(ref m)) if m.contains(&format!("{method},"))),
+            "{parallelism:?}: {e:?}"
+        );
+    }
+}

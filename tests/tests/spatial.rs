@@ -4,9 +4,11 @@
 //! errors on bad decompositions, and keep the serving cache working on the
 //! assembled outputs.
 
+use mgd_nn::{SlabModel, SlabOpts, Workspace};
 use mgdiffnet::prelude::*;
 use mgdiffnet::Precision;
-use std::sync::{PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
+use std::time::Duration;
 
 /// Rank spawns and weight prepacks are counted process-wide, and tests run
 /// on parallel threads: every test holds this shared, and the one that
@@ -269,55 +271,151 @@ fn out_of_core_streaming_is_bitwise_serial() {
     assert_bitwise(&expect, &got, "minimal-slab spatial vs serial");
 }
 
+/// Holds a caller until a second one arrives, or ten seconds pass.
+#[derive(Default)]
+struct Rendezvous {
+    arrived: Mutex<usize>,
+    both_in: Condvar,
+}
+
+impl Rendezvous {
+    fn meet(&self) {
+        let mut arrived = self.arrived.lock().unwrap();
+        *arrived += 1;
+        self.both_in.notify_all();
+        let _ = self
+            .both_in
+            .wait_timeout_while(arrived, Duration::from_secs(10), |n| *n < 2)
+            .unwrap();
+    }
+}
+
+/// A U-Net whose slab view holds every forward's rank 0 at a shared
+/// [`Rendezvous`]: two predicts both pass it only while each runs on its
+/// own rank pool.
+struct GatedNet {
+    net: UNet,
+    gate: Arc<Rendezvous>,
+}
+
+impl Layer for GatedNet {
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+        self.net.forward(x, train)
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.net.backward(grad_out)
+    }
+
+    fn params(&mut self) -> Vec<&mut mgd_nn::Param> {
+        self.net.params()
+    }
+
+    fn buffers(&mut self) -> Vec<&mut Vec<f64>> {
+        self.net.buffers()
+    }
+
+    fn name(&self) -> String {
+        self.net.name()
+    }
+}
+
+impl Model for GatedNet {
+    fn clone_model(&self) -> Box<dyn Model> {
+        Box::new(GatedNet {
+            net: self.net.clone(),
+            gate: Arc::clone(&self.gate),
+        })
+    }
+
+    fn spatial_align(&self) -> usize {
+        Model::spatial_align(&self.net)
+    }
+
+    fn share_slab(&self) -> Option<Arc<dyn SlabModel>> {
+        Some(Arc::new(GatedSlab {
+            inner: self.net.share_slab()?,
+            gate: Arc::clone(&self.gate),
+        }))
+    }
+}
+
+struct GatedSlab {
+    inner: Arc<dyn SlabModel>,
+    gate: Arc<Rendezvous>,
+}
+
+impl SlabModel for GatedSlab {
+    fn spatial_align(&self) -> usize {
+        self.inner.spatial_align()
+    }
+
+    fn infer_slab(
+        &self,
+        slab: &Tensor,
+        comm: &dyn Comm,
+        ws: &mut Workspace,
+        opts: &SlabOpts,
+    ) -> Tensor {
+        if comm.rank() == 0 {
+            self.gate.meet();
+        }
+        self.inner.infer_slab(slab, comm, ws, opts)
+    }
+}
+
+#[allow(clippy::disallowed_methods)] // test: two concurrent predictors
 #[test]
-fn grid_parallelism_trains_and_serves_bitwise() {
+fn concurrent_spatial_predicts_are_bitwise_serial() {
     let _spawns = RANK_SPAWNS.read().unwrap_or_else(PoisonError::into_inner);
-    // Grid(d, p): data-parallel training over d workers composed with
-    // p-rank slab serving; batched predictions split across d lanes.
-    let build = |par: Parallelism| {
+    // Two threads predict at once on one SpatialThreads(2) snapshot: the
+    // second takes a fresh rank pool while the first holds the published
+    // one, and both answers match Serial bit for bit.
+    let net = UNet::new(UNetConfig {
+        two_d: true,
+        depth: 2,
+        base_filters: 4,
+        seed: 5,
+        ..Default::default()
+    });
+    let build = |model: Box<dyn Model>, par: Parallelism| {
         SolverEngine::builder()
             .resolution([32, 32])
             .problem(Problem::poisson_2d(DiffusivityModel::paper()))
             .levels(1)
-            .net_depth(2)
-            .base_filters(2)
-            .samples(4)
-            .batch_size(2)
-            .max_epochs(2)
-            .fixed_epochs(1)
-            .seed(5)
+            .samples(2)
+            .batch_size(1)
+            .model(model)
             .parallelism(par)
             .build()
             .unwrap()
     };
-    let serial = build(Parallelism::Serial);
-    let grid = build(Parallelism::Grid(2, 2));
-    assert_eq!(grid.parallelism().workers(), 2);
-    assert_eq!(grid.parallelism().spatial_ranks(), 2);
-    let fields: Vec<Tensor> = (0..3)
+    let serial = build(Box::new(net.clone()), Parallelism::Serial);
+    let gate = Arc::new(Rendezvous::default());
+    let spatial = build(
+        Box::new(GatedNet { net, gate }),
+        Parallelism::SpatialThreads(2),
+    );
+    let (serial_snap, snap) = (serial.snapshot(), spatial.snapshot());
+    let fields: Vec<Tensor> = (0..2)
         .map(|s| serial.dataset().nu_field(s, &[32, 32]))
         .collect();
-    let expect = serial.predict_batch(&fields).unwrap();
-    let got = grid.predict_batch(&fields).unwrap();
-    for (e, g) in expect.iter().zip(&got) {
-        assert_bitwise(e, g, "Grid(2,2) vs Serial");
-    }
-    // Training under Grid runs the Threads(d) schedule.
-    let mut grid = grid;
-    let log = grid.train().unwrap();
-    assert!(log.final_loss.is_finite());
-    // Zero on either grid axis is a typed build error.
-    let e = SolverEngine::builder()
-        .resolution([16, 16])
-        .problem(Problem::poisson_2d(DiffusivityModel::paper()))
-        .samples(1)
-        .batch_size(1)
-        .parallelism(Parallelism::Grid(0, 2))
-        .build();
-    assert!(
-        matches!(e, Err(MgdError::InvalidConfig(ref m)) if m.contains("Grid")),
-        "{e:?}"
-    );
+    std::thread::scope(|s| {
+        for f in &fields {
+            let (serial, snap) = (&serial_snap, &snap);
+            s.spawn(move || {
+                let got = snap.predict(f).unwrap();
+                assert_bitwise(
+                    &serial.predict(f).unwrap(),
+                    &got,
+                    "concurrent slab vs serial",
+                );
+            });
+        }
+    });
+    let stats = snap.stats();
+    assert_eq!(stats.forward_passes, 2, "{stats:?}");
+    assert!(stats.slab_pool_misses >= 1, "{stats:?}");
 }
 
 #[test]
