@@ -31,17 +31,19 @@ run cargo run --release -p mgd-examples --bin distributed_training -- --threads 
 run cargo run --release -p mgd-examples --bin distributed_training -- --threads 4
 # Spatial smoke: slab-decomposed serving must stay bitwise identical to
 # the serial forward at 2 and 4 ranks — on the overlapped halo path, on
-# minimal slabs whose bottleneck takes the extend-then-restrict fallback,
-# through the out-of-core streaming (skip-spill) mode, and at f32 to
-# tolerance (tests + example). The streaming smoke also fails if a spill
-# file outlives its predict.
+# minimal slabs whose bottleneck conv takes one band (the whole
+# halo-extended slab), through the out-of-core streaming (skip-spill)
+# mode, and at f32 (tests + example). The streaming smoke also fails if a
+# spill file outlives its predict.
 run cargo test -q -p mgd-integration --test spatial
 run cargo run --release -p mgd-examples --bin megavoxel_serving -- --quick --ranks 2
 run cargo run --release -p mgd-examples --bin megavoxel_serving -- --quick --ranks 4
 run cargo run --release -p mgd-examples --bin megavoxel_serving -- --quick --stream --ranks 2
 # Serving smoke: concurrent snapshot readers, hot swap, and the
-# micro-batching queue must hold their bitwise guarantees.
+# micro-batching queue must hold their bitwise guarantees; a forward that
+# panics inside a queue worker must end in a typed error, not a hang.
 run cargo test -q -p mgd-integration --test serving
+run cargo test -q -p mgd-serve
 # Hybrid smoke: certified solving — every strategy must reach tolerance
 # under the certified driver, including the NaN-sabotage fallback tests.
 run cargo test -q -p mgd-hybrid

@@ -1657,9 +1657,9 @@ mod tests {
 
     #[test]
     fn reduced_precision_spatial_matches_serial_f32() {
-        // f32 slab serving must agree with the *serial* f32 path to
-        // rounding tolerance (both run the same kernels; only the halo
-        // decomposition differs) — the slab forward is no longer f64-only.
+        // f32 slab serving must equal the *serial* f32 path bit for bit:
+        // the serial forward is the same slab walk on one rank, so only the
+        // halo decomposition differs, and it is exact.
         let serial32 = small_builder().precision(Precision::F32).build().unwrap();
         let fields: Vec<Tensor> = (0..2)
             .map(|s| serial32.dataset().nu_field(s, &[16, 16]))
@@ -1673,16 +1673,11 @@ mod tests {
                 .unwrap();
             let got = spatial.predict_batch(&fields).unwrap();
             for (e, g) in expect.iter().zip(&got) {
-                let scale: f64 = e
-                    .as_slice()
-                    .iter()
-                    .map(|v| v.abs())
-                    .fold(0.0f64, f64::max)
-                    .max(1.0);
                 for (a, b) in e.as_slice().iter().zip(g.as_slice()) {
-                    assert!(
-                        (a - b).abs() / scale < 1e-5,
-                        "{prec} spatial drifted from serial f32: {a} vs {b}"
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{prec} spatial differs from serial f32: {a} vs {b}"
                     );
                 }
             }

@@ -50,6 +50,9 @@ pub enum MgdError {
     /// The serving queue was shut down before (or while) this request was
     /// waiting; the request was not (fully) processed.
     ServeShutdown,
+    /// The forward (or certified solve) serving this request panicked; the
+    /// message is the panic's. The serving worker survives it.
+    ForwardPanicked(String),
     /// A data-layer failure (rasterization, batching, sampling).
     Field(FieldError),
     /// Checkpoint or report I/O failed.
@@ -83,6 +86,7 @@ impl std::fmt::Display for MgdError {
             MgdError::ServeShutdown => {
                 write!(f, "serving queue shut down before the request completed")
             }
+            MgdError::ForwardPanicked(msg) => write!(f, "forward panicked: {msg}"),
             MgdError::Field(e) => write!(f, "data layer: {e}"),
             MgdError::Io(e) => write!(f, "i/o: {e}"),
             MgdError::Checkpoint(msg) => write!(f, "checkpoint: {msg}"),
@@ -153,6 +157,8 @@ mod tests {
         assert!(e.to_string().contains("queue"));
         let e = MgdError::ServeShutdown;
         assert!(e.to_string().contains("shut down"));
+        let e = MgdError::ForwardPanicked("index out of bounds".into());
+        assert!(e.to_string().contains("panicked: index out of bounds"));
     }
 
     #[test]

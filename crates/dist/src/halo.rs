@@ -15,9 +15,10 @@
 //! One "plane" is therefore `pre · post` scalars gathered from `pre`
 //! strided chunks of `post` contiguous values. [`carve_planes`] /
 //! [`assemble_planes`] move slabs between the global field and per-rank
-//! storage, and [`exchange_extend`] performs one tagged halo exchange:
-//! every rank sends its boundary planes to its ring neighbours and returns
-//! its slab extended by the received halo planes.
+//! storage, and [`exchange_post`] / [`PendingHalo::finish`] perform one
+//! tagged halo exchange: every rank posts its boundary planes to its ring
+//! neighbours, computes whatever needs only owned planes, then collects
+//! the neighbours' planes.
 //!
 //! All constructors are fallible: an over-decomposed or misaligned
 //! partition surfaces as a typed [`PartitionError`] at configuration time
@@ -280,19 +281,6 @@ pub fn assemble_planes<T: Copy + Default>(slabs: &[Vec<T>], pre: usize, post: us
     out
 }
 
-/// An owned slab extended by the halo planes received from ring
-/// neighbours: `data` is `[pre, lo + own + hi, post]` with the owned
-/// planes at offset `lo`.
-#[derive(Clone, Debug)]
-pub struct ExtendedSlab<T = f64> {
-    /// Extended slab contents.
-    pub data: Vec<T>,
-    /// Halo planes below the owned range (0 on rank 0).
-    pub lo: usize,
-    /// Halo planes above the owned range (0 on the last rank).
-    pub hi: usize,
-}
-
 /// An in-flight halo exchange: the boundary planes have been posted to the
 /// ring neighbours, the matching receives have not happened yet.
 ///
@@ -335,7 +323,13 @@ impl PendingHalo {
 /// Posts this rank's `halo` boundary planes to each existing ring
 /// neighbour (tags `tag` downward, `tag + 1` upward) without blocking,
 /// returning the [`PendingHalo`] whose `finish` collects the neighbours'
-/// planes. Requires `halo <= own` so each rank can feed its neighbours.
+/// planes.
+///
+/// `local` is this rank's owned slab viewed as `[pre, own, post]` through
+/// `layout` (`layout.split` = `own`). Every rank must call this with the
+/// same `tag` in the same program order (collective-like discipline);
+/// unbounded channels make the symmetric send-then-receive order safe.
+/// Requires `halo <= own` so each rank can feed its neighbours.
 pub fn exchange_post<T: HaloElement, C: Comm + ?Sized>(
     comm: &C,
     local: &[T],
@@ -375,51 +369,10 @@ pub fn exchange_post<T: HaloElement, C: Comm + ?Sized>(
     }
 }
 
-/// One tagged halo exchange: sends this rank's `halo` boundary planes to
-/// each existing ring neighbour (tags `tag` downward, `tag + 1` upward)
-/// and returns the owned slab extended by the neighbours' boundary planes.
-///
-/// `local` is this rank's owned slab viewed as `[pre, own, post]` through
-/// `layout` (`layout.split` = `own`). Every rank must call this with the
-/// same `tag` in the same program order (collective-like discipline);
-/// unbounded channels make the symmetric send-then-receive order safe.
-/// Requires `halo <= own` so each rank can feed its neighbours. The
-/// post-then-finish halves ([`exchange_post`], [`PendingHalo::finish`])
-/// allow local compute to overlap the in-flight planes.
-pub fn exchange_extend<T: HaloElement, C: Comm + ?Sized>(
-    comm: &C,
-    local: &[T],
-    layout: &SlabLayout,
-    halo: usize,
-    tag: u64,
-) -> ExtendedSlab<T> {
-    let own = layout.split;
-    let pending = exchange_post(comm, local, layout, halo, tag);
-    let (lo, hi) = (pending.lo, pending.hi);
-    if lo == 0 && hi == 0 {
-        return ExtendedSlab {
-            data: local.to_vec(),
-            lo: 0,
-            hi: 0,
-        };
-    }
-    let ext = layout.with_split(lo + own + hi);
-    let mut data = vec![T::default(); ext.len()];
-    place_planes(&mut data, &ext, lo, local);
-    let (from_below, from_above) = pending.finish::<T, C>(comm);
-    if let Some(above) = from_above {
-        place_planes(&mut data, &ext, lo + own, &above);
-    }
-    if let Some(below) = from_below {
-        place_planes(&mut data, &ext, 0, &below);
-    }
-    ExtendedSlab { data, lo, hi }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::thread_comm::launch;
+    use crate::thread_comm::{launch, ThreadComm};
 
     #[test]
     fn unit_partition_covers_all_planes_evenly() {
@@ -506,7 +459,7 @@ mod tests {
     }
 
     #[test]
-    fn exchange_extends_with_neighbour_planes() {
+    fn exchange_delivers_neighbour_planes() {
         // 3 ranks, each owning 2 planes of a [pre=2, 6, post=3] field whose
         // value encodes the global plane index.
         let layout = SlabLayout {
@@ -517,37 +470,27 @@ mod tests {
         let global: Vec<f64> = (0..layout.len())
             .map(|i| ((i / layout.post) % layout.split) as f64)
             .collect();
+        let own = layout.with_split(2);
         let results = launch(3, |comm| {
             let r = comm.rank();
-            let own = SlabLayout {
-                pre: 2,
-                split: 2,
-                post: 3,
-            };
             let local = carve_planes(&global, &layout, 2 * r, 2 * r + 2);
-            let ext = exchange_extend(&comm, &local, &own, 1, 40);
-            (r, ext)
+            let pending = exchange_post(&comm, &local, &own, 1, 40);
+            let (lo, hi) = (pending.lo, pending.hi);
+            (r, lo, hi, pending.finish::<f64, _>(&comm))
         });
-        for (r, ext) in results {
-            let (lo, hi) = (ext.lo, ext.hi);
+        for (r, lo, hi, (below, above)) in results {
+            // Halo widths are 0 on the domain edges, and so is what arrives.
             assert_eq!(lo, usize::from(r > 0));
             assert_eq!(hi, usize::from(r < 2));
-            let ext_layout = SlabLayout {
-                pre: 2,
-                split: lo + 2 + hi,
-                post: 3,
-            };
-            // Every plane of the extended slab must carry its global index.
-            for pre in 0..2 {
-                for s in 0..ext_layout.split {
-                    let global_plane = (2 * r + s) as f64 - lo as f64;
-                    let base = (pre * ext_layout.split + s) * 3;
-                    assert!(
-                        ext.data[base..base + 3].iter().all(|&v| v == global_plane),
-                        "rank {r} plane {s}: {:?}",
-                        &ext.data[base..base + 3]
-                    );
-                }
+            assert_eq!(below.is_some(), r > 0);
+            assert_eq!(above.is_some(), r < 2);
+            // Each received [pre, 1, post] block is the neighbour's boundary
+            // plane, carrying its global index.
+            if let Some(below) = below {
+                assert_eq!(below, vec![(2 * r - 1) as f64; 6], "rank {r} below");
+            }
+            if let Some(above) = above {
+                assert_eq!(above, vec![(2 * r + 2) as f64; 6], "rank {r} above");
             }
         }
     }
@@ -559,14 +502,18 @@ mod tests {
             split: 3,
             post: 2,
         };
-        let results = launch(2, |comm| {
-            let local: Vec<f64> = (0..6).map(|i| (comm.rank() * 10 + i) as f64).collect();
-            let ext = exchange_extend(&comm, &local, &layout, 0, 7);
-            (local, ext)
+        let local: Vec<f64> = (0..6).map(f64::from).collect();
+        // No reach, or no neighbours: nothing is posted and nothing arrives.
+        let mut results = launch(2, |comm| {
+            let pending = exchange_post(&comm, &local, &layout, 0, 7);
+            ((pending.lo, pending.hi), pending.finish::<f64, _>(&comm))
         });
-        for (local, ext) in results {
-            assert_eq!(ext.data, local);
-            assert_eq!((ext.lo, ext.hi), (0, 0));
+        let solo = ThreadComm::solo();
+        let pending = exchange_post(&solo, &local, &layout, 1, 7);
+        results.push(((pending.lo, pending.hi), pending.finish::<f64, _>(&solo)));
+        for (widths, received) in results {
+            assert_eq!(widths, (0, 0));
+            assert_eq!(received, (None, None));
         }
     }
 }

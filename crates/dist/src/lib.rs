@@ -31,8 +31,7 @@
 //!   carving/assembly, and the tagged halo-plane exchange of the
 //!   slab-decomposed U-Net forward: a posted/finished split —
 //!   [`exchange_post`] / [`PendingHalo`] — so local compute can overlap
-//!   in-flight planes, and [`exchange_extend`] for slabs too shallow to
-//!   split;
+//!   in-flight planes;
 //! - [`SlabPool`] — a persistent rank pool (long-lived worker threads,
 //!   each owning one rank plus per-rank state) that dispatches one
 //!   closure per rank per request, amortizing thread spawns across the
@@ -46,8 +45,8 @@ mod thread_comm;
 
 pub use comm::Comm;
 pub use halo::{
-    assemble_planes, carve_planes, exchange_extend, exchange_post, place_planes, ExtendedSlab,
-    HaloElement, PartitionError, PendingHalo, SlabLayout, SlabPartition,
+    assemble_planes, carve_planes, exchange_post, place_planes, HaloElement, PartitionError,
+    PendingHalo, SlabLayout, SlabPartition,
 };
 pub use pool::{total_rank_spawns, SlabPool};
 pub use shard::{global_minibatches, local_minibatch, pad_indices};

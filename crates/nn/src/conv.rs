@@ -203,26 +203,6 @@ impl<E: GemmElement> Conv3d<E> {
         y
     }
 
-    /// [`Conv3d::infer_planes_into`] with a freshly allocated output of
-    /// exactly `keep.len()` planes. Panics on an empty `keep`.
-    pub fn infer_planes(
-        &self,
-        x: &Tensor<E>,
-        keep: std::ops::Range<usize>,
-        axis: SplitAxis,
-    ) -> Tensor<E> {
-        assert!(keep.start < keep.end, "empty output plane range");
-        let din = Dims5::of(x);
-        let dout = self.out_dims(&din);
-        let odims = match axis {
-            SplitAxis::Depth => [din.n, self.out_c, keep.len(), dout.h, dout.w],
-            SplitAxis::Height => [din.n, self.out_c, 1, keep.len(), dout.w],
-        };
-        let mut y = Tensor::zeros(odims);
-        self.infer_planes_into(x, keep, axis, &mut y, 0);
-        y
-    }
-
     /// Inference forward restricted to output planes `keep` along `axis`,
     /// written into `dst` starting at plane `dst_plane0` — the kernel of
     /// the slab-decomposed spatial forward ([`crate::spatial`]).

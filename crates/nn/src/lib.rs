@@ -71,7 +71,7 @@ pub use param::Param;
 pub use pool::MaxPool3d;
 pub use spatial::{
     activation_peak_elems, activation_peak_elems_opts, infer_slab, measured_peak_elems,
-    predict_slab, reset_measured_peak, SlabOpts, SplitAxis,
+    reset_measured_peak, SlabOpts, SplitAxis,
 };
 pub use unet::{UNet, UNetConfig};
 pub use workspace::Workspace;

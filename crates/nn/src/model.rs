@@ -12,8 +12,8 @@ use crate::layer::Layer;
 use crate::spatial::SlabOpts;
 use crate::unet::UNet;
 use crate::workspace::Workspace;
-use mgd_dist::Comm;
-use mgd_tensor::{Element, Tensor};
+use mgd_dist::{Comm, HaloElement};
+use mgd_tensor::{Element, GemmElement, Tensor};
 use std::sync::Arc;
 
 /// A read-only, thread-shareable view of a trained model, generic over the
@@ -32,14 +32,8 @@ pub trait InferModel<E: Element = f64>: Send + Sync {
     fn infer(&self, x: &Tensor<E>, ws: &mut Workspace<E>) -> Tensor<E>;
 }
 
-impl InferModel for UNet {
-    fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        UNet::infer(self, x, ws)
-    }
-}
-
-impl InferModel<f32> for UNet<f32> {
-    fn infer(&self, x: &Tensor<f32>, ws: &mut Workspace<f32>) -> Tensor<f32> {
+impl<E: GemmElement + HaloElement> InferModel<E> for UNet<E> {
+    fn infer(&self, x: &Tensor<E>, ws: &mut Workspace<E>) -> Tensor<E> {
         UNet::infer(self, x, ws)
     }
 }
@@ -69,34 +63,18 @@ pub trait SlabModel<E: Element = f64>: Send + Sync {
     ) -> Tensor<E>;
 }
 
-impl SlabModel for UNet {
+impl<E: GemmElement + HaloElement> SlabModel<E> for UNet<E> {
     fn spatial_align(&self) -> usize {
         1 << self.cfg.depth
     }
 
     fn infer_slab(
         &self,
-        slab: &Tensor,
+        slab: &Tensor<E>,
         comm: &dyn Comm,
-        ws: &mut Workspace,
+        ws: &mut Workspace<E>,
         opts: &SlabOpts,
-    ) -> Tensor {
-        crate::spatial::infer_slab(self, slab, comm, ws, opts)
-    }
-}
-
-impl SlabModel<f32> for UNet<f32> {
-    fn spatial_align(&self) -> usize {
-        1 << self.cfg.depth
-    }
-
-    fn infer_slab(
-        &self,
-        slab: &Tensor<f32>,
-        comm: &dyn Comm,
-        ws: &mut Workspace<f32>,
-        opts: &SlabOpts,
-    ) -> Tensor<f32> {
+    ) -> Tensor<E> {
         crate::spatial::infer_slab(self, slab, comm, ws, opts)
     }
 }
@@ -206,7 +184,14 @@ impl Model for UNet {
     }
 
     fn predict_slab(&mut self, slab: &Tensor, comm: &dyn Comm) -> Option<Tensor> {
-        Some(crate::spatial::predict_slab(self, slab, comm))
+        let mut ws = Workspace::new();
+        Some(crate::spatial::infer_slab(
+            self,
+            slab,
+            comm,
+            &mut ws,
+            &SlabOpts::default(),
+        ))
     }
 
     fn share(&self) -> Option<Arc<dyn InferModel>> {

@@ -37,12 +37,16 @@
 //! computed from thin `3·halo`-plane band tensors and written into the
 //! same output. This keeps a full-slab extend-copy off the critical path
 //! and lets the interior GEMM run while planes are in flight on true
-//! multi-worker transports. A slab shallower than `2·halo`
-//! planes at some level has no interior to overlap: there, and only
-//! there, the conv extends the slab by the received planes first and
-//! then restricts the output to the owned planes, which is bitwise
-//! identical too. A slab of exactly `2^depth` planes takes that path at
-//! the one-plane bottleneck.
+//! multi-worker transports. A slab shallower than `2·halo` planes at some
+//! level has no interior: its one band is the whole halo-extended slab,
+//! whose owned output planes are bitwise identical too. A slab of exactly
+//! `2^depth` planes takes one band at the one-plane bottleneck.
+//!
+//! ## One walk
+//!
+//! The serial [`UNet::infer`] is this walk on a one-rank communicator,
+//! where every halo conv is a plain [`Conv3d::infer`]: "slab == serial" is
+//! a property of one code path, not an agreement between two.
 //!
 //! ## Pool-alignment rule
 //!
@@ -70,18 +74,17 @@
 //!
 //! Per-rank activation memory is modeled by [`activation_peak_elems_opts`]
 //! (live-tensor peak, per mode); [`measured_peak_elems`] reports the
-//! instrumented live peak of the most recent [`infer_slab`] walks so
-//! serving harnesses can check the model against reality.
+//! instrumented live peak of the most recent multi-rank [`infer_slab`]
+//! walks so serving harnesses can check the model against reality.
 
 use crate::conv::Conv3d;
 use crate::layer::Dims5;
 use crate::unet::{concat_channels, ConvBlock, UNet, UNetConfig};
 use crate::workspace::Workspace;
-use mgd_dist::{
-    carve_planes, exchange_extend, exchange_post, place_planes, Comm, HaloElement, SlabLayout,
-};
+use mgd_dist::{carve_planes, exchange_post, place_planes, Comm, HaloElement, SlabLayout};
 use mgd_tensor::{GemmElement, Tensor};
 use std::io::{Read, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -129,20 +132,9 @@ impl SplitAxis {
     }
 }
 
-impl UNet {
+impl<E: mgd_tensor::Element> UNet<E> {
     /// The axis [`infer_slab`] splits for this architecture.
     pub fn split_axis(&self) -> SplitAxis {
-        if self.cfg.two_d {
-            SplitAxis::Height
-        } else {
-            SplitAxis::Depth
-        }
-    }
-}
-
-impl<E: mgd_tensor::Element> UNet<E> {
-    /// [`UNet::split_axis`], available at any inference element type.
-    pub fn split_axis_of(&self) -> SplitAxis {
         if self.cfg.two_d {
             SplitAxis::Height
         } else {
@@ -163,8 +155,8 @@ pub struct SlabOpts {
 }
 
 /// Instrumented per-rank live-activation peak (elements) since the last
-/// [`reset_measured_peak`], maxed across every [`infer_slab`] walk of
-/// every rank.
+/// [`reset_measured_peak`], maxed across every multi-rank [`infer_slab`]
+/// walk of every rank.
 static MEASURED_PEAK: AtomicUsize = AtomicUsize::new(0);
 
 /// Resets the instrumented activation-peak tracker.
@@ -173,24 +165,29 @@ pub fn reset_measured_peak() {
 }
 
 /// Largest per-rank live-activation element count any [`infer_slab`] walk
-/// reached since the last [`reset_measured_peak`]. Counts the same tensor
-/// population as [`activation_peak_elems_opts`] (activations only — no
-/// weights, GEMM workspace, or assembled I/O fields), so the model can be
-/// asserted against it.
+/// over more than one rank reached since the last [`reset_measured_peak`].
+/// One-rank walks (the serial [`UNet::infer`]) are not counted. Counts the
+/// same tensor population as [`activation_peak_elems_opts`] (activations
+/// only — no weights, GEMM workspace, or assembled I/O fields), so the
+/// model can be asserted against it.
 pub fn measured_peak_elems() -> usize {
     MEASURED_PEAK.load(Ordering::Relaxed)
 }
 
-/// Running live-element counter for one rank's walk.
+/// Running live-element counter for one rank's walk; it publishes to
+/// [`MEASURED_PEAK`] only when the walk is a slab walk (`publish`).
 #[derive(Default)]
 struct PeakMeter {
     live: usize,
+    publish: bool,
 }
 
 impl PeakMeter {
     fn alloc(&mut self, elems: usize) {
         self.live += elems;
-        MEASURED_PEAK.fetch_max(self.live, Ordering::Relaxed);
+        if self.publish {
+            MEASURED_PEAK.fetch_max(self.live, Ordering::Relaxed);
+        }
     }
 
     fn free(&mut self, elems: usize) {
@@ -230,40 +227,40 @@ fn conv_halo<E: mgd_tensor::Element>(
     }
 }
 
-/// Builds the `3·halo`-plane boundary band: `recv` planes on the domain
-/// side plus the `2·halo` nearest owned planes of `x`.
+/// Builds a band input of the conv: the received `below` planes, owned
+/// planes `owned` of `x`, then the received `above` planes.
 fn band_tensor<E: GemmElement>(
     x: &Tensor<E>,
     layout: &SlabLayout,
     axis: SplitAxis,
-    d: &Dims5,
-    halo: usize,
-    recv: &[E],
-    recv_below: bool,
+    below: Option<&[E]>,
+    owned: Range<usize>,
+    above: Option<&[E]>,
 ) -> Tensor<E> {
-    let own = layout.split;
-    let band_layout = layout.with_split(3 * halo);
+    let planes = |recv: Option<&[E]>| recv.map_or(0, |r| r.len() / (layout.pre * layout.post));
+    let lo = planes(below);
+    let band_layout = layout.with_split(lo + owned.len() + planes(above));
     let mut data = vec![E::ZERO; band_layout.len()];
-    if recv_below {
-        let own_planes = carve_planes(x.as_slice(), layout, 0, 2 * halo);
-        place_planes(&mut data, &band_layout, 0, recv);
-        place_planes(&mut data, &band_layout, halo, &own_planes);
-    } else {
-        let own_planes = carve_planes(x.as_slice(), layout, own - 2 * halo, own);
-        place_planes(&mut data, &band_layout, 0, &own_planes);
-        place_planes(&mut data, &band_layout, 2 * halo, recv);
+    if let Some(below) = below {
+        place_planes(&mut data, &band_layout, 0, below);
     }
+    let own_planes = carve_planes(x.as_slice(), layout, owned.start, owned.end);
+    place_planes(&mut data, &band_layout, lo, &own_planes);
+    if let Some(above) = above {
+        place_planes(&mut data, &band_layout, lo + owned.len(), above);
+    }
+    let d = Dims5::of(x);
     let dims = match axis {
-        SplitAxis::Depth => vec![d.n, d.c, 3 * halo, d.h, d.w],
-        SplitAxis::Height => vec![d.n, d.c, 1, 3 * halo, d.w],
+        SplitAxis::Depth => vec![d.n, d.c, band_layout.split, d.h, d.w],
+        SplitAxis::Height => vec![d.n, d.c, 1, band_layout.split, d.w],
     };
     Tensor::from_vec(dims, data)
 }
 
 /// Exchanges the conv's halo planes with ring neighbours and computes the
-/// owned output planes of a `same` stencil convolution — overlapping the
-/// interior compute with the in-flight planes whenever the slab has an
-/// interior.
+/// owned output planes of a `same` stencil convolution: post the boundary
+/// planes, compute the interior while they are in flight, then the bands
+/// that need the received planes.
 fn halo_conv_infer<E: GemmElement + HaloElement>(
     conv: &Conv3d<E>,
     x: &Tensor<E>,
@@ -283,52 +280,43 @@ fn halo_conv_infer<E: GemmElement + HaloElement>(
     let t = *tag;
     *tag += 2;
     let layout = axis.layout(&d);
-    if own >= 2 * halo {
-        // Post the boundary planes, then compute the interior while they
-        // are in flight. Interior output planes `lo..own-hi` read only
-        // owned input planes (plus the true domain padding on edge
-        // ranks), so the unextended slab yields serial-identical bits.
-        let pending = exchange_post(comm, x.as_slice(), &layout, halo, t);
-        let (lo, hi) = (pending.lo, pending.hi);
-        let odims = match axis {
-            SplitAxis::Depth => vec![d.n, conv.out_c, own, d.h, d.w],
-            SplitAxis::Height => vec![d.n, conv.out_c, 1, own, d.w],
-        };
-        let mut y: Tensor<E> = Tensor::zeros(odims);
-        meter.alloc(y.len());
-        conv.infer_planes_into(x, lo..own - hi, axis, &mut y, lo);
-        // Boundary bands on arrival: each band input is the received halo
-        // plus the 2·halo nearest owned planes, and its `halo..2·halo`
-        // output planes never read the band's artificial zero padding —
-        // bitwise equal to the serial planes they fill in.
-        let (below, above) = pending.finish(comm);
-        if let Some(below) = below {
-            let band = band_tensor(x, &layout, axis, &d, halo, &below, true);
-            meter.alloc(band.len());
-            conv.infer_planes_into(&band, halo..2 * halo, axis, &mut y, 0);
-            meter.free(band.len());
-        }
-        if let Some(above) = above {
-            let band = band_tensor(x, &layout, axis, &d, halo, &above, false);
-            meter.alloc(band.len());
-            conv.infer_planes_into(&band, halo..2 * halo, axis, &mut y, own - halo);
-            meter.free(band.len());
-        }
-        return y;
-    }
-    // Fallback (the slab is shallower than 2·halo at this level, so it has
-    // no interior): classic extend-then-restrict exchange.
-    let ext = exchange_extend(comm, x.as_slice(), &layout, halo, t);
-    let (lo, hi) = (ext.lo, ext.hi);
-    let ext_dims = match axis {
-        SplitAxis::Depth => vec![d.n, d.c, lo + d.d + hi, d.h, d.w],
-        SplitAxis::Height => vec![d.n, d.c, 1, lo + d.h + hi, d.w],
+    let pending = exchange_post(comm, x.as_slice(), &layout, halo, t);
+    let (lo, hi) = (pending.lo, pending.hi);
+    let odims = match axis {
+        SplitAxis::Depth => vec![d.n, conv.out_c, own, d.h, d.w],
+        SplitAxis::Height => vec![d.n, conv.out_c, 1, own, d.w],
     };
-    let x_ext = Tensor::from_vec(ext_dims, ext.data);
-    meter.alloc(x_ext.len());
-    let y = conv.infer_planes(&x_ext, lo..lo + own, axis);
+    let mut y: Tensor<E> = Tensor::zeros(odims);
     meter.alloc(y.len());
-    meter.free(x_ext.len());
+    // Interior output planes `lo..own-hi` read only owned input planes
+    // (plus the true domain padding on edge ranks), so the unextended slab
+    // yields serial-identical bits. A slab shallower than 2·halo has none.
+    let shallow = own < 2 * halo;
+    if !shallow {
+        conv.infer_planes_into(x, lo..own - hi, axis, &mut y, lo);
+    }
+    let (below, above) = pending.finish(comm);
+    // Each band's kept output planes never read its artificial zero
+    // padding — bitwise equal to the serial planes they fill in. Two thin
+    // bands of the received halo plus the 2·halo nearest owned planes; a
+    // shallow slab takes one band, the whole halo-extended slab.
+    let mut band_into = |below, owned: Range<usize>, above, keep: Range<usize>, dst0| {
+        let band = band_tensor(x, &layout, axis, below, owned, above);
+        meter.alloc(band.len());
+        conv.infer_planes_into(&band, keep, axis, &mut y, dst0);
+        meter.free(band.len());
+    };
+    if shallow {
+        band_into(below.as_deref(), 0..own, above.as_deref(), lo..lo + own, 0);
+    } else {
+        if below.is_some() {
+            band_into(below.as_deref(), 0..2 * halo, None, halo..2 * halo, 0);
+        }
+        if above.is_some() {
+            let owned = own - 2 * halo..own;
+            band_into(None, owned, above.as_deref(), halo..2 * halo, own - halo);
+        }
+    }
     y
 }
 
@@ -549,15 +537,28 @@ pub fn infer_slab<E: GemmElement + HaloElement>(
     _ws: &mut Workspace<E>,
     opts: &SlabOpts,
 ) -> Tensor<E> {
-    let axis = net.split_axis_of();
-    let d = Dims5::of(slab);
+    walk(net, slab.clone(), comm, opts)
+}
+
+/// The U-Net inference walk over this rank's slab `h`, consumed as the
+/// first activation. On a one-rank `comm` the slab is the whole field and
+/// this is the serial [`UNet::infer`].
+pub(crate) fn walk<E: GemmElement + HaloElement>(
+    net: &UNet<E>,
+    mut h: Tensor<E>,
+    comm: &dyn Comm,
+    opts: &SlabOpts,
+) -> Tensor<E> {
+    let axis = net.split_axis();
     // The slab must survive `depth` poolings on its own: this is exactly
     // the per-rank pool-alignment rule (engine-validated; re-checked here).
-    net.check_input_dims(&d);
+    net.check_input_dims(&Dims5::of(&h));
     let depth = net.cfg.depth;
     let mut tag = 0u64;
-    let mut meter = PeakMeter::default();
-    let mut h = slab.clone();
+    let mut meter = PeakMeter {
+        live: 0,
+        publish: comm.size() > 1,
+    };
     meter.alloc(h.len());
     let mut skips: Vec<Skip<E>> = Vec::with_capacity(depth);
     for i in 0..depth {
@@ -601,14 +602,6 @@ pub fn infer_slab<E: GemmElement + HaloElement>(
     h
 }
 
-/// Exclusive-reference convenience wrapper over [`infer_slab`] with
-/// default options and a fresh workspace — the [`crate::Model`] trait's
-/// `predict_slab` hook.
-pub fn predict_slab(net: &mut UNet, slab: &Tensor, comm: &dyn Comm) -> Tensor {
-    let mut ws = Workspace::new();
-    infer_slab(net, slab, comm, &mut ws, &SlabOpts::default())
-}
-
 /// Models the peak number of live activation scalars of one rank's
 /// [`infer_slab`] walk with **default options** (no spill).
 /// See [`activation_peak_elems_opts`].
@@ -629,9 +622,9 @@ pub fn activation_peak_elems(
 /// `halo_sides` is the number of neighbours exchanging halos with this
 /// rank (0 for a serial/full-field forward, 1 for edge ranks, 2 for
 /// interior ranks). The model counts the tensors the forward holds alive
-/// simultaneously (input, conv output, halo planes plus a boundary band, or
-/// an extended copy where the level's slab is too shallow to overlap,
-/// retained or transiently-loaded skips per the spill
+/// simultaneously (input, conv output, halo planes plus a boundary band —
+/// the whole halo-extended slab where the level's slab is too shallow to
+/// overlap — retained or transiently-loaded skips per the spill
 /// mode) level by level; it is an activation model, not an allocator
 /// trace — weights, GEMM scratch and the assembled I/O fields are
 /// excluded. Multiply by the element byte width for bytes. The walk's
@@ -672,11 +665,12 @@ pub fn activation_peak_elems_opts(
     let mut skips = 0usize;
     let mut live = t(cfg.in_channels, 0);
     peak = peak.max(live);
-    // One conv block. Overlapped halo (taken whenever the level's slab is
-    // at least 2 planes deep — halo width 1): x + out + received planes +
-    // one transient 3-plane boundary band, no extended copy. Fallback
-    // (shallower slabs): x + halo-extended copy + out. Then bn/act briefly
-    // double the output.
+    // One conv block. Two thin bands (whenever the level's slab is at
+    // least 2 planes deep — halo width 1): x + out + received planes + one
+    // transient 3-plane boundary band, no extended copy. One band
+    // (shallower slabs): x + the halo-extended slab + out; a rank without
+    // neighbours is charged the same, a bound on its plain conv. Then
+    // bn/act briefly double the output.
     macro_rules! block {
         ($c_in:expr, $c_out:expr, $l:expr) => {{
             let out = t($c_out, $l);
@@ -825,8 +819,8 @@ mod tests {
     }
 
     /// A slab of exactly `2^depth` planes is one plane deep at the
-    /// bottleneck, too shallow to overlap: that conv takes the
-    /// extend-then-restrict fallback, which must match serial too.
+    /// bottleneck, too shallow to overlap: that conv computes its one band,
+    /// the whole halo-extended slab, which must match serial too.
     #[test]
     fn overlap_off_is_bitwise_serial_too() {
         let _slabs = slab_lock();
@@ -1052,7 +1046,7 @@ mod tests {
         let x = Tensor::rand_uniform(vec![1, 1, 8, 8, 8], -1.0, 1.0, &mut rng);
         let serial = a.predict(&x);
         let results = mgd_dist::launch_with(vec![b], |comm, mut replica| {
-            predict_slab(&mut replica, &x, &comm)
+            replica.predict_slab(&x, &comm).expect("the U-Net splits")
         });
         assert_eq!(serial.as_slice(), results[0].as_slice());
     }
@@ -1067,6 +1061,24 @@ mod tests {
             .pop()
             .unwrap();
         assert!(y.is_some());
+    }
+
+    /// A serial `UNet::infer` is the walk on one rank, and it stays off the
+    /// slab meter: a concurrent full-field forward must not inflate the
+    /// peak that `measured_peak_stays_within_model` reads.
+    #[test]
+    fn serial_infer_leaves_the_slab_meter_alone() {
+        let _slabs = slab_lock();
+        reset_measured_peak();
+        let mut rng = StdRng::seed_from_u64(4);
+        let x = Tensor::rand_uniform(vec![1, 1, 16, 8, 4], -1.0, 1.0, &mut rng);
+        let y = net(false, 2, 42).infer(&x, &mut Workspace::new());
+        assert_eq!(y.dims(), x.dims());
+        assert_eq!(
+            measured_peak_elems(),
+            0,
+            "a one-rank walk published its peak"
+        );
     }
 
     #[test]
@@ -1103,7 +1115,7 @@ mod tests {
                 spill_dir: Some(PathBuf::from("/tmp")),
             },
         );
-        // Without neighbours the model charges the extend-then-restrict
+        // Without neighbours the model charges the one-band
         // accounting (input, a same-size copy, output). An interior rank's
         // overlapped walk holds two received planes and a 3-plane band per
         // conv instead of the copy, so it peaks lower despite the halos.

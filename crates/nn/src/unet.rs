@@ -15,7 +15,9 @@ use crate::layer::{Dims5, Layer};
 use crate::norm::BatchNorm;
 use crate::param::Param;
 use crate::pool::MaxPool3d;
+use crate::spatial::{self, SlabOpts};
 use crate::workspace::Workspace;
+use mgd_dist::{HaloElement, ThreadComm};
 use mgd_tensor::{Element, GemmElement, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -120,21 +122,12 @@ impl<E: Element> ConvBlock<E> {
 }
 
 impl<E: GemmElement> ConvBlock<E> {
-    /// Shared-state inference forward through conv → (bn) → act, bitwise
-    /// identical to `forward(x, false)` at the default `f64`.
-    pub fn infer(&self, x: &Tensor<E>) -> Tensor<E> {
-        let mut h = self.conv.infer(x);
-        if let Some(bn) = &self.bn {
-            h = bn.infer(&h);
-        }
-        self.act.infer(&h)
-    }
-
     /// Applies this block's post-conv stages (batch norm and LeakyReLU) to
     /// `h` in place: one fused memory walk, bitwise identical to
-    /// `bn.infer` followed by `act.infer`, with zero allocations. The
-    /// slab-serving path uses this so each block touches exactly one
-    /// output tensor.
+    /// `bn.infer` followed by `act.infer` (and so to `forward(x, false)` at
+    /// the default `f64`), with zero allocations. It is the epilogue of
+    /// every block of the inference walk, so each block touches exactly
+    /// one output tensor.
     pub fn finish_inplace(&self, h: &mut Tensor<E>) {
         match &self.bn {
             Some(bn) => bn.infer_leaky_inplace(h, self.act.alpha),
@@ -366,7 +359,7 @@ impl<E: Element> UNet<E> {
     }
 }
 
-impl<E: GemmElement> UNet<E> {
+impl<E: GemmElement + HaloElement> UNet<E> {
     /// Prepacks the GEMM weight panels of every stencil convolution
     /// (encoder, bottleneck, merge blocks, and the head) so subsequent
     /// `&self` inference calls reuse them instead of repacking per call
@@ -388,54 +381,30 @@ impl<E: GemmElement> UNet<E> {
     /// keeps per-call state (the [`Workspace`] is the serving API's
     /// per-call handle), so one network behind an `Arc` serves any number
     /// of concurrent callers with bitwise-identical results to the
-    /// exclusive path (at the default `f64`).
+    /// exclusive path (at the default `f64`). It is the slab walk of
+    /// [`crate::spatial`] on one rank ([`ThreadComm::solo`]), so the serial
+    /// and the slab-decomposed forward are one code path.
     ///
     /// Batches above `BATCH_CHUNK_VOL` voxels per sample run
     /// sample-by-sample so intermediate activations stay cache-resident;
     /// per-sample outputs are bitwise identical to the all-at-once pass.
     pub fn infer(&self, x: &Tensor<E>, _ws: &mut Workspace<E>) -> Tensor<E> {
         let din = Dims5::of(x);
-        self.check_input_dims(&din);
+        let solo = ThreadComm::solo();
+        let walk = |x: Tensor<E>| spatial::walk(self, x, &solo, &SlabOpts::default());
         if din.n > 1 && din.vol() > BATCH_CHUNK_VOL {
             let in_vol = din.c * din.vol();
             let out_vol = self.cfg.out_channels * din.vol();
             let mut y: Tensor<E> =
                 Tensor::zeros([din.n, self.cfg.out_channels, din.d, din.h, din.w]);
-            let xs = x.as_slice();
-            for ni in 0..din.n {
-                let sample = Tensor::from_vec(
-                    vec![1, din.c, din.d, din.h, din.w],
-                    xs[ni * in_vol..(ni + 1) * in_vol].to_vec(),
-                );
-                let out = self.infer_one(&sample);
+            for (ni, xs) in x.as_slice().chunks_exact(in_vol).enumerate() {
+                let sample = Tensor::from_vec(vec![1, din.c, din.d, din.h, din.w], xs.to_vec());
+                let out = walk(sample);
                 y.as_mut_slice()[ni * out_vol..(ni + 1) * out_vol].copy_from_slice(out.as_slice());
             }
             return y;
         }
-        self.infer_one(x)
-    }
-
-    /// One unchunked traversal (any batch size).
-    fn infer_one(&self, x: &Tensor<E>) -> Tensor<E> {
-        let depth = self.cfg.depth;
-        let mut skips: Vec<Tensor<E>> = Vec::with_capacity(depth);
-        let mut h = x.clone();
-        for i in 0..depth {
-            h = self.enc[i].infer(&h);
-            skips.push(h.clone());
-            h = self.pools[i].infer(&h);
-        }
-        h = self.bottleneck.infer(&h);
-        for i in (0..depth).rev() {
-            h = self.ups[i].infer(&h);
-            h = concat_channels(&h, &skips[i]);
-            h = self.merges[i].infer(&h);
-        }
-        h = self.head.infer(&h);
-        if let Some(s) = &self.sigmoid {
-            h = s.infer(&h);
-        }
-        h
+        walk(x.clone())
     }
 }
 

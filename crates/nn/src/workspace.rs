@@ -4,7 +4,9 @@
 //! The serving entry points ([`crate::UNet::infer`],
 //! [`crate::model::InferModel::infer`], [`crate::spatial::infer_slab`])
 //! take a caller-owned `Workspace` so that transient buffers live with the
-//! *call*, not with weights shared behind an `Arc`. No layer uses its
+//! *call*, not with weights shared behind an `Arc`. All three run the one
+//! inference walk of [`crate::spatial`] (`UNet::infer` on one rank), and
+//! none of them hands the workspace to a layer. No layer uses its
 //! buffers: every convolution gathers its patches straight into its GEMM's
 //! panels, so they stay empty. The type is the per-call handle those
 //! signatures (and the workspace pools of the serving engine) are written

@@ -4,8 +4,8 @@ use mgd_dist::{carve_planes, launch_with, SlabPartition};
 use mgd_nn::layer::Dims5;
 use mgd_nn::unet::{concat_channels, split_channels};
 use mgd_nn::{
-    predict_slab, Adam, Conv3d, ConvTranspose3d, Layer, MaxPool3d, Optimizer, Param, Sigmoid,
-    SplitAxis, UNet, UNetConfig,
+    Adam, Conv3d, ConvTranspose3d, Layer, MaxPool3d, Model, Optimizer, Param, Sigmoid, SplitAxis,
+    UNet, UNetConfig,
 };
 use mgd_tensor::Tensor;
 use proptest::prelude::*;
@@ -172,7 +172,7 @@ proptest! {
             })
             .collect();
         let results = launch_with(jobs, |comm, (mut replica, slab, owned)| {
-            (owned, predict_slab(&mut replica, &slab, &comm))
+            (owned, replica.predict_slab(&slab, &comm).expect("the U-Net splits"))
         });
         let out_layout = axis.layout(&Dims5::of(&serial));
         for (owned, out) in results {

@@ -16,7 +16,9 @@
 //! time, and the `queue_depth + 1`-th submitter gets a typed
 //! [`MgdError::QueueFull`] *immediately* instead of an unbounded latency
 //! tail. Results are delivered through [`Ticket`]s, so submission never
-//! blocks on inference.
+//! blocks on inference. A forward that panics answers its request with a
+//! typed [`MgdError::ForwardPanicked`]; the worker keeps serving, and
+//! healthy requests of the same batch still get their answers.
 //!
 //! The queue holds an [`Arc<SnapshotCell>`], not an engine: it loads the
 //! *currently published* snapshot per batch, so a retrain hot-swap
@@ -31,6 +33,7 @@ use mgdiffnet::{
     SnapshotCell, SolverEngine,
 };
 use std::collections::VecDeque;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -401,8 +404,21 @@ fn run_certified(
     shared.counters.batches.fetch_add(1, Ordering::Relaxed);
     shared.counters.served.fetch_add(1, Ordering::Relaxed);
     shared.counters.max_batch.fetch_max(1, Ordering::Relaxed);
-    let res = snap.solve_certified(&job.req, snap.certify_tol());
+    let res = guarded(|| snap.solve_certified(&job.req, snap.certify_tol()));
     let _ = job.tx.send((res, Instant::now()));
+}
+
+/// Runs one forward-side call, turning a panic into a typed
+/// [`MgdError::ForwardPanicked`] so the worker survives it.
+fn guarded<T>(call: impl FnOnce() -> MgdResult<T>) -> MgdResult<T> {
+    std::panic::catch_unwind(AssertUnwindSafe(call)).unwrap_or_else(|payload| {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".into());
+        Err(MgdError::ForwardPanicked(msg))
+    })
 }
 
 /// With `seed` claimed, waits up to `batch_window` for the batch to fill,
@@ -451,7 +467,7 @@ fn collect_batch(shared: &Shared, mut st: std::sync::MutexGuard<'_, QueueState>,
     shared.counters.batches.fetch_add(1, Ordering::Relaxed);
     shared.counters.served.fetch_add(n, Ordering::Relaxed);
     shared.counters.max_batch.fetch_max(n, Ordering::Relaxed);
-    match snap.predict_requests(&reqs) {
+    match guarded(|| snap.predict_requests(&reqs)) {
         Ok(outs) => {
             let done = Instant::now();
             for (tx, out) in txs.iter().zip(outs) {
@@ -461,13 +477,13 @@ fn collect_batch(shared: &Shared, mut st: std::sync::MutexGuard<'_, QueueState>,
             }
         }
         Err(_) => {
-            // One bad request fails the whole batched call, and MgdError
-            // is not Clone — re-run per request so every caller gets its
-            // own typed verdict and healthy requests still succeed (their
-            // answers come from the cache the batch attempt warmed, or a
-            // per-request forward).
+            // One bad request fails (or panics) the whole batched call, and
+            // MgdError is not Clone — re-run per request so every caller
+            // gets its own typed verdict and healthy requests still succeed
+            // (their answers come from the cache the batch attempt warmed,
+            // or a per-request forward).
             for (tx, req) in txs.iter().zip(&reqs) {
-                let res = snap.predict_request(req);
+                let res = guarded(|| snap.predict_request(req));
                 let _ = tx.send((res, Instant::now()));
             }
         }
@@ -478,6 +494,7 @@ fn collect_batch(shared: &Shared, mut st: std::sync::MutexGuard<'_, QueueState>,
 mod tests {
     use super::*;
     use mgd_field::DiffusivityModel;
+    use mgd_nn::{InferModel, Layer, Model, UNet, UNetConfig, Workspace};
     use mgdiffnet::{Problem, SolverEngine};
     use std::time::Duration;
 
@@ -628,6 +645,106 @@ mod tests {
         let stats = queue.stats();
         assert_eq!(stats.submitted, 3);
         assert_eq!(stats.served, 3);
+    }
+
+    /// A U-Net whose serving view panics on a constant input field, the
+    /// sentinel.
+    struct PanickyNet(UNet);
+
+    impl Layer for PanickyNet {
+        fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+            self.0.forward(x, train)
+        }
+        fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+            self.0.backward(grad_out)
+        }
+        fn params(&mut self) -> Vec<&mut mgd_nn::Param> {
+            self.0.params()
+        }
+        fn buffers(&mut self) -> Vec<&mut Vec<f64>> {
+            self.0.buffers()
+        }
+        fn name(&self) -> String {
+            format!("Panicky{}", self.0.name())
+        }
+    }
+
+    impl Model for PanickyNet {
+        fn clone_model(&self) -> Box<dyn Model> {
+            Box::new(PanickyNet(self.0.clone()))
+        }
+        fn share(&self) -> Option<Arc<dyn InferModel>> {
+            Some(Arc::new(PanickyNet(self.0.clone())))
+        }
+    }
+
+    impl InferModel for PanickyNet {
+        fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
+            let sample = x.len() / x.dims()[0];
+            for s in x.as_slice().chunks(sample) {
+                assert!(s.iter().any(|&v| v != s[0]), "sentinel field");
+            }
+            self.0.infer(x, ws)
+        }
+    }
+
+    #[test]
+    fn panicking_forward_is_a_typed_error_and_the_worker_survives() {
+        let net = UNet::new(UNetConfig {
+            two_d: true,
+            depth: 2,
+            base_filters: 2,
+            seed: 5,
+            ..Default::default()
+        });
+        let engine = SolverEngine::builder()
+            .resolution([16, 16])
+            .problem(Problem::poisson_2d(DiffusivityModel::paper()))
+            .levels(2)
+            .samples(8)
+            .batch_size(4)
+            .seed(3)
+            .batch_window(Duration::from_millis(20))
+            .model(Box::new(PanickyNet(net)))
+            .build()
+            .unwrap();
+        let within = Duration::from_secs(10);
+        let answer = |t: Ticket| t.rx.recv_timeout(within).expect("no answer in 10 s").0;
+        let healthy = engine.dataset().nu_field(1, &[16, 16]);
+        let expect = engine
+            .snapshot()
+            .predict_request(&InferenceRequest::coeff(healthy.clone()))
+            .unwrap();
+        let same = |got: &Tensor| {
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(got),
+                bits(&expect),
+                "answer differs from predict_request"
+            );
+        };
+        let sentinel = || InferenceRequest::coeff(Tensor::full([16, 16], 2.0));
+        fn panicked<T>(r: MgdResult<T>) -> bool {
+            matches!(r, Err(MgdError::ForwardPanicked(m)) if m.contains("sentinel"))
+        }
+        // Alone: the panic is the request's typed verdict, and so it is for
+        // a certified solve seeded by the same forward; then the one worker
+        // still answers the next request.
+        let queue = ServeQueue::for_engine(&engine, 1);
+        assert!(panicked(answer(queue.submit(sentinel()).unwrap())));
+        let certified = queue.submit_certified(sentinel()).unwrap();
+        assert!(panicked(certified.rx.recv_timeout(within).unwrap().0));
+        let t_healthy = queue.submit(InferenceRequest::coeff(healthy.clone()));
+        same(&answer(t_healthy.unwrap()).unwrap());
+        // In one batch with a healthy request: the batch panics, the
+        // per-request retry answers the healthy one.
+        let mut queue = ServeQueue::new(engine.serve_cell(), engine.serve_options());
+        let t_poisoned = queue.submit(sentinel()).unwrap();
+        let t_healthy = queue.submit(InferenceRequest::coeff(healthy)).unwrap();
+        queue.spawn_workers(1);
+        assert!(panicked(answer(t_poisoned)));
+        same(&answer(t_healthy).unwrap());
+        assert_eq!(queue.stats().batches, 1);
     }
 
     #[test]
