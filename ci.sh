@@ -46,7 +46,11 @@ run cargo test -q -p mgd-integration --test serving
 run cargo test -q -p mgd-serve
 # Hybrid smoke: certified solving — every strategy must reach tolerance
 # under the certified driver, including the NaN-sabotage fallback tests.
+# `thermal_composite` is the tensor operator's one end-to-end run outside
+# unit tests (train, compare, serve, certify); it asserts its certificate
+# (~3 s on a 2-core x86-64 VM).
 run cargo test -q -p mgd-hybrid
+run cargo run --release -p mgd-examples --bin thermal_composite
 # Benchmark: its own unit tests, then all four workloads end to end. The
 # unit-test step is also the public-API gate: the benchmark compiles
 # against `Model`, `InferModel`, `Workspace`, the `ServeStats` counters and

@@ -36,7 +36,9 @@ fn time_solve<const D: usize>(
     let (_, stats) = hier.solve(None, None, opts);
     let fem = t.elapsed().as_secs_f64();
     assert!(stats.converged, "FEM did not converge at {dims:?}");
-    let x = data.batch_inputs(&[0], &dims);
+    let x = data
+        .try_batch_inputs(&[0], &dims)
+        .expect("batch rasterization");
     let t = Instant::now();
     let _ = net.forward(&x, false);
     (fem, t.elapsed().as_secs_f64(), stats.iterations)

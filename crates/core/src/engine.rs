@@ -1566,6 +1566,19 @@ mod tests {
         ));
     }
 
+    #[test]
+    fn solve_certified_rejects_non_positive_nu() {
+        // ν ≤ 0 would assemble a non-SPD system: a typed error naming the
+        // first bad node, not an unconverged `Ok`.
+        let engine = small_builder().build().unwrap();
+        let req = InferenceRequest::coeff(Tensor::full([16, 16], -1.0));
+        let err = engine.solve_certified(&req, 1e-8);
+        assert!(
+            matches!(err, Err(MgdError::InvalidConfig(ref m)) if m.contains("node 0")),
+            "{err:?}"
+        );
+    }
+
     /// Nudges every weight by a deterministic, *not*-f32-representable
     /// amount so the f32 and f64 forward paths must actually diverge (a
     /// freshly initialized U-Net outputs exactly sigmoid(0) = 0.5, which

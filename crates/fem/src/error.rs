@@ -24,8 +24,9 @@ pub enum FemError {
         /// Actual length supplied.
         got: usize,
     },
-    /// A coefficient tensor failed the symmetric-positive-definite check
-    /// (or contained non-finite entries) at one node.
+    /// A coefficient failed the positive-definiteness check at one node: a
+    /// scalar ν ≤ 0, a tensor that is not symmetric positive definite, or
+    /// a non-finite entry.
     NotSpd {
         /// Index of the first offending node.
         node: usize,
@@ -51,8 +52,8 @@ impl fmt::Display for FemError {
             } => write!(f, "{what} has length {got}, expected {expected}"),
             FemError::NotSpd { node } => write!(
                 f,
-                "coefficient tensor at node {node} is not symmetric positive definite \
-                 (or not finite)"
+                "coefficient at node {node} is not positive definite (scalar ν ≤ 0, \
+                 tensor not SPD) or not finite"
             ),
             FemError::BadBoundary { reason } => {
                 write!(f, "invalid boundary specification: {reason}")

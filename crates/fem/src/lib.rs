@@ -17,6 +17,14 @@
 //! - exact **Dirichlet boundary handling** via masking, matching the
 //!   network-side BC imposition `U = U_int·χ_int + U_bc·χ_b`.
 //!
+//! **One element-kernel family for every operator.** Energy, gradient,
+//! colored and serial stiffness apply and the diagonal are each one loop
+//! in [`operator`], generic over the coefficient evaluated at a quadrature
+//! point: the scalar ν of the free functions and of
+//! [`PdeOperator::Poisson`], or the symmetric tensor of
+//! [`PdeOperator::AnisoDiffusion`]. A [`PdeOperator`] only picks that
+//! coefficient type (see [`pde`] for adding one).
+//!
 //! Everything is generic over the spatial dimension `const D: usize`
 //! (2 and 3 are exercised); grids are uniform over `[0,1]^D` with `x` on the
 //! fastest axis, matching the tensor layout used by `mgd-nn`.

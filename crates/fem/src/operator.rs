@@ -12,9 +12,18 @@
 //! All loops are matrix-free and parallelized with the element coloring of
 //! [`crate::color`].
 //!
-//! **Length validation** happens at construction boundaries
-//! ([`crate::system::FemSystem`], the `solve_cg*` entry points, the
-//! hierarchy builders) as typed [`crate::error::FemError`]s; the kernels
+//! **One element loop per kernel.** Energy, gradient, colored and serial
+//! stiffness apply and the diagonal are each written once, generic over
+//! the coefficient evaluated at a quadrature point: the scalar ν of the
+//! free functions here, or the symmetric tensor `T` of
+//! [`crate::pde::PdeOperator::AnisoDiffusion`]. Every contribution is
+//! `(w·scale)·(flux·∇φ)`: a scalar has `flux = ∇u` and `scale = ν_q`, a
+//! tensor `flux = T∇u` and `scale = 1`, which keeps each operator's
+//! floating-point operation order (and so its bits) fixed.
+//!
+//! **Coefficient validation** (length and positive definiteness) happens
+//! at construction boundaries ([`crate::system::FemSystem`], the hierarchy
+//! builders) as typed [`crate::error::FemError`]s; the kernels
 //! here only `debug_assert!` read-side lengths. Output slices that are
 //! scattered into through [`SyncSlice`] keep hard `assert_eq!`s — those
 //! writes are unchecked raw-pointer adds in release mode, so the length
@@ -28,18 +37,137 @@ use mgd_tensor::par::{maybe_par_sum_map, SyncSlice};
 /// Maximum local nodes (2^D for D ≤ 3).
 pub(crate) const MAX_NL: usize = 8;
 
-/// Per-element scratch gathered from global arrays.
-#[inline]
+/// Local nodes of a `D`-dimensional element, [`ElementBasis::nl`] as a
+/// constant the element loops unroll by.
+const fn local_nodes<const D: usize>() -> usize {
+    1 << D
+}
+
+/// The nodal values of `src` on the element whose local node 0 is `base`.
+#[inline(always)]
 pub(crate) fn gather<const D: usize>(
     grid: &Grid<D>,
     strides: &[usize; D],
     base: usize,
     src: &[f64],
-    out: &mut [f64; MAX_NL],
-    nl: usize,
-) {
-    for l in 0..nl {
+) -> [f64; MAX_NL] {
+    let mut out = [0.0; MAX_NL];
+    for l in 0..local_nodes::<D>() {
         out[l] = src[base + grid.local_offset(strides, l)];
+    }
+    out
+}
+
+/// A diffusion coefficient as the element kernels see it: nodal samples
+/// gathered per element, interpolated at each quadrature point, and
+/// applied to a gradient `g` as `scale · flux(g)`.
+///
+/// Implementations and the per-element helpers below are
+/// `#[inline(always)]`: the element loops only unroll (and the scalar
+/// instance only matches a hand-written scalar loop's speed) once they
+/// are inlined into the sweep.
+pub(crate) trait Coefficient<const D: usize>: Sync {
+    /// One element's nodal samples.
+    type Local;
+    /// The coefficient at one quadrature point.
+    type AtQ;
+    /// Nodal components, the per-flux work relative to a scalar (the
+    /// colored sweeps' parallel-gate hint).
+    const NCOMP: usize;
+    /// Gathers the samples of the element whose local node 0 is `base`.
+    fn gather(&self, grid: &Grid<D>, strides: &[usize; D], base: usize) -> Self::Local;
+    /// Interpolates at the quadrature point whose shape values are `vrow`.
+    fn at_q(local: &Self::Local, vrow: &[f64]) -> Self::AtQ;
+    /// The scalar factor of a contribution (exactly `1.0` for a tensor).
+    fn scale(at: &Self::AtQ) -> f64;
+    /// The flux the coefficient makes of the gradient `g`.
+    fn flux(at: &Self::AtQ, g: &[f64; D]) -> [f64; D];
+    /// Whether the coefficient at `node` is finite and positive definite.
+    fn spd_at(&self, node: usize) -> bool;
+}
+
+/// Scalar nodal ν (the paper's operator).
+pub(crate) struct Scalar<'a>(pub &'a [f64]);
+
+impl<const D: usize> Coefficient<D> for Scalar<'_> {
+    type Local = [f64; MAX_NL];
+    type AtQ = f64;
+    const NCOMP: usize = 1;
+
+    #[inline(always)]
+    fn gather(&self, grid: &Grid<D>, strides: &[usize; D], base: usize) -> [f64; MAX_NL] {
+        gather(grid, strides, base, self.0)
+    }
+
+    #[inline(always)]
+    fn at_q(nu_l: &[f64; MAX_NL], vrow: &[f64]) -> f64 {
+        let mut nu_q = 0.0;
+        for (v, nu) in vrow.iter().zip(nu_l) {
+            nu_q += v * nu;
+        }
+        nu_q
+    }
+
+    #[inline(always)]
+    fn scale(nu_q: &f64) -> f64 {
+        *nu_q
+    }
+
+    #[inline(always)]
+    fn flux(_: &f64, g: &[f64; D]) -> [f64; D] {
+        *g
+    }
+
+    fn spd_at(&self, node: usize) -> bool {
+        self.0[node].is_finite() && self.0[node] > 0.0
+    }
+}
+
+/// `∂φ_l/∂x_c` at quadrature point `q`, for `c` in `0..D`.
+#[inline(always)]
+fn shape_grad<const D: usize>(basis: &ElementBasis<D>, q: usize, l: usize) -> &[f64] {
+    let k = q * local_nodes::<D>() + l;
+    &basis.grad[k * D..(k + 1) * D]
+}
+
+/// `∇u` at quadrature point `q` from the element's nodal values.
+#[inline(always)]
+fn grad_at_q<const D: usize>(basis: &ElementBasis<D>, q: usize, u_l: &[f64; MAX_NL]) -> [f64; D] {
+    let mut gu = [0.0; D];
+    for l in 0..local_nodes::<D>() {
+        let grow = shape_grad(basis, q, l);
+        for c in 0..D {
+            gu[c] += grow[c] * u_l[l];
+        }
+    }
+    gu
+}
+
+#[inline(always)]
+fn dot<const D: usize>(a: &[f64; D], b: &[f64]) -> f64 {
+    let mut s = 0.0;
+    for c in 0..D {
+        s += a[c] * b[c];
+    }
+    s
+}
+
+/// Adds an element's local accumulator into `out`.
+///
+/// # Safety
+/// No other thread may add to this element's nodes concurrently: the
+/// caller runs inside one color of [`for_each_element_colored`], whose
+/// elements have disjoint node supports.
+#[inline(always)]
+unsafe fn scatter<const D: usize>(
+    out: &SyncSlice<f64>,
+    grid: &Grid<D>,
+    strides: &[usize; D],
+    base: usize,
+    acc: &[f64; MAX_NL],
+) {
+    for l in 0..local_nodes::<D>() {
+        out.add(base + grid.local_offset(strides, l), acc[l]);
     }
 }
 
@@ -54,40 +182,37 @@ pub fn energy<const D: usize>(
     u: &[f64],
     f: Option<&[f64]>,
 ) -> f64 {
+    energy_with(grid, basis, &Scalar(nu), u, f)
+}
+
+/// [`energy`] for any coefficient: `Σ_q w·detJ [½ ∇u·flux(∇u) − f u]`.
+pub(crate) fn energy_with<const D: usize, C: Coefficient<D>>(
+    grid: &Grid<D>,
+    basis: &ElementBasis<D>,
+    coeff: &C,
+    u: &[f64],
+    f: Option<&[f64]>,
+) -> f64 {
     let nn = grid.num_nodes();
-    debug_assert_eq!(nu.len(), nn, "nu length");
     debug_assert_eq!(u.len(), nn, "u length");
     if let Some(ff) = f {
         debug_assert_eq!(ff.len(), nn, "f length");
     }
     let strides = grid.strides();
-    let nl = basis.nl;
+    let nl = local_nodes::<D>();
     let ne = grid.num_elements();
     let kernel = |e: usize| -> f64 {
-        let el = grid.element_multi(e);
-        let base = grid.element_base(el);
-        let mut nu_l = [0.0; MAX_NL];
-        let mut u_l = [0.0; MAX_NL];
-        let mut f_l = [0.0; MAX_NL];
-        gather(grid, &strides, base, nu, &mut nu_l, nl);
-        gather(grid, &strides, base, u, &mut u_l, nl);
-        if let Some(ff) = f {
-            gather(grid, &strides, base, ff, &mut f_l, nl);
-        }
+        let base = grid.element_base(grid.element_multi(e));
+        let c_l = coeff.gather(grid, &strides, base);
+        let u_l = gather(grid, &strides, base, u);
+        let f_l = f.map_or([0.0; MAX_NL], |ff| gather(grid, &strides, base, ff));
         let mut j = 0.0;
         for q in 0..basis.nq {
             let vrow = &basis.val[q * nl..(q + 1) * nl];
-            let mut nu_q = 0.0;
-            let mut gu = [0.0; D];
-            for l in 0..nl {
-                nu_q += vrow[l] * nu_l[l];
-                let grow = &basis.grad[(q * nl + l) * D..(q * nl + l + 1) * D];
-                for c in 0..D {
-                    gu[c] += grow[c] * u_l[l];
-                }
-            }
-            let g2: f64 = gu.iter().map(|g| g * g).sum();
-            j += basis.w_detj * 0.5 * nu_q * g2;
+            let c_q = C::at_q(&c_l, vrow);
+            let gu = grad_at_q(basis, q, &u_l);
+            let quad: f64 = C::flux(&c_q, &gu).iter().zip(&gu).map(|(a, b)| a * b).sum();
+            j += basis.w_detj * 0.5 * C::scale(&c_q) * quad;
             if f.is_some() {
                 let mut u_q = 0.0;
                 let mut f_q = 0.0;
@@ -100,6 +225,8 @@ pub fn energy<const D: usize>(
         }
         j
     };
+    // The hint is the same for every coefficient: it fixes the summation
+    // blocks, and so the bits.
     maybe_par_sum_map(ne, nl * basis.nq, kernel)
 }
 
@@ -113,11 +240,23 @@ pub fn energy_grad<const D: usize>(
     f: Option<&[f64]>,
     grad: &mut [f64],
 ) -> f64 {
+    energy_grad_with(grid, basis, &Scalar(nu), u, f, grad)
+}
+
+/// [`energy_grad`] for any coefficient.
+pub(crate) fn energy_grad_with<const D: usize, C: Coefficient<D>>(
+    grid: &Grid<D>,
+    basis: &ElementBasis<D>,
+    coeff: &C,
+    u: &[f64],
+    f: Option<&[f64]>,
+    grad: &mut [f64],
+) -> f64 {
     let nn = grid.num_nodes();
     debug_assert_eq!(grad.len(), nn, "grad length");
     grad.iter_mut().for_each(|g| *g = 0.0);
-    let j = energy(grid, basis, nu, u, f);
-    apply_stiffness(grid, basis, nu, u, grad);
+    let j = energy_with(grid, basis, coeff, u, f);
+    apply_stiffness_with(grid, basis, coeff, u, grad);
     if let Some(ff) = f {
         let mut load = vec![0.0; nn];
         load_vector(grid, basis, ff, &mut load);
@@ -126,6 +265,32 @@ pub fn energy_grad<const D: usize>(
         }
     }
     j
+}
+
+/// Element `K^e u_e`: hands `add(l, v)` one contribution `v` per
+/// quadrature point and local node `l`. The colored and the serial sweep
+/// share this math and differ only in where `add` puts `v`.
+#[inline(always)]
+fn element_apply<const D: usize, C: Coefficient<D>>(
+    grid: &Grid<D>,
+    basis: &ElementBasis<D>,
+    strides: &[usize; D],
+    coeff: &C,
+    u: &[f64],
+    base: usize,
+    mut add: impl FnMut(usize, f64),
+) {
+    let nl = local_nodes::<D>();
+    let c_l = coeff.gather(grid, strides, base);
+    let u_l = gather(grid, strides, base, u);
+    for q in 0..basis.nq {
+        let c_q = C::at_q(&c_l, &basis.val[q * nl..(q + 1) * nl]);
+        let flux = C::flux(&c_q, &grad_at_q(basis, q, &u_l));
+        let s = basis.w_detj * C::scale(&c_q);
+        for l in 0..nl {
+            add(l, s * dot(&flux, shape_grad(basis, q, l)));
+        }
+    }
 }
 
 /// Matrix-free stiffness application `out += K(ν) u`.
@@ -138,47 +303,30 @@ pub fn apply_stiffness<const D: usize>(
     u: &[f64],
     out: &mut [f64],
 ) {
+    apply_stiffness_with(grid, basis, &Scalar(nu), u, out);
+}
+
+/// [`apply_stiffness`] for any coefficient.
+pub(crate) fn apply_stiffness_with<const D: usize, C: Coefficient<D>>(
+    grid: &Grid<D>,
+    basis: &ElementBasis<D>,
+    coeff: &C,
+    u: &[f64],
+    out: &mut [f64],
+) {
     let nn = grid.num_nodes();
-    debug_assert_eq!(nu.len(), nn);
     debug_assert_eq!(u.len(), nn);
     // Hard assert: `out` is written through unchecked raw-pointer adds.
     assert_eq!(out.len(), nn);
     let strides = grid.strides();
-    let nl = basis.nl;
+    let nl = local_nodes::<D>();
     let sync = SyncSlice::new(out);
-    for_each_element_colored(grid, nl * basis.nq * D, |e| {
-        let el = grid.element_multi(e);
-        let base = grid.element_base(el);
-        let mut nu_l = [0.0; MAX_NL];
-        let mut u_l = [0.0; MAX_NL];
+    for_each_element_colored(grid, nl * basis.nq * D * C::NCOMP, |e| {
+        let base = grid.element_base(grid.element_multi(e));
         let mut acc = [0.0; MAX_NL];
-        gather(grid, &strides, base, nu, &mut nu_l, nl);
-        gather(grid, &strides, base, u, &mut u_l, nl);
-        for q in 0..basis.nq {
-            let vrow = &basis.val[q * nl..(q + 1) * nl];
-            let mut nu_q = 0.0;
-            let mut gu = [0.0; D];
-            for l in 0..nl {
-                nu_q += vrow[l] * nu_l[l];
-                let grow = &basis.grad[(q * nl + l) * D..(q * nl + l + 1) * D];
-                for c in 0..D {
-                    gu[c] += grow[c] * u_l[l];
-                }
-            }
-            let s = basis.w_detj * nu_q;
-            for l in 0..nl {
-                let grow = &basis.grad[(q * nl + l) * D..(q * nl + l + 1) * D];
-                let mut dot = 0.0;
-                for c in 0..D {
-                    dot += gu[c] * grow[c];
-                }
-                acc[l] += s * dot;
-            }
-        }
-        for l in 0..nl {
-            // SAFETY: same-color elements have disjoint node supports.
-            unsafe { sync.add(base + grid.local_offset(&strides, l), acc[l]) };
-        }
+        element_apply(grid, basis, &strides, coeff, u, base, |l, v| acc[l] += v);
+        // SAFETY: same-color elements have disjoint node supports.
+        unsafe { scatter(&sync, grid, &strides, base, &acc) };
     });
 }
 
@@ -192,40 +340,26 @@ pub fn apply_stiffness_serial<const D: usize>(
     u: &[f64],
     out: &mut [f64],
 ) {
+    apply_stiffness_serial_with(grid, basis, &Scalar(nu), u, out);
+}
+
+/// [`apply_stiffness_serial`] for any coefficient.
+pub(crate) fn apply_stiffness_serial_with<const D: usize, C: Coefficient<D>>(
+    grid: &Grid<D>,
+    basis: &ElementBasis<D>,
+    coeff: &C,
+    u: &[f64],
+    out: &mut [f64],
+) {
     let nn = grid.num_nodes();
-    debug_assert_eq!(nu.len(), nn);
     debug_assert_eq!(u.len(), nn);
     debug_assert_eq!(out.len(), nn);
     let strides = grid.strides();
-    let nl = basis.nl;
     for e in 0..grid.num_elements() {
-        let el = grid.element_multi(e);
-        let base = grid.element_base(el);
-        let mut nu_l = [0.0; MAX_NL];
-        let mut u_l = [0.0; MAX_NL];
-        gather(grid, &strides, base, nu, &mut nu_l, nl);
-        gather(grid, &strides, base, u, &mut u_l, nl);
-        for q in 0..basis.nq {
-            let vrow = &basis.val[q * nl..(q + 1) * nl];
-            let mut nu_q = 0.0;
-            let mut gu = [0.0; D];
-            for l in 0..nl {
-                nu_q += vrow[l] * nu_l[l];
-                let grow = &basis.grad[(q * nl + l) * D..(q * nl + l + 1) * D];
-                for c in 0..D {
-                    gu[c] += grow[c] * u_l[l];
-                }
-            }
-            let s = basis.w_detj * nu_q;
-            for l in 0..nl {
-                let grow = &basis.grad[(q * nl + l) * D..(q * nl + l + 1) * D];
-                let mut dot = 0.0;
-                for c in 0..D {
-                    dot += gu[c] * grow[c];
-                }
-                out[base + grid.local_offset(&strides, l)] += s * dot;
-            }
-        }
+        let base = grid.element_base(grid.element_multi(e));
+        element_apply(grid, basis, &strides, coeff, u, base, |l, v| {
+            out[base + grid.local_offset(&strides, l)] += v
+        });
     }
 }
 
@@ -237,39 +371,36 @@ pub fn stiffness_diag<const D: usize>(
     nu: &[f64],
     out: &mut [f64],
 ) {
-    let nn = grid.num_nodes();
-    debug_assert_eq!(nu.len(), nn);
+    stiffness_diag_with(grid, basis, &Scalar(nu), out);
+}
+
+/// [`stiffness_diag`] for any coefficient.
+pub(crate) fn stiffness_diag_with<const D: usize, C: Coefficient<D>>(
+    grid: &Grid<D>,
+    basis: &ElementBasis<D>,
+    coeff: &C,
+    out: &mut [f64],
+) {
     // Hard assert: `out` is written through unchecked raw-pointer adds.
-    assert_eq!(out.len(), nn);
+    assert_eq!(out.len(), grid.num_nodes());
     let strides = grid.strides();
-    let nl = basis.nl;
+    let nl = local_nodes::<D>();
     let sync = SyncSlice::new(out);
-    for_each_element_colored(grid, nl * basis.nq * D, |e| {
-        let el = grid.element_multi(e);
-        let base = grid.element_base(el);
-        let mut nu_l = [0.0; MAX_NL];
+    for_each_element_colored(grid, nl * basis.nq * D * C::NCOMP, |e| {
+        let base = grid.element_base(grid.element_multi(e));
+        let c_l = coeff.gather(grid, &strides, base);
         let mut acc = [0.0; MAX_NL];
-        gather(grid, &strides, base, nu, &mut nu_l, nl);
         for q in 0..basis.nq {
-            let vrow = &basis.val[q * nl..(q + 1) * nl];
-            let mut nu_q = 0.0;
+            let c_q = C::at_q(&c_l, &basis.val[q * nl..(q + 1) * nl]);
+            let s = basis.w_detj * C::scale(&c_q);
             for l in 0..nl {
-                nu_q += vrow[l] * nu_l[l];
-            }
-            let s = basis.w_detj * nu_q;
-            for l in 0..nl {
-                let grow = &basis.grad[(q * nl + l) * D..(q * nl + l + 1) * D];
-                let mut g2 = 0.0;
-                for c in 0..D {
-                    g2 += grow[c] * grow[c];
-                }
-                acc[l] += s * g2;
+                let mut grow = [0.0; D];
+                grow.copy_from_slice(shape_grad(basis, q, l));
+                acc[l] += s * dot(&C::flux(&c_q, &grow), &grow);
             }
         }
-        for l in 0..nl {
-            // SAFETY: same-color elements have disjoint node supports.
-            unsafe { sync.add(base + grid.local_offset(&strides, l), acc[l]) };
-        }
+        // SAFETY: same-color elements have disjoint node supports.
+        unsafe { scatter(&sync, grid, &strides, base, &acc) };
     });
 }
 
@@ -285,14 +416,12 @@ pub fn load_vector<const D: usize>(
     // Hard assert: `out` is written through unchecked raw-pointer adds.
     assert_eq!(out.len(), nn);
     let strides = grid.strides();
-    let nl = basis.nl;
+    let nl = local_nodes::<D>();
     let sync = SyncSlice::new(out);
     for_each_element_colored(grid, nl * basis.nq, |e| {
-        let el = grid.element_multi(e);
-        let base = grid.element_base(el);
-        let mut f_l = [0.0; MAX_NL];
+        let base = grid.element_base(grid.element_multi(e));
+        let f_l = gather(grid, &strides, base, f);
         let mut acc = [0.0; MAX_NL];
-        gather(grid, &strides, base, f, &mut f_l, nl);
         for q in 0..basis.nq {
             let vrow = &basis.val[q * nl..(q + 1) * nl];
             let mut f_q = 0.0;
@@ -303,10 +432,8 @@ pub fn load_vector<const D: usize>(
                 acc[l] += basis.w_detj * f_q * vrow[l];
             }
         }
-        for l in 0..nl {
-            // SAFETY: same-color elements have disjoint node supports.
-            unsafe { sync.add(base + grid.local_offset(&strides, l), acc[l]) };
-        }
+        // SAFETY: same-color elements have disjoint node supports.
+        unsafe { scatter(&sync, grid, &strides, base, &acc) };
     });
 }
 

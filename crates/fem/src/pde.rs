@@ -1,13 +1,14 @@
 //! Pluggable PDE operators over the matrix-free FEM substrate.
 //!
-//! [`PdeOperator`] names a variational operator and dispatches the four
-//! kernels every consumer layer needs — Ritz energy, its exact nodal
-//! gradient, stiffness application, and the stiffness diagonal — over a
-//! generic per-node *coefficient block*. A coefficient block stores
-//! `ncomp` nodal fields component-major (`coeff[c * nn + i]` is component
-//! `c` at node `i`), so the single-component case is exactly today's
-//! scalar ν layout and the [`PdeOperator::Poisson`] arm delegates to the
-//! original kernels in [`crate::operator`] — bitwise identical by
+//! [`PdeOperator`] names a variational operator and picks the coefficient
+//! type that the element kernels of [`crate::operator`] run with: Ritz
+//! energy, its exact nodal gradient, stiffness application (colored and
+//! serial), and the stiffness diagonal are each one loop, generic over
+//! the coefficient evaluated at a quadrature point. A coefficient block
+//! stores `ncomp` nodal fields component-major (`coeff[c * nn + i]` is
+//! component `c` at node `i`), so the single-component case is exactly the
+//! scalar ν layout and [`PdeOperator::Poisson`] runs the same instance as
+//! the free functions of [`crate::operator`] — bitwise identical by
 //! construction.
 //!
 //! Shipped operators:
@@ -21,20 +22,21 @@
 //! [`crate::basis::ElementBasis::grad`]'s coordinate order: 2D
 //! `[T_xx, T_yy, T_xy]`, 3D `[T_xx, T_yy, T_zz, T_xy, T_xz, T_yz]`
 //! (diagonal first, then off-diagonals lexicographically; see
-//! [`sym_index`]). SPD-ness is validated per node at construction via
-//! Sylvester's leading principal minors.
+//! [`sym_index`]). Positive definiteness is validated per node at
+//! construction via Sylvester's leading principal minors (for a scalar,
+//! the 1×1 minor: ν > 0).
 //!
-//! Adding an operator: add an enum variant, implement its four kernels
-//! (mirroring the aniso ones below), extend `ncomp`/`validate_coeff`/
-//! `fingerprint`, and every consumer — system, CG, hierarchy, mixed
-//! V-cycle, loss, serving — picks it up through dispatch.
+//! Adding an operator: add an enum variant and a coefficient type — its
+//! gather, quadrature-point interpolation, `scale`/`flux` pair and
+//! per-node positive-definiteness check — then extend `ncomp`/`name`/
+//! `fingerprint` and the variant's arm of `with_coeff!`. Every kernel and
+//! every consumer — system, CG, hierarchy, mixed V-cycle, loss, serving —
+//! picks it up.
 
 use crate::basis::ElementBasis;
-use crate::color::for_each_element_colored;
 use crate::error::FemError;
 use crate::grid::Grid;
-use crate::operator::{self, gather, MAX_NL};
-use mgd_tensor::par::{maybe_par_sum_map, SyncSlice};
+use crate::operator::{self, Coefficient, Scalar, MAX_NL};
 
 /// Maximum symmetric-tensor components (6 for D = 3).
 pub const MAX_NCOMP: usize = 6;
@@ -51,20 +53,6 @@ pub fn sym_index(d: usize, a: usize, b: usize) -> usize {
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
         d + lo * d - lo * (lo + 1) / 2 + (hi - lo - 1)
     }
-}
-
-/// `out = T g` for a symmetric tensor in [`sym_index`] component order.
-#[inline]
-fn sym_mv<const D: usize>(t: &[f64; MAX_NCOMP], g: &[f64; D]) -> [f64; D] {
-    let mut out = [0.0; D];
-    for a in 0..D {
-        let mut acc = 0.0;
-        for b in 0..D {
-            acc += t[sym_index(D, a, b)] * g[b];
-        }
-        out[a] = acc;
-    }
-    out
 }
 
 /// True when the symmetric tensor `t` (first `d*(d+1)/2` entries used) is
@@ -87,6 +75,84 @@ fn spd_ok(d: usize, t: &[f64]) -> bool {
     }
 }
 
+/// A symmetric tensor per node, component-major over `nn` nodes in
+/// [`sym_index`] order.
+struct SymTensor<'a> {
+    t: &'a [f64],
+    nn: usize,
+}
+
+impl<const D: usize> Coefficient<D> for SymTensor<'_> {
+    type Local = [[f64; MAX_NL]; MAX_NCOMP];
+    type AtQ = [f64; MAX_NCOMP];
+    const NCOMP: usize = D * (D + 1) / 2;
+
+    #[inline(always)]
+    fn gather(&self, grid: &Grid<D>, strides: &[usize; D], base: usize) -> Self::Local {
+        let mut t_l = [[0.0; MAX_NL]; MAX_NCOMP];
+        for c in 0..<Self as Coefficient<D>>::NCOMP {
+            t_l[c] = operator::gather(grid, strides, base, &self.t[c * self.nn..]);
+        }
+        t_l
+    }
+
+    #[inline(always)]
+    fn at_q(t_l: &Self::Local, vrow: &[f64]) -> Self::AtQ {
+        let mut t_q = [0.0; MAX_NCOMP];
+        for c in 0..<Self as Coefficient<D>>::NCOMP {
+            t_q[c] = <Scalar as Coefficient<D>>::at_q(&t_l[c], vrow);
+        }
+        t_q
+    }
+
+    #[inline(always)]
+    fn scale(_: &Self::AtQ) -> f64 {
+        1.0
+    }
+
+    /// `T g`.
+    #[inline(always)]
+    fn flux(t: &Self::AtQ, g: &[f64; D]) -> [f64; D] {
+        let mut out = [0.0; D];
+        for a in 0..D {
+            let mut acc = 0.0;
+            for b in 0..D {
+                acc += t[sym_index(D, a, b)] * g[b];
+            }
+            out[a] = acc;
+        }
+        out
+    }
+
+    fn spd_at(&self, node: usize) -> bool {
+        let mut t = [0.0; MAX_NCOMP];
+        for c in 0..<Self as Coefficient<D>>::NCOMP {
+            t[c] = self.t[c * self.nn + node];
+        }
+        spd_ok(D, &t)
+    }
+}
+
+/// Runs `$body` with `$c` bound to `$op`'s coefficient type over the
+/// block `$coeff` on `$grid`.
+macro_rules! with_coeff {
+    ($op:expr, $grid:expr, $coeff:expr, $c:ident => $body:expr) => {
+        match $op {
+            PdeOperator::Poisson => {
+                let $c = Scalar($coeff);
+                $body
+            }
+            PdeOperator::AnisoDiffusion => {
+                let $c = SymTensor {
+                    t: $coeff,
+                    nn: $grid.num_nodes(),
+                };
+                $body
+            }
+        }
+    };
+}
+
 /// A variational PDE operator served by the engine.
 ///
 /// See the [module docs](self) for the coefficient-block layout and the
@@ -94,9 +160,9 @@ fn spd_ok(d: usize, t: &[f64]) -> bool {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum PdeOperator {
     /// Isotropic scalar-coefficient diffusion `−∇·(ν∇u)` — the paper's
-    /// operator. One coefficient component; dispatches to the original
-    /// kernels in [`crate::operator`] (bitwise identical to the
-    /// pre-abstraction path).
+    /// operator. One coefficient component; runs the scalar instance of
+    /// the kernels, the same one the free functions of
+    /// [`crate::operator`] run.
     #[default]
     Poisson,
     /// Anisotropic tensor-coefficient diffusion `−∇·(T∇u)` with a
@@ -135,9 +201,10 @@ impl PdeOperator {
         self.ncomp(D) * grid.num_nodes()
     }
 
-    /// Validates a coefficient block: length, and for tensor operators
-    /// per-node SPD-ness (strict Sylvester minors; non-finite entries are
-    /// rejected as [`FemError::NotSpd`]).
+    /// Validates a coefficient block: its length, then per node that the
+    /// coefficient is finite and positive definite (strict Sylvester
+    /// minors; a scalar must be > 0). The first failing node is
+    /// [`FemError::NotSpd`].
     pub fn validate_coeff<const D: usize>(
         &self,
         grid: &Grid<D>,
@@ -151,20 +218,13 @@ impl PdeOperator {
                 got: coeff.len(),
             });
         }
-        if let PdeOperator::AnisoDiffusion = self {
-            let nn = grid.num_nodes();
-            let nc = self.ncomp(D);
-            let mut t = [0.0; MAX_NCOMP];
-            for i in 0..nn {
-                for c in 0..nc {
-                    t[c] = coeff[c * nn + i];
-                }
-                if !spd_ok(D, &t) {
-                    return Err(FemError::NotSpd { node: i });
-                }
-            }
+        let bad = with_coeff!(self, grid, coeff, c => {
+            (0..grid.num_nodes()).find(|&i| !Coefficient::<D>::spd_at(&c, i))
+        });
+        match bad {
+            Some(node) => Err(FemError::NotSpd { node }),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Ritz energy `J(u) = Σ_q w·detJ [½ ∇u·(T∇u) − f u]`.
@@ -176,10 +236,7 @@ impl PdeOperator {
         u: &[f64],
         f: Option<&[f64]>,
     ) -> f64 {
-        match self {
-            PdeOperator::Poisson => operator::energy(grid, basis, coeff, u, f),
-            PdeOperator::AnisoDiffusion => energy_aniso(grid, basis, coeff, u, f),
-        }
+        with_coeff!(self, grid, coeff, c => operator::energy_with(grid, basis, &c, u, f))
     }
 
     /// `J(u)` plus its exact nodal gradient `K(T)u − F` into `grad`
@@ -193,24 +250,9 @@ impl PdeOperator {
         f: Option<&[f64]>,
         grad: &mut [f64],
     ) -> f64 {
-        match self {
-            PdeOperator::Poisson => operator::energy_grad(grid, basis, coeff, u, f, grad),
-            PdeOperator::AnisoDiffusion => {
-                let nn = grid.num_nodes();
-                debug_assert_eq!(grad.len(), nn, "grad length");
-                grad.iter_mut().for_each(|g| *g = 0.0);
-                let j = energy_aniso(grid, basis, coeff, u, f);
-                apply_stiffness_aniso(grid, basis, coeff, u, grad);
-                if let Some(ff) = f {
-                    let mut load = vec![0.0; nn];
-                    operator::load_vector(grid, basis, ff, &mut load);
-                    for i in 0..nn {
-                        grad[i] -= load[i];
-                    }
-                }
-                j
-            }
-        }
+        with_coeff!(self, grid, coeff, c => {
+            operator::energy_grad_with(grid, basis, &c, u, f, grad)
+        })
     }
 
     /// Matrix-free stiffness application `out += K u` (element-colored).
@@ -222,10 +264,9 @@ impl PdeOperator {
         u: &[f64],
         out: &mut [f64],
     ) {
-        match self {
-            PdeOperator::Poisson => operator::apply_stiffness(grid, basis, coeff, u, out),
-            PdeOperator::AnisoDiffusion => apply_stiffness_aniso(grid, basis, coeff, u, out),
-        }
+        with_coeff!(self, grid, coeff, c => {
+            operator::apply_stiffness_with(grid, basis, &c, u, out)
+        })
     }
 
     /// Strictly sequential stiffness application (the reference for the
@@ -238,10 +279,9 @@ impl PdeOperator {
         u: &[f64],
         out: &mut [f64],
     ) {
-        match self {
-            PdeOperator::Poisson => operator::apply_stiffness_serial(grid, basis, coeff, u, out),
-            PdeOperator::AnisoDiffusion => apply_stiffness_aniso_serial(grid, basis, coeff, u, out),
-        }
+        with_coeff!(self, grid, coeff, c => {
+            operator::apply_stiffness_serial_with(grid, basis, &c, u, out)
+        })
     }
 
     /// Stiffness diagonal `out += diag(K)` (Jacobi smoothing).
@@ -252,248 +292,8 @@ impl PdeOperator {
         coeff: &[f64],
         out: &mut [f64],
     ) {
-        match self {
-            PdeOperator::Poisson => operator::stiffness_diag(grid, basis, coeff, out),
-            PdeOperator::AnisoDiffusion => stiffness_diag_aniso(grid, basis, coeff, out),
-        }
+        with_coeff!(self, grid, coeff, c => operator::stiffness_diag_with(grid, basis, &c, out))
     }
-}
-
-/// Gathers the per-element coefficient block (all components).
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn gather_tensor<const D: usize>(
-    grid: &Grid<D>,
-    strides: &[usize; D],
-    base: usize,
-    coeff: &[f64],
-    nn: usize,
-    nc: usize,
-    out: &mut [[f64; MAX_NL]; MAX_NCOMP],
-    nl: usize,
-) {
-    for (c, plane) in out.iter_mut().enumerate().take(nc) {
-        for l in 0..nl {
-            plane[l] = coeff[c * nn + base + grid.local_offset(strides, l)];
-        }
-    }
-}
-
-/// Interpolates the tensor at one quadrature point.
-#[inline]
-fn tensor_at_q(
-    vrow: &[f64],
-    t_l: &[[f64; MAX_NL]; MAX_NCOMP],
-    nc: usize,
-    nl: usize,
-) -> [f64; MAX_NCOMP] {
-    let mut t_q = [0.0; MAX_NCOMP];
-    for (c, plane) in t_l.iter().enumerate().take(nc) {
-        let mut acc = 0.0;
-        for l in 0..nl {
-            acc += vrow[l] * plane[l];
-        }
-        t_q[c] = acc;
-    }
-    t_q
-}
-
-/// Ritz energy of the anisotropic operator (see [`PdeOperator::energy`]).
-fn energy_aniso<const D: usize>(
-    grid: &Grid<D>,
-    basis: &ElementBasis<D>,
-    coeff: &[f64],
-    u: &[f64],
-    f: Option<&[f64]>,
-) -> f64 {
-    let nn = grid.num_nodes();
-    let nc = D * (D + 1) / 2;
-    debug_assert_eq!(coeff.len(), nc * nn, "coeff length");
-    debug_assert_eq!(u.len(), nn, "u length");
-    if let Some(ff) = f {
-        debug_assert_eq!(ff.len(), nn, "f length");
-    }
-    let strides = grid.strides();
-    let nl = basis.nl;
-    let ne = grid.num_elements();
-    let kernel = |e: usize| -> f64 {
-        let el = grid.element_multi(e);
-        let base = grid.element_base(el);
-        let mut t_l = [[0.0; MAX_NL]; MAX_NCOMP];
-        let mut u_l = [0.0; MAX_NL];
-        let mut f_l = [0.0; MAX_NL];
-        gather_tensor(grid, &strides, base, coeff, nn, nc, &mut t_l, nl);
-        gather(grid, &strides, base, u, &mut u_l, nl);
-        if let Some(ff) = f {
-            gather(grid, &strides, base, ff, &mut f_l, nl);
-        }
-        let mut j = 0.0;
-        for q in 0..basis.nq {
-            let vrow = &basis.val[q * nl..(q + 1) * nl];
-            let t_q = tensor_at_q(vrow, &t_l, nc, nl);
-            let mut gu = [0.0; D];
-            for l in 0..nl {
-                let grow = &basis.grad[(q * nl + l) * D..(q * nl + l + 1) * D];
-                for c in 0..D {
-                    gu[c] += grow[c] * u_l[l];
-                }
-            }
-            let flux = sym_mv(&t_q, &gu);
-            let quad: f64 = flux.iter().zip(&gu).map(|(a, b)| a * b).sum();
-            j += basis.w_detj * 0.5 * quad;
-            if f.is_some() {
-                let mut u_q = 0.0;
-                let mut f_q = 0.0;
-                for l in 0..nl {
-                    u_q += vrow[l] * u_l[l];
-                    f_q += vrow[l] * f_l[l];
-                }
-                j -= basis.w_detj * f_q * u_q;
-            }
-        }
-        j
-    };
-    maybe_par_sum_map(ne, nl * basis.nq, kernel)
-}
-
-/// `out += K(T) u` with element coloring (see
-/// [`PdeOperator::apply_stiffness`]).
-fn apply_stiffness_aniso<const D: usize>(
-    grid: &Grid<D>,
-    basis: &ElementBasis<D>,
-    coeff: &[f64],
-    u: &[f64],
-    out: &mut [f64],
-) {
-    let nn = grid.num_nodes();
-    let nc = D * (D + 1) / 2;
-    debug_assert_eq!(coeff.len(), nc * nn);
-    debug_assert_eq!(u.len(), nn);
-    // Hard assert: `out` is written through unchecked raw-pointer adds.
-    assert_eq!(out.len(), nn);
-    let strides = grid.strides();
-    let nl = basis.nl;
-    let sync = SyncSlice::new(out);
-    for_each_element_colored(grid, nl * basis.nq * D * nc, |e| {
-        let el = grid.element_multi(e);
-        let base = grid.element_base(el);
-        let mut t_l = [[0.0; MAX_NL]; MAX_NCOMP];
-        let mut u_l = [0.0; MAX_NL];
-        let mut acc = [0.0; MAX_NL];
-        gather_tensor(grid, &strides, base, coeff, nn, nc, &mut t_l, nl);
-        gather(grid, &strides, base, u, &mut u_l, nl);
-        for q in 0..basis.nq {
-            let vrow = &basis.val[q * nl..(q + 1) * nl];
-            let t_q = tensor_at_q(vrow, &t_l, nc, nl);
-            let mut gu = [0.0; D];
-            for l in 0..nl {
-                let grow = &basis.grad[(q * nl + l) * D..(q * nl + l + 1) * D];
-                for c in 0..D {
-                    gu[c] += grow[c] * u_l[l];
-                }
-            }
-            let flux = sym_mv(&t_q, &gu);
-            for l in 0..nl {
-                let grow = &basis.grad[(q * nl + l) * D..(q * nl + l + 1) * D];
-                let mut dot = 0.0;
-                for c in 0..D {
-                    dot += flux[c] * grow[c];
-                }
-                acc[l] += basis.w_detj * dot;
-            }
-        }
-        for l in 0..nl {
-            // SAFETY: same-color elements have disjoint node supports.
-            unsafe { sync.add(base + grid.local_offset(&strides, l), acc[l]) };
-        }
-    });
-}
-
-/// Sequential variant of [`apply_stiffness_aniso`].
-fn apply_stiffness_aniso_serial<const D: usize>(
-    grid: &Grid<D>,
-    basis: &ElementBasis<D>,
-    coeff: &[f64],
-    u: &[f64],
-    out: &mut [f64],
-) {
-    let nn = grid.num_nodes();
-    let nc = D * (D + 1) / 2;
-    debug_assert_eq!(coeff.len(), nc * nn);
-    debug_assert_eq!(u.len(), nn);
-    debug_assert_eq!(out.len(), nn);
-    let strides = grid.strides();
-    let nl = basis.nl;
-    for e in 0..grid.num_elements() {
-        let el = grid.element_multi(e);
-        let base = grid.element_base(el);
-        let mut t_l = [[0.0; MAX_NL]; MAX_NCOMP];
-        let mut u_l = [0.0; MAX_NL];
-        gather_tensor(grid, &strides, base, coeff, nn, nc, &mut t_l, nl);
-        gather(grid, &strides, base, u, &mut u_l, nl);
-        for q in 0..basis.nq {
-            let vrow = &basis.val[q * nl..(q + 1) * nl];
-            let t_q = tensor_at_q(vrow, &t_l, nc, nl);
-            let mut gu = [0.0; D];
-            for l in 0..nl {
-                let grow = &basis.grad[(q * nl + l) * D..(q * nl + l + 1) * D];
-                for c in 0..D {
-                    gu[c] += grow[c] * u_l[l];
-                }
-            }
-            let flux = sym_mv(&t_q, &gu);
-            for l in 0..nl {
-                let grow = &basis.grad[(q * nl + l) * D..(q * nl + l + 1) * D];
-                let mut dot = 0.0;
-                for c in 0..D {
-                    dot += flux[c] * grow[c];
-                }
-                out[base + grid.local_offset(&strides, l)] += basis.w_detj * dot;
-            }
-        }
-    }
-}
-
-/// `out += diag(K(T))` (see [`PdeOperator::stiffness_diag`]).
-fn stiffness_diag_aniso<const D: usize>(
-    grid: &Grid<D>,
-    basis: &ElementBasis<D>,
-    coeff: &[f64],
-    out: &mut [f64],
-) {
-    let nn = grid.num_nodes();
-    let nc = D * (D + 1) / 2;
-    debug_assert_eq!(coeff.len(), nc * nn);
-    // Hard assert: `out` is written through unchecked raw-pointer adds.
-    assert_eq!(out.len(), nn);
-    let strides = grid.strides();
-    let nl = basis.nl;
-    let sync = SyncSlice::new(out);
-    for_each_element_colored(grid, nl * basis.nq * D * nc, |e| {
-        let el = grid.element_multi(e);
-        let base = grid.element_base(el);
-        let mut t_l = [[0.0; MAX_NL]; MAX_NCOMP];
-        let mut acc = [0.0; MAX_NL];
-        gather_tensor(grid, &strides, base, coeff, nn, nc, &mut t_l, nl);
-        for q in 0..basis.nq {
-            let vrow = &basis.val[q * nl..(q + 1) * nl];
-            let t_q = tensor_at_q(vrow, &t_l, nc, nl);
-            for l in 0..nl {
-                let mut grow_a = [0.0; D];
-                grow_a.copy_from_slice(&basis.grad[(q * nl + l) * D..(q * nl + l + 1) * D]);
-                let flux = sym_mv(&t_q, &grow_a);
-                let mut g2 = 0.0;
-                for c in 0..D {
-                    g2 += flux[c] * grow_a[c];
-                }
-                acc[l] += basis.w_detj * g2;
-            }
-        }
-        for l in 0..nl {
-            // SAFETY: same-color elements have disjoint node supports.
-            unsafe { sync.add(base + grid.local_offset(&strides, l), acc[l]) };
-        }
-    });
 }
 
 #[cfg(test)]
@@ -655,26 +455,6 @@ mod tests {
     }
 
     #[test]
-    fn aniso_colored_equals_serial() {
-        let (g, b) = grid2(8);
-        let nn = g.num_nodes();
-        let t = tensor_field_2d(&g, 6.0, -0.4);
-        let u: Vec<f64> = (0..nn)
-            .map(|i| ((i * 23 % 19) as f64) / 19.0 - 0.5)
-            .collect();
-        let op = PdeOperator::AnisoDiffusion;
-        let mut a = vec![0.0; nn];
-        let mut s = vec![0.0; nn];
-        op.apply_stiffness(&g, &b, &t, &u, &mut a);
-        op.apply_stiffness_serial(&g, &b, &t, &u, &mut s);
-        // Colored traversal accumulates per-node contributions in a
-        // different element order than the serial sweep, so agreement is to
-        // rounding (same bound as the scalar colored-vs-serial proptest).
-        let scale = s.iter().fold(0.0f64, |m, &v| m.max(v.abs())).max(1.0);
-        assert!(a.iter().zip(&s).all(|(x, y)| (x - y).abs() < 1e-10 * scale));
-    }
-
-    #[test]
     fn validate_rejects_bad_coefficients() {
         let (g, _) = grid2(4);
         let nn = g.num_nodes();
@@ -700,13 +480,34 @@ mod tests {
             op.validate_coeff(&g, &ok),
             Err(FemError::NotSpd { node: 3 })
         ));
-        // A valid field passes, and the scalar operator only checks length.
+        // A valid field passes.
         assert!(op
             .validate_coeff(&g, &tensor_field_2d(&g, 2.0, 0.2))
             .is_ok());
-        assert!(PdeOperator::Poisson
-            .validate_coeff(&g, &vec![1.0; nn])
-            .is_ok());
+        // A scalar ν is its own 1×1 Sylvester minor: finite and > 0.
+        let poisson = PdeOperator::Poisson;
+        assert!(poisson.validate_coeff(&g, &vec![1.0; nn]).is_ok());
+        assert!(matches!(
+            poisson.validate_coeff(&g, &vec![1.0; 3 * nn]),
+            Err(FemError::SizeMismatch { what: "nu", .. })
+        ));
+        for (node, bad) in [
+            (0, -1.0),
+            (4, 0.0),
+            (7, -0.0),
+            (2, f64::NAN),
+            (9, f64::INFINITY),
+        ] {
+            let mut nu = vec![1.0; nn];
+            nu[node] = bad;
+            assert!(
+                matches!(
+                    poisson.validate_coeff(&g, &nu),
+                    Err(FemError::NotSpd { node: n }) if n == node
+                ),
+                "ν = {bad} at node {node}"
+            );
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 
 use mgd_fem::hierarchy::{GridHierarchy, HierarchyOptions};
 use mgd_fem::{
-    apply_stiffness, apply_stiffness_serial, energy, Dirichlet, ElementBasis, FemSystem, Grid,
-    MixedHierarchy, PdeOperator, Precond,
+    apply_stiffness, apply_stiffness_serial, energy, energy_grad, stiffness_diag, Dirichlet,
+    ElementBasis, FemSystem, Grid, MixedHierarchy, PdeOperator, Precond,
 };
 use mgd_tensor::par::with_threads;
 use proptest::prelude::*;
@@ -150,6 +150,38 @@ fn check_stencil<const D: usize>(n: [usize; D], op: PdeOperator, seed: u64) {
     }
 }
 
+/// The colored sweep and the serial oracle differ only in summation order.
+/// For Poisson the free functions and the operator agree bitwise.
+fn check_colored_serial<const D: usize>(n: [usize; D], op: PdeOperator, seed: u64) {
+    let g = Grid::new(n);
+    let b = ElementBasis::<D>::new(&g);
+    let nn = g.num_nodes();
+    let coeff = spd_coeff::<D>(op, nn, seed);
+    let u = field(nn, seed.wrapping_add(4), -1.0, 1.0);
+    let (mut a, mut s) = (vec![0.0; nn], vec![0.0; nn]);
+    op.apply_stiffness(&g, &b, &coeff, &u, &mut a);
+    op.apply_stiffness_serial(&g, &b, &coeff, &u, &mut s);
+    for i in 0..nn {
+        assert!(
+            (a[i] - s[i]).abs() < 1e-10,
+            "{n:?} {op:?} node {i}: {} vs {}",
+            a[i],
+            s[i]
+        );
+    }
+    if op == PdeOperator::Poisson {
+        let (mut fa, mut fs) = (vec![0.0; nn], vec![0.0; nn]);
+        apply_stiffness(&g, &b, &coeff, &u, &mut fa);
+        apply_stiffness_serial(&g, &b, &coeff, &u, &mut fs);
+        assert_eq!(bits(&fa), bits(&a), "{n:?} colored");
+        assert_eq!(bits(&fs), bits(&s), "{n:?} serial");
+    }
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 /// `⟨P e, r⟩ == ⟨e, R r⟩` on masked vectors at every level of a hierarchy.
 fn check_transpose<const D: usize>(n: [usize; D], seed: u64) {
     let g = Grid::new(n);
@@ -218,20 +250,20 @@ proptest! {
         prop_assert!((j2 - c * c * j1).abs() < 1e-9 * (1.0 + j1.abs()));
     }
 
-    /// Parallel (colored) and serial stiffness application agree bitwise-ish.
+    /// Parallel (colored) and serial stiffness application agree to
+    /// rounding, for both operators in 2D and 3D.
     #[test]
-    fn colored_equals_serial_apply(my in 3usize..9, mx in 3usize..9, seed in 0u64..1000) {
-        let g: Grid<2> = Grid::new([my, mx]);
-        let b = ElementBasis::new(&g);
-        let nn = g.num_nodes();
-        let nu = field(nn, seed, 0.1, 5.0);
-        let u = field(nn, seed.wrapping_add(4), -1.0, 1.0);
-        let mut a = vec![0.0; nn];
-        let mut s = vec![0.0; nn];
-        apply_stiffness(&g, &b, &nu, &u, &mut a);
-        apply_stiffness_serial(&g, &b, &nu, &u, &mut s);
-        for i in 0..nn {
-            prop_assert!((a[i] - s[i]).abs() < 1e-10, "node {}: {} vs {}", i, a[i], s[i]);
+    fn colored_equals_serial_apply(
+        n in (3usize..9, 3usize..9, 3usize..9),
+        three_d in 0usize..2,
+        aniso in 0usize..2,
+        seed in 0u64..1000,
+    ) {
+        let op = if aniso == 1 { PdeOperator::AnisoDiffusion } else { PdeOperator::Poisson };
+        if three_d == 1 {
+            check_colored_serial([n.0, n.1, n.2], op, seed);
+        } else {
+            check_colored_serial([n.0, n.1], op, seed);
         }
     }
 
@@ -320,7 +352,6 @@ proptest! {
 /// 48×40×36.
 #[test]
 fn large_grid_sweeps_are_thread_count_independent() {
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     for (n, seed) in [([32, 32, 32], 3), ([48, 40, 36], 5)] {
         let sys = Arc::new(random_system(n, PdeOperator::Poisson, seed));
         let nn = sys.num_nodes();
@@ -364,7 +395,10 @@ fn large_grid_sweeps_are_thread_count_independent() {
 }
 
 /// Element-energy sums above the parallel gate add fixed block partials in
-/// block order: the same bits at 1, 2 and 4 workers, for both operators.
+/// block order, and colored sweeps add one element per node and color: the
+/// energy, the gradient (with and without forcing) and the stiffness
+/// diagonal have the same bits at 1, 2 and 4 workers, for both operators.
+/// For Poisson they are also the bits of the free functions.
 #[test]
 fn energy_is_thread_count_independent() {
     fn check<const D: usize>(n: [usize; D]) {
@@ -377,20 +411,40 @@ fn energy_is_thread_count_independent() {
             let run = |threads| {
                 with_threads(threads, || {
                     let e = op.energy(&grid, &basis, &coeff, &u, Some(&f));
+                    let (mut g0, mut g1, mut d) = (vec![0.0; nn], vec![0.0; nn], vec![0.0; nn]);
+                    let j0 = op.energy_grad(&grid, &basis, &coeff, &u, None, &mut g0);
+                    let j1 = op.energy_grad(&grid, &basis, &coeff, &u, Some(&f), &mut g1);
+                    op.stiffness_diag(&grid, &basis, &coeff, &mut d);
                     if op == PdeOperator::Poisson {
                         assert_eq!(
                             e.to_bits(),
                             energy(&grid, &basis, &coeff, &u, Some(&f)).to_bits()
                         );
+                        let (mut fg, mut fd) = (vec![0.0; nn], vec![0.0; nn]);
+                        let fj = energy_grad(&grid, &basis, &coeff, &u, Some(&f), &mut fg);
+                        stiffness_diag(&grid, &basis, &coeff, &mut fd);
+                        assert_eq!((fj.to_bits(), bits(&fg)), (j1.to_bits(), bits(&g1)));
+                        assert_eq!(bits(&fd), bits(&d));
                     }
-                    e.to_bits()
+                    let energies = vec![e.to_bits(), j0.to_bits(), j1.to_bits()];
+                    [energies, bits(&g0), bits(&g1), bits(&d)]
                 })
             };
             let one = run(1);
-            assert_eq!(run(2), one, "{n:?} {op:?} at 2 workers");
-            assert_eq!(run(4), one, "{n:?} {op:?} at 4 workers");
+            for threads in [2, 4] {
+                let got = run(threads);
+                for (what, (a, b)) in ["energies", "gradient", "forced gradient", "diagonal"]
+                    .iter()
+                    .zip(one.iter().zip(&got))
+                {
+                    assert!(a == b, "{n:?} {op:?}: {what} differs at {threads} workers");
+                }
+            }
         }
     }
     check([40, 40]);
     check([12, 12, 12]);
+    // At least 512 elements per color: the colored sweeps fork too.
+    check([48, 48]);
+    check([17, 17, 17]);
 }

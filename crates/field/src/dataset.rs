@@ -303,57 +303,29 @@ impl Dataset {
         }
     }
 
-    /// Rasterizes a batch of samples into an NCDHW tensor `[B, 1, (nz,) ny, nx]`.
-    ///
-    /// 2D grids get a unit depth axis so 2D and 3D share the conv kernels.
-    /// Panicking convenience wrapper over [`Self::try_batch_inputs`] for
-    /// call sites that validated `dims`/`samples` upstream.
-    pub fn batch_inputs(&self, samples: &[usize], dims: &[usize]) -> Tensor {
-        self.try_batch_inputs(samples, dims)
-            .expect("batch rasterization")
-    }
-
-    /// Fallible batch rasterization (the trainer/serving hot path). The
-    /// channel axis is [`Self::ncomp`] wide: `[B, C, (nz,) ny, nx]`.
+    /// Rasterizes a batch of samples into an NCDHW tensor
+    /// `[B, C, (nz,) ny, nx]` whose channel axis is [`Self::ncomp`] wide (the
+    /// trainer/serving hot path). 2D grids get a unit depth axis so 2D and
+    /// 3D share the conv kernels.
     pub fn try_batch_inputs(
         &self,
         samples: &[usize],
         dims: &[usize],
     ) -> Result<Tensor, FieldError> {
         self.check_samples(samples)?;
-        let b = samples.len();
         if dims.len() != 2 && dims.len() != 3 {
             return Err(FieldError::BadRank { got: dims.len() });
         }
-        if self.aniso.is_some() {
-            let vol: usize = dims.iter().product::<usize>() * self.ncomp(dims.len());
-            let fields = mgd_tensor::par::maybe_par_map_collect(b, vol, |i| {
-                self.input_field(samples[i], dims)
-            });
-            return stack_fields_with(&fields, dims.len());
-        }
-        let vol: usize = dims.iter().product();
-        let mut out = match dims.len() {
-            2 => Tensor::zeros([b, 1, 1, dims[0], dims[1]]),
-            3 => Tensor::zeros([b, 1, dims[0], dims[1], dims[2]]),
-            r => return Err(FieldError::BadRank { got: r }),
-        };
-        let fields =
-            mgd_tensor::par::maybe_par_map_collect(b, vol, |i| self.input_field(samples[i], dims));
-        for (i, f) in fields.into_iter().enumerate() {
-            out.as_mut_slice()[i * vol..(i + 1) * vol].copy_from_slice(f.as_slice());
-        }
-        Ok(out)
+        let vol: usize = dims.iter().product::<usize>() * self.ncomp(dims.len());
+        let fields = mgd_tensor::par::maybe_par_map_collect(samples.len(), vol, |i| {
+            self.input_field(samples[i], dims)
+        });
+        stack_fields_with(&fields, dims.len())
     }
 
-    /// Rasterizes the ν fields for a batch, shaped `[B, spatial...]`.
-    /// Panicking convenience wrapper over [`Self::try_batch_nu`].
-    pub fn batch_nu(&self, samples: &[usize], dims: &[usize]) -> Vec<Tensor> {
-        self.try_batch_nu(samples, dims)
-            .expect("batch rasterization")
-    }
-
-    /// Fallible ν-field batch rasterization (the energy-loss hot path).
+    /// Rasterizes the ν fields for a batch, one `[spatial...]` (scalar) or
+    /// `[C, spatial...]` (tensor) field per sample (the energy-loss hot
+    /// path).
     pub fn try_batch_nu(
         &self,
         samples: &[usize],
@@ -369,46 +341,6 @@ impl Dataset {
             vol,
             |i| self.nu_field(samples[i], dims),
         ))
-    }
-
-    /// Rasterizes arbitrary ω vectors (not dataset members) straight into an
-    /// NCDHW input batch — the serving-side entry point for requests that
-    /// arrive as PDE parameters rather than coefficient fields.
-    pub fn rasterize_batch(
-        &self,
-        omegas: &[Vec<f64>],
-        dims: &[usize],
-    ) -> Result<Tensor, FieldError> {
-        if omegas.is_empty() {
-            return Err(FieldError::Empty);
-        }
-        for om in omegas {
-            if om.len() != self.model.num_modes() {
-                return Err(FieldError::OmegaDimMismatch {
-                    got: om.len(),
-                    expected: self.model.num_modes(),
-                });
-            }
-        }
-        if dims.len() != 2 && dims.len() != 3 {
-            return Err(FieldError::BadRank { got: dims.len() });
-        }
-        if let Some(a) = self.aniso {
-            let nc = self.ncomp(dims.len());
-            let vol: usize = dims.iter().product::<usize>() * nc;
-            let fields = mgd_tensor::par::maybe_par_map_collect(omegas.len(), vol, |i| {
-                let scalar = self.model.rasterize(&omegas[i], dims);
-                self.encoding.encode_coeff(&tensorize(&scalar, a, dims), nc)
-            });
-            return stack_fields_with(&fields, dims.len());
-        }
-        let vol: usize = dims.iter().product();
-        let fields =
-            mgd_tensor::par::maybe_par_map_collect(omegas.len(), vol, |i| match self.encoding {
-                InputEncoding::LogNu => self.model.rasterize_log(&omegas[i], dims),
-                InputEncoding::RawNu => self.model.rasterize(&omegas[i], dims),
-            });
-        stack_fields(&fields)
     }
 
     fn check_samples(&self, samples: &[usize]) -> Result<(), FieldError> {
@@ -495,16 +427,16 @@ mod tests {
     #[test]
     fn batch_inputs_shape_2d_and_3d() {
         let d = ds(4);
-        let b2 = d.batch_inputs(&[0, 1, 2], &[8, 8]);
+        let b2 = d.try_batch_inputs(&[0, 1, 2], &[8, 8]).unwrap();
         assert_eq!(b2.dims(), &[3, 1, 1, 8, 8]);
-        let b3 = d.batch_inputs(&[0, 1], &[4, 8, 8]);
+        let b3 = d.try_batch_inputs(&[0, 1], &[4, 8, 8]).unwrap();
         assert_eq!(b3.dims(), &[2, 1, 4, 8, 8]);
     }
 
     #[test]
     fn batch_inputs_matches_single_rasterization() {
         let d = ds(3);
-        let b = d.batch_inputs(&[2, 0], &[8, 8]);
+        let b = d.try_batch_inputs(&[2, 0], &[8, 8]).unwrap();
         let f2 = d.input_field(2, &[8, 8]);
         let f0 = d.input_field(0, &[8, 8]);
         assert_eq!(&b.as_slice()[0..64], f2.as_slice());
@@ -516,7 +448,7 @@ mod tests {
         let d = ds(3);
         let fields: Vec<Tensor> = (0..3).map(|s| d.input_field(s, &[8, 8])).collect();
         let stacked = stack_fields(&fields).unwrap();
-        assert_eq!(stacked, d.batch_inputs(&[0, 1, 2], &[8, 8]));
+        assert_eq!(stacked, d.try_batch_inputs(&[0, 1, 2], &[8, 8]).unwrap());
     }
 
     #[test]
@@ -531,21 +463,6 @@ mod tests {
         let r1 = Tensor::ones([4]);
         assert_eq!(stack_fields(&[r1]), Err(FieldError::BadRank { got: 1 }));
         let _ = a;
-    }
-
-    #[test]
-    fn rasterize_batch_matches_dataset_rasterization() {
-        let d = ds(2);
-        let batch = d.rasterize_batch(&d.omegas.clone(), &[8, 8]).unwrap();
-        assert_eq!(batch, d.batch_inputs(&[0, 1], &[8, 8]));
-        // Wrong omega dimension is a typed error.
-        assert!(matches!(
-            d.rasterize_batch(&[vec![0.0; 3]], &[8, 8]),
-            Err(FieldError::OmegaDimMismatch {
-                got: 3,
-                expected: 4
-            })
-        ));
     }
 
     #[test]
@@ -577,8 +494,6 @@ mod tests {
         assert_eq!(b.dims(), &[2, 3, 1, 8, 8]);
         let b3 = d.try_batch_inputs(&[0], &[4, 8, 8]).unwrap();
         assert_eq!(b3.dims(), &[1, 6, 4, 8, 8]);
-        let rb = d.rasterize_batch(&d.omegas[..2], &[8, 8]).unwrap();
-        assert_eq!(rb, b);
     }
 
     #[test]
