@@ -51,6 +51,10 @@ run cargo test -q -p mgd-serve
 # (~3 s on a 2-core x86-64 VM).
 run cargo test -q -p mgd-hybrid
 run cargo run --release -p mgd-examples --bin thermal_composite
+# `inverse_design` is the one end-to-end caller of `FemLoss::fem_solve`
+# (MG-PCG on the loss's validated system); it asserts its FEM solve
+# converged (~6 s on a 2-core x86-64 VM).
+run cargo run --release -p mgd-examples --bin inverse_design
 # Benchmark: its own unit tests, then all four workloads end to end. The
 # unit-test step is also the public-API gate: the benchmark compiles
 # against `Model`, `InferModel`, `Workspace`, the `ServeStats` counters and

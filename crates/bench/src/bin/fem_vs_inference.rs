@@ -33,7 +33,9 @@ fn time_solve<const D: usize>(
         tol: 1e-8,
         ..Default::default()
     };
-    let (_, stats) = hier.solve(None, None, opts);
+    let (_, stats) = hier
+        .solve(None, None, opts)
+        .expect("no forcing or warm start");
     let fem = t.elapsed().as_secs_f64();
     assert!(stats.converged, "FEM did not converge at {dims:?}");
     let x = data

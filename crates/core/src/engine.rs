@@ -1530,11 +1530,7 @@ mod tests {
     fn solve_certified_reaches_tolerance() {
         let engine = small_builder().build().unwrap();
         let tol = 1e-8;
-        for kind in [
-            StrategyKind::PureMultigrid,
-            StrategyKind::InitialGuess,
-            StrategyKind::CgPolish,
-        ] {
+        for kind in [StrategyKind::PureMultigrid, StrategyKind::InitialGuess] {
             let engine = small_builder().hybrid_strategy(kind).build().unwrap();
             let req = InferenceRequest::omega(engine.dataset().omegas[1].clone());
             let sol = engine.solve_certified(&req, tol).unwrap();

@@ -17,10 +17,12 @@
 //! pre-operator-zoo implementation.
 
 use crate::error::{MgdError, MgdResult};
+use mgd_fem::pcg::{self, Precond};
 use mgd_fem::{
-    solve_cg_op, BoundarySpec, CgOptions, CgStats, Dirichlet, ElementBasis, Grid, PdeOperator,
+    BoundarySpec, CgOptions, CgStats, Dirichlet, ElementBasis, Grid, HierarchyOptions, PdeOperator,
 };
 use mgd_field::transfer::resample;
+use mgd_hybrid::{ErasedHierarchy, ErasedSystem};
 use mgd_tensor::par::maybe_par_map_collect;
 use mgd_tensor::Tensor;
 
@@ -218,12 +220,6 @@ impl FemLoss {
         self.ncomp() * self.num_nodes()
     }
 
-    /// The declarative boundary spec this loss built its Dirichlet data
-    /// from (what certified solves re-discretize with).
-    pub fn boundary_spec(&self) -> BoundarySpec {
-        self.boundary
-    }
-
     /// Deterministic fingerprint of the physics (operator ⊕ boundary ⊕
     /// forcing) this loss encodes — equal specs at any resolution share it.
     /// Serving caches fold it into every key so identical coefficient
@@ -235,11 +231,6 @@ impl FemLoss {
     /// The Dirichlet data.
     pub fn bc(&self) -> &Dirichlet {
         &self.bc
-    }
-
-    /// The nodal forcing at this resolution, if the spec carries one.
-    pub fn forcing(&self) -> Option<&[f64]> {
-        self.forcing.as_deref()
     }
 
     /// Imposes the boundary values on every sample of an NCDHW batch
@@ -323,41 +314,64 @@ impl FemLoss {
         js.iter().sum::<f64>() / b as f64
     }
 
-    /// Reference FEM solution for one coefficient block on this grid (CG;
-    /// optional warm start, e.g. the network prediction per §3.1.2).
-    pub fn fem_solve(&self, nu: &[f64], warm: Option<&[f64]>, tol: f64) -> (Vec<f64>, CgStats) {
-        self.fem_solve_with(
-            nu,
-            warm,
-            CgOptions {
-                tol,
-                max_iter: 50_000,
-                ..Default::default()
-            },
-        )
+    /// This loss's physics at coefficient block `nu` as a validated FEM
+    /// system, with its right-hand side (the load vector of the forcing,
+    /// or zero). Every FEM solve against the loss — [`Self::fem_solve`],
+    /// the §4.3 comparison and certified serving — is built here, so a
+    /// non-positive, non-finite or mis-sized `nu` is an
+    /// [`MgdError::InvalidConfig`] before any solve runs.
+    pub fn system(&self, nu: &[f64]) -> MgdResult<(ErasedSystem, Vec<f64>)> {
+        let dims = with_geom!(self, |grid, _basis| grid.n.to_vec());
+        let sys = ErasedSystem::with_operator(&dims, self.op, nu, &self.boundary)?;
+        let rhs = match &self.forcing {
+            Some(f) => sys.load_vector(f)?,
+            None => vec![0.0; sys.num_nodes()],
+        };
+        Ok((sys, rhs))
     }
 
-    /// [`Self::fem_solve`] with explicit solver options — used by the
-    /// warm-start study, which must compare runs at *matched absolute*
-    /// residual (a warm start shrinks the initial residual, so a purely
-    /// relative tolerance would move the goalposts).
-    pub fn fem_solve_with(
+    /// Reference FEM solution for one coefficient block on this grid:
+    /// MG-PCG on [`Self::system`] and its multigrid hierarchy, to relative
+    /// residual `tol`, from `warm` if given (e.g. the network prediction,
+    /// §3.1.2) or from zero. Invalid coefficients or a mis-sized `warm`
+    /// are [`MgdError::InvalidConfig`].
+    pub fn fem_solve(
         &self,
         nu: &[f64],
         warm: Option<&[f64]>,
-        opts: CgOptions,
-    ) -> (Vec<f64>, CgStats) {
-        with_geom!(self, |grid, basis| solve_cg_op(
-            grid,
-            basis,
-            self.op,
-            nu,
-            &self.bc,
-            self.forcing.as_deref(),
-            warm,
-            opts,
-        ))
+        tol: f64,
+    ) -> MgdResult<(Vec<f64>, CgStats)> {
+        let (sys, rhs) = self.system(nu)?;
+        let hier = ErasedHierarchy::build(&sys, HierarchyOptions::default())?;
+        let opts = CgOptions {
+            tol,
+            max_iter: 50_000,
+            ..Default::default()
+        };
+        cg_solve(&sys, &hier, &rhs, warm, opts)
     }
+}
+
+/// CG on `sys u = rhs` preconditioned by `pre` ([`pcg::solve`], the one CG
+/// loop), from `warm` or zero with the system's Dirichlet values imposed.
+pub(crate) fn cg_solve(
+    sys: &ErasedSystem,
+    pre: &dyn Precond,
+    rhs: &[f64],
+    warm: Option<&[f64]>,
+    opts: CgOptions,
+) -> MgdResult<(Vec<f64>, CgStats)> {
+    let nn = sys.num_nodes();
+    let mut u = warm.map_or_else(|| vec![0.0; nn], <[f64]>::to_vec);
+    if u.len() != nn {
+        return Err(MgdError::InvalidConfig(format!(
+            "warm start has length {}, expected {nn}",
+            u.len()
+        )));
+    }
+    sys.impose_bc(&mut u);
+    let stats = pcg::solve(sys, pre, &mut u, rhs, opts)?;
+    Ok((u, stats))
 }
 
 #[cfg(test)]
@@ -448,15 +462,32 @@ mod tests {
     #[test]
     fn fem_solve_unit_nu_2d_and_3d() {
         let loss2 = FemLoss::new(&[8, 8]).unwrap();
-        let (u, stats) = loss2.fem_solve(&vec![1.0; 64], None, 1e-10);
+        let (u, stats) = loss2.fem_solve(&vec![1.0; 64], None, 1e-10).unwrap();
         assert!(stats.converged);
         // u(x) = 1 - x.
         assert!((u[8 + 3] - (1.0 - 3.0 / 7.0)).abs() < 1e-8);
 
         let loss3 = FemLoss::new(&[4, 4, 4]).unwrap();
-        let (u3, stats3) = loss3.fem_solve(&vec![1.0; 64], None, 1e-10);
+        let (u3, stats3) = loss3.fem_solve(&vec![1.0; 64], None, 1e-10).unwrap();
         assert!(stats3.converged);
         assert!((u3[1] - (1.0 - 1.0 / 3.0)).abs() < 1e-8);
+    }
+
+    #[test]
+    fn fem_solve_rejects_invalid_inputs() {
+        let loss = FemLoss::new(&[9, 9]).unwrap();
+        let nn = loss.num_nodes();
+        let msg = |nu: &[f64], warm: Option<&[f64]>| match loss.fem_solve(nu, warm, 1e-10) {
+            Err(MgdError::InvalidConfig(m)) => m,
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        };
+        assert!(msg(&vec![-1.0; nn], None).contains("node 0"));
+        let mut nu = vec![1.0; nn];
+        nu[5] = f64::NAN;
+        assert!(msg(&nu, None).contains("node 5"));
+        assert!(msg(&vec![1.0; nn - 1], None).contains("nu has length"));
+        let warm = vec![0.5; nn + 1];
+        assert!(msg(&vec![1.0; nn], Some(&warm)).contains("warm start"));
     }
 
     #[test]
@@ -552,12 +583,12 @@ mod tests {
             ..LossSpec::default()
         };
         let loss = FemLoss::with_spec(&dims, &spec).unwrap();
-        assert_eq!(loss.forcing().unwrap().len(), 64);
+        assert_eq!(loss.forcing.as_ref().unwrap().len(), 64);
         let nu = vec![1.0; 64];
-        let (uf, sf) = loss.fem_solve(&nu, None, 1e-10);
+        let (uf, sf) = loss.fem_solve(&nu, None, 1e-10).unwrap();
         assert!(sf.converged);
         let homog = FemLoss::new(&dims).unwrap();
-        let (u0, s0) = homog.fem_solve(&nu, None, 1e-10);
+        let (u0, s0) = homog.fem_solve(&nu, None, 1e-10).unwrap();
         assert!(s0.converged);
         let diff: f64 = uf
             .iter()

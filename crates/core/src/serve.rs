@@ -41,8 +41,7 @@ use mgd_field::{
     stack_fields_with, tensorize, Anisotropy, DiffusivityModel, FieldError, InputEncoding,
 };
 use mgd_hybrid::{
-    solve_certified, CertifiedSolution, CertifyOptions, ErasedHierarchy, ErasedSystem,
-    StrategyKind, Surrogate,
+    solve_certified, CertifiedSolution, CertifyOptions, ErasedHierarchy, StrategyKind, Surrogate,
 };
 use mgd_nn::{InferModel, Model, SlabModel, SlabOpts, Workspace};
 use mgd_tensor::{Element, Precision, Tensor};
@@ -983,16 +982,7 @@ impl EngineSnapshot {
         // Assemble the operator the snapshot was trained for — certified
         // residuals are measured against the *same* physics (operator,
         // boundary data, forcing) the loss discretizes.
-        let sys = ErasedSystem::with_operator(
-            &self.cfg.resolution,
-            self.cfg.loss.op(),
-            &nu,
-            &self.cfg.loss.boundary_spec(),
-        )?;
-        let rhs = match self.cfg.loss.forcing() {
-            None => None,
-            Some(f) => Some(sys.load_vector(f)?),
-        };
+        let (sys, rhs) = self.cfg.loss.system(&nu)?;
         let hier = ErasedHierarchy::build_with_precision(
             &sys,
             HierarchyOptions::default(),
@@ -1008,7 +998,7 @@ impl EngineSnapshot {
             &hier,
             &surrogate,
             self.cfg.hybrid_strategy,
-            rhs.as_deref(),
+            Some(&rhs),
             &opts,
         ))
     }

@@ -349,7 +349,7 @@ mod tests {
         let mut fem_energy = 0.0;
         for s in 0..data.len() {
             let nu = data.nu_field(s, &dims);
-            let (u, stats) = loss_fns.fem_solve(nu.as_slice(), None, 1e-10);
+            let (u, stats) = loss_fns.fem_solve(nu.as_slice(), None, 1e-10).unwrap();
             assert!(stats.converged);
             let ub = mgd_tensor::Tensor::from_vec([1, 1, 1, 16, 16], u);
             fem_energy += loss_fns.energy_batch(&[nu], &ub) / data.len() as f64;

@@ -63,3 +63,16 @@ impl fmt::Display for FemError {
 }
 
 impl std::error::Error for FemError {}
+
+/// [`FemError::SizeMismatch`] unless `got == expected`.
+pub(crate) fn check_len(what: &'static str, expected: usize, got: usize) -> Result<(), FemError> {
+    if got == expected {
+        Ok(())
+    } else {
+        Err(FemError::SizeMismatch {
+            what,
+            expected,
+            got,
+        })
+    }
+}

@@ -32,10 +32,10 @@
 //! ([`GridHierarchy::scratch_misses`] counts the allocations).
 
 use crate::bc::Dirichlet;
-use crate::cg::{run_cg, solve_system, CgOptions, CgStats};
-use crate::error::FemError;
+use crate::error::{check_len, FemError};
 use crate::grid::Grid;
-use crate::pcg::{JacobiPrecond, PcgWorkspace, Precond};
+use crate::operator::load_vector;
+use crate::pcg::{self, CgOptions, CgStats, JacobiPrecond, PcgWorkspace, Precond};
 use crate::pde::PdeOperator;
 use crate::stencil::{par_row_blocks, Stencil};
 use crate::system::FemSystem;
@@ -393,15 +393,27 @@ impl<const D: usize> GridHierarchy<D> {
 
     /// Solves the finest system `K(ν) u = F` (with `F` the load vector of
     /// optional nodal forcing `f`) by CG preconditioned with one V-cycle per
-    /// iteration (MG-PCG). `u0` provides an optional warm start; the finest
-    /// level's Dirichlet values are imposed on it first.
+    /// iteration (MG-PCG, [`pcg::solve`]). `u0` provides an optional warm
+    /// start; the finest level's Dirichlet values are imposed on it first.
+    /// A mis-sized `f` or `u0` is a [`FemError::SizeMismatch`].
     pub fn solve(
         &self,
         f: Option<&[f64]>,
         u0: Option<&[f64]>,
         opts: CgOptions,
-    ) -> (Vec<f64>, CgStats) {
-        solve_system(self.finest(), self, f, u0, opts)
+    ) -> Result<(Vec<f64>, CgStats), FemError> {
+        let sys = self.finest();
+        let nn = sys.num_nodes();
+        check_len("f", nn, f.map_or(nn, <[f64]>::len))?;
+        check_len("u0", nn, u0.map_or(nn, <[f64]>::len))?;
+        let mut rhs = vec![0.0; nn];
+        if let Some(f) = f {
+            load_vector(&sys.grid, &sys.basis, f, &mut rhs);
+        }
+        let mut u = u0.map_or_else(|| vec![0.0; nn], <[f64]>::to_vec);
+        sys.impose_bc(&mut u);
+        let stats = pcg::solve(sys, self, &mut u, &rhs, opts)?;
+        Ok((u, stats))
     }
 
     /// Interpolates a level-`l+1` field at level-`l` node coordinates,
@@ -528,7 +540,7 @@ impl<const D: usize> GridHierarchy<D> {
             tol: self.opts.coarse_tol,
             ..Default::default()
         };
-        run_cg(coarsest, &self.coarse_pre, ws, &mut sc.cu, &sc.cb, opts);
+        ws.run(coarsest, &self.coarse_pre, &mut sc.cu, &sc.cb, opts);
         for ((ei, &x), &fx) in e.iter_mut().zip(&sc.cu).zip(fixed(last)) {
             *ei = if fx { E::ZERO } else { E::from_f64(x) };
         }
@@ -757,7 +769,7 @@ mod tests {
             tol: 1e-11,
             ..Default::default()
         };
-        let (u, st) = h.solve(None, None, opts);
+        let (u, st) = h.solve(None, None, opts).unwrap();
         assert!(st.converged, "{st:?}");
         let err: f64 = u
             .iter()

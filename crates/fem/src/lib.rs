@@ -9,11 +9,13 @@
 //!   parallelized with **element coloring** — the loss path, and the oracle
 //!   for the same operator **assembled once as a 9/27-point [`stencil`]**
 //!   (symmetric half: 112 B/node in 3D at `f64`, half at `f32`) for solvers;
-//! - the solvers the paper compares against in §4.3: **Jacobi-preconditioned
-//!   CG** ([`solve_cg`], the reference every other solve is checked
-//!   against) and **multigrid-preconditioned CG** ([`GridHierarchy::solve`]:
-//!   one geometric V-cycle per iteration — damped Jacobi, `Pᵀ` restriction,
-//!   multilinear prolongation — on any grid with ≥ 2 nodes per axis);
+//! - the FEM solve the paper compares against in §4.3: **one CG loop**
+//!   ([`pcg::solve`]) over a validated [`FemSystem`], preconditioned by one
+//!   geometric V-cycle per iteration (MG-PCG, [`GridHierarchy::solve`]:
+//!   damped Jacobi, `Pᵀ` restriction, multilinear prolongation — on any
+//!   grid with ≥ 2 nodes per axis) or by [`JacobiPrecond`] (Jacobi-CG: the
+//!   §3.1.2 warm-start comparison, the certified driver's last resort, and
+//!   the reference MG-PCG is tested against);
 //! - exact **Dirichlet boundary handling** via masking, matching the
 //!   network-side BC imposition `U = U_int·χ_int + U_bc·χ_b`.
 //!
@@ -31,7 +33,6 @@
 
 pub mod basis;
 pub mod bc;
-pub mod cg;
 pub mod color;
 pub mod error;
 pub mod grid;
@@ -45,7 +46,6 @@ pub mod system;
 
 pub use basis::ElementBasis;
 pub use bc::{BoundarySpec, Dirichlet};
-pub use cg::{solve_cg, solve_cg_op, CgOptions, CgStats};
 pub use error::FemError;
 pub use grid::Grid;
 pub use hierarchy::{GridHierarchy, HierarchyOptions};
@@ -53,17 +53,174 @@ pub use mixed::MixedHierarchy;
 pub use operator::{
     apply_stiffness, apply_stiffness_serial, energy, energy_grad, load_vector, stiffness_diag,
 };
-pub use pcg::{JacobiPrecond, LinearOp, PcgStep, PcgWorkspace, Precond};
+pub use pcg::{CgOptions, CgStats, JacobiPrecond, LinearOp, PcgStep, PcgWorkspace, Precond};
 pub use pde::{sym_index, PdeOperator, MAX_NCOMP};
 pub use stencil::Stencil;
 pub use system::FemSystem;
+
+/// Jacobi-CG: [`JacobiPrecond`] through the one CG loop ([`pcg::solve`]),
+/// the reference the MG-PCG tests check against.
+#[cfg(test)]
+mod cg {
+    use crate::operator::load_vector;
+    use crate::pcg::{solve, CgOptions, CgStats, JacobiPrecond};
+    use crate::{Dirichlet, FemSystem, Grid};
+
+    /// Jacobi-CG reference: solves `K(ν) u = F` (`F` the load vector of
+    /// nodal forcing `f`) through [`solve`] from `u0` or zero, with the
+    /// Dirichlet values of `bc` imposed first.
+    pub(crate) fn jacobi_cg<const D: usize>(
+        g: &Grid<D>,
+        nu: &[f64],
+        bc: &Dirichlet,
+        f: Option<&[f64]>,
+        u0: Option<&[f64]>,
+        opts: CgOptions,
+    ) -> (Vec<f64>, CgStats) {
+        let sys = FemSystem::new(*g, nu.to_vec(), bc.clone()).unwrap();
+        let nn = sys.num_nodes();
+        let mut rhs = vec![0.0; nn];
+        if let Some(f) = f {
+            load_vector(g, &sys.basis, f, &mut rhs);
+        }
+        let mut u = u0.map_or_else(|| vec![0.0; nn], <[f64]>::to_vec);
+        sys.impose_bc(&mut u);
+        let stats = solve(&sys, &JacobiPrecond::of(&sys), &mut u, &rhs, opts).unwrap();
+        (u, stats)
+    }
+
+    mod tests {
+        use super::jacobi_cg;
+        use crate::operator::energy;
+        use crate::pcg::CgOptions;
+        use crate::{Dirichlet, Grid};
+
+        #[test]
+        fn unit_nu_solution_is_linear_profile() {
+            // ν = 1, no forcing, u(0)=1, u(1)=0 with zero Neumann on y-faces:
+            // the exact solution is u = 1 − x, which the FE space represents
+            // exactly, so CG must recover it to solver tolerance.
+            let g: Grid<2> = Grid::cube(17);
+            let nn = g.num_nodes();
+            let nu = vec![1.0; nn];
+            let bc = Dirichlet::x_faces(&g, 1.0, 0.0);
+            let (u, stats) = jacobi_cg(&g, &nu, &bc, None, None, CgOptions::default());
+            assert!(stats.converged, "{stats:?}");
+            for i in 0..nn {
+                let c = g.node_coords(i);
+                assert!((u[i] - (1.0 - c[0])).abs() < 1e-8, "node {i}");
+            }
+        }
+
+        #[test]
+        fn solution_minimizes_energy() {
+            // J(u*) ≤ J(u* + perturbation) for interior perturbations.
+            let g: Grid<2> = Grid::cube(9);
+            let b = crate::basis::ElementBasis::new(&g);
+            let nn = g.num_nodes();
+            let nu: Vec<f64> = (0..nn)
+                .map(|i| 1.0 + 0.5 * ((i % 7) as f64) / 7.0)
+                .collect();
+            let bc = Dirichlet::x_faces(&g, 1.0, 0.0);
+            let (u, stats) = jacobi_cg(&g, &nu, &bc, None, None, CgOptions::default());
+            assert!(stats.converged);
+            let j_star = energy(&g, &b, &nu, &u, None);
+            for s in 0..5u64 {
+                let mut v = u.clone();
+                for i in 0..nn {
+                    if !bc.fixed[i] {
+                        v[i] += 0.01 * ((((i as u64 + s) * 2654435761) % 100) as f64 / 50.0 - 1.0);
+                    }
+                }
+                let j_pert = energy(&g, &b, &nu, &v, None);
+                assert!(j_pert >= j_star - 1e-12, "perturbation lowered energy");
+            }
+        }
+
+        #[test]
+        fn warm_start_from_exact_solution_converges_immediately() {
+            let g: Grid<2> = Grid::cube(17);
+            let nn = g.num_nodes();
+            let nu = vec![1.0; nn];
+            let bc = Dirichlet::x_faces(&g, 1.0, 0.0);
+            let (u, _) = jacobi_cg(&g, &nu, &bc, None, None, CgOptions::default());
+            let (_, stats2) = jacobi_cg(&g, &nu, &bc, None, Some(&u), CgOptions::default());
+            assert!(
+                stats2.iterations <= 2,
+                "warm start took {} iters",
+                stats2.iterations
+            );
+        }
+
+        #[test]
+        fn three_d_unit_nu_linear_profile() {
+            let g: Grid<3> = Grid::cube(9);
+            let nn = g.num_nodes();
+            let nu = vec![1.0; nn];
+            let bc = Dirichlet::x_faces(&g, 1.0, 0.0);
+            let (u, stats) = jacobi_cg(&g, &nu, &bc, None, None, CgOptions::default());
+            assert!(stats.converged);
+            for i in (0..nn).step_by(11) {
+                let c = g.node_coords(i);
+                assert!((u[i] - (1.0 - c[0])).abs() < 1e-8);
+            }
+        }
+
+        #[test]
+        fn manufactured_solution_converges_at_h2() {
+            // -Δu = f with u* = sin(πx) sin(πy), f = 2π² u*, Dirichlet on all
+            // faces. L2 error must shrink ~4x per refinement.
+            let solve_at = |m: usize| -> f64 {
+                let g: Grid<2> = Grid::cube(m);
+                let nn = g.num_nodes();
+                let nu = vec![1.0; nn];
+                let pi = std::f64::consts::PI;
+                let exact = |c: &[f64; 2]| (pi * c[0]).sin() * (pi * c[1]).sin();
+                let f: Vec<f64> = (0..nn)
+                    .map(|i| {
+                        let c = g.node_coords(i);
+                        2.0 * pi * pi * exact(&c)
+                    })
+                    .collect();
+                let bc = Dirichlet::all_faces(&g, |c| exact(c));
+                let (u, stats) = jacobi_cg(
+                    &g,
+                    &nu,
+                    &bc,
+                    Some(&f),
+                    None,
+                    CgOptions {
+                        tol: 1e-12,
+                        ..Default::default()
+                    },
+                );
+                assert!(stats.converged);
+                let mut err2 = 0.0;
+                for i in 0..nn {
+                    let c = g.node_coords(i);
+                    let e = u[i] - exact(&c);
+                    err2 += e * e;
+                }
+                (err2 / nn as f64).sqrt()
+            };
+            let e1 = solve_at(9);
+            let e2 = solve_at(17);
+            let e3 = solve_at(33);
+            let rate12 = (e1 / e2).log2();
+            let rate23 = (e2 / e3).log2();
+            assert!(rate12 > 1.7, "rate {rate12} (e1={e1}, e2={e2})");
+            assert!(rate23 > 1.7, "rate {rate23} (e2={e2}, e3={e3})");
+        }
+    }
+}
 
 /// Geometric multigrid: MG-PCG ([`GridHierarchy::solve`]) against exact
 /// solutions and the Jacobi-CG reference.
 #[cfg(test)]
 mod gmg {
     mod tests {
-        use crate::{solve_cg, CgOptions, Dirichlet, ElementBasis, Grid};
+        use crate::cg::jacobi_cg;
+        use crate::{CgOptions, Dirichlet, Grid};
         use crate::{GridHierarchy, HierarchyOptions};
 
         fn nu_var(g: &Grid<2>) -> Vec<f64> {
@@ -90,10 +247,9 @@ mod gmg {
         /// Relative L2 distance between the MG-PCG and the Jacobi-CG
         /// reference solutions, both at relative tolerance 1e-11.
         fn rel_err_vs_cg<const D: usize>(g: Grid<D>, nu: &[f64]) -> f64 {
-            let (u_mg, st) = hierarchy(g, nu).solve(None, None, tol(1e-11));
+            let (u_mg, st) = hierarchy(g, nu).solve(None, None, tol(1e-11)).unwrap();
             let bc = Dirichlet::x_faces(&g, 1.0, 0.0);
-            let b = ElementBasis::new(&g);
-            let (u_cg, st_cg) = solve_cg(&g, &b, nu, &bc, None, None, tol(1e-11));
+            let (u_cg, st_cg) = jacobi_cg(&g, nu, &bc, None, None, tol(1e-11));
             assert!(st.converged && st_cg.converged, "{st:?} {st_cg:?}");
             let err: f64 = u_mg
                 .iter()
@@ -106,7 +262,7 @@ mod gmg {
 
         /// Solves ν = 1 with x-face BC, whose exact FE solution is `1 − x`.
         fn assert_solves_linear_profile(h: &GridHierarchy<2>) {
-            let (u, stats) = h.solve(None, None, CgOptions::default());
+            let (u, stats) = h.solve(None, None, CgOptions::default()).unwrap();
             assert!(stats.converged, "{stats:?}");
             let g = &h.finest().grid;
             for (i, ui) in u.iter().enumerate() {
@@ -147,7 +303,9 @@ mod gmg {
             for family in [[17, 33, 65], [16, 32, 64]] {
                 let cycles = family.map(|m| {
                     let g: Grid<2> = Grid::cube(m);
-                    let (_, stats) = hierarchy(g, &nu_var(&g)).solve(None, None, tol(1e-8));
+                    let (_, stats) = hierarchy(g, &nu_var(&g))
+                        .solve(None, None, tol(1e-8))
+                        .unwrap();
                     assert!(stats.converged, "m={m}: {stats:?}");
                     stats.iterations
                 });
@@ -181,12 +339,14 @@ mod gmg {
     }
 }
 
-/// The crate's two solvers, Jacobi-CG ([`solve_cg`]) and MG-PCG
-/// ([`GridHierarchy::solve`]), take the same inputs and run on every grid.
+/// The loop's two preconditioners, Jacobi (the test reference) and the
+/// V-cycle ([`GridHierarchy::solve`]), take the same inputs and run on
+/// every grid.
 #[cfg(test)]
 mod solver {
     mod tests {
-        use crate::{solve_cg, CgOptions, Dirichlet, ElementBasis, Grid};
+        use crate::cg::jacobi_cg;
+        use crate::{CgOptions, Dirichlet, Grid};
         use crate::{GridHierarchy, HierarchyOptions};
 
         #[test]
@@ -209,9 +369,8 @@ mod solver {
                 let u0 = vec![0.5; nn];
                 let bc = Dirichlet::x_faces(&g, 1.0, 0.0);
                 let h = GridHierarchy::build(g, &nu, &bc, HierarchyOptions::default()).unwrap();
-                let (a, st_a) = h.solve(Some(&f), Some(&u0), opts);
-                let basis = ElementBasis::new(&g);
-                let (b, st_b) = solve_cg(&g, &basis, &nu, &bc, Some(&f), Some(&u0), opts);
+                let (a, st_a) = h.solve(Some(&f), Some(&u0), opts).unwrap();
+                let (b, st_b) = jacobi_cg(&g, &nu, &bc, Some(&f), Some(&u0), opts);
                 assert!(st_a.converged && st_b.converged, "m={m}: {st_a:?} {st_b:?}");
                 let err: f64 = a
                     .iter()

@@ -1,18 +1,78 @@
-//! Preconditioned conjugate gradients with a pluggable preconditioner.
+//! Preconditioned conjugate gradients with a pluggable preconditioner —
+//! the crate's one CG loop.
 //!
-//! [`crate::cg::solve_cg`] runs a whole Jacobi-preconditioned solve on top
-//! of this workspace. Hybrid solvers need more control: an outer
-//! driver that recomputes *true* residuals between blocks of iterations,
-//! swaps preconditioners (Jacobi vs multigrid V-cycle), and restarts CG
-//! after out-of-band updates to the iterate (e.g. a learned correction).
-//! [`PcgWorkspace`] exposes exactly that: one CG iteration per [`step`]
-//! call against any [`LinearOp`] / [`Precond`] pair, with explicit
-//! [`restart`].
+//! [`solve`] runs a whole solve of `K u = rhs` against any [`LinearOp`] /
+//! [`Precond`] pair: MG-PCG with a V-cycle
+//! ([`crate::GridHierarchy::solve`]), Jacobi-CG with [`JacobiPrecond`]
+//! (the §3.1.2 warm-start comparison, the certified driver's last resort,
+//! and the reference the tests check MG-PCG against), and the coarsest
+//! level of every V-cycle all step the same [`PcgWorkspace`]. Hybrid
+//! solvers need more control: an outer driver that recomputes *true*
+//! residuals between blocks of iterations, swaps preconditioners, and
+//! restarts CG after out-of-band updates to the iterate (e.g. a learned
+//! correction). [`PcgWorkspace`] exposes exactly that: one CG iteration
+//! per [`step`] call, with explicit [`restart`].
 //!
 //! [`step`]: PcgWorkspace::step
 //! [`restart`]: PcgWorkspace::restart
 
+use crate::error::{check_len, FemError};
 use crate::system::FemSystem;
+
+/// CG solver options.
+#[derive(Clone, Copy, Debug)]
+pub struct CgOptions {
+    /// Relative residual reduction target.
+    pub tol: f64,
+    /// Absolute residual floor: iteration also stops once ‖r‖₂ drops below
+    /// this, which keeps warm starts from chasing an ever-smaller relative
+    /// target.
+    pub abs_tol: f64,
+    /// Iteration cap.
+    pub max_iter: usize,
+}
+
+impl Default for CgOptions {
+    fn default() -> Self {
+        CgOptions {
+            tol: 1e-10,
+            abs_tol: 1e-12,
+            max_iter: 10_000,
+        }
+    }
+}
+
+/// Convergence report.
+#[derive(Clone, Copy, Debug)]
+pub struct CgStats {
+    /// Iterations performed.
+    pub iterations: usize,
+    /// Final residual norm ‖r‖₂.
+    pub residual: f64,
+    /// Initial residual norm ‖r₀‖₂.
+    pub initial_residual: f64,
+    /// Whether the tolerance was met.
+    pub converged: bool,
+}
+
+/// Solves `op u = rhs` by CG preconditioned with `pre`, from the current
+/// `u` (Dirichlet values already imposed), until the relative or absolute
+/// tolerance is met, the iteration cap is hit, or the recurrence breaks
+/// down (non-positive or non-finite curvature — a NaN input stops within
+/// one iteration, unconverged). Returns [`FemError::SizeMismatch`] when
+/// `u` or `rhs` is not `op.len()` long.
+pub fn solve(
+    op: &dyn LinearOp,
+    pre: &dyn Precond,
+    u: &mut [f64],
+    rhs: &[f64],
+    opts: CgOptions,
+) -> Result<CgStats, FemError> {
+    let nn = op.len();
+    check_len("u", nn, u.len())?;
+    check_len("rhs", nn, rhs.len())?;
+    Ok(PcgWorkspace::new(nn).run(op, pre, u, rhs, opts))
+}
 
 /// A masked symmetric positive-definite operator: the minimal surface CG
 /// needs. Implemented by [`FemSystem`] and by dimension-erased
@@ -120,6 +180,38 @@ impl PcgWorkspace {
         }
     }
 
+    /// [`solve`]'s loop on this workspace, without the length checks:
+    /// restarts on `op u = rhs` and steps to tolerance. Lets a V-cycle's
+    /// coarsest solve reuse one workspace.
+    pub(crate) fn run(
+        &mut self,
+        op: &dyn LinearOp,
+        pre: &dyn Precond,
+        u: &mut [f64],
+        rhs: &[f64],
+        opts: CgOptions,
+    ) -> CgStats {
+        self.restart(op, pre, u, rhs);
+        let r0 = self.recurrence_residual();
+        let mut stats = CgStats {
+            iterations: 0,
+            residual: r0,
+            initial_residual: r0,
+            converged: r0 <= opts.abs_tol,
+        };
+        while !stats.converged && stats.iterations < opts.max_iter {
+            match self.step(op, pre, u) {
+                PcgStep::Breakdown => break,
+                PcgStep::Advanced(rn) => {
+                    stats.iterations += 1;
+                    stats.residual = rn;
+                    stats.converged = rn <= opts.tol * r0 || rn <= opts.abs_tol;
+                }
+            }
+        }
+        stats
+    }
+
     /// Recomputes `r = mask(rhs − K u)` and restarts the Krylov recurrence.
     /// Call after any out-of-band modification of `u`.
     pub fn restart(&mut self, op: &dyn LinearOp, pre: &dyn Precond, u: &[f64], rhs: &[f64]) {
@@ -221,5 +313,24 @@ mod tests {
             }
         }
         assert!(sys.residual_norm(&u, &rhs) < 1e-9);
+    }
+
+    #[test]
+    fn solve_rejects_mis_sized_vectors() {
+        let sys = sys2d(9);
+        let nn = sys.num_nodes();
+        let pre = JacobiPrecond::of(&sys);
+        let opts = CgOptions::default();
+        let err = solve(&sys, &pre, &mut vec![0.0; nn - 1], &vec![0.0; nn], opts).unwrap_err();
+        assert_eq!(
+            err,
+            FemError::SizeMismatch {
+                what: "u",
+                expected: nn,
+                got: nn - 1
+            }
+        );
+        let err = solve(&sys, &pre, &mut vec![0.0; nn], &vec![0.0; nn + 1], opts).unwrap_err();
+        assert!(matches!(err, FemError::SizeMismatch { what: "rhs", .. }));
     }
 }

@@ -34,7 +34,7 @@
 //! picks it up.
 
 use crate::basis::ElementBasis;
-use crate::error::FemError;
+use crate::error::{check_len, FemError};
 use crate::grid::Grid;
 use crate::operator::{self, Coefficient, Scalar, MAX_NL};
 
@@ -210,14 +210,7 @@ impl PdeOperator {
         grid: &Grid<D>,
         coeff: &[f64],
     ) -> Result<(), FemError> {
-        let expected = self.coeff_len(grid);
-        if coeff.len() != expected {
-            return Err(FemError::SizeMismatch {
-                what: "nu",
-                expected,
-                got: coeff.len(),
-            });
-        }
+        check_len("nu", self.coeff_len(grid), coeff.len())?;
         let bad = with_coeff!(self, grid, coeff, c => {
             (0..grid.num_nodes()).find(|&i| !Coefficient::<D>::spd_at(&c, i))
         });

@@ -3,16 +3,18 @@
 //!
 //! [`FemSystem`] packages the residual / operator-application / smoothing
 //! entry points of one discretization, so solvers — the multigrid levels of
-//! [`crate::hierarchy`], the Jacobi-CG reference, and hybrid solvers outside
-//! this crate — run the same FEM kernels: compute true residuals after
-//! arbitrary (e.g. learned) updates, run ad-hoc smoothing sweeps, or feed a
-//! pluggable-preconditioner CG ([`crate::pcg`]). The operator is pluggable
-//! ([`PdeOperator`]) and is assembled once into a [`Stencil`] that every
-//! apply, residual and smoothing sweep runs on.
+//! [`crate::hierarchy`], the one CG loop ([`crate::pcg`]), and hybrid
+//! solvers outside this crate — run the same FEM kernels: compute true
+//! residuals after arbitrary (e.g. learned) updates or run ad-hoc smoothing
+//! sweeps. The operator is pluggable ([`PdeOperator`]) and is assembled
+//! once into a [`Stencil`] that every apply, residual and smoothing sweep
+//! runs on. Every system is built through [`FemSystem::with_operator`],
+//! which validates the coefficient block and the mask first, so no solve
+//! runs on an unvalidated system.
 
 use crate::basis::ElementBasis;
 use crate::bc::Dirichlet;
-use crate::error::FemError;
+use crate::error::{check_len, FemError};
 use crate::grid::Grid;
 use crate::pde::PdeOperator;
 use crate::stencil::Stencil;
@@ -60,34 +62,17 @@ impl<const D: usize> FemSystem<D> {
     ) -> Result<Self, FemError> {
         let nn = grid.num_nodes();
         op.validate_coeff(&grid, &nu)?;
-        if bc.fixed.len() != nn {
-            return Err(FemError::SizeMismatch {
-                what: "bc.fixed",
-                expected: nn,
-                got: bc.fixed.len(),
-            });
-        }
-        Ok(Self::assemble(grid, ElementBasis::new(&grid), op, nu, bc))
-    }
-
-    /// Assembles without validating the coefficients (lengths are still
-    /// asserted) — for callers whose API predates the typed errors.
-    pub(crate) fn assemble(
-        grid: Grid<D>,
-        basis: ElementBasis<D>,
-        op: PdeOperator,
-        nu: Vec<f64>,
-        bc: Dirichlet,
-    ) -> Self {
+        check_len("bc.fixed", nn, bc.fixed.len())?;
+        let basis = ElementBasis::new(&grid);
         let stencil = Stencil::assemble(&grid, &basis, op, &nu, &bc.fixed);
-        FemSystem {
+        Ok(FemSystem {
             grid,
             basis,
             op,
             nu,
             bc,
             stencil,
-        }
+        })
     }
 
     /// Nodes in the system (vector length).

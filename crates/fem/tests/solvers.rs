@@ -1,11 +1,9 @@
-//! Solver-level regression tests: the shared CG loop and the pooled
-//! V-cycle scratch.
+//! Solver-level regression tests: the shared CG loop, typed errors on the
+//! public solve surface, and the pooled V-cycle scratch.
 
 use mgd_fem::hierarchy::{GridHierarchy, HierarchyOptions};
-use mgd_fem::pcg::{PcgStep, PcgWorkspace, Precond};
-use mgd_fem::{
-    solve_cg_op, CgOptions, Dirichlet, ElementBasis, FemSystem, Grid, MixedHierarchy, PdeOperator,
-};
+use mgd_fem::pcg::{self, PcgStep, PcgWorkspace, Precond};
+use mgd_fem::{CgOptions, Dirichlet, FemError, FemSystem, Grid, JacobiPrecond, MixedHierarchy};
 
 fn nu_var<const D: usize>(g: &Grid<D>) -> Vec<f64> {
     (0..g.num_nodes())
@@ -22,20 +20,35 @@ fn nu_var<const D: usize>(g: &Grid<D>) -> Vec<f64> {
 fn nan_rhs_stops_cg_within_one_iteration() {
     let g: Grid<2> = Grid::cube(17);
     let nn = g.num_nodes();
-    let mut f = vec![0.0; nn];
-    f[nn / 2] = f64::NAN;
-    let (_, stats) = solve_cg_op(
-        &g,
-        &ElementBasis::new(&g),
-        PdeOperator::Poisson,
-        &nu_var(&g),
-        &Dirichlet::x_faces(&g, 1.0, 0.0),
-        Some(&f),
-        None,
-        CgOptions::default(),
-    );
+    let sys = FemSystem::new(g, nu_var(&g), Dirichlet::x_faces(&g, 1.0, 0.0)).unwrap();
+    let mut rhs = vec![0.0; nn];
+    rhs[nn / 2] = f64::NAN;
+    let mut u = vec![0.0; nn];
+    sys.impose_bc(&mut u);
+    let pre = JacobiPrecond::of(&sys);
+    let stats = pcg::solve(&sys, &pre, &mut u, &rhs, CgOptions::default()).unwrap();
     assert!(stats.iterations <= 1, "{stats:?}");
     assert!(!stats.converged);
+}
+
+#[test]
+fn hierarchy_solve_rejects_mis_sized_forcing_and_warm_start() {
+    let g: Grid<2> = Grid::cube(9);
+    let nn = g.num_nodes();
+    let bc = Dirichlet::x_faces(&g, 1.0, 0.0);
+    let h = GridHierarchy::build(g, &nu_var(&g), &bc, HierarchyOptions::default()).unwrap();
+    let short = vec![0.0; nn - 1];
+    let opts = CgOptions::default();
+    let err = h.solve(Some(&short), None, opts).unwrap_err();
+    assert!(
+        matches!(err, FemError::SizeMismatch { what: "f", .. }),
+        "{err}"
+    );
+    let err = h.solve(None, Some(&short), opts).unwrap_err();
+    assert!(
+        matches!(err, FemError::SizeMismatch { what: "u0", .. }),
+        "{err}"
+    );
 }
 
 /// Runs `iters` MG-PCG iterations, asserting after each that the pool has

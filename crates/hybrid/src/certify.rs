@@ -5,9 +5,11 @@
 //! Krylov recurrence — and tracks the best iterate seen so far. A stage
 //! is demoted (learned strategy → pure MG-PCG → Jacobi-CG) when it
 //! reports itself unavailable, breaks down, produces non-finite values,
-//! or stalls per [`StallPolicy`]. The final Jacobi-CG stage is
-//! unconditionally convergent for the SPD systems built here, so the
-//! driver always terminates with a certified [`CertifiedSolution`].
+//! or stalls per [`StallPolicy`]. The final stage is Jacobi-CG from the
+//! best iterate, stepping the same [`mgd_fem::pcg::PcgWorkspace`] as every
+//! other CG solve. It is unconditionally convergent for the SPD systems
+//! built here and is never stalled out, so the driver always terminates
+//! with a certified [`CertifiedSolution`].
 
 use crate::strategy::{stage_chain, SolveCtx, StageStatus, StrategyKind, Surrogate};
 use crate::system::{ErasedHierarchy, ErasedSystem};

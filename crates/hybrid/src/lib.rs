@@ -8,20 +8,20 @@
 //! is measured by the **true residual**, so the network can only
 //! accelerate the solve — never corrupt the answer.
 //!
-//! Three composable strategies behind the [`HybridStrategy`] trait:
+//! Two learned strategies behind the [`HybridStrategy`] trait:
 //!
 //! | strategy | learned role | polish |
 //! |---|---|---|
 //! | [`StrategyKind::InitialGuess`] | seeds the iterate | MG-PCG |
 //! | [`StrategyKind::CoarseCorrector`] | line-searched correction at a chosen V-cycle level, every outer step | restarted MG-PCG blocks |
-//! | [`StrategyKind::CgPolish`] | seeds the iterate | Jacobi-CG |
 //!
 //! plus the no-network [`StrategyKind::PureMultigrid`] baseline. All run
 //! under the [`certify::solve_certified`] driver: per-step true-residual
 //! tracking, a stall detector, and automatic demotion to pure FEM stages
-//! whenever the learned component is unavailable, stalls, or emits
-//! non-finite values. Every [`CertifiedSolution`] carries a residual norm
-//! recomputed from scratch on the returned iterate.
+//! (pure MG-PCG, then Jacobi-CG as the last resort) whenever the learned
+//! component is unavailable, stalls, or emits non-finite values. Every
+//! [`CertifiedSolution`] carries a residual norm recomputed from scratch on
+//! the returned iterate.
 //!
 //! The multigrid machinery comes from `mgd_fem::hierarchy`, whose
 //! non-nested interpolation transfers coarsen the `2^k`-node grids the
@@ -108,7 +108,6 @@ mod tests {
             StrategyKind::PureMultigrid,
             StrategyKind::InitialGuess,
             StrategyKind::CoarseCorrector { level: 0 },
-            StrategyKind::CgPolish,
         ] {
             let sol = solve_certified(
                 &sys,
@@ -136,7 +135,6 @@ mod tests {
             StrategyKind::PureMultigrid,
             StrategyKind::InitialGuess,
             StrategyKind::CoarseCorrector { level: 1 },
-            StrategyKind::CgPolish,
         ];
         let sols: Vec<_> = kinds
             .iter()
@@ -162,7 +160,6 @@ mod tests {
         for kind in [
             StrategyKind::InitialGuess,
             StrategyKind::CoarseCorrector { level: 0 },
-            StrategyKind::CgPolish,
         ] {
             let sol = solve_certified(&sys, &hier, &nan_surrogate, kind, None, &opts);
             assert!(sol.fell_back, "{kind:?} should demote on NaN prediction");
@@ -171,6 +168,33 @@ mod tests {
             assert!(sol.u.iter().all(|x| x.is_finite()));
             assert_eq!(sol.strategy_used, "pure-multigrid");
         }
+    }
+
+    #[test]
+    fn stalled_multigrid_demotes_to_jacobi_cg() {
+        // No MG-PCG block cuts the residual 1e6-fold, so this stall policy
+        // demotes pure multigrid after one outer step to the last resort.
+        let (sys, hier) = setup(&[16, 16]);
+        let opts = CertifyOptions {
+            stall: StallPolicy {
+                rho: 1e-6,
+                window: 1,
+            },
+            ..Default::default()
+        };
+        let sol = solve_certified(
+            &sys,
+            &hier,
+            &NoSurrogate,
+            StrategyKind::PureMultigrid,
+            None,
+            &opts,
+        );
+        assert_eq!(sol.strategy_used, "jacobi-cg");
+        assert!(sol.fell_back);
+        assert!(sol.converged, "{:?}", sol.residual_history);
+        let check = sys.residual_norm(&sol.u, &vec![0.0; sys.num_nodes()]);
+        assert_eq!(check.to_bits(), sol.residual_norm.to_bits());
     }
 
     #[test]

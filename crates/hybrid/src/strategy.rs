@@ -56,8 +56,6 @@ pub enum StrategyKind {
         /// Hierarchy level the correction is predicted at.
         level: usize,
     },
-    /// CG-accelerated surrogate: network predict, then Jacobi-CG polish.
-    CgPolish,
 }
 
 impl StrategyKind {
@@ -67,7 +65,6 @@ impl StrategyKind {
             StrategyKind::PureMultigrid => "pure-multigrid",
             StrategyKind::InitialGuess => "initial-guess",
             StrategyKind::CoarseCorrector { .. } => "coarse-corrector",
-            StrategyKind::CgPolish => "cg-polish",
         }
     }
 }
@@ -181,45 +178,20 @@ impl HybridStrategy for MgPcgStage {
     }
 }
 
-/// Jacobi-preconditioned CG (optionally surrogate-seeded): strategy (c)
-/// when seeded, and the unconditional last-resort fallback when not.
+/// Jacobi-preconditioned CG from the best certified iterate: the
+/// unconditional last-resort stage of every demotion chain.
+#[derive(Default)]
 pub struct JacobiCgStage {
-    seed: bool,
     pre: Option<JacobiPrecond>,
     ws: Option<PcgWorkspace>,
 }
 
-impl JacobiCgStage {
-    /// `seed = true` is the "CG-accelerated surrogate" strategy.
-    pub fn new(seed: bool) -> Self {
-        JacobiCgStage {
-            seed,
-            pre: None,
-            ws: None,
-        }
-    }
-}
-
 impl HybridStrategy for JacobiCgStage {
     fn name(&self) -> &'static str {
-        if self.seed {
-            "cg-polish"
-        } else {
-            "jacobi-cg"
-        }
+        "jacobi-cg"
     }
 
     fn init(&mut self, ctx: &mut SolveCtx<'_>) -> StageStatus {
-        if self.seed {
-            let dims = ctx.sys.dims();
-            match finite_guess(ctx.surrogate, &dims, ctx.sys.nu(), ctx.u.len()) {
-                Some(g) => {
-                    *ctx.u = g;
-                    ctx.sys.impose_bc(ctx.u);
-                }
-                None => return StageStatus::Unavailable,
-            }
-        }
         let pre = ctx.sys.jacobi();
         self.ws = Some(PcgWorkspace::start(ctx.sys, &pre, ctx.u, ctx.rhs));
         self.pre = Some(pre);
@@ -331,11 +303,7 @@ pub fn stage_chain(kind: StrategyKind) -> Vec<Box<dyn HybridStrategy>> {
             chain.push(Box::new(CoarseCorrectorStage::new(level)));
             chain.push(Box::new(MgPcgStage::new(false)));
         }
-        StrategyKind::CgPolish => {
-            chain.push(Box::new(JacobiCgStage::new(true)));
-            chain.push(Box::new(MgPcgStage::new(false)));
-        }
     }
-    chain.push(Box::new(JacobiCgStage::new(false)));
+    chain.push(Box::<JacobiCgStage>::default());
     chain
 }

@@ -60,7 +60,9 @@ fn main() {
     let omega_true = vec![1.1, -0.7, 0.4, -1.9];
     let loss_fns = FemLoss::new(&dims).unwrap();
     let nu_true = model.rasterize(&omega_true, &dims);
-    let (u_target_v, stats) = loss_fns.fem_solve(nu_true.as_slice(), None, 1e-10);
+    let (u_target_v, stats) = loss_fns
+        .fem_solve(nu_true.as_slice(), None, 1e-10)
+        .expect("valid coefficient field");
     assert!(stats.converged);
     let target = Tensor::from_vec(dims.clone(), u_target_v);
 
@@ -161,7 +163,9 @@ fn main() {
     println!("surrogate evaluations: {evals} (zero FEM solves in the loop)");
     // Validate with one FEM solve at the recovered ω.
     let nu_found = model.rasterize(best, &dims);
-    let (u_found, _) = loss_fns.fem_solve(nu_found.as_slice(), None, 1e-10);
+    let (u_found, _) = loss_fns
+        .fem_solve(nu_found.as_slice(), None, 1e-10)
+        .expect("valid coefficient field");
     let err = Tensor::from_vec(dims.clone(), u_found).rel_l2_error(&target);
     println!("FEM field at recovered omega vs target: rel L2 = {err:.4}");
 }

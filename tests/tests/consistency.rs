@@ -113,7 +113,7 @@ fn gmg_and_cg_agree_on_paper_diffusivity() {
     // geometric-multigrid-preconditioned CG vs the Jacobi-CG reference, on
     // a nested and a network-shaped (never nested) grid.
     use mgd_fem::{
-        solve_cg, CgOptions, Dirichlet, ElementBasis, Grid, GridHierarchy, HierarchyOptions,
+        pcg, CgOptions, Dirichlet, Grid, GridHierarchy, HierarchyOptions, JacobiPrecond,
     };
     let model = DiffusivityModel::paper();
     let omega = [0.3105, 1.5386, 0.0932, -1.2442];
@@ -127,9 +127,12 @@ fn gmg_and_cg_agree_on_paper_diffusivity() {
         let bc = Dirichlet::x_faces(&grid, 1.0, 0.0);
         let hier =
             GridHierarchy::build(grid, nu.as_slice(), &bc, HierarchyOptions::default()).unwrap();
-        let (gmg, gmg_stats) = hier.solve(None, None, opts);
-        let basis = ElementBasis::new(&grid);
-        let (cg, cg_stats) = solve_cg(&grid, &basis, nu.as_slice(), &bc, None, None, opts);
+        let (gmg, gmg_stats) = hier.solve(None, None, opts).unwrap();
+        // Jacobi-CG through the same loop, on the hierarchy's finest system.
+        let sys = hier.finest();
+        let (mut cg, rhs) = (vec![0.0; sys.num_nodes()], vec![0.0; sys.num_nodes()]);
+        sys.impose_bc(&mut cg);
+        let cg_stats = pcg::solve(sys, &JacobiPrecond::of(sys), &mut cg, &rhs, opts).unwrap();
         assert!(gmg_stats.converged && cg_stats.converged);
         let err: f64 = gmg
             .iter()

@@ -1,7 +1,7 @@
 //! Property-based tests spanning crates.
 
 use mgd_dist::{launch, Comm};
-use mgd_fem::{solve_cg, CgOptions, Dirichlet, ElementBasis, Grid};
+use mgd_fem::{pcg, CgOptions, Dirichlet, ElementBasis, FemSystem, Grid, JacobiPrecond};
 use mgd_field::{transfer, DiffusivityModel, Sobol};
 use mgd_tensor::Tensor;
 use proptest::prelude::*;
@@ -68,8 +68,11 @@ proptest! {
         let omega: Vec<f64> = sob.take_in_box(1 + (seed as usize % 7), -3.0, 3.0).pop().unwrap();
         let nu = m.rasterize(&omega, &[9, 9]);
         let bc = Dirichlet::x_faces(&g, 1.0, 0.0);
-        let (u, stats) = solve_cg(&g, &basis, nu.as_slice(), &bc, None, None,
-            CgOptions { tol: 1e-12, ..Default::default() });
+        let sys = FemSystem::new(g, nu.as_slice().to_vec(), bc.clone()).unwrap();
+        let (mut u, rhs) = (vec![0.0; nn], vec![0.0; nn]);
+        sys.impose_bc(&mut u);
+        let stats = pcg::solve(&sys, &JacobiPrecond::of(&sys), &mut u, &rhs,
+            CgOptions { tol: 1e-12, ..Default::default() }).unwrap();
         prop_assert!(stats.converged);
         let j_star = mgd_fem::energy(&g, &basis, nu.as_slice(), &u, None);
         // Deterministic pseudo-random perturbation from the seed.
@@ -199,7 +202,7 @@ fn prediction_energy_bounded_below_by_fem() {
     for s in 0..data.len() {
         let f = mgdiffnet::predict_field(&mut net, &data, s, &dims).unwrap();
         let nu = data.nu_field(s, &dims);
-        let (u_fem, stats) = loss.fem_solve(nu.as_slice(), None, 1e-10);
+        let (u_fem, stats) = loss.fem_solve(nu.as_slice(), None, 1e-10).unwrap();
         assert!(stats.converged);
         let j_nn = loss.energy_batch(
             std::slice::from_ref(&nu),
