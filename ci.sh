@@ -42,8 +42,10 @@ run cargo run --release -p mgd-examples --bin megavoxel_serving -- --quick --str
 # Serving smoke: concurrent snapshot readers, hot swap, and the
 # micro-batching queue must hold their bitwise guarantees; a forward that
 # panics inside a queue worker must end in a typed error, not a hang.
+# `serving` is the queue's one end-to-end example (~5 s after the build).
 run cargo test -q -p mgd-integration --test serving
 run cargo test -q -p mgd-serve
+run cargo run --release -p mgd-examples --bin serving
 # Hybrid smoke: certified solving — every strategy must reach tolerance
 # under the certified driver, including the NaN-sabotage fallback tests.
 # `thermal_composite` is the tensor operator's one end-to-end run outside

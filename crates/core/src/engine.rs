@@ -66,7 +66,6 @@ use mgd_tensor::{Precision, Tensor};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 pub use crate::serve::{CacheShardStats, ServeStats};
 
@@ -409,13 +408,6 @@ impl SolverEngineBuilder {
     /// pass (default 8).
     pub fn max_batch(mut self, max_batch: usize) -> Self {
         self.serve.max_batch = max_batch;
-        self
-    }
-
-    /// How long the serving queue waits for more requests to coalesce after
-    /// the first arrival (default 2 ms; zero dispatches immediately).
-    pub fn batch_window(mut self, window: Duration) -> Self {
-        self.serve.batch_window = window;
         self
     }
 
@@ -897,7 +889,7 @@ impl SolverEngine {
         Arc::clone(&self.cell)
     }
 
-    /// The serving configuration (queue depth, batch window, cache shape)
+    /// The serving configuration (queue depth, batch ceiling, cache shape)
     /// this engine was built with.
     pub fn serve_options(&self) -> ServeOptions {
         self.template.serve
@@ -1484,16 +1476,10 @@ mod tests {
         let e = small_builder().max_batch(0).build();
         assert!(matches!(e, Err(MgdError::InvalidConfig(ref m)) if m.contains("max_batch")));
         // The remaining serve knobs round-trip.
-        let engine = small_builder()
-            .queue_depth(7)
-            .max_batch(3)
-            .batch_window(Duration::from_micros(500))
-            .build()
-            .unwrap();
+        let engine = small_builder().queue_depth(7).max_batch(3).build().unwrap();
         let opts = engine.serve_options();
         assert_eq!(opts.queue_depth, 7);
         assert_eq!(opts.max_batch, 3);
-        assert_eq!(opts.batch_window, Duration::from_micros(500));
     }
 
     #[test]

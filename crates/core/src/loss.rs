@@ -228,11 +228,6 @@ impl FemLoss {
         self.fp
     }
 
-    /// The Dirichlet data.
-    pub fn bc(&self) -> &Dirichlet {
-        &self.bc
-    }
-
     /// Imposes the boundary values on every sample of an NCDHW batch
     /// (Algorithm 1: `U = U_int·χ_int + U_bc·χ_b`).
     ///

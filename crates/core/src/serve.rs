@@ -48,7 +48,6 @@ use mgd_tensor::{Element, Precision, Tensor};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Duration;
 
 /// A typed inference request: what a serving caller wants solved.
 ///
@@ -104,15 +103,36 @@ enum ReqView<'a> {
 /// field is the key (no hash-collision false positives). `Omega` bodies are
 /// the (finite, `-0.0`-normalized) parameter bits — ω requests are cached
 /// without rasterizing first.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+///
+/// A key digests physics and body once, when it is minted: `Hash` and
+/// [`CacheKey::shard`] read only the digest, and equality compares the
+/// digest before the body, so keys whose digests collide still never
+/// match. A collision costs a body comparison inside one shard, whose
+/// occupancy its capacity bounds.
+#[derive(Clone, Debug)]
 pub struct CacheKey {
+    digest: u64,
     /// Physics fingerprint of the snapshot that minted the key.
     physics: u64,
     body: KeyBody,
 }
 
+impl PartialEq for CacheKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.digest == other.digest && self.physics == other.physics && self.body == other.body
+    }
+}
+
+impl Eq for CacheKey {}
+
+impl std::hash::Hash for CacheKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(self.digest);
+    }
+}
+
 /// Request payload of a [`CacheKey`].
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 enum KeyBody {
     /// Quantized coefficient field.
     Coeff(Vec<u128>),
@@ -134,31 +154,55 @@ impl CacheKey {
     /// (|v| ≳ 1.8e299) the raw bit pattern is used instead, tagged into a
     /// disjoint keyspace so it can never alias a quantized value.
     pub fn coeff(field: &Tensor, physics: u64) -> CacheKey {
-        CacheKey {
-            physics,
-            body: KeyBody::Coeff(
-                field
-                    .as_slice()
-                    .iter()
-                    .map(|&v| {
-                        let q = (v * 1e9).round() + 0.0;
-                        if q.is_finite() {
-                            u128::from(q.to_bits())
-                        } else {
-                            (1u128 << 64) | u128::from(v.to_bits())
-                        }
-                    })
-                    .collect(),
-            ),
-        }
+        let body = field
+            .as_slice()
+            .iter()
+            .map(|&v| {
+                let q = (v * 1e9).round() + 0.0;
+                if q.is_finite() {
+                    u128::from(q.to_bits())
+                } else {
+                    (1u128 << 64) | u128::from(v.to_bits())
+                }
+            })
+            .collect();
+        CacheKey::new(physics, KeyBody::Coeff(body))
     }
 
     /// Keys a (finite) ω parameter vector by exact bit pattern
     /// (`-0.0`-normalized) under the given physics fingerprint.
     pub fn omega(omega: &[f64], physics: u64) -> CacheKey {
+        let body = omega.iter().map(|&v| (v + 0.0).to_bits()).collect();
+        CacheKey::new(physics, KeyBody::Omega(body))
+    }
+
+    /// Mints a key with its digest: word-wise FNV-1a over the physics
+    /// fingerprint, a variant tag (so a Coeff key and an Omega key of the
+    /// same words digest apart) and one word per body element (a Coeff
+    /// element's halves xor-folded; the body comparison keeps the tagged
+    /// keyspace apart), then the MurmurHash3 `fmix64` avalanche. FNV's
+    /// multiply carries entropy only upward, and integer-valued ν quantize
+    /// to words that differ only in their high bits; without the avalanche
+    /// every such key lands in one shard.
+    fn new(physics: u64, body: KeyBody) -> CacheKey {
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        let eat = |h: u64, w: u64| (h ^ w).wrapping_mul(PRIME);
+        let h = eat(0xcbf2_9ce4_8422_2325, physics);
+        let mut h = match &body {
+            KeyBody::Coeff(q) => q
+                .iter()
+                .fold(eat(h, 0), |h, &v| eat(h, v as u64 ^ (v >> 64) as u64)),
+            KeyBody::Omega(q) => q.iter().fold(eat(h, 1), |h, &v| eat(h, v)),
+        };
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^= h >> 33;
         CacheKey {
+            digest: h,
             physics,
-            body: KeyBody::Omega(omega.iter().map(|&v| (v + 0.0).to_bits()).collect()),
+            body,
         }
     }
 
@@ -169,42 +213,12 @@ impl CacheKey {
         }
     }
 
-    /// Deterministic shard index in `0..shards` (FNV-1a over the physics
-    /// fingerprint and the key bytes, with a variant tag so a Coeff key can
-    /// never collide with an Omega key of the same bytes). Deterministic —
-    /// independent of process, run, and the std `HashMap` hasher — so shard
-    /// placement is reproducible and testable.
+    /// Deterministic shard index in `0..shards`: the key's digest (see
+    /// [`CacheKey`]) modulo `shards`. Independent of process, run and the
+    /// std `HashMap` hasher, so shard placement is reproducible and
+    /// testable.
     pub fn shard(&self, shards: usize) -> usize {
-        if shards <= 1 {
-            return 0;
-        }
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn eat(h: u64, bytes: &[u8]) -> u64 {
-            bytes
-                .iter()
-                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(PRIME))
-        }
-        let mut h = eat(OFFSET, &self.physics.to_le_bytes());
-        match &self.body {
-            KeyBody::Coeff(q) => {
-                h = eat(h, &[0]);
-                for v in q {
-                    h = eat(h, &v.to_le_bytes());
-                }
-            }
-            KeyBody::Omega(q) => {
-                h = eat(h, &[1]);
-                for v in q {
-                    h = eat(h, &v.to_le_bytes());
-                }
-            }
-        }
-        // FNV-1a's multiply only propagates entropy upward, so the raw low
-        // bits are badly mixed (every f64 bit pattern with trailing zero
-        // bytes lands in one bucket); xor-fold the high half down first.
-        h ^= h >> 32;
-        (h % shards as u64) as usize
+        (self.digest % shards.max(1) as u64) as usize
     }
 }
 
@@ -369,7 +383,7 @@ impl LruCore {
 
     /// Inserts (or refreshes) an entry; returns whether an eviction
     /// happened.
-    fn insert(&mut self, key: CacheKey, value: CachedField) -> bool {
+    fn insert(&mut self, key: Arc<CacheKey>, value: CachedField) -> bool {
         if self.capacity == 0 {
             return false;
         }
@@ -392,10 +406,9 @@ impl LruCore {
                 evicted = true;
             }
         }
-        let key_arc = Arc::new(key);
-        self.by_stamp.insert(clock, Arc::clone(&key_arc));
+        self.by_stamp.insert(clock, Arc::clone(&key));
         self.entries.insert(
-            key_arc,
+            key,
             CacheSlot {
                 out: value,
                 stamp: clock,
@@ -489,7 +502,9 @@ impl PredictionCache {
     }
 
     /// Inserts (or refreshes) an entry, counting any eviction it causes.
-    pub fn insert(&self, key: CacheKey, value: impl Into<CachedField>) {
+    /// The cache shares `key`, so a caller keeping it pays no copy.
+    pub fn insert(&self, key: impl Into<Arc<CacheKey>>, value: impl Into<CachedField>) {
+        let key = key.into();
         let value = value.into();
         let shard = self.shard_of(&key);
         let evicted = shard
@@ -538,6 +553,8 @@ impl PredictionCache {
 
 /// Serving configuration of an engine (queue + cache shape), set through
 /// the `SolverEngineBuilder` knobs and consumed by `mgd_serve`'s queue.
+/// The queue dispatches as soon as a worker is free: a batch is whatever
+/// waited while the workers were busy, up to `max_batch`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServeOptions {
     /// Admission-control bound: requests beyond this many waiting in the
@@ -545,9 +562,6 @@ pub struct ServeOptions {
     pub queue_depth: usize,
     /// Largest micro-batch the queue coalesces into one forward pass.
     pub max_batch: usize,
-    /// How long the queue waits for more requests to coalesce after the
-    /// first arrival (the deadline half of the size/deadline policy).
-    pub batch_window: Duration,
     /// Total prediction-cache capacity in entries (0 disables caching),
     /// split over [`PredictionCache::auto_shards`] shards.
     pub cache_capacity: usize,
@@ -558,7 +572,6 @@ impl Default for ServeOptions {
         ServeOptions {
             queue_depth: 256,
             max_batch: 8,
-            batch_window: Duration::from_millis(2),
             cache_capacity: 64,
         }
     }
@@ -1059,7 +1072,10 @@ impl EngineSnapshot {
             self.validate(i, req)?;
         }
         let physics = self.cfg.loss.fingerprint();
-        let keys: Vec<CacheKey> = reqs.iter().map(|r| CacheKey::of(r, physics)).collect();
+        let keys: Vec<Arc<CacheKey>> = reqs
+            .iter()
+            .map(|r| Arc::new(CacheKey::of(r, physics)))
+            .collect();
         let mut outputs: Vec<Option<Arc<Tensor>>> = Vec::with_capacity(reqs.len());
         let mut miss_idx: Vec<usize> = Vec::new();
         for (i, key) in keys.iter().enumerate() {
@@ -1120,7 +1136,7 @@ impl EngineSnapshot {
                         CachedField::F32(Arc::new(field.cast::<f32>()))
                     }
                 };
-                self.cache.insert(keys[i].clone(), value);
+                self.cache.insert(Arc::clone(&keys[i]), value);
             }
             // Fill every miss (including intra-batch duplicates) from the
             // solved set, not the cache — caching may be disabled.
@@ -1429,8 +1445,8 @@ mod tests {
             cache.insert(key_of(v as f64), arc_field(v as f64));
         }
         assert_eq!(cache.len(), 32);
-        // Keys spread over more than one shard (FNV would have to collide
-        // 32 distinct fields into one bucket otherwise).
+        // Keys spread over more than one shard (integer-valued fields differ
+        // only in high bits; the digest's avalanche spreads them).
         let occupied = cache.shard_stats().iter().filter(|s| s.len > 0).count();
         assert!(occupied > 1, "all 32 keys landed in one shard");
         // Hits count on the right shard.
@@ -1445,6 +1461,27 @@ mod tests {
         // Total shard capacity equals the requested capacity.
         let total: usize = cache.shard_stats().iter().map(|s| s.capacity).sum();
         assert_eq!(total, 64);
+    }
+
+    #[test]
+    fn digest_collisions_stay_distinct_entries_of_one_shard() {
+        let twin = |w: u64| CacheKey {
+            digest: 7,
+            physics: 0,
+            body: KeyBody::Omega(vec![w]),
+        };
+        let (a, b) = (twin(1), twin(2));
+        assert_ne!(a, b);
+        let stats = Arc::new(SharedServeStats::default());
+        let cache = PredictionCache::new(8, 4, stats);
+        cache.insert(a.clone(), arc_field(1.0));
+        cache.insert(b.clone(), arc_field(2.0));
+        let lens: Vec<usize> = cache.shard_stats().iter().map(|s| s.len).collect();
+        assert_eq!(lens, [0, 0, 0, 2], "both keys in shard 7 % 4, apart");
+        for (key, v) in [(a, 1.0), (b, 2.0)] {
+            let hit = cache.get(&key).expect("each twin keeps its entry");
+            assert_eq!(hit.to_f64().as_slice(), &[v; 4]);
+        }
     }
 
     #[test]

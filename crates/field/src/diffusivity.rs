@@ -120,45 +120,57 @@ impl DiffusivityModel {
         self.log_nu_3d(omega, x, y, z).exp()
     }
 
+    /// ξᵢ at the nodes of an `n`-point axis, mode-major (`[i * n + k]`);
+    /// node k sits at `k · (1 / (n - 1))`.
+    fn axis_table(&self, n: usize) -> Vec<f64> {
+        let h = 1.0 / (n - 1) as f64;
+        (0..self.num_modes())
+            .flat_map(|i| (0..n).map(move |k| self.xi(i, k as f64 * h)))
+            .collect()
+    }
+
     /// Rasterizes log ν onto the nodes of a uniform grid over `[0,1]^d`.
     ///
     /// `dims` is `(height, width)` for 2D or `(depth, height, width)` for
     /// 3D, x on the fastest axis; node k of an n-point axis sits at
-    /// `k / (n - 1)`.
+    /// `k · (1 / (n - 1))`. Each ξᵢ is evaluated once per axis node, and
+    /// every term multiplies in [`Self::log_nu_2d`] / [`Self::log_nu_3d`]'s
+    /// order, so each node is bitwise the pointwise value there.
     pub fn rasterize_log(&self, omega: &[f64], dims: &[usize]) -> Tensor {
-        match dims {
-            [ny, nx] => {
-                let (ny, nx) = (*ny, *nx);
-                let mut out = Tensor::zeros([ny, nx]);
-                let hx = 1.0 / (nx - 1) as f64;
-                let hy = 1.0 / (ny - 1) as f64;
-                maybe_par_rows(out.as_mut_slice(), nx, |j, row| {
-                    let y = j as f64 * hy;
-                    for (i, v) in row.iter_mut().enumerate() {
-                        *v = self.log_nu_2d(omega, i as f64 * hx, y);
-                    }
-                });
-                out
-            }
-            [nz, ny, nx] => {
-                let (nz, ny, nx) = (*nz, *ny, *nx);
-                let mut out = Tensor::zeros([nz, ny, nx]);
-                let hx = 1.0 / (nx - 1) as f64;
-                let hy = 1.0 / (ny - 1) as f64;
-                let hz = 1.0 / (nz - 1) as f64;
-                maybe_par_rows(out.as_mut_slice(), nx, |jk, row| {
-                    let k = jk / ny;
-                    let j = jk % ny;
-                    let z = k as f64 * hz;
-                    let y = j as f64 * hy;
-                    for (i, v) in row.iter_mut().enumerate() {
-                        *v = self.log_nu_3d(omega, i as f64 * hx, y, z);
-                    }
-                });
-                out
-            }
+        assert_eq!(omega.len(), self.num_modes(), "omega has wrong dimension");
+        let m = self.num_modes();
+        let (ny, nx) = match dims {
+            [ny, nx] | [_, ny, nx] => (*ny, *nx),
             _ => panic!("rasterize_log expects 2 or 3 dims, got {dims:?}"),
+        };
+        // ωᵢλᵢ, the leading product of every term.
+        let w: Vec<f64> = (0..m).map(|i| omega[i] * self.lambda[i]).collect();
+        let (tx, ty) = (self.axis_table(nx), self.axis_table(ny));
+        let mut out = Tensor::zeros(dims);
+        match (dims, self.mode3d) {
+            (&[nz, _, _], ThreeDMode::Separable) => {
+                let tz = self.axis_table(nz);
+                let amp: Vec<f64> = (0..m).map(|i| self.amp(i)).collect();
+                maybe_par_rows(out.as_mut_slice(), nx, |jk, row| {
+                    let (j, k) = (jk % ny, jk / ny);
+                    for (x, v) in row.iter_mut().enumerate() {
+                        *v = (0..m)
+                            .map(|i| {
+                                w[i] * tx[i * nx + x] * ty[i * ny + j] * tz[i * nz + k] / amp[i]
+                            })
+                            .sum();
+                    }
+                });
+            }
+            // 2D, or the 2D field repeated on every z-plane (`Extrude`).
+            _ => maybe_par_rows(out.as_mut_slice(), nx, |jk, row| {
+                let j = jk % ny;
+                for (x, v) in row.iter_mut().enumerate() {
+                    *v = (0..m).map(|i| w[i] * tx[i * nx + x] * ty[i * ny + j]).sum();
+                }
+            }),
         }
+        out
     }
 
     /// Rasterizes ν = exp(log ν) onto grid nodes (see [`Self::rasterize_log`]).
@@ -230,6 +242,11 @@ mod tests {
         }
     }
 
+    /// Node k of an n-point axis, as the rasterizer places it.
+    fn node(k: usize, n: usize) -> f64 {
+        k as f64 * (1.0 / (n - 1) as f64)
+    }
+
     #[test]
     fn rasterize_2d_matches_pointwise_eval() {
         let m = DiffusivityModel::paper();
@@ -237,22 +254,31 @@ mod tests {
         assert_eq!(t.dims(), &[5, 9]);
         for j in 0..5 {
             for i in 0..9 {
-                let want = m.log_nu_2d(&W, i as f64 / 8.0, j as f64 / 4.0);
-                assert!((t.at(&[j, i]) - want).abs() < 1e-14);
+                let want = m.log_nu_2d(&W, node(i, 9), node(j, 5));
+                assert_eq!(t.at(&[j, i]).to_bits(), want.to_bits(), "node ({j}, {i})");
             }
         }
     }
 
     #[test]
     fn rasterize_3d_matches_pointwise_eval() {
-        let m = DiffusivityModel::paper();
-        let t = m.rasterize_log(&W, &[4, 5, 6]);
-        assert_eq!(t.dims(), &[4, 5, 6]);
-        for k in 0..4 {
-            for j in 0..5 {
-                for i in 0..6 {
-                    let want = m.log_nu_3d(&W, i as f64 / 5.0, j as f64 / 4.0, k as f64 / 3.0);
-                    assert!((t.at(&[k, j, i]) - want).abs() < 1e-14);
+        for m in [
+            DiffusivityModel::paper(),
+            DiffusivityModel::paper_extruded(),
+        ] {
+            let t = m.rasterize_log(&W, &[4, 7, 6]);
+            assert_eq!(t.dims(), &[4, 7, 6]);
+            for k in 0..4 {
+                for j in 0..7 {
+                    for i in 0..6 {
+                        let want = m.log_nu_3d(&W, node(i, 6), node(j, 7), node(k, 4));
+                        assert_eq!(
+                            t.at(&[k, j, i]).to_bits(),
+                            want.to_bits(),
+                            "{:?} node ({k}, {j}, {i})",
+                            m.mode3d
+                        );
+                    }
                 }
             }
         }

@@ -5,10 +5,12 @@
 //! that snapshot into a service:
 //!
 //! [`queue::ServeQueue`], an admission-controlled request queue whose
-//! worker threads coalesce concurrent requests into dynamic micro-batches
-//! (size/deadline policy) and answer each one through a [`Ticket`]. Its
-//! latency and goodput under open-loop load are measured by the
-//! `serve_queue_2d` workload of `benchmark/`.
+//! worker threads answer each request through a [`Ticket`]. A free worker
+//! dispatches at once whatever is waiting, up to `max_batch`, as one
+//! micro-batch: requests that arrive while the workers are busy share the
+//! next forward, and a request reaching an idle queue never waits for
+//! company. Its latency and goodput under open-loop load are measured by
+//! the `serve_queue_2d` workload of `benchmark/`.
 //!
 //! # Snapshot lifecycle and hot swap
 //!

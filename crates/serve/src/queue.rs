@@ -1,16 +1,15 @@
-//! [`ServeQueue`]: dynamic micro-batching over an Arc-snapshot model.
+//! [`ServeQueue`]: continuous micro-batching over an Arc-snapshot model.
 //!
-//! Callers submit [`InferenceRequest`]s from any number of threads; worker
-//! threads coalesce whatever is waiting into micro-batches (up to
-//! `max_batch`, waiting at most `batch_window` after the first arrival) and
-//! feed each batch to the snapshot's one-forward-pass
-//! [`predict_requests`](mgdiffnet::EngineSnapshot::predict_requests). Under
+//! Callers submit [`InferenceRequest`]s from any number of threads. A free
+//! worker takes every prediction waiting (up to `max_batch`) and dispatches
+//! it at once to the snapshot's one-forward-pass
+//! [`predict_requests`](mgdiffnet::EngineSnapshot::predict_requests): a
+//! batch is whatever arrived while the workers were busy, and a request
+//! reaching an idle queue runs alone without waiting for company. Under
 //! load this amortizes the per-forward fixed costs (GEMM weight packing,
 //! buffer setup) across requests; the `serve_queue_2d` workload of
 //! `benchmark/` measures it (`serve.mean_batch`,
-//! `serve.dispatch_overhead_us`). Under light load the deadline half of
-//! the policy bounds the latency a lone request pays for batching to
-//! `batch_window`.
+//! `serve.dispatch_overhead_us`).
 //!
 //! Admission control is strict: at most `queue_depth` requests wait at any
 //! time, and the `queue_depth + 1`-th submitter gets a typed
@@ -370,8 +369,8 @@ impl std::fmt::Debug for ServeQueue {
     }
 }
 
-/// One worker: claim a seed request, coalesce up to `max_batch` /
-/// `batch_window`, dispatch, deliver.
+/// One worker: claim a seed request, coalesce what waits behind it up to
+/// `max_batch`, dispatch, deliver.
 fn worker_loop(shared: &Shared) {
     loop {
         let mut st = shared.state.lock().expect("queue poisoned");
@@ -421,39 +420,20 @@ fn guarded<T>(call: impl FnOnce() -> MgdResult<T>) -> MgdResult<T> {
     })
 }
 
-/// With `seed` claimed, waits up to `batch_window` for the batch to fill,
-/// then dispatches it (lock released during inference). Only predictions
-/// coalesce; a certified job at the queue head ends collection so the next
-/// worker pass claims it whole.
+/// With `seed` claimed, takes the predictions queued behind it (up to
+/// `max_batch`) and dispatches them at once, lock released during
+/// inference. Only predictions coalesce; a certified job at the queue head
+/// ends collection so the next worker pass claims it whole.
 fn collect_batch(shared: &Shared, mut st: std::sync::MutexGuard<'_, QueueState>, seed: Pending) {
-    let opts = &shared.opts;
-    let deadline = Instant::now() + opts.batch_window;
     let mut batch = vec![seed];
-    while batch.len() < opts.max_batch {
-        if matches!(st.queue.front(), Some(Job::Predict(_))) {
-            match st.queue.pop_front() {
-                Some(Job::Predict(p)) => batch.push(p),
-                _ => unreachable!("front was a predict job"),
+    while batch.len() < shared.opts.max_batch {
+        match st.queue.pop_front() {
+            Some(Job::Predict(p)) => batch.push(p),
+            Some(certified) => {
+                st.queue.push_front(certified);
+                break;
             }
-            continue;
-        }
-        if matches!(st.queue.front(), Some(Job::Certified(_))) {
-            break; // leave the solve for a dedicated dispatch
-        }
-        if st.shutdown {
-            break; // drain mode: don't wait for arrivals that can't come
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            break;
-        }
-        let (guard, timeout) = shared
-            .cv
-            .wait_timeout(st, deadline - now)
-            .expect("queue poisoned");
-        st = guard;
-        if timeout.timed_out() && st.queue.is_empty() {
-            break;
+            None => break,
         }
     }
     drop(st);
@@ -495,10 +475,10 @@ mod tests {
     use super::*;
     use mgd_field::DiffusivityModel;
     use mgd_nn::{InferModel, Layer, Model, UNet, UNetConfig, Workspace};
-    use mgdiffnet::{Problem, SolverEngine};
+    use mgdiffnet::{Problem, SolverEngine, SolverEngineBuilder};
     use std::time::Duration;
 
-    fn engine() -> SolverEngine {
+    fn builder() -> SolverEngineBuilder {
         SolverEngine::builder()
             .resolution([16, 16])
             .problem(Problem::poisson_2d(DiffusivityModel::paper()))
@@ -506,9 +486,10 @@ mod tests {
             .samples(8)
             .batch_size(4)
             .seed(3)
-            .batch_window(Duration::from_millis(20))
-            .build()
-            .unwrap()
+    }
+
+    fn engine() -> SolverEngine {
+        builder().build().unwrap()
     }
 
     #[test]
@@ -647,67 +628,78 @@ mod tests {
         assert_eq!(stats.served, 3);
     }
 
-    /// A U-Net whose serving view panics on a constant input field, the
-    /// sentinel.
-    struct PanickyNet(UNet);
+    /// A U-Net whose serving view runs a test hook on each input batch
+    /// before its forward.
+    #[derive(Clone)]
+    struct HookedNet {
+        net: UNet,
+        hook: Arc<dyn Fn(&Tensor) + Send + Sync>,
+    }
 
-    impl Layer for PanickyNet {
+    impl HookedNet {
+        fn new(hook: impl Fn(&Tensor) + Send + Sync + 'static) -> Self {
+            HookedNet {
+                net: UNet::new(UNetConfig {
+                    two_d: true,
+                    depth: 2,
+                    base_filters: 2,
+                    seed: 5,
+                    ..Default::default()
+                }),
+                hook: Arc::new(hook),
+            }
+        }
+    }
+
+    impl Layer for HookedNet {
         fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-            self.0.forward(x, train)
+            self.net.forward(x, train)
         }
         fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-            self.0.backward(grad_out)
+            self.net.backward(grad_out)
         }
         fn params(&mut self) -> Vec<&mut mgd_nn::Param> {
-            self.0.params()
+            self.net.params()
         }
         fn buffers(&mut self) -> Vec<&mut Vec<f64>> {
-            self.0.buffers()
+            self.net.buffers()
         }
         fn name(&self) -> String {
-            format!("Panicky{}", self.0.name())
+            format!("Hooked{}", self.net.name())
         }
     }
 
-    impl Model for PanickyNet {
+    impl Model for HookedNet {
         fn clone_model(&self) -> Box<dyn Model> {
-            Box::new(PanickyNet(self.0.clone()))
+            Box::new(self.clone())
         }
         fn share(&self) -> Option<Arc<dyn InferModel>> {
-            Some(Arc::new(PanickyNet(self.0.clone())))
+            Some(Arc::new(self.clone()))
         }
     }
 
-    impl InferModel for PanickyNet {
+    impl InferModel for HookedNet {
         fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-            let sample = x.len() / x.dims()[0];
-            for s in x.as_slice().chunks(sample) {
-                assert!(s.iter().any(|&v| v != s[0]), "sentinel field");
-            }
-            self.0.infer(x, ws)
+            (self.hook)(x);
+            self.net.infer(x, ws)
         }
+    }
+
+    /// The test engine's configuration serving `model`.
+    fn engine_with(model: HookedNet) -> SolverEngineBuilder {
+        builder().model(Box::new(model))
     }
 
     #[test]
     fn panicking_forward_is_a_typed_error_and_the_worker_survives() {
-        let net = UNet::new(UNetConfig {
-            two_d: true,
-            depth: 2,
-            base_filters: 2,
-            seed: 5,
-            ..Default::default()
+        // The serving view panics on a constant input field, the sentinel.
+        let panicky = HookedNet::new(|x| {
+            let sample = x.len() / x.dims()[0];
+            for s in x.as_slice().chunks(sample) {
+                assert!(s.iter().any(|&v| v != s[0]), "sentinel field");
+            }
         });
-        let engine = SolverEngine::builder()
-            .resolution([16, 16])
-            .problem(Problem::poisson_2d(DiffusivityModel::paper()))
-            .levels(2)
-            .samples(8)
-            .batch_size(4)
-            .seed(3)
-            .batch_window(Duration::from_millis(20))
-            .model(Box::new(PanickyNet(net)))
-            .build()
-            .unwrap();
+        let engine = engine_with(panicky).build().unwrap();
         let within = Duration::from_secs(10);
         let answer = |t: Ticket| t.rx.recv_timeout(within).expect("no answer in 10 s").0;
         let healthy = engine.dataset().nu_field(1, &[16, 16]);
@@ -745,6 +737,80 @@ mod tests {
         assert!(panicked(answer(t_poisoned)));
         same(&answer(t_healthy).unwrap());
         assert_eq!(queue.stats().batches, 1);
+    }
+
+    /// Holds every forward at its door until the test opens it, counting
+    /// the forwards that arrived.
+    #[derive(Default)]
+    struct Gate {
+        /// (forwards arrived, open)
+        state: Mutex<(usize, bool)>,
+        cv: Condvar,
+    }
+
+    impl Gate {
+        fn pass(&self) {
+            let mut st = self.state.lock().unwrap();
+            st.0 += 1;
+            self.cv.notify_all();
+            while !st.1 {
+                st = self.cv.wait(st).unwrap();
+            }
+        }
+
+        fn await_arrivals(&self, n: usize) {
+            let st = self.state.lock().unwrap();
+            let (st, _) = self
+                .cv
+                .wait_timeout_while(st, Duration::from_secs(10), |st| st.0 < n)
+                .unwrap();
+            assert!(st.0 >= n, "no forward began in 10 s");
+        }
+
+        fn open(&self) {
+            self.state.lock().unwrap().1 = true;
+            self.cv.notify_all();
+        }
+    }
+
+    #[test]
+    fn busy_worker_batches_what_arrived_meanwhile() {
+        let gate = Arc::new(Gate::default());
+        let door = Arc::clone(&gate);
+        // No cache: every answer, and every reference below, is a forward.
+        let engine = engine_with(HookedNet::new(move |_| door.pass()))
+            .cache_capacity(0)
+            .build()
+            .unwrap();
+        let reqs: Vec<InferenceRequest> = (0..6)
+            .map(|s| InferenceRequest::coeff(engine.dataset().nu_field(s, &[16, 16])))
+            .collect();
+        let queue = ServeQueue::for_engine(&engine, 1);
+        // A lone request on an idle queue is dispatched alone at once: the
+        // worker is inside its forward, as a batch of one, before anything
+        // else is submitted.
+        let first = queue.submit(reqs[0].clone()).unwrap();
+        gate.await_arrivals(1);
+        let stats = queue.stats();
+        assert_eq!((stats.batches, stats.max_batch), (1, 1));
+        // Five arrivals while the worker is busy form the next batch.
+        let mut tickets = vec![first];
+        for req in &reqs[1..] {
+            tickets.push(queue.submit(req.clone()).unwrap());
+        }
+        gate.open();
+        let within = Duration::from_secs(10);
+        let snap = engine.snapshot();
+        for (ticket, req) in tickets.into_iter().zip(&reqs) {
+            let got = ticket.rx.recv_timeout(within).expect("no answer in 10 s").0;
+            let want = snap.predict_request(req).unwrap();
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.unwrap()), bits(&want));
+        }
+        let stats = queue.stats();
+        assert_eq!(stats.served, 6);
+        assert_eq!(stats.batches, 2);
+        assert_eq!(stats.max_batch, 5);
     }
 
     #[test]

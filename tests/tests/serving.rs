@@ -263,8 +263,8 @@ proptest! {
     #[test]
     fn distinct_keys_spread_over_shards(seed in 0u64..1000) {
         // 64 distinct single-mode keys must touch several of 8 shards —
-        // the xor-fold finalizer exists precisely because raw FNV-1a low
-        // bits collapsed this to one shard.
+        // the digest's avalanche finalizer exists precisely because raw
+        // FNV-1a low bits collapse such keys into one shard.
         let keys: Vec<CacheKey> = (0..64)
             .map(|i| CacheKey::omega(&[seed as f64 + i as f64 * 0.125], 0))
             .collect();
