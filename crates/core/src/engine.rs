@@ -296,8 +296,9 @@ impl SolverEngineBuilder {
     }
 
     /// Optional nodal forcing `f` (the PDE's right-hand side). Its rank
-    /// must match the resolution's; it is resampled multilinearly onto
-    /// every hierarchy level. Validated at [`Self::build`].
+    /// must match the resolution's and each axis needs at least 2 nodes;
+    /// it is resampled multilinearly onto every hierarchy level
+    /// ([`mgd_fem::resample`]). Validated at [`Self::build`].
     pub fn forcing(mut self, forcing: Tensor) -> Self {
         self.forcing = Some(forcing);
         self

@@ -120,7 +120,6 @@
 //! | `MultigridTrainer::new(mg, cfg, dims).run(&mut net, &mut opt, &data, &comm)` | `engine.train()?` |
 //! | `predict_field(&mut net, &data, s, &dims)` | `engine.predict(&nu)?` / `engine.predict_omega(&omega)?` |
 //! | N × `predict_field` | `engine.predict_batch(&fields)?` (one forward pass + cache) |
-//! | `Checkpoint::from_net(&mut net).save(p)` | `engine.save_weights(p)?` / `engine.load_weights(p)?` |
 
 pub mod compare;
 pub mod cycle;

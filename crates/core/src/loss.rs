@@ -19,9 +19,9 @@
 use crate::error::{MgdError, MgdResult};
 use mgd_fem::pcg::{self, Precond};
 use mgd_fem::{
-    BoundarySpec, CgOptions, CgStats, Dirichlet, ElementBasis, Grid, HierarchyOptions, PdeOperator,
+    resample, BoundarySpec, CgOptions, CgStats, Dirichlet, ElementBasis, Grid, HierarchyOptions,
+    PdeOperator,
 };
-use mgd_field::transfer::resample;
 use mgd_hybrid::{ErasedHierarchy, ErasedSystem};
 use mgd_tensor::par::maybe_par_map_collect;
 use mgd_tensor::Tensor;
@@ -106,6 +106,18 @@ macro_rules! with_geom {
     };
 }
 
+/// A validated nodal `field` on `grid`'s nodes. Only a field at another
+/// resolution is resampled, so one given at the grid's own is used
+/// byte-for-byte.
+fn on_grid<const D: usize>(field: &Tensor, grid: &Grid<D>) -> Vec<f64> {
+    let from: [usize; D] = field.dims().try_into().expect("rank matches the grid");
+    if from == grid.n {
+        field.as_slice().to_vec()
+    } else {
+        resample(field.as_slice(), from, grid.n)
+    }
+}
+
 /// FEM energy loss bound to one grid resolution and one [`LossSpec`].
 pub struct FemLoss {
     geom: Geom,
@@ -129,7 +141,9 @@ impl FemLoss {
     }
 
     /// Builds the loss for `dims` with explicit physics. The forcing field
-    /// (if any) is resampled onto `dims` multilinearly; its rank must match.
+    /// (if any) is resampled onto `dims` multilinearly
+    /// ([`mgd_fem::resample`]); its rank must match and each of its axes
+    /// needs at least 2 nodes.
     pub fn with_spec(dims: &[usize], spec: &LossSpec) -> MgdResult<Self> {
         if let Some(&d) = dims.iter().find(|&&d| d < 2) {
             return Err(MgdError::InvalidConfig(format!(
@@ -154,33 +168,29 @@ impl FemLoss {
                 )))
             }
         };
-        let bc = match &geom {
-            Geom::D2 { grid, .. } => spec.boundary.build(grid),
-            Geom::D3 { grid, .. } => spec.boundary.build(grid),
-        };
-        let forcing = match &spec.forcing {
-            None => None,
-            Some(f) => {
-                if f.dims().len() != dims.len() {
-                    return Err(MgdError::InvalidConfig(format!(
-                        "forcing rank {:?} does not match grid dims {dims:?}",
-                        f.dims()
-                    )));
-                }
-                if let Some(&bad) = f.as_slice().iter().find(|v| !v.is_finite()) {
-                    return Err(MgdError::InvalidConfig(format!(
-                        "forcing field contains non-finite value {bad}"
-                    )));
-                }
-                // Only resample when resolutions differ, so a forcing field
-                // given at the loss resolution is used byte-for-byte.
-                let v = if f.dims() == dims {
-                    f.as_slice().to_vec()
-                } else {
-                    resample(f, dims).as_slice().to_vec()
-                };
-                Some(v)
+        if let Some(f) = &spec.forcing {
+            if f.dims().len() != dims.len() {
+                return Err(MgdError::InvalidConfig(format!(
+                    "forcing rank {:?} does not match grid dims {dims:?}",
+                    f.dims()
+                )));
             }
+            if let Some(&n) = f.dims().iter().find(|&&n| n < 2) {
+                return Err(MgdError::InvalidConfig(format!(
+                    "forcing dims {:?}: every axis needs >= 2 nodes (got {n})",
+                    f.dims()
+                )));
+            }
+            if let Some(&bad) = f.as_slice().iter().find(|v| !v.is_finite()) {
+                return Err(MgdError::InvalidConfig(format!(
+                    "forcing field contains non-finite value {bad}"
+                )));
+            }
+        }
+        let forcing = spec.forcing.as_ref();
+        let (bc, forcing) = match &geom {
+            Geom::D2 { grid, .. } => (spec.boundary.build(grid), forcing.map(|f| on_grid(f, grid))),
+            Geom::D3 { grid, .. } => (spec.boundary.build(grid), forcing.map(|f| on_grid(f, grid))),
         };
         Ok(FemLoss {
             geom,
@@ -591,6 +601,83 @@ mod tests {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max);
         assert!(diff > 1e-3, "forcing should move the solution ({diff})");
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn forcing_is_sampled_at_every_training_level() {
+        // A 2-level hierarchy's losses, built from one spec whose forcing
+        // is given at the finest size.
+        use crate::mg_trainer::{MgConfig, MultigridTrainer};
+        let mg = MgConfig {
+            levels: 2,
+            ..MgConfig::default()
+        };
+        let finest = [16usize, 12];
+        let linear = |[y, x]: [f64; 2]| 1.0 + 2.0 * x - 0.5 * y;
+        let mut f = Tensor::zeros(finest);
+        for (j, i) in (0..16).flat_map(|j| (0..12).map(move |i| (j, i))) {
+            *f.at_mut(&[j, i]) = linear([j as f64 / 15.0, i as f64 / 11.0]);
+        }
+        let spec = LossSpec {
+            forcing: Some(f.clone()),
+            ..LossSpec::default()
+        };
+        let t = MultigridTrainer::with_spec(mg, Default::default(), finest.to_vec(), spec).unwrap();
+        for level in 0..2 {
+            let dims = t.dims_at_level(level);
+            let loss = FemLoss::with_spec(&dims, &t.spec).unwrap();
+            let got = loss.forcing.as_deref().unwrap();
+            if level == 0 {
+                assert_eq!(bits(got), bits(f.as_slice()));
+            } else {
+                assert_eq!(dims, [8, 6]);
+                assert_eq!(got, &resample(f.as_slice(), finest, [8, 6])[..]);
+            }
+            // A linear forcing is reproduced at every level.
+            let (ny, nx) = (dims[0], dims[1]);
+            for (k, &v) in got.iter().enumerate() {
+                let (j, i) = (k / nx, k % nx);
+                let want = linear([j as f64 / (ny - 1) as f64, i as f64 / (nx - 1) as f64]);
+                assert!(
+                    (v - want).abs() < 1e-12,
+                    "level {level} node {k}: {v} vs {want}"
+                );
+            }
+        }
+        // At the loss's own size any forcing is used byte for byte, even a
+        // -0.0 among positive values (resampling would make it +0.0).
+        let mut raw = Tensor::from_vec(finest, (0..192).map(|k| 2.0 + (k as f64).sin()).collect());
+        raw.as_mut_slice()[100] = -0.0;
+        let spec = LossSpec {
+            forcing: Some(raw.clone()),
+            ..LossSpec::default()
+        };
+        let loss = FemLoss::with_spec(&finest, &spec).unwrap();
+        assert_eq!(bits(loss.forcing.as_deref().unwrap()), bits(raw.as_slice()));
+    }
+
+    #[test]
+    fn forcing_axis_below_two_nodes_is_invalid_config() {
+        // The sampler needs two source nodes per axis; a one-node axis is
+        // rejected, not extended.
+        for (f, dims) in [
+            (Tensor::full([1, 8], 1.0), vec![8, 8]),
+            (Tensor::full([4, 4, 1], 1.0), vec![4, 4, 4]),
+        ] {
+            let spec = LossSpec {
+                forcing: Some(f),
+                ..LossSpec::default()
+            };
+            let err = FemLoss::with_spec(&dims, &spec);
+            assert!(
+                matches!(err, Err(MgdError::InvalidConfig(ref m)) if m.contains("2 nodes")),
+                "{dims:?}"
+            );
+        }
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! `[1/2, 1, 1/2]` stencil), prolongation interpolates coarse nodal
 //! values at fine node coordinates, and restriction is its exact
 //! transpose. Both are tensor products of 1D interpolations and are
-//! applied axis by axis. Coarse operators are rediscretized from a
-//! sampled ν; the finest level is the caller's system, shared, not
-//! re-assembled.
+//! applied axis by axis. Coarse operators are rediscretized from ν
+//! sampled by [`resample`], the same interpolation as a free function
+//! between any two grid shapes; the finest level is the caller's system,
+//! shared, not re-assembled.
 //!
 //! Because restriction is exactly `Pᵀ` and pre/post smoothing use the
 //! same damped-Jacobi sweep counts, one V-cycle is a symmetric positive
@@ -200,6 +201,44 @@ fn separable<E: Element, const D: usize>(
     }
 }
 
+/// Samples the nodal field `src` of a `from`-shaped grid multilinearly at
+/// the node coordinates of a `to`-shaped grid over the same box, one axis
+/// at a time (axis 0 first). Each axis may grow or shrink independently
+/// (`16×32 → 32×16` is fine), and the nodes need not nest. The result is
+/// exact for multilinear fields, reproduces a field whose shape is
+/// unchanged, and is a convex combination of source values, so it stays
+/// within their range.
+///
+/// This is the crate's one sampler of nodal fields between resolutions:
+/// coarse coefficients and fixed masks ([`GridHierarchy::from_finest`]),
+/// [`GridHierarchy::sample_down`], and a loss's forcing given at another
+/// resolution than the loss grid.
+///
+/// # Panics
+/// If an axis of either grid has fewer than 2 nodes, or `src` does not
+/// hold `from`'s node count.
+pub fn resample<const D: usize>(src: &[f64], from: [usize; D], to: [usize; D]) -> Vec<f64> {
+    assert!(
+        from.iter().chain(&to).all(|&n| n >= 2),
+        "resample {from:?} -> {to:?}: every axis needs at least 2 nodes"
+    );
+    assert_eq!(src.len(), from.iter().product(), "resample: source length");
+    // The pass along axis `d` leaves the shape `to[..=d] ++ from[d+1..]`.
+    let mut shape = from;
+    let temp = (0..D)
+        .map(|d| {
+            shape[d] = to[d];
+            shape.iter().product()
+        })
+        .max()
+        .unwrap_or(0);
+    let mut out = vec![0.0; to.iter().product()];
+    let mut t = [vec![0.0; temp], vec![0.0; temp]];
+    let tables = sample_tables(to, from);
+    separable(&tables, (from, to), false, src, &mut out, &mut t);
+    out
+}
+
 /// Zeroes the entries of `v` whose `fixed` flag is set.
 fn mask<E: Element>(v: &mut [E], fixed: &[bool]) {
     par_row_blocks(v, 1, |i0, v| {
@@ -329,23 +368,21 @@ impl<const D: usize> GridHierarchy<D> {
             }
             // Coarsen n -> (n+1)/2 per axis (n even halves; n odd nests).
             let cg: Grid<D> = Grid::new(fg.map(|m| m.div_ceil(2).max(2)));
-            let cnn = cg.num_nodes();
             // Sample each coefficient component, and the fixed indicator:
             // a coarse node is fixed iff its support is (up to round-off).
-            let mut cnu = vec![0.0; op.ncomp(D) * cnn];
-            let fx = &fine.bc.fixed;
-            let fixed: Vec<f64> = fx.iter().map(|&f| u8::from(f).into()).collect();
-            let mut cfix = vec![0.0; cnn];
-            let mut t = [vec![0.0; fnn], vec![0.0; fnn]];
-            let dims = (fg, cg.n);
-            let down = sample_tables(cg.n, fg);
-            for (src, dst) in fine.nu.chunks(fnn).zip(cnu.chunks_mut(cnn)) {
-                separable(&down, dims, false, src, dst, &mut t);
-            }
-            separable(&down, dims, false, &fixed, &mut cfix, &mut t);
+            let cnu: Vec<f64> = fine
+                .nu
+                .chunks(fnn)
+                .flat_map(|c| resample(c, fg, cg.n))
+                .collect();
+            let fixed: Vec<f64> = fine.bc.fixed.iter().map(|&f| u8::from(f).into()).collect();
+            let fixed = resample(&fixed, fg, cg.n)
+                .iter()
+                .map(|&s| s >= 1.0 - 1e-9)
+                .collect();
             let bc = Dirichlet {
-                values: vec![0.0; cnn],
-                fixed: cfix.iter().map(|&s| s >= 1.0 - 1e-9).collect(),
+                values: vec![0.0; cg.num_nodes()],
+                fixed,
             };
             c2f.push(sample_tables(fg, cg.n));
             levels.push(Arc::new(FemSystem::with_operator(cg, op, cnu, bc)?));
@@ -436,11 +473,7 @@ impl<const D: usize> GridHierarchy<D> {
     /// coordinates — the right transfer for *solution-like* fields
     /// (iterates, ν), as opposed to the residual transpose-scatter.
     pub fn sample_down(&self, l: usize, fine: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.levels[l + 1].num_nodes()];
-        let dims = (self.dims_at(l), self.dims_at(l + 1));
-        let tables = sample_tables(dims.1, dims.0);
-        separable(&tables, dims, false, fine, &mut out, &mut self.temps(l));
-        out
+        resample(fine, self.dims_at(l), self.dims_at(l + 1))
     }
 
     /// Chains [`sample_down`](Self::sample_down) from the finest level to
@@ -596,6 +629,44 @@ mod tests {
         let nu = nu_var(&g);
         let bc = Dirichlet::x_faces(&g, 1.0, 0.0);
         GridHierarchy::build(g, &nu, &bc, HierarchyOptions::default()).unwrap()
+    }
+
+    /// `f` at the node coordinates (x first) of an `n`-shaped grid.
+    fn nodal<const D: usize>(n: [usize; D], f: impl Fn([f64; D]) -> f64) -> Vec<f64> {
+        let g = Grid::new(n);
+        (0..g.num_nodes()).map(|i| f(g.node_coords(i))).collect()
+    }
+
+    #[test]
+    fn resample_identity_at_same_dims() {
+        let f = nodal([6, 7], |[x, y]| (3.0 * x).sin() + y * y + 1.0);
+        let r = resample(&f, [6, 7], [6, 7]);
+        assert!(r.iter().zip(&f).all(|(a, b)| a.to_bits() == b.to_bits()));
+    }
+
+    #[test]
+    fn resample_mixed_up_and_down_shapes() {
+        // Axes grow and shrink in one call, so an intermediate shape
+        // (32×32 here) is larger than both ends.
+        let f = |[x, y]: [f64; 2]| 2.0 * x - 3.0 * y + x * y + 1.0;
+        let r = resample(&nodal([16, 32], f), [16, 32], [32, 16]);
+        let want = nodal([32, 16], f);
+        assert!(r.iter().zip(&want).all(|(a, b)| (a - b).abs() < 1e-12));
+        let g = |[x, y, z]: [f64; 3]| x + 2.0 * y - z + 0.5 * x * y * z;
+        let r = resample(&nodal([4, 16, 8], g), [4, 16, 8], [16, 3, 9]);
+        let want = nodal([16, 3, 9], g);
+        assert!(r.iter().zip(&want).all(|(a, b)| (a - b).abs() < 1e-12));
+    }
+
+    #[test]
+    fn down_then_up_roundtrip_is_close_for_smooth_field() {
+        // Smooth (low-frequency) fields survive a V-shaped resample well.
+        let pi = std::f64::consts::PI;
+        let f = nodal([33, 33], |[x, y]| (pi * x).sin() * (pi * y).cos());
+        let up = resample(&resample(&f, [33, 33], [17, 17]), [17, 17], [33, 33]);
+        let err: f64 = up.iter().zip(&f).map(|(a, b)| (a - b) * (a - b)).sum();
+        let norm: f64 = f.iter().map(|a| a * a).sum();
+        assert!((err / norm).sqrt() < 0.02);
     }
 
     #[test]

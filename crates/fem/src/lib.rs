@@ -6,9 +6,11 @@
 //!   loss of Algorithm 1;
 //! - **matrix-free stiffness application** `v = K(ν) u` for multilinear
 //!   (bilinear quad / trilinear hex) elements with 2-point Gauss quadrature,
-//!   parallelized with **element coloring** — the loss path, and the oracle
-//!   for the same operator **assembled once as a 9/27-point [`stencil`]**
-//!   (symmetric half: 112 B/node in 3D at `f64`, half at `f32`) for solvers;
+//!   parallelized with **element coloring** — the loss path
+//!   ([`energy_grad`]), whose element kernel also builds the same operator
+//!   **assembled once as a 9/27-point [`stencil`]** (symmetric half:
+//!   112 B/node in 3D at `f64`, half at `f32`) for solvers. A serial apply
+//!   and the stiffness diagonal are test-only oracles beside it;
 //! - the FEM solve the paper compares against in §4.3: **one CG loop**
 //!   ([`pcg::solve`]) over a validated [`FemSystem`], preconditioned by one
 //!   geometric V-cycle per iteration (MG-PCG, [`GridHierarchy::solve`]:
@@ -16,11 +18,14 @@
 //!   grid with ≥ 2 nodes per axis) or by [`JacobiPrecond`] (Jacobi-CG: the
 //!   §3.1.2 warm-start comparison, the certified driver's last resort, and
 //!   the reference MG-PCG is tested against);
+//! - **one multilinear sampler**, [`resample`], that moves nodal fields
+//!   between resolutions: every coarse level's coefficients and Dirichlet
+//!   mask, and a training loss's forcing given at another resolution;
 //! - exact **Dirichlet boundary handling** via masking, matching the
 //!   network-side BC imposition `U = U_int·χ_int + U_bc·χ_b`.
 //!
 //! **One element-kernel family for every operator.** Energy, gradient,
-//! colored and serial stiffness apply and the diagonal are each one loop
+//! stiffness apply and the test oracles are each one loop
 //! in [`operator`], generic over the coefficient evaluated at a quadrature
 //! point: the scalar ν of the free functions and of
 //! [`PdeOperator::Poisson`], or the symmetric tensor of
@@ -43,16 +48,17 @@ pub mod pcg;
 pub mod pde;
 pub mod stencil;
 pub mod system;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod testing;
 
 pub use basis::ElementBasis;
 pub use bc::{BoundarySpec, Dirichlet};
 pub use error::FemError;
 pub use grid::Grid;
-pub use hierarchy::{GridHierarchy, HierarchyOptions};
+pub use hierarchy::{resample, GridHierarchy, HierarchyOptions};
 pub use mixed::MixedHierarchy;
-pub use operator::{
-    apply_stiffness, apply_stiffness_serial, energy, energy_grad, load_vector, stiffness_diag,
-};
+pub use operator::{energy, energy_grad, load_vector};
 pub use pcg::{CgOptions, CgStats, JacobiPrecond, LinearOp, PcgStep, PcgWorkspace, Precond};
 pub use pde::{sym_index, PdeOperator, MAX_NCOMP};
 pub use stencil::Stencil;
@@ -210,6 +216,64 @@ mod cg {
             let rate23 = (e2 / e3).log2();
             assert!(rate12 > 1.7, "rate {rate12} (e1={e1}, e2={e2})");
             assert!(rate23 > 1.7, "rate {rate23} (e2={e2}, e3={e3})");
+        }
+    }
+}
+
+/// Grid-to-grid transfer: [`resample`] reproduces the fields that its
+/// multilinear interpolation spans exactly.
+#[cfg(test)]
+mod transfer {
+    mod tests {
+        use crate::resample;
+
+        fn affine<const D: usize>(n: [usize; D], c: [f64; D], c0: f64) -> Vec<f64> {
+            let nn: usize = n.iter().product();
+            (0..nn)
+                .map(|mut i| {
+                    let mut v = c0;
+                    for d in (0..D).rev() {
+                        v += c[d] * (i % n[d]) as f64 / (n[d] - 1) as f64;
+                        i /= n[d];
+                    }
+                    v
+                })
+                .collect()
+        }
+
+        fn rel_l2(a: &[f64], b: &[f64]) -> f64 {
+            assert_eq!(a.len(), b.len());
+            let e: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
+            let n: f64 = b.iter().map(|y| y * y).sum();
+            (e / n).sqrt()
+        }
+
+        #[test]
+        fn resample_exact_for_linear_2d() {
+            let f = affine([8, 8], [-3.0, 2.0], 1.0);
+            for &to in &[[4, 4], [16, 16], [8, 16], [5, 13]] {
+                let r = resample(&f, [8, 8], to);
+                let want = affine(to, [-3.0, 2.0], 1.0);
+                assert!(rel_l2(&r, &want) < 1e-12, "{to:?}");
+            }
+        }
+
+        #[test]
+        fn resample_preserves_constants_3d() {
+            let f = vec![3.5; 4 * 4 * 4];
+            let r = resample(&f, [4, 4, 4], [7, 5, 9]);
+            assert_eq!(r.len(), 7 * 5 * 9);
+            for v in r {
+                assert!((v - 3.5).abs() < 1e-14);
+            }
+        }
+
+        #[test]
+        fn resample_exact_for_trilinear_3d() {
+            let f = affine([4, 6, 8], [-1.0, 2.0, 1.0], 0.5);
+            let r = resample(&f, [4, 6, 8], [8, 3, 5]);
+            let want = affine([8, 3, 5], [-1.0, 2.0, 1.0], 0.5);
+            assert!(rel_l2(&r, &want) < 1e-12);
         }
     }
 }

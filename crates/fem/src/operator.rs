@@ -1,4 +1,4 @@
-//! Matrix-free FEM operators: Ritz energy, its gradient, stiffness apply.
+//! Matrix-free FEM operators: Ritz energy, its gradient, load vector.
 //!
 //! The Ritz energy (paper Eq. 14) for the generalized Poisson problem is
 //!
@@ -7,15 +7,17 @@
 //! ```
 //!
 //! with ν and f interpolated multilinearly from nodal samples. Its exact
-//! nodal gradient is `∇J = K(ν) u − F`: the backprop input for the network
-//! loss, and the oracle the solvers' assembled [`crate::stencil`] matches.
-//! All loops are matrix-free and parallelized with the element coloring of
-//! [`crate::color`].
+//! nodal gradient is `∇J = K(ν) u − F`, the backprop input for the network
+//! loss. The matrix-free apply `K u` inside it is the crate's one stiffness
+//! path: the solvers' assembled [`crate::stencil`] is built from its
+//! element kernel. All loops are matrix-free and parallelized with the
+//! element coloring of [`crate::color`]; a serial apply and the stiffness
+//! diagonal exist only as test oracles beside them.
 //!
-//! **One element loop per kernel.** Energy, gradient, colored and serial
-//! stiffness apply and the diagonal are each written once, generic over
-//! the coefficient evaluated at a quadrature point: the scalar ν of the
-//! free functions here, or the symmetric tensor `T` of
+//! **One element loop per kernel.** Energy, gradient, colored (and, in
+//! tests, serial) stiffness apply and the diagonal are each written once,
+//! generic over the coefficient evaluated at a quadrature point: the scalar
+//! ν of the free functions here, or the symmetric tensor `T` of
 //! [`crate::pde::PdeOperator::AnisoDiffusion`]. Every contribution is
 //! `(w·scale)·(flux·∇φ)`: a scalar has `flux = ∇u` and `scale = ν_q`, a
 //! tensor `flux = T∇u` and `scale = 1`, which keeps each operator's
@@ -268,10 +270,11 @@ pub(crate) fn energy_grad_with<const D: usize, C: Coefficient<D>>(
 }
 
 /// Element `K^e u_e`: hands `add(l, v)` one contribution `v` per
-/// quadrature point and local node `l`. The colored and the serial sweep
-/// share this math and differ only in where `add` puts `v`.
+/// quadrature point and local node `l`. The colored sweep, the serial test
+/// oracle and the stencil assembly's element probe share this math and
+/// differ only in where `add` puts `v`.
 #[inline(always)]
-fn element_apply<const D: usize, C: Coefficient<D>>(
+pub(crate) fn element_apply<const D: usize, C: Coefficient<D>>(
     grid: &Grid<D>,
     basis: &ElementBasis<D>,
     strides: &[usize; D],
@@ -293,20 +296,10 @@ fn element_apply<const D: usize, C: Coefficient<D>>(
     }
 }
 
-/// Matrix-free stiffness application `out += K(ν) u`.
+/// Matrix-free stiffness application `out += K u` (element-colored), the
+/// stiffness product of [`energy_grad`].
 ///
 /// `out` is *accumulated into* (callers zero it when they need `K u` alone).
-pub fn apply_stiffness<const D: usize>(
-    grid: &Grid<D>,
-    basis: &ElementBasis<D>,
-    nu: &[f64],
-    u: &[f64],
-    out: &mut [f64],
-) {
-    apply_stiffness_with(grid, basis, &Scalar(nu), u, out);
-}
-
-/// [`apply_stiffness`] for any coefficient.
 pub(crate) fn apply_stiffness_with<const D: usize, C: Coefficient<D>>(
     grid: &Grid<D>,
     basis: &ElementBasis<D>,
@@ -330,20 +323,10 @@ pub(crate) fn apply_stiffness_with<const D: usize, C: Coefficient<D>>(
     });
 }
 
-/// Strictly sequential variant of [`apply_stiffness`]: one element sweep in
-/// natural order, no coloring; the reference the colored parallel sweep is
-/// tested against.
-pub fn apply_stiffness_serial<const D: usize>(
-    grid: &Grid<D>,
-    basis: &ElementBasis<D>,
-    nu: &[f64],
-    u: &[f64],
-    out: &mut [f64],
-) {
-    apply_stiffness_serial_with(grid, basis, &Scalar(nu), u, out);
-}
-
-/// [`apply_stiffness_serial`] for any coefficient.
+/// Strictly sequential [`apply_stiffness_with`]: one element sweep in
+/// natural order, no coloring; the oracle the colored sweep is tested
+/// against.
+#[cfg(test)]
 pub(crate) fn apply_stiffness_serial_with<const D: usize, C: Coefficient<D>>(
     grid: &Grid<D>,
     basis: &ElementBasis<D>,
@@ -363,18 +346,9 @@ pub(crate) fn apply_stiffness_serial_with<const D: usize, C: Coefficient<D>>(
     }
 }
 
-/// Diagonal of the stiffness matrix, `out += diag(K(ν))` (Jacobi smoother /
-/// preconditioner).
-pub fn stiffness_diag<const D: usize>(
-    grid: &Grid<D>,
-    basis: &ElementBasis<D>,
-    nu: &[f64],
-    out: &mut [f64],
-) {
-    stiffness_diag_with(grid, basis, &Scalar(nu), out);
-}
-
-/// [`stiffness_diag`] for any coefficient.
+/// Diagonal of the stiffness matrix, `out += diag(K)`: the oracle the
+/// assembled stencil's diagonal is tested against.
+#[cfg(test)]
 pub(crate) fn stiffness_diag_with<const D: usize, C: Coefficient<D>>(
     grid: &Grid<D>,
     basis: &ElementBasis<D>,
@@ -440,6 +414,9 @@ pub fn load_vector<const D: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{field, spd_coeff};
+    use crate::PdeOperator::{self, Poisson};
+    use proptest::prelude::*;
 
     fn grid2(m: usize) -> (Grid<2>, ElementBasis<2>) {
         let g = Grid::cube(m);
@@ -518,8 +495,8 @@ mod tests {
         let v: Vec<f64> = (0..nn).map(|i| ((i * 13 % 17) as f64) - 8.0).collect();
         let mut ku = vec![0.0; nn];
         let mut kv = vec![0.0; nn];
-        apply_stiffness(&g, &b, &nu, &u, &mut ku);
-        apply_stiffness(&g, &b, &nu, &v, &mut kv);
+        Poisson.apply_stiffness(&g, &b, &nu, &u, &mut ku);
+        Poisson.apply_stiffness(&g, &b, &nu, &v, &mut kv);
         let vku: f64 = v.iter().zip(&ku).map(|(a, b)| a * b).sum();
         let ukv: f64 = u.iter().zip(&kv).map(|(a, b)| a * b).sum();
         assert!((vku - ukv).abs() < 1e-9 * vku.abs().max(1.0));
@@ -532,7 +509,7 @@ mod tests {
         let nu: Vec<f64> = (0..nn).map(|i| 1.0 + (i % 3) as f64).collect();
         let u = vec![4.2; nn];
         let mut ku = vec![0.0; nn];
-        apply_stiffness(&g, &b, &nu, &u, &mut ku);
+        Poisson.apply_stiffness(&g, &b, &nu, &u, &mut ku);
         assert!(ku.iter().all(|&x| x.abs() < 1e-12));
     }
 
@@ -546,7 +523,7 @@ mod tests {
                 .map(|i| (((i as u64 * 2654435761 + seed * 97) % 1000) as f64) / 500.0 - 1.0)
                 .collect();
             let mut ku = vec![0.0; nn];
-            apply_stiffness(&g, &b, &nu, &u, &mut ku);
+            Poisson.apply_stiffness(&g, &b, &nu, &u, &mut ku);
             let quad: f64 = u.iter().zip(&ku).map(|(a, b)| a * b).sum();
             assert!(quad >= -1e-12, "uᵀKu = {quad}");
         }
@@ -558,12 +535,12 @@ mod tests {
         let nn = g.num_nodes();
         let nu: Vec<f64> = (0..nn).map(|i| 1.0 + 0.1 * (i as f64)).collect();
         let mut diag = vec![0.0; nn];
-        stiffness_diag(&g, &b, &nu, &mut diag);
+        Poisson.stiffness_diag(&g, &b, &nu, &mut diag);
         for i in [0usize, 5, nn - 1] {
             let mut e = vec![0.0; nn];
             e[i] = 1.0;
             let mut ke = vec![0.0; nn];
-            apply_stiffness(&g, &b, &nu, &e, &mut ke);
+            Poisson.apply_stiffness(&g, &b, &nu, &e, &mut ke);
             assert!((diag[i] - ke[i]).abs() < 1e-12, "i={i}");
         }
     }
@@ -589,7 +566,7 @@ mod tests {
         let mut grad = vec![0.0; nn];
         energy_grad(&g, &b, &nu, &u, Some(&f), &mut grad);
         let mut ku = vec![0.0; nn];
-        apply_stiffness(&g, &b, &nu, &u, &mut ku);
+        Poisson.apply_stiffness(&g, &b, &nu, &u, &mut ku);
         let mut load = vec![0.0; nn];
         load_vector(&g, &b, &f, &mut load);
         for i in 0..nn {
@@ -631,6 +608,48 @@ mod tests {
             let fd =
                 (energy(&g, &b, &nu, &up, None) - energy(&g, &b, &nu, &um, None)) / (2.0 * eps);
             assert!((grad[i] - fd).abs() < 1e-7, "node {i}");
+        }
+    }
+
+    /// Colored and serial application of one operator on random SPD
+    /// coefficients; they differ only in summation order.
+    fn check_colored_serial<const D: usize>(n: [usize; D], op: PdeOperator, seed: u64) {
+        let g = Grid::new(n);
+        let b = ElementBasis::<D>::new(&g);
+        let nn = g.num_nodes();
+        let coeff = spd_coeff::<D>(op, nn, seed);
+        let u = field(nn, seed.wrapping_add(4), -1.0, 1.0);
+        let (mut a, mut s) = (vec![0.0; nn], vec![0.0; nn]);
+        op.apply_stiffness(&g, &b, &coeff, &u, &mut a);
+        op.apply_stiffness_serial(&g, &b, &coeff, &u, &mut s);
+        for i in 0..nn {
+            assert!(
+                (a[i] - s[i]).abs() < 1e-10,
+                "{n:?} {op:?} node {i}: {} vs {}",
+                a[i],
+                s[i]
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+        /// Parallel (colored) and serial stiffness application agree to
+        /// rounding, for both operators in 2D and 3D.
+        #[test]
+        fn colored_equals_serial_apply(
+            n in (3usize..9, 3usize..9, 3usize..9),
+            three_d in 0usize..2,
+            aniso in 0usize..2,
+            seed in 0u64..1000,
+        ) {
+            let op = if aniso == 1 { PdeOperator::AnisoDiffusion } else { PdeOperator::Poisson };
+            if three_d == 1 {
+                check_colored_serial([n.0, n.1, n.2], op, seed);
+            } else {
+                check_colored_serial([n.0, n.1], op, seed);
+            }
         }
     }
 }

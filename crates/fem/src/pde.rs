@@ -2,9 +2,9 @@
 //!
 //! [`PdeOperator`] names a variational operator and picks the coefficient
 //! type that the element kernels of [`crate::operator`] run with: Ritz
-//! energy, its exact nodal gradient, stiffness application (colored and
-//! serial), and the stiffness diagonal are each one loop, generic over
-//! the coefficient evaluated at a quadrature point. A coefficient block
+//! energy and its exact nodal gradient (whose stiffness apply the
+//! assembled [`crate::Stencil`] is probed from) are each one loop, generic
+//! over the coefficient evaluated at a quadrature point. A coefficient block
 //! stores `ncomp` nodal fields component-major (`coeff[c * nn + i]` is
 //! component `c` at node `i`), so the single-component case is exactly the
 //! scalar ν layout and [`PdeOperator::Poisson`] runs the same instance as
@@ -248,8 +248,32 @@ impl PdeOperator {
         })
     }
 
+    /// `out += K^e u` on the one element of `grid`, a grid of 2 nodes per
+    /// axis (node index = local index): the element kernel of the colored
+    /// apply, called directly. [`crate::Stencil::assemble`] probes the
+    /// element matrices with it.
+    pub(crate) fn element_apply<const D: usize>(
+        &self,
+        grid: &Grid<D>,
+        basis: &ElementBasis<D>,
+        coeff: &[f64],
+        u: &[f64],
+        out: &mut [f64],
+    ) {
+        debug_assert_eq!(grid.n, [2; D], "one element");
+        let strides = grid.strides();
+        with_coeff!(self, grid, coeff, c => {
+            operator::element_apply(grid, basis, &strides, &c, u, 0, |l, v| out[l] += v)
+        })
+    }
+}
+
+/// The matrix-free stiffness kernels as test oracles, dispatched like the
+/// loss path.
+#[cfg(test)]
+impl PdeOperator {
     /// Matrix-free stiffness application `out += K u` (element-colored).
-    pub fn apply_stiffness<const D: usize>(
+    pub(crate) fn apply_stiffness<const D: usize>(
         &self,
         grid: &Grid<D>,
         basis: &ElementBasis<D>,
@@ -264,7 +288,7 @@ impl PdeOperator {
 
     /// Strictly sequential stiffness application (the reference for the
     /// colored parallel sweep).
-    pub fn apply_stiffness_serial<const D: usize>(
+    pub(crate) fn apply_stiffness_serial<const D: usize>(
         &self,
         grid: &Grid<D>,
         basis: &ElementBasis<D>,
@@ -277,8 +301,8 @@ impl PdeOperator {
         })
     }
 
-    /// Stiffness diagonal `out += diag(K)` (Jacobi smoothing).
-    pub fn stiffness_diag<const D: usize>(
+    /// Stiffness diagonal `out += diag(K)`.
+    pub(crate) fn stiffness_diag<const D: usize>(
         &self,
         grid: &Grid<D>,
         basis: &ElementBasis<D>,
@@ -355,12 +379,12 @@ mod tests {
         let mut ka = vec![0.0; nn];
         let mut kb = vec![0.0; nn];
         op.apply_stiffness_serial(&g, &b, &nu, &u, &mut ka);
-        operator::apply_stiffness_serial(&g, &b, &nu, &u, &mut kb);
+        operator::apply_stiffness_serial_with(&g, &b, &Scalar(&nu), &u, &mut kb);
         assert!(ka.iter().zip(&kb).all(|(x, y)| x.to_bits() == y.to_bits()));
         let mut da = vec![0.0; nn];
         let mut db = vec![0.0; nn];
         op.stiffness_diag(&g, &b, &nu, &mut da);
-        operator::stiffness_diag(&g, &b, &nu, &mut db);
+        operator::stiffness_diag_with(&g, &b, &Scalar(&nu), &mut db);
         assert!(da.iter().zip(&db).all(|(x, y)| x.to_bits() == y.to_bits()));
     }
 

@@ -4,10 +4,9 @@
 //! to its `3^D` neighbours, so the whole operator is a fixed-shape,
 //! variable-coefficient stencil: 27 points in 3D, 9 in 2D. [`Stencil`]
 //! assembles it once from element matrices read off the matrix-free
-//! quadrature kernels of [`crate::operator`] / [`crate::pde`], so every
-//! [`PdeOperator`] shares one assembly and the stencil equals those kernels
-//! up to summation order. They stay the training-loss path and the test
-//! oracle.
+//! element kernel of [`crate::operator`], so every [`PdeOperator`] shares
+//! one assembly and the stencil equals the loss path's stiffness apply
+//! (and the test-only diagonal oracle) up to summation order.
 //!
 //! `K` is symmetric, so only the centre and the forward half of the planes
 //! are stored, plane-major: `w[s·nn + i]` couples node `i` to its neighbour
@@ -115,7 +114,7 @@ impl<const D: usize> Stencil<f64, D> {
         let (nl, nc, nk) = (basis.nl, op.ncomp(D), 3usize.pow(D as u32));
         // `t[((c·nl + l)·nl + a)·nl + b]`: the part of `K^e_ab` that is linear
         // in coefficient component `c` at local node `l`, probed from the
-        // quadrature kernel on a one-element grid (node index = local index).
+        // element kernel on a one-element grid (node index = local index).
         let one = Grid::<D>::new([2; D]);
         let unit =
             |i: usize, n: usize| -> Vec<f64> { (0..n).map(|j| u8::from(i == j).into()).collect() };
@@ -123,7 +122,7 @@ impl<const D: usize> Stencil<f64, D> {
         for (cl, col) in t.chunks_mut(nl * nl).enumerate() {
             for b in 0..nl {
                 let mut kb = vec![0.0; nl];
-                op.apply_stiffness(&one, basis, &unit(cl, nc * nl), &unit(b, nl), &mut kb);
+                op.element_apply(&one, basis, &unit(cl, nc * nl), &unit(b, nl), &mut kb);
                 for a in 0..nl {
                     col[a * nl + b] = kb[a];
                 }
@@ -341,6 +340,52 @@ impl<E: Element, const D: usize> Stencil<E, D> {
                 }
             }
             g(i0, acc);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testing::spd_coeff;
+    use proptest::prelude::*;
+
+    /// The assembled diagonal against the quadrature diagonal oracle.
+    fn check_diagonal<const D: usize>(n: [usize; D], op: PdeOperator, seed: u64) {
+        let grid = Grid::new(n);
+        let basis = ElementBasis::new(&grid);
+        let nn = grid.num_nodes();
+        let coeff = spd_coeff::<D>(op, nn, seed);
+        let st = Stencil::assemble(&grid, &basis, op, &coeff, &vec![false; nn]);
+        let mut diag = vec![0.0; nn];
+        op.stiffness_diag(&grid, &basis, &coeff, &mut diag);
+        let dscale = diag.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+        for (a, b) in st.diag().iter().zip(&diag) {
+            assert!(
+                (a - b).abs() <= 1e-13 * dscale,
+                "{n:?} {op:?} diag {a} vs {b}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+        /// The stencil's diagonal is the quadrature diagonal, for both
+        /// operators on non-cube 2D/3D grids with random SPD coefficients.
+        #[test]
+        fn diagonal_matches_quadrature(
+            n in (2usize..=33, 2usize..=33, 2usize..=33),
+            three_d in 0usize..2,
+            aniso in 0usize..2,
+            seed in 0u64..1000,
+        ) {
+            let op = if aniso == 1 { PdeOperator::AnisoDiffusion } else { PdeOperator::Poisson };
+            if three_d == 1 {
+                check_diagonal([n.0, n.1, n.2], op, seed);
+            } else {
+                check_diagonal([n.0, n.1], op, seed);
+            }
         }
     }
 }

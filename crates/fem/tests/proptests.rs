@@ -2,54 +2,15 @@
 
 use mgd_fem::hierarchy::{GridHierarchy, HierarchyOptions};
 use mgd_fem::{
-    apply_stiffness, apply_stiffness_serial, energy, energy_grad, stiffness_diag, Dirichlet,
-    ElementBasis, FemSystem, Grid, MixedHierarchy, PdeOperator, Precond,
+    energy, energy_grad, resample, Dirichlet, ElementBasis, FemSystem, Grid, MixedHierarchy,
+    PdeOperator, Precond,
 };
 use mgd_tensor::par::with_threads;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-fn field(n: usize, seed: u64, lo: f64, hi: f64) -> Vec<f64> {
-    (0..n)
-        .map(|i| {
-            let h = (i as u64)
-                .wrapping_mul(0x9E3779B97F4A7C15)
-                .wrapping_add(seed.wrapping_mul(0xD1B54A32D192ED03));
-            lo + (hi - lo) * ((h >> 11) as f64 / (1u64 << 53) as f64)
-        })
-        .collect()
-}
-
-/// Random SPD coefficient block for `op`: scalar ν, or per node
-/// `T = L Lᵀ + 0.1 I` from a random lower-triangular `L`.
-fn spd_coeff<const D: usize>(op: PdeOperator, nn: usize, seed: u64) -> Vec<f64> {
-    if op == PdeOperator::Poisson {
-        return field(nn, seed, 0.1, 5.0);
-    }
-    let r = |k: u64, lo, hi| field(nn, seed.wrapping_mul(31).wrapping_add(k), lo, hi);
-    let (l00, l11, l22) = (r(1, 0.5, 2.0), r(2, 0.5, 2.0), r(3, 0.5, 2.0));
-    let (l10, l20, l21) = (r(4, -1.0, 1.0), r(5, -1.0, 1.0), r(6, -1.0, 1.0));
-    let mut t = vec![0.0; op.ncomp(D) * nn];
-    for i in 0..nn {
-        let l = [
-            [l00[i], 0.0, 0.0],
-            [l10[i], l11[i], 0.0],
-            [l20[i], l21[i], l22[i]],
-        ];
-        let tt = |a: usize, b: usize| {
-            (0..D).map(|k| l[a][k] * l[b][k]).sum::<f64>() + if a == b { 0.1 } else { 0.0 }
-        };
-        let comps: &[(usize, usize)] = if D == 2 {
-            &[(0, 0), (1, 1), (0, 1)]
-        } else {
-            &[(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
-        };
-        for (c, &(a, b)) in comps.iter().enumerate() {
-            t[c * nn + i] = tt(a, b);
-        }
-    }
-    t
-}
+mod common;
+use common::{field, spd_coeff};
 
 /// A system with random SPD coefficients and a random Dirichlet mask.
 fn random_system<const D: usize>(n: [usize; D], op: PdeOperator, seed: u64) -> FemSystem<D> {
@@ -87,8 +48,8 @@ fn dot(a: &[f64], b: &[f64]) -> (f64, f64) {
     (s + c, abs)
 }
 
-/// Stencil vs quadrature, symmetry, thread-count determinism and `f32`
-/// demotion for one random system.
+/// Stencil vs the loss path's quadrature apply, symmetry, thread-count
+/// determinism and `f32` demotion for one random system.
 fn check_stencil<const D: usize>(n: [usize; D], op: PdeOperator, seed: u64) {
     let sys = with_threads(1, || random_system(n, op, seed));
     let nn = sys.num_nodes();
@@ -99,21 +60,13 @@ fn check_stencil<const D: usize>(n: [usize; D], op: PdeOperator, seed: u64) {
     let (mut ku, mut kv, mut quad) = (vec![0.0; nn], vec![0.0; nn], vec![0.0; nn]);
     sys.apply(&u, &mut ku);
     sys.apply(&v, &mut kv);
-    op.apply_stiffness(&sys.grid, &sys.basis, &sys.nu, &u, &mut quad);
+    // Without forcing the loss gradient is the colored apply `K u`.
+    op.energy_grad(&sys.grid, &sys.basis, &sys.nu, &u, None, &mut quad);
     let scale = max_abs(&quad);
     for (i, (a, b)) in ku.iter().zip(&quad).enumerate() {
         assert!(
             (a - b).abs() <= 1e-13 * scale,
             "{n:?} {op:?} node {i}: {a} vs {b}"
-        );
-    }
-    let mut diag = vec![0.0; nn];
-    op.stiffness_diag(&sys.grid, &sys.basis, &sys.nu, &mut diag);
-    let dscale = max_abs(&diag);
-    for (a, b) in sys.stencil().diag().iter().zip(&diag) {
-        assert!(
-            (a - b).abs() <= 1e-13 * dscale,
-            "{n:?} {op:?} diag {a} vs {b}"
         );
     }
     let ((ukv, s1), (vku, s2)) = (dot(&u, &kv), dot(&v, &ku));
@@ -123,6 +76,7 @@ fn check_stencil<const D: usize>(n: [usize; D], op: PdeOperator, seed: u64) {
     );
     // Bitwise equal at 1 and 2 threads (assembly and apply) and on repeat.
     let again = with_threads(2, || random_system(n, op, seed));
+    assert_eq!(bits(again.stencil().diag()), bits(sys.stencil().diag()));
     for run in [
         with_threads(1, || {
             let mut o = vec![0.0; nn];
@@ -147,34 +101,6 @@ fn check_stencil<const D: usize>(n: [usize; D], op: PdeOperator, seed: u64) {
             (a - f64::from(b)).abs() <= 1e-5 * kscale,
             "f32 {b} vs f64 {a}"
         );
-    }
-}
-
-/// The colored sweep and the serial oracle differ only in summation order.
-/// For Poisson the free functions and the operator agree bitwise.
-fn check_colored_serial<const D: usize>(n: [usize; D], op: PdeOperator, seed: u64) {
-    let g = Grid::new(n);
-    let b = ElementBasis::<D>::new(&g);
-    let nn = g.num_nodes();
-    let coeff = spd_coeff::<D>(op, nn, seed);
-    let u = field(nn, seed.wrapping_add(4), -1.0, 1.0);
-    let (mut a, mut s) = (vec![0.0; nn], vec![0.0; nn]);
-    op.apply_stiffness(&g, &b, &coeff, &u, &mut a);
-    op.apply_stiffness_serial(&g, &b, &coeff, &u, &mut s);
-    for i in 0..nn {
-        assert!(
-            (a[i] - s[i]).abs() < 1e-10,
-            "{n:?} {op:?} node {i}: {} vs {}",
-            a[i],
-            s[i]
-        );
-    }
-    if op == PdeOperator::Poisson {
-        let (mut fa, mut fs) = (vec![0.0; nn], vec![0.0; nn]);
-        apply_stiffness(&g, &b, &coeff, &u, &mut fa);
-        apply_stiffness_serial(&g, &b, &coeff, &u, &mut fs);
-        assert_eq!(bits(&fa), bits(&a), "{n:?} colored");
-        assert_eq!(bits(&fs), bits(&s), "{n:?} serial");
     }
 }
 
@@ -208,8 +134,85 @@ fn check_transpose<const D: usize>(n: [usize; D], seed: u64) {
     }
 }
 
+/// The last `D` axes of a shape.
+fn last<const D: usize>(n: (usize, usize, usize)) -> [usize; D] {
+    let n = [n.0, n.1, n.2];
+    std::array::from_fn(|d| n[3 - D + d])
+}
+
+/// `f` at the node coordinates (x first) of an `n`-shaped grid.
+fn nodal<const D: usize>(n: [usize; D], f: impl Fn([f64; D]) -> f64) -> Vec<f64> {
+    let g = Grid::new(n);
+    (0..g.num_nodes()).map(|i| f(g.node_coords(i))).collect()
+}
+
+fn check_resample_constant<const D: usize>(from: [usize; D], to: [usize; D], c: f64) {
+    let r = resample(&nodal(from, |_| c), from, to);
+    assert_eq!(r.len(), to.iter().product());
+    assert!(
+        r.iter().all(|&v| (v - c).abs() < 1e-12),
+        "{from:?} -> {to:?}"
+    );
+}
+
+fn check_resample_range<const D: usize>(from: [usize; D], to: [usize; D], seed: u64) {
+    let src = field(from.iter().product(), seed, -10.0, 10.0);
+    let (lo, hi) = src
+        .iter()
+        .fold((f64::MAX, f64::MIN), |(l, h), &v| (l.min(v), h.max(v)));
+    let r = resample(&src, from, to);
+    assert!(
+        r.iter().all(|&v| v >= lo - 1e-12 && v <= hi + 1e-12),
+        "{from:?} -> {to:?}"
+    );
+}
+
+fn check_resample_multilinear<const D: usize>(from: [usize; D], to: [usize; D], w: [f64; 4]) {
+    let f = |x: [f64; D]| w[0] + w[1] * x[0] + w[2] * x[D - 1] + w[3] * x.iter().product::<f64>();
+    let (r, want) = (resample(&nodal(from, f), from, to), nodal(to, f));
+    for (a, b) in r.iter().zip(&want) {
+        assert!((a - b).abs() < 1e-12, "{from:?} -> {to:?}: {a} vs {b}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// Resampling preserves constants between any two 2D or 3D shapes:
+    /// nested or not, with some axes growing while others shrink.
+    #[test]
+    fn resample_preserves_constants(
+        from in (2usize..13, 2usize..13, 2usize..13),
+        to in (2usize..13, 2usize..13, 2usize..13),
+        c in -5.0..5.0f64,
+    ) {
+        check_resample_constant(last::<2>(from), last(to), c);
+        check_resample_constant(last::<3>(from), last(to), c);
+    }
+
+    /// Resampled values never leave the source range (multilinear
+    /// interpolation is a convex combination).
+    #[test]
+    fn resample_respects_range(
+        from in (2usize..13, 2usize..13, 2usize..13),
+        to in (2usize..13, 2usize..13, 2usize..13),
+        seed in 0u64..1000,
+    ) {
+        check_resample_range(last::<2>(from), last(to), seed);
+        check_resample_range(last::<3>(from), last(to), seed);
+    }
+
+    /// Resampling is exact for multilinear fields, cross terms included.
+    #[test]
+    fn resample_exact_for_multilinear(
+        from in (2usize..13, 2usize..13, 2usize..13),
+        to in (2usize..13, 2usize..13, 2usize..13),
+        w in proptest::collection::vec(-2.0..2.0f64, 4),
+    ) {
+        let w = [w[0], w[1], w[2], w[3]];
+        check_resample_multilinear(last::<2>(from), last(to), w);
+        check_resample_multilinear(last::<3>(from), last(to), w);
+    }
 
     /// The no-forcing energy ½uᵀKu is non-negative for positive ν.
     #[test]
@@ -250,23 +253,6 @@ proptest! {
         prop_assert!((j2 - c * c * j1).abs() < 1e-9 * (1.0 + j1.abs()));
     }
 
-    /// Parallel (colored) and serial stiffness application agree to
-    /// rounding, for both operators in 2D and 3D.
-    #[test]
-    fn colored_equals_serial_apply(
-        n in (3usize..9, 3usize..9, 3usize..9),
-        three_d in 0usize..2,
-        aniso in 0usize..2,
-        seed in 0u64..1000,
-    ) {
-        let op = if aniso == 1 { PdeOperator::AnisoDiffusion } else { PdeOperator::Poisson };
-        if three_d == 1 {
-            check_colored_serial([n.0, n.1, n.2], op, seed);
-        } else {
-            check_colored_serial([n.0, n.1], op, seed);
-        }
-    }
-
     /// K annihilates constants for any ν (pure Neumann compatibility).
     #[test]
     fn stiffness_kernel_contains_constants(m in 3usize..10, seed in 0u64..1000, c in -5.0..5.0f64) {
@@ -276,7 +262,7 @@ proptest! {
         let nu = field(nn, seed, 0.1, 5.0);
         let u = vec![c; nn];
         let mut ku = vec![0.0; nn];
-        apply_stiffness(&g, &b, &nu, &u, &mut ku);
+        energy_grad(&g, &b, &nu, &u, None, &mut ku);
         prop_assert!(ku.iter().all(|&x| x.abs() < 1e-10));
     }
 
@@ -311,8 +297,8 @@ proptest! {
         }
     }
 
-    /// The assembled stencil reproduces the quadrature operator (apply and
-    /// diagonal, both operators) on non-cube 2D/3D grids with random SPD
+    /// The assembled stencil reproduces the loss path's quadrature apply
+    /// (both operators) on non-cube 2D/3D grids with random SPD
     /// coefficients and Dirichlet masks; it is symmetric, thread-count
     /// deterministic, and its `f32` demotion stays within 1e-5.
     #[test]
@@ -396,9 +382,9 @@ fn large_grid_sweeps_are_thread_count_independent() {
 
 /// Element-energy sums above the parallel gate add fixed block partials in
 /// block order, and colored sweeps add one element per node and color: the
-/// energy, the gradient (with and without forcing) and the stiffness
-/// diagonal have the same bits at 1, 2 and 4 workers, for both operators.
-/// For Poisson they are also the bits of the free functions.
+/// energy and the gradient (with and without forcing) have the same bits
+/// at 1, 2 and 4 workers, for both operators. For Poisson they are also
+/// the bits of the free functions.
 #[test]
 fn energy_is_thread_count_independent() {
     fn check<const D: usize>(n: [usize; D]) {
@@ -411,29 +397,26 @@ fn energy_is_thread_count_independent() {
             let run = |threads| {
                 with_threads(threads, || {
                     let e = op.energy(&grid, &basis, &coeff, &u, Some(&f));
-                    let (mut g0, mut g1, mut d) = (vec![0.0; nn], vec![0.0; nn], vec![0.0; nn]);
+                    let (mut g0, mut g1) = (vec![0.0; nn], vec![0.0; nn]);
                     let j0 = op.energy_grad(&grid, &basis, &coeff, &u, None, &mut g0);
                     let j1 = op.energy_grad(&grid, &basis, &coeff, &u, Some(&f), &mut g1);
-                    op.stiffness_diag(&grid, &basis, &coeff, &mut d);
                     if op == PdeOperator::Poisson {
                         assert_eq!(
                             e.to_bits(),
                             energy(&grid, &basis, &coeff, &u, Some(&f)).to_bits()
                         );
-                        let (mut fg, mut fd) = (vec![0.0; nn], vec![0.0; nn]);
+                        let mut fg = vec![0.0; nn];
                         let fj = energy_grad(&grid, &basis, &coeff, &u, Some(&f), &mut fg);
-                        stiffness_diag(&grid, &basis, &coeff, &mut fd);
                         assert_eq!((fj.to_bits(), bits(&fg)), (j1.to_bits(), bits(&g1)));
-                        assert_eq!(bits(&fd), bits(&d));
                     }
                     let energies = vec![e.to_bits(), j0.to_bits(), j1.to_bits()];
-                    [energies, bits(&g0), bits(&g1), bits(&d)]
+                    [energies, bits(&g0), bits(&g1)]
                 })
             };
             let one = run(1);
             for threads in [2, 4] {
                 let got = run(threads);
-                for (what, (a, b)) in ["energies", "gradient", "forced gradient", "diagonal"]
+                for (what, (a, b)) in ["energies", "gradient", "forced gradient"]
                     .iter()
                     .zip(one.iter().zip(&got))
                 {

@@ -7,9 +7,6 @@
 //! - [`diffusivity`]: the log-permeability expansion of paper Eq. 10,
 //!   `ν(x; ω) = exp(Σ ωᵢ λᵢ ξᵢ(x) ηᵢ(y) [ζᵢ(z)])`, rasterized onto nodal
 //!   grids at any multigrid resolution.
-//! - [`transfer`]: multilinear resampling between grid resolutions (the
-//!   training hierarchy re-rasterizes analytic ν, but measured fields and
-//!   network outputs move between levels through these operators).
 //! - [`dataset`]: ω-indexed datasets with deterministic shuffling, batch
 //!   rasterization into NCDHW tensors, and padding for worker divisibility
 //!   (paper §3.2: augment so `Ns` divides evenly among `p` workers).
@@ -18,7 +15,6 @@ pub mod aniso;
 pub mod dataset;
 pub mod diffusivity;
 pub mod sobol;
-pub mod transfer;
 pub mod vtk;
 
 pub use aniso::Anisotropy;

@@ -1,10 +1,8 @@
-//! Property-based tests for the field generators and transfer operators.
+//! Property-based tests for the field generators and datasets.
 
 use mgd_field::diffusivity::DiffusivityModel;
 use mgd_field::sobol::Sobol;
-use mgd_field::transfer::{coarsen_average, resample};
 use mgd_field::{Dataset, InputEncoding};
-use mgd_tensor::Tensor;
 use proptest::prelude::*;
 
 proptest! {
@@ -45,39 +43,6 @@ proptest! {
             .map(|i| w[i].abs() * m.lambda[i] * (1.0 + 0.25 * m.a[i] * m.a[i]))
             .sum();
         prop_assert!(m.log_nu_3d(&w, x, y, z).abs() <= bound + 1e-9);
-    }
-
-    /// Resampling preserves constants exactly at any resolution pair.
-    #[test]
-    fn resample_preserves_constants(
-        sy in 2usize..12, sx in 2usize..12,
-        ty in 2usize..12, tx in 2usize..12,
-        c in -5.0..5.0f64,
-    ) {
-        let f = Tensor::full([sy, sx], c);
-        let r = resample(&f, &[ty, tx]);
-        prop_assert!(r.as_slice().iter().all(|&v| (v - c).abs() < 1e-12));
-    }
-
-    /// Resampled values never exceed the source range (multilinear
-    /// interpolation is a convex combination).
-    #[test]
-    fn resample_respects_range(
-        vals in proptest::collection::vec(-10.0..10.0f64, 16),
-        ty in 2usize..10, tx in 2usize..10,
-    ) {
-        let f = Tensor::from_vec([4, 4], vals);
-        let r = resample(&f, &[ty, tx]);
-        let (lo, hi) = (f.min(), f.max());
-        prop_assert!(r.as_slice().iter().all(|&v| v >= lo - 1e-12 && v <= hi + 1e-12));
-    }
-
-    /// Block-average coarsening preserves the mean exactly.
-    #[test]
-    fn coarsen_preserves_mean(vals in proptest::collection::vec(-10.0..10.0f64, 16)) {
-        let f = Tensor::from_vec([4, 4], vals);
-        let c = coarsen_average(&f);
-        prop_assert!((c.mean() - f.mean()).abs() < 1e-12);
     }
 
     /// Dataset padding always produces divisible lengths and reuses

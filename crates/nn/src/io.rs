@@ -1,18 +1,11 @@
 //! Weight checkpointing.
 //!
-//! Two layers of persistence:
-//!
-//! - [`WeightSnapshot`] — architecture-agnostic weight/buffer capture
-//!   through the [`Model`] trait: works for any network the trainers
-//!   accept (including a `Box<dyn Model>`), but restoring requires a
-//!   structurally identical instance to load into.
-//! - [`Checkpoint`] — the self-describing U-Net checkpoint: carries the
-//!   [`UNetConfig`] so the exact architecture (including adapted depths)
-//!   can be rebuilt from the file alone.
+//! [`WeightSnapshot`] captures weights and buffers through the [`Model`]
+//! trait: it works for any network the trainers accept (including a
+//! `Box<dyn Model>`), and restores into a structurally identical instance,
+//! returning an error when the structure disagrees.
 
-use crate::layer::Layer;
 use crate::model::Model;
-use crate::unet::{UNet, UNetConfig};
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 use std::path::Path;
@@ -126,110 +119,13 @@ impl WeightSnapshot {
     }
 }
 
-/// A self-describing U-Net checkpoint.
-#[derive(Serialize, Deserialize)]
-pub struct Checkpoint {
-    /// Architecture descriptor.
-    pub config: UNetConfig,
-    /// Flat parameter tensors in `params()` order (shape, data).
-    pub tensors: Vec<(Vec<usize>, Vec<f64>)>,
-    /// Persistent buffers in `buffers()` order (batch-norm running stats).
-    #[serde(default)]
-    pub buffers: Vec<Vec<f64>>,
-}
-
-impl Checkpoint {
-    /// Captures the weights of a network.
-    pub fn from_net(net: &mut UNet) -> Self {
-        let config = net.cfg;
-        let tensors = net
-            .params()
-            .iter()
-            .map(|p| (p.data.dims().to_vec(), p.data.as_slice().to_vec()))
-            .collect();
-        let buffers = net.buffers().iter().map(|b| b.to_vec()).collect();
-        Checkpoint {
-            config,
-            tensors,
-            buffers,
-        }
-    }
-
-    /// Rebuilds the network and loads the weights.
-    pub fn into_net(self) -> UNet {
-        let mut net = UNet::new(self.config);
-        {
-            let mut params = net.params();
-            assert_eq!(
-                params.len(),
-                self.tensors.len(),
-                "checkpoint/param count mismatch"
-            );
-            for (p, (shape, data)) in params.iter_mut().zip(self.tensors.iter()) {
-                assert_eq!(p.data.dims(), &shape[..], "checkpoint shape mismatch");
-                p.data.as_mut_slice().copy_from_slice(data);
-            }
-        }
-        {
-            let mut bufs = net.buffers();
-            assert_eq!(
-                bufs.len(),
-                self.buffers.len(),
-                "checkpoint/buffer count mismatch"
-            );
-            for (dst, src) in bufs.iter_mut().zip(self.buffers.iter()) {
-                assert_eq!(dst.len(), src.len(), "checkpoint buffer length mismatch");
-                dst.copy_from_slice(src);
-            }
-        }
-        net
-    }
-
-    /// Serializes to a JSON file.
-    pub fn save<P: AsRef<Path>>(&self, path: P) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        let s = serde_json::to_string(self).map_err(std::io::Error::other)?;
-        f.write_all(s.as_bytes())
-    }
-
-    /// Deserializes from a JSON file.
-    pub fn load<P: AsRef<Path>>(path: P) -> std::io::Result<Self> {
-        let mut s = String::new();
-        std::fs::File::open(path)?.read_to_string(&mut s)?;
-        serde_json::from_str(&s).map_err(std::io::Error::other)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::unet::{UNet, UNetConfig};
     use mgd_tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn checkpoint_roundtrip_preserves_outputs() {
-        let cfg = UNetConfig {
-            depth: 2,
-            base_filters: 2,
-            two_d: true,
-            seed: 17,
-            ..Default::default()
-        };
-        let mut net = UNet::new(cfg);
-        let mut rng = StdRng::seed_from_u64(3);
-        let x = Tensor::rand_uniform([1, 1, 1, 8, 8], -1.0, 1.0, &mut rng);
-        let y0 = net.predict(&x);
-        let ckpt = Checkpoint::from_net(&mut net);
-        let dir = std::env::temp_dir().join("mgd_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("net.json");
-        ckpt.save(&path).unwrap();
-        let mut net2 = Checkpoint::load(&path).unwrap().into_net();
-        let y1 = net2.predict(&x);
-        assert!(y0.rel_l2_error(&y1) < 1e-15);
-        std::fs::remove_file(&path).ok();
-    }
 
     #[test]
     fn weight_snapshot_roundtrip_through_model_trait() {
@@ -261,6 +157,40 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_roundtrip_preserves_outputs() {
+        // A checkpoint of a net whose depth was adapted (§4.1.2) is a weight
+        // snapshot on file; restoring it into a fresh net of the adapted
+        // depth reproduces the outputs.
+        let cfg = UNetConfig {
+            depth: 2,
+            base_filters: 2,
+            two_d: true,
+            seed: 17,
+            ..Default::default()
+        };
+        let mut net = UNet::new(cfg).deepened();
+        let mut rng = StdRng::seed_from_u64(3);
+        let x = Tensor::rand_uniform([1, 1, 1, 16, 16], -1.0, 1.0, &mut rng);
+        let y0 = net.predict(&x);
+        let dir = std::env::temp_dir().join("mgd_io_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("net.json");
+        WeightSnapshot::capture(&mut net).save(&path).unwrap();
+        let mut net2 = UNet::new(UNetConfig {
+            depth: 3,
+            seed: 99,
+            ..cfg
+        });
+        assert!(net2.predict(&x).rel_l2_error(&y0) > 1e-6, "different init");
+        WeightSnapshot::load(&path)
+            .unwrap()
+            .restore(&mut net2)
+            .unwrap();
+        assert!(net2.predict(&x).rel_l2_error(&y0) < 1e-15);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn weight_snapshot_rejects_structure_mismatch() {
         let cfg = UNetConfig {
             depth: 1,
@@ -273,52 +203,5 @@ mod tests {
         let snap = WeightSnapshot::capture(&mut net);
         let mut deeper = net.deepened();
         assert!(snap.restore(&mut deeper).is_err());
-    }
-
-    #[test]
-    fn checkpoint_preserves_adapted_depth() {
-        let cfg = UNetConfig {
-            depth: 1,
-            base_filters: 2,
-            two_d: true,
-            seed: 2,
-            ..Default::default()
-        };
-        let net = UNet::new(cfg);
-        let mut deeper = net.deepened();
-        let ckpt = Checkpoint::from_net(&mut deeper);
-        assert_eq!(ckpt.config.depth, 2);
-        let mut restored = ckpt.into_net();
-        assert_eq!(restored.cfg.depth, 2);
-        let y = restored.predict(&Tensor::zeros([1, 1, 1, 8, 8]));
-        assert_eq!(y.dims(), &[1, 1, 1, 8, 8]);
-    }
-
-    #[test]
-    fn checkpoint_naming_the_retired_conv_backend_loads() {
-        // Checkpoints written while `UNetConfig` still selected a conv
-        // kernel carry a `conv_backend` field; it is ignored, and the file
-        // rebuilds the same net.
-        let cfg = UNetConfig {
-            depth: 1,
-            base_filters: 2,
-            two_d: true,
-            seed: 8,
-            ..Default::default()
-        };
-        let mut net = UNet::new(cfg);
-        let x = Tensor::rand_uniform([1, 1, 1, 8, 8], -1.0, 1.0, &mut StdRng::seed_from_u64(4));
-        let y0 = net.predict(&x);
-        let json = serde_json::to_string(&Checkpoint::from_net(&mut net)).unwrap();
-        let old = json.replacen("\"seed\":8", "\"seed\":8,\"conv_backend\":\"Direct\"", 1);
-        assert_ne!(old, json, "the config must serialize its seed");
-        let ckpt: Checkpoint = serde_json::from_str(&old).unwrap();
-        assert_eq!(ckpt.config, cfg);
-        let y1 = ckpt.into_net().predict(&x);
-        assert!(y0
-            .as_slice()
-            .iter()
-            .zip(y1.as_slice())
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 }

@@ -36,7 +36,7 @@
 //!   bitwise identically to the exclusive `forward(x, false)` path;
 //! - [`gradcheck`] — the finite-difference harness every layer is verified
 //!   against;
-//! - [`io`] — serde-based weight checkpointing.
+//! - [`io`] — serde-based weight snapshots ([`WeightSnapshot`]).
 //!
 //! All activations are NCDHW `(batch, channel, depth, height, width)`
 //! [`mgd_tensor::Tensor`]s in `f64`.
@@ -62,7 +62,7 @@ pub mod workspace;
 pub use act::{LeakyReLU, Sigmoid};
 pub use conv::{prepack_stats, Conv3d};
 pub use convt::ConvTranspose3d;
-pub use io::{Checkpoint, WeightSnapshot};
+pub use io::WeightSnapshot;
 pub use layer::Layer;
 pub use model::{InferModel, Model, SlabModel};
 pub use norm::BatchNorm;

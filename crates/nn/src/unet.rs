@@ -21,10 +21,9 @@ use mgd_dist::{HaloElement, ThreadComm};
 use mgd_tensor::{Element, GemmElement, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Architecture hyper-parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct UNetConfig {
     /// Input channels (1: the coefficient field).
     pub in_channels: usize,
@@ -226,7 +225,7 @@ const BATCH_CHUNK_VOL: usize = 256;
 
 /// The MGDiffNet U-Net.
 ///
-/// Generic over the inference element type `E`: training, checkpointing and
+/// Generic over the inference element type `E`: training, weight snapshots and
 /// the exclusive [`Layer`] surface always run at the default `f64` (master
 /// weights), while [`UNet::to_f32`] derives a single-precision replica whose
 /// [`UNet::infer`] path halves memory traffic on the serving fast path.

@@ -152,8 +152,8 @@ fn gmg_and_cg_agree_on_paper_diffusivity() {
 #[test]
 fn energy_loss_matches_fem_stiffness_quadratic_form() {
     // J(u) computed by the loss equals ½ uᵀK u for the no-forcing problem —
-    // ties the training loss to the solver operator.
-    use mgd_fem::{apply_stiffness, ElementBasis, Grid};
+    // ties the training loss to the solver operator (the assembled stencil).
+    use mgd_fem::{Dirichlet, FemSystem, Grid};
     let dims = [8usize, 8];
     let loss = FemLoss::new(&dims).unwrap();
     let model = DiffusivityModel::paper();
@@ -162,9 +162,10 @@ fn energy_loss_matches_fem_stiffness_quadratic_form() {
     let u = Tensor::rand_uniform([1, 1, 1, 8, 8], 0.0, 1.0, &mut rng);
     let j = loss.energy_batch(std::slice::from_ref(&nu), &u);
     let grid: Grid<2> = Grid::new(dims);
-    let basis = ElementBasis::new(&grid);
+    let bc = Dirichlet::x_faces(&grid, 1.0, 0.0);
+    let sys = FemSystem::new(grid, nu.as_slice().to_vec(), bc).unwrap();
     let mut ku = vec![0.0; grid.num_nodes()];
-    apply_stiffness(&grid, &basis, nu.as_slice(), u.as_slice(), &mut ku);
+    sys.apply(u.as_slice(), &mut ku);
     let quad: f64 = u.as_slice().iter().zip(&ku).map(|(a, b)| a * b).sum();
     assert!(
         (j - 0.5 * quad).abs() < 1e-10,

@@ -175,14 +175,21 @@ fn checkpoint_roundtrip_through_training() {
         .unwrap()
         .run(&mut net, &mut opt, &data, &comm)
         .unwrap();
-    let ckpt = mgd_nn::io::Checkpoint::from_net(&mut net);
+    let snap = mgd_nn::WeightSnapshot::capture(&mut net);
     let dir = std::env::temp_dir().join("mgd_integration");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("trained.json");
-    ckpt.save(&path).unwrap();
-    let mut restored = mgd_nn::io::Checkpoint::load(&path).unwrap().into_net();
+    snap.save(&path).unwrap();
+    // Restore into a differently seeded net of the same architecture.
+    let (mut restored, _, _) = tiny_2d_setup(4, 9);
+    let untrained = predict_field(&mut restored, &data, 0, &[16, 16]).unwrap();
+    mgd_nn::WeightSnapshot::load(&path)
+        .unwrap()
+        .restore(&mut restored)
+        .unwrap();
     let a = predict_field(&mut net, &data, 0, &[16, 16]).unwrap();
     let b = predict_field(&mut restored, &data, 0, &[16, 16]).unwrap();
+    assert!(a.rel_l2_error(&untrained) > 1e-6, "the restore must matter");
     assert!(a.rel_l2_error(&b) < 1e-14);
     std::fs::remove_file(&path).ok();
 }

@@ -1,8 +1,8 @@
 //! Property-based tests spanning crates.
 
 use mgd_dist::{launch, Comm};
-use mgd_fem::{pcg, CgOptions, Dirichlet, ElementBasis, FemSystem, Grid, JacobiPrecond};
-use mgd_field::{transfer, DiffusivityModel, Sobol};
+use mgd_fem::{pcg, resample, CgOptions, Dirichlet, ElementBasis, FemSystem, Grid, JacobiPrecond};
+use mgd_field::{DiffusivityModel, Sobol};
 use mgd_tensor::Tensor;
 use proptest::prelude::*;
 
@@ -50,7 +50,7 @@ proptest! {
             t
         };
         let f = mk(sy, sx);
-        let r = transfer::resample(&f, &[ty, tx]);
+        let r = Tensor::from_vec([ty, tx], resample(f.as_slice(), [sy, sx], [ty, tx]));
         let want = mk(ty, tx);
         prop_assert!(r.rel_l2_error(&want) < 1e-10);
     }
