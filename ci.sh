@@ -46,13 +46,18 @@ run cargo run --release -p mgd-examples --bin megavoxel_serving -- --quick --str
 run cargo test -q -p mgd-integration --test serving
 run cargo test -q -p mgd-serve
 run cargo run --release -p mgd-examples --bin serving
-# Hybrid smoke: certified solving — every strategy must reach tolerance
-# under the certified driver, including the NaN-sabotage fallback tests.
+# Hybrid smoke: certified solving — pure multigrid and the learned
+# initial guess must reach tolerance under the certified driver, including
+# the NaN-sabotage and wrong-length-guess fallback tests.
 # `thermal_composite` is the tensor operator's one end-to-end run outside
 # unit tests (train, compare, serve, certify); it asserts its certificate
 # (~3 s on a 2-core x86-64 VM).
 run cargo test -q -p mgd-hybrid
 run cargo run --release -p mgd-examples --bin thermal_composite
+# `fem_vs_inference` is the first paper bin run here: FEM (MG-PCG) against
+# inference from 64² to 256² and 16³ to 32³, asserting MG-PCG converged at
+# every size (~0.6 s at its default scale on a 2-core x86-64 VM).
+run cargo run --release -p mgd-bench --bin fem_vs_inference
 # `inverse_design` is the one end-to-end caller of `FemLoss::fem_solve`
 # (MG-PCG on the loss's validated system); it asserts its FEM solve
 # converged (~6 s on a 2-core x86-64 VM).

@@ -412,10 +412,12 @@ impl SolverEngineBuilder {
         self
     }
 
-    /// Learned strategy [`SolverEngine::solve_certified`] starts from
-    /// (default [`StrategyKind::InitialGuess`]). The certified driver may
-    /// still demote to pure multigrid at runtime; this knob only picks the
-    /// first stage attempted.
+    /// Whether [`SolverEngine::solve_certified`] starts MG-PCG from the
+    /// network's prediction ([`StrategyKind::InitialGuess`], the default)
+    /// or from the zero iterate ([`StrategyKind::PureMultigrid`]). The
+    /// certified driver may still demote to pure multigrid, then
+    /// Jacobi-CG, at runtime; this knob only picks the first stage
+    /// attempted.
     pub fn hybrid_strategy(mut self, strategy: StrategyKind) -> Self {
         self.hybrid_strategy = strategy;
         self

@@ -737,13 +737,11 @@ impl std::fmt::Debug for EngineSnapshot {
     }
 }
 
-/// [`Surrogate`] view of a snapshot: network inference as a solver
-/// component. Guesses are served through [`EngineSnapshot::predict`] (so
-/// they hit the prediction cache) and only at the snapshot's native
-/// resolution — the hybrid hierarchy's coarse levels are odd-sized
-/// (`(n+1)/2` nodes per axis), which the U-Net's pooling stages cannot
-/// process, so coarse-level requests report unavailable and the certified
-/// driver demotes gracefully.
+/// [`Surrogate`] view of a snapshot: network inference as the certified
+/// solve's initial guess. Guesses are served through
+/// [`EngineSnapshot::predict`] (so they hit the prediction cache) and only
+/// at the snapshot's native resolution; any other request reports
+/// unavailable and the certified driver starts from the zero iterate.
 struct SnapshotSurrogate<'a> {
     snap: &'a EngineSnapshot,
 }

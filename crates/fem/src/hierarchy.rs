@@ -210,9 +210,8 @@ fn separable<E: Element, const D: usize>(
 /// within their range.
 ///
 /// This is the crate's one sampler of nodal fields between resolutions:
-/// coarse coefficients and fixed masks ([`GridHierarchy::from_finest`]),
-/// [`GridHierarchy::sample_down`], and a loss's forcing given at another
-/// resolution than the loss grid.
+/// coarse coefficients and fixed masks ([`GridHierarchy::from_finest`])
+/// and a loss's forcing given at another resolution than the loss grid.
 ///
 /// # Panics
 /// If an axis of either grid has fewer than 2 nodes, or `src` does not
@@ -467,32 +466,6 @@ impl<const D: usize> GridHierarchy<D> {
         let mut out = vec![0.0; self.levels[l + 1].num_nodes()];
         self.transfer_into(l, true, fine, &mut out, &mut self.temps(l));
         out
-    }
-
-    /// Multilinear sample of a level-`l` field at level-`l+1` node
-    /// coordinates — the right transfer for *solution-like* fields
-    /// (iterates, ν), as opposed to the residual transpose-scatter.
-    pub fn sample_down(&self, l: usize, fine: &[f64]) -> Vec<f64> {
-        resample(fine, self.dims_at(l), self.dims_at(l + 1))
-    }
-
-    /// Chains [`sample_down`](Self::sample_down) from the finest level to
-    /// level `l`.
-    pub fn sample_to_level(&self, l: usize, finest: &[f64]) -> Vec<f64> {
-        let mut v = finest.to_vec();
-        for lev in 0..l {
-            v = self.sample_down(lev, &v);
-        }
-        v
-    }
-
-    /// Chains [`prolong`](Self::prolong) from level `l` up to the finest.
-    pub fn prolong_to_finest(&self, l: usize, field: &[f64]) -> Vec<f64> {
-        let mut v = field.to_vec();
-        for lev in (0..l).rev() {
-            v = self.prolong(lev, &v);
-        }
-        v
     }
 
     /// Transfer intermediates large enough for level `l`.

@@ -1,18 +1,29 @@
-//! The `CertifiedSolve` driver: any strategy, always a residual bound.
+//! The certified-solve driver: a demotion chain of PCG runs, always a
+//! residual bound.
 //!
-//! The driver owns the outer loop. After every outer step it recomputes
-//! the **true** residual `‖mask(rhs − K u)‖₂` from scratch — never a
-//! Krylov recurrence — and tracks the best iterate seen so far. A stage
-//! is demoted (learned strategy → pure MG-PCG → Jacobi-CG) when it
-//! reports itself unavailable, breaks down, produces non-finite values,
-//! or stalls per [`StallPolicy`]. The final stage is Jacobi-CG from the
-//! best iterate, stepping the same [`mgd_fem::pcg::PcgWorkspace`] as every
-//! other CG solve. It is unconditionally convergent for the SPD systems
-//! built here and is never stalled out, so the driver always terminates
-//! with a certified [`CertifiedSolution`].
+//! Every stage of the chain is one [`PcgWorkspace`] recurrence stepped
+//! `block` iterations per outer step from a start iterate. The stages
+//! differ only in whether that start is the surrogate's guess and whether
+//! the V-cycle hierarchy or Jacobi preconditions the run:
+//!
+//! | stage (`strategy_used`) | start iterate | preconditioner |
+//! |---|---|---|
+//! | `initial-guess` | the surrogate's guess | hierarchy (MG-PCG) |
+//! | `pure-multigrid` | the best iterate so far | hierarchy (MG-PCG) |
+//! | `jacobi-cg` | the best iterate so far | Jacobi |
+//!
+//! After every outer step the driver recomputes the **true** residual
+//! `‖mask(rhs − K u)‖₂` from scratch — never a Krylov recurrence — and
+//! keeps the best iterate seen so far. A stage is demoted to the next row
+//! when it breaks down, produces non-finite values, or stalls per
+//! [`StallPolicy`]; the seeded stage is skipped when the surrogate has no
+//! finite guess of the right length. Jacobi-CG is unconditionally
+//! convergent for the SPD systems built here and is never stalled out, so
+//! the driver always terminates with a certified [`CertifiedSolution`].
 
-use crate::strategy::{stage_chain, SolveCtx, StageStatus, StrategyKind, Surrogate};
+use crate::strategy::{StrategyKind, Surrogate};
 use crate::system::{ErasedHierarchy, ErasedSystem};
+use mgd_fem::pcg::{JacobiPrecond, PcgStep, PcgWorkspace, Precond};
 
 /// Stall detection: demote when the best residual fails to shrink by at
 /// least a factor `rho` over `window` consecutive outer steps.
@@ -20,7 +31,7 @@ use crate::system::{ErasedHierarchy, ErasedSystem};
 pub struct StallPolicy {
     /// Required reduction factor over the window (in `(0, 1)`).
     pub rho: f64,
-    /// Window length in outer steps (≥ 1).
+    /// Window length in outer steps; `0` reads as `1`.
     pub window: usize,
 }
 
@@ -43,11 +54,11 @@ pub struct CertifyOptions {
     /// certified iterate even if the cap is hit).
     pub max_outer: usize,
     /// Inner (Krylov) iterations per outer step — i.e. per true-residual
-    /// recomputation. Small blocks keep the certificate granular: the head
-    /// start a good surrogate guess buys converts into outer steps actually
-    /// skipped instead of being absorbed by one long block's overshoot. The
-    /// extra cost is one operator apply per block, a few percent of the
-    /// block's V-cycles.
+    /// recomputation; `0` reads as `1`. Small blocks keep the certificate
+    /// granular: the head start a good surrogate guess buys converts into
+    /// outer steps actually skipped instead of being absorbed by one long
+    /// block's overshoot. The extra cost is one operator apply per block, a
+    /// few percent of the block's V-cycles.
     pub block: usize,
     /// Stall detector.
     pub stall: StallPolicy,
@@ -89,8 +100,95 @@ pub struct CertifiedSolution {
     pub residual_history: Vec<f64>,
 }
 
+/// A stage of the demotion chain (see the module docs).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Stage {
+    Seeded,
+    Multigrid,
+    Jacobi,
+}
+
+impl Stage {
+    fn name(self) -> &'static str {
+        match self {
+            Stage::Seeded => StrategyKind::InitialGuess.name(),
+            Stage::Multigrid => StrategyKind::PureMultigrid.name(),
+            Stage::Jacobi => "jacobi-cg",
+        }
+    }
+
+    /// The stage a demotion moves to; nothing is below Jacobi-CG.
+    fn next(self) -> Option<Stage> {
+        match self {
+            Stage::Seeded => Some(Stage::Multigrid),
+            Stage::Multigrid => Some(Stage::Jacobi),
+            Stage::Jacobi => None,
+        }
+    }
+}
+
+/// The active stage: its PCG recurrence from its start iterate.
+struct Run {
+    stage: Stage,
+    /// Jacobi-CG's preconditioner; the other stages run on the hierarchy.
+    jacobi: Option<JacobiPrecond>,
+    ws: PcgWorkspace,
+}
+
+fn precond<'a>(jacobi: &'a Option<JacobiPrecond>, hier: &'a ErasedHierarchy) -> &'a dyn Precond {
+    match jacobi {
+        Some(j) => j,
+        None => hier,
+    }
+}
+
+impl Run {
+    /// Starts `stage` from `u` (Dirichlet values imposed).
+    fn start(
+        stage: Stage,
+        sys: &ErasedSystem,
+        hier: &ErasedHierarchy,
+        u: &[f64],
+        rhs: &[f64],
+    ) -> Run {
+        let jacobi = (stage == Stage::Jacobi).then(|| sys.jacobi());
+        let ws = PcgWorkspace::start(sys, precond(&jacobi, hier), u, rhs);
+        Run { stage, jacobi, ws }
+    }
+
+    /// One outer step: `block` PCG iterations on `u`. `false` when one
+    /// breaks down, which ends the block.
+    fn step(
+        &mut self,
+        sys: &ErasedSystem,
+        hier: &ErasedHierarchy,
+        u: &mut [f64],
+        block: usize,
+    ) -> bool {
+        let pre = precond(&self.jacobi, hier);
+        (0..block).all(|_| self.ws.step(sys, pre, u) != PcgStep::Breakdown)
+    }
+}
+
+/// Writes the surrogate's guess into `u` and imposes the Dirichlet values.
+/// Returns `false`, leaving `u` untouched, unless the guess is finite and
+/// holds one value per node.
+fn seed(sys: &ErasedSystem, surrogate: &dyn Surrogate, u: &mut [f64]) -> bool {
+    match surrogate.guess(&sys.dims(), sys.nu()) {
+        Some(g) if g.len() == u.len() && g.iter().all(|x| x.is_finite()) => {
+            u.copy_from_slice(&g);
+            sys.impose_bc(u);
+            true
+        }
+        _ => false,
+    }
+}
+
 /// Runs a certified solve of `K(ν) u = rhs` (zero `rhs` = the paper's
 /// BC-driven problem) with the requested strategy.
+///
+/// # Panics
+/// If `rhs` does not hold one value per node of `sys`.
 pub fn solve_certified(
     sys: &ErasedSystem,
     hier: &ErasedHierarchy,
@@ -101,7 +199,14 @@ pub fn solve_certified(
 ) -> CertifiedSolution {
     let nn = sys.num_nodes();
     let rhs: Vec<f64> = match rhs {
-        Some(b) => b.to_vec(),
+        Some(b) => {
+            assert!(
+                b.len() == nn,
+                "solve_certified: rhs has length {}, the system has {nn} nodes",
+                b.len()
+            );
+            b.to_vec()
+        }
         None => vec![0.0; nn],
     };
     let mut u = vec![0.0; nn];
@@ -122,63 +227,41 @@ pub fn solve_certified(
         };
     }
     let target = opts.tol * r_ref;
+    let block = opts.block.max(1);
+    let window = opts.stall.window.max(1);
 
-    let mut stages = stage_chain(kind);
-    stages.reverse(); // pop() yields the requested strategy first
     let mut best_u = u.clone();
     let mut best_r = r_ref;
-    let mut fell_back = false;
     let mut iterations = 0usize;
     // Best residual at entry + steps taken, per active stage (stall scope).
     let mut stage_hist: Vec<f64> = vec![r_ref];
 
-    let mut stage = stages.pop().expect("chain is never empty");
-    // Activate the first stage; demote through the chain on init failure.
-    loop {
-        let mut ctx = SolveCtx {
-            sys,
-            hier,
-            surrogate,
-            rhs: &rhs,
-            u: &mut u,
-            block: opts.block,
-        };
-        match stage.init(&mut ctx) {
-            StageStatus::Ok => break,
-            _ => match stages.pop() {
-                Some(next) => {
-                    fell_back = true;
-                    stage = next;
-                    u.copy_from_slice(&best_u);
-                }
-                None => break,
-            },
+    // Without a usable guess the chain starts at pure MG-PCG.
+    let mut fell_back = false;
+    let first = match kind {
+        StrategyKind::PureMultigrid => Stage::Multigrid,
+        StrategyKind::InitialGuess if seed(sys, surrogate, &mut u) => Stage::Seeded,
+        StrategyKind::InitialGuess => {
+            fell_back = true;
+            Stage::Multigrid
+        }
+    };
+    let mut run = Run::start(first, sys, hier, &u, &rhs);
+    // A seeded iterate may already be at (or near) the target — certify it
+    // before stepping so an exact guess terminates cleanly instead of
+    // breaking down on a zero residual.
+    if first == Stage::Seeded {
+        let rn = sys.residual_norm(&u, &rhs);
+        if rn.is_finite() && rn < best_r {
+            best_r = rn;
+            best_u.copy_from_slice(&u);
+            history.push(best_r);
+            stage_hist.push(best_r);
         }
     }
 
-    // A seeding init may already be at (or near) the target — certify the
-    // seeded iterate before stepping so an exact guess terminates cleanly
-    // instead of breaking down on a zero residual.
-    let rn = sys.residual_norm(&u, &rhs);
-    if rn.is_finite() && u.iter().all(|x| x.is_finite()) && rn < best_r {
-        best_r = rn;
-        best_u.copy_from_slice(&u);
-        history.push(best_r);
-        stage_hist.push(best_r);
-    }
-
-    'outer: while iterations < opts.max_outer && best_r > target {
-        let status = {
-            let mut ctx = SolveCtx {
-                sys,
-                hier,
-                surrogate,
-                rhs: &rhs,
-                u: &mut u,
-                block: opts.block,
-            };
-            stage.step(&mut ctx)
-        };
+    while iterations < opts.max_outer && best_r > target {
+        let ok = run.step(sys, hier, &mut u, block);
         iterations += 1;
         let rn = sys.residual_norm(&u, &rhs);
         let finite = rn.is_finite() && u.iter().all(|x| x.is_finite());
@@ -193,37 +276,22 @@ pub fn solve_certified(
         }
         // The last stage has nowhere to demote to and is unconditionally
         // convergent — never stall it out, only run it to the cap.
-        let stalled = !stages.is_empty()
-            && stage_hist.len() > opts.stall.window
-            && stage_hist[stage_hist.len() - 1]
-                > opts.stall.rho * stage_hist[stage_hist.len() - 1 - opts.stall.window];
-        let demote = !finite || status != StageStatus::Ok || stalled;
-        if demote {
-            // Restart from the best certified iterate; walk the chain
-            // until a stage initializes (the last stage always does).
-            loop {
-                match stages.pop() {
-                    Some(next) => {
-                        fell_back = true;
-                        stage = next;
-                    }
-                    None => break 'outer, // nothing left below Jacobi-CG
-                }
-                u.copy_from_slice(&best_u);
-                stage_hist = vec![best_r];
-                let mut ctx = SolveCtx {
-                    sys,
-                    hier,
-                    surrogate,
-                    rhs: &rhs,
-                    u: &mut u,
-                    block: opts.block,
-                };
-                if stage.init(&mut ctx) == StageStatus::Ok {
-                    break;
-                }
-            }
+        let n = stage_hist.len();
+        let stalled = run.stage != Stage::Jacobi
+            && n > window
+            && stage_hist[n - 1] > opts.stall.rho * stage_hist[n - 1 - window];
+        if finite && ok && !stalled {
+            continue;
         }
+        // Demote: restart the next stage from the best certified iterate.
+        let Some(next) = run.stage.next() else {
+            break;
+        };
+        fell_back = true;
+        u.copy_from_slice(&best_u);
+        stage_hist.clear();
+        stage_hist.push(best_r);
+        run = Run::start(next, sys, hier, &u, &rhs);
     }
 
     let residual_norm = sys.residual_norm(&best_u, &rhs);
@@ -234,7 +302,7 @@ pub fn solve_certified(
         residual_norm,
         reference_residual: r_ref,
         iterations,
-        strategy_used: stage.name().to_string(),
+        strategy_used: run.stage.name().to_string(),
         fell_back,
         residual_history: history,
     }

@@ -8,34 +8,28 @@
 //! is measured by the **true residual**, so the network can only
 //! accelerate the solve — never corrupt the answer.
 //!
-//! Two learned strategies behind the [`HybridStrategy`] trait:
-//!
-//! | strategy | learned role | polish |
-//! |---|---|---|
-//! | [`StrategyKind::InitialGuess`] | seeds the iterate | MG-PCG |
-//! | [`StrategyKind::CoarseCorrector`] | line-searched correction at a chosen V-cycle level, every outer step | restarted MG-PCG blocks |
-//!
-//! plus the no-network [`StrategyKind::PureMultigrid`] baseline. All run
-//! under the [`certify::solve_certified`] driver: per-step true-residual
-//! tracking, a stall detector, and automatic demotion to pure FEM stages
-//! (pure MG-PCG, then Jacobi-CG as the last resort) whenever the learned
-//! component is unavailable, stalls, or emits non-finite values. Every
-//! [`CertifiedSolution`] carries a residual norm recomputed from scratch on
-//! the returned iterate.
+//! The learned component is the paper's warm start
+//! ([`StrategyKind::InitialGuess`]): the surrogate's prediction is the
+//! iterate multigrid-preconditioned CG starts from. The no-network
+//! [`StrategyKind::PureMultigrid`] baseline runs the same loop from the
+//! zero (BC-imposed) iterate. Both run under the [`solve_certified`]
+//! driver: per-step true-residual tracking, a stall detector, and
+//! automatic demotion to pure FEM stages (pure MG-PCG, then Jacobi-CG as
+//! the last resort) whenever the guess is missing, non-finite or the wrong
+//! length, or the run stalls, breaks down or emits non-finite values.
+//! Every [`CertifiedSolution`] carries a residual norm recomputed from
+//! scratch on the returned iterate.
 //!
 //! The multigrid machinery comes from `mgd_fem::hierarchy`, whose
 //! non-nested interpolation transfers coarsen the `2^k`-node grids the
 //! network is trained on as well as classical `2^j + 1` grids.
 
-pub mod certify;
-pub mod strategy;
-pub mod system;
+mod certify;
+mod strategy;
+mod system;
 
 pub use certify::{solve_certified, CertifiedSolution, CertifyOptions, StallPolicy};
-pub use strategy::{
-    stage_chain, CoarseCorrectorStage, HybridStrategy, JacobiCgStage, MgPcgStage, NoSurrogate,
-    SolveCtx, StageStatus, StrategyKind, Surrogate,
-};
+pub use strategy::{NoSurrogate, StrategyKind, Surrogate};
 pub use system::{ErasedHierarchy, ErasedSystem, HybridError};
 
 #[cfg(test)]
@@ -104,11 +98,7 @@ mod tests {
     #[test]
     fn residual_history_is_monotone() {
         let (sys, hier) = setup(&[32, 32]);
-        for kind in [
-            StrategyKind::PureMultigrid,
-            StrategyKind::InitialGuess,
-            StrategyKind::CoarseCorrector { level: 0 },
-        ] {
+        for kind in [StrategyKind::PureMultigrid, StrategyKind::InitialGuess] {
             let sol = solve_certified(
                 &sys,
                 &hier,
@@ -131,11 +121,7 @@ mod tests {
             tol: 1e-10,
             ..Default::default()
         };
-        let kinds = [
-            StrategyKind::PureMultigrid,
-            StrategyKind::InitialGuess,
-            StrategyKind::CoarseCorrector { level: 1 },
-        ];
+        let kinds = [StrategyKind::PureMultigrid, StrategyKind::InitialGuess];
         let sols: Vec<_> = kinds
             .iter()
             .map(|&k| solve_certified(&sys, &hier, &profile_surrogate, k, None, &opts))
@@ -157,17 +143,13 @@ mod tests {
     fn nan_surrogate_demotes_and_still_converges() {
         let (sys, hier) = setup(&[32, 32]);
         let opts = CertifyOptions::default();
-        for kind in [
-            StrategyKind::InitialGuess,
-            StrategyKind::CoarseCorrector { level: 0 },
-        ] {
-            let sol = solve_certified(&sys, &hier, &nan_surrogate, kind, None, &opts);
-            assert!(sol.fell_back, "{kind:?} should demote on NaN prediction");
-            assert!(sol.converged, "{kind:?} fallback must still hit tol");
-            assert!(sol.rel_residual <= opts.tol);
-            assert!(sol.u.iter().all(|x| x.is_finite()));
-            assert_eq!(sol.strategy_used, "pure-multigrid");
-        }
+        let kind = StrategyKind::InitialGuess;
+        let sol = solve_certified(&sys, &hier, &nan_surrogate, kind, None, &opts);
+        assert!(sol.fell_back, "should demote on NaN prediction");
+        assert!(sol.converged, "fallback must still hit tol");
+        assert!(sol.rel_residual <= opts.tol);
+        assert!(sol.u.iter().all(|x| x.is_finite()));
+        assert_eq!(sol.strategy_used, "pure-multigrid");
     }
 
     #[test]
@@ -210,6 +192,68 @@ mod tests {
         );
         assert!(sol.fell_back);
         assert!(sol.converged);
+    }
+
+    #[test]
+    fn wrong_length_guess_demotes_and_still_converges() {
+        let (sys, hier) = setup(&[32, 32]);
+        let opts = CertifyOptions::default();
+        for len in [sys.num_nodes() - 1, sys.num_nodes() + 1, 0] {
+            let short =
+                move |_dims: &[usize], _nu: &[f64]| -> Option<Vec<f64>> { Some(vec![0.5; len]) };
+            let sol = solve_certified(&sys, &hier, &short, StrategyKind::InitialGuess, None, &opts);
+            assert!(sol.fell_back, "a {len}-value guess must demote");
+            assert_eq!(sol.strategy_used, "pure-multigrid");
+            assert!(sol.converged, "{len}: {:?}", sol.residual_history);
+            assert!(sol.rel_residual <= opts.tol);
+        }
+    }
+
+    fn solve_with_rhs(rhs: &[f64]) -> CertifiedSolution {
+        let (sys, hier) = setup(&[16, 16]);
+        solve_certified(
+            &sys,
+            &hier,
+            &NoSurrogate,
+            StrategyKind::PureMultigrid,
+            Some(rhs),
+            &CertifyOptions::default(),
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "rhs has length 257, the system has 256 nodes")]
+    fn too_long_rhs_panics() {
+        solve_with_rhs(&[0.0; 257]);
+    }
+
+    #[test]
+    #[should_panic(expected = "rhs has length 255, the system has 256 nodes")]
+    fn too_short_rhs_panics() {
+        solve_with_rhs(&[0.0; 255]);
+    }
+
+    #[test]
+    fn zero_stall_window_reads_as_one() {
+        // Read literally, a zero window compares each residual with itself,
+        // which stalls every non-final stage after one step and ends the
+        // solve in Jacobi-CG.
+        let (sys, hier) = setup(&[32, 32]);
+        let solve = |window| {
+            let opts = CertifyOptions {
+                stall: StallPolicy { rho: 0.9, window },
+                ..Default::default()
+            };
+            let kind = StrategyKind::InitialGuess;
+            solve_certified(&sys, &hier, &profile_surrogate, kind, None, &opts)
+        };
+        let (zero, one) = (solve(0), solve(1));
+        assert_eq!(zero.strategy_used, "initial-guess");
+        assert!(!zero.fell_back && zero.converged);
+        assert_eq!(zero.iterations, one.iterations);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&zero.u), bits(&one.u));
+        assert_eq!(bits(&zero.residual_history), bits(&one.residual_history));
     }
 
     #[test]
@@ -316,14 +360,10 @@ mod tests {
         )
         .unwrap();
         let opts = CertifyOptions::default();
-        for kind in [
-            StrategyKind::InitialGuess,
-            StrategyKind::CoarseCorrector { level: 1 },
-        ] {
-            let sol = solve_certified(&sys, &hier, &profile_surrogate, kind, None, &opts);
-            assert!(sol.converged, "{kind:?}");
-            assert!(sol.rel_residual <= opts.tol, "{kind:?}");
-        }
+        let kind = StrategyKind::InitialGuess;
+        let sol = solve_certified(&sys, &hier, &profile_surrogate, kind, None, &opts);
+        assert!(sol.converged, "{:?}", sol.residual_history);
+        assert!(sol.rel_residual <= opts.tol);
     }
 
     #[test]

@@ -254,56 +254,6 @@ impl ErasedHierarchy {
             }
         })
     }
-
-    /// Number of levels (level 0 is the finest).
-    pub fn num_levels(&self) -> usize {
-        match self {
-            ErasedHierarchy::D2(h) => h.num_levels(),
-            ErasedHierarchy::D3(h) => h.num_levels(),
-            ErasedHierarchy::D2Mixed(h) => h.inner().num_levels(),
-            ErasedHierarchy::D3Mixed(h) => h.inner().num_levels(),
-        }
-    }
-
-    /// Nodes per axis at level `l`.
-    pub fn dims_at(&self, l: usize) -> Vec<usize> {
-        match self {
-            ErasedHierarchy::D2(h) => h.dims_at(l).to_vec(),
-            ErasedHierarchy::D3(h) => h.dims_at(l).to_vec(),
-            ErasedHierarchy::D2Mixed(h) => h.inner().dims_at(l).to_vec(),
-            ErasedHierarchy::D3Mixed(h) => h.inner().dims_at(l).to_vec(),
-        }
-    }
-
-    /// ν sampled down to level `l`.
-    pub fn nu_at(&self, l: usize) -> &[f64] {
-        match self {
-            ErasedHierarchy::D2(h) => h.nu_at(l),
-            ErasedHierarchy::D3(h) => h.nu_at(l),
-            ErasedHierarchy::D2Mixed(h) => h.inner().nu_at(l),
-            ErasedHierarchy::D3Mixed(h) => h.inner().nu_at(l),
-        }
-    }
-
-    /// Multilinear sample of a finest-level field at level `l` nodes.
-    pub fn sample_to_level(&self, l: usize, finest: &[f64]) -> Vec<f64> {
-        match self {
-            ErasedHierarchy::D2(h) => h.sample_to_level(l, finest),
-            ErasedHierarchy::D3(h) => h.sample_to_level(l, finest),
-            ErasedHierarchy::D2Mixed(h) => h.inner().sample_to_level(l, finest),
-            ErasedHierarchy::D3Mixed(h) => h.inner().sample_to_level(l, finest),
-        }
-    }
-
-    /// Prolongs a level-`l` field up to the finest level (masked).
-    pub fn prolong_to_finest(&self, l: usize, field: &[f64]) -> Vec<f64> {
-        match self {
-            ErasedHierarchy::D2(h) => h.prolong_to_finest(l, field),
-            ErasedHierarchy::D3(h) => h.prolong_to_finest(l, field),
-            ErasedHierarchy::D2Mixed(h) => h.inner().prolong_to_finest(l, field),
-            ErasedHierarchy::D3Mixed(h) => h.inner().prolong_to_finest(l, field),
-        }
-    }
 }
 
 impl Precond for ErasedHierarchy {
