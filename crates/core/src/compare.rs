@@ -41,22 +41,17 @@ pub fn predict_field<M: Model + ?Sized>(
     dims: &[usize],
 ) -> MgdResult<Tensor> {
     let loss = FemLoss::new(dims)?;
-    predict_field_with_loss(net, data, sample, dims, &loss)
+    let x = data.try_batch_inputs(&[sample], dims)?;
+    let u = forward_with_bc(net, &x, &loss);
+    Ok(Tensor::from_vec(dims.to_vec(), u.into_vec()))
 }
 
-/// [`predict_field`] against an explicit loss (operator/boundary/forcing) —
-/// the loss decides which BCs are imposed on the raw network output.
-pub fn predict_field_with_loss<M: Model + ?Sized>(
-    net: &mut M,
-    data: &Dataset,
-    sample: usize,
-    dims: &[usize],
-    loss: &FemLoss,
-) -> MgdResult<Tensor> {
-    let x = data.try_batch_inputs(&[sample], dims)?;
-    let mut u = net.forward(&x, false);
+/// One inference forward of the batch `x` with `loss`'s boundary values
+/// imposed on every sample.
+fn forward_with_bc<M: Model + ?Sized>(net: &mut M, x: &Tensor, loss: &FemLoss) -> Tensor {
+    let mut u = net.forward(x, false);
     loss.apply_bc_batch(&mut u);
-    Ok(Tensor::from_vec(dims.to_vec(), u.into_vec()))
+    u
 }
 
 /// Full §4.3-style comparison for one sample (paper default physics).
@@ -90,8 +85,7 @@ pub fn compare_with_fem_loss<M: Model + ?Sized>(
     let x = data.try_batch_inputs(&[sample], dims)?;
 
     let t0 = Instant::now();
-    let mut u_nn_b = net.forward(&x, false);
-    loss.apply_bc_batch(&mut u_nn_b);
+    let u_nn_b = forward_with_bc(net, &x, loss);
     let inference_seconds = t0.elapsed().as_secs_f64();
     let u_nn = Tensor::from_vec(dims.to_vec(), u_nn_b.as_slice().to_vec());
 

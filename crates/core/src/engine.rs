@@ -438,16 +438,14 @@ impl SolverEngineBuilder {
     /// - [`Precision::F32`]: `predict*` forwards run through the f32 SIMD
     ///   kernels ([`mgd_nn::Model::share_f32`]) with one input demotion and
     ///   one (exact) output promotion per batch; cached predictions are
-    ///   stored at f32 (lossless, half the residency). Training and
-    ///   certified solves stay f64.
-    /// - [`Precision::Mixed`]: `F32` serving *plus* certified solves
-    ///   precondition with the f32 V-cycle
-    ///   ([`mgd_fem::MixedHierarchy`]). The outer PCG, the coarsest-level
-    ///   solve, and every residual certificate remain f64, so certified
-    ///   tolerances (down to ~1e-10 relative) are still met — iterative
-    ///   refinement, not wholesale demotion.
+    ///   stored at f32 (lossless, half the residency). Certified solves
+    ///   precondition with the f32 V-cycle ([`mgd_fem::MixedHierarchy`]);
+    ///   the outer PCG, the coarsest-level solve, and every residual
+    ///   certificate remain f64, so certified tolerances (down to ~1e-10
+    ///   relative) are still met — iterative refinement, not wholesale
+    ///   demotion. Training stays f64.
     ///
-    /// `F32`/`Mixed` require a model with an f32 inference view
+    /// `F32` requires a model with an f32 inference view
     /// ([`mgd_nn::Model::share_f32`]; the built-in U-Net has one). Combined
     /// with [`Parallelism::SpatialThreads`], the slab-decomposed forward
     /// runs at f32 and needs the f32 slab view
@@ -1219,11 +1217,13 @@ mod tests {
             }
             other => panic!("expected NonFiniteInput, got {other:?}"),
         }
-        // Crucially: a NaN field must not cache-hit the all-zero field the
-        // old `as i64` cast collapsed it onto.
-        let zeros = Tensor::zeros([16, 16]);
-        let _ = engine.predict(&zeros).unwrap();
-        let mut nan_field = Tensor::zeros([16, 16]);
+        // Crucially: a NaN field must not cache-hit the field the old
+        // `as i64` cast collapsed it onto — one whose node quantizes to 0
+        // (ν = 1e-10 there: positive, so servable).
+        let mut near_zero = Tensor::ones([16, 16]);
+        *near_zero.at_mut(&[0, 0]) = 1e-10;
+        let _ = engine.predict(&near_zero).unwrap();
+        let mut nan_field = Tensor::ones([16, 16]);
         *nan_field.at_mut(&[0, 0]) = f64::NAN;
         assert!(matches!(
             engine.predict(&nan_field),
@@ -1564,6 +1564,39 @@ mod tests {
         );
     }
 
+    #[test]
+    fn predict_rejects_coefficients_that_are_not_positive_definite() {
+        // ν ≤ 0 (or a tensor that is not SPD) has no solution to
+        // approximate, and `ln` would feed the network −∞/NaN: predict
+        // answers with the certified solve's typed error and caches nothing.
+        let not_spd = |r: MgdResult<Arc<Tensor>>, node: usize| {
+            matches!(r, Err(MgdError::InvalidConfig(ref m))
+                if m.contains(&format!("node {node} is not positive definite")))
+        };
+        let engine = small_builder().build().unwrap();
+        let mut nu = engine.dataset().nu_field(0, &[16, 16]);
+        nu.as_mut_slice()[85] = -1.0;
+        nu.as_mut_slice()[153] = 0.0;
+        for _ in 0..2 {
+            assert!(not_spd(engine.predict(&nu), 85));
+        }
+        let healthy = engine.dataset().nu_field(1, &[16, 16]);
+        assert!(not_spd(
+            engine
+                .predict_batch(&[healthy, nu])
+                .map(|mut v| v.remove(0)),
+            85
+        ));
+        assert_eq!(engine.cache_len(), 0);
+        // A tensor whose off-diagonal outgrows its diagonal at node 40.
+        let aniso = aniso_builder().build().unwrap();
+        let mut t = aniso.dataset().nu_field(0, &[16, 16]);
+        let (nn, s) = (256, t.as_mut_slice());
+        s[2 * nn + 40] = 2.0 * (s[40] * s[nn + 40]).sqrt();
+        assert!(not_spd(aniso.predict(&t), 40));
+        assert_eq!(aniso.cache_len(), 0);
+    }
+
     /// Nudges every weight by a deterministic, *not*-f32-representable
     /// amount so the f32 and f64 forward paths must actually diverge (a
     /// freshly initialized U-Net outputs exactly sigmoid(0) = 0.5, which
@@ -1625,9 +1658,11 @@ mod tests {
 
     #[test]
     fn mixed_precision_certified_solve_meets_tolerance() {
+        // An F32 engine's certified solves run the f32 V-cycle under the
+        // f64 outer PCG.
         let tol = 1e-8;
         let engine = small_builder()
-            .precision(Precision::Mixed)
+            .precision(Precision::F32)
             .hybrid_strategy(StrategyKind::PureMultigrid)
             .build()
             .unwrap();
@@ -1651,6 +1686,10 @@ mod tests {
             .sum::<f64>()
             .sqrt();
         assert!(diff / norm < 1e-6, "mixed solution drifted {}", diff / norm);
+        assert_ne!(
+            sol.residual_history, sol64.residual_history,
+            "an F32 engine must precondition with the f32 V-cycle"
+        );
     }
 
     #[test]
@@ -1663,21 +1702,19 @@ mod tests {
             .map(|s| serial32.dataset().nu_field(s, &[16, 16]))
             .collect();
         let expect = serial32.predict_batch(&fields).unwrap();
-        for prec in [Precision::F32, Precision::Mixed] {
-            let spatial = small_builder()
-                .precision(prec)
-                .parallelism(Parallelism::SpatialThreads(2))
-                .build()
-                .unwrap();
-            let got = spatial.predict_batch(&fields).unwrap();
-            for (e, g) in expect.iter().zip(&got) {
-                for (a, b) in e.as_slice().iter().zip(g.as_slice()) {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{prec} spatial differs from serial f32: {a} vs {b}"
-                    );
-                }
+        let spatial = small_builder()
+            .precision(Precision::F32)
+            .parallelism(Parallelism::SpatialThreads(2))
+            .build()
+            .unwrap();
+        let got = spatial.predict_batch(&fields).unwrap();
+        for (e, g) in expect.iter().zip(&got) {
+            for (a, b) in e.as_slice().iter().zip(g.as_slice()) {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "f32 spatial differs from serial f32: {a} vs {b}"
+                );
             }
         }
     }

@@ -131,10 +131,7 @@ pub mod serve;
 pub mod stopper;
 pub mod trainer;
 
-pub use compare::{
-    compare_with_fem, compare_with_fem_loss, predict_field, predict_field_with_loss,
-    FieldComparison,
-};
+pub use compare::{compare_with_fem, compare_with_fem_loss, predict_field, FieldComparison};
 pub use cycle::{level_sequence, schedule, Budget, CycleKind, Phase};
 pub use engine::{Parallelism, Problem, ServeStats, SolverEngine, SolverEngineBuilder};
 pub use error::{MgdError, MgdResult};

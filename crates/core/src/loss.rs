@@ -230,6 +230,15 @@ impl FemLoss {
         self.ncomp() * self.num_nodes()
     }
 
+    /// Checks one coefficient block the way [`Self::system`] does: its
+    /// length, then per node finite and positive definite
+    /// ([`PdeOperator::validate_coeff`] on this loss's grid). The first
+    /// failing node is the same [`MgdError::InvalidConfig`] `system` gives.
+    pub(crate) fn validate_coeff(&self, nu: &[f64]) -> MgdResult<()> {
+        with_geom!(self, |grid, _basis| self.op.validate_coeff(grid, nu))?;
+        Ok(())
+    }
+
     /// Deterministic fingerprint of the physics (operator ⊕ boundary ⊕
     /// forcing) this loss encodes — equal specs at any resolution share it.
     /// Serving caches fold it into every key so identical coefficient

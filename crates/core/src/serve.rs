@@ -30,6 +30,14 @@
 //! - [`SharedServeStats`] / [`ServeStats`] — engine-lifetime serving
 //!   counters as atomics, shared across snapshot generations so a republish
 //!   never loses counts.
+//!
+//! A snapshot runs one forward per element type its [`Precision`] names:
+//! f64 under `F64`, f32 under `F32` (the input demoted once, the output
+//! promoted once, exactly). At either type the forward is the shared
+//! one-rank [`InferModel`] view on the calling thread, or the [`SlabModel`]
+//! view over a persistent rank fleet when the engine serves on more than
+//! one slab rank; both draw their scratch from a snapshot-owned checkout
+//! pool that the `workspace_pool_*` / `slab_pool_*` counters observe.
 
 use crate::error::{MgdError, MgdResult};
 use crate::loss::FemLoss;
@@ -306,8 +314,8 @@ pub struct CacheShardStats {
 /// A cached prediction, stored at the precision the snapshot serves at.
 ///
 /// Under [`Precision::F64`] entries are the f64 outputs themselves (shared,
-/// never copied). Under `F32`/`Mixed` the forward pass ran in f32, so the
-/// f64 output is exactly representable in f32 (boundary values 0/1
+/// never copied). Under [`Precision::F32`] the forward pass ran in f32, so
+/// the f64 output is exactly representable in f32 (boundary values 0/1
 /// included) — storing the f32 image halves cache residency at megavoxel
 /// resolutions with **zero** rounding loss. Promotion back to f64
 /// allocates on hit, which is still far cheaper than a forward pass.
@@ -315,7 +323,7 @@ pub struct CacheShardStats {
 pub enum CachedField {
     /// Full-precision entry (the `Precision::F64` serving path).
     F64(Arc<Tensor>),
-    /// Half-residency entry (the `Precision::F32`/`Mixed` serving paths).
+    /// Half-residency entry (the `Precision::F32` serving path).
     F32(Arc<Tensor<f32>>),
 }
 
@@ -577,135 +585,176 @@ impl Default for ServeOptions {
     }
 }
 
-/// Per-rank persistent state inside a slab pool: warm inference
-/// workspaces that survive across requests (and across layers within a
-/// request), at both serving precisions.
-#[derive(Default)]
-struct RankState {
-    ws: Workspace,
-    ws32: Workspace<f32>,
-}
-
-/// The shared slab-inference weights of a spatial snapshot, at the
-/// precision the snapshot serves at.
-enum SlabWeights {
-    F64(Arc<dyn SlabModel>),
-    F32(Arc<dyn SlabModel<f32>>),
-}
-
-impl SlabWeights {
-    fn spatial_align(&self) -> usize {
-        match self {
-            SlabWeights::F64(m) => m.spatial_align(),
-            SlabWeights::F32(m) => m.spatial_align(),
-        }
-    }
-}
-
-/// Slab-decomposed serving state of a snapshot (spatial parallelism).
+/// A snapshot-owned checkout pool: [`Checkout::take`] pops a warm value
+/// (a hit) or makes a fresh one (a miss), [`Checkout::put`] returns it, and
+/// the pool dies with the snapshot.
 ///
-/// One prepacked [`SlabModel`] is shared by every rank of a persistent
-/// [`SlabPool`]: no per-request thread spawns, no per-rank model replicas,
-/// no request-wide mutex. Concurrent spatial predictions each acquire
-/// their own pool, `WorkspacePool`-style.
-struct SpatialServe {
-    ranks: usize,
-    weights: SlabWeights,
-    /// Persistent rank pools, one per concurrent spatial forward
-    /// (acquire/release like the workspace pool).
-    pools: Mutex<Vec<SlabPool<RankState>>>,
+/// Both of a snapshot's pools are one of these: inference workspaces on
+/// one rank, persistent [`SlabPool`] rank fleets on more. Tying scratch to
+/// the snapshot rather than to threads bounds its residency by the peak
+/// number of *concurrent* forwards, not the historical thread count, and
+/// the hit/miss counters in [`ServeStats`] make reuse observable.
+struct Checkout<T> {
+    slots: Mutex<Vec<T>>,
 }
 
-impl SpatialServe {
-    fn new_pool(&self) -> SlabPool<RankState> {
-        SlabPool::new((0..self.ranks).map(|_| RankState::default()).collect())
-    }
-
-    /// Pops a persistent rank pool, or spawns a fresh one if every pool is
-    /// currently serving (counted on `stats`).
-    fn acquire_pool(&self, stats: &SharedServeStats) -> SlabPool<RankState> {
-        let pooled = self.pools.lock().expect("slab pools poisoned").pop();
-        match pooled {
-            Some(p) => {
-                stats.slab_pool_hits.fetch_add(1, Ordering::Relaxed);
-                p
-            }
-            None => {
-                stats.slab_pool_misses.fetch_add(1, Ordering::Relaxed);
-                self.new_pool()
-            }
-        }
-    }
-
-    fn release_pool(&self, pool: SlabPool<RankState>) {
-        self.pools.lock().expect("slab pools poisoned").push(pool);
-    }
-}
-
-/// A snapshot-owned pool of inference workspaces.
-///
-/// Replaces the old `thread_local!` scratch: per-thread storage pinned one
-/// workspace (potentially tens of MB of patch buffers at megavoxel
-/// resolutions) to *every* thread that ever predicted, for as long as the
-/// thread lived — short-lived serving threads leaked warm buffers, and the
-/// engine had no way to observe or bound the residency. Pooling ties the
-/// scratch to the snapshot instead: `acquire` pops a warm workspace (or
-/// allocates on first use), `release` returns it, and the pool dies with
-/// the snapshot. Steady-state occupancy equals the peak number of
-/// *concurrent* forward passes, not the historical thread count, and the
-/// hit/miss counters in [`ServeStats`] make reuse observable.
-struct WorkspacePool<E: Element = f64> {
-    slots: Mutex<Vec<Workspace<E>>>,
-}
-
-impl<E: Element> WorkspacePool<E> {
+impl<T> Checkout<T> {
     fn new() -> Self {
-        WorkspacePool {
+        Checkout {
             slots: Mutex::new(Vec::new()),
         }
     }
 
-    /// Pops a pooled workspace, or allocates a fresh one if every pooled
-    /// workspace is currently in use (counted on `stats`).
-    fn acquire(&self, stats: &SharedServeStats) -> Workspace<E> {
-        let pooled = self.slots.lock().expect("workspace pool poisoned").pop();
+    /// Pops a pooled value (counted on `hit`), or makes one with `fresh`
+    /// when every pooled value is in use (counted on `miss`).
+    fn take(&self, hit: &AtomicU64, miss: &AtomicU64, fresh: impl FnOnce() -> T) -> T {
+        let pooled = self.slots.lock().expect("checkout pool poisoned").pop();
         match pooled {
-            Some(ws) => {
-                stats.workspace_pool_hits.fetch_add(1, Ordering::Relaxed);
-                ws
+            Some(v) => {
+                hit.fetch_add(1, Ordering::Relaxed);
+                v
             }
             None => {
-                stats.workspace_pool_misses.fetch_add(1, Ordering::Relaxed);
-                Workspace::new()
+                miss.fetch_add(1, Ordering::Relaxed);
+                fresh()
             }
         }
     }
 
-    /// Returns a workspace (with its warm buffers) to the pool.
-    fn release(&self, ws: Workspace<E>) {
-        self.slots.lock().expect("workspace pool poisoned").push(ws);
+    /// Returns a value (with its warm buffers) to the pool.
+    fn put(&self, v: T) {
+        self.slots.lock().expect("checkout pool poisoned").push(v);
     }
 }
 
-/// The one forward a snapshot serves with, chosen once at publish time from
-/// the engine's precision and spatial rank count.
+/// A snapshot's forward at element type `E`: f64 under [`Precision::F64`],
+/// f32 under [`Precision::F32`].
+enum Served<E: Element> {
+    /// The shared one-rank view ([`Model::share`] / [`Model::share_f32`]),
+    /// run on the calling thread with a pooled workspace.
+    Whole {
+        model: Arc<dyn InferModel<E>>,
+        pool: Checkout<Workspace<E>>,
+    },
+    /// The shared prepacked slab view ([`Model::share_slab`] /
+    /// [`Model::share_slab_f32`]) over one persistent rank fleet per
+    /// concurrent forward: no per-request thread spawns, no per-rank model
+    /// replicas, warm per-rank workspaces.
+    Slab {
+        model: Arc<dyn SlabModel<E>>,
+        ranks: usize,
+        fleets: Checkout<SlabPool<Workspace<E>>>,
+    },
+}
+
+impl<E: Element> Served<E> {
+    /// Takes the view `cfg`'s rank count serves with: `whole` on one rank,
+    /// `slab` on more, each paired with the name of the [`Model`] method
+    /// that provides it. Fails with [`MgdError::InvalidConfig`], naming
+    /// that method, when the model lacks the view.
+    fn new(
+        cfg: &SnapshotTemplate,
+        whole: (&str, impl FnOnce() -> Option<Arc<dyn InferModel<E>>>),
+        slab: (&str, impl FnOnce() -> Option<Arc<dyn SlabModel<E>>>),
+    ) -> MgdResult<Self> {
+        let missing = |method: &str| {
+            MgdError::InvalidConfig(format!(
+                "serving at precision {} on {} rank(s) needs Model::{method}, \
+                 which the configured model does not provide",
+                cfg.precision, cfg.spatial_ranks
+            ))
+        };
+        let ranks = cfg.spatial_ranks;
+        if ranks <= 1 {
+            let model = whole.1().ok_or_else(|| missing(whole.0))?;
+            return Ok(Served::Whole {
+                model,
+                pool: Checkout::new(),
+            });
+        }
+        let model = slab.1().ok_or_else(|| missing(slab.0))?;
+        // Spawn the persistent rank fleet once at publish time so the
+        // first predict is already a pool hit.
+        let fleets = Checkout::new();
+        fleets.put(Self::fleet(ranks));
+        Ok(Served::Slab {
+            model,
+            ranks,
+            fleets,
+        })
+    }
+
+    fn fleet(ranks: usize) -> SlabPool<Workspace<E>> {
+        SlabPool::new((0..ranks).map(|_| Workspace::new()).collect())
+    }
+
+    /// One batched forward: the one-rank view on the calling thread, or
+    /// the slab view over `ranks` in-process ranks with halo exchange
+    /// (bitwise identical to the one-rank forward at the same `E`).
+    fn forward(&self, x: Tensor<E>, cfg: &SnapshotTemplate) -> MgdResult<Tensor<E>> {
+        let stats = &cfg.stats;
+        match self {
+            Served::Whole { model, pool } => {
+                let mut ws = pool.take(
+                    &stats.workspace_pool_hits,
+                    &stats.workspace_pool_misses,
+                    Workspace::new,
+                );
+                let out = model.infer(&x, &mut ws);
+                pool.put(ws);
+                Ok(out)
+            }
+            Served::Slab {
+                model,
+                ranks,
+                fleets,
+            } => {
+                let align = model.spatial_align().max(1);
+                let part = SlabPartition::aligned(cfg.resolution[0], *ranks, align)
+                    .map_err(|e| MgdError::InvalidConfig(format!("spatial predict: {e}")))?;
+                let dims = x.dims().to_vec();
+                let batch = dims[0];
+                // [B, C, D, H, W] viewed as [pre, split, post] along z (3D)
+                // / y (2D); the coefficient channels (C > 1 for tensor
+                // operators) sit slower than the split axis, so they fold
+                // into `pre`.
+                let (split, post) = if cfg.three_d {
+                    (dims[2], dims[3] * dims[4])
+                } else {
+                    (dims[3], dims[4])
+                };
+                let layout = SlabLayout {
+                    pre: batch * dims[1],
+                    split,
+                    post,
+                };
+                // The network output is single-channel regardless of how
+                // many coefficient components went in.
+                let mut out_dims = dims.clone();
+                out_dims[1] = 1;
+                let (model, x) = (Arc::clone(model), Arc::new(x));
+                let (three_d, opts) = (cfg.three_d, cfg.spatial_opts.clone());
+                let mut fleet = fleets.take(&stats.slab_pool_hits, &stats.slab_pool_misses, || {
+                    Self::fleet(*ranks)
+                });
+                let slabs = fleet.run(move |comm: &ThreadComm, ws: &mut Workspace<E>| {
+                    let slab = carve_rank_slab(&x, &part, &layout, &dims, three_d, comm.rank());
+                    model.infer_slab(&slab, comm, ws, &opts).into_vec()
+                });
+                fleets.put(fleet);
+                Ok(Tensor::from_vec(
+                    out_dims,
+                    assemble_planes(&slabs, batch, post),
+                ))
+            }
+        }
+    }
+}
+
+/// The snapshot's forward at the element type its precision names.
 enum Forward {
-    /// The shared f64 view ([`Model::share`]): `Precision::F64` on one rank.
-    F64 {
-        model: Arc<dyn InferModel>,
-        pool: WorkspacePool,
-    },
-    /// The shared f32 view ([`Model::share_f32`]): `Precision::F32` /
-    /// `Precision::Mixed` on one rank. Inputs are demoted once at the batch
-    /// boundary, the whole forward runs through the f32 SIMD kernels, and
-    /// the output is promoted back to f64 (exactly).
-    F32 {
-        model: Arc<dyn InferModel<f32>>,
-        pool: WorkspacePool<f32>,
-    },
-    /// The slab-decomposed forward over more than one rank, at either
-    /// precision ([`Model::share_slab`] / [`Model::share_slab_f32`]).
-    Slab(SpatialServe),
+    F64(Served<f64>),
+    F32(Served<f32>),
 }
 
 /// An immutable, Arc-published view of a trained engine: everything a
@@ -801,44 +850,17 @@ impl EngineSnapshot {
         version: u64,
         model: &dyn Model,
     ) -> MgdResult<EngineSnapshot> {
-        let reduced = cfg.precision != Precision::F64;
-        let missing = |method: &str| {
-            MgdError::InvalidConfig(format!(
-                "serving at precision {} on {} rank(s) needs Model::{method}, \
-                 which the configured model does not provide",
-                cfg.precision, cfg.spatial_ranks
-            ))
-        };
-        let forward = if cfg.spatial_ranks > 1 {
-            let weights = if reduced {
-                SlabWeights::F32(
-                    model
-                        .share_slab_f32()
-                        .ok_or_else(|| missing("share_slab_f32"))?,
-                )
-            } else {
-                SlabWeights::F64(model.share_slab().ok_or_else(|| missing("share_slab"))?)
-            };
-            let sp = SpatialServe {
-                ranks: cfg.spatial_ranks,
-                weights,
-                pools: Mutex::new(Vec::new()),
-            };
-            // Spawn the persistent rank fleet once at publish time so the
-            // first predict is already a pool hit.
-            let pool = sp.new_pool();
-            sp.pools.lock().expect("slab pools poisoned").push(pool);
-            Forward::Slab(sp)
-        } else if reduced {
-            Forward::F32 {
-                model: model.share_f32().ok_or_else(|| missing("share_f32"))?,
-                pool: WorkspacePool::new(),
-            }
-        } else {
-            Forward::F64 {
-                model: model.share().ok_or_else(|| missing("share"))?,
-                pool: WorkspacePool::new(),
-            }
+        let forward = match cfg.precision {
+            Precision::F64 => Forward::F64(Served::new(
+                &cfg,
+                ("share", || model.share()),
+                ("share_slab", || model.share_slab()),
+            )?),
+            Precision::F32 => Forward::F32(Served::new(
+                &cfg,
+                ("share_f32", || model.share_f32()),
+                ("share_slab_f32", || model.share_slab_f32()),
+            )?),
         };
         let cap = cfg.serve.cache_capacity;
         let cache = PredictionCache::new(
@@ -893,7 +915,7 @@ impl EngineSnapshot {
     /// runs the shared [`InferModel`] view on the calling thread, taking no
     /// lock beyond the workspace pool's pop and push.
     pub fn is_lock_free(&self) -> bool {
-        !matches!(self.forward, Forward::Slab(_))
+        self.cfg.spatial_ranks <= 1
     }
 
     /// The numeric policy this snapshot serves at.
@@ -1041,6 +1063,10 @@ impl EngineSnapshot {
                         value: bad,
                     });
                 }
+                // A coefficient that is not positive definite has no
+                // solution to approximate, and `ln` would feed the network
+                // −∞/NaN for ν ≤ 0: reject it as the certified solve does.
+                self.cfg.loss.validate_coeff(c.as_slice())?;
             }
             ReqView::Omega(o) => {
                 if o.len() != self.cfg.diffusivity.num_modes() {
@@ -1104,7 +1130,7 @@ impl EngineSnapshot {
                 .collect();
             let x =
                 stack_fields_with(&encoded, self.cfg.resolution.len()).map_err(MgdError::Field)?;
-            let mut u = self.forward(&x)?;
+            let mut u = self.forward(x)?;
             self.cfg.loss.apply_bc_batch(&mut u);
             self.cfg
                 .stats
@@ -1130,9 +1156,7 @@ impl EngineSnapshot {
                     Precision::F64 => CachedField::F64(Arc::clone(field)),
                     // The output came through an f32 forward, so the f32
                     // image is lossless and halves the entry's residency.
-                    Precision::F32 | Precision::Mixed => {
-                        CachedField::F32(Arc::new(field.cast::<f32>()))
-                    }
+                    Precision::F32 => CachedField::F32(Arc::new(field.cast::<f32>())),
                 };
                 self.cache.insert(Arc::clone(&keys[i]), value);
             }
@@ -1152,90 +1176,14 @@ impl EngineSnapshot {
             .collect())
     }
 
-    /// One batched network forward through the snapshot's one
-    /// [`Forward`]: the shared f64 or f32 view on the calling thread, or
-    /// slab-decomposed with halo exchange under spatial parallelism.
-    fn forward(&self, x: &Tensor) -> MgdResult<Tensor> {
-        let stats = &self.cfg.stats;
+    /// One batched network forward through the snapshot's [`Served`]
+    /// view. An f32 snapshot demotes the input once and promotes the
+    /// output once (exactly); the forward between runs the f32 kernels.
+    fn forward(&self, x: Tensor) -> MgdResult<Tensor> {
         match &self.forward {
-            Forward::F64 { model, pool } => {
-                let mut ws = pool.acquire(stats);
-                let out = model.infer(x, &mut ws);
-                pool.release(ws);
-                Ok(out)
-            }
-            Forward::F32 { model, pool } => {
-                let x32 = x.cast::<f32>();
-                let mut ws = pool.acquire(stats);
-                let out = model.infer(&x32, &mut ws);
-                pool.release(ws);
-                Ok(out.cast::<f64>())
-            }
-            Forward::Slab(sp) => self.forward_spatial(x, sp),
+            Forward::F64(served) => served.forward(x, &self.cfg),
+            Forward::F32(served) => Ok(served.forward(x.cast(), &self.cfg)?.cast()),
         }
-    }
-
-    /// Slab-decomposed forward over `sp.ranks` in-process ranks with halo
-    /// exchange, through a persistent rank pool and the shared prepacked
-    /// weights; bitwise identical (f64) / rounding-equivalent (f32) to the
-    /// serial forward at the same precision.
-    fn forward_spatial(&self, x: &Tensor, sp: &SpatialServe) -> MgdResult<Tensor> {
-        let p = sp.ranks;
-        let align = sp.weights.spatial_align().max(1);
-        let part = SlabPartition::aligned(self.cfg.resolution[0], p, align)
-            .map_err(|e| MgdError::InvalidConfig(format!("spatial predict: {e}")))?;
-        let dims = x.dims().to_vec();
-        let batch = dims[0];
-        // [B, C, D, H, W] viewed as [pre, split, post] along z (3D) /
-        // y (2D); the coefficient channels (C > 1 for tensor operators)
-        // sit slower than the split axis, so they fold into `pre`.
-        let layout = if self.cfg.three_d {
-            SlabLayout {
-                pre: batch * dims[1],
-                split: dims[2],
-                post: dims[3] * dims[4],
-            }
-        } else {
-            SlabLayout {
-                pre: batch * dims[1],
-                split: dims[3],
-                post: dims[4],
-            }
-        };
-        // The network output is single-channel regardless of how many
-        // coefficient components went in.
-        let mut out_dims = dims.clone();
-        out_dims[1] = 1;
-        let three_d = self.cfg.three_d;
-        let opts = self.cfg.spatial_opts.clone();
-        let mut pool = sp.acquire_pool(&self.cfg.stats);
-        let out = match &sp.weights {
-            SlabWeights::F64(m) => {
-                let m = Arc::clone(m);
-                let x = Arc::new(x.clone());
-                let (part, dims2) = (part.clone(), dims.clone());
-                let slabs = pool.run(move |comm: &ThreadComm, state: &mut RankState| {
-                    let slab = carve_rank_slab(&x, &part, &layout, &dims2, three_d, comm.rank());
-                    m.infer_slab(&slab, comm, &mut state.ws, &opts).into_vec()
-                });
-                Tensor::from_vec(out_dims, assemble_planes(&slabs, batch, layout.post))
-            }
-            SlabWeights::F32(m) => {
-                // One demotion at the batch boundary, one promotion on the
-                // way out — the slabs themselves run the f32 kernels.
-                let m = Arc::clone(m);
-                let x32 = Arc::new(x.cast::<f32>());
-                let (part, dims2) = (part.clone(), dims.clone());
-                let slabs = pool.run(move |comm: &ThreadComm, state: &mut RankState| {
-                    let slab = carve_rank_slab(&x32, &part, &layout, &dims2, three_d, comm.rank());
-                    m.infer_slab(&slab, comm, &mut state.ws32, &opts).into_vec()
-                });
-                Tensor::<f32>::from_vec(out_dims, assemble_planes(&slabs, batch, layout.post))
-                    .cast::<f64>()
-            }
-        };
-        sp.release_pool(pool);
-        Ok(out)
     }
 }
 

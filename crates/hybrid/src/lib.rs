@@ -301,7 +301,7 @@ mod tests {
     #[test]
     fn mixed_hierarchy_certifies_to_f64_tolerance() {
         // The f32 V-cycle is only a preconditioner: the certificate is an
-        // f64 true residual, so Precision::Mixed must still hit the same
+        // f64 true residual, so Precision::F32 must still hit the same
         // 1e-8 relative target as the full-f64 hierarchy.
         let dims = [64usize, 64];
         let nu = nu_field(&dims);
@@ -309,7 +309,7 @@ mod tests {
         let hier = ErasedHierarchy::build_with_precision(
             &sys,
             HierarchyOptions::default(),
-            mgd_tensor::Precision::Mixed,
+            mgd_tensor::Precision::F32,
         )
         .unwrap();
         let opts = CertifyOptions::default();
@@ -356,7 +356,7 @@ mod tests {
         let hier = ErasedHierarchy::build_with_precision(
             &sys,
             HierarchyOptions::default(),
-            mgd_tensor::Precision::Mixed,
+            mgd_tensor::Precision::F32,
         )
         .unwrap();
         let opts = CertifyOptions::default();
@@ -367,21 +367,16 @@ mod tests {
     }
 
     #[test]
-    fn f64_and_f32_precisions_build_plain_hierarchies() {
+    fn f64_builds_the_plain_and_f32_the_mixed_hierarchy() {
         let dims = [16usize, 16];
         let nu = nu_field(&dims);
         let sys = ErasedSystem::poisson(&dims, &nu).unwrap();
-        for p in [mgd_tensor::Precision::F64, mgd_tensor::Precision::F32] {
-            let h = ErasedHierarchy::build_with_precision(&sys, HierarchyOptions::default(), p)
-                .unwrap();
-            assert!(matches!(h, ErasedHierarchy::D2(_)), "{p}");
-        }
-        let h = ErasedHierarchy::build_with_precision(
-            &sys,
-            HierarchyOptions::default(),
-            mgd_tensor::Precision::Mixed,
-        )
-        .unwrap();
+        let build = |p| {
+            ErasedHierarchy::build_with_precision(&sys, HierarchyOptions::default(), p).unwrap()
+        };
+        let h = build(mgd_tensor::Precision::F64);
+        assert!(matches!(h, ErasedHierarchy::D2(_)));
+        let h = build(mgd_tensor::Precision::F32);
         assert!(matches!(h, ErasedHierarchy::D2Mixed(_)));
     }
 

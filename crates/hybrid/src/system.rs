@@ -222,19 +222,18 @@ impl ErasedHierarchy {
         Self::build_with_precision(sys, opts, Precision::F64)
     }
 
-    /// Builds the hierarchy with a precision policy. [`Precision::Mixed`]
-    /// selects the f32 V-cycle preconditioner (setup and coarsest solve
-    /// stay f64); the outer PCG and all residual certificates remain f64
+    /// Builds the hierarchy with a precision policy: [`Precision::F32`]
+    /// selects the f32 V-cycle preconditioner ([`MixedHierarchy`]; setup
+    /// and coarsest solve stay f64), [`Precision::F64`] the full f64
+    /// cycle. The outer PCG and all residual certificates remain f64
     /// regardless, so solution accuracy is unaffected — only convergence
-    /// rate can differ. `F64` and `F32` both build the plain f64 cycle:
-    /// `F32` is a serving-side (forward-pass) policy and does not touch
-    /// the certified solver.
+    /// rate can differ.
     pub fn build_with_precision(
         sys: &ErasedSystem,
         opts: HierarchyOptions,
         precision: Precision,
     ) -> Result<Self, HybridError> {
-        let mixed = precision == Precision::Mixed;
+        let mixed = precision == Precision::F32;
         Ok(match sys {
             ErasedSystem::D2(s) => {
                 let h = GridHierarchy::from_finest(Arc::clone(s), opts)?;

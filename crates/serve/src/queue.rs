@@ -606,6 +606,38 @@ mod tests {
     }
 
     #[test]
+    fn non_positive_definite_request_fails_alone_in_its_batch() {
+        let engine = engine();
+        // One worker + preloaded queue: both requests share one batch.
+        let mut queue = ServeQueue::new(engine.serve_cell(), engine.serve_options());
+        let good = engine.dataset().nu_field(0, &[16, 16]);
+        let mut bad = good.clone();
+        bad.as_mut_slice()[85] = -1.0;
+        let t_good = queue.submit(InferenceRequest::coeff(good.clone())).unwrap();
+        let t_bad = queue.submit(InferenceRequest::coeff(bad)).unwrap();
+        queue.spawn_workers(1);
+        let got = t_good.wait().unwrap();
+        assert!(
+            matches!(t_bad.wait(), Err(MgdError::InvalidConfig(ref m)) if m.contains("node 85")),
+            "a coefficient with ν ≤ 0 must be refused, not served"
+        );
+        // Against an identically built engine, so the answer is a forward
+        // of its own and not a hit on the queue's cache.
+        let want = builder()
+            .build()
+            .unwrap()
+            .snapshot()
+            .predict_request(&InferenceRequest::coeff(good))
+            .unwrap();
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&got),
+            bits(&want),
+            "answer differs from predict_request"
+        );
+    }
+
+    #[test]
     fn certified_requests_flow_through_the_queue() {
         let engine = engine();
         // Preload a mixed workload — predictions and a certified solve in

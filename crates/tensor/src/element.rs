@@ -34,7 +34,8 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 /// scattered `1e-300` literals.
 pub const F64_DIV_GUARD: f64 = 1e-300;
 
-/// Numeric-precision mode of an engine, snapshot, or solver path.
+/// Numeric-precision mode of an engine, snapshot, or solver path: the
+/// element type its reduced-precision work runs at.
 ///
 /// This is the user-facing knob the element-generic kernels hide behind:
 ///
@@ -42,23 +43,19 @@ pub const F64_DIV_GUARD: f64 = 1e-300;
 ///   the pre-refactor code. The default.
 /// - [`Precision::F32`] — *serving* forward passes run single precision
 ///   (f32 weights, activations and cached predictions: half the memory
-///   traffic, twice the SIMD lanes). Training, certified solving and every
-///   residual certificate stay `f64`.
-/// - [`Precision::Mixed`] — `F32` serving **plus** the mixed-precision
-///   multigrid preconditioner for certified solves: V-cycle smoothing,
-///   residuals and transfers in `f32`, outer PCG / coarsest solve /
-///   certification in `f64` (iterative refinement). Certificates are still
-///   machine-checked in `f64`, so `certify_tol` down to ~1e-12 remains
-///   reachable.
+///   traffic, twice the SIMD lanes), and certified solves precondition
+///   with the f32 multigrid V-cycle: smoothing, residuals and transfers in
+///   `f32`, outer PCG / coarsest solve / certification in `f64` (iterative
+///   refinement). Training and every residual certificate stay `f64`, so
+///   `certify_tol` down to ~1e-12 remains reachable.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Precision {
     /// Full double precision everywhere (the reference behavior).
     #[default]
     F64,
-    /// Single-precision serving fast path; solves and training stay `f64`.
+    /// Single-precision serving forwards and the `f32` V-cycle under
+    /// `f64`-refined certified solves; training stays `f64`.
     F32,
-    /// `F32` serving plus the `f32`-V-cycle / `f64`-refinement solver path.
-    Mixed,
 }
 
 impl Display for Precision {
@@ -66,7 +63,6 @@ impl Display for Precision {
         f.write_str(match self {
             Precision::F64 => "f64",
             Precision::F32 => "f32",
-            Precision::Mixed => "mixed",
         })
     }
 }
