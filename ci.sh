@@ -9,6 +9,15 @@ cd "$(dirname "$0")"
 run() { echo "==> $*"; "$@"; }
 
 run cargo fmt --all -- --check
+# Shim-API gate: the shims are drop-in stand-ins for crates.io releases, so
+# no source file outside shims/ may name what only a shim defines (real
+# serde has no `serialize_value`, `deserialize_value` or `serde::Value`).
+echo "==> shim-only API outside shims/"
+if grep -rnE --include='*.rs' --exclude-dir=shims --exclude-dir=target \
+    'serialize_value|deserialize_value|serde::Value' .; then
+    echo "ci: shim-only API named outside shims/ (see shims/README.md)"
+    exit 1
+fi
 # Informational: the non-test line count ROADMAP tracks. Gates nothing.
 run bash scripts/loc.sh || echo "ci: line count failed (informational only)"
 run cargo clippy --workspace --all-targets -- -D warnings

@@ -1,11 +1,10 @@
 //! The analytic epoch-time model.
 
 use crate::specs::MachineSpec;
-use serde::{Deserialize, Serialize};
 
 /// Architecture mirror of `mgd_nn::UNetConfig` (kept dependency-free so the
 /// model can describe networks it never instantiates, e.g. the 256³ one).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ArchModel {
     /// Input channels.
     pub in_channels: usize,
@@ -141,7 +140,7 @@ pub struct RunConfig {
 }
 
 /// Modeled epoch cost breakdown.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct EpochTime {
     /// Compute seconds per epoch.
     pub compute_s: f64,
@@ -196,7 +195,7 @@ pub fn epoch_time(cfg: &RunConfig, workers: usize) -> EpochTime {
 }
 
 /// One row of a strong-scaling curve.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ScalingPoint {
     /// Worker (device) count.
     pub workers: usize,

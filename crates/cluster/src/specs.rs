@@ -1,10 +1,8 @@
 //! Machine specifications (paper Table 6) plus modeling constants.
 
-use serde::{Deserialize, Serialize};
-
 /// One machine type of Table 6, augmented with the constants the
 /// performance model needs.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MachineSpec {
     /// Display name.
     pub name: String,
@@ -122,14 +120,5 @@ mod tests {
     fn workers_per_node() {
         assert_eq!(azure_ndv2().workers_per_node(), 8);
         assert_eq!(bridges2().workers_per_node(), 1);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let a = azure_ndv2();
-        let json = serde_json::to_string(&a).unwrap();
-        let back: MachineSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.name, a.name);
-        assert_eq!(back.device_peak_flops, a.device_peak_flops);
     }
 }

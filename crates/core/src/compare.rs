@@ -5,11 +5,10 @@ use crate::loss::{cg_solve, FemLoss};
 use mgd_field::Dataset;
 use mgd_nn::Model;
 use mgd_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Quantitative comparison of one predicted field against the FEM solution.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FieldComparison {
     /// ω of the compared sample.
     pub omega: Vec<f64>,

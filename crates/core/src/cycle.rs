@@ -8,10 +8,8 @@
 //! every prolongation (upward) visit train to convergence under early
 //! stopping.
 
-use serde::{Deserialize, Serialize};
-
 /// The four cycle shapes of Figure 3.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CycleKind {
     /// Down to the coarsest, then straight back up.
     V,
@@ -45,7 +43,7 @@ impl CycleKind {
 }
 
 /// Epoch budget for one phase.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Budget {
     /// Train exactly this many epochs (restriction visits).
     Fixed(usize),
@@ -54,7 +52,7 @@ pub enum Budget {
 }
 
 /// One stop of a schedule.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Phase {
     /// Hierarchy level (0 = finest).
     pub level: usize,

@@ -437,8 +437,8 @@ impl SolverEngineBuilder {
     ///   engines built before this knob existed.
     /// - [`Precision::F32`]: `predict*` forwards run through the f32 SIMD
     ///   kernels ([`mgd_nn::Model::share_f32`]) with one input demotion and
-    ///   one (exact) output promotion per batch; cached predictions are
-    ///   stored at f32 (lossless, half the residency). Certified solves
+    ///   one (exact) output promotion per batch; the cache holds the served
+    ///   f64 fields (8 B per node, as under `F64`). Certified solves
     ///   precondition with the f32 V-cycle ([`mgd_fem::MixedHierarchy`]);
     ///   the outer PCG, the coarsest-level solve, and every residual
     ///   certificate remain f64, so certified tolerances (down to ~1e-10
@@ -976,8 +976,14 @@ impl SolverEngine {
     /// Loads weights saved by [`Self::save_weights`] into the engine's
     /// model (which must be structurally identical), then publishes a fresh
     /// snapshot (with an empty prediction cache) carrying the new weights.
+    /// A file that cannot be read is [`MgdError::Io`]; a malformed file or
+    /// one that does not fit the model is [`MgdError::Checkpoint`], and the
+    /// engine keeps serving its previous weights after a malformed file.
     pub fn load_weights<P: AsRef<std::path::Path>>(&mut self, path: P) -> MgdResult<()> {
-        let snap = WeightSnapshot::load(path)?;
+        let snap = WeightSnapshot::load(path).map_err(|e| match e.kind() {
+            std::io::ErrorKind::InvalidData => MgdError::Checkpoint(e.to_string()),
+            _ => MgdError::Io(e),
+        })?;
         snap.restore(&mut self.model)
             .map_err(MgdError::Checkpoint)?;
         self.dirty.store(false, Ordering::Release);
@@ -1648,6 +1654,29 @@ mod tests {
     }
 
     #[test]
+    fn f32_cache_hit_is_bitwise_the_miss() {
+        // The cache holds the served field, boundary values included: 0.1
+        // is not an f32, so a hit rounded through f32 would differ on every
+        // boundary node.
+        let engine = small_builder()
+            .precision(Precision::F32)
+            .boundary(BoundarySpec::AllFaces { value: 0.1 })
+            .build()
+            .unwrap();
+        let nu = engine.dataset().nu_field(1, &[16, 16]);
+        let miss = engine.predict(&nu).unwrap();
+        let hit = engine.predict(&nu).unwrap();
+        assert_eq!(engine.stats().cache_hits, 1);
+        assert_eq!(miss.at(&[0, 0]), 0.1);
+        let pairs = hit.as_slice().iter().zip(miss.as_slice());
+        let differing = pairs.filter(|(h, m)| h.to_bits() != m.to_bits()).count();
+        assert_eq!(
+            differing, 0,
+            "{differing} nodes differ between the hit and the miss"
+        );
+    }
+
+    #[test]
     fn f64_precision_keeps_pool_counters_live_too() {
         let engine = small_builder().build().unwrap();
         let nu = engine.dataset().nu_field(0, &[16, 16]);
@@ -1887,6 +1916,26 @@ mod tests {
         assert_ne!(fp0, fp1);
         assert_ne!(fp0, fp2);
         assert_ne!(fp1, fp2);
+    }
+
+    #[test]
+    fn malformed_weight_file_is_a_checkpoint_error() {
+        // A tensor entry with the model's shape but one value short must be
+        // rejected by the reader, not panic in the copy into the model.
+        let mut engine = small_builder().build().unwrap();
+        let dir = std::env::temp_dir().join("mgd_engine_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("malformed_weights.json");
+        engine.save_weights(&path).unwrap();
+        let mut snap = WeightSnapshot::load(&path).unwrap();
+        snap.tensors[0].1.pop();
+        snap.save(&path).unwrap();
+        let err = engine.load_weights(&path).unwrap_err();
+        assert!(
+            matches!(err, MgdError::Checkpoint(ref m) if m.contains("tensor 0")),
+            "{err}"
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -142,8 +142,8 @@ pub use mgd_fem::{BoundarySpec, PdeOperator};
 pub use mgd_field::Anisotropy;
 pub use mgd_tensor::Precision;
 pub use serve::{
-    CacheKey, CacheShardStats, CachedField, EngineSnapshot, InferenceRequest, PredictionCache,
-    ServeOptions, SharedServeStats, SnapshotCell,
+    CacheKey, CacheShardStats, EngineSnapshot, InferenceRequest, PredictionCache, ServeOptions,
+    SharedServeStats, SnapshotCell,
 };
 pub use stopper::EarlyStopping;
 pub use trainer::{EpochStats, TrainConfig, TrainLog, Trainer};

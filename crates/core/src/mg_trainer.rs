@@ -13,10 +13,9 @@ use crate::trainer::{TrainConfig, Trainer};
 use mgd_dist::Comm;
 use mgd_field::Dataset;
 use mgd_nn::{Model, Optimizer};
-use serde::{Deserialize, Serialize};
 
 /// Multigrid schedule configuration.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct MgConfig {
     /// Which cycle to run.
     pub cycle: CycleKind,
@@ -45,7 +44,7 @@ impl Default for MgConfig {
 }
 
 /// Record of one schedule phase.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PhaseLog {
     /// Hierarchy level (0 = finest).
     pub level: usize,
@@ -64,7 +63,7 @@ pub struct PhaseLog {
 }
 
 /// Record of a full multigrid run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MgRunLog {
     /// The cycle that ran.
     pub cycle: CycleKind,

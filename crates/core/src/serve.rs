@@ -21,7 +21,9 @@
 //!   they finish — hot-swap never blocks or torments a reader.
 //! - [`PredictionCache`] — N independent LRU shards selected by a
 //!   deterministic hash of the [`CacheKey`], so concurrent cache probes
-//!   stop serializing on one lock. Per-shard hit/miss/eviction counters
+//!   stop serializing on one lock. It holds the served f64 fields at
+//!   either precision (8 B per node), so a hit is an `Arc` clone of the
+//!   miss's answer, bit for bit. Per-shard hit/miss/eviction counters
 //!   feed honest hit-rate reporting.
 //! - [`InferenceRequest`] — the typed request surface: a raw coefficient
 //!   field ([`InferenceRequest::Coeff`]) or a parameter vector
@@ -311,44 +313,11 @@ pub struct CacheShardStats {
     pub capacity: usize,
 }
 
-/// A cached prediction, stored at the precision the snapshot serves at.
-///
-/// Under [`Precision::F64`] entries are the f64 outputs themselves (shared,
-/// never copied). Under [`Precision::F32`] the forward pass ran in f32, so
-/// the f64 output is exactly representable in f32 (boundary values 0/1
-/// included) — storing the f32 image halves cache residency at megavoxel
-/// resolutions with **zero** rounding loss. Promotion back to f64
-/// allocates on hit, which is still far cheaper than a forward pass.
-#[derive(Clone, Debug)]
-pub enum CachedField {
-    /// Full-precision entry (the `Precision::F64` serving path).
-    F64(Arc<Tensor>),
-    /// Half-residency entry (the `Precision::F32` serving path).
-    F32(Arc<Tensor<f32>>),
-}
-
-impl CachedField {
-    /// The cached prediction as an f64 tensor (shared for `F64` entries,
-    /// promoted — one allocation — for `F32` entries).
-    pub fn to_f64(&self) -> Arc<Tensor> {
-        match self {
-            CachedField::F64(t) => Arc::clone(t),
-            CachedField::F32(t) => Arc::new(t.cast::<f64>()),
-        }
-    }
-}
-
-impl From<Arc<Tensor>> for CachedField {
-    fn from(t: Arc<Tensor>) -> Self {
-        CachedField::F64(t)
-    }
-}
-
 /// One ordered-LRU shard core (exclusive behind its shard mutex).
 ///
 /// `by_stamp` keeps keys sorted by their last-use clock stamp, so eviction
-/// pops the least recently used entry in O(log n). Outputs are stored and
-/// returned as [`CachedField`]s holding `Arc`s — a hit hands out a
+/// pops the least recently used entry in O(log n). Outputs are the served
+/// f64 fields, stored and returned as `Arc`s — a hit hands out a
 /// reference-counted pointer instead of deep-cloning the tensor, which at
 /// megavoxel resolutions used to copy ~57 MB per hit on the serving hot
 /// path.
@@ -362,7 +331,7 @@ struct LruCore {
 }
 
 struct CacheSlot {
-    out: CachedField,
+    out: Arc<Tensor>,
     stamp: u64,
 }
 
@@ -376,13 +345,13 @@ impl LruCore {
         }
     }
 
-    fn get(&mut self, key: &CacheKey) -> Option<CachedField> {
+    fn get(&mut self, key: &CacheKey) -> Option<Arc<Tensor>> {
         self.clock += 1;
         let clock = self.clock;
         let (key_arc, slot) = self.entries.get_key_value(key)?;
         let old = slot.stamp;
         let key_arc = Arc::clone(key_arc);
-        let out = slot.out.clone();
+        let out = Arc::clone(&slot.out);
         self.by_stamp.remove(&old);
         self.by_stamp.insert(clock, Arc::clone(&key_arc));
         self.entries.get_mut(&key_arc).expect("slot exists").stamp = clock;
@@ -391,7 +360,7 @@ impl LruCore {
 
     /// Inserts (or refreshes) an entry; returns whether an eviction
     /// happened.
-    fn insert(&mut self, key: Arc<CacheKey>, value: CachedField) -> bool {
+    fn insert(&mut self, key: Arc<CacheKey>, value: Arc<Tensor>) -> bool {
         if self.capacity == 0 {
             return false;
         }
@@ -440,7 +409,8 @@ struct CacheShard {
 }
 
 /// The serving-side prediction cache: N independent ordered-LRU shards
-/// selected by [`CacheKey::shard`].
+/// selected by [`CacheKey::shard`], holding the served f64 fields (with
+/// boundary values imposed) at either [`Precision`].
 ///
 /// A single-mutex cache serializes every concurrent `predict` on one lock;
 /// sharding spreads unrelated keys over independent locks, so probes only
@@ -493,7 +463,7 @@ impl PredictionCache {
 
     /// Looks up a key, refreshing its LRU position and counting the
     /// hit/miss on both the shard and the shared stats.
-    pub fn get(&self, key: &CacheKey) -> Option<CachedField> {
+    pub fn get(&self, key: &CacheKey) -> Option<Arc<Tensor>> {
         let shard = self.shard_of(key);
         let out = shard.lru.lock().expect("cache shard poisoned").get(key);
         match &out {
@@ -511,9 +481,8 @@ impl PredictionCache {
 
     /// Inserts (or refreshes) an entry, counting any eviction it causes.
     /// The cache shares `key`, so a caller keeping it pays no copy.
-    pub fn insert(&self, key: impl Into<Arc<CacheKey>>, value: impl Into<CachedField>) {
+    pub fn insert(&self, key: impl Into<Arc<CacheKey>>, value: Arc<Tensor>) {
         let key = key.into();
-        let value = value.into();
         let shard = self.shard_of(&key);
         let evicted = shard
             .lru
@@ -1104,7 +1073,7 @@ impl EngineSnapshot {
         let mut miss_idx: Vec<usize> = Vec::new();
         for (i, key) in keys.iter().enumerate() {
             match self.cache.get(key) {
-                Some(hit) => outputs.push(Some(hit.to_f64())),
+                Some(hit) => outputs.push(Some(hit)),
                 None => {
                     outputs.push(None);
                     miss_idx.push(i);
@@ -1152,13 +1121,7 @@ impl EngineSnapshot {
                 })
                 .collect();
             for (field, &i) in solved.iter().zip(&unique) {
-                let value = match self.cfg.precision {
-                    Precision::F64 => CachedField::F64(Arc::clone(field)),
-                    // The output came through an f32 forward, so the f32
-                    // image is lossless and halves the entry's residency.
-                    Precision::F32 => CachedField::F32(Arc::new(field.cast::<f32>())),
-                };
-                self.cache.insert(Arc::clone(&keys[i]), value);
+                self.cache.insert(Arc::clone(&keys[i]), Arc::clone(field));
             }
             // Fill every miss (including intra-batch duplicates) from the
             // solved set, not the cache — caching may be disabled.
@@ -1429,7 +1392,7 @@ mod tests {
         assert_eq!(lens, [0, 0, 0, 2], "both keys in shard 7 % 4, apart");
         for (key, v) in [(a, 1.0), (b, 2.0)] {
             let hit = cache.get(&key).expect("each twin keeps its entry");
-            assert_eq!(hit.to_f64().as_slice(), &[v; 4]);
+            assert_eq!(hit.as_slice(), &[v; 4]);
         }
     }
 

@@ -18,13 +18,12 @@ use mgd_dist::{average_gradients, broadcast_params, global_minibatches, local_mi
 use mgd_field::Dataset;
 use mgd_nn::param::{flatten_grads, flatten_params, unflatten_grads, unflatten_params};
 use mgd_nn::{Model, Optimizer};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Trainer hyper-parameters (paper §4.1: Adam, lr 1e-5, global batch 64 for
 /// the 2D studies — our scaled defaults use a larger lr and smaller batch
 /// so the scaled-down experiments converge in CI-friendly time).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TrainConfig {
     /// Global mini-batch size (split evenly across workers).
     pub batch_size: usize,
@@ -70,7 +69,7 @@ impl TrainConfig {
 }
 
 /// Per-epoch record.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct EpochStats {
     /// Epoch index (within the phase).
     pub epoch: u64,
@@ -83,7 +82,7 @@ pub struct EpochStats {
 }
 
 /// A phase/run record.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct TrainLog {
     /// Per-epoch statistics.
     pub epochs: Vec<EpochStats>,

@@ -21,10 +21,9 @@
 //! `[T_xx, T_yy, T_zz, T_xy, T_xz, T_yz]`.
 
 use crate::dataset::FieldError;
-use serde::{Deserialize, Serialize};
 
 /// Anisotropy parameters applied on top of a scalar diffusivity model.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Anisotropy {
     /// Strong-to-weak principal-diffusivity ratio (≥ 1; 1 = isotropic).
     pub ratio: f64,

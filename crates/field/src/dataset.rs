@@ -13,7 +13,6 @@ use mgd_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Typed failures of the data layer (rasterization, batching, sampling).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -129,7 +128,7 @@ pub fn stack_fields_with(fields: &[Tensor], spatial_rank: usize) -> Result<Tenso
 }
 
 /// What the network sees as its input channel.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InputEncoding {
     /// `log ν` — the bounded KL-expansion field (default).
     LogNu,
@@ -179,7 +178,7 @@ impl InputEncoding {
 }
 
 /// A set of PDE-parameter samples with on-demand rasterization.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Dataset {
     /// The parameter vectors ω.
     pub omegas: Vec<Vec<f64>>,
@@ -188,9 +187,7 @@ pub struct Dataset {
     /// Input encoding for network consumption.
     pub encoding: InputEncoding,
     /// Optional anisotropy: when set, coefficient fields are symmetric
-    /// tensors derived from the scalar KL field (absent in serialized
-    /// datasets from before the operator zoo — defaults to `None`).
-    #[serde(default)]
+    /// tensors derived from the scalar KL field.
     pub aniso: Option<Anisotropy>,
 }
 
@@ -522,26 +519,6 @@ mod tests {
         for i in 0..nu.len() {
             assert!((inp.as_slice()[i] - nu.as_slice()[i].asinh()).abs() < 1e-15);
         }
-    }
-
-    #[test]
-    fn serde_roundtrip_defaults_aniso_to_none() {
-        let d = ds(2);
-        let json = serde_json::to_string(&d).unwrap();
-        // A pre-operator-zoo dataset has no `aniso` key; deserializing one
-        // must still work (backward compatibility).
-        assert!(json.contains("\"aniso\""));
-        let stripped = json
-            .replace(",\"aniso\":null", "")
-            .replace("\"aniso\":null,", "");
-        let back: Dataset = serde_json::from_str(&stripped).unwrap();
-        assert!(back.aniso.is_none());
-        let with = d
-            .with_anisotropy(Anisotropy::new(5.0, 1.2).unwrap())
-            .unwrap();
-        let json2 = serde_json::to_string(&with).unwrap();
-        let back2: Dataset = serde_json::from_str(&json2).unwrap();
-        assert_eq!(back2.aniso, with.aniso);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 
 use mgd_tensor::par::maybe_par_rows;
 use mgd_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// The paper's four KL-style modes `a = (1.72, 4.05, 6.85, 9.82)`.
 pub const PAPER_MODES: [f64; 4] = [1.72, 4.05, 6.85, 9.82];
@@ -21,7 +20,7 @@ pub const PAPER_MODES: [f64; 4] = [1.72, 4.05, 6.85, 9.82];
 pub const OMEGA_RANGE: (f64, f64) = (-3.0, 3.0);
 
 /// How Eq. 10 (written for (x, y)) extends to 3D domains.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ThreeDMode {
     /// `ν(x,y,z) = exp(Σ ωᵢλᵢ ξᵢ(x) ηᵢ(y))` — the 2D field extruded along z
     /// (the most literal reading of "as described by Equation 10").
@@ -34,7 +33,7 @@ pub enum ThreeDMode {
 }
 
 /// Evaluator/rasterizer for the parametric diffusivity ν(x; ω).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DiffusivityModel {
     /// Mode frequencies aᵢ.
     pub a: Vec<f64>,

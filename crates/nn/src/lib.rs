@@ -36,7 +36,8 @@
 //!   bitwise identically to the exclusive `forward(x, false)` path;
 //! - [`gradcheck`] — the finite-difference harness every layer is verified
 //!   against;
-//! - [`io`] — serde-based weight snapshots ([`WeightSnapshot`]).
+//! - [`io`] — weight snapshots ([`WeightSnapshot`]) as hand-written JSON:
+//!   one writer (`save`) and one reader (`load`).
 //!
 //! All activations are NCDHW `(batch, channel, depth, height, width)`
 //! [`mgd_tensor::Tensor`]s in `f64`.

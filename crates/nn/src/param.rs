@@ -2,7 +2,6 @@
 
 use mgd_tensor::{Element, Shape, Tensor};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A learnable tensor paired with its gradient accumulator.
 ///
@@ -15,28 +14,6 @@ pub struct Param<E: Element = f64> {
     pub data: Tensor<E>,
     /// Accumulated gradient (same shape as `data`).
     pub grad: Tensor<E>,
-}
-
-impl<E: Element> Serialize for Param<E> {
-    fn serialize_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            (String::from("data"), self.data.serialize_value()),
-            (String::from("grad"), self.grad.serialize_value()),
-        ])
-    }
-}
-
-impl<E: Element> Deserialize for Param<E> {
-    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| serde::Error::msg(format!("missing field `{name}` in Param")))
-        };
-        Ok(Param {
-            data: Tensor::deserialize_value(field("data")?)?,
-            grad: Tensor::deserialize_value(field("grad")?)?,
-        })
-    }
 }
 
 impl<E: Element> Param<E> {

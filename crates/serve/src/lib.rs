@@ -5,8 +5,9 @@
 //! that snapshot into a service:
 //!
 //! [`queue::ServeQueue`], an admission-controlled request queue whose
-//! worker threads answer each request through a [`Ticket`]. A free worker
-//! dispatches at once whatever is waiting, up to `max_batch`, as one
+//! worker threads answer each request through a [`Ticket`]: `Ticket` for a
+//! prediction, `Ticket<CertifiedSolution>` for a certified solve. A free
+//! worker dispatches at once whatever is waiting, up to `max_batch`, as one
 //! micro-batch: requests that arrive while the workers are busy share the
 //! next forward, and a request reaching an idle queue never waits for
 //! company. Its latency and goodput under open-loop load are measured by
@@ -55,7 +56,7 @@
 
 pub mod queue;
 
-pub use queue::{CertifiedTicket, ServeQueue, ServeQueueStats, Ticket};
+pub use queue::{ServeQueue, ServeQueueStats, Ticket};
 
 // The snapshot types live in the engine crate (the builder constructs
 // them); re-export the serving surface so `mgd_serve` is self-sufficient.

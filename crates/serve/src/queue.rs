@@ -14,10 +14,12 @@
 //! Admission control is strict: at most `queue_depth` requests wait at any
 //! time, and the `queue_depth + 1`-th submitter gets a typed
 //! [`MgdError::QueueFull`] *immediately* instead of an unbounded latency
-//! tail. Results are delivered through [`Ticket`]s, so submission never
-//! blocks on inference. A forward that panics answers its request with a
-//! typed [`MgdError::ForwardPanicked`]; the worker keeps serving, and
-//! healthy requests of the same batch still get their answers.
+//! tail. Results are delivered through one ticket type, [`Ticket<T>`]
+//! (`T = Arc<Tensor>` for predictions, [`CertifiedSolution`] for certified
+//! solves), so submission never blocks on inference. A forward that panics
+//! answers its request with a typed [`MgdError::ForwardPanicked`]; the
+//! worker keeps serving, and healthy requests of the same batch still get
+//! their answers.
 //!
 //! The queue holds an [`Arc<SnapshotCell>`], not an engine: it loads the
 //! *currently published* snapshot per batch, so a retrain hot-swap
@@ -38,24 +40,19 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// A queued request waiting for its batch.
-struct Pending {
+/// A queued request and the channel its [`Ticket`] waits on: `T` is a
+/// prediction's `Arc<Tensor>` or a certified solve's [`CertifiedSolution`].
+struct Pending<T> {
     req: InferenceRequest,
-    tx: mpsc::SyncSender<(MgdResult<Arc<Tensor>>, Instant)>,
-}
-
-/// A queued certified-solve request (see [`ServeQueue::submit_certified`]).
-struct CertifiedPending {
-    req: InferenceRequest,
-    tx: mpsc::SyncSender<(MgdResult<CertifiedSolution>, Instant)>,
+    tx: mpsc::SyncSender<(MgdResult<T>, Instant)>,
 }
 
 /// One unit of queued work. Predictions coalesce into micro-batches;
 /// certified solves are iterative FEM jobs with no batching win, so each
 /// dispatches as its own unit.
 enum Job {
-    Predict(Pending),
-    Certified(CertifiedPending),
+    Predict(Pending<Arc<Tensor>>),
+    Certified(Pending<CertifiedSolution>),
 }
 
 struct QueueState {
@@ -99,18 +96,20 @@ struct Shared {
     counters: Counters,
 }
 
-/// A claim on one submitted request's future result.
+/// A claim on one submitted request's future result: `Ticket` (the
+/// default `T = Arc<Tensor>`) from [`ServeQueue::submit`], and
+/// `Ticket<CertifiedSolution>` from [`ServeQueue::submit_certified`].
 ///
 /// Dropping the ticket abandons the result (the request is still served —
 /// its output is simply discarded).
 #[derive(Debug)]
-pub struct Ticket {
-    rx: mpsc::Receiver<(MgdResult<Arc<Tensor>>, Instant)>,
+pub struct Ticket<T = Arc<Tensor>> {
+    rx: mpsc::Receiver<(MgdResult<T>, Instant)>,
 }
 
-impl Ticket {
+impl<T> Ticket<T> {
     /// Blocks until the request is answered.
-    pub fn wait(self) -> MgdResult<Arc<Tensor>> {
+    pub fn wait(self) -> MgdResult<T> {
         self.wait_timed().0
     }
 
@@ -118,34 +117,11 @@ impl Ticket {
     /// worker completed it — measured at the server, so open-loop load
     /// harnesses can compute true per-request latency even when they
     /// collect tickets out of completion order.
-    pub fn wait_timed(self) -> (MgdResult<Arc<Tensor>>, Instant) {
+    pub fn wait_timed(self) -> (MgdResult<T>, Instant) {
         match self.rx.recv() {
             Ok(out) => out,
             // The worker dropped the sender without answering: the queue
             // was torn down around this request.
-            Err(_) => (Err(MgdError::ServeShutdown), Instant::now()),
-        }
-    }
-}
-
-/// A claim on one submitted certified-solve request's future
-/// [`CertifiedSolution`]. Dropping the ticket abandons the result.
-#[derive(Debug)]
-pub struct CertifiedTicket {
-    rx: mpsc::Receiver<(MgdResult<CertifiedSolution>, Instant)>,
-}
-
-impl CertifiedTicket {
-    /// Blocks until the certified solve finishes.
-    pub fn wait(self) -> MgdResult<CertifiedSolution> {
-        self.wait_timed().0
-    }
-
-    /// Blocks until the solve finishes, also returning the server-side
-    /// completion instant.
-    pub fn wait_timed(self) -> (MgdResult<CertifiedSolution>, Instant) {
-        match self.rx.recv() {
-            Ok(out) => out,
             Err(_) => (Err(MgdError::ServeShutdown), Instant::now()),
         }
     }
@@ -240,28 +216,7 @@ impl ServeQueue {
     /// request is queued and the returned [`Ticket`] resolves to its
     /// result.
     pub fn submit(&self, req: InferenceRequest) -> MgdResult<Ticket> {
-        let mut st = self.shared.state.lock().expect("queue poisoned");
-        if st.shutdown {
-            return Err(MgdError::ServeShutdown);
-        }
-        if st.queue.len() >= self.shared.opts.queue_depth {
-            self.shared
-                .counters
-                .rejected
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(MgdError::QueueFull {
-                depth: self.shared.opts.queue_depth,
-            });
-        }
-        let (tx, rx) = mpsc::sync_channel(1);
-        st.queue.push_back(Job::Predict(Pending { req, tx }));
-        self.shared
-            .counters
-            .submitted
-            .fetch_add(1, Ordering::Relaxed);
-        drop(st);
-        self.shared.cv.notify_one();
-        Ok(Ticket { rx })
+        self.admit(req, Job::Predict)
     }
 
     /// Submits a **certified-solve** request: instead of one network
@@ -273,7 +228,14 @@ impl ServeQueue {
     /// queue's admission control with predictions but dispatch one per
     /// worker (an iterative solve gains nothing from micro-batching, and
     /// batching behind one would wreck prediction latency).
-    pub fn submit_certified(&self, req: InferenceRequest) -> MgdResult<CertifiedTicket> {
+    pub fn submit_certified(&self, req: InferenceRequest) -> MgdResult<Ticket<CertifiedSolution>> {
+        self.admit(req, Job::Certified)
+    }
+
+    /// Admission control shared by both submit paths: rejects after
+    /// shutdown or at `queue_depth`, else queues `job(req)` and wakes a
+    /// worker.
+    fn admit<T>(&self, req: InferenceRequest, job: fn(Pending<T>) -> Job) -> MgdResult<Ticket<T>> {
         let mut st = self.shared.state.lock().expect("queue poisoned");
         if st.shutdown {
             return Err(MgdError::ServeShutdown);
@@ -288,15 +250,14 @@ impl ServeQueue {
             });
         }
         let (tx, rx) = mpsc::sync_channel(1);
-        st.queue
-            .push_back(Job::Certified(CertifiedPending { req, tx }));
+        st.queue.push_back(job(Pending { req, tx }));
         self.shared
             .counters
             .submitted
             .fetch_add(1, Ordering::Relaxed);
         drop(st);
         self.shared.cv.notify_one();
-        Ok(CertifiedTicket { rx })
+        Ok(Ticket { rx })
     }
 
     /// Submits and blocks for the result (convenience for callers that
@@ -396,7 +357,7 @@ fn worker_loop(shared: &Shared) {
 fn run_certified(
     shared: &Shared,
     st: std::sync::MutexGuard<'_, QueueState>,
-    job: CertifiedPending,
+    job: Pending<CertifiedSolution>,
 ) {
     drop(st);
     let snap = shared.cell.load();
@@ -424,7 +385,11 @@ fn guarded<T>(call: impl FnOnce() -> MgdResult<T>) -> MgdResult<T> {
 /// `max_batch`) and dispatches them at once, lock released during
 /// inference. Only predictions coalesce; a certified job at the queue head
 /// ends collection so the next worker pass claims it whole.
-fn collect_batch(shared: &Shared, mut st: std::sync::MutexGuard<'_, QueueState>, seed: Pending) {
+fn collect_batch(
+    shared: &Shared,
+    mut st: std::sync::MutexGuard<'_, QueueState>,
+    seed: Pending<Arc<Tensor>>,
+) {
     let mut batch = vec![seed];
     while batch.len() < shared.opts.max_batch {
         match st.queue.pop_front() {

@@ -24,7 +24,6 @@
 //! lanes per vector register, so its 8-row tile is twice as wide.
 
 use crate::microkernel;
-use serde::{Deserialize, Serialize};
 use std::fmt::{Debug, Display};
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
@@ -42,13 +41,13 @@ pub const F64_DIV_GUARD: f64 = 1e-300;
 /// - [`Precision::F64`] — every path runs in `f64`, bitwise identical to
 ///   the pre-refactor code. The default.
 /// - [`Precision::F32`] — *serving* forward passes run single precision
-///   (f32 weights, activations and cached predictions: half the memory
-///   traffic, twice the SIMD lanes), and certified solves precondition
+///   (f32 weights and activations: half the memory traffic, twice the
+///   SIMD lanes), and certified solves precondition
 ///   with the f32 multigrid V-cycle: smoothing, residuals and transfers in
 ///   `f32`, outer PCG / coarsest solve / certification in `f64` (iterative
 ///   refinement). Training and every residual certificate stay `f64`, so
 ///   `certify_tol` down to ~1e-12 remains reachable.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Precision {
     /// Full double precision everywhere (the reference behavior).
     #[default]
@@ -92,8 +91,6 @@ pub trait Element:
     + SubAssign
     + MulAssign
     + DivAssign
-    + Serialize
-    + Deserialize
 {
     /// Additive identity.
     const ZERO: Self;

@@ -1,9 +1,7 @@
 //! Shape bookkeeping for row-major tensors.
 
-use serde::{Deserialize, Serialize};
-
 /// The extent of a tensor along each axis, row-major (last axis fastest).
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Shape(pub Vec<usize>);
 
 impl Shape {

@@ -4,7 +4,6 @@ use crate::element::Element;
 use crate::par::maybe_par_map_inplace;
 use crate::Shape;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A dense, contiguous, row-major tensor of [`Element`]s (default `f64`).
 ///
@@ -20,36 +19,6 @@ use serde::{Deserialize, Serialize};
 pub struct Tensor<E: Element = f64> {
     shape: Shape,
     data: Vec<E>,
-}
-
-// Written by hand (the derive shim rejects generic types) to produce the
-// exact `{"shape": ..., "data": [...]}` object layout the previous derived
-// impl emitted, so existing weight files keep loading.
-impl<E: Element> Serialize for Tensor<E> {
-    fn serialize_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            (String::from("shape"), self.shape.serialize_value()),
-            (String::from("data"), self.data.serialize_value()),
-        ])
-    }
-}
-
-impl<E: Element> Deserialize for Tensor<E> {
-    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| serde::Error::msg(format!("missing field `{name}` in Tensor")))
-        };
-        let shape = Shape::deserialize_value(field("shape")?)?;
-        let data = Vec::<E>::deserialize_value(field("data")?)?;
-        if shape.len() != data.len() {
-            return Err(serde::Error::msg(format!(
-                "Tensor shape {shape} does not match data length {}",
-                data.len()
-            )));
-        }
-        Ok(Tensor { shape, data })
-    }
 }
 
 impl<E: Element> Tensor<E> {
@@ -304,39 +273,5 @@ mod tests {
         let back: Tensor<f64> = small.cast();
         assert_eq!(t, back);
         assert_eq!(small.shape(), t.shape());
-    }
-
-    #[test]
-    fn serde_layout_matches_derived_shape() {
-        let t = Tensor::from_vec([2, 2], vec![1.0, 2.0, 3.0, 4.0]);
-        let v = t.serialize_value();
-        assert!(v.get("shape").is_some());
-        assert_eq!(
-            v.get("data").and_then(|d| d.as_array()).map(|a| a.len()),
-            Some(4)
-        );
-        let back = Tensor::<f64>::deserialize_value(&v).unwrap();
-        assert_eq!(back, t);
-        // And an f32 tensor round-trips through the same layout.
-        let s: Tensor<f32> = t.cast();
-        let sv = s.serialize_value();
-        let sback = Tensor::<f32>::deserialize_value(&sv).unwrap();
-        assert_eq!(sback, s);
-        // Cross-precision load: an f64-written tensor loads as f32.
-        let widened = Tensor::<f32>::deserialize_value(&v).unwrap();
-        assert_eq!(widened, s);
-    }
-
-    #[test]
-    fn serde_rejects_mismatched_lengths() {
-        use serde::Value;
-        let v = Value::Map(vec![
-            (
-                String::from("shape"),
-                Value::Seq(vec![Value::U64(2), Value::U64(2)]),
-            ),
-            (String::from("data"), Value::Seq(vec![Value::F64(1.0)])),
-        ]);
-        assert!(Tensor::<f64>::deserialize_value(&v).is_err());
     }
 }

@@ -1,19 +1,15 @@
 //! Offline stand-in for [serde](https://crates.io/crates/serde).
 //!
-//! The MGDiffNet workspace uses serde exclusively through
-//! `#[derive(Serialize, Deserialize)]` plus `serde_json::{to_string,
-//! from_str}`, so this shim replaces serde's zero-copy visitor architecture
-//! with a simple tree model: [`Serialize`] renders a value into a
-//! [`value::Value`] and [`Deserialize`] rebuilds the value from one. The
-//! derive macros live in the sibling `serde_derive` shim and follow serde's
-//! JSON data conventions (structs as maps, unit enum variants as strings,
-//! newtype variants as single-key maps, `#[serde(default)]` honored), so
-//! files written by this shim stay readable by the real crates and vice
-//! versa for the types this workspace defines.
+//! The MGDiffNet workspace uses serde only through `serde_json`
+//! (`json!`, `Value`, `to_string`, `from_str`, `from_value`), so this shim
+//! replaces serde's zero-copy visitor architecture with a simple tree
+//! model: [`Serialize`] renders a value into a [`value::Value`] and
+//! [`Deserialize`] rebuilds the value from one, following serde's JSON data
+//! conventions for the primitives and containers implemented here. There
+//! is no derive macro: no workspace type derives either trait.
 
 pub mod value;
 
-pub use serde_derive::{Deserialize, Serialize};
 pub use value::Value;
 
 /// Rendering into the [`Value`] tree (the shim's analogue of

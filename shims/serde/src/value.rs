@@ -113,6 +113,19 @@ impl Value {
             _ => None,
         }
     }
+
+    /// Mutable object lookup by key (`None` when absent or not an object).
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut Value> {
+        match self {
+            Value::Map(entries) => entries.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// Moves the value out, leaving `Null` in its place.
+    pub fn take(&mut self) -> Value {
+        std::mem::replace(self, Value::Null)
+    }
 }
 
 /// `value["key"]` — panics match `serde_json`'s behavior loosely by

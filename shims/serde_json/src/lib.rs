@@ -3,9 +3,9 @@
 //! JSON writer/parser over the tree model of the sibling `serde` shim:
 //! [`to_string`] / [`to_string_pretty`] render any `Serialize` type,
 //! [`from_str`] parses into any `Deserialize` type (including [`Value`] for
-//! dynamic access), and [`json!`] builds `Value` literals. Floats are
-//! printed with Rust's shortest-roundtrip formatting, so `f64` values
-//! survive a write/read cycle bit-for-bit.
+//! dynamic access), [`from_value`] converts a parsed `Value`, and [`json!`]
+//! builds `Value` literals. Floats are printed with Rust's shortest-roundtrip
+//! formatting, so `f64` values survive a write/read cycle bit-for-bit.
 
 pub use serde::value::Value;
 pub use serde::Error;
@@ -50,6 +50,11 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
         )));
     }
     T::deserialize_value(&v)
+}
+
+/// Rebuilds any deserializable type from a parsed [`Value`].
+pub fn from_value<T: Deserialize>(value: Value) -> Result<T> {
+    T::deserialize_value(&value)
 }
 
 /// Builds a [`Value`] from a JSON-shaped literal.
