@@ -19,8 +19,8 @@
 use crate::error::{MgdError, MgdResult};
 use mgd_fem::pcg::{self, Precond};
 use mgd_fem::{
-    resample, BoundarySpec, CgOptions, CgStats, Dirichlet, ElementBasis, Grid, HierarchyOptions,
-    PdeOperator,
+    load_vector, resample, BoundarySpec, CgOptions, CgStats, Dirichlet, ElementBasis, Grid,
+    HierarchyOptions, PdeOperator,
 };
 use mgd_hybrid::{ErasedHierarchy, ErasedSystem};
 use mgd_tensor::par::maybe_par_map_collect;
@@ -118,6 +118,18 @@ fn on_grid<const D: usize>(field: &Tensor, grid: &Grid<D>) -> Vec<f64> {
     }
 }
 
+/// A forcing field on `grid`'s nodes ([`on_grid`]) and its load vector.
+fn forced<const D: usize>(
+    field: &Tensor,
+    grid: &Grid<D>,
+    basis: &ElementBasis<D>,
+) -> (Vec<f64>, Vec<f64>) {
+    let f = on_grid(field, grid);
+    let mut load = vec![0.0; grid.num_nodes()];
+    load_vector(grid, basis, &f, &mut load);
+    (f, load)
+}
+
 /// FEM energy loss bound to one grid resolution and one [`LossSpec`].
 pub struct FemLoss {
     geom: Geom,
@@ -125,6 +137,9 @@ pub struct FemLoss {
     boundary: BoundarySpec,
     bc: Dirichlet,
     forcing: Option<Vec<f64>>,
+    /// The forcing's load vector `F = ∫ f φ`, built once with the loss: the
+    /// gradient's `−F` term and [`Self::system`]'s right-hand side.
+    load: Option<Vec<f64>>,
     /// [`LossSpec::fingerprint`] of the spec this loss was built from —
     /// the physics tag serving caches fold into every key.
     fp: u64,
@@ -188,16 +203,24 @@ impl FemLoss {
             }
         }
         let forcing = spec.forcing.as_ref();
-        let (bc, forcing) = match &geom {
-            Geom::D2 { grid, .. } => (spec.boundary.build(grid), forcing.map(|f| on_grid(f, grid))),
-            Geom::D3 { grid, .. } => (spec.boundary.build(grid), forcing.map(|f| on_grid(f, grid))),
+        let (bc, forced) = match &geom {
+            Geom::D2 { grid, basis } => (
+                spec.boundary.build(grid),
+                forcing.map(|f| forced(f, grid, basis)),
+            ),
+            Geom::D3 { grid, basis } => (
+                spec.boundary.build(grid),
+                forcing.map(|f| forced(f, grid, basis)),
+            ),
         };
+        let (forcing, load) = forced.unzip();
         Ok(FemLoss {
             geom,
             op: spec.op,
             boundary: spec.boundary,
             bc,
             forcing,
+            load,
             fp: spec.fingerprint(),
         })
     }
@@ -265,14 +288,10 @@ impl FemLoss {
     /// gradient are masked to zero). `nu` is the operator's coefficient
     /// block (`coeff_len` values, component-major for tensor operators).
     pub fn energy_grad_single(&self, nu: &[f64], u: &[f64], grad: &mut [f64]) -> f64 {
-        let j = with_geom!(self, |grid, basis| self.op.energy_grad(
-            grid,
-            basis,
-            nu,
-            u,
-            self.forcing.as_deref(),
-            grad
-        ));
+        let forcing = self.forcing.as_deref().zip(self.load.as_deref());
+        let j = with_geom!(self, |grid, basis| self
+            .op
+            .energy_grad(grid, basis, nu, u, forcing, grad));
         self.bc.zero_fixed(grad);
         j
     }
@@ -337,8 +356,8 @@ impl FemLoss {
     pub fn system(&self, nu: &[f64]) -> MgdResult<(ErasedSystem, Vec<f64>)> {
         let dims = with_geom!(self, |grid, _basis| grid.n.to_vec());
         let sys = ErasedSystem::with_operator(&dims, self.op, nu, &self.boundary)?;
-        let rhs = match &self.forcing {
-            Some(f) => sys.load_vector(f)?,
+        let rhs = match &self.load {
+            Some(load) => load.clone(),
             None => vec![0.0; sys.num_nodes()],
         };
         Ok((sys, rhs))
@@ -614,6 +633,63 @@ mod tests {
 
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The forced batch gradient is `(K u − F) / b` bit for bit, with `F`
+    /// the forcing's load vector built apart and `K u` the unforced loss's
+    /// gradient, Dirichlet nodes zero, in 2D and 3D.
+    fn check_forced_gradient<const D: usize>(n: [usize; D]) {
+        let nn: usize = n.iter().product();
+        let ramp = |seed: usize| -> Vec<f64> {
+            (0..nn)
+                .map(|i| ((i * 29 + seed) % 17) as f64 / 7.0 - 1.1)
+                .collect()
+        };
+        let f = Tensor::from_vec(n, ramp(3));
+        let spec = LossSpec {
+            forcing: Some(f.clone()),
+            ..LossSpec::default()
+        };
+        let (forced, plain) = (
+            FemLoss::with_spec(&n, &spec).unwrap(),
+            FemLoss::new(&n).unwrap(),
+        );
+        let grid = Grid::new(n);
+        let mut load = vec![0.0; nn];
+        load_vector(&grid, &ElementBasis::new(&grid), f.as_slice(), &mut load);
+        let b = 2;
+        let mut shape = vec![b, 1];
+        shape.extend(std::iter::repeat_n(1, 3 - D).chain(n));
+        let mut u = Tensor::from_vec(shape, [ramp(5), ramp(11)].concat());
+        forced.apply_bc_batch(&mut u);
+        let nu: Vec<Tensor> = (0..b)
+            .map(|s| Tensor::from_vec([nn], ramp(s).iter().map(|v| 2.0 + v).collect()))
+            .collect();
+        let (_, grad) = forced.energy_grad_batch(&nu, &u);
+        for s in 0..b {
+            let mut ku = vec![0.0; nn];
+            plain.energy_grad_single(nu[s].as_slice(), &u.as_slice()[s * nn..][..nn], &mut ku);
+            let want: Vec<f64> = (0..nn)
+                .map(|i| {
+                    if forced.bc.fixed[i] {
+                        0.0
+                    } else {
+                        (ku[i] - load[i]) / b as f64
+                    }
+                })
+                .collect();
+            assert_eq!(
+                bits(&grad.as_slice()[s * nn..][..nn]),
+                bits(&want),
+                "{n:?} sample {s}"
+            );
+        }
+    }
+
+    #[test]
+    fn forced_gradient_is_stiffness_apply_minus_the_load() {
+        check_forced_gradient([9, 7]);
+        check_forced_gradient([5, 6, 4]);
     }
 
     #[test]

@@ -209,8 +209,9 @@ impl<'a, M: Model, O: Optimizer, C: Comm> Trainer<'a, M, O, C> {
                 });
             }
             // Through the masking, ∂J/∂y = ∂J/∂u · χ_int (grad_u is already
-            // masked), so it backpropagates directly.
-            let _ = self.net.backward(&grad_u);
+            // masked), so it backpropagates directly; nothing reads the
+            // input gradient, so none is formed.
+            self.net.backward_params(&grad_u);
             // Average gradients and the reported loss across workers.
             let mut params = self.net.params();
             if p > 1 {

@@ -242,28 +242,34 @@ pub fn energy_grad<const D: usize>(
     f: Option<&[f64]>,
     grad: &mut [f64],
 ) -> f64 {
-    energy_grad_with(grid, basis, &Scalar(nu), u, f, grad)
+    let load = f.map(|f| {
+        let mut load = vec![0.0; grid.num_nodes()];
+        load_vector(grid, basis, f, &mut load);
+        load
+    });
+    energy_grad_with(grid, basis, &Scalar(nu), u, f.zip(load.as_deref()), grad)
 }
 
-/// [`energy_grad`] for any coefficient.
+/// [`energy_grad`] for any coefficient, the forcing given as `(f, F)`: the
+/// nodal field the energy integrates and its load vector
+/// `F = load_vector(f)`, which a caller with a fixed forcing builds once.
 pub(crate) fn energy_grad_with<const D: usize, C: Coefficient<D>>(
     grid: &Grid<D>,
     basis: &ElementBasis<D>,
     coeff: &C,
     u: &[f64],
-    f: Option<&[f64]>,
+    forcing: Option<(&[f64], &[f64])>,
     grad: &mut [f64],
 ) -> f64 {
     let nn = grid.num_nodes();
     debug_assert_eq!(grad.len(), nn, "grad length");
     grad.iter_mut().for_each(|g| *g = 0.0);
-    let j = energy_with(grid, basis, coeff, u, f);
+    let j = energy_with(grid, basis, coeff, u, forcing.map(|(f, _)| f));
     apply_stiffness_with(grid, basis, coeff, u, grad);
-    if let Some(ff) = f {
-        let mut load = vec![0.0; nn];
-        load_vector(grid, basis, ff, &mut load);
-        for i in 0..nn {
-            grad[i] -= load[i];
+    if let Some((_, load)) = forcing {
+        assert_eq!(load.len(), nn, "load vector length");
+        for (g, &l) in grad.iter_mut().zip(load) {
+            *g -= l;
         }
     }
     j

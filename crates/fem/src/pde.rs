@@ -233,18 +233,20 @@ impl PdeOperator {
     }
 
     /// `J(u)` plus its exact nodal gradient `K(T)u − F` into `grad`
-    /// (zeroed first). Returns `J`.
+    /// (zeroed first). Returns `J`. The forcing comes as `(f, F)`: the
+    /// nodal field and its load vector `F = load_vector(f)`, built once by
+    /// a caller whose forcing is fixed (a loss).
     pub fn energy_grad<const D: usize>(
         &self,
         grid: &Grid<D>,
         basis: &ElementBasis<D>,
         coeff: &[f64],
         u: &[f64],
-        f: Option<&[f64]>,
+        forcing: Option<(&[f64], &[f64])>,
         grad: &mut [f64],
     ) -> f64 {
         with_coeff!(self, grid, coeff, c => {
-            operator::energy_grad_with(grid, basis, &c, u, f, grad)
+            operator::energy_grad_with(grid, basis, &c, u, forcing, grad)
         })
     }
 
@@ -317,6 +319,13 @@ impl PdeOperator {
 mod tests {
     use super::*;
 
+    /// The load vector of nodal forcing `f`.
+    fn load<const D: usize>(g: &Grid<D>, b: &ElementBasis<D>, f: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; g.num_nodes()];
+        operator::load_vector(g, b, f, &mut out);
+        out
+    }
+
     fn grid2(m: usize) -> (Grid<2>, ElementBasis<2>) {
         let g = Grid::cube(m);
         let b = ElementBasis::new(&g);
@@ -373,7 +382,7 @@ mod tests {
         );
         let mut ga = vec![0.0; nn];
         let mut gb = vec![0.0; nn];
-        op.energy_grad(&g, &b, &nu, &u, Some(&f), &mut ga);
+        op.energy_grad(&g, &b, &nu, &u, Some((&f, &load(&g, &b, &f))), &mut ga);
         operator::energy_grad(&g, &b, &nu, &u, Some(&f), &mut gb);
         assert!(ga.iter().zip(&gb).all(|(x, y)| x.to_bits() == y.to_bits()));
         let mut ka = vec![0.0; nn];
@@ -397,7 +406,7 @@ mod tests {
         let f: Vec<f64> = (0..nn).map(|i| ((i * 29 % 7) as f64) / 7.0).collect();
         let op = PdeOperator::AnisoDiffusion;
         let mut grad = vec![0.0; nn];
-        op.energy_grad(&g, &b, &t, &u, Some(&f), &mut grad);
+        op.energy_grad(&g, &b, &t, &u, Some((&f, &load(&g, &b, &f))), &mut grad);
         let eps = 1e-6;
         for i in (0..nn).step_by(3) {
             let mut up = u.clone();

@@ -2,8 +2,8 @@
 
 use mgd_fem::hierarchy::{GridHierarchy, HierarchyOptions};
 use mgd_fem::{
-    energy, energy_grad, resample, Dirichlet, ElementBasis, FemSystem, Grid, MixedHierarchy,
-    PdeOperator, Precond,
+    energy, energy_grad, load_vector, resample, Dirichlet, ElementBasis, FemSystem, Grid,
+    MixedHierarchy, PdeOperator, Precond,
 };
 use mgd_tensor::par::with_threads;
 use proptest::prelude::*;
@@ -392,6 +392,8 @@ fn energy_is_thread_count_independent() {
         let basis = ElementBasis::<D>::new(&grid);
         let nn = grid.num_nodes();
         let (u, f) = (field(nn, 11, -1.0, 1.0), field(nn, 12, -1.0, 1.0));
+        let mut load = vec![0.0; nn];
+        load_vector(&grid, &basis, &f, &mut load);
         for op in [PdeOperator::Poisson, PdeOperator::AnisoDiffusion] {
             let coeff = spd_coeff::<D>(op, nn, 13);
             let run = |threads| {
@@ -399,7 +401,8 @@ fn energy_is_thread_count_independent() {
                     let e = op.energy(&grid, &basis, &coeff, &u, Some(&f));
                     let (mut g0, mut g1) = (vec![0.0; nn], vec![0.0; nn]);
                     let j0 = op.energy_grad(&grid, &basis, &coeff, &u, None, &mut g0);
-                    let j1 = op.energy_grad(&grid, &basis, &coeff, &u, Some(&f), &mut g1);
+                    let forcing = Some((&f[..], &load[..]));
+                    let j1 = op.energy_grad(&grid, &basis, &coeff, &u, forcing, &mut g1);
                     if op == PdeOperator::Poisson {
                         assert_eq!(
                             e.to_bits(),

@@ -13,7 +13,6 @@ use mgd_fem::error::FemError;
 use mgd_fem::grid::Grid;
 use mgd_fem::hierarchy::{GridHierarchy, HierarchyOptions};
 use mgd_fem::mixed::MixedHierarchy;
-use mgd_fem::operator::load_vector;
 use mgd_fem::pcg::{JacobiPrecond, LinearOp, Precond};
 use mgd_fem::pde::PdeOperator;
 use mgd_fem::system::FemSystem;
@@ -107,24 +106,6 @@ impl ErasedSystem {
             ErasedSystem::D2(s) => s.op,
             ErasedSystem::D3(s) => s.op,
         }
-    }
-
-    /// Assembles the load vector `F` for a nodal forcing `f` (the rhs that
-    /// [`crate::solve_certified`] certifies against).
-    pub fn load_vector(&self, f: &[f64]) -> Result<Vec<f64>, HybridError> {
-        let nn = self.num_nodes();
-        if f.len() != nn {
-            return Err(HybridError::InvalidInput(format!(
-                "forcing has length {}, expected {nn}",
-                f.len()
-            )));
-        }
-        let mut rhs = vec![0.0; nn];
-        match self {
-            ErasedSystem::D2(s) => load_vector(&s.grid, &s.basis, f, &mut rhs),
-            ErasedSystem::D3(s) => load_vector(&s.grid, &s.basis, f, &mut rhs),
-        }
-        Ok(rhs)
     }
 
     /// Nodes in the system.

@@ -275,6 +275,33 @@ impl<E: GemmElement> Conv3d<E> {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// `Conv3d` input-gradient products run on this thread: lets a test see
+    /// that `backward_params` skipped one.
+    pub(crate) static DX_PRODUCTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+impl Conv3d {
+    /// The parameter half of the backward: accumulates the bias and weight
+    /// gradients of the cached forward and returns its input dims and
+    /// gather, from which the `dX` product starts.
+    fn param_grads(&mut self, grad_out: &Tensor) -> (Dims5, ConvGeom) {
+        // `take` instead of clone: backward consumes the cached activation,
+        // so the hot path never copies a full input tensor.
+        let x = self.cache_x.take().expect("backward before forward");
+        let din = Dims5::of(&x);
+        let dout = self.out_dims(&din);
+        assert_eq!(grad_out.dims(), &[dout.n, dout.c, dout.d, dout.h, dout.w]);
+        let g = grad_out.as_slice();
+        bias_grad(g, dout.n, dout.c, dout.vol(), self.bias.grad.as_mut_slice());
+        let geom = self.geom(&din, &dout);
+        let gw = self.weight.grad.as_mut_slice();
+        weight_grad(&geom, x.as_slice(), g, din.n, gw);
+        (din, geom)
+    }
+}
+
 impl Layer for Conv3d {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         if train {
@@ -291,28 +318,27 @@ impl Layer for Conv3d {
         y
     }
 
-    /// `dW += dY·P(X)ᵀ` through `lowering::weight_grad`, then `dX` as the
-    /// convolution of `dY` with the flipped, channel-transposed kernel —
-    /// one `lowering::conv_forward` per sample over the adjoint gather,
-    /// written straight into `dX`.
+    /// [`Self::backward_params`], then `dX` as the convolution of `dY`
+    /// with the flipped, channel-transposed kernel — one
+    /// `lowering::conv_forward` per sample over the adjoint gather, written
+    /// straight into `dX`.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        // `take` instead of clone: backward consumes the cached activation,
-        // so the hot path never copies a full input tensor.
-        let x = self.cache_x.take().expect("backward before forward");
-        let din = Dims5::of(&x);
-        let dout = self.out_dims(&din);
-        assert_eq!(grad_out.dims(), &[dout.n, dout.c, dout.d, dout.h, dout.w]);
-        let g = grad_out.as_slice();
-        bias_grad(g, dout.n, dout.c, dout.vol(), self.bias.grad.as_mut_slice());
-        let geom = self.geom(&din, &dout);
+        let (din, geom) = self.param_grads(grad_out);
+        #[cfg(test)]
+        DX_PRODUCTS.with(|n| n.set(n.get() + 1));
         let adj = geom.transposed(self.out_c);
-        let gw = self.weight.grad.as_mut_slice();
-        weight_grad(&geom, x.as_slice(), g, din.n, gw);
         let w = self.weight.data.as_slice();
         let pa = pack_flipped(w, self.out_c, self.in_c, geom.kvol());
         let mut gx = Tensor::zeros([din.n, din.c, din.d, din.h, din.w]);
-        conv_batch(&pa, &adj, g, None, gx.as_mut_slice());
+        conv_batch(&pa, &adj, grad_out.as_slice(), None, gx.as_mut_slice());
         gx
+    }
+
+    /// `db += Σ dY` and `dW += dY·P(X)ᵀ` through `lowering::weight_grad`
+    /// (`P(X)ᵀ` read from `X`, or from the zero-padded rows a block of
+    /// positions reaches); no `dX` product.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.param_grads(grad_out);
     }
 
     fn params(&mut self) -> Vec<&mut Param> {

@@ -161,9 +161,10 @@ impl Layer for ConvTranspose3d {
         y
     }
 
-    /// `dV += X·P(dY)ᵀ` through `lowering::weight_grad`, then
-    /// `dX = V·P(dY)` — one `lowering::conv_forward` per sample with `V`
-    /// packed as stored.
+    /// `dV += X·P(dY)ᵀ` through `lowering::weight_grad`, which reads
+    /// `P(dY)ᵀ` straight from `dY` (the windows of an unpadded transpose
+    /// convolution lie inside its output), then `dX = V·P(dY)` — one
+    /// `lowering::conv_forward` per sample with `V` packed as stored.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         // `take` instead of clone: backward consumes the cached activation,
         // so the hot path never copies a full input tensor.

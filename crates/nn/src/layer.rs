@@ -18,6 +18,17 @@ pub trait Layer: Send {
     /// the layer input.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
+    /// [`Self::backward`] for a caller that drops the input gradient: it
+    /// accumulates the same parameter gradients and buffers, bit for bit,
+    /// and returns nothing. The default runs `backward` and discards its
+    /// result; a layer whose input gradient costs work of its own (a
+    /// convolution's `dX` product) overrides it to skip that work. A
+    /// trainer calls it on the whole network, whose input gradient nobody
+    /// reads.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let _ = self.backward(grad_out);
+    }
+
     /// Mutable access to learnable parameters (empty for stateless layers).
     fn params(&mut self) -> Vec<&mut Param> {
         Vec::new()

@@ -1,6 +1,7 @@
 //! The one convolution lowering: every convolution product in this crate
 //! is a GEMM whose patch operand is gathered from an activation tensor
-//! straight into the GEMM's packed panels. No patch matrix is ever formed.
+//! straight into the GEMM's packed panels, or read where it lies. No patch
+//! matrix is ever formed.
 //!
 //! `P(X)` is the patch matrix of a sample: one row per `(channel, kernel
 //! tap)`, one column per window position. A transpose convolution is the
@@ -21,8 +22,11 @@
 //! | `ConvTranspose3d` ∂weight                 | `dV += X · P(dY)ᵀ`        | `weight_grad`             |
 //!
 //! `conv_forward` gathers `P` into the `B` panels of
-//! [`gemm_prepacked_with`] (`PatchPanels::fill`) and `weight_grad`
-//! gathers `Pᵀ` (`PatchPanels::fill_t`). When the windows of a transpose
+//! [`gemm_prepacked_with`] (`PatchPanels::fill`). `weight_grad` packs no
+//! `Pᵀ` panel: [`gemm_prepacked_indexed`] reads each patch element from
+//! the source grid at a position's window origin plus a patch row's offset
+//! (`block_reads`: the source itself when unpadded, else the few zero-padded
+//! rows a block of positions reaches). When the windows of a transpose
 //! convolution tile its output (the U-Net's `up2`), no window position
 //! sees more than one tap, so `place` writes each `(channel, tap)` row of
 //! the product to its stride-`s` output positions without touching a zero
@@ -35,7 +39,8 @@
 
 use crate::layer::Triple;
 use mgd_tensor::matmul::{
-    gemm_prepacked_serial, gemm_prepacked_with, pack_a, pack_a_cols, pack_b_slab, PackedA,
+    gemm_prepacked_indexed, gemm_prepacked_serial, gemm_prepacked_with, pack_a, pack_a_cols,
+    pack_b_slab, PackedA,
 };
 use mgd_tensor::par::{par_jobs, par_jobs_with, SyncSlice};
 use mgd_tensor::GemmElement;
@@ -181,10 +186,8 @@ struct Tap {
 
 /// The patch matrix of one sample, from the anchor column `q0` on,
 /// gathered straight from the source tensor into GEMM `B` panels: the
-/// gather is the pack. [`PatchPanels::fill`] writes `P` (the convolution
-/// products) and [`PatchPanels::fill_t`] writes `Pᵀ` (the weight
-/// gradients), each exactly as [`pack_b_slab`] would from the materialized
-/// matrix.
+/// gather is the pack. [`PatchPanels::fill`] writes `P` exactly as
+/// [`pack_b_slab`] would from the materialized matrix.
 pub(crate) struct PatchPanels<'a, E> {
     g: &'a ConvGeom,
     src: &'a [E],
@@ -263,7 +266,7 @@ impl<'a, E: GemmElement> PatchPanels<'a, E> {
     /// positions: contiguous in the source along w). Per run and tap the
     /// in-grid range is copied and the padding zero-filled as whole
     /// ranges, cut only at panel boundaries. A dilated gather goes through
-    /// [`Self::gather_run`] instead, keeping this loop free of dilation
+    /// [`Self::gather_dilated`] instead, keeping this loop free of dilation
     /// branches.
     pub(crate) fn fill(&self, k0: usize, kc_len: usize, j0: usize, jn: usize, bpack: &mut [E]) {
         if self.g.dilation == (1, 1, 1) {
@@ -300,7 +303,7 @@ impl<'a, E: GemmElement> PatchPanels<'a, E> {
             for (kk, t) in taps.iter().enumerate() {
                 if DILATED {
                     run.resize(len, E::ZERO);
-                    self.gather_run(t, z, w0, &mut run);
+                    self.gather_dilated(t, z, w0, &mut run);
                     out.copy(kk, c, len, &run, 1);
                     continue;
                 }
@@ -321,72 +324,11 @@ impl<'a, E: GemmElement> PatchPanels<'a, E> {
         }
     }
 
-    /// Writes the transposed patch matrix `Pᵀ` — rows `[k0, k0+kc_len)` are
-    /// patch columns from `q0`, columns `[j0, j0+jn)` are patch rows — into
-    /// `NR`-wide panels, zero-padding the ragged last panel: the `B` operand
-    /// of [`weight_grad`].
-    ///
-    /// Per anchor-row run and panel, each tap's window row is gathered into
-    /// `tmp` as a contiguous copy ([`Self::gather_run`]), then the `NR`
-    /// rows are transposed into the panel in 4×4 blocks.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn fill_t(
-        &self,
-        k0: usize,
-        kc_len: usize,
-        j0: usize,
-        jn: usize,
-        bpack: &mut [E],
-        tmp: &mut Vec<E>,
-    ) {
-        let nr = E::NR;
-        let ow = self.g.out.2;
-        let mut kk = 0;
-        while kk < kc_len {
-            let (a, w0) = ((self.q0 + k0 + kk) / ow, (self.q0 + k0 + kk) % ow);
-            let len = (ow - w0).min(kc_len - kk);
-            let z = self.row_origin(a);
-            tmp.resize(nr * len, E::ZERO);
-            for (np, taps) in self.taps[j0..j0 + jn].chunks(nr).enumerate() {
-                let mut rows = tmp.chunks_exact_mut(len);
-                for (t, row) in taps.iter().zip(rows.by_ref()) {
-                    self.gather_run(t, z, w0, row);
-                }
-                rows.for_each(|row| row.fill(E::ZERO));
-                let panel = &mut bpack[(np * kc_len + kk) * nr..][..len * nr];
-                transpose_lanes(&tmp[..nr * len], len, panel);
-            }
-            kk += len;
-        }
-    }
-
     /// Writes tap `t`'s samples over anchor columns `[w0, w0 + row.len())`
-    /// of the anchor row at `z` into `row`, padding with zeros.
-    #[inline(always)]
-    fn gather_run(&self, t: &Tap, z: (isize, isize), w0: usize, row: &mut [E]) {
-        if self.g.dilation != (1, 1, 1) {
-            return self.gather_dilated(t, z, w0, row);
-        }
-        let sw = self.g.stride.2;
-        let Some((lo, hi, src)) = self.segment(t, z, w0, w0 + row.len()) else {
-            row.fill(E::ZERO);
-            return;
-        };
-        let (lo, hi) = (lo - w0, hi - w0);
-        row[..lo].fill(E::ZERO);
-        row[hi..].fill(E::ZERO);
-        if sw == 1 {
-            row[lo..hi].copy_from_slice(&src[..hi - lo]);
-        } else {
-            for (d, &v) in row[lo..hi].iter_mut().zip(src.iter().step_by(sw)) {
-                *d = v;
-            }
-        }
-    }
-
-    /// [`Self::gather_run`] of a dilated gather (the adjoint gathers of
-    /// strided convolutions, which the U-Net does not train): column by
-    /// column, each reading a sample only where one sits.
+    /// of the anchor row at `z` into `row` for a dilated gather (the adjoint
+    /// gathers of strided convolutions, which the U-Net does not train):
+    /// column by column, each reading a sample only where one sits, zero
+    /// elsewhere.
     #[cold]
     fn gather_dilated(&self, t: &Tap, z: (isize, isize), w0: usize, row: &mut [E]) {
         let g = self.g;
@@ -398,29 +340,6 @@ impl<'a, E: GemmElement> PatchPanels<'a, E> {
                 (Some((id, ih)), Some(iw)) => self.src[t.chan + (id * dh + ih) * dw + iw],
                 _ => E::ZERO,
             };
-        }
-    }
-}
-
-/// `panel[r·NR + l] = rows[l·len + r]`: `NR` rows of `len` values turned
-/// into `len` panel rows of `NR` lanes, in 4×4 blocks the compiler lowers
-/// to vector shuffles.
-#[inline(always)]
-fn transpose_lanes<E: GemmElement>(rows: &[E], len: usize, panel: &mut [E]) {
-    let nr = E::NR;
-    debug_assert!(nr % 4 == 0 && rows.len() == nr * len && panel.len() == nr * len);
-    let full = len / 4 * 4;
-    for r in (0..full).step_by(4) {
-        for l in (0..nr).step_by(4) {
-            let a: [&[E]; 4] = std::array::from_fn(|i| &rows[(l + i) * len + r..][..4]);
-            for (j, out) in panel[r * nr + l..].chunks_mut(nr).take(4).enumerate() {
-                out[..4].copy_from_slice(&[a[0][j], a[1][j], a[2][j], a[3][j]]);
-            }
-        }
-    }
-    for r in full..len {
-        for (l, d) in panel[r * nr..(r + 1) * nr].iter_mut().enumerate() {
-            *d = rows[l * len + r];
         }
     }
 }
@@ -544,21 +463,17 @@ const WGRAD_MAX_BLOCKS: usize = 64;
 
 /// Weight gradient `gw += Σₙ lhsₙ · P(srcₙ)ᵀ` over a batch of `n` samples:
 /// `lhs` holds an `m × cols()` matrix per sample, `src` the gathered grid
-/// per sample, and `gw` the `m × rows()` product.
+/// per sample, and `gw` the `m × rows()` product. The gather must be
+/// undilated and not cropped (every weight gradient's is).
 ///
 /// Each sample's positions are cut into blocks whose bounds depend only on
-/// their count. Every block is one sequential GEMM whose `B` panels are
-/// gathered from `src` ([`PatchPanels::fill_t`]), one `NR`-wide tap panel
-/// at a time so each panel is consumed while it is in L1; the blocks run in
-/// parallel and their partial products are added into `gw` in (sample,
-/// block) order, so the result is bitwise identical at any thread count.
-pub(crate) fn weight_grad<E: GemmElement>(
-    g: &ConvGeom,
-    src: &[E],
-    lhs: &[E],
-    n: usize,
-    gw: &mut [E],
-) {
+/// their count. Every block is one sequential product
+/// ([`gemm_prepacked_indexed`]) whose `Pᵀ` operand is read where it lies
+/// ([`block_reads`]: a row-base per position, an offset per patch row), so
+/// no patch panel is formed; the blocks run in parallel and their partial
+/// products are added into `gw` in (sample, block) order, so the result is
+/// bitwise identical at any thread count.
+pub(crate) fn weight_grad(g: &ConvGeom, src: &[f64], lhs: &[f64], n: usize, gw: &mut [f64]) {
     let (p, kdim, svol) = (g.cols(), g.rows(), g.c * g.vol());
     let m = gw.len() / kdim.max(1);
     assert_eq!(gw.len(), m * kdim);
@@ -570,30 +485,114 @@ pub(crate) fn weight_grad<E: GemmElement>(
     let blen = p.div_ceil(p.div_ceil(WGRAD_BLOCK).min(WGRAD_MAX_BLOCKS));
     let per = p.div_ceil(blen);
     let mk = m * kdim;
-    let mut partials = vec![E::ZERO; n * per * mk];
+    let mut partials = vec![0.0; n * per * mk];
     let pptr = SyncSlice::new(&mut partials);
-    par_jobs_with(n * per, mk * blen, Default::default, |(bpack, rows), b| {
+    par_jobs_with(n * per, mk * blen, Default::default, |scratch, b| {
         let (ni, q0) = (b / per, b % per * blen);
-        let pa = pack_a_cols(&lhs[ni * m * p..][..m * p], m, p, q0..(q0 + blen).min(p));
-        let panels = PatchPanels::new(g, &src[ni * svol..][..svol], q0);
+        let q1 = (q0 + blen).min(p);
+        let pa = pack_a_cols(&lhs[ni * m * p..][..m * p], m, p, q0..q1);
+        let BlockScratch {
+            padded,
+            rows,
+            cols,
+            acc,
+        } = scratch;
+        let grid = block_reads(g, &src[ni * svol..][..svol], q0..q1, padded, rows, cols);
         // SAFETY: block `b` exclusively owns partials[b*mk .. (b+1)*mk].
         let part = unsafe { pptr.slice_mut(b * mk, mk) };
-        // The fill borrows its transpose scratch through the `Fn` closure.
-        let tmp = std::cell::RefCell::new(std::mem::take(rows));
-        let fill = |k0, kc_len, j0, jn, bp: &mut [E]| {
-            panels.fill_t(k0, kc_len, j0, jn, bp, &mut tmp.borrow_mut())
-        };
-        for j0 in (0..kdim).step_by(E::NR) {
-            let j1 = (j0 + E::NR).min(kdim);
-            gemm_prepacked_serial(&pa, j0..j1, &fill, &mut part[j0..], kdim, None, bpack);
-        }
-        *rows = tmp.into_inner();
+        gemm_prepacked_indexed(&pa, grid, rows, cols, part, kdim, acc);
     });
     for part in partials.chunks_exact(mk) {
         for (w, &s) in gw.iter_mut().zip(part) {
             *w += s;
         }
     }
+}
+
+/// Per-job scratch of [`weight_grad`]: the block's zero-padded source rows,
+/// its position and patch-row tables, and the tile accumulators.
+#[derive(Default)]
+struct BlockScratch {
+    padded: Vec<f64>,
+    rows: Vec<usize>,
+    cols: Vec<usize>,
+    acc: Vec<f64>,
+}
+
+/// Where the window positions `qs` of one sample read `Pᵀ`: fills `rows`
+/// with each position's window origin and `cols` with each patch row's
+/// offset from it, and returns the grid they index, so that
+/// `P[r, q] = grid[rows[q − qs.start] + cols[r]]`.
+///
+/// An unpadded gather reads `src` itself. A padded one reads `padded`: the
+/// zero-padded rows its windows reach, copied from `src` — a block's span of
+/// padded `(depth, height)` rows per channel, never the whole padded sample.
+/// Every patch element of an out-of-grid tap reads a stored zero, so the
+/// product still adds it.
+fn block_reads<'a>(
+    g: &ConvGeom,
+    src: &'a [f64],
+    qs: std::ops::Range<usize>,
+    padded: &'a mut Vec<f64>,
+    rows: &mut Vec<usize>,
+    cols: &mut Vec<usize>,
+) -> &'a [f64] {
+    assert_eq!(g.dilation, (1, 1, 1), "weight gradients gather undilated");
+    let [pd, ph, pw] = g
+        .padding
+        .map(|p| usize::try_from(p).expect("an uncropped gather"));
+    let ((kd, kh, kw), (sd, sh, sw)) = (g.kernel, g.stride);
+    let ((dd, dh, dw), (_, oh, ow)) = (g.dims, g.out);
+    // The extents the windows span along each axis.
+    let (ed, eh, ew) = (
+        (g.out.0 - 1) * sd + kd,
+        (oh - 1) * sh + kh,
+        (ow - 1) * sw + kw,
+    );
+    let unpadded = pd + ph + pw == 0;
+    // The grid read has `gh` rows of `gw` per depth plane: the source's own
+    // when unpadded, else the windows' padded extents.
+    let (gh, gw) = if unpadded { (dh, dw) } else { (eh, ew) };
+    // The (depth, height) row of the grid read at anchor row `a`'s origin.
+    let origin = |a: usize| (a / oh * sd) * gh + a % oh * sh;
+    let (a0, a1) = (qs.start / ow, (qs.end - 1) / ow);
+    let (grid, row0, chan): (&[f64], _, _) = if unpadded {
+        assert!(ed <= dd && eh <= dh && ew <= dw, "windows overrun the grid");
+        (src, 0, g.vol())
+    } else {
+        let (r0, r1) = (origin(a0), origin(a1) + (kd - 1) * eh + kh);
+        let chan = (r1 - r0) * ew;
+        padded.clear();
+        padded.resize(g.c * chan, 0.0);
+        let (lead, copy) = (pw.min(ew), dw.min(ew.saturating_sub(pw)));
+        for (ci, plane) in padded.chunks_exact_mut(chan).enumerate() {
+            for (r, dst) in (r0..r1).zip(plane.chunks_exact_mut(ew)) {
+                let (d, h) = ((r / eh).wrapping_sub(pd), (r % eh).wrapping_sub(ph));
+                if d < dd && h < dh {
+                    let from = (ci * dd + d) * dh + h;
+                    dst[lead..lead + copy].copy_from_slice(&src[from * dw..][..copy]);
+                }
+            }
+        }
+        (&padded[..], r0, chan)
+    };
+    rows.clear();
+    for a in a0..=a1 {
+        let base = (origin(a) - row0) * gw;
+        let (w0, w1) = (
+            if a == a0 { qs.start % ow } else { 0 },
+            if a == a1 { (qs.end - 1) % ow + 1 } else { ow },
+        );
+        rows.extend((w0..w1).map(|w| base + w * sw));
+    }
+    cols.clear();
+    for ci in 0..g.c {
+        for t in 0..g.kvol() {
+            let (td, th, tw) = (t / (kh * kw), t / kw % kh, t % kw);
+            cols.push(ci * chan + (td * gh + th) * gw + tw);
+        }
+    }
+    grid
 }
 
 /// The `ConvTranspose3d` forward when its windows tile the output
@@ -900,6 +899,7 @@ pub(crate) mod reference {
 mod tests {
     use super::reference::*;
     use super::*;
+    use mgd_tensor::matmul::KC;
     use mgd_tensor::par::with_threads;
     use mgd_tensor::Element;
     use proptest::prelude::*;
@@ -1051,43 +1051,33 @@ mod tests {
         }
     }
 
-    /// Both panel gathers against the materialized patch matrix packed by
+    /// The panel gather against the materialized patch matrix packed by
     /// `pack_b_slab` — bit for bit, for every `KC` block and for a whole
-    /// and an unaligned slab: `fill` over anchor rows `[ar0, ar1)`, and
-    /// `fill_t` (the transpose) over the positions of the same rows.
+    /// and an unaligned slab of anchor rows `[ar0, ar1)`.
     fn gathers_match_pack<E: GemmElement>(g: &ConvGeom, ar0: usize, ar1: usize) {
         let src: Vec<E> = ramp(g.c * g.vol());
         let full = im2col_naive(g, &src);
         let (rows, all) = (g.rows(), g.cols());
         let (q0, cols) = (ar0 * g.out.2, (ar1 - ar0) * g.out.2);
         let panels = PatchPanels::new(g, &src, q0);
-        let check = |k: usize, n: usize, transposed: bool| {
-            let slabs = [(0, n), (3.min(n - 1), n - 3.min(n - 1))];
-            for k0 in (0..k).step_by(E::KC) {
-                let kc_len = E::KC.min(k - k0);
-                for (j0, jn) in slabs {
-                    // Sentinel-filled and one panel longer than needed: both
-                    // sides must write the same region and leave the rest.
-                    let len = (jn.div_ceil(E::NR) + 1) * kc_len * E::NR;
-                    let mut want = vec![E::from_f64(-7.25); len];
-                    let mut got = want.clone();
-                    if transposed {
-                        pack_b_slab(&full, 1, all, q0 + k0, kc_len, j0, jn, &mut want);
-                        panels.fill_t(k0, kc_len, j0, jn, &mut got, &mut Vec::new());
-                    } else {
-                        pack_b_slab(&full, all, 1, k0, kc_len, q0 + j0, jn, &mut want);
-                        panels.fill(k0, kc_len, j0, jn, &mut got);
-                    }
-                    assert!(
-                        bits_eq(&want, &got),
-                        "{} {g:?} anchors {ar0}..{ar1} k0 {k0} cols {j0}+{jn} transposed {transposed}",
-                        E::NAME
-                    );
-                }
+        let slabs = [(0, cols), (3.min(cols - 1), cols - 3.min(cols - 1))];
+        for k0 in (0..rows).step_by(E::KC) {
+            let kc_len = E::KC.min(rows - k0);
+            for (j0, jn) in slabs {
+                // Sentinel-filled and one panel longer than needed: both
+                // sides must write the same region and leave the rest.
+                let len = (jn.div_ceil(E::NR) + 1) * kc_len * E::NR;
+                let mut want = vec![E::from_f64(-7.25); len];
+                let mut got = want.clone();
+                pack_b_slab(&full, all, 1, k0, kc_len, q0 + j0, jn, &mut want);
+                panels.fill(k0, kc_len, j0, jn, &mut got);
+                assert!(
+                    bits_eq(&want, &got),
+                    "{} {g:?} anchors {ar0}..{ar1} k0 {k0} cols {j0}+{jn}",
+                    E::NAME
+                );
             }
-        };
-        check(rows, cols, false);
-        check(cols, rows, true);
+        }
     }
 
     proptest! {
@@ -1141,6 +1131,72 @@ mod tests {
         let g = ConvGeom::new(16, (3, 5, 21), (3, 3, 3), (1, 1, 1), (1, 1, 1), (3, 5, 21));
         gathers_match_pack::<f64>(&g, 2, 13);
         gathers_match_pack::<f32>(&g, 2, 13);
+    }
+
+    /// `weight_grad`'s operation order, scalar: per sample and block (the
+    /// same cut), one sum from zero per `KC` chunk of positions in position
+    /// order, the first chunk stored and later ones added, then the block
+    /// partials added into `gw` in (sample, block) order.
+    fn weight_grad_oracle(g: &ConvGeom, src: &[f64], lhs: &[f64], n: usize, gw: &mut [f64]) {
+        let (p, kdim, svol) = (g.cols(), g.rows(), g.c * g.vol());
+        let m = gw.len() / kdim;
+        let blen = p.div_ceil(p.div_ceil(WGRAD_BLOCK).min(WGRAD_MAX_BLOCKS));
+        for ni in 0..n {
+            let col = im2col_naive(g, &src[ni * svol..][..svol]);
+            let dy = &lhs[ni * m * p..][..m * p];
+            for q0 in (0..p).step_by(blen) {
+                let q1 = (q0 + blen).min(p);
+                let mut part = vec![0.0; m * kdim];
+                for (chunk, k0) in (q0..q1).step_by(KC).enumerate() {
+                    for (i, w) in part.iter_mut().enumerate() {
+                        let (o, r) = (i / kdim, i % kdim);
+                        let mut s = 0.0;
+                        for q in k0..(k0 + KC).min(q1) {
+                            s += dy[o * p + q] * col[r * p + q];
+                        }
+                        *w = if chunk == 0 { s } else { *w + s };
+                    }
+                }
+                for (w, s) in gw.iter_mut().zip(&part) {
+                    *w += s;
+                }
+            }
+        }
+    }
+
+    /// `weight_grad` is its scalar order bit for bit at 1, 2 and 4 workers:
+    /// over 1 to 32 output rows (ragged and whole tiles), 27 and 432 patch
+    /// rows, the `up2` transpose gather, a 2D and a strided 3D conv, and
+    /// positions spanning several blocks. An infinite output gradient at a
+    /// corner position turns its out-of-grid taps' zero products into NaN,
+    /// so a product that is skipped rather than added shows.
+    #[test]
+    fn weight_grad_is_its_scalar_order_at_any_thread_count() {
+        let cases = [
+            ConvGeom::new(1, (5, 9, 60), (3, 3, 3), (1, 1, 1), (1, 1, 1), (5, 9, 60)),
+            ConvGeom::new(16, (3, 5, 21), (3, 3, 3), (1, 1, 1), (1, 1, 1), (3, 5, 21)),
+            ConvGeom::new(8, (8, 6, 10), (2, 2, 2), (2, 2, 2), (0, 0, 0), (4, 3, 5)),
+            ConvGeom::new(3, (1, 40, 60), (1, 3, 3), (1, 1, 1), (0, 1, 1), (1, 40, 60)),
+            ConvGeom::new(2, (6, 7, 9), (3, 3, 3), (2, 2, 2), (1, 1, 1), (3, 4, 5)),
+        ];
+        assert!(cases[0].cols() > WGRAD_BLOCK && cases[3].cols() > WGRAD_BLOCK);
+        let n = 2;
+        for g in &cases {
+            let src: Vec<f64> = ramp(n * g.c * g.vol());
+            for m in [1, 5, 8, 16, 32] {
+                let mut lhs: Vec<f64> = (0..n * m * g.cols())
+                    .map(|i| (i as f64 * 0.37).sin())
+                    .collect();
+                lhs[0] = f64::INFINITY;
+                let mut want = vec![0.5; m * g.rows()];
+                weight_grad_oracle(g, &src, &lhs, n, &mut want);
+                for t in [1, 2, 4] {
+                    let mut got = vec![0.5; m * g.rows()];
+                    with_threads(t, || weight_grad(g, &src, &lhs, n, &mut got));
+                    assert!(bits_eq(&want, &got), "{g:?} m={m} threads {t}");
+                }
+            }
+        }
     }
 
     /// `weight_grad` against the materialized product `Σₙ lhsₙ · P(srcₙ)ᵀ`

@@ -224,6 +224,10 @@ impl Layer for Box<dyn Model> {
         (**self).backward(grad_out)
     }
 
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        (**self).backward_params(grad_out)
+    }
+
     fn params(&mut self) -> Vec<&mut crate::param::Param> {
         (**self).params()
     }

@@ -135,6 +135,18 @@ impl<E: GemmElement> ConvBlock<E> {
     }
 }
 
+impl ConvBlock {
+    /// Backpropagates `grad_out` through the activation and batch norm to
+    /// the conv's output gradient.
+    fn conv_grad(&mut self, grad_out: &Tensor) -> Tensor {
+        let mut g = self.act.backward(grad_out);
+        if let Some(bn) = &mut self.bn {
+            g = bn.backward(&g);
+        }
+        g
+    }
+}
+
 impl Layer for ConvBlock {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         let mut h = self.conv.forward(x, train);
@@ -145,11 +157,13 @@ impl Layer for ConvBlock {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = self.act.backward(grad_out);
-        if let Some(bn) = &mut self.bn {
-            g = bn.backward(&g);
-        }
+        let g = self.conv_grad(grad_out);
         self.conv.backward(&g)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let g = self.conv_grad(grad_out);
+        self.conv.backward_params(&g);
     }
 
     fn params(&mut self) -> Vec<&mut Param> {
@@ -441,6 +455,33 @@ impl UNet {
     pub fn num_parameters(&mut self) -> usize {
         self.params().iter().map(|p| p.len()).sum()
     }
+
+    /// Backpropagates `grad_out` through every layer but the first encoder
+    /// block, returning that block's output gradient.
+    fn enc0_grad(&mut self, grad_out: &Tensor) -> Tensor {
+        let depth = self.cfg.depth;
+        let mut g = grad_out.clone();
+        if let Some(s) = &mut self.sigmoid {
+            g = s.backward(&g);
+        }
+        g = self.head.backward(&g);
+        let mut skip_grads: Vec<Option<Tensor>> = vec![None; depth];
+        for i in 0..depth {
+            g = self.merges[i].backward(&g);
+            let (g_up, g_skip) = split_channels(&g, self.cfg.channels(i));
+            skip_grads[i] = Some(g_skip);
+            g = self.ups[i].backward(&g_up);
+        }
+        g = self.bottleneck.backward(&g);
+        for i in (0..depth).rev() {
+            g = self.pools[i].backward(&g);
+            g.add_assign(skip_grads[i].as_ref().expect("skip grad missing"));
+            if i > 0 {
+                g = self.enc[i].backward(&g);
+            }
+        }
+        g
+    }
 }
 
 impl Layer for UNet {
@@ -468,26 +509,15 @@ impl Layer for UNet {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let depth = self.cfg.depth;
-        let mut g = grad_out.clone();
-        if let Some(s) = &mut self.sigmoid {
-            g = s.backward(&g);
-        }
-        g = self.head.backward(&g);
-        let mut skip_grads: Vec<Option<Tensor>> = vec![None; depth];
-        for i in 0..depth {
-            g = self.merges[i].backward(&g);
-            let (g_up, g_skip) = split_channels(&g, self.cfg.channels(i));
-            skip_grads[i] = Some(g_skip);
-            g = self.ups[i].backward(&g_up);
-        }
-        g = self.bottleneck.backward(&g);
-        for i in (0..depth).rev() {
-            g = self.pools[i].backward(&g);
-            g.add_assign(skip_grads[i].as_ref().expect("skip grad missing"));
-            g = self.enc[i].backward(&g);
-        }
-        g
+        let g = self.enc0_grad(grad_out);
+        self.enc[0].backward(&g)
+    }
+
+    /// The first encoder block's `backward_params`: the network input's
+    /// gradient is never formed.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let g = self.enc0_grad(grad_out);
+        self.enc[0].backward_params(&g);
     }
 
     fn params(&mut self) -> Vec<&mut Param> {
@@ -542,6 +572,54 @@ mod tests {
             two_d: true,
             seed: 9,
             ..Default::default()
+        }
+    }
+
+    /// `backward_params` accumulates exactly `backward`'s parameter
+    /// gradients and buffers, bit for bit, in 2D and 3D with and without
+    /// batch norm. Through a boxed `Model` it runs one conv input-gradient
+    /// product fewer than `backward` (the first conv's): the box forwards
+    /// the override instead of taking the default.
+    #[test]
+    fn backward_params_is_backward_without_the_input_gradient() {
+        use crate::conv::DX_PRODUCTS;
+        use crate::model::Model;
+        let mut rng = StdRng::seed_from_u64(21);
+        for (two_d, batch_norm) in [(true, false), (true, true), (false, false), (false, true)] {
+            let cfg = UNetConfig {
+                depth: 2,
+                base_filters: 2,
+                two_d,
+                batch_norm,
+                seed: 4,
+                ..Default::default()
+            };
+            let dims = if two_d {
+                [2, 1, 1, 8, 8]
+            } else {
+                [2, 1, 4, 4, 4]
+            };
+            let x = Tensor::rand_uniform(dims, -1.0, 1.0, &mut rng);
+            let g = Tensor::rand_uniform(dims, -1.0, 1.0, &mut rng);
+            let mut full: Box<dyn Model> = Box::new(UNet::new(cfg));
+            let mut params_only = full.clone_model();
+            full.forward(&x, true);
+            params_only.forward(&x, true);
+            let products = || DX_PRODUCTS.with(|n| n.get());
+            let start = products();
+            let _ = full.backward(&g);
+            let after_full = products();
+            params_only.backward_params(&g);
+            let after_params = products();
+            assert_eq!(after_full - start, after_params - after_full + 1);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for (a, b) in full.params().into_iter().zip(params_only.params()) {
+                let (a, b) = (a.grad.as_slice(), b.grad.as_slice());
+                assert_eq!(bits(a), bits(b), "2D {two_d}, batch norm {batch_norm}");
+            }
+            for (a, b) in full.buffers().into_iter().zip(params_only.buffers()) {
+                assert_eq!(bits(a), bits(b), "2D {two_d}, batch norm {batch_norm}");
+            }
         }
     }
 

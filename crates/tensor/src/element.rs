@@ -365,4 +365,47 @@ mod tests {
         check::<f64>(microkernel::compiled_f64(), false);
         check::<f32>(microkernel::compiled_f32(), cfg!(target_feature = "fma"));
     }
+
+    #[test]
+    fn indexed_tile_matches_naive_dot() {
+        // The indexed tile against the f64 tile's sequence (zero, then
+        // multiply and add in k order) on a `B` read through row bases and
+        // column offsets — odd step counts (the paired loop's remainder) and
+        // column counts that end every variant's runs raggedly, each column
+        // checked. Every variant compiled for this host is checked.
+        let mut rng = StdRng::seed_from_u64(23);
+        let src: Vec<f64> = (0..500).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        for (kc, ncols) in [(1, 1), (7, 3), (8, 27), (255, 30), (256, 49)] {
+            let mr = microkernel::MR;
+            let apanel: Vec<f64> = (0..kc * mr).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let rows: Vec<usize> = (0..kc).map(|_| rng.gen_range(0..400usize)).collect();
+            let cols: Vec<usize> = (0..ncols).map(|_| rng.gen_range(0..100usize)).collect();
+            for (name, tile) in microkernel::compiled_indexed() {
+                let mut acc = vec![99.0; ncols * mr];
+                tile(kc, &apanel, &src, &rows, &cols, &mut acc);
+                for (j, &c) in cols.iter().enumerate() {
+                    for i in 0..mr {
+                        let mut want = 0.0;
+                        for (k, &r) in rows.iter().enumerate() {
+                            want += apanel[k * mr + i] * src[r + c];
+                        }
+                        let got = acc[j * mr + i];
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{name} kc={kc} col {j} row {i}: {got} vs {want}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "reads past its source")]
+    fn indexed_tile_checks_its_reach() {
+        let (src, apanel) = (vec![0.0; 10], vec![0.0; microkernel::MR]);
+        let mut acc = vec![0.0; microkernel::MR];
+        microkernel::INDEXED_F64(1, &apanel, &src, &[6], &[4], &mut acc);
+    }
 }

@@ -18,7 +18,9 @@
 //!   the conv lowering gathers its patch panels straight from an
 //!   activation tensor — with an optional per-row bias added in the
 //!   write-back. [`gemm_prepacked_serial`] runs one column range of such a
-//!   product on the calling thread, for callers that split it themselves.
+//!   product on the calling thread, for callers that split it themselves;
+//!   [`gemm_prepacked_indexed`] runs one whose `B` is read where it lies
+//!   through a row-base and a column-offset table, with no panel at all.
 //! - **Register tiling**: the micro-kernel accumulates an `MR × NR` tile in
 //!   local accumulators over an `E::KC`-long stretch of the shared
 //!   dimension, so each loaded element is reused `MR` (or `NR`) times. The
@@ -420,6 +422,62 @@ pub fn gemm_prepacked_serial<E, F>(
     }
 }
 
+/// `C = op(A) · B` on the calling thread for a `B` read where it lies,
+/// never packed: `B[k, j] = src[rows[k] + cols[j]]` for `k < pa.k()` and
+/// `j < cols.len()`. `c` holds `m` rows of `cols.len()` columns at row
+/// stride `ldc`; `acc` is the caller's tile scratch.
+///
+/// Every element is the fixed-order reduction [`gemm_prepacked_serial`]
+/// computes for the same `B` packed: per `KC` block one tile sum from zero,
+/// the first block stored and later ones added, so the two agree bit for
+/// bit. The weight gradients of the conv lowering gather their patch
+/// operand this way (`rows` a window position's origin in a source grid,
+/// `cols` a kernel tap's offset from it). Panics unless every
+/// `rows[k] + cols[j]` indexes `src`.
+pub fn gemm_prepacked_indexed(
+    pa: &PackedA<f64>,
+    src: &[f64],
+    rows: &[usize],
+    cols: &[usize],
+    c: &mut [f64],
+    ldc: usize,
+    acc: &mut Vec<f64>,
+) {
+    let (mr_t, kc_t, n) = (MR, KC, cols.len());
+    if pa.m == 0 || n == 0 {
+        return;
+    }
+    assert!(
+        pa.k > 0,
+        "indexed product needs a non-empty shared dimension"
+    );
+    assert_eq!(rows.len(), pa.k, "one row base per shared index");
+    assert!(ldc >= n, "C row stride must cover the columns");
+    assert!(
+        c.len() >= (pa.m - 1) * ldc + n,
+        "C storage must hold m rows at stride ldc"
+    );
+    acc.resize(n * mr_t, 0.0);
+    for kb in 0..pa.k.div_ceil(kc_t) {
+        let k0 = kb * kc_t;
+        let kc_len = kc_t.min(pa.k - k0);
+        for mp in 0..pa.mpanels {
+            let i0 = mp * mr_t;
+            let apanel = pa.panel(kb, mp, kc_len);
+            crate::microkernel::INDEXED_F64(kc_len, apanel, src, &rows[k0..], cols, acc);
+            for mr in 0..mr_t.min(pa.m - i0) {
+                let row = &mut c[(i0 + mr) * ldc..][..n];
+                let tile = acc.iter().skip(mr).step_by(mr_t);
+                if kb == 0 {
+                    row.iter_mut().zip(tile).for_each(|(d, &v)| *d = v);
+                } else {
+                    row.iter_mut().zip(tile).for_each(|(d, &v)| *d += v);
+                }
+            }
+        }
+    }
+}
+
 /// Packs columns `cols` of the `m`-row matrix stored row-major at row
 /// stride `lda` in `a` — a column block of a wider operand, packed without
 /// copying it out first.
@@ -717,6 +775,39 @@ mod tests {
                 check_case::<f64>(m, n, k, ta, tb, seed, 1e-11);
                 check_case::<f32>(m, n, k, ta, tb, seed, 1e-4);
             }
+        }
+    }
+
+    #[test]
+    fn indexed_product_is_the_packed_product() {
+        // `B[k, j] = src[rows[k] + cols[j]]` materialized and packed by
+        // the serial GEMM against the indexed product: bit for bit, over
+        // several `KC` blocks, ragged `MR` panels and a strided `C`.
+        let mut rng = StdRng::seed_from_u64(29);
+        let src: Vec<f64> = rand_vec(3000, &mut rng);
+        for (m, k, n) in [(1, 5, 3), (5, 300, 27), (8, 2 * KC + 3, 40), (17, 513, 9)] {
+            let rows: Vec<usize> = (0..k).map(|_| rng.gen_range(0..2000usize)).collect();
+            let cols: Vec<usize> = (0..n).map(|_| rng.gen_range(0..1000usize)).collect();
+            let b: Vec<f64> = rows
+                .iter()
+                .flat_map(|&r| cols.iter().map(move |&c| r + c))
+                .map(|i| src[i])
+                .collect();
+            let a: Vec<f64> = rand_vec(m * k, &mut rng);
+            let pa = pack_a(&a, m, k, false);
+            let ldc = n + 2;
+            let mut want = vec![7.5; m * ldc];
+            let fill =
+                |k0, kc_len, j0, jn, bp: &mut [f64]| pack_b_slab(&b, n, 1, k0, kc_len, j0, jn, bp);
+            gemm_prepacked_serial(&pa, 0..n, &fill, &mut want, ldc, None, &mut Vec::new());
+            let mut got = vec![7.5; m * ldc];
+            gemm_prepacked_indexed(&pa, &src, &rows, &cols, &mut got, ldc, &mut Vec::new());
+            assert!(
+                want.iter()
+                    .zip(&got)
+                    .all(|(w, g)| w.to_bits() == g.to_bits()),
+                "m={m} k={k} n={n}"
+            );
         }
     }
 
