@@ -73,6 +73,12 @@ run cargo run --release -p mgd-bench --bin fem_vs_inference
 # (MG-PCG on the loss's validated system); it asserts its FEM solve
 # converged (~6 s on a 2-core x86-64 VM).
 run cargo run --release -p mgd-examples --bin inverse_design
+# Example smokes: `quickstart` is the README's first command (2D training
+# through the engine, then a prediction against FEM) and `porous_media_3d`
+# the 3D training example; each exits non-zero on a failed step (~3 s each
+# on a 2-core x86-64 VM).
+run cargo run --release -p mgd-examples --bin quickstart
+run cargo run --release -p mgd-examples --bin porous_media_3d
 # Benchmark: its own unit tests, then all four workloads end to end. The
 # unit-test step is also the public-API gate: the benchmark compiles
 # against `Model`, `InferModel`, `Workspace`, the `ServeStats` counters and

@@ -659,7 +659,6 @@ impl SolverEngineBuilder {
                 base_filters: self.base_filters,
                 batch_norm: self.batch_norm,
                 seed: self.seed,
-                ..Default::default()
             })) as Box<dyn Model>,
         };
         let optimizer = match self.optimizer {

@@ -248,20 +248,6 @@ impl Dataset {
         self.omegas.is_empty()
     }
 
-    /// Pads the dataset by wrapping so `len` is divisible by `p`
-    /// (paper §3.2: "augmenting the dataset to make the total number of
-    /// training samples Ns divisible by the number of workers p").
-    pub fn pad_to_multiple(&mut self, p: usize) {
-        assert!(p > 0);
-        let rem = self.omegas.len() % p;
-        if rem != 0 {
-            for i in 0..(p - rem) {
-                let om = self.omegas[i % self.omegas.len().max(1)].clone();
-                self.omegas.push(om);
-            }
-        }
-    }
-
     /// Deterministic epoch shuffle: every worker derives the identical
     /// permutation from `(seed, epoch)`, which the Eq. 15 sharding invariant
     /// relies on.
@@ -394,18 +380,6 @@ mod tests {
             assert_eq!(om.len(), 4);
             assert!(om.iter().all(|&w| (-3.0..3.0).contains(&w)));
         }
-    }
-
-    #[test]
-    fn pad_to_multiple_wraps() {
-        let mut d = ds(10);
-        d.pad_to_multiple(4);
-        assert_eq!(d.len(), 12);
-        assert_eq!(d.omegas[10], d.omegas[0]);
-        assert_eq!(d.omegas[11], d.omegas[1]);
-        // Already divisible: no-op.
-        d.pad_to_multiple(4);
-        assert_eq!(d.len(), 12);
     }
 
     #[test]

@@ -45,17 +45,20 @@ proptest! {
         prop_assert!(m.log_nu_3d(&w, x, y, z).abs() <= bound + 1e-9);
     }
 
-    /// Dataset padding always produces divisible lengths and reuses
-    /// existing samples.
+    /// Padding a dataset's epoch permutation (`mgd_dist::pad_indices`, the
+    /// paper's §3.2 augmentation to `Ns` divisible by `p`) always produces
+    /// divisible lengths and repeats only existing samples.
     #[test]
-    fn dataset_padding(n in 1usize..40, p in 1usize..8) {
-        let mut d = Dataset::sobol(n, DiffusivityModel::paper(), InputEncoding::LogNu);
-        let before = d.omegas.clone();
-        d.pad_to_multiple(p);
-        prop_assert_eq!(d.len() % p, 0);
-        prop_assert!(d.len() >= n && d.len() < n + p);
-        for om in &d.omegas[n..] {
-            prop_assert!(before.contains(om));
+    fn dataset_padding(n in 1usize..40, p in 1usize..8, epoch in 0u64..4) {
+        let d = Dataset::sobol(n, DiffusivityModel::paper(), InputEncoding::LogNu);
+        let mut idx = d.epoch_permutation(7, epoch);
+        let before = idx.clone();
+        mgd_dist::pad_indices(&mut idx, p);
+        prop_assert_eq!(idx.len() % p, 0);
+        prop_assert!(idx.len() >= n && idx.len() < n + p);
+        prop_assert_eq!(&idx[..n], &before[..]);
+        for i in &idx[n..] {
+            prop_assert!(before.contains(i));
         }
     }
 

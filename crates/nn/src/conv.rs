@@ -26,11 +26,14 @@ pub fn prepack_stats() -> (u64, u64) {
     )
 }
 
-/// A 3D convolution `y = W ⊛ x + b` over NCDHW tensors.
+/// A stride-1 "same" 3D convolution `y = W ⊛ x + b` over NCDHW tensors:
+/// odd kernels, zero padding `(k − 1)/2` per axis, so the output grid is
+/// the input grid.
 ///
 /// Weight layout `[out_c, in_c, kd, kh, kw]`. 2D networks use kernels with
 /// unit depth (`(1, k, k)`), so a single implementation serves both the 2D
-/// and 3D experiments of the paper.
+/// and 3D experiments of the paper; the U-Net's 1×1×1 head is the `k = 1`
+/// case.
 ///
 /// Every pass is one blocked matrix product per sample whose patch operand
 /// is gathered straight into the GEMM's panels (see [`crate::lowering`]):
@@ -41,12 +44,8 @@ pub struct Conv3d<E: Element = f64> {
     pub in_c: usize,
     /// Output channels.
     pub out_c: usize,
-    /// Kernel extents (kd, kh, kw).
+    /// Kernel extents (kd, kh, kw), all odd.
     pub kernel: Triple,
-    /// Strides (sd, sh, sw).
-    pub stride: Triple,
-    /// Zero-padding (pd, ph, pw).
-    pub padding: Triple,
     /// Filter weights.
     pub weight: Param<E>,
     /// Per-output-channel bias.
@@ -61,73 +60,52 @@ pub struct Conv3d<E: Element = f64> {
 }
 
 impl Conv3d {
-    /// Fully configured constructor with Kaiming initialization.
-    pub fn new<R: Rng>(
-        in_c: usize,
-        out_c: usize,
-        kernel: Triple,
-        stride: Triple,
-        padding: Triple,
-        rng: &mut R,
-    ) -> Self {
-        let (kd, kh, kw) = kernel;
-        let fan_in = in_c * kd * kh * kw;
-        Conv3d {
-            in_c,
-            out_c,
-            kernel,
-            stride,
-            padding,
-            weight: Param::kaiming([out_c, in_c, kd, kh, kw], fan_in, rng),
-            bias: Param::zeros([out_c]),
-            cache_x: None,
-            prepacked: None,
-        }
-    }
-
-    /// Stride-1 "same" convolution (odd kernels only).
+    /// A "same" convolution with Kaiming-initialized weights and zero bias
+    /// (odd kernels only).
     pub fn same<R: Rng>(in_c: usize, out_c: usize, kernel: Triple, rng: &mut R) -> Self {
         let (kd, kh, kw) = kernel;
         assert!(
             kd % 2 == 1 && kh % 2 == 1 && kw % 2 == 1,
             "same-padding needs odd kernels"
         );
-        Conv3d::new(
+        Conv3d {
             in_c,
             out_c,
             kernel,
-            (1, 1, 1),
-            ((kd - 1) / 2, (kh - 1) / 2, (kw - 1) / 2),
-            rng,
-        )
+            weight: Param::kaiming([out_c, in_c, kd, kh, kw], in_c * kd * kh * kw, rng),
+            bias: Param::zeros([out_c]),
+            cache_x: None,
+            prepacked: None,
+        }
     }
 }
 
 impl<E: Element> Conv3d<E> {
-    /// Output spatial dims for the given input dims.
+    /// Zero padding per axis: the halo `(k − 1)/2` a window reaches.
+    pub(crate) fn padding(&self) -> Triple {
+        let (kd, kh, kw) = self.kernel;
+        (kd / 2, kh / 2, kw / 2)
+    }
+
+    /// Output dims for the given input dims: the input grid, `out_c`
+    /// channels.
     pub fn out_dims(&self, din: &Dims5) -> Dims5 {
-        let o = |i: usize, k: usize, s: usize, p: usize| {
-            assert!(i + 2 * p >= k, "input {i} too small for kernel {k} pad {p}");
-            (i + 2 * p - k) / s + 1
-        };
         Dims5 {
-            n: din.n,
             c: self.out_c,
-            d: o(din.d, self.kernel.0, self.stride.0, self.padding.0),
-            h: o(din.h, self.kernel.1, self.stride.1, self.padding.1),
-            w: o(din.w, self.kernel.2, self.stride.2, self.padding.2),
+            ..*din
         }
     }
 
-    /// Lowering geometry over the *input* grid of one sample.
-    fn geom(&self, din: &Dims5, dout: &Dims5) -> ConvGeom {
+    /// Lowering geometry over the grid of one sample.
+    fn geom(&self, din: &Dims5) -> ConvGeom {
+        let dims = (din.d, din.h, din.w);
         ConvGeom::new(
             self.in_c,
-            (din.d, din.h, din.w),
+            dims,
             self.kernel,
-            self.stride,
-            self.padding,
-            (dout.d, dout.h, dout.w),
+            (1, 1, 1),
+            self.padding(),
+            dims,
         )
     }
 
@@ -138,8 +116,6 @@ impl<E: Element> Conv3d<E> {
             in_c: self.in_c,
             out_c: self.out_c,
             kernel: self.kernel,
-            stride: self.stride,
-            padding: self.padding,
             weight: self.weight.cast_as(),
             bias: self.bias.cast_as(),
             cache_x: None,
@@ -193,13 +169,7 @@ impl<E: GemmElement> Conv3d<E> {
         let dout = self.out_dims(&din);
         let mut y = Tensor::zeros([dout.n, dout.c, dout.d, dout.h, dout.w]);
         let bias = Some(self.bias.data.as_slice());
-        conv_batch(
-            pa,
-            &self.geom(&din, &dout),
-            x.as_slice(),
-            bias,
-            y.as_mut_slice(),
-        );
+        conv_batch(pa, &self.geom(&din), x.as_slice(), bias, y.as_mut_slice());
         y
     }
 
@@ -258,7 +228,7 @@ impl<E: GemmElement> Conv3d<E> {
         );
         let pvol = ddst.vol();
         let ys = dst.as_mut_slice();
-        let geom = self.geom(&din, &dout);
+        let geom = self.geom(&din);
         let kdim = geom.rows();
         let mut local = None;
         let pa = self.packed(kdim, &mut local);
@@ -295,7 +265,7 @@ impl Conv3d {
         assert_eq!(grad_out.dims(), &[dout.n, dout.c, dout.d, dout.h, dout.w]);
         let g = grad_out.as_slice();
         bias_grad(g, dout.n, dout.c, dout.vol(), self.bias.grad.as_mut_slice());
-        let geom = self.geom(&din, &dout);
+        let geom = self.geom(&din);
         let gw = self.weight.grad.as_mut_slice();
         weight_grad(&geom, x.as_slice(), g, din.n, gw);
         (din, geom)
@@ -348,10 +318,7 @@ impl Layer for Conv3d {
     }
 
     fn name(&self) -> String {
-        format!(
-            "Conv3d({}→{}, k{:?}, s{:?}, p{:?})",
-            self.in_c, self.out_c, self.kernel, self.stride, self.padding
-        )
+        format!("Conv3d({}→{}, k{:?})", self.in_c, self.out_c, self.kernel)
     }
 }
 
@@ -371,8 +338,7 @@ mod direct {
             let din = Dims5::of(x);
             let dout = self.out_dims(&din);
             let (kd, kh, kw) = self.kernel;
-            let (sd, sh, sw) = self.stride;
-            let (pd, ph, pw) = self.padding;
+            let (pd, ph, pw) = self.padding();
             let g = grad_out.as_slice();
             let xs = x.as_slice();
 
@@ -387,11 +353,11 @@ mod direct {
                         let gbase = (n * dout.c + oc) * dout.vol();
                         let mut oi = 0usize;
                         for od in 0..dout.d {
-                            let (kd_lo, kd_hi) = tap_range(od, sd, pd, kd, din.d);
+                            let (kd_lo, kd_hi) = tap_range(od, 1, pd, kd, din.d);
                             for oh in 0..dout.h {
-                                let (kh_lo, kh_hi) = tap_range(oh, sh, ph, kh, din.h);
+                                let (kh_lo, kh_hi) = tap_range(oh, 1, ph, kh, din.h);
                                 for ow in 0..dout.w {
-                                    let (kw_lo, kw_hi) = tap_range(ow, sw, pw, kw, din.w);
+                                    let (kw_lo, kw_hi) = tap_range(ow, 1, pw, kw, din.w);
                                     let gv = g[gbase + oi];
                                     oi += 1;
                                     if gv == 0.0 {
@@ -401,12 +367,12 @@ mod direct {
                                         let xbase = (n * self.in_c + ic) * din.vol();
                                         let wbase = ic * kd * kh * kw;
                                         for kdi in kd_lo..kd_hi {
-                                            let id = od * sd + kdi - pd;
+                                            let id = od + kdi - pd;
                                             for khi in kh_lo..kh_hi {
-                                                let ih = oh * sh + khi - ph;
+                                                let ih = oh + khi - ph;
                                                 let xrow = xbase
                                                     + (id * din.h + ih) * din.w
-                                                    + (ow * sw + kw_lo - pw);
+                                                    + (ow + kw_lo - pw);
                                                 let wrow = wbase + (kdi * kh + khi) * kw + kw_lo;
                                                 for t in 0..(kw_hi - kw_lo) {
                                                     gw[wrow + t] += gv * xs[xrow + t];
@@ -436,11 +402,11 @@ mod direct {
                         let gbase = (n * dout.c + oc) * dout.vol();
                         let mut oi = 0usize;
                         for od in 0..dout.d {
-                            let (kd_lo, kd_hi) = tap_range(od, sd, pd, kd, din.d);
+                            let (kd_lo, kd_hi) = tap_range(od, 1, pd, kd, din.d);
                             for oh in 0..dout.h {
-                                let (kh_lo, kh_hi) = tap_range(oh, sh, ph, kh, din.h);
+                                let (kh_lo, kh_hi) = tap_range(oh, 1, ph, kh, din.h);
                                 for ow in 0..dout.w {
-                                    let (kw_lo, kw_hi) = tap_range(ow, sw, pw, kw, din.w);
+                                    let (kw_lo, kw_hi) = tap_range(ow, 1, pw, kw, din.w);
                                     let gv = g[gbase + oi];
                                     oi += 1;
                                     if gv == 0.0 {
@@ -450,12 +416,12 @@ mod direct {
                                         let xbase = ic * din.vol();
                                         let wbase = (oc * self.in_c + ic) * kd * kh * kw;
                                         for kdi in kd_lo..kd_hi {
-                                            let id = od * sd + kdi - pd;
+                                            let id = od + kdi - pd;
                                             for khi in kh_lo..kh_hi {
-                                                let ih = oh * sh + khi - ph;
+                                                let ih = oh + khi - ph;
                                                 let xrow = xbase
                                                     + (id * din.h + ih) * din.w
-                                                    + (ow * sw + kw_lo - pw);
+                                                    + (ow + kw_lo - pw);
                                                 let wrow = wbase + (kdi * kh + khi) * kw + kw_lo;
                                                 for t in 0..(kw_hi - kw_lo) {
                                                     gxb[xrow + t] += gv * ws[wrow + t];
@@ -479,8 +445,7 @@ mod direct {
             let dout = self.out_dims(&din);
             let mut y: Tensor = Tensor::zeros([dout.n, dout.c, dout.d, dout.h, dout.w]);
             let (kd, kh, kw) = self.kernel;
-            let (sd, sh, sw) = self.stride;
-            let (pd, ph, pw) = self.padding;
+            let (pd, ph, pw) = self.padding();
             let xs = x.as_slice();
             let ws = self.weight.data.as_slice();
             let bs = self.bias.data.as_slice();
@@ -497,22 +462,22 @@ mod direct {
                     let b = bs[oc];
                     let mut oi = 0usize;
                     for od in 0..dout.d {
-                        let (kd_lo, kd_hi) = tap_range(od, sd, pd, kd, din.d);
+                        let (kd_lo, kd_hi) = tap_range(od, 1, pd, kd, din.d);
                         for oh in 0..dout.h {
-                            let (kh_lo, kh_hi) = tap_range(oh, sh, ph, kh, din.h);
+                            let (kh_lo, kh_hi) = tap_range(oh, 1, ph, kh, din.h);
                             for ow in 0..dout.w {
-                                let (kw_lo, kw_hi) = tap_range(ow, sw, pw, kw, din.w);
+                                let (kw_lo, kw_hi) = tap_range(ow, 1, pw, kw, din.w);
                                 let mut acc = b;
                                 for ic in 0..self.in_c {
                                     let xbase = (n * self.in_c + ic) * din.vol();
                                     let wbase = (oc * self.in_c + ic) * kd * kh * kw;
                                     for kdi in kd_lo..kd_hi {
-                                        let id = od * sd + kdi - pd;
+                                        let id = od + kdi - pd;
                                         for khi in kh_lo..kh_hi {
-                                            let ih = oh * sh + khi - ph;
+                                            let ih = oh + khi - ph;
                                             let xrow = xbase
                                                 + (id * din.h + ih) * din.w
-                                                + (ow * sw + kw_lo - pw);
+                                                + (ow + kw_lo - pw);
                                             let wrow = wbase + (kdi * kh + khi) * kw + kw_lo;
                                             for t in 0..(kw_hi - kw_lo) {
                                                 acc += xs[xrow + t] * ws[wrow + t];
@@ -549,7 +514,7 @@ mod tests {
 
     #[test]
     fn identity_kernel_passthrough() {
-        let mut c = Conv3d::new(1, 1, (1, 1, 1), (1, 1, 1), (0, 0, 0), &mut rng());
+        let mut c = Conv3d::same(1, 1, (1, 1, 1), &mut rng());
         c.weight.data = Tensor::from_vec([1, 1, 1, 1, 1], vec![1.0]);
         c.bias.data = Tensor::from_vec([1], vec![0.0]);
         let x = Tensor::from_vec([1, 1, 1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]);
@@ -582,13 +547,6 @@ mod tests {
         let mut c = Conv3d::same(2, 5, (3, 3, 3), &mut rng());
         let y = c.forward(&Tensor::zeros([2, 2, 4, 6, 8]), false);
         assert_eq!(y.dims(), &[2, 5, 4, 6, 8]);
-    }
-
-    #[test]
-    fn stride_two_halves_dims() {
-        let mut c = Conv3d::new(1, 3, (2, 2, 2), (2, 2, 2), (0, 0, 0), &mut rng());
-        let y = c.forward(&Tensor::zeros([1, 1, 4, 8, 8]), false);
-        assert_eq!(y.dims(), &[1, 3, 2, 4, 4]);
     }
 
     #[test]
@@ -643,14 +601,8 @@ mod tests {
     }
 
     #[test]
-    fn gradcheck_strided() {
-        let c = Conv3d::new(2, 2, (1, 3, 3), (1, 2, 2), (0, 1, 1), &mut rng());
-        check_layer_gradient(Box::new(c), &[1, 2, 1, 6, 6], 0.0, FD_EPS, FD_TOL);
-    }
-
-    #[test]
     fn gradcheck_1x1() {
-        let c = Conv3d::new(3, 2, (1, 1, 1), (1, 1, 1), (0, 0, 0), &mut rng());
+        let c = Conv3d::same(3, 2, (1, 1, 1), &mut rng());
         check_layer_gradient(Box::new(c), &[2, 3, 1, 3, 3], 0.0, FD_EPS, FD_TOL);
     }
 
@@ -696,7 +648,7 @@ mod tests {
     fn infer_im2col_reference<E: GemmElement>(c: &Conv3d<E>, x: &Tensor<E>) -> Tensor<E> {
         let din = Dims5::of(x);
         let dout = c.out_dims(&din);
-        let geom = c.geom(&din, &dout);
+        let geom = c.geom(&din);
         let (kdim, p) = (geom.rows(), geom.cols());
         let pa = pack_a(c.weight.data.as_slice(), c.out_c, kdim, false);
         let mut y = Tensor::zeros([dout.n, dout.c, dout.d, dout.h, dout.w]);
@@ -724,7 +676,7 @@ mod tests {
     /// im2col → GEMM → `b + s` loop bit for bit.
     fn check_against_im2col_reference<E: GemmElement>(c: &Conv3d<E>, x: &Tensor<E>) {
         let want = infer_im2col_reference(c, x);
-        let case = (c.in_c, c.out_c, c.kernel, c.stride, E::NAME);
+        let case = (c.in_c, c.out_c, c.kernel, E::NAME);
         assert!(bits_eq(c.infer(x).as_slice(), want.as_slice()), "{case:?}");
         let w = Dims5::of(&want);
         let (axis, planes) = if w.d > 1 {
@@ -744,17 +696,17 @@ mod tests {
     #[test]
     fn infer_matches_im2col_reference_bitwise() {
         let mut r = rng();
-        // (in_c, out_c, kernel, stride, padding, input dims): head-like
-        // m = 1 and m = 3, a strided conv, and m = 8 over 432 patch rows
-        // (two KC blocks, so the bias must follow the last block).
+        // (in_c, out_c, kernel, input dims): head-like m = 1 and m = 3, a
+        // 2D conv, and m = 8 over 432 patch rows (two KC blocks, so the
+        // bias must follow the last block).
         let cases = [
-            (8, 1, (1, 1, 1), (1, 1, 1), (0, 0, 0), [2, 8, 3, 5, 7]),
-            (4, 3, (3, 3, 3), (1, 1, 1), (1, 1, 1), [1, 4, 4, 6, 19]),
-            (3, 5, (1, 3, 3), (1, 2, 2), (0, 1, 1), [2, 3, 1, 9, 37]),
-            (16, 8, (3, 3, 3), (1, 1, 1), (1, 1, 1), [1, 16, 5, 6, 20]),
+            (8, 1, (1, 1, 1), [2, 8, 3, 5, 7]),
+            (4, 3, (3, 3, 3), [1, 4, 4, 6, 19]),
+            (3, 5, (1, 3, 3), [2, 3, 1, 9, 37]),
+            (16, 8, (3, 3, 3), [1, 16, 5, 6, 20]),
         ];
-        for (in_c, out_c, k, s, p, dims) in cases {
-            let mut c = Conv3d::new(in_c, out_c, k, s, p, &mut r);
+        for (in_c, out_c, k, dims) in cases {
+            let mut c = Conv3d::same(in_c, out_c, k, &mut r);
             c.bias.data = Tensor::rand_uniform([out_c], -1.0, 1.0, &mut r);
             let x = Tensor::rand_uniform(dims.to_vec(), -1.0, 1.0, &mut r);
             check_against_im2col_reference(&c, &x);
@@ -791,13 +743,10 @@ mod tests {
     #[test]
     fn backward_is_bitwise_thread_count_independent() {
         // Several weight-gradient blocks and GEMM column slabs per sample,
-        // for a stride-1 and a strided layer.
+        // for the U-Net's 3D, 2D and head kernels.
         let mut r = rng();
-        for (k, s, p) in [
-            ((3, 3, 3), (1, 1, 1), (1, 1, 1)),
-            ((1, 3, 3), (1, 2, 2), (0, 1, 1)),
-        ] {
-            let conv = Conv3d::new(4, 3, k, s, p, &mut r);
+        for k in [(3, 3, 3), (1, 3, 3), (1, 1, 1)] {
+            let conv = Conv3d::same(4, 3, k, &mut r);
             let x = Tensor::rand_uniform([2, 4, 6, 24, 40], -1.0, 1.0, &mut r);
             let dout = conv.out_dims(&Dims5::of(&x));
             let g = Tensor::rand_uniform([2, 3, dout.d, dout.h, dout.w], -1.0, 1.0, &mut r);
@@ -805,10 +754,7 @@ mod tests {
             for threads in [2, 4] {
                 let many = train_step(conv.clone(), &x, &g, threads);
                 for (a, b) in one.iter().zip(&many) {
-                    assert!(
-                        bits_eq(a.as_slice(), b.as_slice()),
-                        "{k:?} s{s:?} at {threads}"
-                    );
+                    assert!(bits_eq(a.as_slice(), b.as_slice()), "{k:?} at {threads}");
                 }
             }
         }
@@ -817,24 +763,22 @@ mod tests {
     proptest! {
         /// The lowering computes the same convolution as the direct
         /// sliding-window kernels — forward and all three gradients — to
-        /// 1e-12 across random channels, kernels (incl. 2D `(1,k,k)`),
-        /// strides and paddings.
+        /// 1e-12 at 1 and 2 workers, across random channels, extents and
+        /// the kernels the U-Net runs: 3³, 2D `(1,3,3)` and the 1³ head.
         #[test]
         fn conv_gemm_matches_direct(
             n in 1usize..3, cin in 1usize..4, cout in 1usize..4,
-            kd in 1usize..4, khw in 1usize..4,
-            sd in 1usize..3, shw in 1usize..3,
-            pd in 0usize..2, phw in 0usize..2,
-            extra in 0usize..4, seed in 0u64..1000,
+            kind in 0usize..3, d in 1usize..5, hw in 1usize..7,
+            seed in 0u64..1000,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
-            // Spatial extents large enough for the kernel at this padding.
-            let d = (kd.saturating_sub(2 * pd)).max(1) + extra;
-            let hw = (khw.saturating_sub(2 * phw)).max(1) + extra + 1;
-            let mut conv =
-                Conv3d::new(cin, cout, (kd, khw, khw), (sd, shw, shw), (pd, phw, phw), &mut rng);
+            let k = [(3, 3, 3), (1, 3, 3), (1, 1, 1)][kind];
+            let conv = Conv3d::same(cin, cout, k, &mut rng);
             let x = Tensor::rand_uniform([n, cin, d, hw, hw], -1.0, 1.0, &mut rng);
-            assert_layers_agree(&mut Direct::new(conv.clone()), &mut conv, &x, 1e-12);
+            for threads in [1, 2] {
+                let (mut oracle, mut conv) = (Direct::new(conv.clone()), conv.clone());
+                with_threads(threads, || assert_layers_agree(&mut oracle, &mut conv, &x, 1e-12));
+            }
         }
     }
 }

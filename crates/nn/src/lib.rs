@@ -7,13 +7,14 @@
 //! network and everything under it with hand-written, finite-difference-
 //! checked backpropagation:
 //!
-//! - [`conv::Conv3d`] / [`convt::ConvTranspose3d`] — convolutions with
-//!   arbitrary per-axis kernel/stride/padding; 2D problems use a unit depth
-//!   axis and `(1, k, k)` kernels so both dimensionalities share one code
-//!   path. Every pass of both layers — forward, data gradient, weight
-//!   gradient — is one blocked matmul of [`mgd_tensor::matmul`] whose
-//!   patch operand is gathered from the activation straight into the
-//!   GEMM's packed panels ([`lowering`]); no patch matrix is ever formed;
+//! - [`conv::Conv3d`] / [`convt::ConvTranspose3d`] — the U-Net's stride-1
+//!   "same" convolution and its factor-2 transpose-convolution upsampler;
+//!   2D problems use a unit depth axis and `(1, k, k)` kernels so both
+//!   dimensionalities share one code path. Every pass of both layers —
+//!   forward, data gradient, weight gradient — is one blocked matmul of
+//!   [`mgd_tensor::matmul`] whose patch operand is gathered from the
+//!   activation straight into the GEMM's packed panels ([`lowering`]); no
+//!   patch matrix is ever formed;
 //! - [`norm::BatchNorm`], [`pool::MaxPool3d`], [`act::LeakyReLU`],
 //!   [`act::Sigmoid`];
 //! - [`unet::UNet`] — the MGDiffNet architecture, including

@@ -4,33 +4,32 @@
 //! matrix is ever formed.
 //!
 //! `P(X)` is the patch matrix of a sample: one row per `(channel, kernel
-//! tap)`, one column per window position. A transpose convolution is the
-//! adjoint of a convolution with the same kernel/stride/padding, and the
-//! data gradient of a convolution is a convolution of the output gradient
-//! with the flipped, channel-transposed kernel (`flip(W)`), read over that
-//! gradient dilated by the stride with padding `k − 1 − p`
-//! (`ConvGeom::transposed`, written `P̃`). That gives seven products:
+//! tap)`, one column per window position. The layers are the U-Net's: a
+//! stride-1 "same" `Conv3d` and a `ConvTranspose3d` whose windows tile its
+//! output (`k = s`, no padding). A transpose convolution is the adjoint of
+//! a convolution with the same kernel and stride, and the data gradient of
+//! a stride-1 convolution is a convolution of the output gradient with the
+//! flipped, channel-transposed kernel (`flip(W)`) at padding `k − 1 − p`
+//! (`ConvGeom::transposed`, written `P̃`). That gives six products:
 //!
-//! | pass                                      | product                   | routine                   |
-//! |-------------------------------------------|---------------------------|---------------------------|
-//! | `Conv3d` forward                          | `Y = W · P(X) + b`        | `conv_forward`            |
-//! | `Conv3d` ∂input                           | `dX = flip(W) · P̃(dY)`    | `conv_forward`            |
-//! | `Conv3d` ∂weight                          | `dW += dY · P(X)ᵀ`        | `weight_grad`             |
-//! | `ConvTranspose3d` forward, `k = s, p = 0` | `Y = place(Vᵀ · X) + b`   | `tiled_transpose_forward` |
-//! | `ConvTranspose3d` forward, otherwise      | `Y = flip(V) · P̃(X) + b`  | `conv_forward`            |
-//! | `ConvTranspose3d` ∂input                  | `dX = V · P(dY)`          | `conv_forward`            |
-//! | `ConvTranspose3d` ∂weight                 | `dV += X · P(dY)ᵀ`        | `weight_grad`             |
+//! | pass                       | product                 | routine                   |
+//! |----------------------------|-------------------------|---------------------------|
+//! | `Conv3d` forward           | `Y = W · P(X) + b`      | `conv_forward`            |
+//! | `Conv3d` ∂input            | `dX = flip(W) · P̃(dY)`  | `conv_forward`            |
+//! | `Conv3d` ∂weight           | `dW += dY · P(X)ᵀ`      | `weight_grad`             |
+//! | `ConvTranspose3d` forward  | `Y = place(Vᵀ · X) + b` | `tiled_transpose_forward` |
+//! | `ConvTranspose3d` ∂input   | `dX = V · P(dY)`        | `conv_forward`            |
+//! | `ConvTranspose3d` ∂weight  | `dV += X · P(dY)ᵀ`      | `weight_grad`             |
 //!
 //! `conv_forward` gathers `P` into the `B` panels of
 //! [`gemm_prepacked_with`] (`PatchPanels::fill`). `weight_grad` packs no
 //! `Pᵀ` panel: [`gemm_prepacked_indexed`] reads each patch element from
 //! the source grid at a position's window origin plus a patch row's offset
 //! (`block_reads`: the source itself when unpadded, else the few zero-padded
-//! rows a block of positions reaches). When the windows of a transpose
-//! convolution tile its output (the U-Net's `up2`), no window position
-//! sees more than one tap, so `place` writes each `(channel, tap)` row of
-//! the product to its stride-`s` output positions without touching a zero
-//! tap.
+//! rows a block of positions reaches). The windows of the transpose
+//! convolution tile its output, so no window position sees more than one
+//! tap, and `place` writes each `(channel, tap)` row of the product to its
+//! stride-`s` output positions without touching a zero tap.
 //!
 //! Every output element is one fixed-order reduction: GEMM column slabs
 //! write disjoint elements, and `weight_grad` cuts positions into blocks
@@ -46,8 +45,8 @@ use mgd_tensor::par::{par_jobs, par_jobs_with, SyncSlice};
 use mgd_tensor::GemmElement;
 
 /// Sliding-window geometry of one gather: `c` channels of a `dims`-shaped
-/// grid read through `kernel`/`stride`/`padding` windows anchored at `out`
-/// positions, the grid optionally dilated.
+/// grid, zero-padded, read through `kernel`/`stride` windows anchored at
+/// `out` positions.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ConvGeom {
     /// Channels of the gathered grid.
@@ -58,18 +57,14 @@ pub(crate) struct ConvGeom {
     pub kernel: Triple,
     /// Strides.
     pub stride: Triple,
-    /// Input dilation: the grid is read as if `dilation − 1` zeros sat
-    /// between neighbouring samples along each axis. Only the adjoint
-    /// gathers of [`ConvGeom::transposed`] dilate, always at unit stride.
-    pub dilation: Triple,
-    /// Zero padding of the (dilated) grid; a negative value crops it.
-    pub padding: [isize; 3],
+    /// Zero padding of the grid.
+    pub padding: Triple,
     /// Window-anchor counts (the patch-matrix column space).
     pub out: Triple,
 }
 
 impl ConvGeom {
-    /// The gather of a strided, zero-padded convolution (no dilation).
+    /// The gather of a strided, zero-padded convolution.
     pub fn new(
         c: usize,
         dims: Triple,
@@ -83,31 +78,29 @@ impl ConvGeom {
             dims,
             kernel,
             stride,
-            dilation: (1, 1, 1),
-            padding: [padding.0 as isize, padding.1 as isize, padding.2 as isize],
+            padding,
             out,
         }
     }
 
-    /// The gather of this convolution's adjoint: `c` channels of the `out`
-    /// grid, dilated by the stride and padded by `k − 1 − p`, read through
-    /// the flipped kernel at every position of the `dims` grid. Packed with
-    /// [`pack_flipped`] weights, [`conv_forward`] over it computes the
-    /// `Conv3d` data gradient and the general `ConvTranspose3d` forward.
+    /// The gather of this stride-1 convolution's adjoint: `c` channels of
+    /// the `out` grid padded by `k − 1 − p`, read through the flipped kernel
+    /// at every position of the `dims` grid. Packed with [`pack_flipped`]
+    /// weights, [`conv_forward`] over it computes the `Conv3d` data
+    /// gradient.
     pub fn transposed(&self, c: usize) -> Self {
-        assert_eq!(self.dilation, (1, 1, 1), "the adjoint gather is undilated");
+        assert_eq!(
+            self.stride,
+            (1, 1, 1),
+            "the adjoint gather is of a stride-1 conv"
+        );
         let (k, p) = (self.kernel, self.padding);
         ConvGeom {
             c,
             dims: self.out,
             kernel: k,
             stride: (1, 1, 1),
-            dilation: self.stride,
-            padding: [
-                k.0 as isize - 1 - p[0],
-                k.1 as isize - 1 - p[1],
-                k.2 as isize - 1 - p[2],
-            ],
+            padding: (k.0 - 1 - p.0, k.1 - 1 - p.1, k.2 - 1 - p.2),
             out: self.dims,
         }
     }
@@ -157,18 +150,6 @@ pub(crate) fn anchor_range(
     (lo.min(hi), hi)
 }
 
-/// The sample index at dilated coordinate `u` of an axis holding `extent`
-/// samples `dil` apart, if one sits there.
-#[inline(always)]
-fn undilate(u: isize, dil: usize, extent: usize) -> Option<usize> {
-    let u = usize::try_from(u).ok()?;
-    if dil == 1 {
-        (u < extent).then_some(u)
-    } else {
-        (u % dil == 0 && u / dil < extent).then_some(u / dil)
-    }
-}
-
 /// One patch-matrix row — a `(channel, kernel tap)` pair — resolved once
 /// per gather so the panel fills do no index division per row.
 #[derive(Clone, Copy, Debug)]
@@ -176,10 +157,10 @@ struct Tap {
     /// Offset of the tap's channel in the source sample.
     chan: usize,
     /// Kernel offset minus padding along (d, h, w): the window sample of
-    /// anchor `o` sits at dilated coordinate `o·stride + off`.
+    /// anchor `o` sits at coordinate `o·stride + off`.
     off: [isize; 3],
-    /// Anchors `[wlo, whi)` along w whose sample is inside an undilated
-    /// grid (see [`anchor_range`]).
+    /// Anchors `[wlo, whi)` along w whose sample is inside the grid (see
+    /// [`anchor_range`]).
     wlo: usize,
     whi: usize,
 }
@@ -201,15 +182,15 @@ impl<'a, E: GemmElement> PatchPanels<'a, E> {
     pub(crate) fn new(g: &'a ConvGeom, src: &'a [E], q0: usize) -> Self {
         assert_eq!(src.len(), g.c * g.vol());
         let (_, kh, kw) = g.kernel;
-        let p = g.padding;
+        let (pd, ph, pw) = g.padding;
         let taps = (0..g.rows())
             .map(|r| {
                 let (ci, tap) = (r / g.kvol(), r % g.kvol());
                 let (kdi, rem) = (tap / (kh * kw), tap % (kh * kw));
                 let off = [
-                    kdi as isize - p[0],
-                    (rem / kw) as isize - p[1],
-                    (rem % kw) as isize - p[2],
+                    kdi as isize - pd as isize,
+                    (rem / kw) as isize - ph as isize,
+                    (rem % kw) as isize - pw as isize,
                 ];
                 let (wlo, whi) = anchor_range(off[2], g.stride.2, g.dims.2, g.out.2);
                 Tap {
@@ -223,8 +204,8 @@ impl<'a, E: GemmElement> PatchPanels<'a, E> {
         PatchPanels { g, src, taps, q0 }
     }
 
-    /// The dilated (d, h) coordinates of tap 0's window in anchor row `a`
-    /// (a flattened `(o_d, o_h)`).
+    /// The (d, h) coordinates of tap 0's window in anchor row `a` (a
+    /// flattened `(o_d, o_h)`).
     #[inline(always)]
     fn row_origin(&self, a: usize) -> (isize, isize) {
         let g = self.g;
@@ -232,7 +213,7 @@ impl<'a, E: GemmElement> PatchPanels<'a, E> {
         ((o_d * g.stride.0) as isize, (o_h * g.stride.1) as isize)
     }
 
-    /// Where tap `t` of an undilated gather reads over anchor columns
+    /// Where tap `t` reads over anchor columns
     /// `[w0, w1)` of the anchor row at [`Self::row_origin`] `z`: `None`
     /// when every column is padding, else `(lo, hi, row)` — columns
     /// `[lo, hi)` take `row[0], row[stride], …`, the others are padding.
@@ -265,28 +246,8 @@ impl<'a, E: GemmElement> PatchPanels<'a, E> {
     /// The columns are walked as anchor-row runs (one row of window
     /// positions: contiguous in the source along w). Per run and tap the
     /// in-grid range is copied and the padding zero-filled as whole
-    /// ranges, cut only at panel boundaries. A dilated gather goes through
-    /// [`Self::gather_dilated`] instead, keeping this loop free of dilation
-    /// branches.
+    /// ranges, cut only at panel boundaries.
     pub(crate) fn fill(&self, k0: usize, kc_len: usize, j0: usize, jn: usize, bpack: &mut [E]) {
-        if self.g.dilation == (1, 1, 1) {
-            self.fill_runs::<false>(k0, kc_len, j0, jn, bpack);
-        } else {
-            self.fill_runs::<true>(k0, kc_len, j0, jn, bpack);
-        }
-    }
-
-    /// [`Self::fill`], compiled once per kind of gather so the undilated
-    /// loop carries no dilation branch.
-    #[inline(always)]
-    fn fill_runs<const DILATED: bool>(
-        &self,
-        k0: usize,
-        kc_len: usize,
-        j0: usize,
-        jn: usize,
-        bpack: &mut [E],
-    ) {
         let nr = E::NR;
         let (ow, sw) = (self.g.out.2, self.g.stride.2);
         let taps = &self.taps[k0..k0 + kc_len];
@@ -294,19 +255,12 @@ impl<'a, E: GemmElement> PatchPanels<'a, E> {
             bpack: &mut bpack[..jn.div_ceil(nr) * kc_len * nr],
             pstride: kc_len * nr,
         };
-        let mut run = Vec::new();
         let mut c = 0;
         while c < jn {
             let (a, w0) = ((self.q0 + j0 + c) / ow, (self.q0 + j0 + c) % ow);
             let len = (ow - w0).min(jn - c);
             let z = self.row_origin(a);
             for (kk, t) in taps.iter().enumerate() {
-                if DILATED {
-                    run.resize(len, E::ZERO);
-                    self.gather_dilated(t, z, w0, &mut run);
-                    out.copy(kk, c, len, &run, 1);
-                    continue;
-                }
                 match self.segment(t, z, w0, w0 + len) {
                     None => out.zero(kk, c, len),
                     Some((lo, hi, row)) => {
@@ -321,25 +275,6 @@ impl<'a, E: GemmElement> PatchPanels<'a, E> {
         let nvalid = jn - (jn - 1) / nr * nr;
         for kk in 0..kc_len {
             out.zero(kk, jn, nr - nvalid);
-        }
-    }
-
-    /// Writes tap `t`'s samples over anchor columns `[w0, w0 + row.len())`
-    /// of the anchor row at `z` into `row` for a dilated gather (the adjoint
-    /// gathers of strided convolutions, which the U-Net does not train):
-    /// column by column, each reading a sample only where one sits, zero
-    /// elsewhere.
-    #[cold]
-    fn gather_dilated(&self, t: &Tap, z: (isize, isize), w0: usize, row: &mut [E]) {
-        let g = self.g;
-        let ((dd, dh, dw), (ld, lh, lw)) = (g.dims, g.dilation);
-        let at = undilate(z.0 + t.off[0], ld, dd).zip(undilate(z.1 + t.off[1], lh, dh));
-        for (o, d) in (w0..).zip(row.iter_mut()) {
-            let iw = undilate((o * g.stride.2) as isize + t.off[2], lw, dw);
-            *d = match (at, iw) {
-                (Some((id, ih)), Some(iw)) => self.src[t.chan + (id * dh + ih) * dw + iw],
-                _ => E::ZERO,
-            };
         }
     }
 }
@@ -463,8 +398,7 @@ const WGRAD_MAX_BLOCKS: usize = 64;
 
 /// Weight gradient `gw += Σₙ lhsₙ · P(srcₙ)ᵀ` over a batch of `n` samples:
 /// `lhs` holds an `m × cols()` matrix per sample, `src` the gathered grid
-/// per sample, and `gw` the `m × rows()` product. The gather must be
-/// undilated and not cropped (every weight gradient's is).
+/// per sample, and `gw` the `m × rows()` product.
 ///
 /// Each sample's positions are cut into blocks whose bounds depend only on
 /// their count. Every block is one sequential product
@@ -537,11 +471,7 @@ fn block_reads<'a>(
     rows: &mut Vec<usize>,
     cols: &mut Vec<usize>,
 ) -> &'a [f64] {
-    assert_eq!(g.dilation, (1, 1, 1), "weight gradients gather undilated");
-    let [pd, ph, pw] = g
-        .padding
-        .map(|p| usize::try_from(p).expect("an uncropped gather"));
-    let ((kd, kh, kw), (sd, sh, sw)) = (g.kernel, g.stride);
+    let ((pd, ph, pw), (kd, kh, kw), (sd, sh, sw)) = (g.padding, g.kernel, g.stride);
     let ((dd, dh, dw), (_, oh, ow)) = (g.dims, g.out);
     // The extents the windows span along each axis.
     let (ed, eh, ew) = (
@@ -613,7 +543,7 @@ pub(crate) fn tiled_transpose_forward<E: GemmElement>(
     y: &mut [E],
 ) {
     assert_eq!(g.kernel, g.stride, "windows must tile the output");
-    assert_eq!(g.padding, [0, 0, 0], "windows must tile the output");
+    assert_eq!(g.padding, (0, 0, 0), "windows must tile the output");
     let (kvol, p, ovol) = (g.kvol(), g.cols(), g.vol());
     let (m, in_c) = (pa.m(), pa.k());
     assert_eq!(m, g.rows());
@@ -697,9 +627,9 @@ pub(crate) mod reference {
     /// f64) in [`anchor_chunks`].
     pub(crate) const CHUNK_ELEMS: usize = 1 << 20;
 
-    /// Anchor range of an undilated, non-negatively padded axis.
-    fn range(k: usize, stride: usize, pad: isize, extent: usize, anchors: usize) -> (usize, usize) {
-        anchor_range(k as isize - pad, stride, extent, anchors)
+    /// Anchor range of one axis.
+    fn range(k: usize, stride: usize, pad: usize, extent: usize, anchors: usize) -> (usize, usize) {
+        anchor_range(k as isize - pad as isize, stride, extent, anchors)
     }
 
     /// Gathers `src` (one sample, `c × dims` row-major) into the patch
@@ -717,13 +647,12 @@ pub(crate) mod reference {
         ar0: usize,
         ar1: usize,
     ) {
-        assert_eq!(g.dilation, (1, 1, 1));
         let cols = (ar1 - ar0) * g.out.2;
         assert_eq!(src.len(), g.c * g.vol());
         assert_eq!(col.len(), g.rows() * cols);
         let (_, kh, kw) = g.kernel;
         let (sd, sh, sw) = g.stride;
-        let [pd, ph, pw] = g.padding;
+        let (pd, ph, pw) = g.padding;
         let (dd, dh, dw) = g.dims;
         let (_, oh, ow) = g.out;
         for (r, dst) in col.chunks_exact_mut(cols).enumerate() {
@@ -740,11 +669,10 @@ pub(crate) mod reference {
                 if o_d < dlo || o_d >= dhi || o_h < hlo || o_h >= hhi {
                     continue;
                 }
-                let id = (o_d * sd + kdi) as isize - pd;
-                let ih = (o_h * sh + khi) as isize - ph;
-                let srow = (id as usize * dh + ih as usize) * dw;
+                let (id, ih) = (o_d * sd + kdi - pd, o_h * sh + khi - ph);
+                let srow = (id * dh + ih) * dw;
                 for o_w in wlo..whi {
-                    run[o_w] = chan[srow + ((o_w * sw + kwi) as isize - pw) as usize];
+                    run[o_w] = chan[srow + o_w * sw + kwi - pw];
                 }
             }
         }
@@ -764,13 +692,12 @@ pub(crate) mod reference {
         ar0: usize,
         ar1: usize,
     ) {
-        assert_eq!(g.dilation, (1, 1, 1));
         let cols = (ar1 - ar0) * g.out.2;
         assert_eq!(dst.len(), g.c * g.vol());
         assert_eq!(col.len(), g.rows() * cols);
         let (_, kh, kw) = g.kernel;
         let (sd, sh, sw) = g.stride;
-        let [pd, ph, pw] = g.padding;
+        let (pd, ph, pw) = g.padding;
         let (dd, dh, dw) = g.dims;
         let (_, oh, ow) = g.out;
         for (r, src) in col.chunks_exact(cols).enumerate() {
@@ -786,11 +713,10 @@ pub(crate) mod reference {
                 if o_d < dlo || o_d >= dhi || o_h < hlo || o_h >= hhi {
                     continue;
                 }
-                let id = (o_d * sd + kdi) as isize - pd;
-                let ih = (o_h * sh + khi) as isize - ph;
-                let drow = (id as usize * dh + ih as usize) * dw;
+                let (id, ih) = (o_d * sd + kdi - pd, o_h * sh + khi - ph);
+                let drow = (id * dh + ih) * dw;
                 for o_w in wlo..whi {
-                    chan[drow + ((o_w * sw + kwi) as isize - pw) as usize] += run[o_w];
+                    chan[drow + o_w * sw + kwi - pw] += run[o_w];
                 }
             }
         }
@@ -908,15 +834,15 @@ mod tests {
         ConvGeom::new(2, (1, 4, 5), (1, 3, 3), (1, 1, 1), (0, 1, 1), (1, 4, 5))
     }
 
-    /// Brute-force gather of the (possibly dilated, cropped) patch matrix.
+    /// Brute-force gather of the patch matrix.
     fn im2col_naive<E: Element>(g: &ConvGeom, src: &[E]) -> Vec<E> {
         let mut col = vec![E::ZERO; g.rows() * g.cols()];
         let (_, kh, kw) = g.kernel;
-        let dil = [g.dilation.0, g.dilation.1, g.dilation.2];
+        let pad = [g.padding.0, g.padding.1, g.padding.2];
         let dims = [g.dims.0, g.dims.1, g.dims.2];
         let sample = |axis: usize, o: usize, s: usize, k: usize| {
-            let u = usize::try_from((o * s + k) as isize - g.padding[axis]).ok()?;
-            (u % dil[axis] == 0 && u / dil[axis] < dims[axis]).then_some(u / dil[axis])
+            let u = (o * s + k).checked_sub(pad[axis])?;
+            (u < dims[axis]).then_some(u)
         };
         for r in 0..g.rows() {
             let (ci, tap) = (r / g.kvol(), r % g.kvol());
@@ -1084,8 +1010,8 @@ mod tests {
         /// Random geometries: 2D (unit depth) and 3D, kernels 1–3, strides
         /// 1–2, padding 0–1, widths below, at and off multiples of both
         /// tiles' `NR` (ragged last panels), anchor ranges starting
-        /// mid-plane — each also as its adjoint gather (dilated by the
-        /// stride, padding `k − 1 − p`, which crops when `p ≥ k`).
+        /// mid-plane — and the adjoint gathers of stride-1 convolutions
+        /// (padding `k − 1 − p`, with `p < k`).
         #[test]
         fn panel_gather_is_im2col_then_pack(
             two_d_bit in 0usize..=1,
@@ -1097,8 +1023,9 @@ mod tests {
             dims in (1usize..=4, 1usize..=6, 1usize..=40),
             range in (0usize..1000, 0usize..1000),
         ) {
-            let two_d = two_d_bit == 1;
+            let (two_d, adjoint) = (two_d_bit == 1, adjoint_bit == 1);
             let dims = (if two_d { 1 } else { dims.0 }, dims.1, dims.2);
+            let s = if adjoint { (1, 1, 1) } else { s };
             let pad = (if two_d { 0 } else { p.0 }, p.1, p.2);
             // Kernels never exceed the padded extent.
             let kern = (
@@ -1106,6 +1033,12 @@ mod tests {
                 k.1.min(dims.1 + 2 * pad.1),
                 k.2.min(dims.2 + 2 * pad.2),
             );
+            // An adjoint gather pads by `k − 1 − p`, so it needs `p < k`.
+            let pad = if adjoint {
+                (pad.0.min(kern.0 - 1), pad.1.min(kern.1 - 1), pad.2.min(kern.2 - 1))
+            } else {
+                pad
+            };
             let out = |i: usize, k: usize, s: usize, p: usize| (i + 2 * p - k) / s + 1;
             let out = (
                 out(dims.0, kern.0, s.0, pad.0),
@@ -1113,7 +1046,7 @@ mod tests {
                 out(dims.2, kern.2, s.2, pad.2),
             );
             let mut g = ConvGeom::new(c, dims, kern, s, pad, out);
-            if adjoint_bit == 1 {
+            if adjoint {
                 g = g.transposed(c + 1);
             }
             let rows = g.out.0 * g.out.1;
@@ -1166,8 +1099,8 @@ mod tests {
 
     /// `weight_grad` is its scalar order bit for bit at 1, 2 and 4 workers:
     /// over 1 to 32 output rows (ragged and whole tiles), 27 and 432 patch
-    /// rows, the `up2` transpose gather, a 2D and a strided 3D conv, and
-    /// positions spanning several blocks. An infinite output gradient at a
+    /// rows, the 3D and 2D `up2` transpose gathers, a 2D conv and the 1³
+    /// head, and positions spanning several blocks. An infinite output gradient at a
     /// corner position turns its out-of-grid taps' zero products into NaN,
     /// so a product that is skipped rather than added shows.
     #[test]
@@ -1177,7 +1110,8 @@ mod tests {
             ConvGeom::new(16, (3, 5, 21), (3, 3, 3), (1, 1, 1), (1, 1, 1), (3, 5, 21)),
             ConvGeom::new(8, (8, 6, 10), (2, 2, 2), (2, 2, 2), (0, 0, 0), (4, 3, 5)),
             ConvGeom::new(3, (1, 40, 60), (1, 3, 3), (1, 1, 1), (0, 1, 1), (1, 40, 60)),
-            ConvGeom::new(2, (6, 7, 9), (3, 3, 3), (2, 2, 2), (1, 1, 1), (3, 4, 5)),
+            ConvGeom::new(4, (1, 12, 20), (1, 2, 2), (1, 2, 2), (0, 0, 0), (1, 6, 10)),
+            ConvGeom::new(8, (2, 9, 13), (1, 1, 1), (1, 1, 1), (0, 0, 0), (2, 9, 13)),
         ];
         assert!(cases[0].cols() > WGRAD_BLOCK && cases[3].cols() > WGRAD_BLOCK);
         let n = 2;

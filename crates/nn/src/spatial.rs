@@ -201,28 +201,12 @@ fn conv_halo<E: mgd_tensor::Element>(
     d: &Dims5,
     axis: SplitAxis,
 ) -> (usize, usize) {
+    let (pd, ph, _) = conv.padding();
     match axis {
-        SplitAxis::Depth => {
-            assert_eq!(conv.stride.0, 1, "spatial split needs stride 1 along depth");
-            assert_eq!(
-                conv.kernel.0,
-                2 * conv.padding.0 + 1,
-                "spatial split needs a symmetric same-conv along depth"
-            );
-            (conv.padding.0, d.d)
-        }
+        SplitAxis::Depth => (pd, d.d),
         SplitAxis::Height => {
             assert_eq!(d.d, 1, "height split needs a unit depth axis");
-            assert_eq!(
-                conv.stride.1, 1,
-                "spatial split needs stride 1 along height"
-            );
-            assert_eq!(
-                conv.kernel.1,
-                2 * conv.padding.1 + 1,
-                "spatial split needs a symmetric same-conv along height"
-            );
-            (conv.padding.1, d.h)
+            (ph, d.h)
         }
     }
 }
@@ -593,13 +577,10 @@ pub(crate) fn walk<E: GemmElement + HaloElement>(
     meter.alloc(head.len());
     meter.free(h.len());
     h = head;
-    if let Some(s) = &net.sigmoid {
-        let out = s.infer(&h);
-        meter.alloc(out.len());
-        meter.free(h.len());
-        h = out;
-    }
-    h
+    let out = net.sigmoid.infer(&h);
+    meter.alloc(out.len());
+    meter.free(h.len());
+    out
 }
 
 /// Models the peak number of live activation scalars of one rank's
@@ -714,7 +695,7 @@ pub fn activation_peak_elems_opts(
         live = cat;
         block!(2 * ch(i), ch(i), i);
     }
-    let head = t(cfg.out_channels, 0);
+    let head = t(UNetConfig::OUT_CHANNELS, 0);
     peak = peak.max(live + 2 * head); // head output + sigmoid output
     peak
 }

@@ -27,20 +27,14 @@ use rand::SeedableRng;
 pub struct UNetConfig {
     /// Input channels (1: the coefficient field).
     pub in_channels: usize,
-    /// Output channels (1: the solution field).
-    pub out_channels: usize,
     /// Number of pool/upsample stages (paper: 3).
     pub depth: usize,
     /// Channels of the first encoder block (paper: 16).
     pub base_filters: usize,
     /// 2D mode: unit depth axis, `(1,k,k)` kernels, `(1,2,2)` pools.
     pub two_d: bool,
-    /// LeakyReLU negative slope.
-    pub leaky_slope: f64,
     /// Enable batch normalization (paper: yes).
     pub batch_norm: bool,
-    /// Sigmoid on the head (paper: yes — predictions live in (0,1)).
-    pub final_sigmoid: bool,
     /// Weight-init RNG seed (replicated across data-parallel workers so all
     /// replicas start identical).
     pub seed: u64,
@@ -50,31 +44,20 @@ impl Default for UNetConfig {
     fn default() -> Self {
         UNetConfig {
             in_channels: 1,
-            out_channels: 1,
             depth: 3,
             base_filters: 16,
             two_d: false,
-            leaky_slope: 0.01,
             batch_norm: true,
-            final_sigmoid: true,
             seed: 0,
         }
     }
 }
 
 impl UNetConfig {
-    /// The paper's 2D configuration.
-    pub fn paper_2d() -> Self {
-        UNetConfig {
-            two_d: true,
-            ..Default::default()
-        }
-    }
-
-    /// The paper's 3D configuration.
-    pub fn paper_3d() -> Self {
-        UNetConfig::default()
-    }
+    /// Output channels of the head: the one solution field.
+    pub const OUT_CHANNELS: usize = 1;
+    /// LeakyReLU negative slope of every block.
+    pub const LEAKY_SLOPE: f64 = 0.01;
 
     /// Channel count of encoder level `i`.
     pub fn channels(&self, i: usize) -> usize {
@@ -103,7 +86,7 @@ impl ConvBlock {
             } else {
                 None
             },
-            act: LeakyReLU::new(cfg.leaky_slope),
+            act: LeakyReLU::new(UNetConfig::LEAKY_SLOPE),
         }
     }
 }
@@ -255,7 +238,7 @@ pub struct UNet<E: Element = f64> {
     /// `merges[i]` fuses `[up_out ‖ skip]` (2·c_i channels) down to c_i.
     pub(crate) merges: Vec<ConvBlock<E>>,
     pub(crate) head: Conv3d<E>,
-    pub(crate) sigmoid: Option<Sigmoid>,
+    pub(crate) sigmoid: Sigmoid,
 }
 
 impl UNet {
@@ -296,19 +279,12 @@ impl UNet {
                 &mut rng,
             ));
         }
-        let head = Conv3d::new(
+        let head = Conv3d::same(
             cfg.channels(0),
-            cfg.out_channels,
+            UNetConfig::OUT_CHANNELS,
             (1, 1, 1),
-            (1, 1, 1),
-            (0, 0, 0),
             &mut rng,
         );
-        let sigmoid = if cfg.final_sigmoid {
-            Some(Sigmoid::new())
-        } else {
-            None
-        };
         UNet {
             cfg,
             enc,
@@ -317,7 +293,7 @@ impl UNet {
             ups,
             merges,
             head,
-            sigmoid,
+            sigmoid: Sigmoid::new(),
         }
     }
 
@@ -407,9 +383,9 @@ impl<E: GemmElement + HaloElement> UNet<E> {
         let walk = |x: Tensor<E>| spatial::walk(self, x, &solo, &SlabOpts::default());
         if din.n > 1 && din.vol() > BATCH_CHUNK_VOL {
             let in_vol = din.c * din.vol();
-            let out_vol = self.cfg.out_channels * din.vol();
+            let out_vol = UNetConfig::OUT_CHANNELS * din.vol();
             let mut y: Tensor<E> =
-                Tensor::zeros([din.n, self.cfg.out_channels, din.d, din.h, din.w]);
+                Tensor::zeros([din.n, UNetConfig::OUT_CHANNELS, din.d, din.h, din.w]);
             for (ni, xs) in x.as_slice().chunks_exact(in_vol).enumerate() {
                 let sample = Tensor::from_vec(vec![1, din.c, din.d, din.h, din.w], xs.to_vec());
                 let out = walk(sample);
@@ -460,10 +436,7 @@ impl UNet {
     /// block, returning that block's output gradient.
     fn enc0_grad(&mut self, grad_out: &Tensor) -> Tensor {
         let depth = self.cfg.depth;
-        let mut g = grad_out.clone();
-        if let Some(s) = &mut self.sigmoid {
-            g = s.backward(&g);
-        }
+        let mut g = self.sigmoid.backward(grad_out);
         g = self.head.backward(&g);
         let mut skip_grads: Vec<Option<Tensor>> = vec![None; depth];
         for i in 0..depth {
@@ -502,10 +475,7 @@ impl Layer for UNet {
             h = self.merges[i].forward(&h, train);
         }
         h = self.head.forward(&h, train);
-        if let Some(s) = &mut self.sigmoid {
-            h = s.forward(&h, train);
-        }
-        h
+        self.sigmoid.forward(&h, train)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -725,7 +695,7 @@ mod tests {
     #[test]
     fn parameter_count_reasonable() {
         // Paper-scale 3D network: depth 3, base 16 -> a few hundred k params.
-        let mut net = UNet::new(UNetConfig::paper_3d());
+        let mut net = UNet::new(UNetConfig::default());
         let n = net.num_parameters();
         assert!(n > 100_000 && n < 5_000_000, "{n}");
     }
@@ -900,11 +870,7 @@ mod tests {
             h = concat_channels(&net.ups[i].forward_direct(&h), &skips[i]);
             h = block(&net.merges[i], &h);
         }
-        h = net.head.forward_direct(&h);
-        match &net.sigmoid {
-            Some(s) => s.infer(&h),
-            None => h,
-        }
+        net.sigmoid.infer(&net.head.forward_direct(&h))
     }
 
     #[test]

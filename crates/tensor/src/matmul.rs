@@ -31,11 +31,8 @@
 //!   dispatched through [`crate::par::par_jobs_with`]; when the shared
 //!   dimension dominates (`k` huge, `m·n` tiny), [`gemm`] instead splits
 //!   `k` into chunks reduced **in chunk order**, so results are bitwise
-//!   deterministic for any thread count.
-//!   The split-k reduction normally accumulates in `E`; [`gemm_opts`] with
-//!   [`SplitKAcc::Wide`] reduces the `f32` partial products in `f64`
-//!   instead (a no-op for `f64`), trading one widening pass for immunity to
-//!   catastrophic cancellation across chunks.
+//!   deterministic for any thread count. No conv pass runs either path of
+//!   [`gemm`]: the layers call the prepacked entry points directly.
 //!
 //! Every job writes a disjoint region of `C` with a fixed internal loop
 //! order, and reductions happen in a deterministic order, so a given entry
@@ -62,18 +59,6 @@ const KSPLIT_LEN: usize = 8192;
 const KSPLIT_MAX_MN: usize = 1 << 16;
 /// Cap on total split-k scratch (elements) across all chunks.
 const KSPLIT_MAX_SCRATCH: usize = 1 << 22;
-
-/// How the split-k path reduces its per-chunk partial products.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SplitKAcc {
-    /// Reduce in the element type itself (the default; for `f64` this is
-    /// the only behavior there is).
-    #[default]
-    Native,
-    /// Widen each partial to `f64` and reduce there, rounding back to `E`
-    /// once at the end. Only changes results for `f32`.
-    Wide,
-}
 
 /// `op(A)` packed into `E::MR`-row micro-panels, grouped by `E::KC` block.
 ///
@@ -518,35 +503,6 @@ pub fn gemm<E: GemmElement>(
     c: &mut [E],
     accumulate: bool,
 ) {
-    gemm_opts(
-        m,
-        n,
-        k,
-        a,
-        trans_a,
-        b,
-        trans_b,
-        c,
-        accumulate,
-        SplitKAcc::Native,
-    );
-}
-
-/// [`gemm`] with an explicit split-k accumulation policy (the `f64`-
-/// accumulate knob for `f32` weight-gradient GEMMs).
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_opts<E: GemmElement>(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[E],
-    trans_a: bool,
-    b: &[E],
-    trans_b: bool,
-    c: &mut [E],
-    accumulate: bool,
-    split_k_acc: SplitKAcc,
-) {
     assert_eq!(a.len(), m * k, "A storage must hold m*k elements");
     assert_eq!(b.len(), k * n, "B storage must hold k*n elements");
     assert_eq!(c.len(), m * n, "C storage must hold m*n elements");
@@ -563,19 +519,7 @@ pub fn gemm_opts<E: GemmElement>(
         .div_ceil(KSPLIT_LEN)
         .min(KSPLIT_MAX_SCRATCH / (m * n).max(1));
     if chunks >= 2 && m * n <= KSPLIT_MAX_MN {
-        gemm_split_k(
-            m,
-            n,
-            k,
-            a,
-            trans_a,
-            b,
-            trans_b,
-            c,
-            accumulate,
-            chunks,
-            split_k_acc,
-        );
+        gemm_split_k(m, n, k, a, trans_a, b, trans_b, c, accumulate, chunks);
     } else {
         let pa = pack_a(a, m, k, trans_a);
         gemm_prepacked(&pa, b, trans_b, c, n, accumulate);
@@ -596,7 +540,6 @@ fn gemm_split_k<E: GemmElement>(
     c: &mut [E],
     accumulate: bool,
     chunks: usize,
-    split_k_acc: SplitKAcc,
 ) {
     let (ars, acs) = op_strides(m, k, trans_a);
     let (brs, bcs) = op_strides(k, n, trans_b);
@@ -626,24 +569,6 @@ fn gemm_split_k<E: GemmElement>(
             );
         }
     });
-    if split_k_acc == SplitKAcc::Wide && E::NAME != "f64" {
-        // Widened reduction: chunk order preserved, one rounding at the end.
-        let mut wide: Vec<f64> = if accumulate {
-            c.iter().map(|x| x.to_f64()).collect()
-        } else {
-            vec![0.0; mn]
-        };
-        for s in 0..chunks {
-            let part = &partials[s * mn..(s + 1) * mn];
-            for (dst, &src) in wide.iter_mut().zip(part) {
-                *dst += src.to_f64();
-            }
-        }
-        for (dst, &src) in c.iter_mut().zip(&wide) {
-            *dst = E::from_f64(src);
-        }
-        return;
-    }
     if !accumulate {
         c.fill(E::ZERO);
     }
@@ -819,51 +744,6 @@ mod tests {
     }
 
     #[test]
-    fn split_k_wide_accumulate_is_at_least_as_accurate() {
-        let (m, n, k) = (2, 3, 2 * KSPLIT_LEN + 5);
-        let mut rng = StdRng::seed_from_u64(41);
-        let a: Vec<f32> = rand_vec(m * k, &mut rng);
-        let b: Vec<f32> = rand_vec(k * n, &mut rng);
-        let a64: Vec<f64> = a.iter().map(|&x| f64::from(x)).collect();
-        let b64: Vec<f64> = b.iter().map(|&x| f64::from(x)).collect();
-        let want = naive(m, n, k, &a64, false, &b64, false);
-        let mut native = vec![0.0f32; m * n];
-        let mut wide = vec![0.0f32; m * n];
-        gemm_opts(
-            m,
-            n,
-            k,
-            &a,
-            false,
-            &b,
-            false,
-            &mut native,
-            false,
-            SplitKAcc::Native,
-        );
-        gemm_opts(
-            m,
-            n,
-            k,
-            &a,
-            false,
-            &b,
-            false,
-            &mut wide,
-            false,
-            SplitKAcc::Wide,
-        );
-        let err = |c: &[f32]| -> f64 {
-            c.iter()
-                .zip(&want)
-                .map(|(&x, &w)| (f64::from(x) - w).abs())
-                .fold(0.0, f64::max)
-        };
-        assert!(err(&wide) <= err(&native) + 1e-12);
-        assert!(err(&wide) < 1e-3);
-    }
-
-    #[test]
     fn accumulate_adds_into_c() {
         let mut rng = StdRng::seed_from_u64(5);
         let (m, n, k) = (5, 9, 11);
@@ -931,13 +811,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(29);
         let a: Vec<f32> = rand_vec(m * k, &mut rng);
         let b: Vec<f32> = rand_vec(k * n, &mut rng);
-        for acc in [SplitKAcc::Native, SplitKAcc::Wide] {
-            let mut c1 = vec![0.0f32; m * n];
-            let mut c2 = vec![0.0f32; m * n];
-            gemm_opts(m, n, k, &a, false, &b, false, &mut c1, false, acc);
-            gemm_opts(m, n, k, &a, false, &b, false, &mut c2, false, acc);
-            assert!(c1.iter().zip(&c2).all(|(x, y)| x.to_bits() == y.to_bits()));
-        }
+        let mut c1 = vec![0.0f32; m * n];
+        let mut c2 = vec![0.0f32; m * n];
+        gemm(m, n, k, &a, false, &b, false, &mut c1, false);
+        gemm(m, n, k, &a, false, &b, false, &mut c2, false);
+        assert!(c1.iter().zip(&c2).all(|(x, y)| x.to_bits() == y.to_bits()));
     }
 }
 

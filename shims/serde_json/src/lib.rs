@@ -59,20 +59,47 @@ pub fn from_value<T: Deserialize>(value: Value) -> Result<T> {
 
 /// Builds a [`Value`] from a JSON-shaped literal.
 ///
-/// Supports the forms the workspace uses: objects with string keys, arrays,
-/// and arbitrary serializable expressions as values.
+/// Arrays and objects nest to any depth and may mix kinds, as in
+/// `json!([[1], ["x", {"k": null}]])`. They are consumed one item at a time
+/// (`@array` / `@object` carry the items done so far), so a nested literal
+/// becomes a nested call instead of an expression that would have to
+/// type-check on its own. An object key is one token (a string literal or a
+/// variable); a one-token item is itself a `json!` literal, and a longer one
+/// a serializable expression.
 #[macro_export]
 macro_rules! json {
-    (null) => { $crate::Value::Null };
-    ([ $($item:expr),* $(,)? ]) => {
-        $crate::Value::Seq(::std::vec![ $( $crate::to_value(&$item) ),* ])
+    (@array [$($done:expr,)*]) => {
+        $crate::Value::Seq(::std::vec![$($done,)*])
     };
-    ({ $($key:tt : $val:expr),* $(,)? }) => {
-        $crate::Value::Map(::std::vec![
-            $( (::std::string::String::from($key), $crate::to_value(&$val)) ),*
-        ])
+    (@array [$($done:expr,)*] $next:tt $(, $($rest:tt)*)?) => {
+        $crate::json!(@array [$($done,)* $crate::json!($next),] $($($rest)*)?)
     };
-    ($other:expr) => { $crate::to_value(&$other) };
+    (@array [$($done:expr,)*] $next:expr $(, $($rest:tt)*)?) => {
+        $crate::json!(@array [$($done,)* $crate::to_value(&$next),] $($($rest)*)?)
+    };
+    (@object [$($done:expr,)*]) => {
+        $crate::Value::Map(::std::vec![$($done,)*])
+    };
+    (@object [$($done:expr,)*] $key:tt : $val:tt $(, $($rest:tt)*)?) => {
+        $crate::json!(@object [$($done,)*
+            (::std::string::String::from($key), $crate::json!($val)),] $($($rest)*)?)
+    };
+    (@object [$($done:expr,)*] $key:tt : $val:expr $(, $($rest:tt)*)?) => {
+        $crate::json!(@object [$($done,)*
+            (::std::string::String::from($key), $crate::to_value(&$val)),] $($($rest)*)?)
+    };
+    (null) => {
+        $crate::Value::Null
+    };
+    ([$($items:tt)*]) => {
+        $crate::json!(@array [] $($items)*)
+    };
+    ({$($entries:tt)*}) => {
+        $crate::json!(@object [] $($entries)*)
+    };
+    ($other:expr) => {
+        $crate::to_value(&$other)
+    };
 }
 
 // ----------------------------------------------------------------- writer
@@ -409,6 +436,22 @@ mod tests {
         assert_eq!(v["n"].as_u64(), Some(4));
         assert_eq!(v["loss"].as_f64(), Some(0.125));
         assert_eq!(v["tags"].as_array().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn json_macro_nests_mixed_arrays_and_objects() {
+        // The strings serde_json itself prints for these literals.
+        let x = 2.5f64;
+        let arr = json!([[[1], ["x"]]]);
+        assert_eq!(to_string(&arr).unwrap(), r#"[[[1],["x"]]]"#);
+        let obj = json!({
+            "a": {"b": [1, {"c": null}, []], "e": {}},
+            "d": [true, x, "y", [null]],
+        });
+        assert_eq!(
+            to_string(&obj).unwrap(),
+            r#"{"a":{"b":[1,{"c":null},[]],"e":{}},"d":[true,2.5,"y",[null]]}"#
+        );
     }
 
     #[test]
